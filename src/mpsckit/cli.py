@@ -26,6 +26,8 @@ def _parse_point(text, n):
         vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise ParseError(f"bad point {text!r}; expected comma-separated decimals")
+    if not np.all(np.isfinite(vals)):
+        raise ParseError(f"bad point {text!r}; coordinates must be finite")
     if len(vals) != n:
         raise ParseError(f"point has {len(vals)} coordinates, problem has {n}")
     return np.array(vals)

@@ -252,7 +252,10 @@ def lp_solve(c, P: Polyhedron, sense: str = "min") -> LpResult:
     basis = list(range(nt, nt + m))
     for i in range(m):  # price out artificials
         T[-1] -= T[i]
-    if _simplex_core(T, basis, nt + m, tol) != "optimal" or -T[-1, -1] > 1e-8:
+    # the phase-1 objective is bounded below by 0, so an "unbounded" stop is
+    # pivoting noise and only the objective decides infeasibility
+    _simplex_core(T, basis, nt + m, tol)
+    if -T[-1, -1] > 1e-8:
         return LpResult("infeasible")
     # drive remaining artificials out of the basis
     for i in range(m):

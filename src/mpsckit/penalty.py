@@ -224,19 +224,19 @@ def _minimality_samples(P, x, radius, count, rng):
 
 def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
                         minimality_radius: float = 0.05,
-                        n_min_samples: int = 1000) -> PenaltyReport:
+                        n_min_samples: int = 1000, eb=None) -> PenaltyReport:
     """Estimate the exact-penalty threshold and test local minimality of
     the penalized objective at a feasible point.
 
     kappa_bar_hat = alpha_hat * L_f_hat is only claimed when the error-bound
-    probe HOLDS; the kappa grid is evaluated either way.  The Lipschitz
-    estimate is the largest sampled gradient norm over the minimality ball
-    (the radius is reported since the constant depends on it).
+    probe `eb` (run here when None) HOLDS; the kappa grid is evaluated either
+    way.  The Lipschitz estimate is the largest sampled gradient norm over the
+    minimality ball (the radius is reported since the constant depends on it).
     """
     x = np.asarray(x, float)
     if float(P.residual(x)) > tol.tau_feas:
         raise InfeasiblePointError("exact-penalty probe needs a feasible center")
-    eb = error_bound_probe(P, x, tol)
+    eb = error_bound_probe(P, x, tol) if eb is None else eb
 
     rng = tol.rng("lipschitz")
     U = rng.normal(size=(tol.n_samples, P.n))

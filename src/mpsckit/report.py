@@ -18,7 +18,7 @@ from . import cq as cqmod
 from . import penalty as pen
 from . import soc as socmod
 from . import stationarity as st
-from .errors import MpscError
+from .errors import EvalDomainError, MpscError
 from .numeric import Tolerances
 from .problem import MpscProblem, bipartitions, index_sets
 from .expr import to_text
@@ -99,6 +99,8 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
         "errors": [],
     }
     r = float(P.residual(x))
+    if not np.isfinite(r):
+        raise EvalDomainError("constraint residual overflowed to a non-finite value")
     report["residual"] = r
     report["feasible"] = bool(r <= tol.tau_feas)
     if not report["feasible"]:
@@ -152,7 +154,7 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
         eb = run("errorbound", lambda: pen.error_bound_probe(P, x, tol))
         if eb is not None:
             report["errorbound"] = eb.to_json()
-        pr = run("penalty", lambda: pen.exact_penalty_probe(P, x, tol))
+        pr = run("penalty", lambda: pen.exact_penalty_probe(P, x, tol, eb=eb))
         if pr is not None:
             report["penalty"] = pr.to_json()
     return sanitize(report)

@@ -115,34 +115,34 @@ def _batch_values(exprs, Z):
 
 
 def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
-    """Newton steps on the violated constraint system to sharpen feasibility."""
+    """Newton steps on the violated constraint system to sharpen feasibility.
+
+    Values, and gradients where used (every equality, an inequality only where
+    violated), are evaluated in batches over the live rows; the least-squares
+    step is solved per row, on the equalities then the violated inequalities.
+    """
     P = br.problem
-    eqs = br.equalities()
-    gs = list(P.g)
+    cons = br.equalities() + list(P.g)
+    n_eq = len(cons) - P.m
     X = np.array(X, float)
     for _ in range(iters):
         res = br.residual(X)
         live = np.where(res > max(tol.tau_feas * 1e-6, 1e-15))[0]
         if live.size == 0:
             break
+        vals = _batch_values(cons, X[live])
+        use = (vals > 0.0) | (np.arange(len(cons)) < n_eq)
+        J = np.zeros(vals.shape + (P.n,))
+        for j, e in enumerate(cons):
+            if np.any(use[:, j]):
+                J[use[:, j], j] = P.grad_batch(e, X[live[use[:, j]]])
         moved = False
-        for idx in live:
-            x = X[idx]
-            rows, vals = [], []
-            for e in eqs:
-                rows.append(P.grad(e, x))
-                vals.append(P.value(e, x))
-            for e in gs:
-                v = P.value(e, x)
-                if v > 0.0:
-                    rows.append(P.grad(e, x))
-                    vals.append(v)
-            if not rows:
-                continue
-            step, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
-            if np.all(np.isfinite(step)):
-                X[idx] = x - step
-                moved = True
+        for k, idx in enumerate(live):
+            if np.any(use[k]):
+                step, *_ = np.linalg.lstsq(J[k, use[k]], vals[k, use[k]], rcond=None)
+                if np.all(np.isfinite(step)):
+                    X[idx] -= step
+                    moved = True
         if not moved:
             break
     return X

@@ -80,6 +80,21 @@ class TestAnalyze:
                                "--point", "1,2,3")
         assert code == 2 and "coordinates" in err
 
+    def test_non_finite_point_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", str(problem_path("axes2d")),
+                               "--point", "nan,0")
+        assert code == 2 and "finite" in err
+        code, _, err = run_cli(capsys, "solve", str(problem_path("axes2d")),
+                               "--from", "0,inf")
+        assert code == 2 and "finite" in err
+
+    def test_overflowing_residual_is_a_domain_error(self, capsys, tmp_path):
+        jpath = tmp_path / "overflow.json"
+        code, _, err = run_cli(capsys, "analyze", str(problem_path("axes2d")),
+                               "--point", "1e308,1e308", "--json", str(jpath))
+        assert code == 2 and "non-finite" in err
+        assert not jpath.exists()
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "nonexistent.mpsc",
                                "--point", "0,0")

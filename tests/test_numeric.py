@@ -1,12 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mpsckit import numeric
+from mpsckit import cli, cones, numeric
 from mpsckit.errors import SizeCapError
 from mpsckit.numeric import Polyhedron, Tolerances
+from mpsckit.problem import load_problem
 
 TOL = Tolerances()
+
+
+def scipy_linprog(c, P):
+    """The reference LP solve of min c.x over P, free variables."""
+    return linprog(c, A_ub=P.A_le if P.A_le.size else None,
+                   b_ub=P.b_le if P.A_le.size else None,
+                   A_eq=P.A_eq if P.A_eq.size else None,
+                   b_eq=P.b_eq if P.A_eq.size else None,
+                   bounds=(None, None), method="highs")
 
 
 class TestRank:
@@ -146,11 +158,7 @@ class TestLpSolve:
             P = self._random_polyhedron(rng, n)
             c = rng.normal(size=n)
             mine = numeric.lp_solve(c, P, sense="min")
-            ref = linprog(c, A_ub=P.A_le if P.A_le.size else None,
-                          b_ub=P.b_le if P.A_le.size else None,
-                          A_eq=P.A_eq if P.A_eq.size else None,
-                          b_eq=P.b_eq if P.A_eq.size else None,
-                          bounds=(None, None), method="highs")
+            ref = scipy_linprog(c, P)
             if ref.status == 2:
                 assert mine.status == "infeasible"
             elif ref.status == 3:
@@ -158,6 +166,20 @@ class TestLpSolve:
             else:
                 assert mine.status == "optimal"
                 assert mine.value == pytest.approx(ref.fun, abs=1e-6)
+
+    def test_phase1_stop_on_feasible_cone_pieces(self, capsys):
+        # every piece has a zero right-hand side, so the origin is feasible;
+        # phase 1 of one linearization piece stops "unbounded" at objective 0
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
+        capsys.readouterr()
+        P, x = load_problem(str(path)), np.zeros(8)
+        for cone in (cones.linearization_cone(P, x, TOL), cones.critical_cone(P, x, TOL)):
+            for piece in cone.pieces:
+                poly = piece.polyhedron()
+                mine = numeric.lp_solve(None, poly, sense="feasibility")
+                ref = scipy_linprog(np.zeros(poly.dim), poly)
+                assert (mine.status == "infeasible") == (ref.status == 2)
 
 
 class TestEnumerateGenerators:

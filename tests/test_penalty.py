@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mpsckit import penalty
-from mpsckit.errors import InfeasiblePointError
+from mpsckit import penalty, report
+from mpsckit.errors import EstimationError, InfeasiblePointError
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
 
@@ -154,3 +154,29 @@ class TestDistanceInfo:
             d, y, info = penalty.distance_to_feasible(P, x, TOL, with_info=True)
             assert np.linalg.norm(x - y) == pytest.approx(d, abs=1e-12)
             assert info["grid_gap"] >= 0.0
+
+
+class TestAnalyzeWithPenalty:
+    def test_error_bound_probe_runs_once(self, corpus, monkeypatch):
+        calls = []
+        probe = penalty.error_bound_probe
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(penalty, "error_bound_probe", counting)
+        rep = report.analyze(corpus["diagonal2d"], [0.0, 0.0], TOL, with_penalty=True)
+        assert len(calls) == 1
+        assert rep["errorbound"] == rep["penalty"]["error_bound"]
+        assert rep["errors"] == []
+
+    def test_probe_error_reported_for_both_sections(self, corpus, monkeypatch):
+        def failing(*args, **kwargs):
+            raise EstimationError("no feasible witness found near the query point")
+
+        monkeypatch.setattr(penalty, "error_bound_probe", failing)
+        rep = report.analyze(corpus["diagonal2d"], [0.0, 0.0], TOL, with_penalty=True)
+        assert "errorbound" not in rep and "penalty" not in rep
+        assert [e["component"] for e in rep["errors"]] == ["errorbound", "penalty"]
+        assert all("no feasible witness" in e["message"] for e in rep["errors"])

@@ -44,6 +44,72 @@ class TestProjectBranch:
         assert np.allclose(y, [0.0, 0.0], atol=2e-4)
 
 
+def polish_per_row(br, X, tol, iters=40):
+    """Reference Gauss-Newton polish: one point and one constraint at a time."""
+    P = br.problem
+    X = np.array(X, float)
+    for _ in range(iters):
+        live = np.where(br.residual(X) > max(tol.tau_feas * 1e-6, 1e-15))[0]
+        if live.size == 0:
+            break
+        moved = False
+        for idx in live:
+            x = X[idx]
+            rows = [P.grad(e, x) for e in br.equalities()]
+            vals = [P.value(e, x) for e in br.equalities()]
+            for e in P.g:
+                v = P.value(e, x)
+                if v > 0.0:
+                    rows.append(P.grad(e, x))
+                    vals.append(v)
+            if not rows:
+                continue
+            step, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
+            if np.all(np.isfinite(step)):
+                X[idx] = x - step
+                moved = True
+        if not moved:
+            break
+    return X
+
+
+class TestGaussNewtonPolish:
+    def test_batched_equals_per_row_on_corpus_branches(self, corpus):
+        rng = np.random.default_rng(42)
+        violated_rows = 0
+        for name, P in sorted(corpus.items()):
+            for br in all_branches(P):
+                X = rng.normal(scale=0.5, size=(24, P.n))
+                if P.g:
+                    violated_rows += int(np.sum(np.any(P.constraint_values(X)[0] > 0.0, axis=1)))
+                got = solver._gauss_newton_polish(br, X, TOL)
+                assert np.array_equal(got, polish_per_row(br, X, TOL)), (name, br.label())
+        assert violated_rows > 0
+
+    def test_batched_equals_per_row_after_penalty_phase(self):
+        P = load_problem("vars x1 x2 x3\nmin x1\nineq x1^2 + x2^2 - 1\n"
+                         "ineq x3 - x1*x2\neq exp(x1) - 1 - x3\nswitch x1 | x2 - x3\n",
+                         from_path=False)
+        rng = np.random.default_rng(7)
+        for br in all_branches(P):
+            X = rng.normal(scale=1.5, size=(32, 3))
+            assert np.any(P.constraint_values(X)[0] > 0.0)
+            Y = solver.project_branch_cloud(P, br, X, TOL, sigma_schedule=(1e2,), inner=5)
+            for Z in (X, Y):
+                assert np.array_equal(solver._gauss_newton_polish(br, Z, TOL),
+                                      polish_per_row(br, Z, TOL)), br.label()
+
+    def test_inequality_gradient_skipped_where_it_holds(self):
+        # d/dx1 sqrt(x1) is not finite at x1 = 0, where the inequality holds
+        P = load_problem("vars x1 x2\nmin x2\nineq sqrt(x1) - 1\neq x2 - 1\n",
+                         from_path=False)
+        br = all_branches(P)[0]
+        X = np.array([[0.0, 0.5], [0.0, 3.0], [4.0, 2.0]])
+        got = solver._gauss_newton_polish(br, X, TOL)
+        assert np.array_equal(got, polish_per_row(br, X, TOL))
+        assert np.all(br.residual(got) <= TOL.tau_feas)
+
+
 class TestSolveBranch:
     def test_equality_pins_solution(self):
         P = load_problem("vars x\nmin x^2\neq x - 1\n", from_path=False)
