@@ -16,6 +16,7 @@ import numpy as np
 from . import penalty as pen
 from . import report as rp
 from . import solver as sv
+from .cones import PointContext
 from .errors import MpscError, ParseError
 from .numeric import Tolerances
 from .problem import load_problem, problem_text
@@ -235,7 +236,7 @@ def cmd_cones(args):
     P = load_problem(args.file)
     tol = _tolerances(args)
     x = _parse_point(args.point, P.n)
-    section = rp.cones_section(P, x, tol)
+    section = rp.cones_section(PointContext(P, x, tol))
     for title, key in (("linearization cone", "linearization"),
                        ("critical cone", "critical")):
         print(f"{title}:")

@@ -10,11 +10,13 @@ branch set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasiblePointError
-from .numeric import Generators, Polyhedron, Tolerances, enumerate_generators, nullspace
+from .numeric import (Generators, Polyhedron, Tolerances, combination_lp,
+                      enumerate_generators, nullspace)
 from .problem import Bipartition, IndexSets, MpscProblem, bipartitions, branch, index_sets
 
 # symbolic one-pair cones (subsets of R^2)
@@ -53,6 +55,8 @@ class ConePiece:
     A_eq: np.ndarray
     A_le: np.ndarray
     tag: Bipartition | None = None
+    # generators and lineality basis per tolerance set, kept after the first call
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -89,12 +93,14 @@ class ConePiece:
         return bool(np.max(np.abs(self.A_le @ N)) <= 1e-10)
 
     def generators(self, tol: Tolerances) -> Generators:
-        return enumerate_generators(self.polyhedron(), tol)
+        if ("gen", tol) not in self._cache:
+            self._cache["gen", tol] = enumerate_generators(self.polyhedron(), tol)
+        return self._cache["gen", tol]
 
     def lineality_basis(self, tol: Tolerances) -> np.ndarray:
-        stacked = np.vstack([self.A_eq, self.A_le]) if (self.A_eq.size or self.A_le.size) \
-            else np.zeros((0, self.dim))
-        return nullspace(stacked, tol)
+        if ("lin", tol) not in self._cache:
+            self._cache["lin", tol] = nullspace(np.vstack([self.A_eq, self.A_le]), tol)
+        return self._cache["lin", tol]
 
 
 @dataclass
@@ -123,82 +129,103 @@ class ConeUnion:
         return False, None
 
 
-def member(cone: ConeUnion, d, tol: Tolerances):
-    return cone.member(d, tol)
-
-
 # ---------------------------------------------------------------------------
-# gradient stacks
+# point context
 # ---------------------------------------------------------------------------
 
-def _grad_rows(P: MpscProblem, x, items):
-    """Stack gradients for (kind, idx) items; kinds g/h/G/H."""
-    rows = []
-    for kind, i in items:
-        if kind == "g":
-            rows.append(P.grad(P.g[i], x))
-        elif kind == "h":
-            rows.append(P.grad(P.h[i], x))
-        elif kind == "G":
-            rows.append(P.grad(P.switch_pairs[i][0], x))
-        else:
-            rows.append(P.grad(P.switch_pairs[i][1], x))
-    return np.array(rows) if rows else np.zeros((0, P.n))
+class PointContext:
+    """What every point-level check derives from (P, x, tol), computed once.
+
+    The index sets (which gate feasibility) and the bipartitions are computed
+    on first use and not kept when they raise, so each component that needs
+    them reports the error itself.  Gradients at x are kept per (kind, idx)
+    item, kinds f/g/h/G/H, and the linearization-cone pieces are built once
+    and keep their generators.
+    """
+
+    def __init__(self, P: MpscProblem, x, tol: Tolerances):
+        self.P, self.x, self.tol = P, np.asarray(x, float), tol
+        self._grads = {}
+
+    @cached_property
+    def I(self) -> IndexSets:
+        return index_sets(self.P, self.x, self.tol)
+
+    @cached_property
+    def bipartitions(self) -> list[Bipartition]:
+        return bipartitions(self.I)
+
+    @cached_property
+    def linearization(self) -> ConeUnion:
+        return linearization_cone(self)
+
+    def grad(self, kind, i=0) -> np.ndarray:
+        """Gradient at x of item (kind, i); callers must not modify it."""
+        if (kind, i) not in self._grads:
+            self._grads[kind, i] = self.P.grad(self.P.expr(kind, i), self.x)
+        return self._grads[kind, i]
+
+    def rows(self, items) -> np.ndarray:
+        """Gradients of the items stacked as rows, shape (len(items), n)."""
+        return np.array([self.grad(*it) for it in items]).reshape(len(items), self.P.n)
+
+    def combination(self, items, rhs, mode):
+        """combination_lp over the items' gradient columns; g weights are >= 0."""
+        return combination_lp(self.rows(items).T, [k == "g" for k, _ in items], rhs,
+                              mode, self.tol)
 
 
-def piece_for_bipartition(P: MpscProblem, x, I: IndexSets, b: Bipartition,
+def branch_items(ctx: PointContext, beta1, beta2, g_idx=None) -> list:
+    """Gradient items of a branch: g on I_g (or g_idx), every h, G on I_G
+    and beta1, H on I_H and beta2, in that order."""
+    I = ctx.I
+    items = [("g", i) for i in (I.I_g if g_idx is None else g_idx)]
+    items += [("h", j) for j in range(ctx.P.p)]
+    items += [("G", k) for k in sorted(set(I.I_G) | set(beta1))]
+    items += [("H", k) for k in sorted(set(I.I_H) | set(beta2))]
+    return items
+
+
+def active_items(ctx: PointContext) -> list:
+    """The full active family: both sides of every biactive pair."""
+    return branch_items(ctx, ctx.I.I_GH, ctx.I.I_GH)
+
+
+def piece_for_bipartition(ctx: PointContext, b: Bipartition,
                           extra_eq=(), active_ineq=None) -> ConePiece:
     """Linearized branch cone: g rows <= 0, h/G/H rows = 0 for the branch."""
-    ineq_idx = I.I_g if active_ineq is None else active_ineq
-    A_le = _grad_rows(P, x, [("g", i) for i in ineq_idx])
-    eq_items = list(extra_eq)
-    eq_items += [("h", j) for j in range(P.p)]
-    eq_items += [("G", k) for k in sorted(set(I.I_G) | set(b.beta1))]
-    eq_items += [("H", k) for k in sorted(set(I.I_H) | set(b.beta2))]
-    A_eq = _grad_rows(P, x, eq_items)
-    return ConePiece(A_eq=A_eq, A_le=A_le, tag=b)
+    ineq_idx = ctx.I.I_g if active_ineq is None else active_ineq
+    return ConePiece(A_eq=ctx.rows(list(extra_eq) + branch_items(ctx, b.beta1, b.beta2, ())),
+                     A_le=ctx.rows([("g", i) for i in ineq_idx]), tag=b)
 
 
-def linearization_cone(P: MpscProblem, x, tol: Tolerances) -> ConeUnion:
+def linearization_cone(ctx: PointContext) -> ConeUnion:
     """Union of branch linearization cones over all bipartitions."""
-    x = np.asarray(x, float)
-    I = index_sets(P, x, tol)
-    return ConeUnion([piece_for_bipartition(P, x, I, b) for b in bipartitions(I)])
+    return ConeUnion([piece_for_bipartition(ctx, b) for b in ctx.bipartitions])
 
 
-def critical_cone(P: MpscProblem, x, tol: Tolerances, mult=None) -> ConeUnion:
+def critical_cone(ctx: PointContext, mult=None) -> ConeUnion:
     """Linearization directions that are first-order neutral for f.
 
     Without a multiplier each piece is intersected with grad f . d <= 0;
     with an S-multiplier the active inequalities with positive lambda turn
     into equalities instead.
     """
-    x = np.asarray(x, float)
-    I = index_sets(P, x, tol)
-    pieces = []
-    for b in bipartitions(I):
-        if mult is None:
-            piece = piece_for_bipartition(P, x, I, b)
-            gf = P.grad(P.f, x)[None, :]
-            A_le = np.vstack([piece.A_le, gf]) if piece.A_le.size else gf
-            pieces.append(ConePiece(A_eq=piece.A_eq, A_le=A_le, tag=b))
-        else:
-            lam = np.asarray(mult.lam, float)
-            plus = tuple(i for i in I.I_g if lam[i] > tol.tau_act)
-            rest = tuple(i for i in I.I_g if i not in plus)
-            pieces.append(piece_for_bipartition(
-                P, x, I, b, extra_eq=[("g", i) for i in plus], active_ineq=rest))
-    return ConeUnion(pieces)
+    if mult is None:
+        gf = ctx.grad("f")[None, :]
+        return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag)
+                          for p in ctx.linearization.pieces])
+    lam = np.asarray(mult.lam, float)
+    plus = tuple(i for i in ctx.I.I_g if lam[i] > ctx.tol.tau_act)
+    rest = tuple(i for i in ctx.I.I_g if i not in plus)
+    return ConeUnion([piece_for_bipartition(ctx, b, extra_eq=[("g", i) for i in plus],
+                                            active_ineq=rest)
+                      for b in ctx.bipartitions])
 
 
-def critical_subspace(P: MpscProblem, x, tol: Tolerances) -> np.ndarray:
+def critical_subspace(ctx: PointContext) -> np.ndarray:
     """Orthonormal basis of the subspace where every active row vanishes."""
-    x = np.asarray(x, float)
-    I = index_sets(P, x, tol)
-    items = [("g", i) for i in I.I_g] + [("h", j) for j in range(P.p)]
-    items += [("G", k) for k in sorted(set(I.I_G) | set(I.I_GH))]
-    items += [("H", k) for k in sorted(set(I.I_H) | set(I.I_GH))]
-    return nullspace(_grad_rows(P, x, items), tol)
+    return nullspace(ctx.rows(active_items(ctx)), ctx.tol)
 
 
 # ---------------------------------------------------------------------------

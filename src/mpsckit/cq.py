@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones as cn
+from .cones import PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import (Polyhedron, Tolerances, enumerate_generators, lp_solve,
-                      rank_margin, rank_tol, rank_tol_batch)
-from .problem import Bipartition, IndexSets, MpscProblem, bipartitions, index_sets
-from .stationarity import lagrangian_hessian, Multipliers
+from .numeric import (eig_sym, nullspace, rank_margin, rank_tol, rank_tol_batch,
+                      sanitize)
+from .problem import Bipartition
+from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
 HOLDS, FAILS, UNKNOWN = "HOLDS", "FAILS", "UNKNOWN"
 
@@ -50,39 +51,15 @@ class CqVerdict:
 
     def to_json(self):
         return {"name": self.name, "status": self.status, "mode": self.mode,
-                "evidence": _jsonable(self.evidence)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Multipliers):
-        return obj.to_json()
-    return obj
+                "evidence": sanitize(self.evidence)}
 
 
 # ---------------------------------------------------------------------------
 # gradient families and sampled rank constancy
 # ---------------------------------------------------------------------------
 
-def _expr_of(P, kind, i):
-    if kind == "g":
-        return P.g[i]
-    if kind == "h":
-        return P.h[i]
-    if kind == "G":
-        return P.switch_pairs[i][0]
-    return P.switch_pairs[i][1]
-
-
 def family_matrix(P, x, items):
-    rows = [P.grad(_expr_of(P, k, i), x) for k, i in items]
+    rows = [P.grad(P.expr(k, i), x) for k, i in items]
     return np.array(rows) if rows else np.zeros((0, P.n))
 
 
@@ -91,7 +68,7 @@ def family_tensor(P, X, items):
     X = np.asarray(X, float)
     if not items:
         return np.zeros((X.shape[0], 0, P.n))
-    return np.stack([P.grad_batch(_expr_of(P, k, i), X) for k, i in items], axis=1)
+    return np.stack([P.grad_batch(P.expr(k, i), X) for k, i in items], axis=1)
 
 
 def _ball(rng, count, n, radius):
@@ -103,14 +80,14 @@ def _ball(rng, count, n, radius):
 RADII_FRACTIONS = (1.0, 0.25, 0.0625)
 
 
-def rank_constancy(P, x, items, tol: Tolerances, tag) -> dict:
+def rank_constancy(ctx: PointContext, items, tag) -> dict:
     """Sampled rank constancy of a gradient family near x.
 
     Returns a dict with constant (bool), base rank, witness sample (if any),
     and a thin_margin flag for fragile decisions near the rank cutoff.
     """
-    x = np.asarray(x, float)
-    M0 = family_matrix(P, x, items)
+    P, x, tol = ctx.P, ctx.x, ctx.tol
+    M0 = ctx.rows(items)
     r0 = rank_tol(M0, tol)
     thin = rank_margin(M0, tol) < 10.0
     witness = None
@@ -134,52 +111,33 @@ def rank_constancy(P, x, items, tol: Tolerances, tag) -> dict:
             "radii": [tol.eps_ball * f for f in RADII_FRACTIONS], "seed": tol.seed}
 
 
-def _wcr_items(I: IndexSets, P):
-    items = [("g", i) for i in I.I_g] + [("h", j) for j in range(P.p)]
-    items += [("G", k) for k in sorted(set(I.I_G) | set(I.I_GH))]
-    items += [("H", k) for k in sorted(set(I.I_H) | set(I.I_GH))]
-    return items
-
-
-def _branch_items(I: IndexSets, P, b: Bipartition, g_idx=None):
-    items = [("g", i) for i in (I.I_g if g_idx is None else g_idx)]
-    items += [("h", j) for j in range(P.p)]
-    items += [("G", k) for k in sorted(set(I.I_G) | set(b.beta1))]
-    items += [("H", k) for k in sorted(set(I.I_H) | set(b.beta2))]
-    return items
-
-
 # ---------------------------------------------------------------------------
 # first-order checks
 # ---------------------------------------------------------------------------
 
-def check_licq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_licq(ctx: PointContext) -> CqVerdict:
     """Linear independence of the full active gradient family (exact)."""
-    I = index_sets(P, x, tol)
-    items = _wcr_items(I, P)
-    M = family_matrix(P, x, items)
-    r = rank_tol(M, tol)
+    items = active_items(ctx)
+    r = rank_tol(ctx.rows(items), ctx.tol)
     status = HOLDS if r == len(items) else FAILS
     return CqVerdict("LICQ", status, "exact",
                      {"rows": len(items), "rank": r, "family": items})
 
 
-def check_wcr(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_wcr(ctx: PointContext) -> CqVerdict:
     """Sampled constant rank of the full active family near x."""
-    I = index_sets(P, x, tol)
-    rep = rank_constancy(P, x, _wcr_items(I, P), tol, "wcr")
+    rep = rank_constancy(ctx, active_items(ctx), "wcr")
     if rep["constant"] and rep["thin_margin"]:
         return CqVerdict("WCR", UNKNOWN, "sampled", rep)
     return CqVerdict("WCR", HOLDS if rep["constant"] else FAILS, "sampled", rep)
 
 
-def check_pwcr(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_pwcr(ctx: PointContext) -> CqVerdict:
     """Per-bipartition sampled constant rank of the branch families."""
-    I = index_sets(P, x, tol)
     reports = []
     any_thin = False
-    for bi, b in enumerate(bipartitions(I)):
-        rep = rank_constancy(P, x, _branch_items(I, P, b), tol, ("pwcr", bi))
+    for bi, b in enumerate(ctx.bipartitions):
+        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2), ("pwcr", bi))
         rep["bipartition"] = [list(b.beta1), list(b.beta2)]
         reports.append(rep)
         any_thin |= rep["thin_margin"]
@@ -188,13 +146,13 @@ def check_pwcr(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
                              {"bipartitions": reports, "witness": rep["witness"]})
     status = UNKNOWN if any_thin else HOLDS
     return CqVerdict("PWCR", status, "sampled",
-                     {"bipartitions": reports, "n_samples": tol.n_samples,
-                      "seed": tol.seed})
+                     {"bipartitions": reports, "n_samples": ctx.tol.n_samples,
+                      "seed": ctx.tol.seed})
 
 
-def check_rcrcq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_rcrcq(ctx: PointContext) -> CqVerdict:
     """Sampled constant rank over all subset triples (I1, I3, I4)."""
-    I = index_sets(P, x, tol)
+    P, x, tol, I = ctx.P, ctx.x, ctx.tol, ctx.I
     n_triples = 2 ** len(I.I_g) * 4 ** len(I.I_GH)
     if n_triples > RCRCQ_TRIPLE_CAP:
         return CqVerdict("RCRCQ", UNKNOWN, "sampled",
@@ -204,7 +162,6 @@ def check_rcrcq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
     full_items += [("G", k) for k in range(P.l)] + [("H", k) for k in range(P.l)]
     pos = {it: r for r, it in enumerate(full_items)}
 
-    x = np.asarray(x, float)
     tensors = []
     for ri, frac in enumerate(RADII_FRACTIONS):
         rng = tol.rng("rankconst", "rcrcq", ri)
@@ -218,15 +175,12 @@ def check_rcrcq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
     for I1 in g_subsets:
         for I3 in gh_subsets:
             for I4 in gh_subsets:
-                items = [("g", i) for i in I1] + [("h", j) for j in range(P.p)]
-                items += [("G", k) for k in sorted(set(I3) | set(I.I_G))]
-                items += [("H", k) for k in sorted(set(I4) | set(I.I_H))]
+                items = branch_items(ctx, I3, I4, g_idx=I1)
                 checked += 1
                 if not items:
                     continue
                 sel = [pos[it] for it in items]
-                M0 = family_matrix(P, x, items)
-                r0 = rank_tol(M0, tol)
+                r0 = rank_tol(ctx.rows(items), tol)
                 for X, T in tensors:
                     ranks = rank_tol_batch(T[:, sel, :], tol)
                     bad = np.where(ranks != r0)[0]
@@ -256,8 +210,7 @@ def _subsets(idx):
 # I_g^- and PCRSC
 # ---------------------------------------------------------------------------
 
-def i_g_minus(P: MpscProblem, x, b: Bipartition, tol: Tolerances,
-              I: IndexSets | None = None):
+def i_g_minus(ctx: PointContext, b: Bipartition):
     """Active inequalities forced to equality on the branch linearization cone.
 
     Primary route: -grad g_l lies in the cone generated by the remaining
@@ -265,45 +218,17 @@ def i_g_minus(P: MpscProblem, x, b: Bipartition, tol: Tolerances,
     branch equality gradients.  Cross-check: g_l annihilates every generator
     of the branch linearization cone.  Returns (indices, crosscheck dict).
     """
-    if I is None:
-        I = index_sets(P, x, tol)
-    picked = []
-    for l in I.I_g:
-        cols, nonneg = [], []
-        for i in I.I_g:
-            if i != l:
-                cols.append(P.grad(P.g[i], x))
-                nonneg.append(True)
-        for j in range(P.p):
-            cols.append(P.grad(P.h[j], x))
-            nonneg.append(False)
-        for k in sorted(set(I.I_G) | set(b.beta1)):
-            cols.append(P.grad(P.switch_pairs[k][0], x))
-            nonneg.append(False)
-        for k in sorted(set(I.I_H) | set(b.beta2)):
-            cols.append(P.grad(P.switch_pairs[k][1], x))
-            nonneg.append(False)
-        rhs = -P.grad(P.g[l], x)
-        if not cols:
-            if np.linalg.norm(rhs) <= 1e-9:
-                picked.append(l)
-            continue
-        B = np.array(cols).T
-        free = [c for c, nn in enumerate(nonneg) if not nn]
-        A = np.hstack([B, -B[:, free]]) if free else B
-        nc = A.shape[1]
-        pol = Polyhedron.make(nc, A_eq=A, b_eq=rhs,
-                              A_le=-np.eye(nc), b_le=np.zeros(nc))
-        if lp_solve(None, pol, sense="feasibility").status == "optimal":
-            picked.append(l)
+    I = ctx.I
+    picked = [l for l in I.I_g if ctx.combination(
+        branch_items(ctx, b.beta1, b.beta2, g_idx=[i for i in I.I_g if i != l]),
+        -ctx.grad("g", l), "feasible")]
 
     # cross-check against I_0 computed from the cone generators
-    piece = cn.piece_for_bipartition(P, x, I, b)
-    gen = enumerate_generators(piece.polyhedron(), tol)
-    dirs = gen.all_rays()
+    piece = ctx.linearization.pieces[ctx.bipartitions.index(b)]
+    dirs = piece.generators(ctx.tol).all_rays()
     i0 = []
     for i in I.I_g:
-        gi = P.grad(P.g[i], x)
+        gi = ctx.grad("g", i)
         scale = 1e-9 * (1.0 + np.linalg.norm(gi))
         if all(abs(gi @ d) <= scale for d in dirs):
             i0.append(i)
@@ -311,16 +236,15 @@ def i_g_minus(P: MpscProblem, x, b: Bipartition, tol: Tolerances,
     return tuple(picked), {"I0": i0, "agree": agree}
 
 
-def check_pcrsc(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_pcrsc(ctx: PointContext) -> CqVerdict:
     """Per-bipartition constant rank with g restricted to I_g^-."""
-    I = index_sets(P, x, tol)
     reports = []
     any_thin = False
     any_mismatch = False
-    for bi, b in enumerate(bipartitions(I)):
-        igm, cross = i_g_minus(P, x, b, tol, I=I)
+    for bi, b in enumerate(ctx.bipartitions):
+        igm, cross = i_g_minus(ctx, b)
         any_mismatch |= not cross["agree"]
-        rep = rank_constancy(P, x, _branch_items(I, P, b, g_idx=igm), tol,
+        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2, g_idx=igm),
                              ("pcrsc", bi))
         rep["bipartition"] = [list(b.beta1), list(b.beta2)]
         rep["I_g_minus"] = list(igm)
@@ -336,15 +260,15 @@ def check_pcrsc(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
                           "note": "I_g^- LP and I_0 cross-check disagree"})
     status = UNKNOWN if any_thin else HOLDS
     return CqVerdict("PCRSC", status, "sampled",
-                     {"bipartitions": reports, "n_samples": tol.n_samples,
-                      "seed": tol.seed})
+                     {"bipartitions": reports, "n_samples": ctx.tol.n_samples,
+                      "seed": ctx.tol.seed})
 
 
 # ---------------------------------------------------------------------------
 # ACQ (sampled tangent cone vs linearization cone)
 # ---------------------------------------------------------------------------
 
-def check_acq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_acq(ctx: PointContext) -> CqVerdict:
     """Evidence-based equality of tangent and linearization cones.
 
     The inclusion T in L always holds; a sampled violation marks numeric
@@ -353,9 +277,8 @@ def check_acq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
     branch.  An unmatched generator whose ray visibly leaves the feasible
     set is a FAILS witness.
     """
-    x = np.asarray(x, float)
-    I = index_sets(P, x, tol)
-    L = cn.linearization_cone(P, x, tol)
+    P, x, tol = ctx.P, ctx.x, ctx.tol
+    L = ctx.linearization
 
     trivial = all(p.lineality_basis(tol).shape[1] == 0
                   and not p.generators(tol).rays for p in L.pieces)
@@ -400,57 +323,24 @@ def check_acq(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
 # piecewise second-order quasi-normality (partial checker)
 # ---------------------------------------------------------------------------
 
-def check_psoqn(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
+def check_psoqn(ctx: PointContext) -> CqVerdict:
     """Search for singular multipliers; certify absence, else probe failure.
 
     HOLDS is exact: no branch admits a nonzero (lambda >= 0, rho, mu, nu)
     with vanishing constraint-gradient combination.  FAILS needs all three
     defining conditions witnessed at once; anything less is UNKNOWN.
     """
-    x = np.asarray(x, float)
-    I = index_sets(P, x, tol)
+    P = ctx.P
     candidates = []
-    for b in bipartitions(I):
-        mu_sup = sorted(set(I.I_G) | set(b.beta1))
-        nu_sup = sorted(set(I.I_H) | set(b.beta2))
-        cols, nonneg = [], []
-        for i in range(P.m):
-            cols.append(P.grad(P.g[i], x))
-            nonneg.append(True)
-        for j in range(P.p):
-            cols.append(P.grad(P.h[j], x))
-            nonneg.append(False)
-        for k in mu_sup:
-            cols.append(P.grad(P.switch_pairs[k][0], x))
-            nonneg.append(False)
-        for k in nu_sup:
-            cols.append(P.grad(P.switch_pairs[k][1], x))
-            nonneg.append(False)
-        if not cols:
-            continue
-        B = np.array(cols).T
-        free = [c for c, nn in enumerate(nonneg) if not nn]
-        A = np.hstack([B, -B[:, free]]) if free else B
-        nc = A.shape[1]
-        # vertices of {z >= 0 : A z = 0, sum z = 1} are the candidate rays
-        pol = Polyhedron.make(nc,
-                              A_eq=np.vstack([A, np.ones((1, nc))]),
-                              b_eq=np.concatenate([np.zeros(P.n), [1.0]]),
-                              A_le=-np.eye(nc), b_le=np.zeros(nc))
+    for b in ctx.bipartitions:
+        items = branch_items(ctx, b.beta1, b.beta2, g_idx=range(P.m))
         try:
-            gen = enumerate_generators(pol, tol)
-        except ValueError:
-            continue  # infeasible: no nonzero combination at all
+            rays = ctx.combination(items, np.zeros(P.n), "rays")
         except SizeCapError:
             return CqVerdict("PSOQN", UNKNOWN, "sampled",
                              {"note": "multiplier-ray enumeration exceeds caps"})
-        labels = [("lam", i) for i in range(P.m)] + [("rho", j) for j in range(P.p)]
-        labels += [("mu", k) for k in mu_sup] + [("nu", k) for k in nu_sup]
-        for v in gen.vertices:
-            z = v[:len(labels)].copy()
-            for c, fi in enumerate(free):
-                z[fi] -= v[len(labels) + c]
-            m = _expand_psoqn(P, labels, z)
+        for z in rays:
+            m = expand_multiplier(P, multiplier_labels(items), z)
             if m.l1() > 1e-9:
                 candidates.append((b, m))
     if not candidates:
@@ -458,43 +348,29 @@ def check_psoqn(P: MpscProblem, x, tol: Tolerances) -> CqVerdict:
                          {"note": "no nonzero singular multiplier on any branch"})
 
     for b, m in candidates:
-        if _psoqn_second_order(P, x, I, b, m, tol) and \
-                _psoqn_sign_sequence(P, x, m, tol):
+        if _psoqn_second_order(ctx, b, m) and _psoqn_sign_sequence(ctx, m):
             return CqVerdict("PSOQN", FAILS, "sampled", {
                 "bipartition": [list(b.beta1), list(b.beta2)],
-                "multiplier": m.to_json(), "seed": tol.seed})
+                "multiplier": m.to_json(), "seed": ctx.tol.seed})
     return CqVerdict("PSOQN", UNKNOWN, "sampled",
-                     {"candidates": len(candidates), "seed": tol.seed,
+                     {"candidates": len(candidates), "seed": ctx.tol.seed,
                       "note": "singular multipliers exist but no full witness"})
 
 
-def _expand_psoqn(P, labels, z):
-    lam = np.zeros(P.m)
-    rho = np.zeros(P.p)
-    mu = np.zeros(P.l)
-    nu = np.zeros(P.l)
-    store = {"lam": lam, "rho": rho, "mu": mu, "nu": nu}
-    for (kind, idx), v in zip(labels, z):
-        store[kind][idx] = v
-    return Multipliers(tuple(lam), tuple(rho), tuple(mu), tuple(nu))
-
-
-def _psoqn_second_order(P, x, I, b, m, tol):
+def _psoqn_second_order(ctx, b, m):
     """Constraint-Hessian combination PSD on the branch critical subspace."""
-    from .numeric import eig_sym, nullspace
-    items = _branch_items(I, P, b)
-    B = nullspace(family_matrix(P, x, items), tol)
+    B = nullspace(ctx.rows(branch_items(ctx, b.beta1, b.beta2)), ctx.tol)
     if B.shape[1] == 0:
         return True
-    K = lagrangian_hessian(P, x, m, include_objective=False)
+    K = lagrangian_hessian(ctx.P, ctx.x, m, include_objective=False)
     w, _ = eig_sym(B.T @ K @ B)
-    return bool(w[0] >= -tol.tau_psd)
+    return bool(w[0] >= -ctx.tol.tau_psd)
 
 
-def _psoqn_sign_sequence(P, x, m, tol):
+def _psoqn_sign_sequence(ctx, m):
     """A sample at every shrinking radius matching all strict sign conditions."""
+    P, x, tol = ctx.P, ctx.x, ctx.tol
     lam, rho, mu, nu = m.as_arrays()
-    x = np.asarray(x, float)
     for ri, frac in enumerate(RADII_FRACTIONS):
         rng = tol.rng("psoqn", ri)
         X = x[None, :] + _ball(rng, tol.n_samples, P.n, tol.eps_ball * frac)
@@ -568,16 +444,16 @@ def lattice_closure(verdicts: dict) -> dict:
     return out
 
 
-def run_all(P: MpscProblem, x, tol: Tolerances, with_psoqn=True) -> dict:
+def run_all(ctx: PointContext, with_psoqn=True) -> dict:
     """Direct checks plus lattice closure; the standard CQ table."""
     verdicts = {
-        "LICQ": check_licq(P, x, tol),
-        "WCR": check_wcr(P, x, tol),
-        "PWCR": check_pwcr(P, x, tol),
-        "RCRCQ": check_rcrcq(P, x, tol),
-        "PCRSC": check_pcrsc(P, x, tol),
-        "ACQ": check_acq(P, x, tol),
+        "LICQ": check_licq(ctx),
+        "WCR": check_wcr(ctx),
+        "PWCR": check_pwcr(ctx),
+        "RCRCQ": check_rcrcq(ctx),
+        "PCRSC": check_pcrsc(ctx),
+        "ACQ": check_acq(ctx),
     }
     if with_psoqn:
-        verdicts["PSOQN"] = check_psoqn(P, x, tol)
+        verdicts["PSOQN"] = check_psoqn(ctx)
     return lattice_closure(verdicts)

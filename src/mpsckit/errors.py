@@ -40,6 +40,10 @@ class NotSStationaryError(MpscError):
     """Second-order machinery requires an S-stationary base point."""
 
 
+class NumericBreakdownError(MpscError):
+    """A numeric kernel hit its iteration cap without converging."""
+
+
 class EstimationError(MpscError):
     """A numeric estimation (projection, distance) failed to produce a witness."""
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import NumericBreakdownError, SizeCapError
 
 MAX_GEN_CONSTRAINTS = 24
 MAX_GEN_DIM = 12
 _MAX_BASES = 200_000
+MAX_SIMPLEX_PIVOTS = 50_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,23 @@ class Generators:
             out.append(b)
             out.append(-b)
         return out
+
+
+def sanitize(obj):
+    """Coerce numpy scalars/arrays and to_json() objects to plain JSON types."""
+    if hasattr(obj, "to_json"):
+        return sanitize(obj.to_json())
+    if isinstance(obj, dict):
+        return {k: sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +200,7 @@ class LpResult:
 def _simplex_core(T, basis, n_total, tol):
     """Minimize the last row of tableau T in place; Bland's rule."""
     m = T.shape[0] - 1
-    for _ in range(50_000):
+    for _ in range(MAX_SIMPLEX_PIVOTS):
         # entering: smallest index with negative reduced cost
         enter = -1
         for j in range(n_total):
@@ -208,7 +226,8 @@ def _simplex_core(T, basis, n_total, tol):
             if i != leave and T[i, enter] != 0.0:
                 T[i] -= T[i, enter] * T[leave]
         basis[leave] = enter
-    raise RuntimeError("simplex failed to terminate")
+    raise NumericBreakdownError(
+        f"simplex did not terminate within {MAX_SIMPLEX_PIVOTS} pivots")
 
 
 def _standard_form(c, P: Polyhedron):
@@ -290,6 +309,52 @@ def lp_solve(c, P: Polyhedron, sense: str = "min") -> LpResult:
     if sense == "max":
         value = -value
     return LpResult("optimal", x=x, value=value)
+
+
+def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
+    """Combinations B z = rhs with z_c >= 0 where nonneg[c] and z_c free elsewhere.
+
+    Each free coordinate is split into the difference of two nonnegative
+    parts: the system runs over the columns [B | -B_free] with every
+    coordinate >= 0, in that order, and answers are mapped back to signed z.
+    mode "feasible": whether some z exists; "l1": the z of least l1 norm, or
+    None; "residual": min ||B z - rhs||_1, through slack columns [I | -I]
+    appended after the split; "rays": the signed vertices of
+    {B z = 0, sum of the parts = 1} (rhs unused, needs tol), one per extreme
+    nonzero combination; SizeCapError beyond the enumeration caps.
+    """
+    B = np.asarray(B, float)
+    n, k = B.shape
+    free = [c for c in range(k) if not nonneg[c]]
+    A = np.hstack([B, -B[:, free]])
+    if mode == "residual":
+        A = np.hstack([A, np.eye(n), -np.eye(n)])
+    elif mode == "rays":
+        A = np.vstack([A, np.ones((1, A.shape[1]))])
+        rhs = np.concatenate([np.zeros(n), [1.0]])
+    nc = A.shape[1]
+
+    def signed(v):
+        z = v[:k].copy()
+        z[free] -= v[k:k + len(free)]
+        return z
+
+    if nc == 0:
+        ok = mode != "rays" and np.linalg.norm(rhs) <= 1e-9
+        return {"feasible": ok, "l1": np.zeros(0) if ok else None, "rays": []}[mode]
+    pol = Polyhedron.make(nc, A_eq=A, b_eq=rhs, A_le=-np.eye(nc), b_le=np.zeros(nc))
+    if mode == "feasible":
+        return lp_solve(None, pol, sense="feasibility").status == "optimal"
+    if mode == "rays":
+        try:
+            return [signed(v) for v in enumerate_generators(pol, tol).vertices]
+        except ValueError:  # infeasible: no nonzero combination at all
+            return []
+    if mode == "residual":
+        c = np.concatenate([np.zeros(nc - 2 * n), np.ones(2 * n)])
+        return float(lp_solve(c, pol, sense="min").value)
+    res = lp_solve(np.ones(nc), pol, sense="min")
+    return signed(res.x) if res.status == "optimal" else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +44,12 @@ class MpscProblem:
 
     # -- evaluation helpers ------------------------------------------------
 
+    def expr(self, kind, i=0):
+        """Expression of item (kind, i): kind f, g, h, G or H."""
+        if kind in ("G", "H"):
+            return self.switch_pairs[i][kind == "H"]
+        return self.f if kind == "f" else (self.g if kind == "g" else self.h)[i]
+
     def value(self, e, x):
         return ex.evaluate(e, x)
 
@@ -70,9 +77,10 @@ class MpscProblem:
     def residual(self, x):
         """l2 constraint violation: sqrt(sum g+^2 + sum h^2 + sum min(G^2,H^2))."""
         g, h, G, H = self.constraint_values(x)
-        viol = np.sum(np.maximum(g, 0.0) ** 2, axis=-1) \
-            + np.sum(h ** 2, axis=-1) \
-            + np.sum(np.minimum(G ** 2, H ** 2), axis=-1)
+        with np.errstate(over="ignore"):  # callers reject a non-finite residual
+            viol = np.sum(np.maximum(g, 0.0) ** 2, axis=-1) \
+                + np.sum(h ** 2, axis=-1) \
+                + np.sum(np.minimum(G ** 2, H ** 2), axis=-1)
         return np.sqrt(viol)
 
     def is_feasible(self, x, tol: Tolerances):
@@ -165,7 +173,7 @@ def load_problem(source: str, *, from_path: bool | None = None) -> MpscProblem:
     """
     if from_path is None:
         from_path = "\n" not in source
-    text = open(source).read() if from_path else source
+    text = Path(source).read_text() if from_path else source
 
     var_names = None
     f = None

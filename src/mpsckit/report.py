@@ -19,26 +19,11 @@ from . import penalty as pen
 from . import soc as socmod
 from . import stationarity as st
 from .errors import EvalDomainError, MpscError
-from .numeric import Tolerances
-from .problem import MpscProblem, bipartitions, index_sets
+from .numeric import Tolerances, sanitize
+from .problem import MpscProblem
 from .expr import to_text
 
 SCHEMA_VERSION = "1"
-
-
-def sanitize(obj):
-    """Coerce numpy scalars/arrays to plain JSON types, recursively."""
-    if isinstance(obj, dict):
-        return {k: sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def load_schema():
@@ -75,13 +60,13 @@ def _piece_json(piece, tol):
     return out
 
 
-def cones_section(P, x, tol) -> dict:
-    L = cn.linearization_cone(P, x, tol)
-    C = cn.critical_cone(P, x, tol)
-    B = cn.critical_subspace(P, x, tol)
+def cones_section(ctx: cn.PointContext) -> dict:
+    L = ctx.linearization
+    C = cn.critical_cone(ctx)
+    B = cn.critical_subspace(ctx)
     return {
-        "linearization": {"pieces": [_piece_json(p, tol) for p in L.pieces]},
-        "critical": {"pieces": [_piece_json(p, tol) for p in C.pieces]},
+        "linearization": {"pieces": [_piece_json(p, ctx.tol) for p in L.pieces]},
+        "critical": {"pieces": [_piece_json(p, ctx.tol) for p in C.pieces]},
         "critical_subspace": [[float(v) for v in B[:, j]]
                               for j in range(B.shape[1])],
     }
@@ -114,30 +99,31 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
             report["errors"].append({"component": name, "message": str(err)})
             return None
 
-    I = run("index_sets", lambda: index_sets(P, x, tol))
+    ctx = cn.PointContext(P, x, tol)
+    I = run("index_sets", lambda: ctx.I)
     if I is not None:
         report["index_sets"] = I.to_json()
         report["bipartitions"] = [[sorted(b.beta1), sorted(b.beta2)]
-                                  for b in bipartitions(I)]
-    report["cones"] = run("cones", lambda: cones_section(P, x, tol))
+                                  for b in ctx.bipartitions]
+    report["cones"] = run("cones", lambda: cones_section(ctx))
 
     sta = {}
     for kind, fn in (("W", st.check_w_stationary), ("M", st.check_m_stationary),
                      ("S", st.check_s_stationary)):
-        v = run(f"stationarity.{kind}", lambda fn=fn: fn(P, x, tol))
+        v = run(f"stationarity.{kind}", lambda fn=fn: fn(ctx))
         if v is not None:
             sta[kind] = v.to_json()
     oracle = run("stationarity.oracle", lambda: {
-        "M": st.normal_cone_oracle(P, x, "M", tol),
-        "S": st.normal_cone_oracle(P, x, "S", tol)})
+        "M": st.normal_cone_oracle(ctx, "M"),
+        "S": st.normal_cone_oracle(ctx, "S")})
     if oracle is not None:
         sta["normal_cone_oracle"] = oracle
 
-    cq_table = run("cq", lambda: cqmod.run_all(P, x, tol))
+    cq_table = run("cq", lambda: cqmod.run_all(ctx))
     soc_out = {}
     if sta.get("S", {}).get("status") == "HOLDS":
         for kind, fn in (("WSONC", socmod.check_wsonc), ("SSONC", socmod.check_ssonc)):
-            v = run(f"soc.{kind}", lambda fn=fn: fn(P, x, tol))
+            v = run(f"soc.{kind}", lambda fn=fn: fn(ctx))
             if v is not None:
                 soc_out[kind] = v.to_json()
     else:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones as cn
+from .cones import PointContext
 from .errors import NotSStationaryError, SizeCapError
 from .numeric import Tolerances, eig_sym
-from .problem import MpscProblem
 from .stationarity import (Multipliers, check_s_stationary, expand_multiplier,
                            lagrangian_hessian, s_multiplier_polyhedron)
 
@@ -116,25 +116,26 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
                           exact=False, method="generator_sweep")
 
 
-def _multiplier_generators(P, x, tol):
+def _multiplier_generators(ctx):
     """Vertices and (both-signed) rays of the S-multiplier polyhedron."""
-    _, labels, gen = s_multiplier_polyhedron(P, x, tol)
-    vertices = [expand_multiplier(P, labels, v) for v in gen.vertices]
-    rays = [expand_multiplier(P, labels, r) for r in gen.all_rays()]
+    _, labels, gen = s_multiplier_polyhedron(ctx)
+    vertices = [expand_multiplier(ctx.P, labels, v) for v in gen.vertices]
+    rays = [expand_multiplier(ctx.P, labels, r) for r in gen.all_rays()]
     return vertices, rays
 
 
-def _gate_s_stationary(P, x, tol) -> Multipliers:
-    v = check_s_stationary(P, x, tol)
+def _gate_s_stationary(ctx) -> Multipliers:
+    v = check_s_stationary(ctx)
     if not v.holds():
         raise NotSStationaryError("second-order conditions presuppose an "
                                   "S-stationary point")
     return v.witness
 
 
-def _ray_witness_multiplier(P, x, vertex: Multipliers, ray: Multipliers,
-                            d, tol) -> tuple[Multipliers, float]:
+def _ray_witness_multiplier(ctx, vertex: Multipliers, ray: Multipliers,
+                            d) -> tuple[Multipliers, float]:
     """Scale vertex + t * ray so the quadratic form at d is decisively negative."""
+    P, x = ctx.P, ctx.x
     qv = float(d @ lagrangian_hessian(P, x, vertex) @ d)
     qr = float(d @ lagrangian_hessian(P, x, ray, include_objective=False) @ d)
     t = (abs(qv) + 1.0) / max(-qr, 1e-12)
@@ -145,16 +146,16 @@ def _ray_witness_multiplier(P, x, vertex: Multipliers, ray: Multipliers,
     return mult, float(d @ lagrangian_hessian(P, x, mult) @ d)
 
 
-def check_wsonc(P: MpscProblem, x, tol: Tolerances) -> SocVerdict:
+def check_wsonc(ctx: PointContext) -> SocVerdict:
     """Projected-Hessian nonnegativity on the critical subspace (exact)."""
-    x = np.asarray(x, float)
-    _gate_s_stationary(P, x, tol)
-    B = cn.critical_subspace(P, x, tol)
+    P, x, tol = ctx.P, ctx.x, ctx.tol
+    _gate_s_stationary(ctx)
+    B = cn.critical_subspace(ctx)
     if B.shape[1] == 0:
         return SocVerdict("WSONC", HOLDS, "exact",
                           evidence={"subspace_dim": 0, "note": "vacuous"})
     try:
-        vertices, rays = _multiplier_generators(P, x, tol)
+        vertices, rays = _multiplier_generators(ctx)
     except SizeCapError as err:
         return SocVerdict("WSONC", UNKNOWN, "exact",
                           evidence={"note": str(err)})
@@ -179,7 +180,7 @@ def check_wsonc(P: MpscProblem, x, tol: Tolerances) -> SocVerdict:
         if w[0] < -tol.tau_psd:
             d = B @ V[:, 0]
             d /= np.linalg.norm(d)
-            mult, value = _ray_witness_multiplier(P, x, anchor, ray, d, tol)
+            mult, value = _ray_witness_multiplier(ctx, anchor, ray, d)
             return SocVerdict("WSONC", FAILS, "exact",
                               witness={"multiplier": mult, "direction": d,
                                        "value": value},
@@ -193,15 +194,15 @@ def check_wsonc(P: MpscProblem, x, tol: Tolerances) -> SocVerdict:
                                 "method": "subspace_eig"})
 
 
-def check_ssonc(P: MpscProblem, x, tol: Tolerances) -> SocVerdict:
+def check_ssonc(ctx: PointContext) -> SocVerdict:
     """Quadratic-form nonnegativity over the critical cone, multiplier-swept."""
-    x = np.asarray(x, float)
-    witness0 = _gate_s_stationary(P, x, tol)
+    P, x, tol = ctx.P, ctx.x, ctx.tol
+    witness0 = _gate_s_stationary(ctx)
     try:
-        vertices, rays = _multiplier_generators(P, x, tol)
+        vertices, rays = _multiplier_generators(ctx)
     except SizeCapError as err:
         return SocVerdict("SSONC", UNKNOWN, "sampled", evidence={"note": str(err)})
-    pieces = cn.critical_cone(P, x, tol, mult=witness0).pieces
+    pieces = cn.critical_cone(ctx, mult=witness0).pieces
 
     all_exact = True
     low_coverage = []
@@ -220,8 +221,7 @@ def check_ssonc(P: MpscProblem, x, tol: Tolerances) -> SocVerdict:
             if qf.value is not None and qf.value < -tol.tau_psd:
                 d = qf.direction
                 if homogeneous:
-                    wit_mult, value = _ray_witness_multiplier(
-                        P, x, vertices[0], mult, d, tol)
+                    wit_mult, value = _ray_witness_multiplier(ctx, vertices[0], mult, d)
                 else:
                     wit_mult, value = mult, qf.value
                 assert piece.contains(d, tol.tau_feas * 2.0)

@@ -308,12 +308,13 @@ def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
     within tau_kkt of the true active set, not within tau_act.
     """
     from . import stationarity as st
+    from .cones import PointContext
 
     if sol.status != "feasible":
         return sol
-    relaxed = tol.with_(tau_act=max(tol.tau_act, 10.0 * cfg.tau_kkt))
+    ctx = PointContext(P, sol.x, tol.with_(tau_act=max(tol.tau_act, 10.0 * cfg.tau_kkt)))
     try:
-        w_res = st.w_stationarity_residual(P, sol.x, relaxed)
+        w_res = st.w_stationarity_residual(ctx)
     except MpscError as err:
         sol.stationarity = {"error": str(err)}
         return sol
@@ -324,7 +325,7 @@ def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
     for kind, fn in (("W", st.check_w_stationary), ("M", st.check_m_stationary),
                      ("S", st.check_s_stationary)):
         try:
-            sol.stationarity[kind] = fn(P, sol.x, relaxed).status
+            sol.stationarity[kind] = fn(ctx).status
         except MpscError:
             sol.stationarity[kind] = "UNKNOWN"
     return sol
@@ -366,6 +367,7 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     def val(rows, Z, kappa_ref=None):
         return ex.evaluate(P.f, Z) + kappa * P.residual(Z)
 
+    @np.errstate(over="ignore")  # an infinite trial point fails the Armijo test
     def grad(rows, Z):
         out = np.stack([ex.evaluate(ex.diff(P.f, j), Z) for j in range(P.n)], axis=-1)
         g, h, G, H = P.constraint_values(Z)

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import AXIS_A, AXIS_B, CROSS, ORIGIN, cross_cones
+from .cones import (AXIS_A, AXIS_B, CROSS, ORIGIN, PointContext, active_items,
+                    branch_items, cross_cones)
 from .errors import NotSStationaryError, SizeCapError
-from .numeric import Polyhedron, Tolerances, enumerate_generators, lp_solve
-from .problem import IndexSets, MpscProblem, index_sets
+from .numeric import Polyhedron, enumerate_generators
+from .problem import MAX_BIACTIVE, MpscProblem
 
 HOLDS, FAILS = "HOLDS", "FAILS"
 
@@ -95,26 +96,12 @@ def lagrangian_hessian(P: MpscProblem, x, mult: Multipliers, include_objective=T
 # multiplier systems
 # ---------------------------------------------------------------------------
 
-def _columns(P, x, I: IndexSets, mu_support, nu_support):
-    """Gradient columns and labels for the free multiplier coordinates."""
-    cols, labels = [], []
-    for i in I.I_g:
-        cols.append(P.grad(P.g[i], x))
-        labels.append(("lam", i))
-    for j in range(P.p):
-        cols.append(P.grad(P.h[j], x))
-        labels.append(("rho", j))
-    for k in sorted(mu_support):
-        cols.append(P.grad(P.switch_pairs[k][0], x))
-        labels.append(("mu", k))
-    for k in sorted(nu_support):
-        cols.append(P.grad(P.switch_pairs[k][1], x))
-        labels.append(("nu", k))
-    B = np.array(cols).T if cols else np.zeros((P.n, 0))
-    return B, labels
+def multiplier_labels(items) -> list:
+    """Multiplier label (lam/rho/mu/nu, idx) of each gradient item (g/h/G/H, idx)."""
+    return [({"g": "lam", "h": "rho", "G": "mu", "H": "nu"}[k], i) for k, i in items]
 
 
-def _expand(P, labels, z) -> Multipliers:
+def expand_multiplier(P: MpscProblem, labels, z) -> Multipliers:
     lam = np.zeros(P.m)
     rho = np.zeros(P.p)
     mu = np.zeros(P.l)
@@ -125,76 +112,45 @@ def _expand(P, labels, z) -> Multipliers:
     return Multipliers(tuple(lam), tuple(rho), tuple(mu), tuple(nu))
 
 
-def _solve_system(P, x, I, mu_support, nu_support) -> Multipliers | None:
-    """l1-minimal multiplier solving grad L = 0 on the given supports."""
-    B, labels = _columns(P, x, I, mu_support, nu_support)
-    rhs = -P.grad(P.f, x)
-    nonneg = [kind == "lam" for kind, _ in labels]
-    # split signed coordinates: z = [all coords >= 0 | negative parts of free]
-    free_idx = [c for c, nn in enumerate(nonneg) if not nn]
-    A = np.hstack([B, -B[:, free_idx]]) if free_idx else B
-    ncols = A.shape[1]
-    pol = Polyhedron.make(ncols, A_eq=A if A.size else None, b_eq=rhs if A.size else None,
-                          A_le=-np.eye(ncols), b_le=np.zeros(ncols))
-    if A.size == 0:
-        return _expand(P, labels, []) if np.linalg.norm(rhs) <= 1e-9 else None
-    res = lp_solve(np.ones(ncols), pol, sense="min")
-    if res.status != "optimal":
-        return None
-    z = res.x[:len(labels)].copy()
-    for c, fi in enumerate(free_idx):
-        z[fi] -= res.x[len(labels) + c]
-    return _expand(P, labels, z)
+def _solve_system(ctx: PointContext, items) -> Multipliers | None:
+    """l1-minimal multiplier solving grad L = 0 over the items' gradients."""
+    z = ctx.combination(items, -ctx.grad("f"), "l1")
+    return None if z is None else expand_multiplier(ctx.P, multiplier_labels(items), z)
 
 
-def check_w_stationary(P: MpscProblem, x, tol: Tolerances) -> StationarityVerdict:
+def check_w_stationary(ctx: PointContext) -> StationarityVerdict:
     """Stationarity with mu, nu unrestricted on the biactive set."""
-    I = index_sets(P, x, tol)
-    w = _solve_system(P, x, I, set(I.I_G) | set(I.I_GH), set(I.I_H) | set(I.I_GH))
+    w = _solve_system(ctx, active_items(ctx))
     return StationarityVerdict("W", HOLDS if w else FAILS, witness=w)
 
 
-def w_stationarity_residual(P: MpscProblem, x, tol: Tolerances) -> float:
+def w_stationarity_residual(ctx: PointContext) -> float:
     """Smallest l1 norm of grad L over the weak multiplier structure.
 
     Zero at exactly W-stationary points; solver iterates are judged against
     this instead of the exact feasibility check, which a KKT residual at the
     tau_kkt scale would fail.
     """
-    I = index_sets(P, x, tol)
-    B, labels = _columns(P, x, I, set(I.I_G) | set(I.I_GH),
-                         set(I.I_H) | set(I.I_GH))
-    rhs = -P.grad(P.f, x)
-    nonneg = [kind == "lam" for kind, _ in labels]
-    free_idx = [c for c, nn in enumerate(nonneg) if not nn]
-    Bz = np.hstack([B, -B[:, free_idx]]) if labels else np.zeros((P.n, 0))
-    A = np.hstack([Bz, np.eye(P.n), -np.eye(P.n)])
-    nc = A.shape[1]
-    c = np.concatenate([np.zeros(Bz.shape[1]), np.ones(2 * P.n)])
-    pol = Polyhedron.make(nc, A_eq=A, b_eq=rhs,
-                          A_le=-np.eye(nc), b_le=np.zeros(nc))
-    res = lp_solve(c, pol, sense="min")
-    return float(res.value)
+    return ctx.combination(active_items(ctx), -ctx.grad("f"), "residual")
 
 
-def check_s_stationary(P: MpscProblem, x, tol: Tolerances) -> StationarityVerdict:
+def check_s_stationary(ctx: PointContext) -> StationarityVerdict:
     """Stationarity with mu = nu = 0 on the biactive set (single LP)."""
-    I = index_sets(P, x, tol)
-    w = _solve_system(P, x, I, set(I.I_G), set(I.I_H))
+    w = _solve_system(ctx, branch_items(ctx, (), ()))
     return StationarityVerdict("S", HOLDS if w else FAILS, witness=w)
 
 
-def check_m_stationary(P: MpscProblem, x, tol: Tolerances) -> StationarityVerdict:
+def check_m_stationary(ctx: PointContext) -> StationarityVerdict:
     """Stationarity with mu_k * nu_k = 0 enforced by zero-pattern enumeration."""
-    I = index_sets(P, x, tol)
-    if len(I.I_GH) > 16:
+    I = ctx.I
+    if len(I.I_GH) > MAX_BIACTIVE:
         raise SizeCapError(f"|I_GH| = {len(I.I_GH)} exceeds the pattern cap")
     patterns = []
     best = None
     for choice in itertools.product((0, 1), repeat=len(I.I_GH)):
         mu_side = {k for k, c in zip(I.I_GH, choice) if c == 0}
         nu_side = {k for k, c in zip(I.I_GH, choice) if c == 1}
-        w = _solve_system(P, x, I, set(I.I_G) | mu_side, set(I.I_H) | nu_side)
+        w = _solve_system(ctx, branch_items(ctx, mu_side, nu_side))
         patterns.append({
             "mu_free_on": sorted(mu_side), "nu_free_on": sorted(nu_side),
             "feasible": w is not None,
@@ -206,16 +162,16 @@ def check_m_stationary(P: MpscProblem, x, tol: Tolerances) -> StationarityVerdic
                                patterns=patterns)
 
 
-def s_multiplier_polyhedron(P: MpscProblem, x, tol: Tolerances):
+def s_multiplier_polyhedron(ctx: PointContext):
     """Affine polyhedron of all S-multipliers plus its generator form.
 
     Coordinates are (lambda on I_g, rho, mu on I_G, nu on I_H); everything
     off those supports is identically zero.  Raises NotSStationaryError when
     the system is infeasible.
     """
-    I = index_sets(P, x, tol)
-    B, labels = _columns(P, x, I, set(I.I_G), set(I.I_H))
-    rhs = -P.grad(P.f, x)
+    items = branch_items(ctx, (), ())
+    B, labels = ctx.rows(items).T, multiplier_labels(items)
+    rhs = -ctx.grad("f")
     ncols = len(labels)
     lam_rows = np.array([[-1.0 if c == r else 0.0 for c in range(ncols)]
                          for r, (kind, _) in enumerate(labels) if kind == "lam"])
@@ -226,21 +182,17 @@ def s_multiplier_polyhedron(P: MpscProblem, x, tol: Tolerances):
     if ncols == 0 and np.linalg.norm(rhs) > 1e-9:
         raise NotSStationaryError("point is not S-stationary")
     try:
-        gen = enumerate_generators(pol, tol)
+        gen = enumerate_generators(pol, ctx.tol)
     except ValueError as err:
         raise NotSStationaryError("point is not S-stationary") from err
     return pol, labels, gen
-
-
-def expand_multiplier(P: MpscProblem, labels, z) -> Multipliers:
-    return _expand(P, labels, z)
 
 
 # ---------------------------------------------------------------------------
 # normal-cone characterization (independent oracle)
 # ---------------------------------------------------------------------------
 
-def normal_cone_oracle(P: MpscProblem, x, kind: str, tol: Tolerances) -> bool:
+def normal_cone_oracle(ctx: PointContext, kind: str) -> bool:
     """Decide 0 in grad f + Jacobian^T N_D(F(x)) per-component.
 
     The cone of each switching pair comes from the cross-set table (limiting
@@ -249,46 +201,27 @@ def normal_cone_oracle(P: MpscProblem, x, kind: str, tol: Tolerances) -> bool:
     """
     if kind not in ("M", "S"):
         raise ValueError("kind must be 'M' or 'S'")
-    index_sets(P, x, tol)  # feasibility gate
-    g, _, G, H = P.constraint_values(np.asarray(x, float))
-
-    fixed_cols = []   # (gradient, nonneg?)
-    cross_pairs = []  # [(grad_G, grad_H)] for pairs whose cone is the cross set
-    for i, e in enumerate(P.g):
-        if abs(g[i]) <= tol.tau_act:
-            fixed_cols.append((P.grad(e, x), True))
-        # inactive: normal cone of (-inf, 0] at an interior value is {0}
-    for j, e in enumerate(P.h):
-        fixed_cols.append((P.grad(e, x), False))
-    for k, (Ge, He) in enumerate(P.switch_pairs):
-        row = cross_cones(G[k], H[k], tol)
+    P = ctx.P
+    # active inequalities (an inactive one has normal cone {0}) and every h
+    fixed = [("g", i) for i in ctx.I.I_g] + [("h", j) for j in range(P.p)]
+    cross_pairs = []  # pairs whose cone is the cross set
+    _, _, G, H = P.constraint_values(ctx.x)
+    for k in range(P.l):
+        row = cross_cones(G[k], H[k], ctx.tol)
         cone = row.limiting_normal if kind == "M" else row.frechet_normal
-        dG, dH = P.grad(Ge, x), P.grad(He, x)
         if cone == AXIS_A:
-            fixed_cols.append((dG, False))
+            fixed.append(("G", k))
         elif cone == AXIS_B:
-            fixed_cols.append((dH, False))
+            fixed.append(("H", k))
         elif cone == CROSS:
-            cross_pairs.append((dG, dH))
+            cross_pairs.append((("G", k), ("H", k)))
         elif cone != ORIGIN:
             raise AssertionError(cone)
 
-    rhs = -P.grad(P.f, x)
+    rhs = -ctx.grad("f")
     for choice in itertools.product((0, 1), repeat=len(cross_pairs)):
-        cols = list(fixed_cols)
-        cols += [(pair[c], False) for pair, c in zip(cross_pairs, choice)]
-        B = np.array([c for c, _ in cols]).T if cols else np.zeros((P.n, 0))
-        if B.size == 0:
-            if np.linalg.norm(rhs) <= 1e-9:
-                return True
-            continue
-        nonneg = [nn for _, nn in cols]
-        free_idx = [c for c, nn in enumerate(nonneg) if not nn]
-        A = np.hstack([B, -B[:, free_idx]]) if free_idx else B
-        ncols = A.shape[1]
-        pol = Polyhedron.make(ncols, A_eq=A, b_eq=rhs,
-                              A_le=-np.eye(ncols), b_le=np.zeros(ncols))
-        if lp_solve(None, pol, sense="feasibility").status == "optimal":
+        items = fixed + [pair[c] for pair, c in zip(cross_pairs, choice)]
+        if ctx.combination(items, rhs, "feasible"):
             return True
     return False
 
@@ -314,7 +247,7 @@ class BridgeReport:
                 "note": self.note}
 
 
-def m_to_s_bridge(P: MpscProblem, x, mult: Multipliers, tol: Tolerances) -> BridgeReport:
+def m_to_s_bridge(ctx: PointContext, mult: Multipliers) -> BridgeReport:
     """Probe whether an M-multiplier hides an S-certificate.
 
     Builds the two bipartitions matching the multiplier's support (a switch
@@ -323,7 +256,7 @@ def m_to_s_bridge(P: MpscProblem, x, mult: Multipliers, tol: Tolerances) -> Brid
     reports KKT feasibility of each branch, and re-checks grad L = 0 after
     zeroing mu off I_G and nu off I_H.
     """
-    I = index_sets(P, x, tol)
+    P, x, tol, I = ctx.P, ctx.x, ctx.tol, ctx.I
     lam, rho, mu, nu = mult.as_arrays()
     nz = lambda v: abs(v) > tol.tau_act
 
@@ -333,20 +266,15 @@ def m_to_s_bridge(P: MpscProblem, x, mult: Multipliers, tol: Tolerances) -> Brid
              tuple(k for k in I.I_GH if nz(nu[k])))
 
     kkt_given, kkt_any = [], []
-    scale = 1.0 + float(np.linalg.norm(P.grad(P.f, x)))
+    scale = 1.0 + float(np.linalg.norm(ctx.grad("f")))
+    coef = {"g": lam, "h": rho, "G": mu, "H": nu}
     for beta1, beta2 in (part1, part2):
-        r = P.grad(P.f, x).copy()
-        for i in I.I_g:
-            r += lam[i] * P.grad(P.g[i], x)
-        for j in range(P.p):
-            r += rho[j] * P.grad(P.h[j], x)
-        for k in sorted(set(I.I_G) | set(beta1)):
-            r += mu[k] * P.grad(P.switch_pairs[k][0], x)
-        for k in sorted(set(I.I_H) | set(beta2)):
-            r += nu[k] * P.grad(P.switch_pairs[k][1], x)
+        items = branch_items(ctx, beta1, beta2)
+        r = ctx.grad("f").copy()
+        for (kind, i), row in zip(items, ctx.rows(items)):
+            r += coef[kind][i] * row
         kkt_given.append(float(np.linalg.norm(r)))
-        w = _solve_system(P, x, I, set(I.I_G) | set(beta1), set(I.I_H) | set(beta2))
-        kkt_any.append(w is not None)
+        kkt_any.append(_solve_system(ctx, items) is not None)
 
     mu_bar = np.where([k in I.I_G for k in range(P.l)], mu, 0.0)
     nu_bar = np.where([k in I.I_H for k in range(P.l)], nu, 0.0)

@@ -10,10 +10,10 @@ import pytest
 from conftest import CORPUS_POINTS
 from mpsckit import cones, cq, penalty, soc
 from mpsckit import stationarity as st
+from mpsckit.cones import PointContext
 from mpsckit.expr import evaluate, gradient, hessian, parse_expr
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import (Bipartition, all_branches, index_sets,
-                             load_problem)
+from mpsckit.problem import Bipartition, all_branches, load_problem
 from mpsckit.solver import SolveConfig, solve_enumerative, solve_penalty_descent
 
 TOL = Tolerances()
@@ -36,24 +36,23 @@ def test_criterion_1_golden_cq_triples(corpus):
     for name, (wcr_s, pwcr_s, pcrsc_s) in expected.items():
         P = corpus[name]
         x = np.array(CORPUS_POINTS[name])
-        wcr = cq.check_wcr(P, x, TOL)
-        pwcr = cq.check_pwcr(P, x, TOL)
+        ctx = PointContext(P, x, TOL)
+        wcr = cq.check_wcr(ctx)
+        pwcr = cq.check_pwcr(ctx)
         assert wcr.status == wcr_s, (name, "WCR")
         assert pwcr.status == pwcr_s, (name, "PWCR")
         assert wcr.mode == pwcr.mode == "sampled"
         if pcrsc_s is not None:
-            pcrsc = cq.check_pcrsc(P, x, TOL)
+            pcrsc = cq.check_pcrsc(ctx)
             assert pcrsc.status == pcrsc_s, (name, "PCRSC")
         # re-verify each FAILS witness with an independent rank oracle
         for verdict, items_of in ((wcr, "wcr"), (pwcr, "pwcr")):
             if verdict.status != "FAILS":
                 continue
-            I = index_sets(P, x, TOL)
             if items_of == "wcr":
-                cand = [cq._wcr_items(I, P)]
+                cand = [cones.active_items(ctx)]
             else:
-                from mpsckit.problem import bipartitions
-                cand = [cq._branch_items(I, P, b) for b in bipartitions(I)]
+                cand = [cones.branch_items(ctx, b.beta1, b.beta2) for b in ctx.bipartitions]
             w = verdict.evidence.get("witness") or next(
                 r["witness"] for r in verdict.evidence["bipartitions"]
                 if not r["constant"])
@@ -67,7 +66,7 @@ def test_criterion_1_golden_cq_triples(corpus):
 def test_criterion_2_m_vs_s_stationarity(corpus):
     P = corpus["axes2d"]
     x = np.zeros(2)
-    m = st.check_m_stationary(P, x, TOL)
+    m = st.check_m_stationary(PointContext(P, x, TOL))
     assert m.status == "HOLDS"
     assert m.patterns and all(p["feasible"] for p in m.patterns)
     for pat in m.patterns:
@@ -79,10 +78,11 @@ def test_criterion_2_m_vs_s_stationarity(corpus):
     w = m.witness
     assert abs(w.mu[0] + w.nu[0] - 2.0) <= 1e-8
     assert np.linalg.norm(st.lagrangian_gradient(P, x, w)) <= 1e-8
-    s = st.check_s_stationary(P, x, TOL)
+    ctx = PointContext(P, x, TOL)
+    s = st.check_s_stationary(ctx)
     assert s.status == "FAILS"
-    assert st.normal_cone_oracle(P, x, "M", TOL) is True
-    assert st.normal_cone_oracle(P, x, "S", TOL) is False
+    assert st.normal_cone_oracle(ctx, "M") is True
+    assert st.normal_cone_oracle(ctx, "S") is False
     _report(2, "M-stationarity versus S-stationarity with oracle agreement")
 
 
@@ -95,7 +95,7 @@ def test_criterion_3_i_g_minus_golden(corpus):
     for name, b, expected in cases:
         P = corpus[name]
         x = np.array(CORPUS_POINTS[name])
-        picked, cross = cq.i_g_minus(P, x, b, TOL)
+        picked, cross = cq.i_g_minus(PointContext(P, x, TOL), b)
         assert picked == expected, (name, b)
         assert cross["agree"]
         assert set(cross["I0"]) == set(expected)
@@ -103,7 +103,7 @@ def test_criterion_3_i_g_minus_golden(corpus):
 
 
 def test_criterion_4_acq_verdicts(corpus):
-    v = cq.check_acq(corpus["parabola_sheet3d"], np.zeros(3), TOL)
+    v = cq.check_acq(PointContext(corpus["parabola_sheet3d"], np.zeros(3), TOL))
     assert v.status == "FAILS"
     w = np.array(v.evidence["witness_generator"])
     assert w[0] > 0.9  # generator of the half-space piece R+ x R x R
@@ -111,10 +111,10 @@ def test_criterion_4_acq_verdicts(corpus):
     probe = np.zeros(3) + 0.5 * TOL.eps_ball * w
     assert float(corpus["parabola_sheet3d"].residual(probe)) > 10 * TOL.tau_feas
 
-    v2 = cq.check_acq(corpus["crossplanes3d"], np.zeros(3), TOL)
+    v2 = cq.check_acq(PointContext(corpus["crossplanes3d"], np.zeros(3), TOL))
     assert v2.status == "HOLDS"
     # every generator of every piece is matched by the sampled cloud
-    L = cones.linearization_cone(corpus["crossplanes3d"], np.zeros(3), TOL)
+    L = cones.linearization_cone(PointContext(corpus["crossplanes3d"], np.zeros(3), TOL))
     cloud = cones.sample_tangent_directions(corpus["crossplanes3d"], np.zeros(3), TOL)
     for piece in L.pieces:
         dirs = cloud.by_branch[piece.tag.label()]
@@ -127,24 +127,24 @@ def test_criterion_4_acq_verdicts(corpus):
 def test_criterion_5_second_order_conditions(corpus):
     P = corpus["pinch2d"]
     x = np.zeros(2)
-    ssonc = soc.check_ssonc(P, x, TOL)
+    ssonc = soc.check_ssonc(PointContext(P, x, TOL))
     assert ssonc.status == "FAILS"
     assert ssonc.witness["value"] == pytest.approx(-2.0, abs=1e-8)
     d = np.asarray(ssonc.witness["direction"])
     assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-9)
     assert abs(d[0]) == pytest.approx(1.0, abs=1e-9)  # direction in R x {0}
     assert d[1] == pytest.approx(0.0, abs=1e-9)
-    wsonc = soc.check_wsonc(P, x, TOL)
+    wsonc = soc.check_wsonc(PointContext(P, x, TOL))
     assert wsonc.status == "HOLDS"
     assert wsonc.evidence["subspace_dim"] == 0
 
     Q = corpus["diagonal2d"]
-    assert cq.check_rcrcq(Q, x, TOL).status == "HOLDS"
-    C = cones.critical_cone(Q, x, TOL)
+    assert cq.check_rcrcq(PointContext(Q, x, TOL)).status == "HOLDS"
+    C = cones.critical_cone(PointContext(Q, x, TOL))
     for piece in C.pieces:
         gen = piece.generators(TOL)
         assert not gen.rays and not gen.lineality  # piece is the origin
-    v = soc.check_ssonc(Q, x, TOL)
+    v = soc.check_ssonc(PointContext(Q, x, TOL))
     assert v.status == "HOLDS" and v.mode == "exact"
     _report(5, "second-order necessary conditions golden examples")
 
@@ -296,7 +296,7 @@ def test_criterion_8b_branch_union_law(corpus):
 def test_criterion_8c_tangent_cloud_inside_linearization(corpus):
     for name, P in corpus.items():
         x = np.array(CORPUS_POINTS[name])
-        L = cones.linearization_cone(P, x, TOL)
+        L = cones.linearization_cone(PointContext(P, x, TOL))
         cloud = cones.sample_tangent_directions(P, x, TOL)
         for d in cloud.directions:
             assert L.member_angular(d, TOL)[0], name
@@ -314,9 +314,10 @@ def test_criterion_8d_stationarity_chain(corpus):
             Y = project_branch_cloud(P, br, rng.uniform(-1, 1, size=(25, P.n)), TOL)
             points.extend(Y[P.residual(Y) <= TOL.tau_feas][:13])
         for x in points:
-            s = st.check_s_stationary(P, x, TOL).holds()
-            m = st.check_m_stationary(P, x, TOL).holds()
-            w = st.check_w_stationary(P, x, TOL).holds()
+            ctx = PointContext(P, x, TOL)
+            s = st.check_s_stationary(ctx).holds()
+            m = st.check_m_stationary(ctx).holds()
+            w = st.check_w_stationary(ctx).holds()
             assert (not s or m) and (not m or w), name
             checked += 1
         if checked >= 200:
@@ -346,7 +347,7 @@ def test_criterion_8e_residual_distance_zero_sets(corpus):
 def test_criterion_8f_lattice_closure_no_contradiction(corpus):
     for name, P in corpus.items():
         x = np.array(CORPUS_POINTS[name])
-        table = cq.run_all(P, x, TOL)  # raises on contradiction
+        table = cq.run_all(PointContext(P, x, TOL))  # raises on contradiction
         assert set(table) == set(cq.CQ_NAMES)
     _report("8f", "lattice closure raises no contradiction on the corpus")
 

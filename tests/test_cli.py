@@ -1,9 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
 from conftest import problem_path
-from mpsckit import cli, report
+from mpsckit import cli, numeric, report
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(*argv, strict=False):
+    """The CLI in a fresh interpreter; strict turns every warning into an error."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    cmd = [sys.executable] + (["-W", "error"] if strict else []) + ["-m", "mpsckit.cli"]
+    return subprocess.run(cmd + list(argv), capture_output=True, text=True, env=env)
 
 
 def run_cli(capsys, *argv):
@@ -95,10 +108,48 @@ class TestAnalyze:
         assert code == 2 and "non-finite" in err
         assert not jpath.exists()
 
+    def test_overflow_under_strict_warnings(self):
+        proc = run_module("analyze", str(problem_path("axes2d")),
+                          "--point", "1e308,1e308", strict=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_simplex_cap_is_reported_not_raised(self, capsys, monkeypatch, tmp_path):
+        # every LP of the CLI runs inside a component that records MpscErrors:
+        # analyze lists them and exits 1, cones marks the pieces
+        monkeypatch.setattr(numeric, "MAX_SIMPLEX_PIVOTS", 0)
+        jpath = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "analyze", str(problem_path("axes2d")),
+                               "--point", "0,0", "--json", str(jpath))
+        assert code == 1 and "simplex did not terminate" in err
+        components = [e["component"] for e in json.loads(jpath.read_text())["errors"]]
+        assert "stationarity.W" in components
+        code, _, _ = run_cli(capsys, "cones", str(problem_path("axes2d")),
+                             "--point", "0,0", "--json", str(jpath))
+        assert code == 0
+        pieces = json.loads(jpath.read_text())["linearization"]["pieces"]
+        assert all("simplex did not terminate" in p["error"] for p in pieces)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "nonexistent.mpsc",
                                "--point", "0,0")
         assert code == 2
+
+    def test_index_set_error_reported_per_component(self, capsys, tmp_path):
+        # feasible within tau_feas, yet neither switch side is within tau_act:
+        # every component that needs the index sets reports its own error
+        jpath = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "analyze", str(problem_path("axes2d")),
+                               "--point", "5e-9,5e-9", "--tau-act", "1e-9",
+                               "--json", str(jpath))
+        assert code == 1
+        errors = json.loads(jpath.read_text())["errors"]
+        assert [e["component"] for e in errors] == [
+            "index_sets", "cones", "stationarity.W", "stationarity.M",
+            "stationarity.S", "stationarity.oracle", "cq"]
+        for e in errors:
+            assert e["message"].startswith("switch pair 0 has neither side active")
+        assert err.count("switch pair 0 has neither side active") == 7
 
 
 class TestSolve:
@@ -129,6 +180,13 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(bad))
         assert code == 1
         assert "status:" in out
+
+    def test_penalty_overflow_under_strict_warnings(self):
+        argv = ("solve", str(problem_path("pinch2d")), "--mode", "penalty", "--from", "1,1")
+        loose, strict = run_module(*argv), run_module(*argv, strict=True)
+        assert strict.stdout == loose.stdout
+        assert strict.returncode == loose.returncode
+        assert "Traceback" not in strict.stderr
 
     def test_penalty_mode(self, capsys):
         code, out, _ = run_cli(capsys, "solve", str(problem_path("axes2d")),

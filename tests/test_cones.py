@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpsckit import cones
-from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN
+from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, PointContext
 from mpsckit.errors import InfeasiblePointError
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
@@ -32,14 +32,14 @@ class TestCrossCones:
 
 class TestLinearizationCone:
     def test_parabola_sheet_union_is_halfspace(self, corpus):
-        L = cones.linearization_cone(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
+        L = cones.linearization_cone(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
         assert len(L.pieces) == 2
         rng = np.random.default_rng(0)
         for d in rng.normal(size=(200, 3)):
             assert L.member(d, TOL)[0] == (d[0] >= -1e-12)
 
     def test_diagonal2d_pieces_are_origin(self, corpus):
-        L = cones.linearization_cone(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        L = cones.linearization_cone(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
         for piece in L.pieces:
             assert piece.lineality_basis(TOL).shape[1] == 0
             assert piece.is_subspace(TOL)
@@ -48,44 +48,44 @@ class TestLinearizationCone:
 
     def test_no_constraints_full_space(self):
         P = load_problem("vars x1 x2\nmin x1\n", from_path=False)
-        L = cones.linearization_cone(P, [0.3, -0.4], TOL)
+        L = cones.linearization_cone(PointContext(P, [0.3, -0.4], TOL))
         assert len(L.pieces) == 1
         assert L.member([17.0, -5.0], TOL)[0]
 
 
 class TestCriticalCone:
     def test_pinch2d_is_horizontal_axis(self, corpus):
-        C = cones.critical_cone(corpus["pinch2d"], [0.0, 0.0], TOL)
+        C = cones.critical_cone(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert C.member([1.0, 0.0], TOL)[0]
         assert C.member([-1.0, 0.0], TOL)[0]
         assert not C.member([0.0, 1.0], TOL)[0]
         assert not C.member([1.0, 0.5], TOL)[0]
 
     def test_diagonal2d_is_origin(self, corpus):
-        C = cones.critical_cone(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        C = cones.critical_cone(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
         assert not C.member([1.0, 0.0], TOL)[0]
         assert not C.member([1.0, 1.0], TOL)[0]
         assert C.member([0.0, 0.0], TOL)[0]
 
     def test_unconstrained_stationary_full_space(self):
         P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n", from_path=False)
-        C = cones.critical_cone(P, [0.0, 0.0], TOL)
+        C = cones.critical_cone(PointContext(P, [0.0, 0.0], TOL))
         assert C.member([3.0, -4.0], TOL)[0]
 
 
 class TestCriticalSubspace:
     def test_parabola_sheet_spans_e3(self, corpus):
-        B = cones.critical_subspace(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
+        B = cones.critical_subspace(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
         assert B.shape == (3, 1)
         assert np.allclose(np.abs(B[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_pinch2d_trivial(self, corpus):
-        B = cones.critical_subspace(corpus["pinch2d"], [0.0, 0.0], TOL)
+        B = cones.critical_subspace(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert B.shape == (2, 0)
 
     def test_no_active_constraints_full(self):
         P = load_problem("vars x1 x2\nmin x1\nineq x1 - 1\n", from_path=False)
-        B = cones.critical_subspace(P, [0.0, 0.0], TOL)
+        B = cones.critical_subspace(PointContext(P, [0.0, 0.0], TOL))
         assert B.shape == (2, 2)
 
     def test_subspace_inside_every_linearization_piece(self, corpus, tol):
@@ -94,8 +94,9 @@ class TestCriticalSubspace:
         from conftest import CORPUS_POINTS
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
-            B = cones.critical_subspace(P, x, tol)
-            L = cones.linearization_cone(P, x, tol)
+            ctx = PointContext(P, x, tol)
+            B = cones.critical_subspace(ctx)
+            L = cones.linearization_cone(ctx)
             for j in range(B.shape[1]):
                 for piece in L.pieces:
                     slack = tol.tau_feas * 2.0
@@ -128,7 +129,7 @@ class TestTangentSampling:
         from conftest import CORPUS_POINTS
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
-            L = cones.linearization_cone(P, x, tol)
+            L = cones.linearization_cone(PointContext(P, x, tol))
             cloud = cones.sample_tangent_directions(P, x, tol)
             for d in cloud.directions:
                 assert L.member_angular(d, tol)[0], name
@@ -136,6 +137,6 @@ class TestTangentSampling:
 
 class TestExplicitMembership:
     def test_negative_axis_outside_halfspace_union(self, corpus):
-        L = cones.linearization_cone(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
+        L = cones.linearization_cone(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
         assert L.member([-1.0, 0.0, 0.0], TOL) == (False, None)
         assert L.member([0.0, 0.0, 0.0], TOL)[0]

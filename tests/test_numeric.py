@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from mpsckit import cli, cones, numeric
+from mpsckit.cones import PointContext
 from mpsckit.errors import SizeCapError
 from mpsckit.numeric import Polyhedron, Tolerances
 from mpsckit.problem import load_problem
@@ -173,13 +174,77 @@ class TestLpSolve:
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
         assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
         capsys.readouterr()
-        P, x = load_problem(str(path)), np.zeros(8)
-        for cone in (cones.linearization_cone(P, x, TOL), cones.critical_cone(P, x, TOL)):
+        ctx = PointContext(load_problem(str(path)), np.zeros(8), TOL)
+        for cone in (cones.linearization_cone(ctx), cones.critical_cone(ctx)):
             for piece in cone.pieces:
                 poly = piece.polyhedron()
                 mine = numeric.lp_solve(None, poly, sense="feasibility")
                 ref = scipy_linprog(np.zeros(poly.dim), poly)
                 assert (mine.status == "infeasible") == (ref.status == 2)
+
+
+class TestCombinationLp:
+    """combination_lp against scipy on an independent formulation.
+
+    The reference bounds |z_c| by an extra variable t_c (or |B z - rhs| by
+    slacks) instead of splitting the free columns, so it shares no
+    construction with the helper.
+    """
+
+    def _instance(self, rng):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        B = rng.normal(size=(n, k))
+        nonneg = rng.uniform(size=k) < 0.5
+        if rng.uniform() < 0.5:
+            z0 = rng.normal(size=k)
+            z0[nonneg] = np.abs(z0[nonneg])
+            rhs = B @ z0
+        else:
+            rhs = rng.normal(size=n)
+        return B, nonneg, rhs
+
+    def _l1_reference(self, B, nonneg, rhs):
+        n, k = B.shape
+        I, Z = np.eye(k), np.zeros((k, k))
+        A_le = np.vstack([np.hstack([I, -I]), np.hstack([-I, -I]),
+                          np.hstack([-I, Z])[nonneg]])
+        P = Polyhedron.make(2 * k, A_eq=np.hstack([B, np.zeros((n, k))]), b_eq=rhs,
+                            A_le=A_le, b_le=np.zeros(A_le.shape[0]))
+        return scipy_linprog(np.concatenate([np.zeros(k), np.ones(k)]), P)
+
+    def _residual_reference(self, B, nonneg, rhs):
+        n, k = B.shape
+        A_le = np.vstack([np.hstack([B, -np.eye(n)]), np.hstack([-B, -np.eye(n)]),
+                          np.hstack([-np.eye(k), np.zeros((k, n))])[nonneg]])
+        b_le = np.concatenate([rhs, -rhs, np.zeros(int(nonneg.sum()))])
+        P = Polyhedron.make(k + n, A_le=A_le, b_le=b_le)
+        return scipy_linprog(np.concatenate([np.zeros(k), np.ones(n)]), P)
+
+    def test_against_scipy_linprog(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(80):
+            B, nonneg, rhs = self._instance(rng)
+            ref = self._l1_reference(B, nonneg, rhs)
+            feasible = numeric.combination_lp(B, nonneg, rhs, "feasible")
+            z = numeric.combination_lp(B, nonneg, rhs, "l1")
+            assert feasible == (ref.status == 0) == (z is not None)
+            seen.add(feasible)
+            if z is not None:
+                assert np.all(z[nonneg] >= -1e-12)
+                assert np.allclose(B @ z, rhs, atol=1e-7)
+                assert np.abs(z).sum() == pytest.approx(ref.fun, abs=1e-7)
+            res = numeric.combination_lp(B, nonneg, rhs, "residual")
+            assert res == pytest.approx(self._residual_reference(B, nonneg, rhs).fun,
+                                        abs=1e-7)
+        assert seen == {True, False}
+
+    def test_no_columns(self):
+        B = np.zeros((2, 0))
+        assert numeric.combination_lp(B, [], np.zeros(2), "feasible")
+        assert not numeric.combination_lp(B, [], np.ones(2), "feasible")
+        assert numeric.combination_lp(B, [], np.ones(2), "l1") is None
+        assert numeric.combination_lp(B, [], np.zeros(2), "rays", TOL) == []
 
 
 class TestEnumerateGenerators:

@@ -1,5 +1,11 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
+
+from conftest import problem_path
 
 from mpsckit import problem as pb
 from mpsckit.errors import InfeasiblePointError, ParseError
@@ -30,6 +36,17 @@ class TestLoad:
     def test_missing_min(self):
         with pytest.raises(ParseError, match="min"):
             pb.load_problem("vars x\nineq x\n", from_path=False)
+
+    def test_problem_file_is_closed(self, monkeypatch):
+        # an unclosed file warns from its finalizer, where the warning can
+        # only reach sys.unraisablehook
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pb.load_problem(str(problem_path("axes2d")))
+            gc.collect()
+        assert unraisable == []
 
     def test_roundtrip_text(self, corpus):
         for P in corpus.values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpsckit import cones, soc
-from mpsckit.cones import ConePiece
+from mpsckit.cones import ConePiece, PointContext
 from mpsckit.errors import NotSStationaryError
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
@@ -48,30 +48,30 @@ class TestQuadForm:
 
 class TestWsonc:
     def test_pinch2d_vacuous_subspace(self, corpus):
-        v = soc.check_wsonc(corpus["pinch2d"], [0.0, 0.0], TOL)
+        v = soc.check_wsonc(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert v.status == "HOLDS" and v.mode == "exact"
         assert v.evidence["subspace_dim"] == 0
 
     def test_diagonal2d_vacuous_subspace(self, corpus):
-        v = soc.check_wsonc(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        v = soc.check_wsonc(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
         assert v.status == "HOLDS"
         assert v.evidence["subspace_dim"] == 0
 
     def test_unconstrained_concave_fails(self):
         P = load_problem("vars x\nmin -x^2\n", from_path=False)
-        v = soc.check_wsonc(P, [0.0], TOL)
+        v = soc.check_wsonc(PointContext(P, [0.0], TOL))
         assert v.status == "FAILS"
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-12)
         assert abs(v.witness["direction"][0]) == pytest.approx(1.0)
 
     def test_requires_s_stationary(self, corpus):
         with pytest.raises(NotSStationaryError):
-            soc.check_wsonc(corpus["axes2d"], [0.0, 0.0], TOL)
+            soc.check_wsonc(PointContext(corpus["axes2d"], [0.0, 0.0], TOL))
 
 
 class TestSsonc:
     def test_pinch2d_fails_with_value_minus_two(self, corpus):
-        v = soc.check_ssonc(corpus["pinch2d"], [0.0, 0.0], TOL)
+        v = soc.check_ssonc(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert v.status == "FAILS"
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-8)
         d = np.asarray(v.witness["direction"])
@@ -81,12 +81,12 @@ class TestSsonc:
         assert v.witness["multiplier"].l1() == pytest.approx(0.0, abs=1e-9)
 
     def test_diagonal2d_vacuous_exact_holds(self, corpus):
-        v = soc.check_ssonc(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        v = soc.check_ssonc(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
         assert v.status == "HOLDS" and v.mode == "exact"
 
     def test_convex_quadratic_holds(self):
         P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n", from_path=False)
-        v = soc.check_ssonc(P, [0.0, 0.0], TOL)
+        v = soc.check_ssonc(PointContext(P, [0.0, 0.0], TOL))
         assert v.status == "HOLDS"
 
     def test_wsonc_fails_implies_ssonc_fails(self):
@@ -95,10 +95,11 @@ class TestSsonc:
                      "switch x1 - x2^2 | x2 - x1^2\n"):
             P = load_problem(text, from_path=False)
             x = [0.0] * P.n
-            w = soc.check_wsonc(P, x, TOL)
+            ctx = PointContext(P, x, TOL)
+            w = soc.check_wsonc(ctx)
             if w.status != "FAILS":
                 continue
-            s = soc.check_ssonc(P, x, TOL)
+            s = soc.check_ssonc(ctx)
             assert s.status == "FAILS"
             d = np.asarray(s.witness["direction"])
             assert s.witness["value"] < -TOL.tau_psd
@@ -106,15 +107,15 @@ class TestSsonc:
     def test_strict_complementarity_verdicts_coincide(self):
         # lambda = 1 > 0 on the only active inequality
         P = load_problem("vars x\nmin x + x^2\nineq -x\n", from_path=False)
-        w = soc.check_wsonc(P, [0.0], TOL)
-        s = soc.check_ssonc(P, [0.0], TOL)
+        w = soc.check_wsonc(PointContext(P, [0.0], TOL))
+        s = soc.check_ssonc(PointContext(P, [0.0], TOL))
         assert w.status == s.status == "HOLDS"
 
     def test_fails_witness_reverifies(self, corpus):
         from mpsckit.stationarity import lagrangian_hessian
-        v = soc.check_ssonc(corpus["pinch2d"], [0.0, 0.0], TOL)
+        v = soc.check_ssonc(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         d = np.asarray(v.witness["direction"])
-        C = cones.critical_cone(corpus["pinch2d"], [0.0, 0.0], TOL)
+        C = cones.critical_cone(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert C.member(d, TOL)[0]
         Q = lagrangian_hessian(corpus["pinch2d"], [0.0, 0.0], v.witness["multiplier"])
         assert d @ Q @ d < -TOL.tau_psd
@@ -139,12 +140,13 @@ class TestCqSoncConsistency:
         from mpsckit.stationarity import check_s_stationary
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
-            if not check_s_stationary(P, x, tol).holds():
+            ctx = PointContext(P, x, tol)
+            if not check_s_stationary(ctx).holds():
                 continue
             if not self._sampled_local_min(P, x, tol):
                 continue
-            table = cq.run_all(P, x, tol, with_psoqn=False)
+            table = cq.run_all(ctx, with_psoqn=False)
             if table["RCRCQ"].holds() or table["PCRSC"].holds():
-                assert soc.check_ssonc(P, x, tol).status != "FAILS", name
+                assert soc.check_ssonc(ctx).status != "FAILS", name
             if table["WCR"].holds() or table["PWCR"].holds():
-                assert soc.check_wsonc(P, x, tol).status != "FAILS", name
+                assert soc.check_wsonc(ctx).status != "FAILS", name
