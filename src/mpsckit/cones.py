@@ -136,16 +136,25 @@ class ConeUnion:
 class PointContext:
     """What every point-level check derives from (P, x, tol), computed once.
 
-    The index sets (which gate feasibility) and the bipartitions are computed
-    on first use and not kept when they raise, so each component that needs
-    them reports the error itself.  Gradients at x are kept per (kind, idx)
-    item, kinds f/g/h/G/H, and the linearization-cone pieces are built once
-    and keep their generators.
+    The index sets (which gate feasibility), the bipartitions, the rows of
+    the one Jacobian at x over P.items, kinds f/g/h/G/H, and each item
+    Hessian at x are computed on first use and not kept when they raise, so
+    each component that needs them reports the error itself.  The
+    linearization-cone pieces are built once and keep their generators;
+    `once` keeps any other point-level result that several components share.
     """
 
     def __init__(self, P: MpscProblem, x, tol: Tolerances):
         self.P, self.x, self.tol = P, np.asarray(x, float), tol
-        self._grads = {}
+        self._J = np.zeros((len(P.items), P.n))
+        self._filled = set()
+        self._kept = {}
+
+    def once(self, key, compute):
+        """compute() on first use under key, then the kept result."""
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
 
     @cached_property
     def I(self) -> IndexSets:
@@ -159,15 +168,22 @@ class PointContext:
     def linearization(self) -> ConeUnion:
         return linearization_cone(self)
 
-    def grad(self, kind, i=0) -> np.ndarray:
-        """Gradient at x of item (kind, i); callers must not modify it."""
-        if (kind, i) not in self._grads:
-            self._grads[kind, i] = self.P.grad(self.P.expr(kind, i), self.x)
-        return self._grads[kind, i]
-
     def rows(self, items) -> np.ndarray:
         """Gradients of the items stacked as rows, shape (len(items), n)."""
-        return np.array([self.grad(*it) for it in items]).reshape(len(items), self.P.n)
+        rows = [self.P.items.index(it) for it in items]
+        new = [r for r in dict.fromkeys(rows) if r not in self._filled]
+        if new:
+            self._J[new] = self.P.jacobian(self.x, [self.P.items[r] for r in new])
+            self._filled.update(new)
+        return self._J[rows]
+
+    def grad(self, kind, i=0) -> np.ndarray:
+        """Gradient at x of item (kind, i)."""
+        return self.rows([(kind, i)])[0]
+
+    def hessian(self, kind, i=0) -> np.ndarray:
+        """Hessian at x of item (kind, i); callers must not modify it."""
+        return self.once(("hessian", kind, i), lambda: self.P.hessian(self.x, (kind, i)))
 
     def combination(self, items, rhs, mode):
         """combination_lp over the items' gradient columns; g weights are >= 0."""

@@ -18,8 +18,8 @@ import numpy as np
 from . import cones as cn
 from .cones import PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import (eig_sym, nullspace, rank_margin, rank_tol, rank_tol_batch,
-                      sanitize)
+from .numeric import (ball_offsets, eig_sym, nullspace, rank_margin, rank_tol,
+                      rank_tol_batch, sanitize)
 from .problem import Bipartition
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
@@ -58,25 +58,6 @@ class CqVerdict:
 # gradient families and sampled rank constancy
 # ---------------------------------------------------------------------------
 
-def family_matrix(P, x, items):
-    rows = [P.grad(P.expr(k, i), x) for k, i in items]
-    return np.array(rows) if rows else np.zeros((0, P.n))
-
-
-def family_tensor(P, X, items):
-    """(N, q, n) stack of family gradients at each sample row."""
-    X = np.asarray(X, float)
-    if not items:
-        return np.zeros((X.shape[0], 0, P.n))
-    return np.stack([P.grad_batch(P.expr(k, i), X) for k, i in items], axis=1)
-
-
-def _ball(rng, count, n, radius):
-    U = rng.normal(size=(count, n))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    return radius * rng.uniform(size=(count, 1)) ** (1.0 / n) * U
-
-
 RADII_FRACTIONS = (1.0, 0.25, 0.0625)
 
 
@@ -93,12 +74,11 @@ def rank_constancy(ctx: PointContext, items, tag) -> dict:
     witness = None
     for ri, frac in enumerate(RADII_FRACTIONS):
         rng = tol.rng("rankconst", tag, ri)
-        X = x[None, :] + _ball(rng, tol.n_samples, P.n, tol.eps_ball * frac)
-        ranks = rank_tol_batch(family_tensor(P, X, items), tol)
+        X = x[None, :] + ball_offsets(rng, tol.n_samples, P.n, tol.eps_ball * frac)
+        ranks = rank_tol_batch(P.jacobian(X, items), tol)
         bad = np.where(ranks != r0)[0]
         for b in bad:
-            Mb = family_matrix(P, X[b], items)
-            if rank_margin(Mb, tol) < 10.0:
+            if rank_margin(P.jacobian(X[b], items), tol) < 10.0:
                 thin = True
                 continue
             witness = {"point": X[b].tolist(), "rank": int(ranks[b]),
@@ -158,15 +138,14 @@ def check_rcrcq(ctx: PointContext) -> CqVerdict:
         return CqVerdict("RCRCQ", UNKNOWN, "sampled",
                          {"note": f"{n_triples} subset triples exceed the cap"})
     # evaluate the full gradient tensor once per radius, slice per triple
-    full_items = [("g", i) for i in I.I_g] + [("h", j) for j in range(P.p)]
-    full_items += [("G", k) for k in range(P.l)] + [("H", k) for k in range(P.l)]
+    full_items = [("g", i) for i in I.I_g] + list(P.items[1 + P.m:])
     pos = {it: r for r, it in enumerate(full_items)}
 
     tensors = []
     for ri, frac in enumerate(RADII_FRACTIONS):
         rng = tol.rng("rankconst", "rcrcq", ri)
-        X = x[None, :] + _ball(rng, tol.n_samples, P.n, tol.eps_ball * frac)
-        tensors.append((X, family_tensor(P, X, full_items)))
+        X = x[None, :] + ball_offsets(rng, tol.n_samples, P.n, tol.eps_ball * frac)
+        tensors.append((X, P.jacobian(X, full_items)))
 
     g_subsets = list(_subsets(I.I_g))
     gh_subsets = list(_subsets(I.I_GH))
@@ -185,8 +164,7 @@ def check_rcrcq(ctx: PointContext) -> CqVerdict:
                     ranks = rank_tol_batch(T[:, sel, :], tol)
                     bad = np.where(ranks != r0)[0]
                     for bidx in bad:
-                        Mb = family_matrix(P, X[bidx], items)
-                        if rank_margin(Mb, tol) < 10.0:
+                        if rank_margin(P.jacobian(X[bidx], items), tol) < 10.0:
                             any_thin = True
                             continue
                         return CqVerdict("RCRCQ", FAILS, "sampled", {
@@ -362,7 +340,7 @@ def _psoqn_second_order(ctx, b, m):
     B = nullspace(ctx.rows(branch_items(ctx, b.beta1, b.beta2)), ctx.tol)
     if B.shape[1] == 0:
         return True
-    K = lagrangian_hessian(ctx.P, ctx.x, m, include_objective=False)
+    K = lagrangian_hessian(ctx, m, include_objective=False)
     w, _ = eig_sym(B.T @ K @ B)
     return bool(w[0] >= -ctx.tol.tau_psd)
 
@@ -373,7 +351,7 @@ def _psoqn_sign_sequence(ctx, m):
     lam, rho, mu, nu = m.as_arrays()
     for ri, frac in enumerate(RADII_FRACTIONS):
         rng = tol.rng("psoqn", ri)
-        X = x[None, :] + _ball(rng, tol.n_samples, P.n, tol.eps_ball * frac)
+        X = x[None, :] + ball_offsets(rng, tol.n_samples, P.n, tol.eps_ball * frac)
         g, h, G, H = P.constraint_values(X)
         ok = np.ones(X.shape[0], dtype=bool)
         for i in range(P.m):

@@ -103,7 +103,8 @@ class Generators:
 
 
 def sanitize(obj):
-    """Coerce numpy scalars/arrays and to_json() objects to plain JSON types."""
+    """Coerce numpy scalars/arrays and to_json() objects to plain JSON types;
+    a non-finite float becomes None, so the output is strict JSON."""
     if hasattr(obj, "to_json"):
         return sanitize(obj.to_json())
     if isinstance(obj, dict):
@@ -115,8 +116,17 @@ def sanitize(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
+
+
+def ball_offsets(rng, count, n, radius):
+    """count offsets drawn uniformly from the n-ball of the given radius."""
+    U = rng.normal(size=(count, n))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return radius * rng.uniform(size=(count, 1)) ** (1.0 / n) * U
 
 
 # ---------------------------------------------------------------------------

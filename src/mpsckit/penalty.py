@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
-from .errors import EstimationError, InfeasiblePointError
-from .numeric import Tolerances
-from .problem import MpscProblem, all_branches
+from .errors import EstimationError, EvalDomainError, InfeasiblePointError
+from .numeric import Tolerances, ball_offsets
+from .problem import OBJECTIVE, MpscProblem, all_branches
 from .solver import SolveConfig, project_branch_cloud
 
 RADII_FRACTIONS = (1.0, 0.25, 0.0625)
@@ -30,15 +29,19 @@ DIST_BATCH = 32      # distance evaluations per radius
 
 
 def residual(P: MpscProblem, x) -> float:
-    """sqrt(sum g+^2 + sum h^2 + sum min{G^2, H^2}); 0 exactly on F."""
-    return float(P.residual(np.asarray(x, float)))
+    """sqrt(sum g+^2 + sum h^2 + sum min{G^2, H^2}); 0 exactly on F; an
+    overflow to a non-finite value raises EvalDomainError."""
+    r = float(P.residual(np.asarray(x, float)))
+    if not np.isfinite(r):
+        raise EvalDomainError("constraint residual overflowed to a non-finite value")
+    return r
 
 
 def penalized_objective(P: MpscProblem, x, kappa: float) -> float:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     x = np.asarray(x, float)
-    return float(P.value(P.f, x)) + kappa * float(P.residual(x))
+    return float(P.values(x, [OBJECTIVE])[0]) + kappa * float(P.residual(x))
 
 
 def _nearest_feasible_batch(P, X, tol: Tolerances):
@@ -209,9 +212,7 @@ class PenaltyReport:
 
 def _minimality_samples(P, x, radius, count, rng):
     """Ball samples plus deterministic axis rays at geometric radii."""
-    U = rng.normal(size=(count, P.n))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    ball = x[None, :] + radius * rng.uniform(size=(count, 1)) ** (1.0 / P.n) * U
+    ball = x[None, :] + ball_offsets(rng, count, P.n, radius)
     rays = []
     for j in range(P.n):
         for sgn in (1.0, -1.0):
@@ -238,14 +239,11 @@ def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
         raise InfeasiblePointError("exact-penalty probe needs a feasible center")
     eb = error_bound_probe(P, x, tol) if eb is None else eb
 
-    rng = tol.rng("lipschitz")
-    U = rng.normal(size=(tol.n_samples, P.n))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    ball = x[None, :] + minimality_radius * rng.uniform(
-        size=(tol.n_samples, 1)) ** (1.0 / P.n) * U
-    grads = P.grad_batch(P.f, ball)
+    ball = x[None, :] + ball_offsets(tol.rng("lipschitz"), tol.n_samples, P.n,
+                                     minimality_radius)
+    grads = P.jacobian(ball, [OBJECTIVE])[:, 0]
     L_f_hat = float(np.max(np.linalg.norm(grads, axis=1)))
-    L_f_hat = max(L_f_hat, float(np.linalg.norm(P.grad(P.f, x))))
+    L_f_hat = max(L_f_hat, float(np.linalg.norm(P.jacobian(x, [OBJECTIVE])[0])))
 
     kappa_bar = eb.alpha_hat * L_f_hat
     notes = []
@@ -255,11 +253,11 @@ def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
         kappa_bar = 1.0
         notes.append("degenerate threshold estimate; grid uses kappa_bar = 1")
 
-    base = float(P.value(P.f, x))
+    base = float(P.values(x, [OBJECTIVE])[0])
     grid = []
     sample_rng = tol.rng("penaltymin")
     Y = _minimality_samples(P, x, minimality_radius, n_min_samples, sample_rng)
-    fvals = ex.evaluate(P.f, Y)
+    fvals = P.values(Y, [OBJECTIVE])[:, 0]
     resvals = P.residual(Y)
     for factor in (0.5, 1.0, 2.0, 4.0):
         kappa = factor * kappa_bar

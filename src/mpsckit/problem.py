@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import InfeasiblePointError, ParseError, SizeCapError
 from .numeric import Tolerances
 
 MAX_BIACTIVE = 16
+OBJECTIVE = ("f", 0)
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,15 @@ class MpscProblem:
     def l(self):
         return len(self.switch_pairs)
 
-    # -- evaluation helpers ------------------------------------------------
+    # -- evaluation kernel: every value, gradient and Hessian of an item ------
+
+    @cached_property
+    def items(self) -> tuple:
+        """Every (kind, idx) item, grouped f, g, h, G, H."""
+        return ((OBJECTIVE,) + tuple(("g", i) for i in range(self.m))
+                + tuple(("h", j) for j in range(self.p))
+                + tuple(("G", k) for k in range(self.l))
+                + tuple(("H", k) for k in range(self.l)))
 
     def expr(self, kind, i=0):
         """Expression of item (kind, i): kind f, g, h, G or H."""
@@ -50,29 +60,25 @@ class MpscProblem:
             return self.switch_pairs[i][kind == "H"]
         return self.f if kind == "f" else (self.g if kind == "g" else self.h)[i]
 
-    def value(self, e, x):
-        return ex.evaluate(e, x)
+    def values(self, x, items):
+        """Item values, shape (K,) at a point or (N, K) over a batch."""
+        return _evaluate([self.expr(*it) for it in items], x)
 
-    def grad(self, e, x):
-        return ex.gradient(e, x, self.n)
+    def jacobian(self, x, items):
+        """Item gradients as rows, shape (K, n) at a point or (N, K, n) over a batch."""
+        V = _evaluate([ex.diff(self.expr(*it), j) for it in items for j in range(self.n)], x)
+        return V.reshape(V.shape[:-1] + (len(items), self.n))
 
-    def hess(self, e, x):
-        return ex.hessian(e, x)
-
-    def grad_batch(self, e, X):
-        """Gradients of one expression over a batch, shape (N, n)."""
-        return ex.gradient(e, np.asarray(X, float), self.n)
+    def hessian(self, x, item):
+        """Hessian of one item at a point, shape (n, n)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ex.hessian(self.expr(*item), np.asarray(x, float))
 
     def constraint_values(self, x):
         """(g, h, G, H) value arrays at a point or batch."""
-        x = np.asarray(x, float)
-        g = np.stack([ex.evaluate(e, x) for e in self.g], axis=-1) if self.g else _empty(x, 0)
-        h = np.stack([ex.evaluate(e, x) for e in self.h], axis=-1) if self.h else _empty(x, 0)
-        G = np.stack([ex.evaluate(Gk, x) for Gk, _ in self.switch_pairs], axis=-1) \
-            if self.switch_pairs else _empty(x, 0)
-        H = np.stack([ex.evaluate(Hk, x) for _, Hk in self.switch_pairs], axis=-1) \
-            if self.switch_pairs else _empty(x, 0)
-        return g, h, G, H
+        V = self.values(x, self.items[1:])
+        m, p, l = self.m, self.p, self.l
+        return V[..., :m], V[..., m:m + p], V[..., m + p:m + p + l], V[..., m + p + l:]
 
     def residual(self, x):
         """l2 constraint violation: sqrt(sum g+^2 + sum h^2 + sum min(G^2,H^2))."""
@@ -83,13 +89,17 @@ class MpscProblem:
                 + np.sum(np.minimum(G ** 2, H ** 2), axis=-1)
         return np.sqrt(viol)
 
-    def is_feasible(self, x, tol: Tolerances):
-        return bool(np.all(self.residual(x) <= tol.tau_feas))
 
-
-def _empty(x, width):
-    shape = (width,) if np.ndim(x) == 1 else (np.shape(x)[0], width)
-    return np.zeros(shape)
+def _evaluate(exprs, x):
+    """Expression values as columns, under one np.errstate for the call: an
+    overflow inside a tree ends as the EvalDomainError that expr.evaluate
+    raises on a non-finite output."""
+    x = np.asarray(x, float)
+    out = np.empty(x.shape[:-1] + (len(exprs),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, e in enumerate(exprs):
+            out[..., k] = ex.evaluate(e, x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,10 +143,9 @@ class BranchProblem:
     bipartition: Bipartition | None = None
 
     def equalities(self):
-        eqs = list(self.problem.h)
-        eqs += [self.problem.switch_pairs[k][0] for k in self.eq_G]
-        eqs += [self.problem.switch_pairs[k][1] for k in self.eq_H]
-        return eqs
+        """Equality items: every h, then G over eq_G and H over eq_H."""
+        return ([("h", j) for j in range(self.problem.p)]
+                + [("G", k) for k in self.eq_G] + [("H", k) for k in self.eq_H])
 
     def label(self):
         marks = []

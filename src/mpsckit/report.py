@@ -18,7 +18,7 @@ from . import cq as cqmod
 from . import penalty as pen
 from . import soc as socmod
 from . import stationarity as st
-from .errors import EvalDomainError, MpscError
+from .errors import MpscError
 from .numeric import Tolerances, sanitize
 from .problem import MpscProblem
 from .expr import to_text
@@ -83,9 +83,7 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
         "point": [float(v) for v in x],
         "errors": [],
     }
-    r = float(P.residual(x))
-    if not np.isfinite(r):
-        raise EvalDomainError("constraint residual overflowed to a non-finite value")
+    r = pen.residual(P, x)
     report["residual"] = r
     report["feasible"] = bool(r <= tol.tau_feas)
     if not report["feasible"]:

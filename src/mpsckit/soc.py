@@ -117,11 +117,13 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
 
 
 def _multiplier_generators(ctx):
-    """Vertices and (both-signed) rays of the S-multiplier polyhedron."""
-    _, labels, gen = s_multiplier_polyhedron(ctx)
-    vertices = [expand_multiplier(ctx.P, labels, v) for v in gen.vertices]
-    rays = [expand_multiplier(ctx.P, labels, r) for r in gen.all_rays()]
-    return vertices, rays
+    """Vertices and (both-signed) rays of the S-multiplier polyhedron,
+    enumerated once per context for both second-order checks."""
+    def expand():
+        _, labels, gen = s_multiplier_polyhedron(ctx)
+        return ([expand_multiplier(ctx.P, labels, v) for v in gen.vertices],
+                [expand_multiplier(ctx.P, labels, r) for r in gen.all_rays()])
+    return ctx.once("S-multipliers", expand)
 
 
 def _gate_s_stationary(ctx) -> Multipliers:
@@ -135,20 +137,19 @@ def _gate_s_stationary(ctx) -> Multipliers:
 def _ray_witness_multiplier(ctx, vertex: Multipliers, ray: Multipliers,
                             d) -> tuple[Multipliers, float]:
     """Scale vertex + t * ray so the quadratic form at d is decisively negative."""
-    P, x = ctx.P, ctx.x
-    qv = float(d @ lagrangian_hessian(P, x, vertex) @ d)
-    qr = float(d @ lagrangian_hessian(P, x, ray, include_objective=False) @ d)
+    qv = float(d @ lagrangian_hessian(ctx, vertex) @ d)
+    qr = float(d @ lagrangian_hessian(ctx, ray, include_objective=False) @ d)
     t = (abs(qv) + 1.0) / max(-qr, 1e-12)
     lam_v, rho_v, mu_v, nu_v = vertex.as_arrays()
     lam_r, rho_r, mu_r, nu_r = ray.as_arrays()
     mult = Multipliers(tuple(lam_v + t * lam_r), tuple(rho_v + t * rho_r),
                        tuple(mu_v + t * mu_r), tuple(nu_v + t * nu_r))
-    return mult, float(d @ lagrangian_hessian(P, x, mult) @ d)
+    return mult, float(d @ lagrangian_hessian(ctx, mult) @ d)
 
 
 def check_wsonc(ctx: PointContext) -> SocVerdict:
     """Projected-Hessian nonnegativity on the critical subspace (exact)."""
-    P, x, tol = ctx.P, ctx.x, ctx.tol
+    tol = ctx.tol
     _gate_s_stationary(ctx)
     B = cn.critical_subspace(ctx)
     if B.shape[1] == 0:
@@ -161,7 +162,7 @@ def check_wsonc(ctx: PointContext) -> SocVerdict:
                           evidence={"note": str(err)})
     checked = 0
     for mult in vertices:
-        Q = lagrangian_hessian(P, x, mult)
+        Q = lagrangian_hessian(ctx, mult)
         w, V = eig_sym(B.T @ Q @ B)
         checked += 1
         if w[0] < -tol.tau_psd:
@@ -174,7 +175,7 @@ def check_wsonc(ctx: PointContext) -> SocVerdict:
                                         "method": "subspace_eig"})
     anchor = vertices[0]
     for ray in rays:
-        Qr = lagrangian_hessian(P, x, ray, include_objective=False)
+        Qr = lagrangian_hessian(ctx, ray, include_objective=False)
         w, V = eig_sym(B.T @ Qr @ B)
         checked += 1
         if w[0] < -tol.tau_psd:
@@ -196,7 +197,7 @@ def check_wsonc(ctx: PointContext) -> SocVerdict:
 
 def check_ssonc(ctx: PointContext) -> SocVerdict:
     """Quadratic-form nonnegativity over the critical cone, multiplier-swept."""
-    P, x, tol = ctx.P, ctx.x, ctx.tol
+    tol = ctx.tol
     witness0 = _gate_s_stationary(ctx)
     try:
         vertices, rays = _multiplier_generators(ctx)
@@ -209,7 +210,7 @@ def check_ssonc(ctx: PointContext) -> SocVerdict:
     piece_tags = []
     for gi, (mult, homogeneous) in enumerate(
             [(v, False) for v in vertices] + [(r, True) for r in rays]):
-        Q = lagrangian_hessian(P, x, mult, include_objective=not homogeneous)
+        Q = lagrangian_hessian(ctx, mult, include_objective=not homogeneous)
         for pi, piece in enumerate(pieces):
             rng = tol.rng("ssonc", gi, pi)
             qf = quadform_min_over_cone(Q, piece, tol, rng=rng)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .errors import EstimationError, MpscError
 from .numeric import Tolerances
-from .problem import BranchProblem, MpscProblem, all_branches
+from .problem import OBJECTIVE, BranchProblem, MpscProblem, all_branches
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,17 @@ def _descent_batch(value_fn, grad_fn, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
 # branch helpers
 # ---------------------------------------------------------------------------
 
-def _batch_values(exprs, Z):
-    if not exprs:
-        return np.zeros((Z.shape[0], 0))
-    return np.stack([ex.evaluate(e, Z) for e in exprs], axis=-1)
+def _add_gradients(P: MpscProblem, Z, out, items, W, gated=False):
+    """out += W[:, j, None] * (gradient of items[j] over Z), item by item.
+
+    Gated, an item whose weight column has no positive entry is skipped and
+    its gradient is not computed.
+    """
+    cols = [j for j in range(len(items)) if not gated or np.any(W[:, j] > 0.0)]
+    J = P.jacobian(Z, [items[j] for j in cols])
+    for c, j in enumerate(cols):
+        out += W[:, j, None] * J[:, c]
+    return out
 
 
 def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
@@ -122,7 +128,7 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
     step is solved per row, on the equalities then the violated inequalities.
     """
     P = br.problem
-    cons = br.equalities() + list(P.g)
+    cons = br.equalities() + [("g", i) for i in range(P.m)]
     n_eq = len(cons) - P.m
     X = np.array(X, float)
     for _ in range(iters):
@@ -130,12 +136,12 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
         live = np.where(res > max(tol.tau_feas * 1e-6, 1e-15))[0]
         if live.size == 0:
             break
-        vals = _batch_values(cons, X[live])
+        vals = P.values(X[live], cons)
         use = (vals > 0.0) | (np.arange(len(cons)) < n_eq)
         J = np.zeros(vals.shape + (P.n,))
-        for j, e in enumerate(cons):
+        for j, it in enumerate(cons):
             if np.any(use[:, j]):
-                J[use[:, j], j] = P.grad_batch(e, X[live[use[:, j]]])
+                J[use[:, j], j] = P.jacobian(X[live[use[:, j]]], [it])[:, 0]
         moved = False
         for k, idx in enumerate(live):
             if np.any(use[k]):
@@ -156,28 +162,24 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances,
     polishes with Gauss-Newton.  Rows that end infeasible are the caller's
     to filter.
     """
-    gs = list(P.g)
+    gs = [("g", i) for i in range(P.m)]
     eqs = br.equalities()
     X0 = np.atleast_2d(np.asarray(X0, float))
     Y = X0.copy()
     for sigma in sigma_schedule:
         def val(rows, Z, sigma=sigma):
-            gp = np.maximum(_batch_values(gs, Z), 0.0)
-            ev = _batch_values(eqs, Z)
+            V = P.values(Z, gs + eqs)
+            gp = np.maximum(V[:, :P.m], 0.0)
+            ev = V[:, P.m:]
             return np.sum((Z - X0[rows]) ** 2, axis=1) \
                 + sigma * (np.sum(gp ** 2, axis=1) + np.sum(ev ** 2, axis=1))
 
         def grad(rows, Z, sigma=sigma):
             out = 2.0 * (Z - X0[rows])
-            gp = np.maximum(_batch_values(gs, Z), 0.0)
-            ev = _batch_values(eqs, Z)
-            for i, e in enumerate(gs):
-                col = gp[:, i]
-                if np.any(col > 0.0):
-                    out += 2.0 * sigma * col[:, None] * P.grad_batch(e, Z)
-            for j, e in enumerate(eqs):
-                out += 2.0 * sigma * ev[:, j:j + 1] * P.grad_batch(e, Z)
-            return out
+            V = P.values(Z, gs + eqs)
+            _add_gradients(P, Z, out, gs, 2.0 * sigma * np.maximum(V[:, :P.m], 0.0),
+                           gated=True)
+            return _add_gradients(P, Z, out, eqs, 2.0 * sigma * V[:, P.m:])
 
         Y = _descent_batch(val, grad, Y, inner, t0=0.2 / (1.0 + sigma))
     return _gauss_newton_polish(br, Y, tol)
@@ -206,7 +208,7 @@ def project_branch(P: MpscProblem, br: BranchProblem, x0,
 def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
                tol: Tolerances):
     """Run the ALM loop on every start row; returns (X, kkt, res, status)."""
-    gs = list(P.g)
+    gs = [("g", i) for i in range(P.m)]
     eqs = br.equalities()
     X = np.atleast_2d(np.asarray(X0, float)).copy()
     N = X.shape[0]
@@ -221,9 +223,8 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
     for _ in range(cfg.max_outer):
         outer_used += 1
         def val(rows, Z):
-            fv = ex.evaluate(P.f, Z)
-            ev = _batch_values(eqs, Z)
-            gv = _batch_values(gs, Z)
+            V = P.values(Z, [OBJECTIVE] + eqs + gs)
+            fv, ev, gv = V[:, 0], V[:, 1:1 + len(eqs)], V[:, 1 + len(eqs):]
             s = sigma[rows]
             if ev.size:
                 fv = fv + np.sum(rho[rows] * ev + 0.5 * s[:, None] * ev ** 2, axis=1)
@@ -233,30 +234,22 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
             return fv
 
         def grad(rows, Z):
-            out = np.stack([ex.evaluate(ex.diff(P.f, j), Z) for j in range(P.n)], axis=-1)
-            ev = _batch_values(eqs, Z)
-            gv = _batch_values(gs, Z)
-            s = sigma[rows]
-            for j, e in enumerate(eqs):
-                out += (rho[rows][:, j] + s * ev[:, j])[:, None] * P.grad_batch(e, Z)
-            for i, e in enumerate(gs):
-                w = np.maximum(0.0, lam[rows][:, i] + s * gv[:, i])
-                if np.any(w > 0.0):
-                    out += w[:, None] * P.grad_batch(e, Z)
-            return out
+            out = P.jacobian(Z, [OBJECTIVE])[:, 0]
+            V = P.values(Z, eqs + gs)
+            ev, gv = V[:, :len(eqs)], V[:, len(eqs):]
+            s = sigma[rows][:, None]
+            _add_gradients(P, Z, out, eqs, rho[rows] + s * ev)
+            return _add_gradients(P, Z, out, gs, np.maximum(0.0, lam[rows] + s * gv),
+                                  gated=True)
 
         X = _descent_batch(val, grad, X, cfg.max_inner, c=cfg.armijo_c,
                            gtol=0.1 * cfg.tau_kkt)
-        ev = _batch_values(eqs, X)
-        gv = _batch_values(gs, X)
-        rho = rho + sigma[:, None] * ev
-        lam = np.maximum(0.0, lam + sigma[:, None] * gv)
+        V = P.values(X, eqs + gs)
+        rho = rho + sigma[:, None] * V[:, :len(eqs)]
+        lam = np.maximum(0.0, lam + sigma[:, None] * V[:, len(eqs):])
 
-        kkt_vec = np.stack([ex.evaluate(ex.diff(P.f, j), X) for j in range(P.n)], axis=-1)
-        for j, e in enumerate(eqs):
-            kkt_vec += rho[:, j:j + 1] * P.grad_batch(e, X)
-        for i, e in enumerate(gs):
-            kkt_vec += lam[:, i:i + 1] * P.grad_batch(e, X)
+        kkt_vec = _add_gradients(P, X, P.jacobian(X, [OBJECTIVE])[:, 0], eqs + gs,
+                                 np.hstack([rho, lam]))
         kkt = np.linalg.norm(kkt_vec, axis=1)
         res = br.residual(X)
         moved = np.linalg.norm(X - X_prev, axis=1) if X_prev is not None \
@@ -289,7 +282,7 @@ def solve_branch(P: MpscProblem, br: BranchProblem, x0, cfg: SolveConfig,
     starts = np.vstack([x0[None, :],
                         lhs_starts(rng, cfg.lhs_starts, x0, cfg.start_box)])
     X, kkt, res, status, outer = _alm_batch(P, br, starts, cfg, tol)
-    fvals = np.array([P.value(P.f, x) for x in X])
+    fvals = P.values(X, [OBJECTIVE])[:, 0]
     order = sorted(range(len(X)),
                    key=lambda i: (status[i] != "feasible", fvals[i], i))
     best = order[0]
@@ -365,28 +358,23 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     kappas = []
 
     def val(rows, Z, kappa_ref=None):
-        return ex.evaluate(P.f, Z) + kappa * P.residual(Z)
+        return P.values(Z, [OBJECTIVE])[:, 0] + kappa * P.residual(Z)
 
     @np.errstate(over="ignore")  # an infinite trial point fails the Armijo test
     def grad(rows, Z):
-        out = np.stack([ex.evaluate(ex.diff(P.f, j), Z) for j in range(P.n)], axis=-1)
+        out = P.jacobian(Z, [OBJECTIVE])[:, 0]
         g, h, G, H = P.constraint_values(Z)
         r = np.sqrt(np.sum(np.maximum(g, 0.0) ** 2, axis=1) + np.sum(h ** 2, axis=1)
                     + np.sum(np.minimum(G ** 2, H ** 2), axis=1))
         active = r > 0.0
         if not np.any(active):
             return out
-        dr = np.zeros_like(Z)
-        for i, e in enumerate(P.g):
-            col = np.maximum(g[:, i], 0.0)
-            if np.any(col > 0.0):
-                dr += col[:, None] * P.grad_batch(e, Z)
-        for j, e in enumerate(P.h):
-            dr += h[:, j:j + 1] * P.grad_batch(e, Z)
-        for k, (Ge, He) in enumerate(P.switch_pairs):
+        dr = _add_gradients(P, Z, np.zeros_like(Z), [("g", i) for i in range(P.m)],
+                            np.maximum(g, 0.0), gated=True)
+        _add_gradients(P, Z, dr, [("h", j) for j in range(P.p)], h)
+        for k in range(P.l):
             use_g = G[:, k] ** 2 <= H[:, k] ** 2  # tie -> G piece
-            dG = P.grad_batch(Ge, Z)
-            dH = P.grad_batch(He, Z)
+            dG, dH = P.jacobian(Z, [("G", k), ("H", k)]).transpose(1, 0, 2)
             dr += np.where(use_g[:, None], G[:, k:k + 1] * dG, H[:, k:k + 1] * dH)
         safe = np.where(active, r, 1.0)
         out[active] += kappa * (dr[active] / safe[active, None])
@@ -400,7 +388,7 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
             break
         kappa *= cfg.penalty_growth
     else:
-        return LocalSolution(x=x[0], value=float(P.value(P.f, x[0])),
+        return LocalSolution(x=x[0], value=float(P.values(x[0], [OBJECTIVE])[0]),
                              residual=float(P.residual(x[0])), branch="penalty",
                              status="failure", log=[f"kappa_final={kappas[-1]:.1e}"])
 
@@ -412,7 +400,8 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     br = branch_from_assignment(P, eq_G, eq_H)
     X, kkt, res, status, outer = _alm_batch(P, br, x, cfg, tol)
     sol = LocalSolution(
-        x=X[0], value=float(P.value(P.f, X[0])), residual=float(P.residual(X[0])),
+        x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]),
+        residual=float(P.residual(X[0])),
         branch=br.label(), status=str(status[0]), iterations=len(kappas) + outer,
         log=[f"kappa_final={kappas[-1]:.1e}", f"kkt={kkt[0]:.2e}", "branch polish"],
     )

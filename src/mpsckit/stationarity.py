@@ -58,37 +58,28 @@ class StationarityVerdict:
                 "patterns": list(self.patterns)}
 
 
-def lagrangian_gradient(P: MpscProblem, x, mult: Multipliers):
+def _lagrangian_terms(P: MpscProblem, mult: Multipliers):
+    """(coefficient, item) of every nonzero multiplier: g, h, then G and H
+    of each switch pair in turn."""
     lam, rho, mu, nu = mult.as_arrays()
-    out = P.grad(P.f, x)
-    for i, e in enumerate(P.g):
-        if lam[i] != 0.0:
-            out = out + lam[i] * P.grad(e, x)
-    for j, e in enumerate(P.h):
-        if rho[j] != 0.0:
-            out = out + rho[j] * P.grad(e, x)
-    for k, (G, H) in enumerate(P.switch_pairs):
-        if mu[k] != 0.0:
-            out = out + mu[k] * P.grad(G, x)
-        if nu[k] != 0.0:
-            out = out + nu[k] * P.grad(H, x)
+    terms = [(lam[i], ("g", i)) for i in range(P.m)]
+    terms += [(rho[j], ("h", j)) for j in range(P.p)]
+    terms += [t for k in range(P.l) for t in ((mu[k], ("G", k)), (nu[k], ("H", k)))]
+    return [(c, it) for c, it in terms if c != 0.0]
+
+
+def lagrangian_gradient(ctx: PointContext, mult: Multipliers):
+    out = ctx.grad("f")
+    for c, it in _lagrangian_terms(ctx.P, mult):
+        out = out + c * ctx.grad(*it)
     return out
 
 
-def lagrangian_hessian(P: MpscProblem, x, mult: Multipliers, include_objective=True):
-    lam, rho, mu, nu = mult.as_arrays()
-    out = P.hess(P.f, x) if include_objective else np.zeros((P.n, P.n))
-    for i, e in enumerate(P.g):
-        if lam[i] != 0.0:
-            out = out + lam[i] * P.hess(e, x)
-    for j, e in enumerate(P.h):
-        if rho[j] != 0.0:
-            out = out + rho[j] * P.hess(e, x)
-    for k, (G, H) in enumerate(P.switch_pairs):
-        if mu[k] != 0.0:
-            out = out + mu[k] * P.hess(G, x)
-        if nu[k] != 0.0:
-            out = out + nu[k] * P.hess(H, x)
+def lagrangian_hessian(ctx: PointContext, mult: Multipliers, include_objective=True):
+    n = ctx.P.n
+    out = ctx.hessian("f").copy() if include_objective else np.zeros((n, n))
+    for c, it in _lagrangian_terms(ctx.P, mult):
+        out = out + c * ctx.hessian(*it)
     return out
 
 
@@ -135,9 +126,15 @@ def w_stationarity_residual(ctx: PointContext) -> float:
 
 
 def check_s_stationary(ctx: PointContext) -> StationarityVerdict:
-    """Stationarity with mu = nu = 0 on the biactive set (single LP)."""
-    w = _solve_system(ctx, branch_items(ctx, (), ()))
-    return StationarityVerdict("S", HOLDS if w else FAILS, witness=w)
+    """Stationarity with mu = nu = 0 on the biactive set (single LP).
+
+    The verdict is kept on the context, so the report and the second-order
+    gates share one solve.
+    """
+    def solve():
+        w = _solve_system(ctx, branch_items(ctx, (), ()))
+        return StationarityVerdict("S", HOLDS if w else FAILS, witness=w)
+    return ctx.once("S", solve)
 
 
 def check_m_stationary(ctx: PointContext) -> StationarityVerdict:
@@ -256,7 +253,7 @@ def m_to_s_bridge(ctx: PointContext, mult: Multipliers) -> BridgeReport:
     reports KKT feasibility of each branch, and re-checks grad L = 0 after
     zeroing mu off I_G and nu off I_H.
     """
-    P, x, tol, I = ctx.P, ctx.x, ctx.tol, ctx.I
+    P, tol, I = ctx.P, ctx.tol, ctx.I
     lam, rho, mu, nu = mult.as_arrays()
     nz = lambda v: abs(v) > tol.tau_act
 
@@ -279,7 +276,7 @@ def m_to_s_bridge(ctx: PointContext, mult: Multipliers) -> BridgeReport:
     mu_bar = np.where([k in I.I_G for k in range(P.l)], mu, 0.0)
     nu_bar = np.where([k in I.I_H for k in range(P.l)], nu, 0.0)
     cand = Multipliers(tuple(lam), tuple(rho), tuple(mu_bar), tuple(nu_bar))
-    res = float(np.linalg.norm(lagrangian_gradient(P, x, cand)))
+    res = float(np.linalg.norm(lagrangian_gradient(ctx, cand)))
     cert = cand if res <= 1e-8 * scale and np.all(lam >= 0.0) else None
     return BridgeReport(
         partitions=[part1, part2],

@@ -57,8 +57,8 @@ def test_criterion_1_golden_cq_triples(corpus):
                 r["witness"] for r in verdict.evidence["bipartitions"]
                 if not r["constant"])
             point = np.array(w["point"])
-            base_ranks = [rank_oracle(cq.family_matrix(P, x, it)) for it in cand]
-            samp_ranks = [rank_oracle(cq.family_matrix(P, point, it)) for it in cand]
+            base_ranks = [rank_oracle(P.jacobian(x, it)) for it in cand]
+            samp_ranks = [rank_oracle(P.jacobian(point, it)) for it in cand]
             assert any(b != s for b, s in zip(base_ranks, samp_ranks))
     _report(1, "golden CQ verdict triples")
 
@@ -69,16 +69,16 @@ def test_criterion_2_m_vs_s_stationarity(corpus):
     m = st.check_m_stationary(PointContext(P, x, TOL))
     assert m.status == "HOLDS"
     assert m.patterns and all(p["feasible"] for p in m.patterns)
+    ctx = PointContext(P, x, TOL)
     for pat in m.patterns:
         w = pat["witness"]
         assert abs(w["mu"][0] + w["nu"][0] - 2.0) <= 1e-8
         wit = st.Multipliers(tuple(w["lambda"]), tuple(w["rho"]),
                              tuple(w["mu"]), tuple(w["nu"]))
-        assert np.linalg.norm(st.lagrangian_gradient(P, x, wit)) <= 1e-8
+        assert np.linalg.norm(st.lagrangian_gradient(ctx, wit)) <= 1e-8
     w = m.witness
     assert abs(w.mu[0] + w.nu[0] - 2.0) <= 1e-8
-    assert np.linalg.norm(st.lagrangian_gradient(P, x, w)) <= 1e-8
-    ctx = PointContext(P, x, TOL)
+    assert np.linalg.norm(st.lagrangian_gradient(ctx, w)) <= 1e-8
     s = st.check_s_stationary(ctx)
     assert s.status == "FAILS"
     assert st.normal_cone_oracle(ctx, "M") is True

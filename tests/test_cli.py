@@ -19,6 +19,10 @@ def run_module(*argv, strict=False):
     return subprocess.run(cmd + list(argv), capture_output=True, text=True, env=env)
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -109,10 +113,11 @@ class TestAnalyze:
         assert not jpath.exists()
 
     def test_overflow_under_strict_warnings(self):
-        proc = run_module("analyze", str(problem_path("axes2d")),
-                          "--point", "1e308,1e308", strict=True)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        for command in ("analyze", "penalty"):
+            proc = run_module(command, str(problem_path("axes2d")),
+                              "--point", "1e308,1e308", strict=True)
+            assert proc.returncode == 2, command
+            assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_simplex_cap_is_reported_not_raised(self, capsys, monkeypatch, tmp_path):
         # every LP of the CLI runs inside a component that records MpscErrors:
@@ -181,6 +186,16 @@ class TestSolve:
         assert code == 1
         assert "status:" in out
 
+    def test_failure_json_is_strict(self, capsys, tmp_path):
+        bad = tmp_path / "nobranch.mpsc"
+        bad.write_text("vars x1\nmin x1\neq x1^2 + 1\nswitch x1 | x1\n")
+        jpath = tmp_path / "sol.json"
+        code, out, _ = run_cli(capsys, "solve", str(bad), "--json", str(jpath))
+        assert code == 1 and "status: failure" in out
+        sol = json.loads(jpath.read_text(), parse_constant=reject_constant)
+        assert sol["value"] is None and sol["residual"] is None
+        assert '"value": null' in jpath.read_text()
+
     def test_penalty_overflow_under_strict_warnings(self):
         argv = ("solve", str(problem_path("pinch2d")), "--mode", "penalty", "--from", "1,1")
         loose, strict = run_module(*argv), run_module(*argv, strict=True)
@@ -201,6 +216,15 @@ class TestOtherCommands:
                                "--point", "0,0", "--kappa", "3")
         assert code == 0
         assert "penalized objective = 0" in out
+
+    def test_penalty_non_finite_residual_rejected(self, capsys, tmp_path):
+        prob = tmp_path / "far.mpsc"
+        prob.write_text("vars x1 x2\nmin x1\nineq x2\nswitch x1 | x2\n")
+        jpath = tmp_path / "penalty.json"
+        code, _, err = run_cli(capsys, "penalty", str(prob), "--point", "0,1e200",
+                               "--json", str(jpath))
+        assert code == 2 and err.startswith("error:") and "non-finite" in err
+        assert not jpath.exists()
 
     def test_errorbound_ray2d(self, capsys, tmp_path):
         jpath = tmp_path / "eb.json"

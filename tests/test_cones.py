@@ -140,3 +140,24 @@ class TestExplicitMembership:
         L = cones.linearization_cone(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
         assert L.member([-1.0, 0.0, 0.0], TOL) == (False, None)
         assert L.member([0.0, 0.0, 0.0], TOL)[0]
+
+
+class TestPointContext:
+    def test_rows_match_the_kernel(self, corpus):
+        P = corpus["wedge3d"]
+        ctx = PointContext(P, [0.1, -0.2, 0.3], TOL)
+        items = [("H", 0), ("g", 2), ("f", 0), ("g", 2)]
+        assert np.array_equal(ctx.rows(items), P.jacobian([0.1, -0.2, 0.3], items))
+        assert np.array_equal(ctx.grad("g", 2), P.jacobian([0.1, -0.2, 0.3], [("g", 2)])[0])
+        assert ctx.rows([]).shape == (0, 3)
+
+    def test_undefined_gradient_of_an_unused_item_is_not_evaluated(self):
+        # sqrt(x2) - 5 is inactive at the origin and its gradient is undefined
+        # there: only cq fails, whose PSOQN uses every inequality gradient and
+        # whose ACQ samples points with x2 < 0
+        from mpsckit import report
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+                         "switch x1 | x2\n", from_path=False)
+        rep = report.analyze(P, [0.0, 0.0], TOL)
+        assert [e["component"] for e in rep["errors"]] == ["cq"]
+        assert set(rep["verdicts"]["stationarity"]) == {"W", "M", "S", "normal_cone_oracle"}

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.optimize import linprog
 from mpsckit import cli, cones, numeric
 from mpsckit.cones import PointContext
 from mpsckit.errors import SizeCapError
-from mpsckit.numeric import Polyhedron, Tolerances
+from mpsckit.numeric import Polyhedron, Tolerances, sanitize
 from mpsckit.problem import load_problem
 
 TOL = Tolerances()
@@ -321,3 +322,11 @@ class TestTolerances:
         c = t.rng("wcr", 1).uniform(size=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestSanitize:
+    def test_non_finite_floats_become_null(self):
+        got = sanitize({"a": float("nan"), "b": [np.float64(np.inf), -np.inf],
+                        "c": np.array([1.5, np.nan]), "d": 2, "e": np.float64(0.25)})
+        assert got == {"a": None, "b": [None, None], "c": [1.5, None], "d": 2, "e": 0.25}
+        json.dumps(got, allow_nan=False)

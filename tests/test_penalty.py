@@ -141,7 +141,7 @@ class TestExactPenalty:
         rng = np.random.default_rng(9)
         X = rng.uniform(-rep.minimality_radius, rep.minimality_radius, size=(200, 2))
         X = X[np.linalg.norm(X, axis=1) <= rep.minimality_radius]
-        norms = np.linalg.norm(P.grad_batch(P.f, X), axis=1)
+        norms = np.linalg.norm(P.jacobian(X, [("f", 0)])[:, 0], axis=1)
         assert rep.L_f_hat >= np.max(norms) - 1e-9
 
 

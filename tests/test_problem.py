@@ -1,6 +1,8 @@
+import ast
 import gc
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,7 +120,7 @@ class TestBranch:
         P = corpus["wedge3d"]
         I = pb.index_sets(P, [0.0, 0.0, 0.0], TOL)
         br = pb.branch(P, I, pb.Bipartition((0,), ()))
-        eqs = [to_text(e, P.var_names) for e in br.equalities()]
+        eqs = [to_text(P.expr(*it), P.var_names) for it in br.equalities()]
         assert eqs == ["x1"]
         assert len(P.g) == 3
 
@@ -126,7 +128,7 @@ class TestBranch:
         P = corpus["ray2d"]
         I = pb.index_sets(P, [0.0, 0.0], TOL)
         br = pb.branch(P, I, pb.Bipartition((), (0,)))
-        eqs = [to_text(e, P.var_names) for e in br.equalities()]
+        eqs = [to_text(P.expr(*it), P.var_names) for it in br.equalities()]
         assert eqs == ["x2 - x1^2"]
 
     def test_no_switches_branch_is_instance(self):
@@ -159,3 +161,148 @@ class TestBranchUnionLaw:
         I_q = pb.index_sets(Q, [0.0, 0.0, 0.0], TOL)
         assert {perm[i] for i in I_q.I_g} == set(I_p.I_g)
         assert I_q.I_GH == I_p.I_GH
+
+
+# ---------------------------------------------------------------------------
+# evaluation kernel
+# ---------------------------------------------------------------------------
+
+def sympy_items(path, P):
+    """The problem file read by sympy: (symbols, expression per item of P.items)."""
+    import sympy
+
+    syms, exprs = None, {}
+    g, h, pairs = [], [], []
+    for raw in path.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head == "vars":
+            syms = sympy.symbols(rest.split())
+            names = {s.name: s for s in syms}
+            continue
+        read = lambda text: sympy.sympify(text.replace("^", "**"), locals=names)
+        if head == "min":
+            exprs["f", 0] = read(rest)
+        elif head == "ineq":
+            g.append(read(rest))
+        elif head == "eq":
+            h.append(read(rest))
+        elif head == "switch":
+            left, right = rest.split("|")
+            pairs.append((read(left), read(right)))
+    exprs.update({("g", i): e for i, e in enumerate(g)})
+    exprs.update({("h", j): e for j, e in enumerate(h)})
+    exprs.update({("G", k): G for k, (G, _) in enumerate(pairs)})
+    exprs.update({("H", k): H for k, (_, H) in enumerate(pairs)})
+    assert set(exprs) == set(P.items)
+    return syms, [exprs[it] for it in P.items]
+
+
+def assert_close(got, want, name):
+    want = np.asarray(want, float)
+    scale = 1e-12 * np.maximum(1.0, np.abs(want))
+    assert got.shape == want.shape, name
+    assert np.all(np.abs(got - want) <= scale), (name, got, want)
+
+
+class TestKernel:
+    def test_items_grouped_f_g_h_G_H(self, corpus):
+        P = corpus["pinch2d"]
+        assert P.items == (("f", 0), ("h", 0), ("G", 0), ("G", 1), ("H", 0), ("H", 1))
+        P = corpus["wedge3d"]
+        assert P.items == (("f", 0), ("g", 0), ("g", 1), ("g", 2), ("G", 0), ("H", 0))
+
+    def test_empty_item_lists(self, corpus):
+        P = corpus["axes2d"]
+        assert P.values([0.0, 0.0], []).shape == (0,)
+        assert P.values(np.zeros((4, 2)), []).shape == (4, 0)
+        assert P.jacobian([0.0, 0.0], []).shape == (0, 2)
+        assert P.jacobian(np.zeros((4, 2)), []).shape == (4, 0, 2)
+
+    def test_matches_sympy_on_corpus(self, corpus):
+        import sympy
+
+        from conftest import CORPUS_POINTS
+        rng = np.random.default_rng(11)
+        for name, P in corpus.items():
+            syms, exprs = sympy_items(problem_path(name), P)
+            value = sympy.lambdify(syms, exprs, "math")
+            jac = sympy.lambdify(syms, [[sympy.diff(e, s) for s in syms] for e in exprs],
+                                 "math")
+            hessians = [sympy.lambdify(syms, sympy.hessian(e, syms).tolist(), "math")
+                        for e in exprs]
+            X = np.vstack([CORPUS_POINTS[name], rng.uniform(-2.0, 2.0, size=(16, P.n))])
+            V, J = P.values(X, P.items), P.jacobian(X, P.items)
+            assert V.shape == (len(X), len(P.items))
+            assert J.shape == (len(X), len(P.items), P.n)
+            for r, x in enumerate(X):
+                want_v, want_j = value(*x), jac(*x)
+                assert_close(V[r], want_v, (name, r))
+                assert_close(J[r], want_j, (name, r))
+                assert_close(P.values(x, P.items), want_v, (name, r))
+                assert_close(P.jacobian(x, P.items), want_j, (name, r))
+                for it, hess in zip(P.items, hessians):
+                    assert_close(P.hessian(x, it), hess(*x), (name, r, it))
+
+    def test_failing_item_raises_with_its_offset(self):
+        from mpsckit.errors import EvalDomainError
+        P = pb.load_problem("vars x1 x2\nmin x1\nineq x1 - 1\neq 2 + log(x2)\n"
+                            "switch x1 | 1/x2\n", from_path=False)
+        x = [1.0, 0.0]
+        with pytest.raises(EvalDomainError) as err:
+            P.values(x, P.items)
+        assert err.value.offset == 4  # log in "2 + log(x2)", the first failing item
+        with pytest.raises(EvalDomainError) as err:
+            P.values(np.array([x, x]), [("H", 0), ("h", 0)])
+        assert err.value.offset == 1  # / in "1/x2"
+        with pytest.raises(EvalDomainError):
+            P.constraint_values(x)
+        assert np.array_equal(P.values(x, [("f", 0), ("g", 0), ("G", 0)]), [1.0, 0.0, 1.0])
+
+    def test_overflow_is_a_domain_error(self):
+        # the suite turns RuntimeWarnings into errors, so an overflow warning
+        # escaping the kernel would fail this test before EvalDomainError
+        from mpsckit.errors import EvalDomainError
+        P = pb.load_problem("vars x1 x2\nmin x1*x2*x2\n", from_path=False)
+        x = [1e308, 1e308]
+        for call in (lambda: P.values(x, P.items), lambda: P.jacobian([x, x], P.items),
+                     lambda: P.hessian(x, ("f", 0))):
+            with pytest.raises(EvalDomainError):
+                call()
+
+
+def _expr_kernel_uses(tree):
+    """Names of expr's evaluate/gradient/hessian/diff a module imports or calls."""
+    kernel = {"evaluate", "gradient", "hessian", "diff"}
+    modules, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_expr = node.module in ("expr", "mpsckit.expr")
+            for alias in node.names:
+                if from_expr and alias.name in kernel:
+                    uses.append(alias.name)
+                elif not from_expr and alias.name == "expr":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "mpsckit.expr")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in kernel \
+                and isinstance(node.value, ast.Name) and node.value.id in modules:
+            uses.append(f"{node.value.id}.{node.attr}")
+    return uses
+
+
+def test_only_the_kernel_evaluates_expressions():
+    src = Path(pb.__file__).parent
+    assert _expr_kernel_uses(ast.parse((src / "problem.py").read_text()))
+    offenders = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("expr.py", "problem.py"):
+            continue
+        uses = _expr_kernel_uses(ast.parse(path.read_text()))
+        if uses:
+            offenders[path.name] = uses
+    assert offenders == {}

@@ -117,7 +117,8 @@ class TestSsonc:
         d = np.asarray(v.witness["direction"])
         C = cones.critical_cone(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert C.member(d, TOL)[0]
-        Q = lagrangian_hessian(corpus["pinch2d"], [0.0, 0.0], v.witness["multiplier"])
+        Q = lagrangian_hessian(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL),
+                               v.witness["multiplier"])
         assert d @ Q @ d < -TOL.tau_psd
 
 
@@ -150,3 +151,38 @@ class TestCqSoncConsistency:
                 assert soc.check_ssonc(ctx).status != "FAILS", name
             if table["WCR"].holds() or table["PWCR"].holds():
                 assert soc.check_wsonc(ctx).status != "FAILS", name
+
+
+class TestSharedSStationarity:
+    """The report and both second-order gates share one S verdict and one
+    S-multiplier enumeration per point context."""
+
+    def _count(self, monkeypatch, P, x):
+        from mpsckit import report
+        from mpsckit import stationarity as st
+        s_items = cones.branch_items(PointContext(P, x, TOL), (), ())
+        solves, enumerations = [], []
+        solve, enumerate_generators = st._solve_system, st.enumerate_generators
+
+        def counting_solve(ctx, items):
+            if items == s_items:
+                solves.append(items)
+            return solve(ctx, items)
+
+        def counting_enumerate(*args, **kwargs):
+            enumerations.append(args)
+            return enumerate_generators(*args, **kwargs)
+
+        monkeypatch.setattr(st, "_solve_system", counting_solve)
+        monkeypatch.setattr(st, "enumerate_generators", counting_enumerate)
+        rep = report.analyze(P, x, TOL)
+        assert rep["verdicts"]["stationarity"]["S"]["status"] == "HOLDS"
+        assert set(rep["verdicts"]["soc"]) == {"WSONC", "SSONC"}
+        return len(solves), len(enumerations)
+
+    def test_pinch2d_solves_s_system_once(self, corpus, monkeypatch):
+        assert self._count(monkeypatch, corpus["pinch2d"], [0.0, 0.0]) == (1, 1)
+
+    def test_crossplanes3d_enumerates_s_multipliers_once(self, corpus, monkeypatch):
+        # the critical subspace is a line here, so both gates sweep the multipliers
+        assert self._count(monkeypatch, corpus["crossplanes3d"], [0.0, 0.0, 0.0]) == (1, 1)

@@ -55,12 +55,12 @@ def polish_per_row(br, X, tol, iters=40):
         moved = False
         for idx in live:
             x = X[idx]
-            rows = [P.grad(e, x) for e in br.equalities()]
-            vals = [P.value(e, x) for e in br.equalities()]
-            for e in P.g:
-                v = P.value(e, x)
+            rows = [P.jacobian(x, [it])[0] for it in br.equalities()]
+            vals = [P.values(x, [it])[0] for it in br.equalities()]
+            for i in range(P.m):
+                v = P.values(x, [("g", i)])[0]
                 if v > 0.0:
-                    rows.append(P.grad(e, x))
+                    rows.append(P.jacobian(x, [("g", i)])[0])
                     vals.append(v)
             if not rows:
                 continue
