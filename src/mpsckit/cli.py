@@ -194,7 +194,7 @@ def cmd_solve(args):
     if args.mode == "enumerative":
         for line in best.log:
             print(f"  {line}")
-    _emit_json(args.json_path, best.to_json())
+    _emit_json(args.json_path, best)
     return 0 if best.status == "feasible" else 1
 
 
@@ -228,7 +228,7 @@ def cmd_errorbound(args):
         for s in rep.witness_sequence:
             print(f"    radius={s['radius']:.3g} ratio={s['ratio']:.6g} "
                   f"point={s['point']}")
-    _emit_json(args.json_path, rep.to_json())
+    _emit_json(args.json_path, rep)
     return 0
 
 

@@ -19,7 +19,7 @@ from . import cones as cn
 from .cones import PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
 from .numeric import (ball_offsets, eig_sym, nullspace, rank_margin, rank_tol,
-                      rank_tol_batch, sanitize)
+                      rank_tol_batch)
 from .problem import Bipartition
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
@@ -48,10 +48,6 @@ class CqVerdict:
 
     def holds(self):
         return self.status == HOLDS
-
-    def to_json(self):
-        return {"name": self.name, "status": self.status, "mode": self.mode,
-                "evidence": sanitize(self.evidence)}
 
 
 # ---------------------------------------------------------------------------

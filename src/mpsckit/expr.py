@@ -365,27 +365,27 @@ def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
-def _add(a, b):
+def _add(a, b, offset):
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
         return a
     if _is_const(a) and _is_const(b):
         return Const(a.value + b.value)
-    return Bin("+", a, b)
+    return Bin("+", a, b, offset=offset)
 
 
-def _sub(a, b):
+def _sub(a, b, offset):
     if _is_const(b, 0.0):
         return a
     if _is_const(a) and _is_const(b):
         return Const(a.value - b.value)
     if _is_const(a, 0.0):
-        return _neg(b)
-    return Bin("-", a, b)
+        return _neg(b, offset)
+    return Bin("-", a, b, offset=offset)
 
 
-def _mul(a, b):
+def _mul(a, b, offset):
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -394,26 +394,26 @@ def _mul(a, b):
         return a
     if _is_const(a) and _is_const(b):
         return Const(a.value * b.value)
-    return Bin("*", a, b)
+    return Bin("*", a, b, offset=offset)
 
 
-def _div(a, b):
+def _div(a, b, offset):
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    return Bin("/", a, b)
+    return Bin("/", a, b, offset=offset)
 
 
-def _neg(a):
+def _neg(a, offset):
     if _is_const(a):
         return Const(-a.value)
     if isinstance(a, Neg):
         return a.arg
-    return Neg(a)
+    return Neg(a, offset=offset)
 
 
-def _pow(base, k, offset=-1):
+def _pow(base, k, offset):
     if k == 0:
         return Const(1.0)
     if k == 1:
@@ -423,61 +423,41 @@ def _pow(base, k, offset=-1):
 
 @functools.lru_cache(maxsize=None)
 def diff(e: Expr, var: int) -> Expr:
-    """Exact partial derivative of e with respect to variable `var`."""
+    """Exact partial derivative of e with respect to variable `var`.
+
+    Every node built here carries the source offset of the node it
+    differentiates, so a domain error in a derivative points into the source.
+    """
+    o = e.offset
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.index == var else 0.0)
     if isinstance(e, Neg):
-        return _neg(diff(e.arg, var))
+        return _neg(diff(e.arg, var), o)
     if isinstance(e, Bin):
         da, db = diff(e.lhs, var), diff(e.rhs, var)
         if e.op == "+":
-            return _add(da, db)
+            return _add(da, db, o)
         if e.op == "-":
-            return _sub(da, db)
+            return _sub(da, db, o)
         if e.op == "*":
-            return _add(_mul(da, e.rhs), _mul(e.lhs, db))
-        num = _sub(_mul(da, e.rhs), _mul(e.lhs, db))
-        return _div(num, Pow(e.rhs, 2, offset=e.offset))
+            return _add(_mul(da, e.rhs, o), _mul(e.lhs, db, o), o)
+        num = _sub(_mul(da, e.rhs, o), _mul(e.lhs, db, o), o)
+        return _div(num, Pow(e.rhs, 2, offset=o), o)
     if isinstance(e, Pow):
-        inner = _mul(Const(float(e.exponent)),
-                     _pow(e.base, e.exponent - 1, offset=e.offset))
-        return _mul(inner, diff(e.base, var))
+        inner = _mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1, o), o)
+        return _mul(inner, diff(e.base, var), o)
     if isinstance(e, Call):
         da = diff(e.arg, var)
         if e.fn == "sin":
-            return _mul(Call("cos", e.arg, offset=e.offset), da)
+            return _mul(Call("cos", e.arg, offset=o), da, o)
         if e.fn == "cos":
-            return _neg(_mul(Call("sin", e.arg, offset=e.offset), da))
+            return _neg(_mul(Call("sin", e.arg, offset=o), da, o), o)
         if e.fn == "exp":
-            return _mul(Call("exp", e.arg, offset=e.offset), da)
+            return _mul(Call("exp", e.arg, offset=o), da, o)
         if e.fn == "log":
-            return _div(da, e.arg)
+            return _div(da, e.arg, o)
         if e.fn == "sqrt":
-            return _div(da, _mul(Const(2.0), Call("sqrt", e.arg, offset=e.offset)))
+            return _div(da, _mul(Const(2.0), Call("sqrt", e.arg, offset=o), o), o)
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def gradient(e: Expr, x, n: int | None = None):
-    """Gradient at a point, or at a batch of points (rows)."""
-    x = np.asarray(x, dtype=float)
-    if n is None:
-        n = x.shape[-1]
-    if x.ndim == 1:
-        return np.array([evaluate(diff(e, j), x) for j in range(n)])
-    return np.stack([evaluate(diff(e, j), x) for j in range(n)], axis=-1)
-
-
-def hessian(e: Expr, x):
-    """Hessian at a point; the upper triangle is computed and mirrored."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    H = np.zeros((n, n))
-    for i in range(n):
-        di = diff(e, i)
-        for j in range(i, n):
-            v = evaluate(diff(di, j), x)
-            H[i, j] = v
-            H[j, i] = v
-    return H

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -103,10 +103,14 @@ class Generators:
 
 
 def sanitize(obj):
-    """Coerce numpy scalars/arrays and to_json() objects to plain JSON types;
-    a non-finite float becomes None, so the output is strict JSON."""
+    """Coerce a result to plain JSON types: an object with to_json() goes
+    through it, a dataclass becomes a dict of its fields in field order,
+    numpy scalars and arrays become Python numbers and lists, and a
+    non-finite float becomes None, so the output is strict JSON."""
     if hasattr(obj, "to_json"):
         return sanitize(obj.to_json())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: sanitize(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

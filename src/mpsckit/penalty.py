@@ -109,12 +109,6 @@ class ErrorBoundReport:
     note: str = ""
     witness_sequence: list | None = None  # FAILS: {radius, ratio, point} triple
 
-    def to_json(self):
-        return {"verdict": self.verdict, "alpha_hat": self.alpha_hat,
-                "ratio_curve": self.ratio_curve, "n_samples": self.n_samples,
-                "seed": self.seed, "note": self.note,
-                "witness_sequence": self.witness_sequence}
-
 
 def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
     """Probe dist_F <= alpha * residual on shells of shrinking radius.
@@ -200,14 +194,6 @@ class PenaltyReport:
     n_min_samples: int
     seed: int
     notes: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"kappa_grid": self.kappa_grid, "alpha_hat": self.alpha_hat,
-                "L_f_hat": self.L_f_hat, "kappa_bar_hat": self.kappa_bar_hat,
-                "error_bound": self.error_bound.to_json(),
-                "minimality_radius": self.minimality_radius,
-                "n_min_samples": self.n_min_samples, "seed": self.seed,
-                "notes": self.notes}
 
 
 def _minimality_samples(P, x, radius, count, rng):

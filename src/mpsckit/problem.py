@@ -70,9 +70,14 @@ class MpscProblem:
         return V.reshape(V.shape[:-1] + (len(items), self.n))
 
     def hessian(self, x, item):
-        """Hessian of one item at a point, shape (n, n)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ex.hessian(self.expr(*item), np.asarray(x, float))
+        """Hessian of one item at a point, shape (n, n): the upper triangle
+        is evaluated row by row and mirrored."""
+        e, upper = self.expr(*item), np.triu_indices(self.n)
+        v = _evaluate([ex.diff(ex.diff(e, i), j) for i, j in zip(*upper)], x)
+        H = np.empty((self.n, self.n))
+        H[upper] = v
+        H[upper[::-1]] = v
+        return H
 
     def constraint_values(self, x):
         """(g, h, G, H) value arrays at a point or batch."""
@@ -111,10 +116,6 @@ class IndexSets:
     I_G: tuple
     I_H: tuple
     I_GH: tuple
-
-    def to_json(self):
-        return {"I_g": list(self.I_g), "I_h": list(self.I_h), "I_G": list(self.I_G),
-                "I_H": list(self.I_H), "I_GH": list(self.I_GH)}
 
 
 @dataclass(frozen=True)

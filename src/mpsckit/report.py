@@ -7,7 +7,6 @@ analysis.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from importlib import resources
 
@@ -43,18 +42,14 @@ def problem_echo(P: MpscProblem) -> dict:
     }
 
 
-def _tol_echo(tol: Tolerances) -> dict:
-    return {k: v for k, v in dataclasses.asdict(tol).items()}
-
-
 def _piece_json(piece, tol):
     out = {"bipartition": [sorted(piece.tag.beta1), sorted(piece.tag.beta2)]
            if piece.tag else None}
     try:
         gen = piece.generators(tol)
-        out["vertices"] = [[float(v) for v in p] for p in gen.vertices]
-        out["rays"] = [[float(v) for v in r] for r in gen.rays]
-        out["lineality"] = [[float(v) for v in b] for b in gen.lineality]
+        out["vertices"] = gen.vertices
+        out["rays"] = gen.rays
+        out["lineality"] = gen.lineality
     except MpscError as err:
         out["error"] = str(err)
     return out
@@ -64,12 +59,11 @@ def cones_section(ctx: cn.PointContext) -> dict:
     L = ctx.linearization
     C = cn.critical_cone(ctx)
     B = cn.critical_subspace(ctx)
-    return {
+    return sanitize({
         "linearization": {"pieces": [_piece_json(p, ctx.tol) for p in L.pieces]},
         "critical": {"pieces": [_piece_json(p, ctx.tol) for p in C.pieces]},
-        "critical_subspace": [[float(v) for v in B[:, j]]
-                              for j in range(B.shape[1])],
-    }
+        "critical_subspace": B.T,
+    })
 
 
 def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
@@ -78,9 +72,9 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     report = {
         "version": SCHEMA_VERSION,
         "seed": tol.seed,
-        "tolerances": _tol_echo(tol),
+        "tolerances": tol,
         "problem": problem_echo(P),
-        "point": [float(v) for v in x],
+        "point": x,
         "errors": [],
     }
     r = pen.residual(P, x)
@@ -100,7 +94,7 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     ctx = cn.PointContext(P, x, tol)
     I = run("index_sets", lambda: ctx.I)
     if I is not None:
-        report["index_sets"] = I.to_json()
+        report["index_sets"] = I
         report["bipartitions"] = [[sorted(b.beta1), sorted(b.beta2)]
                                   for b in ctx.bipartitions]
     report["cones"] = run("cones", lambda: cones_section(ctx))
@@ -110,7 +104,7 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
                      ("S", st.check_s_stationary)):
         v = run(f"stationarity.{kind}", lambda fn=fn: fn(ctx))
         if v is not None:
-            sta[kind] = v.to_json()
+            sta[kind] = v
     oracle = run("stationarity.oracle", lambda: {
         "M": st.normal_cone_oracle(ctx, "M"),
         "S": st.normal_cone_oracle(ctx, "S")})
@@ -119,26 +113,26 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
 
     cq_table = run("cq", lambda: cqmod.run_all(ctx))
     soc_out = {}
-    if sta.get("S", {}).get("status") == "HOLDS":
+    if "S" in sta and sta["S"].holds():
         for kind, fn in (("WSONC", socmod.check_wsonc), ("SSONC", socmod.check_ssonc)):
             v = run(f"soc.{kind}", lambda fn=fn: fn(ctx))
             if v is not None:
-                soc_out[kind] = v.to_json()
+                soc_out[kind] = v
     else:
         soc_out["note"] = ("skipped: second-order conditions presuppose an "
                            "S-stationary point and S-stationarity does not hold")
 
     report["verdicts"] = {
         "stationarity": sta,
-        "cq": {k: v.to_json() for k, v in cq_table.items()} if cq_table else {},
+        "cq": cq_table or {},
         "soc": soc_out,
     }
 
     if with_penalty:
         eb = run("errorbound", lambda: pen.error_bound_probe(P, x, tol))
         if eb is not None:
-            report["errorbound"] = eb.to_json()
+            report["errorbound"] = eb
         pr = run("penalty", lambda: pen.exact_penalty_probe(P, x, tol, eb=eb))
         if pr is not None:
-            report["penalty"] = pr.to_json()
+            report["penalty"] = pr
     return sanitize(report)

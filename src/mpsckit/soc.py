@@ -42,15 +42,6 @@ class SocVerdict:
     def holds(self):
         return self.status == HOLDS
 
-    def to_json(self):
-        w = None
-        if self.witness:
-            w = {"multiplier": self.witness["multiplier"].to_json(),
-                 "direction": [float(v) for v in self.witness["direction"]],
-                 "value": float(self.witness["value"])}
-        return {"kind": self.kind, "status": self.status, "mode": self.mode,
-                "witness": w, "evidence": self.evidence}
-
 
 @dataclass
 class QuadFormResult:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import EstimationError, MpscError
 from .numeric import Tolerances
-from .problem import OBJECTIVE, BranchProblem, MpscProblem, all_branches
+from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
+                      branch_from_assignment)
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,6 @@ class LocalSolution:
     stationarity: dict = field(default_factory=dict)
     iterations: int = 0
     log: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"x": [float(v) for v in self.x], "value": self.value,
-                "residual": self.residual, "branch": self.branch,
-                "status": self.status, "stationarity": self.stationarity,
-                "iterations": self.iterations, "log": list(self.log)}
 
 
 def lhs_starts(rng, count, center, halfwidth):
@@ -357,7 +352,7 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     kappa = cfg.kappa0
     kappas = []
 
-    def val(rows, Z, kappa_ref=None):
+    def val(rows, Z):
         return P.values(Z, [OBJECTIVE])[:, 0] + kappa * P.residual(Z)
 
     @np.errstate(over="ignore")  # an infinite trial point fails the Armijo test
@@ -396,7 +391,6 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     g, h, G, H = P.constraint_values(x[0])
     eq_G = tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2)
     eq_H = tuple(k for k in range(P.l) if G[k] ** 2 > H[k] ** 2)
-    from .problem import branch_from_assignment
     br = branch_from_assignment(P, eq_G, eq_H)
     X, kkt, res, status, outer = _alm_batch(P, br, x, cfg, tol)
     sol = LocalSolution(

@@ -46,16 +46,12 @@ class Multipliers:
 class StationarityVerdict:
     kind: str  # W | M | S
     status: str
+    mode: str = field(default="exact", init=False)
     witness: Multipliers | None = None
     patterns: list = field(default_factory=list)  # per-pattern LP log (M only)
 
     def holds(self):
         return self.status == HOLDS
-
-    def to_json(self):
-        return {"kind": self.kind, "status": self.status, "mode": "exact",
-                "witness": self.witness.to_json() if self.witness else None,
-                "patterns": list(self.patterns)}
 
 
 def _lagrangian_terms(P: MpscProblem, mult: Multipliers):
@@ -235,13 +231,6 @@ class BridgeReport:
     s_certificate: Multipliers | None
     reconstruction_residual: float
     note: str
-
-    def to_json(self):
-        return {"partitions": [[sorted(b1), sorted(b2)] for b1, b2 in self.partitions],
-                "kkt_with_given": self.kkt_with_given, "kkt_any": self.kkt_any,
-                "s_certificate": self.s_certificate.to_json() if self.s_certificate else None,
-                "reconstruction_residual": self.reconstruction_residual,
-                "note": self.note}
 
 
 def m_to_s_bridge(ctx: PointContext, mult: Multipliers) -> BridgeReport:

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import load_problem
+from mpsckit.problem import OBJECTIVE, MpscProblem, load_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -26,6 +26,21 @@ def problem_path(name):
 
 def load(name):
     return load_problem(str(problem_path(name)))
+
+
+def _objective_only(e, n):
+    """A problem whose only expression is the objective e."""
+    return MpscProblem(n, tuple(f"x{j + 1}" for j in range(n)), e, (), (), ())
+
+
+def kernel_gradient(e, x):
+    """Gradient of e at a point, from the evaluation kernel."""
+    return _objective_only(e, len(x)).jacobian(x, [OBJECTIVE])[0]
+
+
+def kernel_hessian(e, x):
+    """Hessian of e at a point, from the evaluation kernel."""
+    return _objective_only(e, len(x)).hessian(x, OBJECTIVE)
 
 
 @pytest.fixture(scope="session")

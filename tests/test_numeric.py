@@ -1,4 +1,6 @@
+import ast
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -326,7 +328,42 @@ class TestTolerances:
 
 class TestSanitize:
     def test_non_finite_floats_become_null(self):
+        @dataclass
+        class Inner:
+            label: str
+            weight: float
+
+        @dataclass
+        class Outer:
+            values: np.ndarray
+            scale: np.float64
+            bound: float
+            inner: Inner
+
+        nested = Outer(np.array([1.0, -0.5]), np.float64(2.5), float("inf"),
+                       Inner("a", np.float64(0.125)))
         got = sanitize({"a": float("nan"), "b": [np.float64(np.inf), -np.inf],
-                        "c": np.array([1.5, np.nan]), "d": 2, "e": np.float64(0.25)})
-        assert got == {"a": None, "b": [None, None], "c": [1.5, None], "d": 2, "e": 0.25}
+                        "c": np.array([1.5, np.nan]), "d": 2, "e": np.float64(0.25),
+                        "f": nested})
+        assert got == {"a": None, "b": [None, None], "c": [1.5, None], "d": 2, "e": 0.25,
+                       "f": {"values": [1.0, -0.5], "scale": 2.5, "bound": None,
+                             "inner": {"label": "a", "weight": 0.125}}}
+        # a dataclass becomes a plain dict of its fields in field order
+        assert type(got["f"]) is dict and type(got["f"]["scale"]) is float
+        assert json.dumps(got["f"], allow_nan=False) == (
+            '{"values": [1.0, -0.5], "scale": 2.5, "bound": null, '
+            '"inner": {"label": "a", "weight": 0.125}}')
         json.dumps(got, allow_nan=False)
+
+    def test_only_multipliers_define_to_json(self):
+        # every other result class is coerced by sanitize from its fields;
+        # Multipliers writes its field lam under the JSON key "lambda"
+        src = Path(numeric.__file__).parent
+        owners = sorted(
+            f"{path.stem}.{node.name}"
+            for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == "to_json"
+                    for item in node.body))
+        assert owners == ["stationarity.Multipliers"]

@@ -261,6 +261,14 @@ class TestKernel:
             P.constraint_values(x)
         assert np.array_equal(P.values(x, [("f", 0), ("g", 0), ("G", 0)]), [1.0, 0.0, 1.0])
 
+    def test_derivative_error_keeps_its_offset(self):
+        from mpsckit.errors import EvalDomainError
+        P = pb.load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+                            "switch x1 | x2\n", from_path=False)
+        with pytest.raises(EvalDomainError, match=r"division by zero \(offset 0\)") as err:
+            P.jacobian([0.0, 0.0], [("g", 1)])
+        assert err.value.offset == 0  # sqrt in "sqrt(x2) - 5"
+
     def test_overflow_is_a_domain_error(self):
         # the suite turns RuntimeWarnings into errors, so an overflow warning
         # escaping the kernel would fail this test before EvalDomainError

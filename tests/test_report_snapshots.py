@@ -1,4 +1,4 @@
-"""The analyze --with-penalty reports of the corpus must not change.
+"""The JSON outputs of the CLI must not change, byte for byte.
 
 tests/data/reports/<name>.json holds the JSON report of
 `mpsckit analyze problems/<name>.mpsc --point 0,...,0 --with-penalty --json`
@@ -11,9 +11,14 @@ regenerates them, from the root of a checkout, with
             --point "$(python -c "print(','.join(['0'] * $n))")" \\
             --json "tests/data/reports/$(basename "$f" .mpsc).json"
     done
+
+tests/data/snapshots/ holds the other commands' JSON, written the same way
+with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
+origins, `errorbound --json` on a FAILS and a HOLDS instance, and
+`solve --json` for a feasible and a failed solve.  Bytes are compared, not
+parsed values, so key order and number formatting are pinned too.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -21,15 +26,48 @@ import pytest
 from conftest import CORPUS_POINTS, problem_path
 from mpsckit import cli
 
-REPORT_DIR = Path(__file__).resolve().parent / "data" / "reports"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+REPORT_DIR = DATA_DIR / "reports"
+SNAPSHOT_DIR = DATA_DIR / "snapshots"
+# problem text (a file argument with a newline is read as text): no branch
+# is feasible, so the solve fails and writes a non-finite value as null
+NO_BRANCH = "vars x1\nmin x1\neq x1^2 + 1\nswitch x1 | x1\n"
+
+
+def _origin(name):
+    return ",".join("0" for _ in CORPUS_POINTS[name])
+
+
+# snapshot name -> (expected exit code, CLI arguments before --json)
+SNAPSHOTS = {
+    **{f"cones_{name}": (0, ["cones", str(problem_path(name)), "--point", _origin(name)])
+       for name in sorted(CORPUS_POINTS)},
+    "errorbound_ray2d": (0, ["errorbound", str(problem_path("ray2d")), "--point", "0,0"]),
+    "errorbound_diagonal2d": (0, ["errorbound", str(problem_path("diagonal2d")),
+                                  "--point", "0,0"]),
+    "solve_axes2d": (0, ["solve", str(problem_path("axes2d"))]),
+    "solve_nobranch": (1, ["solve", NO_BRANCH]),
+}
+
+
+def _json_bytes(argv, tmp_path, capsys):
+    jpath = tmp_path / "out.json"
+    code = cli.main(argv + ["--json", str(jpath)])
+    capsys.readouterr()
+    return code, jpath.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_POINTS))
 def test_report_matches_snapshot(name, tmp_path, capsys):
-    jpath = tmp_path / f"{name}.json"
-    point = ",".join("0" for _ in CORPUS_POINTS[name])
-    code = cli.main(["analyze", str(problem_path(name)), "--point", point,
-                     "--with-penalty", "--json", str(jpath)])
-    capsys.readouterr()
+    code, got = _json_bytes(["analyze", str(problem_path(name)), "--point",
+                             _origin(name), "--with-penalty"], tmp_path, capsys)
     assert code == 0
-    assert json.loads(jpath.read_text()) == json.loads((REPORT_DIR / f"{name}.json").read_text())
+    assert got == (REPORT_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+def test_command_json_matches_snapshot(name, tmp_path, capsys):
+    want_code, argv = SNAPSHOTS[name]
+    code, got = _json_bytes(argv, tmp_path, capsys)
+    assert code == want_code
+    assert got == (SNAPSHOT_DIR / f"{name}.json").read_bytes()
