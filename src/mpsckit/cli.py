@@ -185,7 +185,7 @@ def cmd_solve(args):
         if best is None or (sol.status == "feasible"
                             and (best.status != "feasible" or sol.value < best.value)):
             best = sol
-    sv.annotate_stationarity(P, best, cfg, tol)
+    rp.annotate_stationarity(P, best, cfg, tol)
     print(f"status: {best.status}")
     if best.status == "feasible":
         print(f"x*: {[round(float(v), 10) for v in best.x]}")

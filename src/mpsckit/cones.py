@@ -18,6 +18,7 @@ from .errors import InfeasiblePointError
 from .numeric import (Generators, Polyhedron, Tolerances, combination_lp,
                       enumerate_generators, nullspace)
 from .problem import Bipartition, IndexSets, MpscProblem, bipartitions, branch, index_sets
+from .solver import project_branch_cloud
 
 # symbolic one-pair cones (subsets of R^2)
 AXIS_A = "RxO"      # R x {0}
@@ -271,8 +272,6 @@ def sample_tangent_directions(P: MpscProblem, x, tol: Tolerances) -> TangentClou
     radius are discarded; an empty cloud is a valid outcome (isolated
     feasible point).
     """
-    from .solver import project_branch_cloud
-
     x = np.asarray(x, float)
     I = index_sets(P, x, tol)
     pooled = []

@@ -18,8 +18,8 @@ import numpy as np
 from . import cones as cn
 from .cones import PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import (ball_offsets, eig_sym, nullspace, rank_margin, rank_tol,
-                      rank_tol_batch)
+from .numeric import (RADII_FRACTIONS, ball_offsets, eig_sym, nullspace, rank_margin,
+                      rank_tol, rank_tol_batch)
 from .problem import Bipartition
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
@@ -53,9 +53,6 @@ class CqVerdict:
 # ---------------------------------------------------------------------------
 # gradient families and sampled rank constancy
 # ---------------------------------------------------------------------------
-
-RADII_FRACTIONS = (1.0, 0.25, 0.0625)
-
 
 def rank_constancy(ctx: PointContext, items, tag) -> dict:
     """Sampled rank constancy of a gradient family near x.

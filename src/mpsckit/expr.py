@@ -8,7 +8,6 @@ on its domain, which the rest of the toolkit assumes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -421,7 +420,6 @@ def _pow(base, k, offset):
     return Pow(base, k, offset=offset)
 
 
-@functools.lru_cache(maxsize=None)
 def diff(e: Expr, var: int) -> Expr:
     """Exact partial derivative of e with respect to variable `var`.
 

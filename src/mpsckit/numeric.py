@@ -126,6 +126,10 @@ def sanitize(obj):
     return obj
 
 
+# neighbourhood shells probed by the sampled checks, as fractions of eps_ball
+RADII_FRACTIONS = (1.0, 0.25, 0.0625)
+
+
 def ball_offsets(rng, count, n, radius):
     """count offsets drawn uniformly from the n-ball of the given radius."""
     U = rng.normal(size=(count, n))
@@ -211,6 +215,14 @@ class LpResult:
     value: float | None = None
 
 
+def _pivot(T, row, col):
+    """Pivot tableau T in place on entry (row, col)."""
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+
+
 def _simplex_core(T, basis, n_total, tol):
     """Minimize the last row of tableau T in place; Bland's rule."""
     m = T.shape[0] - 1
@@ -234,11 +246,7 @@ def _simplex_core(T, basis, n_total, tol):
                     leave, best, best_var = i, ratio, basis[i]
         if leave < 0:
             return "unbounded"
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
+        _pivot(T, leave, enter)
         basis[leave] = enter
     raise NumericBreakdownError(
         f"simplex did not terminate within {MAX_SIMPLEX_PIVOTS} pivots")
@@ -295,11 +303,7 @@ def lp_solve(c, P: Polyhedron, sense: str = "min") -> LpResult:
         if basis[i] >= nt:
             for j in range(nt):
                 if abs(T[i, j]) > tol:
-                    piv = T[i, j]
-                    T[i] /= piv
-                    for k in range(m + 1):
-                        if k != i and T[k, j] != 0.0:
-                            T[k] -= T[k, j] * T[i]
+                    _pivot(T, i, j)
                     basis[i] = j
                     break
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, EvalDomainError, InfeasiblePointError
-from .numeric import Tolerances, ball_offsets
+from .numeric import RADII_FRACTIONS, Tolerances, ball_offsets
 from .problem import OBJECTIVE, MpscProblem, all_branches
-from .solver import SolveConfig, project_branch_cloud
+from .solver import project_branch_cloud
 
-RADII_FRACTIONS = (1.0, 0.25, 0.0625)
 HOLD_FACTOR = 4.0    # max ratio growth still considered bounded
 FAIL_FACTOR = 16.0   # monotone growth beyond this is a failure witness
 GROWTH_SLACK = 1e-2  # relative slack on the factor: distance estimates carry
@@ -59,8 +58,7 @@ def _nearest_feasible_batch(P, X, tol: Tolerances):
     return best_d, best_y
 
 
-def distance_to_feasible(P: MpscProblem, x, tol: Tolerances,
-                         cfg: SolveConfig | None = None, with_info=False):
+def distance_to_feasible(P: MpscProblem, x, tol: Tolerances, with_info=False):
     """Distance estimate with a feasible witness point.
 
     Branch projections provide the estimate; for n <= 3 a refinement grid

@@ -60,20 +60,26 @@ class MpscProblem:
             return self.switch_pairs[i][kind == "H"]
         return self.f if kind == "f" else (self.g if kind == "g" else self.h)[i]
 
+    @cached_property
+    def gradient_trees(self) -> dict:
+        """item -> its n partial-derivative trees, built once per problem."""
+        return {it: tuple(ex.diff(self.expr(*it), j) for j in range(self.n))
+                for it in self.items}
+
     def values(self, x, items):
         """Item values, shape (K,) at a point or (N, K) over a batch."""
         return _evaluate([self.expr(*it) for it in items], x)
 
     def jacobian(self, x, items):
         """Item gradients as rows, shape (K, n) at a point or (N, K, n) over a batch."""
-        V = _evaluate([ex.diff(self.expr(*it), j) for it in items for j in range(self.n)], x)
+        V = _evaluate([d for it in items for d in self.gradient_trees[it]], x)
         return V.reshape(V.shape[:-1] + (len(items), self.n))
 
     def hessian(self, x, item):
         """Hessian of one item at a point, shape (n, n): the upper triangle
         is evaluated row by row and mirrored."""
-        e, upper = self.expr(*item), np.triu_indices(self.n)
-        v = _evaluate([ex.diff(ex.diff(e, i), j) for i, j in zip(*upper)], x)
+        grad, upper = self.gradient_trees[item], np.triu_indices(self.n)
+        v = _evaluate([ex.diff(grad[i], j) for i, j in zip(*upper)], x)
         H = np.empty((self.n, self.n))
         H[upper] = v
         H[upper[::-1]] = v

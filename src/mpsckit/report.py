@@ -1,4 +1,4 @@
-"""Analysis report assembly shared by the CLI commands.
+"""Report assembly shared by the CLI commands: analyses and solve results.
 
 Every verdict in the report carries its mode and the seed, and component
 failures are collected as error entries instead of aborting the rest of the
@@ -21,6 +21,7 @@ from .errors import MpscError
 from .numeric import Tolerances, sanitize
 from .problem import MpscProblem
 from .expr import to_text
+from .solver import LocalSolution, SolveConfig
 
 SCHEMA_VERSION = "1"
 
@@ -136,3 +137,31 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
         if pr is not None:
             report["penalty"] = pr
     return sanitize(report)
+
+
+def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
+                          tol: Tolerances) -> LocalSolution:
+    """Record first-order sanity data at a feasible solver iterate.
+
+    Activity detection is relaxed to the KKT scale, since iterates sit
+    within tau_kkt of the true active set, not within tau_act.
+    """
+    if sol.status != "feasible":
+        return sol
+    ctx = cn.PointContext(P, sol.x, tol.with_(tau_act=max(tol.tau_act, 10.0 * cfg.tau_kkt)))
+    try:
+        w_res = st.w_stationarity_residual(ctx)
+    except MpscError as err:
+        sol.stationarity = {"error": str(err)}
+        return sol
+    sol.stationarity = {
+        "W_residual": w_res,
+        "W_within_10_tau_kkt": bool(w_res <= 10.0 * cfg.tau_kkt),
+    }
+    for kind, fn in (("W", st.check_w_stationary), ("M", st.check_m_stationary),
+                     ("S", st.check_s_stationary)):
+        try:
+            sol.stationarity[kind] = fn(ctx).status
+        except MpscError:
+            sol.stationarity[kind] = "UNKNOWN"
+    return sol

@@ -1,11 +1,13 @@
 """Desk-scale local solving over branch feasible sets.
 
-project_branch uses a quadratic penalty with a growth schedule plus a
-Gauss-Newton clean-up on the violated system; solve_branch is a standard
-augmented-Lagrangian loop with an Armijo gradient-descent inner solver,
-run batched over all starts.  The enumerative solver runs every switch sign
-assignment and keeps the best feasible branch solution, which is exact on
-the union structure.
+Every loop descends through _descent_batch, Armijo gradient descent batched
+over rows, with one objective callback that returns the values, or the values
+and the gradient from one evaluation of the loop's items.
+project_branch_cloud projects by quadratic penalty plus a Gauss-Newton polish;
+solve_branch runs an augmented-Lagrangian loop over all starts;
+solve_penalty_descent minimizes f + kappa * residual, then polishes on its
+incumbent's branch.  The enumerative solver keeps the best feasible branch
+over every switch sign assignment, which is exact on the union structure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, MpscError
+from .errors import EstimationError
 from .numeric import Tolerances
 from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
                       branch_from_assignment)
@@ -58,11 +60,12 @@ def lhs_starts(rng, count, center, halfwidth):
 # batched first-order descent
 # ---------------------------------------------------------------------------
 
-def _descent_batch(value_fn, grad_fn, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
+def _descent_batch(objective, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
     """Row-wise gradient descent with Armijo backtracking.
 
-    value_fn(rows, Z) and grad_fn(rows, Z) evaluate only the given rows, so
-    each row can carry its own anchor/multiplier state.
+    objective(rows, Z) returns the values at the given rows only, so each row
+    can carry its own anchor/multiplier state; objective(rows, Z, grad=True)
+    returns the values and the gradients from one evaluation.
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
@@ -70,14 +73,13 @@ def _descent_batch(value_fn, grad_fn, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
     t = np.full(N, float(t0))
     stall = 0
     for _ in range(iters):
-        f = value_fn(rows_all, Y)
-        g = grad_fn(rows_all, Y)
+        f, g = objective(rows_all, Y, grad=True)
         gn2 = np.sum(g * g, axis=1)
         live = gn2 > max(gtol * gtol, 1e-26)
         if not np.any(live):
             break
         trial = Y - t[:, None] * g
-        ft = value_fn(rows_all, trial)
+        ft = objective(rows_all, trial)
         need = live & (ft > f - c * t * gn2)
         for _ in range(30):
             if not np.any(need):
@@ -85,7 +87,7 @@ def _descent_batch(value_fn, grad_fn, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
             rows = np.where(need)[0]
             t[rows] *= 0.5
             trial[rows] = Y[rows] - t[rows, None] * g[rows]
-            ft[rows] = value_fn(rows, trial[rows])
+            ft[rows] = objective(rows, trial[rows])
             need[rows] = ft[rows] > f[rows] - c * t[rows] * gn2[rows]
         accept = live & ~need
         decrease = float(np.max(np.abs(f[accept] - ft[accept]))) if np.any(accept) else 0.0
@@ -102,6 +104,12 @@ def _descent_batch(value_fn, grad_fn, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
 # branch helpers
 # ---------------------------------------------------------------------------
 
+# projection: penalty per stage, descent steps per stage, Gauss-Newton step cap
+SIGMA_SCHEDULE = (1e2, 1e4, 1e6)
+PENALTY_STEPS = 60
+POLISH_ITERS = 40
+
+
 def _add_gradients(P: MpscProblem, Z, out, items, W, gated=False):
     """out += W[:, j, None] * (gradient of items[j] over Z), item by item.
 
@@ -115,7 +123,7 @@ def _add_gradients(P: MpscProblem, Z, out, items, W, gated=False):
     return out
 
 
-def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
+def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
     """Newton steps on the violated constraint system to sharpen feasibility.
 
     Values, and gradients where used (every equality, an inequality only where
@@ -126,7 +134,7 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
     cons = br.equalities() + [("g", i) for i in range(P.m)]
     n_eq = len(cons) - P.m
     X = np.array(X, float)
-    for _ in range(iters):
+    for _ in range(POLISH_ITERS):
         res = br.residual(X)
         live = np.where(res > max(tol.tau_feas * 1e-6, 1e-15))[0]
         if live.size == 0:
@@ -149,11 +157,10 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances, iters=40):
     return X
 
 
-def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances,
-                         sigma_schedule=(1e2, 1e4, 1e6), inner=60):
+def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     """Approximate projection of a batch of points onto the branch set.
 
-    Minimizes ||y - x0||^2 by quadratic penalty with a growth schedule, then
+    Minimizes ||y - x0||^2 by quadratic penalty over SIGMA_SCHEDULE, then
     polishes with Gauss-Newton.  Rows that end infeasible are the caller's
     to filter.
     """
@@ -161,27 +168,24 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances,
     eqs = br.equalities()
     X0 = np.atleast_2d(np.asarray(X0, float))
     Y = X0.copy()
-    for sigma in sigma_schedule:
-        def val(rows, Z, sigma=sigma):
-            V = P.values(Z, gs + eqs)
-            gp = np.maximum(V[:, :P.m], 0.0)
-            ev = V[:, P.m:]
-            return np.sum((Z - X0[rows]) ** 2, axis=1) \
-                + sigma * (np.sum(gp ** 2, axis=1) + np.sum(ev ** 2, axis=1))
 
-        def grad(rows, Z, sigma=sigma):
-            out = 2.0 * (Z - X0[rows])
-            V = P.values(Z, gs + eqs)
-            _add_gradients(P, Z, out, gs, 2.0 * sigma * np.maximum(V[:, :P.m], 0.0),
-                           gated=True)
-            return _add_gradients(P, Z, out, eqs, 2.0 * sigma * V[:, P.m:])
+    def objective(rows, Z, grad=False):  # at the current stage's sigma
+        V = P.values(Z, gs + eqs)
+        gp = np.maximum(V[:, :P.m], 0.0)
+        ev = V[:, P.m:]
+        fv = np.sum((Z - X0[rows]) ** 2, axis=1) \
+            + sigma * (np.sum(gp ** 2, axis=1) + np.sum(ev ** 2, axis=1))
+        if not grad:
+            return fv
+        out = _add_gradients(P, Z, 2.0 * (Z - X0[rows]), gs, 2.0 * sigma * gp, gated=True)
+        return fv, _add_gradients(P, Z, out, eqs, 2.0 * sigma * ev)
 
-        Y = _descent_batch(val, grad, Y, inner, t0=0.2 / (1.0 + sigma))
+    for sigma in SIGMA_SCHEDULE:
+        Y = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma))
     return _gauss_newton_polish(br, Y, tol)
 
 
-def project_branch(P: MpscProblem, br: BranchProblem, x0,
-                   cfg: SolveConfig, tol: Tolerances):
+def project_branch(P: MpscProblem, br: BranchProblem, x0, tol: Tolerances):
     """Nearest branch-feasible point to x0 (best over a few starts)."""
     x0 = np.asarray(x0, float)
     starts = [x0]
@@ -215,29 +219,24 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
     X_prev = None
     outer_used = 0
 
+    def objective(rows, Z, grad=False):  # at the current sigma, rho and lam
+        V = P.values(Z, [OBJECTIVE] + eqs + gs)
+        fv, ev, gv = V[:, 0], V[:, 1:1 + len(eqs)], V[:, 1 + len(eqs):]
+        s = sigma[rows]
+        w = np.maximum(0.0, lam[rows] + s[:, None] * gv)
+        if ev.size:
+            fv = fv + np.sum(rho[rows] * ev + 0.5 * s[:, None] * ev ** 2, axis=1)
+        if gv.size:
+            fv = fv + np.sum(w ** 2 - lam[rows] ** 2, axis=1) / (2.0 * s)
+        if not grad:
+            return fv
+        out = P.jacobian(Z, [OBJECTIVE])[:, 0]
+        _add_gradients(P, Z, out, eqs, rho[rows] + s[:, None] * ev)
+        return fv, _add_gradients(P, Z, out, gs, w, gated=True)
+
     for _ in range(cfg.max_outer):
         outer_used += 1
-        def val(rows, Z):
-            V = P.values(Z, [OBJECTIVE] + eqs + gs)
-            fv, ev, gv = V[:, 0], V[:, 1:1 + len(eqs)], V[:, 1 + len(eqs):]
-            s = sigma[rows]
-            if ev.size:
-                fv = fv + np.sum(rho[rows] * ev + 0.5 * s[:, None] * ev ** 2, axis=1)
-            if gv.size:
-                w = np.maximum(0.0, lam[rows] + s[:, None] * gv)
-                fv = fv + np.sum(w ** 2 - lam[rows] ** 2, axis=1) / (2.0 * s)
-            return fv
-
-        def grad(rows, Z):
-            out = P.jacobian(Z, [OBJECTIVE])[:, 0]
-            V = P.values(Z, eqs + gs)
-            ev, gv = V[:, :len(eqs)], V[:, len(eqs):]
-            s = sigma[rows][:, None]
-            _add_gradients(P, Z, out, eqs, rho[rows] + s * ev)
-            return _add_gradients(P, Z, out, gs, np.maximum(0.0, lam[rows] + s * gv),
-                                  gated=True)
-
-        X = _descent_batch(val, grad, X, cfg.max_inner, c=cfg.armijo_c,
+        X = _descent_batch(objective, X, cfg.max_inner, c=cfg.armijo_c,
                            gtol=0.1 * cfg.tau_kkt)
         V = P.values(X, eqs + gs)
         rho = rho + sigma[:, None] * V[:, :len(eqs)]
@@ -288,37 +287,6 @@ def solve_branch(P: MpscProblem, br: BranchProblem, x0, cfg: SolveConfig,
     )
 
 
-def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
-                          tol: Tolerances) -> LocalSolution:
-    """Record first-order sanity data at a feasible solver iterate.
-
-    Activity detection is relaxed to the KKT scale, since iterates sit
-    within tau_kkt of the true active set, not within tau_act.
-    """
-    from . import stationarity as st
-    from .cones import PointContext
-
-    if sol.status != "feasible":
-        return sol
-    ctx = PointContext(P, sol.x, tol.with_(tau_act=max(tol.tau_act, 10.0 * cfg.tau_kkt)))
-    try:
-        w_res = st.w_stationarity_residual(ctx)
-    except MpscError as err:
-        sol.stationarity = {"error": str(err)}
-        return sol
-    sol.stationarity = {
-        "W_residual": w_res,
-        "W_within_10_tau_kkt": bool(w_res <= 10.0 * cfg.tau_kkt),
-    }
-    for kind, fn in (("W", st.check_w_stationary), ("M", st.check_m_stationary),
-                     ("S", st.check_s_stationary)):
-        try:
-            sol.stationarity[kind] = fn(ctx).status
-        except MpscError:
-            sol.stationarity[kind] = "UNKNOWN"
-    return sol
-
-
 def solve_enumerative(P: MpscProblem, x0, cfg: SolveConfig,
                       tol: Tolerances) -> LocalSolution:
     """Best-of-branches over every switch sign assignment (2^l solves)."""
@@ -352,18 +320,19 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     kappa = cfg.kappa0
     kappas = []
 
-    def val(rows, Z):
-        return P.values(Z, [OBJECTIVE])[:, 0] + kappa * P.residual(Z)
-
     @np.errstate(over="ignore")  # an infinite trial point fails the Armijo test
-    def grad(rows, Z):
-        out = P.jacobian(Z, [OBJECTIVE])[:, 0]
+    def objective(rows, Z, grad=False):  # at the current kappa
+        fv = P.values(Z, [OBJECTIVE])[:, 0]  # before the constraints: first error
         g, h, G, H = P.constraint_values(Z)
         r = np.sqrt(np.sum(np.maximum(g, 0.0) ** 2, axis=1) + np.sum(h ** 2, axis=1)
                     + np.sum(np.minimum(G ** 2, H ** 2), axis=1))
+        fv = fv + kappa * r
+        if not grad:
+            return fv
+        out = P.jacobian(Z, [OBJECTIVE])[:, 0]
         active = r > 0.0
         if not np.any(active):
-            return out
+            return fv, out
         dr = _add_gradients(P, Z, np.zeros_like(Z), [("g", i) for i in range(P.m)],
                             np.maximum(g, 0.0), gated=True)
         _add_gradients(P, Z, dr, [("h", j) for j in range(P.p)], h)
@@ -373,10 +342,10 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
             dr += np.where(use_g[:, None], G[:, k:k + 1] * dG, H[:, k:k + 1] * dH)
         safe = np.where(active, r, 1.0)
         out[active] += kappa * (dr[active] / safe[active, None])
-        return out
+        return fv, out
 
     while kappa <= cfg.kappa_max:
-        x = _descent_batch(val, grad, x, cfg.max_inner, c=cfg.armijo_c,
+        x = _descent_batch(objective, x, cfg.max_inner, c=cfg.armijo_c,
                            gtol=0.1 * cfg.tau_kkt)
         kappas.append(kappa)
         if float(P.residual(x[0])) <= tol.tau_feas * 10:

@@ -269,6 +269,16 @@ class TestKernel:
             P.jacobian([0.0, 0.0], [("g", 1)])
         assert err.value.offset == 0  # sqrt in "sqrt(x2) - 5"
 
+    def test_derivative_offsets_do_not_depend_on_call_order(self):
+        # sqrt(x2) occurs in both inequalities; each derivative keeps its own
+        # source offset, whichever item was differentiated first
+        from mpsckit.errors import EvalDomainError
+        P = pb.load_problem("vars x1 x2\nmin x1 + x2\nineq x1 + sqrt(x2)\n"
+                            "ineq sqrt(x2) - 5\nswitch x1 | x2\n", from_path=False)
+        for item, offset in ((("g", 0), 5), (("g", 1), 0)):
+            with pytest.raises(EvalDomainError, match=rf"\(offset {offset}\)"):
+                P.jacobian([0.0, 0.0], [item])
+
     def test_overflow_is_a_domain_error(self):
         # the suite turns RuntimeWarnings into errors, so an overflow warning
         # escaping the kernel would fail this test before EvalDomainError
@@ -314,3 +324,22 @@ def test_only_the_kernel_evaluates_expressions():
         if uses:
             offenders[path.name] = uses
     assert offenders == {}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_process_wide_caches_or_function_local_imports():
+    offenders = []
+    for path in sorted(Path(pb.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            offenders += [(path.name, fn.name, "@" + _decorator_name(d))
+                          for d in fn.decorator_list
+                          if _decorator_name(d) in ("lru_cache", "cache")]
+            offenders += [(path.name, fn.name, "import") for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offenders == []

@@ -15,8 +15,10 @@ regenerates them, from the root of a checkout, with
 tests/data/snapshots/ holds the other commands' JSON, written the same way
 with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
 origins, `errorbound --json` on a FAILS and a HOLDS instance, and
-`solve --json` for a feasible and a failed solve.  Bytes are compared, not
-parsed values, so key order and number formatting are pinned too.
+`solve --json` for a feasible and a failed solve and for a penalty-mode
+solve (penalty descent, then the augmented-Lagrangian branch polish).
+Bytes are compared, not parsed values, so key order and number formatting
+are pinned too.
 """
 
 from pathlib import Path
@@ -46,6 +48,7 @@ SNAPSHOTS = {
     "errorbound_diagonal2d": (0, ["errorbound", str(problem_path("diagonal2d")),
                                   "--point", "0,0"]),
     "solve_axes2d": (0, ["solve", str(problem_path("axes2d"))]),
+    "solve_axes2d_penalty": (0, ["solve", str(problem_path("axes2d")), "--mode", "penalty"]),
     "solve_nobranch": (1, ["solve", NO_BRANCH]),
 }
 

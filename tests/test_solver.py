@@ -5,28 +5,52 @@ from mpsckit import solver
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import (Bipartition, all_branches, branch, index_sets,
                              load_problem)
+from mpsckit.report import annotate_stationarity
 
 TOL = Tolerances()
 CFG = SolveConfig = solver.SolveConfig(lhs_starts=4, max_inner=120)
+
+
+class TestDescentBatch:
+    def test_gradient_once_per_iteration_values_only_at_trial_points(self):
+        A = np.array([1.0, 10.0])  # f(z) = 0.5 * sum(A * z^2) per row
+        calls = []
+
+        def objective(rows, Z, grad=False):
+            calls.append((grad, rows.copy(), Z.copy()))
+            f = 0.5 * np.sum(A * Z ** 2, axis=1)
+            return (f, A * Z) if grad else f
+
+        Y0 = np.array([[1.0, 1.0], [-2.0, 0.5], [0.3, -0.7]])
+        Y = solver._descent_batch(objective, Y0, 5)
+        assert [grad for grad, _, _ in calls].count(True) == 5
+        assert calls[0][0]
+        for grad, rows, Z in calls:
+            if grad:
+                assert np.array_equal(rows, np.arange(3))
+                iterate = Z
+            else:  # a trial point: never the iterate whose gradient was asked
+                assert np.all(np.any(Z != iterate[rows], axis=1))
+        assert np.all(np.sum(A * Y ** 2, axis=1) < np.sum(A * Y0 ** 2, axis=1))
 
 
 class TestProjectBranch:
     def test_already_feasible_is_fixed(self):
         P = load_problem("vars x1 x2\nmin x1\nineq -x1\n", from_path=False)
         br = all_branches(P)[0]
-        y = solver.project_branch(P, br, [0.3, 0.7], CFG, TOL)
+        y = solver.project_branch(P, br, [0.3, 0.7], TOL)
         assert np.allclose(y, [0.3, 0.7], atol=1e-9)
 
     def test_orthogonal_projection_on_plane(self):
         P = load_problem("vars x1 x2\nmin x1\neq x1\n", from_path=False)
         br = all_branches(P)[0]
-        y = solver.project_branch(P, br, [0.3, 0.7], CFG, TOL)
+        y = solver.project_branch(P, br, [0.3, 0.7], TOL)
         assert np.allclose(y, [0.0, 0.7], atol=1e-6)
 
     def test_parabola_projection(self):
         P = load_problem("vars x1 x2\nmin x1\neq x2 - x1^2\n", from_path=False)
         br = all_branches(P)[0]
-        y = solver.project_branch(P, br, [0.2, 0.1], CFG, TOL)
+        y = solver.project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
         # grid oracle over the parabola arc
         t = np.linspace(-1.0, 1.0, 20001)
@@ -38,7 +62,7 @@ class TestProjectBranch:
         P = corpus["ray2d"]
         I = index_sets(P, [0.0, 0.0], TOL)
         br = branch(P, I, Bipartition((), (0,)))
-        y = solver.project_branch(P, br, [0.2, 0.1], CFG, TOL)
+        y = solver.project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
         # the tau_feas tube admits parabola points with x1 ~ sqrt(tau_feas)
         assert np.allclose(y, [0.0, 0.0], atol=2e-4)
@@ -86,7 +110,9 @@ class TestGaussNewtonPolish:
                 assert np.array_equal(got, polish_per_row(br, X, TOL)), (name, br.label())
         assert violated_rows > 0
 
-    def test_batched_equals_per_row_after_penalty_phase(self):
+    def test_batched_equals_per_row_after_penalty_phase(self, monkeypatch):
+        monkeypatch.setattr(solver, "SIGMA_SCHEDULE", (1e2,))
+        monkeypatch.setattr(solver, "PENALTY_STEPS", 5)
         P = load_problem("vars x1 x2 x3\nmin x1\nineq x1^2 + x2^2 - 1\n"
                          "ineq x3 - x1*x2\neq exp(x1) - 1 - x3\nswitch x1 | x2 - x3\n",
                          from_path=False)
@@ -94,7 +120,7 @@ class TestGaussNewtonPolish:
         for br in all_branches(P):
             X = rng.normal(scale=1.5, size=(32, 3))
             assert np.any(P.constraint_values(X)[0] > 0.0)
-            Y = solver.project_branch_cloud(P, br, X, TOL, sigma_schedule=(1e2,), inner=5)
+            Y = solver.project_branch_cloud(P, br, X, TOL)
             for Z in (X, Y):
                 assert np.array_equal(solver._gauss_newton_polish(br, Z, TOL),
                                       polish_per_row(br, Z, TOL)), br.label()
@@ -219,11 +245,11 @@ class TestStationaritySanity:
         for name in ("axes2d", "ray2d", "diagonal2d"):
             sol = solver.solve_enumerative(corpus[name], [0.7, -0.4], CFG, TOL)
             assert sol.status == "feasible"
-            solver.annotate_stationarity(corpus[name], sol, CFG, TOL)
+            annotate_stationarity(corpus[name], sol, CFG, TOL)
             assert sol.stationarity["W_within_10_tau_kkt"], (name, sol.stationarity)
 
     def test_annotation_skips_infeasible(self):
         P = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
         sol = solver.solve_branch(P, all_branches(P)[0], [0.0], CFG, TOL)
-        solver.annotate_stationarity(P, sol, CFG, TOL)
+        annotate_stationarity(P, sol, CFG, TOL)
         assert sol.stationarity == {}
