@@ -415,16 +415,12 @@ def lattice_closure(verdicts: dict) -> dict:
     return out
 
 
+CHECKERS = {"LICQ": check_licq, "WCR": check_wcr, "PWCR": check_pwcr,
+            "RCRCQ": check_rcrcq, "PCRSC": check_pcrsc, "ACQ": check_acq,
+            "PSOQN": check_psoqn}
+
+
 def run_all(ctx: PointContext, with_psoqn=True) -> dict:
     """Direct checks plus lattice closure; the standard CQ table."""
-    verdicts = {
-        "LICQ": check_licq(ctx),
-        "WCR": check_wcr(ctx),
-        "PWCR": check_pwcr(ctx),
-        "RCRCQ": check_rcrcq(ctx),
-        "PCRSC": check_pcrsc(ctx),
-        "ACQ": check_acq(ctx),
-    }
-    if with_psoqn:
-        verdicts["PSOQN"] = check_psoqn(ctx)
-    return lattice_closure(verdicts)
+    return lattice_closure({name: check(ctx) for name, check in CHECKERS.items()
+                            if with_psoqn or name != "PSOQN"})

@@ -295,65 +295,71 @@ def to_text(e: Expr, var_names) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _check_domain(ok, what, offset):
-    if not np.all(ok):
-        raise EvalDomainError(what, offset=offset)
+# (message, condition that must hold on the operand) of each checked operation
+_DOMAIN = {"/": ("division by zero", "{} != 0.0"),
+           "pow": ("zero base with negative exponent", "{} != 0.0"),
+           "log": ("log of a nonpositive value", "{} > 0.0"),
+           "sqrt": ("sqrt of a negative value", "{} >= 0.0")}
 
 
-def _eval(e, X):
-    """Evaluate over a point batch X of shape (N, n)."""
-    if isinstance(e, Const):
-        return np.full(X.shape[0], e.value)
-    if isinstance(e, Var):
-        return X[:, e.index]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, X)
-    if isinstance(e, Bin):
-        a = _eval(e.lhs, X)
-        b = _eval(e.rhs, X)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        _check_domain(b != 0.0, "division by zero", e.offset)
-        return a / b
-    if isinstance(e, Pow):
-        base = _eval(e.base, X)
-        if e.exponent < 0:
-            _check_domain(base != 0.0, "zero base with negative exponent", e.offset)
-        with np.errstate(over="ignore"):
-            return base ** float(e.exponent)
-    if isinstance(e, Call):
-        a = _eval(e.arg, X)
-        if e.fn == "sin":
-            return np.sin(a)
-        if e.fn == "cos":
-            return np.cos(a)
-        if e.fn == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(a)
-        if e.fn == "log":
-            _check_domain(a > 0.0, "log of a nonpositive value", e.offset)
-            return np.log(a)
-        if e.fn == "sqrt":
-            _check_domain(a >= 0.0, "sqrt of a negative value", e.offset)
-            return np.sqrt(a)
-    raise TypeError(f"not an Expr: {e!r}")
+def compile_kernel(exprs):
+    """Straight-line code for a list of trees: kernel(X) returns their values
+    over the rows of X as the columns of an (N, K) array.
 
+    Every node applies the numpy operation of a node-by-node walk of the tree
+    to the same operand types (constants as np.full arrays, powers as
+    `base ** float(k)`), so the values are the walk's to the bit.  The first
+    error is the one a walk of tree after tree meets: a non-finite X, then
+    the domain checks in walk order, each tree's output checked finite before
+    the next tree's code.  A node is computed once per operation and operand
+    names plus the offset of its domain check, so equal subtrees whose checked
+    nodes sit at other offsets stay apart.
+    """
+    code, names = [], {}
 
-def evaluate(e: Expr, x):
-    """Evaluate at a single point (1-d x) or a batch (2-d x, one row each)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation point must be finite")
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    out = _eval(e, X)
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError("evaluation overflowed to a non-finite value", offset=e.offset)
-    return float(out[0]) if single else out
+    def bind(value, check=None):
+        """Name of the code `value`; check = (kind, operand, offset) runs first."""
+        if (value, check) not in names:
+            if check:
+                what, ok = _DOMAIN[check[0]]
+                code.append(f"if not ({ok.format(check[1])}).all(): "
+                            f"raise EvalDomainError({what!r}, offset={check[2]})")
+            names[value, check] = f"t{len(names)}"
+            code.append(f"{names[value, check]} = {value}")
+        return names[value, check]
+
+    def emit(e):
+        if isinstance(e, Const):
+            return bind(f"np.full(N, {e.value!r})")
+        if isinstance(e, Var):
+            return bind(f"X[:, {e.index}]")
+        if isinstance(e, Neg):
+            return bind(f"-{emit(e.arg)}")
+        if isinstance(e, Bin):
+            a, b = emit(e.lhs), emit(e.rhs)
+            return bind(f"{a} {e.op} {b}", ("/", b, e.offset) if e.op == "/" else None)
+        if isinstance(e, Pow):
+            a = emit(e.base)
+            return bind(f"{a} ** {float(e.exponent)!r}",
+                        ("pow", a, e.offset) if e.exponent < 0 else None)
+        if isinstance(e, Call):
+            a = emit(e.arg)
+            return bind(f"np.{e.fn}({a})", (e.fn, a, e.offset) if e.fn in _DOMAIN else None)
+        raise TypeError(f"not an Expr: {e!r}")
+
+    for k, e in enumerate(exprs):
+        t = emit(e)
+        code.append(f"if not np.isfinite({t}).all(): raise EvalDomainError("
+                    f"'evaluation overflowed to a non-finite value', offset={e.offset})")
+        code.append(f"out[:, {k}] = {t}")
+    if exprs:
+        code.insert(0, "if not np.isfinite(X).all(): "
+                       "raise EvalDomainError('evaluation point must be finite')")
+    src = "\n    ".join(["def kernel(X):", "N = X.shape[0]",
+                         f"out = np.empty((N, {len(exprs)}))"] + code + ["return out"])
+    env = {"np": np, "EvalDomainError": EvalDomainError, "inf": np.inf, "nan": np.nan}
+    exec(compile(src, "<mpsckit kernel>", "exec"), env)
+    return env["kernel"]
 
 
 # ---------------------------------------------------------------------------

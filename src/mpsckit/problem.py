@@ -66,20 +66,45 @@ class MpscProblem:
         return {it: tuple(ex.diff(self.expr(*it), j) for j in range(self.n))
                 for it in self.items}
 
+    @cached_property
+    def _kernels(self) -> dict:
+        """(kind, items) -> its compiled kernel, built on first use."""
+        return {}
+
+    def _evaluate(self, kind, items, x):
+        """Run the kernel of kind "v" (item values), "j" (their gradient rows)
+        or "h" (the upper triangle of one item's Hessian, row-major) at a
+        point or a batch, under one np.errstate: an overflow ends as the
+        kernel's EvalDomainError on a non-finite output."""
+        kernel = self._kernels.get((kind, tuple(items)))
+        if kernel is None:
+            if kind == "v":
+                trees = [self.expr(*it) for it in items]
+            elif kind == "j":
+                trees = [d for it in items for d in self.gradient_trees[it]]
+            else:
+                grad = self.gradient_trees[items[0]]
+                trees = [ex.diff(grad[i], j) for i, j in zip(*np.triu_indices(self.n))]
+            kernel = self._kernels[kind, tuple(items)] = ex.compile_kernel(trees)
+        x = np.asarray(x, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = kernel(x[None, :] if x.ndim == 1 else x)
+        return out[0] if x.ndim == 1 else out
+
     def values(self, x, items):
         """Item values, shape (K,) at a point or (N, K) over a batch."""
-        return _evaluate([self.expr(*it) for it in items], x)
+        return self._evaluate("v", items, x)
 
     def jacobian(self, x, items):
         """Item gradients as rows, shape (K, n) at a point or (N, K, n) over a batch."""
-        V = _evaluate([d for it in items for d in self.gradient_trees[it]], x)
+        V = self._evaluate("j", items, x)
         return V.reshape(V.shape[:-1] + (len(items), self.n))
 
     def hessian(self, x, item):
         """Hessian of one item at a point, shape (n, n): the upper triangle
         is evaluated row by row and mirrored."""
-        grad, upper = self.gradient_trees[item], np.triu_indices(self.n)
-        v = _evaluate([ex.diff(grad[i], j) for i, j in zip(*upper)], x)
+        upper = np.triu_indices(self.n)
+        v = self._evaluate("h", (item,), x)
         H = np.empty((self.n, self.n))
         H[upper] = v
         H[upper[::-1]] = v
@@ -99,18 +124,6 @@ class MpscProblem:
                 + np.sum(h ** 2, axis=-1) \
                 + np.sum(np.minimum(G ** 2, H ** 2), axis=-1)
         return np.sqrt(viol)
-
-
-def _evaluate(exprs, x):
-    """Expression values as columns, under one np.errstate for the call: an
-    overflow inside a tree ends as the EvalDomainError that expr.evaluate
-    raises on a non-finite output."""
-    x = np.asarray(x, float)
-    out = np.empty(x.shape[:-1] + (len(exprs),))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, e in enumerate(exprs):
-            out[..., k] = ex.evaluate(e, x)
-    return out
 
 
 @dataclass(frozen=True)
@@ -168,13 +181,19 @@ class BranchProblem:
         return "".join(marks) if marks else "unconstrained"
 
     def residual(self, x):
-        g, h, G, H = self.problem.constraint_values(x)
-        viol = np.sum(np.maximum(g, 0.0) ** 2, axis=-1) + np.sum(h ** 2, axis=-1)
-        if self.eq_G:
-            viol = viol + np.sum(G[..., list(self.eq_G)] ** 2, axis=-1)
-        if self.eq_H:
-            viol = viol + np.sum(H[..., list(self.eq_H)] ** 2, axis=-1)
-        return np.sqrt(viol)
+        """l2 violation of the branch's own items: every g, h, and G over
+        eq_G and H over eq_H; an unpinned switch side is not evaluated."""
+        P = self.problem
+        return self.residual_of(P.values(x, self.equalities() + [("g", i) for i in range(P.m)]))
+
+    def residual_of(self, V):
+        """residual from the values of equalities() + every g, in that order."""
+        p = self.problem.p
+        q = p + len(self.eq_G)
+        r = q + len(self.eq_H)
+        return np.sqrt(np.sum(np.maximum(V[..., r:], 0.0) ** 2, axis=-1)
+                       + np.sum(V[..., :p] ** 2, axis=-1)
+                       + np.sum(V[..., p:q] ** 2, axis=-1) + np.sum(V[..., q:r] ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,12 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     if oracle is not None:
         sta["normal_cone_oracle"] = oracle
 
-    cq_table = run("cq", lambda: cqmod.run_all(ctx))
+    decided = {}  # each checker is its own component; the rest still close the lattice
+    for name, check in cqmod.CHECKERS.items():
+        v = run(f"cq.{name}", lambda check=check: check(ctx))
+        if v is not None:
+            decided[name] = v
+    cq_table = run("cq", lambda: cqmod.lattice_closure(decided)) if decided else None
     soc_out = {}
     if "S" in sta and sta["S"].holds():
         for kind, fn in (("WSONC", socmod.check_wsonc), ("SSONC", socmod.check_ssonc)):

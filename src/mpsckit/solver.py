@@ -60,6 +60,7 @@ def lhs_starts(rng, count, center, halfwidth):
 # batched first-order descent
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # an infinite trial fails Armijo
 def _descent_batch(objective, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
     """Row-wise gradient descent with Armijo backtracking.
 
@@ -239,13 +240,13 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
         X = _descent_batch(objective, X, cfg.max_inner, c=cfg.armijo_c,
                            gtol=0.1 * cfg.tau_kkt)
         V = P.values(X, eqs + gs)
+        res = br.residual_of(V)
         rho = rho + sigma[:, None] * V[:, :len(eqs)]
         lam = np.maximum(0.0, lam + sigma[:, None] * V[:, len(eqs):])
 
         kkt_vec = _add_gradients(P, X, P.jacobian(X, [OBJECTIVE])[:, 0], eqs + gs,
                                  np.hstack([rho, lam]))
         kkt = np.linalg.norm(kkt_vec, axis=1)
-        res = br.residual(X)
         moved = np.linalg.norm(X - X_prev, axis=1) if X_prev is not None \
             else np.full(N, np.inf)
         X_prev = X.copy()
@@ -320,7 +321,6 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     kappa = cfg.kappa0
     kappas = []
 
-    @np.errstate(over="ignore")  # an infinite trial point fails the Armijo test
     def objective(rows, Z, grad=False):  # at the current kappa
         fv = P.values(Z, [OBJECTIVE])[:, 0]  # before the constraints: first error
         g, h, G, H = P.constraint_values(Z)

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpsckit.numeric import Tolerances
@@ -31,6 +32,13 @@ def load(name):
 def _objective_only(e, n):
     """A problem whose only expression is the objective e."""
     return MpscProblem(n, tuple(f"x{j + 1}" for j in range(n)), e, (), (), ())
+
+
+def kernel_value(e, x):
+    """Value of e at a point, or its values over a batch, from the evaluation kernel."""
+    x = np.asarray(x, float)
+    v = _objective_only(e, x.shape[-1]).values(x, [OBJECTIVE])
+    return float(v[0]) if x.ndim == 1 else v[:, 0]
 
 
 def kernel_gradient(e, x):

@@ -151,10 +151,33 @@ class TestAnalyze:
         errors = json.loads(jpath.read_text())["errors"]
         assert [e["component"] for e in errors] == [
             "index_sets", "cones", "stationarity.W", "stationarity.M",
-            "stationarity.S", "stationarity.oracle", "cq"]
+            "stationarity.S", "stationarity.oracle", "cq.LICQ", "cq.WCR", "cq.PWCR",
+            "cq.RCRCQ", "cq.PCRSC", "cq.ACQ", "cq.PSOQN"]
         for e in errors:
             assert e["message"].startswith("switch pair 0 has neither side active")
-        assert err.count("switch pair 0 has neither side active") == 7
+        assert err.count("switch pair 0 has neither side active") == 13
+        assert json.loads(jpath.read_text())["verdicts"]["cq"] == {}
+
+    def test_failing_cq_checker_keeps_the_others(self, capsys, tmp_path):
+        # ACQ samples sqrt(x2) at x2 < 0 and PSOQN needs the undefined gradient
+        # of the inactive sqrt(x2) - 5: both fail alone, the other five decide
+        prob = tmp_path / "sqrt.mpsc"
+        prob.write_text("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+                        "switch x1 | x2\n")
+        jpath = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "analyze", str(prob), "--point", "0,0",
+                                 "--json", str(jpath))
+        assert code == 1
+        rep = json.loads(jpath.read_text())
+        assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN"]
+        assert "error in cq.ACQ: sqrt of a negative value (offset 0)" in err
+        cqs = rep["verdicts"]["cq"]
+        assert {name: cqs[name]["status"] for name in ("LICQ", "WCR", "PWCR", "RCRCQ", "PCRSC")} \
+            == {"LICQ": "FAILS", "WCR": "HOLDS", "PWCR": "HOLDS", "RCRCQ": "HOLDS",
+                "PCRSC": "HOLDS"}
+        assert all(cqs[name]["mode"] != "inferred"
+                   for name in ("LICQ", "WCR", "PWCR", "RCRCQ", "PCRSC"))
+        assert "LICQ: FAILS" in out and "PCRSC: HOLDS" in out
 
 
 class TestSolve:
@@ -202,6 +225,15 @@ class TestSolve:
         assert strict.stdout == loose.stdout
         assert strict.returncode == loose.returncode
         assert "Traceback" not in strict.stderr
+
+    def test_non_finite_iterate_under_strict_warnings(self):
+        # from 1e200 the descent overflows: enumerative ends with the kernel's
+        # EvalDomainError (exit 2), penalty descent with status failure
+        for mode, code, out in (("enumerative", 2, ""), ("penalty", 1, "status: failure\n")):
+            run = run_module("solve", str(problem_path("axes2d")), "--mode", mode,
+                             "--from", "1e200,1e200", strict=True)
+            assert (run.returncode, run.stdout) == (code, out)
+            assert run.stderr == ("error: evaluation point must be finite\n" if code == 2 else "")
 
     def test_penalty_mode(self, capsys):
         code, out, _ = run_cli(capsys, "solve", str(problem_path("axes2d")),

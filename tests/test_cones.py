@@ -153,11 +153,11 @@ class TestPointContext:
 
     def test_undefined_gradient_of_an_unused_item_is_not_evaluated(self):
         # sqrt(x2) - 5 is inactive at the origin and its gradient is undefined
-        # there: only cq fails, whose PSOQN uses every inequality gradient and
-        # whose ACQ samples points with x2 < 0
+        # there: only two CQ checkers fail, PSOQN, which uses every inequality
+        # gradient, and ACQ, which samples points with x2 < 0
         from mpsckit import report
         P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
                          "switch x1 | x2\n", from_path=False)
         rep = report.analyze(P, [0.0, 0.0], TOL)
-        assert [e["component"] for e in rep["errors"]] == ["cq"]
+        assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN"]
         assert set(rep["verdicts"]["stationarity"]) == {"W", "M", "S", "normal_cone_oracle"}
