@@ -35,18 +35,14 @@ def _parse_point(text, n):
 
 
 def _tolerances(args) -> Tolerances:
-    kw = {}
-    for name in ("tau_rank", "tau_act", "tau_feas", "tau_psd", "angular_tol"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    if args.samples is not None:
-        kw["n_samples"] = args.samples
-    if args.eps is not None:
-        kw["eps_ball"] = args.eps
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    return Tolerances(**kw)
+    field = {"samples": "n_samples", "eps": "eps_ball"}
+    kw = {field.get(flag, flag): getattr(args, flag, None)
+          for flag in ("tau_rank", "tau_act", "tau_feas", "tau_psd", "angular_tol",
+                       "samples", "eps", "seed")}
+    try:
+        return Tolerances(**{k: v for k, v in kw.items() if v is not None})
+    except ValueError as err:
+        raise ParseError(f"bad option: {err}") from None
 
 
 def _add_common(p, point=True):
@@ -175,17 +171,16 @@ def cmd_analyze(args):
 
 def cmd_solve(args):
     P = load_problem(args.file)
-    tol = Tolerances(**({"seed": args.seed} if args.seed is not None else {}))
-    cfg = sv.SolveConfig()
+    tol = _tolerances(args)
     starts = [_parse_point(s, P.n) for s in args.starts] or [np.zeros(P.n)]
     best = None
     for x0 in starts:
         sol = (sv.solve_enumerative if args.mode == "enumerative"
-               else sv.solve_penalty_descent)(P, x0, cfg, tol)
+               else sv.solve_penalty_descent)(P, x0, tol)
         if best is None or (sol.status == "feasible"
                             and (best.status != "feasible" or sol.value < best.value)):
             best = sol
-    rp.annotate_stationarity(P, best, cfg, tol)
+    rp.annotate_stationarity(P, best, tol)
     print(f"status: {best.status}")
     if best.status == "feasible":
         print(f"x*: {[round(float(v), 10) for v in best.x]}")
@@ -202,14 +197,15 @@ def cmd_penalty(args):
     P = load_problem(args.file)
     tol = _tolerances(args)
     x = _parse_point(args.point, P.n)
-    kappas = args.kappa or [1.0]
     r = pen.residual(P, x)
+    try:
+        rows = [{"kappa": k, "value": pen.penalized_objective(P, x, k)}
+                for k in args.kappa or [1.0]]
+    except ValueError as err:
+        raise ParseError(f"bad option: {err}") from None
     print(f"residual: {r:.6e}")
-    rows = []
-    for k in kappas:
-        phi = pen.penalized_objective(P, x, k)
-        rows.append({"kappa": k, "value": phi})
-        print(f"kappa={k:g}: penalized objective = {phi:.10g}")
+    for row in rows:
+        print(f"kappa={row['kappa']:g}: penalized objective = {row['value']:.10g}")
     _emit_json(args.json_path, {"residual": r, "values": rows})
     return 0
 

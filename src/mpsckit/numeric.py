@@ -39,10 +39,12 @@ class Tolerances:
     def __post_init__(self):
         for name in ("tau_rank", "tau_act", "tau_feas", "tau_psd",
                      "angular_tol", "eps_ball"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.n_samples <= 0:
             raise ValueError("n_samples must be strictly positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def rng(self, *tags) -> np.random.Generator:
         """Deterministic per-task substream keyed by (seed, tags)."""

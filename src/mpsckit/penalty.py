@@ -25,6 +25,8 @@ GROWTH_SLACK = 1e-2  # relative slack on the factor: distance estimates carry
                      # tolerance-tube error, and 1/t-type growth sits exactly
                      # at the 16x boundary over a 16x radius shrink
 DIST_BATCH = 32      # distance evaluations per radius
+MINIMALITY_RADIUS = 0.05  # exact-penalty probe: ball radius and sample count
+N_MIN_SAMPLES = 1000
 
 
 def residual(P: MpscProblem, x) -> float:
@@ -37,8 +39,8 @@ def residual(P: MpscProblem, x) -> float:
 
 
 def penalized_objective(P: MpscProblem, x, kappa: float) -> float:
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError("kappa must be finite and positive")
     x = np.asarray(x, float)
     return float(P.values(x, [OBJECTIVE])[0]) + kappa * float(P.residual(x))
 
@@ -207,9 +209,7 @@ def _minimality_samples(P, x, radius, count, rng):
     return np.vstack([ball, np.array(rays)])
 
 
-def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
-                        minimality_radius: float = 0.05,
-                        n_min_samples: int = 1000, eb=None) -> PenaltyReport:
+def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances, eb=None) -> PenaltyReport:
     """Estimate the exact-penalty threshold and test local minimality of
     the penalized objective at a feasible point.
 
@@ -224,7 +224,7 @@ def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
     eb = error_bound_probe(P, x, tol) if eb is None else eb
 
     ball = x[None, :] + ball_offsets(tol.rng("lipschitz"), tol.n_samples, P.n,
-                                     minimality_radius)
+                                     MINIMALITY_RADIUS)
     grads = P.jacobian(ball, [OBJECTIVE])[:, 0]
     L_f_hat = float(np.max(np.linalg.norm(grads, axis=1)))
     L_f_hat = max(L_f_hat, float(np.linalg.norm(P.jacobian(x, [OBJECTIVE])[0])))
@@ -240,7 +240,7 @@ def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
     base = float(P.values(x, [OBJECTIVE])[0])
     grid = []
     sample_rng = tol.rng("penaltymin")
-    Y = _minimality_samples(P, x, minimality_radius, n_min_samples, sample_rng)
+    Y = _minimality_samples(P, x, MINIMALITY_RADIUS, N_MIN_SAMPLES, sample_rng)
     fvals = P.values(Y, [OBJECTIVE])[:, 0]
     resvals = P.residual(Y)
     for factor in (0.5, 1.0, 2.0, 4.0):
@@ -256,5 +256,5 @@ def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
     return PenaltyReport(
         kappa_grid=grid, alpha_hat=eb.alpha_hat, L_f_hat=L_f_hat,
         kappa_bar_hat=kappa_bar if eb.verdict == "HOLDS" else None,
-        error_bound=eb, minimality_radius=minimality_radius,
-        n_min_samples=n_min_samples, seed=tol.seed, notes=notes)
+        error_bound=eb, minimality_radius=MINIMALITY_RADIUS,
+        n_min_samples=N_MIN_SAMPLES, seed=tol.seed, notes=notes)

@@ -16,12 +16,12 @@ from . import cones as cn
 from . import cq as cqmod
 from . import penalty as pen
 from . import soc as socmod
+from . import solver
 from . import stationarity as st
 from .errors import MpscError
 from .numeric import Tolerances, sanitize
 from .problem import MpscProblem
 from .expr import to_text
-from .solver import LocalSolution, SolveConfig
 
 SCHEMA_VERSION = "1"
 
@@ -144,8 +144,8 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     return sanitize(report)
 
 
-def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
-                          tol: Tolerances) -> LocalSolution:
+def annotate_stationarity(P: MpscProblem, sol: solver.LocalSolution,
+                          tol: Tolerances) -> solver.LocalSolution:
     """Record first-order sanity data at a feasible solver iterate.
 
     Activity detection is relaxed to the KKT scale, since iterates sit
@@ -153,7 +153,7 @@ def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
     """
     if sol.status != "feasible":
         return sol
-    ctx = cn.PointContext(P, sol.x, tol.with_(tau_act=max(tol.tau_act, 10.0 * cfg.tau_kkt)))
+    ctx = cn.PointContext(P, sol.x, tol.with_(tau_act=max(tol.tau_act, 10.0 * solver.TAU_KKT)))
     try:
         w_res = st.w_stationarity_residual(ctx)
     except MpscError as err:
@@ -161,7 +161,7 @@ def annotate_stationarity(P: MpscProblem, sol: LocalSolution, cfg: SolveConfig,
         return sol
     sol.stationarity = {
         "W_residual": w_res,
-        "W_within_10_tau_kkt": bool(w_res <= 10.0 * cfg.tau_kkt),
+        "W_within_10_tau_kkt": bool(w_res <= 10.0 * solver.TAU_KKT),
     }
     for kind, fn in (("W", st.check_w_stationary), ("M", st.check_m_stationary),
                      ("S", st.check_s_stationary)):

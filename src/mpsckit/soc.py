@@ -53,7 +53,7 @@ class QuadFormResult:
 
 
 def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
-                           rng=None, n_samples=None) -> QuadFormResult:
+                           rng=None) -> QuadFormResult:
     """Estimate min d^T Q d over unit directions of a polyhedral cone piece.
 
     Exact when the piece is a subspace (projected eigensolve); otherwise the
@@ -64,7 +64,6 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
     """
     Q = np.asarray(Q, float)
     n = Q.shape[0]
-    n_samples = n_samples or tol.n_samples
     rng = rng or tol.rng("quadform")
 
     lin = piece.lineality_basis(tol)
@@ -74,7 +73,7 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
         w, V = eig_sym(lin.T @ Q @ lin)
         d = lin @ V[:, 0]
         return QuadFormResult(float(w[0]), d / np.linalg.norm(d),
-                              admitted=n_samples, exact=True, method="subspace_eig")
+                              admitted=tol.n_samples, exact=True, method="subspace_eig")
 
     gens = piece.generators(tol)
     rays = [r / np.linalg.norm(r) for r in gens.all_rays()]
@@ -89,13 +88,13 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
             if nrm > 1e-9:
                 dirs.append(mid / nrm)
     # random conic combinations stay inside the piece by construction
-    coeffs = rng.exponential(size=(n_samples, len(rays)))
+    coeffs = rng.exponential(size=(tol.n_samples, len(rays)))
     combo = coeffs @ np.array(rays)
     nrm = np.linalg.norm(combo, axis=1)
     good = nrm > 1e-12
     dirs.extend(combo[good] / nrm[good, None])
     # membership-filtered sphere samples catch anything the generators miss
-    sphere = rng.normal(size=(n_samples, n))
+    sphere = rng.normal(size=(tol.n_samples, n))
     sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
     slack = tol.tau_feas * 2.0
     dirs.extend(d for d in sphere if piece.contains(d, slack))

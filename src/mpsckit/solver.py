@@ -22,17 +22,24 @@ from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
                       branch_from_assignment)
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    max_outer: int = 50
-    max_inner: int = 200
-    penalty_growth: float = 10.0
-    armijo_c: float = 1e-4
-    lhs_starts: int = 8
-    start_box: float = 2.0
-    tau_kkt: float = 1e-6
-    kappa0: float = 1.0
-    kappa_max: float = 1e12
+# every descent: Armijo sufficient-decrease constant
+ARMIJO_C = 1e-4
+# projection: penalty per stage, descent steps per stage, Gauss-Newton step cap
+SIGMA_SCHEDULE = (1e2, 1e4, 1e6)
+PENALTY_STEPS = 60
+POLISH_ITERS = 40
+# ALM: outer steps, descent steps per outer step (also per kappa stage of the
+# penalty descent), penalty growth (also of kappa) and the KKT residual target
+MAX_OUTER = 50
+MAX_INNER = 200
+PENALTY_GROWTH = 10.0
+TAU_KKT = 1e-6
+# multistart: Latin hypercube starts in a box of this half-width around x0
+LHS_STARTS = 8
+START_BOX = 2.0
+# penalty descent: first and largest kappa
+KAPPA0 = 1.0
+KAPPA_MAX = 1e12
 
 
 @dataclass
@@ -61,7 +68,7 @@ def lhs_starts(rng, count, center, halfwidth):
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # an infinite trial fails Armijo
-def _descent_batch(objective, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
+def _descent_batch(objective, Y, iters, t0=1.0, gtol=0.0):
     """Row-wise gradient descent with Armijo backtracking.
 
     objective(rows, Z) returns the values at the given rows only, so each row
@@ -81,7 +88,7 @@ def _descent_batch(objective, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
             break
         trial = Y - t[:, None] * g
         ft = objective(rows_all, trial)
-        need = live & (ft > f - c * t * gn2)
+        need = live & (ft > f - ARMIJO_C * t * gn2)
         for _ in range(30):
             if not np.any(need):
                 break
@@ -89,7 +96,7 @@ def _descent_batch(objective, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
             t[rows] *= 0.5
             trial[rows] = Y[rows] - t[rows, None] * g[rows]
             ft[rows] = objective(rows, trial[rows])
-            need[rows] = ft[rows] > f[rows] - c * t[rows] * gn2[rows]
+            need[rows] = ft[rows] > f[rows] - ARMIJO_C * t[rows] * gn2[rows]
         accept = live & ~need
         decrease = float(np.max(np.abs(f[accept] - ft[accept]))) if np.any(accept) else 0.0
         Y[accept] = trial[accept]
@@ -104,12 +111,6 @@ def _descent_batch(objective, Y, iters, c=1e-4, t0=1.0, gtol=0.0):
 # ---------------------------------------------------------------------------
 # branch helpers
 # ---------------------------------------------------------------------------
-
-# projection: penalty per stage, descent steps per stage, Gauss-Newton step cap
-SIGMA_SCHEDULE = (1e2, 1e4, 1e6)
-PENALTY_STEPS = 60
-POLISH_ITERS = 40
-
 
 def _add_gradients(P: MpscProblem, Z, out, items, W, gated=False):
     """out += W[:, j, None] * (gradient of items[j] over Z), item by item.
@@ -136,11 +137,11 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
     n_eq = len(cons) - P.m
     X = np.array(X, float)
     for _ in range(POLISH_ITERS):
-        res = br.residual(X)
-        live = np.where(res > max(tol.tau_feas * 1e-6, 1e-15))[0]
+        V = P.values(X, cons)
+        live = np.where(br.residual_of(V) > max(tol.tau_feas * 1e-6, 1e-15))[0]
         if live.size == 0:
             break
-        vals = P.values(X[live], cons)
+        vals = V[live]
         use = (vals > 0.0) | (np.arange(len(cons)) < n_eq)
         J = np.zeros(vals.shape + (P.n,))
         for j, it in enumerate(cons):
@@ -205,8 +206,7 @@ def project_branch(P: MpscProblem, br: BranchProblem, x0, tol: Tolerances):
 # augmented-Lagrangian branch solver (batched over starts)
 # ---------------------------------------------------------------------------
 
-def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
-               tol: Tolerances):
+def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     """Run the ALM loop on every start row; returns (X, kkt, res, status)."""
     gs = [("g", i) for i in range(P.m)]
     eqs = br.equalities()
@@ -235,10 +235,9 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
         _add_gradients(P, Z, out, eqs, rho[rows] + s[:, None] * ev)
         return fv, _add_gradients(P, Z, out, gs, w, gated=True)
 
-    for _ in range(cfg.max_outer):
+    for _ in range(MAX_OUTER):
         outer_used += 1
-        X = _descent_batch(objective, X, cfg.max_inner, c=cfg.armijo_c,
-                           gtol=0.1 * cfg.tau_kkt)
+        X = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT)
         V = P.values(X, eqs + gs)
         res = br.residual_of(V)
         rho = rho + sigma[:, None] * V[:, :len(eqs)]
@@ -252,13 +251,13 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
         X_prev = X.copy()
         # a stalled iterate on the feasible set is accepted even without a
         # small KKT residual (branch minimizers need not be KKT points)
-        done = ((kkt <= cfg.tau_kkt) | (moved <= 1e-9 * (1.0 + np.linalg.norm(X, axis=1)))) \
+        done = ((kkt <= TAU_KKT) | (moved <= 1e-9 * (1.0 + np.linalg.norm(X, axis=1)))) \
             & (res <= tol.tau_feas)
         diverged = np.linalg.norm(X, axis=1) > 1e8
         if np.all(done | diverged):
             break
         grow = ~done & (res > 0.25 * prev_res)
-        sigma[grow] = np.minimum(sigma[grow] * cfg.penalty_growth, 1e12)
+        sigma[grow] = np.minimum(sigma[grow] * PENALTY_GROWTH, 1e12)
         prev_res = np.minimum(prev_res, res)
 
     X = _gauss_newton_polish(br, X, tol)
@@ -269,14 +268,14 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, cfg: SolveConfig,
     return X, kkt, res, status, outer_used
 
 
-def solve_branch(P: MpscProblem, br: BranchProblem, x0, cfg: SolveConfig,
+def solve_branch(P: MpscProblem, br: BranchProblem, x0,
                  tol: Tolerances) -> LocalSolution:
     """Best local solution of the branch NLP over multistart."""
     x0 = np.asarray(x0, float)
     rng = tol.rng("solve", br.label())
     starts = np.vstack([x0[None, :],
-                        lhs_starts(rng, cfg.lhs_starts, x0, cfg.start_box)])
-    X, kkt, res, status, outer = _alm_batch(P, br, starts, cfg, tol)
+                        lhs_starts(rng, LHS_STARTS, x0, START_BOX)])
+    X, kkt, res, status, outer = _alm_batch(P, br, starts, tol)
     fvals = P.values(X, [OBJECTIVE])[:, 0]
     order = sorted(range(len(X)),
                    key=lambda i: (status[i] != "feasible", fvals[i], i))
@@ -288,13 +287,12 @@ def solve_branch(P: MpscProblem, br: BranchProblem, x0, cfg: SolveConfig,
     )
 
 
-def solve_enumerative(P: MpscProblem, x0, cfg: SolveConfig,
-                      tol: Tolerances) -> LocalSolution:
+def solve_enumerative(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     """Best-of-branches over every switch sign assignment (2^l solves)."""
     best = None
     table = []
     for bi, br in enumerate(all_branches(P)):
-        sol = solve_branch(P, br, x0, cfg, tol)
+        sol = solve_branch(P, br, x0, tol)
         table.append((br.label(), sol.status, sol.value))
         if sol.status != "feasible":
             continue
@@ -310,15 +308,14 @@ def solve_enumerative(P: MpscProblem, x0, cfg: SolveConfig,
     return best
 
 
-def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
-                          tol: Tolerances) -> LocalSolution:
+def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     """Minimize f + kappa * residual with a growing penalty parameter.
 
     The min{G^2, H^2} term is differentiated through its active smooth
     piece; exact ties take the G side.
     """
     x = np.atleast_2d(np.asarray(x0, float)).copy()
-    kappa = cfg.kappa0
+    kappa = KAPPA0
     kappas = []
 
     def objective(rows, Z, grad=False):  # at the current kappa
@@ -344,13 +341,12 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
         out[active] += kappa * (dr[active] / safe[active, None])
         return fv, out
 
-    while kappa <= cfg.kappa_max:
-        x = _descent_batch(objective, x, cfg.max_inner, c=cfg.armijo_c,
-                           gtol=0.1 * cfg.tau_kkt)
+    while kappa <= KAPPA_MAX:
+        x = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT)
         kappas.append(kappa)
         if float(P.residual(x[0])) <= tol.tau_feas * 10:
             break
-        kappa *= cfg.penalty_growth
+        kappa *= PENALTY_GROWTH
     else:
         return LocalSolution(x=x[0], value=float(P.values(x[0], [OBJECTIVE])[0]),
                              residual=float(P.residual(x[0])), branch="penalty",
@@ -361,7 +357,7 @@ def solve_penalty_descent(P: MpscProblem, x0, cfg: SolveConfig,
     eq_G = tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2)
     eq_H = tuple(k for k in range(P.l) if G[k] ** 2 > H[k] ** 2)
     br = branch_from_assignment(P, eq_G, eq_H)
-    X, kkt, res, status, outer = _alm_batch(P, br, x, cfg, tol)
+    X, kkt, res, status, outer = _alm_batch(P, br, x, tol)
     sol = LocalSolution(
         x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]),
         residual=float(P.residual(X[0])),

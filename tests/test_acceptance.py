@@ -14,7 +14,8 @@ from mpsckit.cones import PointContext
 from mpsckit.expr import parse_expr
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import Bipartition, all_branches, load_problem
-from mpsckit.solver import SolveConfig, solve_enumerative, solve_penalty_descent
+from mpsckit import solver
+from mpsckit.solver import solve_enumerative, solve_penalty_descent
 
 TOL = Tolerances()
 
@@ -232,8 +233,7 @@ def test_criterion_7_error_bound_and_exact_penalty(corpus):
 
     rep2 = penalty.error_bound_probe(corpus["diagonal2d"], np.zeros(2), TOL)
     assert rep2.verdict == "HOLDS"
-    pr = penalty.exact_penalty_probe(corpus["diagonal2d"], np.zeros(2), TOL,
-                                     minimality_radius=0.05, n_min_samples=1000)
+    pr = penalty.exact_penalty_probe(corpus["diagonal2d"], np.zeros(2), TOL)
     assert pr.kappa_bar_hat is not None
     assert pr.minimality_radius == 0.05 and pr.n_min_samples == 1000
     two_kappa = [g for g in pr.kappa_grid
@@ -352,9 +352,10 @@ def test_criterion_8f_lattice_closure_no_contradiction(corpus):
     _report("8f", "lattice closure raises no contradiction on the corpus")
 
 
-def test_criterion_8g_penalty_descent_vs_enumerative():
+def test_criterion_8g_penalty_descent_vs_enumerative(monkeypatch):
+    monkeypatch.setattr(solver, "LHS_STARTS", 3)
+    monkeypatch.setattr(solver, "MAX_INNER", 100)
     rng = np.random.default_rng(42)
-    cfg = SolveConfig(lhs_starts=3, max_inner=100)
     kept = 0
     while kept < 20:
         n = int(rng.integers(1, 4))
@@ -374,11 +375,11 @@ def test_criterion_8g_penalty_descent_vs_enumerative():
         if P.l > 2:
             continue
         x0 = rng.uniform(-1.5, 1.5, size=n)
-        ref = solve_enumerative(P, x0, cfg, TOL)
+        ref = solve_enumerative(P, x0, TOL)
         if ref.status != "feasible":
             continue
         kept += 1
-        sol = solve_penalty_descent(P, x0, cfg, TOL)
+        sol = solve_penalty_descent(P, x0, TOL)
         if sol.status == "feasible":
             assert sol.value >= ref.value - 1e-6
     _report("8g", "penalty descent never beats the enumerative oracle")

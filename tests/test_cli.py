@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from conftest import problem_path
 from mpsckit import cli, numeric, report
@@ -293,3 +294,27 @@ class TestOtherCommands:
         assert rep["errorbound"]["verdict"] == "HOLDS"
         assert rep["penalty"]["kappa_bar_hat"] is not None
         jsonschema.validate(rep, report.load_schema())
+
+
+# bad option values, each on the command that reads it
+BAD_OPTIONS = [
+    ("analyze", "--samples", "0"),
+    ("analyze", "--eps", "-1"),
+    ("analyze", "--tau-feas", "0"),
+    ("analyze", "--angular-tol", "-1"),
+    ("analyze", "--tau-feas", "nan"),
+    ("errorbound", "--tau-rank", "inf"),
+    ("cones", "--seed", "-1"),
+    ("solve", "--seed", "-1"),
+    ("penalty", "--kappa", "-1"),
+    ("penalty", "--kappa", "nan"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_OPTIONS)
+def test_bad_option_value_exits_2_without_traceback(capsys, command, flag, value):
+    point = [] if command == "solve" else ["--point", "0,0"]
+    code, out, err = run_cli(capsys, command, str(problem_path("axes2d")),
+                             *point, flag, value)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err

@@ -125,15 +125,6 @@ class TestTangentSampling:
             on_sheet = d[0] >= -1e-9 and abs(d[1]) <= np.sin(TOL.angular_tol)
             assert in_plane or on_sheet
 
-    def test_cloud_inside_linearization_cone(self, corpus, tol):
-        from conftest import CORPUS_POINTS
-        for name, P in corpus.items():
-            x = np.array(CORPUS_POINTS[name])
-            L = cones.linearization_cone(PointContext(P, x, tol))
-            cloud = cones.sample_tangent_directions(P, x, tol)
-            for d in cloud.directions:
-                assert L.member_angular(d, tol)[0], name
-
 
 class TestExplicitMembership:
     def test_negative_axis_outside_halfspace_union(self, corpus):

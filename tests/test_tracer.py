@@ -1,0 +1,52 @@
+"""The benchmark's tracer (perfbench/tracer.py) still finds what it traces.
+
+It wraps package functions by name and reads batch sizes and tolerances by
+argument position, so a rename or a signature change would silently zero a
+per-layer metric instead of failing.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from mpsckit import cones, solver
+from mpsckit.numeric import Tolerances
+from mpsckit.problem import all_branches, load_problem
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_only_the_tree_walk_targets_are_missing():
+    tracer = load_tracer_module().Tracer()
+    assert sorted(tracer.missing) == ["expr.evaluate", "expr.gradient", "expr.hessian"]
+
+
+def test_argument_positions_the_tracer_reads():
+    def param(fn, pos):
+        return list(inspect.signature(fn).parameters)[pos]
+
+    assert param(solver.project_branch_cloud, 2) == "X0"
+    assert param(solver._alm_batch, 2) == "X0"
+    assert param(cones.sample_tangent_directions, 2) == "tol"
+
+
+def test_traced_rows_are_the_batch_rows(monkeypatch):
+    monkeypatch.setattr(solver, "LHS_STARTS", 2)
+    P = load_problem("vars x1 x2\nmin x1^2 + x2^2\nineq 1 - x1\n", from_path=False)
+    br = all_branches(P)[0]
+    tracer = load_tracer_module().Tracer()
+    with tracer:
+        solver.solve_branch(P, br, np.array([2.0, 1.0]), Tolerances())
+        solver.project_branch(P, br, np.array([0.0, 1.0]), Tolerances())
+    layers = tracer.layers()
+    assert (layers["solver._alm_batch"]["calls"], layers["solver._alm_batch"]["rows"]) == (1, 3)
+    assert layers["solver.project_branch_cloud"]["rows"] == 5
