@@ -45,16 +45,16 @@ def _tolerances(args) -> Tolerances:
         raise ParseError(f"bad option: {err}") from None
 
 
-def _add_common(p, point=True):
+def _add_common(p, tolerances=True):
     p.add_argument("file", help="problem file")
-    if point:
-        p.add_argument("--point", required=True, help="comma-separated decimals")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    for name in ("tau-rank", "tau-act", "tau-feas", "tau-psd", "angular-tol"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                       type=float, default=None)
+    p.add_argument("--point", required=True, help="comma-separated decimals")
+    if tolerances:
+        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        for name in ("tau-rank", "tau-act", "tau-feas", "tau-psd", "angular-tol"):
+            p.add_argument(f"--{name}", dest=name.replace("-", "_"),
+                           type=float, default=None)
     p.add_argument("--json", dest="json_path", default=None,
                    help="also write the JSON report here")
 
@@ -81,7 +81,7 @@ def build_parser():
     p.add_argument("--json", dest="json_path", default=None)
 
     p = sub.add_parser("penalty", help="penalized objective values at a point")
-    _add_common(p)
+    _add_common(p, tolerances=False)
     p.add_argument("--kappa", type=float, action="append", default=[],
                    help="penalty parameter, repeatable")
 
@@ -195,7 +195,6 @@ def cmd_solve(args):
 
 def cmd_penalty(args):
     P = load_problem(args.file)
-    tol = _tolerances(args)
     x = _parse_point(args.point, P.n)
     r = pen.residual(P, x)
     try:

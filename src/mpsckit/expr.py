@@ -302,6 +302,13 @@ _DOMAIN = {"/": ("division by zero", "{} != 0.0"),
            "sqrt": ("sqrt of a negative value", "{} >= 0.0")}
 
 
+def _overflow(out, offsets):
+    """Overflow error of the first column of out with a non-finite value, or None."""
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+    return EvalDomainError("evaluation overflowed to a non-finite value",
+                           offset=offsets[bad[0]]) if bad.size else None
+
+
 def compile_kernel(exprs):
     """Straight-line code for a list of trees: kernel(X) returns their values
     over the rows of X as the columns of an (N, K) array.
@@ -310,20 +317,22 @@ def compile_kernel(exprs):
     to the same operand types (constants as np.full arrays, powers as
     `base ** float(k)`), so the values are the walk's to the bit.  The first
     error is the one a walk of tree after tree meets: a non-finite X, then
-    the domain checks in walk order, each tree's output checked finite before
-    the next tree's code.  A node is computed once per operation and operand
-    names plus the offset of its domain check, so equal subtrees whose checked
+    the domain checks in walk order (a failed one first reports the first
+    non-finite output of the trees already computed), then the outputs' one
+    finiteness check.  A node is computed once per operation and operand
+    names plus its domain check's offset, so equal subtrees whose checked
     nodes sit at other offsets stay apart.
     """
-    code, names = [], {}
+    code, names, offsets = [], {}, []  # offsets of the trees computed so far
 
     def bind(value, check=None):
         """Name of the code `value`; check = (kind, operand, offset) runs first."""
         if (value, check) not in names:
             if check:
                 what, ok = _DOMAIN[check[0]]
-                code.append(f"if not ({ok.format(check[1])}).all(): "
-                            f"raise EvalDomainError({what!r}, offset={check[2]})")
+                code.append(f"if not ({ok.format(check[1])}).all(): raise _overflow("
+                            f"out[:, :{len(offsets)}], offsets) or EvalDomainError("
+                            f"{what!r}, offset={check[2]})")
             names[value, check] = f"t{len(names)}"
             code.append(f"{names[value, check]} = {value}")
         return names[value, check]
@@ -347,17 +356,17 @@ def compile_kernel(exprs):
             return bind(f"np.{e.fn}({a})", (e.fn, a, e.offset) if e.fn in _DOMAIN else None)
         raise TypeError(f"not an Expr: {e!r}")
 
-    for k, e in enumerate(exprs):
-        t = emit(e)
-        code.append(f"if not np.isfinite({t}).all(): raise EvalDomainError("
-                    f"'evaluation overflowed to a non-finite value', offset={e.offset})")
-        code.append(f"out[:, {k}] = {t}")
+    for e in exprs:
+        code.append(f"out[:, {len(offsets)}] = {emit(e)}")
+        offsets.append(e.offset)
     if exprs:
         code.insert(0, "if not np.isfinite(X).all(): "
                        "raise EvalDomainError('evaluation point must be finite')")
+        code.append("if not np.isfinite(out).all(): raise _overflow(out, offsets)")
     src = "\n    ".join(["def kernel(X):", "N = X.shape[0]",
                          f"out = np.empty((N, {len(exprs)}))"] + code + ["return out"])
-    env = {"np": np, "EvalDomainError": EvalDomainError, "inf": np.inf, "nan": np.nan}
+    env = {"np": np, "EvalDomainError": EvalDomainError, "inf": np.inf, "nan": np.nan,
+           "_overflow": _overflow, "offsets": tuple(offsets)}
     exec(compile(src, "<mpsckit kernel>", "exec"), env)
     return env["kernel"]
 

@@ -1,8 +1,8 @@
 """Desk-scale local solving over branch feasible sets.
 
 Every loop descends through _descent_batch, Armijo gradient descent batched
-over rows, with one objective callback that returns the values, or the values
-and the gradient from one evaluation of the loop's items.
+over rows, with one objective callback that evaluates the loop's items once
+per point and makes one Jacobian call per gradient.
 project_branch_cloud projects by quadratic penalty plus a Gauss-Newton polish;
 solve_branch runs an augmented-Lagrangian loop over all starts;
 solve_penalty_descent minimizes f + kappa * residual, then polishes on its
@@ -69,59 +69,63 @@ def lhs_starts(rng, count, center, halfwidth):
 
 @np.errstate(over="ignore", invalid="ignore")  # an infinite trial fails Armijo
 def _descent_batch(objective, Y, iters, t0=1.0, gtol=0.0):
-    """Row-wise gradient descent with Armijo backtracking.
+    """Row-wise gradient descent with Armijo backtracking; returns the final
+    rows and their item values V.
 
-    objective(rows, Z) returns the values at the given rows only, so each row
-    can carry its own anchor/multiplier state; objective(rows, Z, grad=True)
-    returns the values and the gradients from one evaluation.
+    objective(rows, Z) evaluates the loop's items at the given rows only (each
+    row can carry its own anchor/multiplier state) and returns the objective
+    values and V; objective(rows, Z, V, grad=True) reads cached values V (None:
+    evaluate them) and also returns the gradients.  So the items are evaluated
+    at the start, then only at trial points.
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
     rows_all = np.arange(N)
     t = np.full(N, float(t0))
-    stall = 0
+    stall, V = 0, None
     for _ in range(iters):
-        f, g = objective(rows_all, Y, grad=True)
-        gn2 = np.sum(g * g, axis=1)
+        f, V, g = objective(rows_all, Y, V, grad=True)
+        gn2 = (g * g).sum(axis=1)
         live = gn2 > max(gtol * gtol, 1e-26)
-        if not np.any(live):
+        if not live.any():
             break
         trial = Y - t[:, None] * g
-        ft = objective(rows_all, trial)
+        ft, Vt = objective(rows_all, trial)
         need = live & (ft > f - ARMIJO_C * t * gn2)
         for _ in range(30):
-            if not np.any(need):
+            if not need.any():
                 break
-            rows = np.where(need)[0]
+            rows = need.nonzero()[0]
             t[rows] *= 0.5
             trial[rows] = Y[rows] - t[rows, None] * g[rows]
-            ft[rows] = objective(rows, trial[rows])
+            ft[rows], Vt[rows] = objective(rows, trial[rows])
             need[rows] = ft[rows] > f[rows] - ARMIJO_C * t[rows] * gn2[rows]
         accept = live & ~need
-        decrease = float(np.max(np.abs(f[accept] - ft[accept]))) if np.any(accept) else 0.0
+        decrease = float(abs(f[accept] - ft[accept]).max()) if accept.any() else 0.0
+        stall = stall + 1 if decrease <= 1e-14 * (1.0 + float(abs(f).max())) else 0
         Y[accept] = trial[accept]
+        V[accept] = Vt[accept]  # after the last use of f, which may view V
         t[accept] = np.minimum(t[accept] * 2.0, 1e6)
         t[need] = np.maximum(t[need], 1e-18)
-        stall = stall + 1 if decrease <= 1e-14 * (1.0 + float(np.max(np.abs(f)))) else 0
         if stall >= 3:
             break
-    return Y
+    return Y, V
 
 
 # ---------------------------------------------------------------------------
 # branch helpers
 # ---------------------------------------------------------------------------
 
-def _add_gradients(P: MpscProblem, Z, out, items, W, gated=False):
-    """out += W[:, j, None] * (gradient of items[j] over Z), item by item.
+def _gate(items, W):
+    """The items whose weight column has a positive entry, and those columns."""
+    keep = (W > 0.0).any(axis=0)
+    return [it for it, k in zip(items, keep) if k], W[:, keep]
 
-    Gated, an item whose weight column has no positive entry is skipped and
-    its gradient is not computed.
-    """
-    cols = [j for j in range(len(items)) if not gated or np.any(W[:, j] > 0.0)]
-    J = P.jacobian(Z, [items[j] for j in cols])
-    for c, j in enumerate(cols):
-        out += W[:, j, None] * J[:, c]
+
+def _add_gradients(out, J, *weights):
+    """out += w * J[:, c] over the columns c of J, w the c-th weight column."""
+    for c, w in enumerate(w for W in weights for w in W.T):
+        out += w[:, None] * J[:, c]
     return out
 
 
@@ -171,19 +175,20 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
     X0 = np.atleast_2d(np.asarray(X0, float))
     Y = X0.copy()
 
-    def objective(rows, Z, grad=False):  # at the current stage's sigma
-        V = P.values(Z, gs + eqs)
+    def objective(rows, Z, V=None, grad=False):  # at the current stage's sigma
+        V = P.values(Z, gs + eqs) if V is None else V
         gp = np.maximum(V[:, :P.m], 0.0)
         ev = V[:, P.m:]
-        fv = np.sum((Z - X0[rows]) ** 2, axis=1) \
-            + sigma * (np.sum(gp ** 2, axis=1) + np.sum(ev ** 2, axis=1))
+        fv = ((Z - X0[rows]) ** 2).sum(axis=1) \
+            + sigma * ((gp ** 2).sum(axis=1) + (ev ** 2).sum(axis=1))
         if not grad:
-            return fv
-        out = _add_gradients(P, Z, 2.0 * (Z - X0[rows]), gs, 2.0 * sigma * gp, gated=True)
-        return fv, _add_gradients(P, Z, out, eqs, 2.0 * sigma * ev)
+            return fv, V
+        gated, W = _gate(gs, 2.0 * sigma * gp)
+        J = P.jacobian(Z, gated + eqs)
+        return fv, V, _add_gradients(2.0 * (Z - X0[rows]), J, W, 2.0 * sigma * ev)
 
     for sigma in SIGMA_SCHEDULE:
-        Y = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma))
+        Y, _ = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma))
     return _gauss_newton_polish(br, Y, tol)
 
 
@@ -220,31 +225,31 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     X_prev = None
     outer_used = 0
 
-    def objective(rows, Z, grad=False):  # at the current sigma, rho and lam
-        V = P.values(Z, [OBJECTIVE] + eqs + gs)
+    def objective(rows, Z, V=None, grad=False):  # at the current sigma, rho and lam
+        V = P.values(Z, [OBJECTIVE] + eqs + gs) if V is None else V
         fv, ev, gv = V[:, 0], V[:, 1:1 + len(eqs)], V[:, 1 + len(eqs):]
         s = sigma[rows]
         w = np.maximum(0.0, lam[rows] + s[:, None] * gv)
         if ev.size:
-            fv = fv + np.sum(rho[rows] * ev + 0.5 * s[:, None] * ev ** 2, axis=1)
+            fv = fv + (rho[rows] * ev + 0.5 * s[:, None] * ev ** 2).sum(axis=1)
         if gv.size:
-            fv = fv + np.sum(w ** 2 - lam[rows] ** 2, axis=1) / (2.0 * s)
+            fv = fv + (w ** 2 - lam[rows] ** 2).sum(axis=1) / (2.0 * s)
         if not grad:
-            return fv
-        out = P.jacobian(Z, [OBJECTIVE])[:, 0]
-        _add_gradients(P, Z, out, eqs, rho[rows] + s[:, None] * ev)
-        return fv, _add_gradients(P, Z, out, gs, w, gated=True)
+            return fv, V
+        gated, W = _gate(gs, w)
+        J = P.jacobian(Z, [OBJECTIVE] + eqs + gated)
+        return fv, V, _add_gradients(J[:, 0], J[:, 1:], rho[rows] + s[:, None] * ev, W)
 
     for _ in range(MAX_OUTER):
         outer_used += 1
-        X = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT)
-        V = P.values(X, eqs + gs)
+        X, V = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT)
+        V = V[:, 1:]  # eqs + gs at X
         res = br.residual_of(V)
         rho = rho + sigma[:, None] * V[:, :len(eqs)]
         lam = np.maximum(0.0, lam + sigma[:, None] * V[:, len(eqs):])
 
-        kkt_vec = _add_gradients(P, X, P.jacobian(X, [OBJECTIVE])[:, 0], eqs + gs,
-                                 np.hstack([rho, lam]))
+        J = P.jacobian(X, [OBJECTIVE] + eqs + gs)
+        kkt_vec = _add_gradients(J[:, 0], J[:, 1:], rho, lam)
         kkt = np.linalg.norm(kkt_vec, axis=1)
         moved = np.linalg.norm(X - X_prev, axis=1) if X_prev is not None \
             else np.full(N, np.inf)
@@ -315,34 +320,36 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     piece; exact ties take the G side.
     """
     x = np.atleast_2d(np.asarray(x0, float)).copy()
-    kappa = KAPPA0
-    kappas = []
+    kappa, kappas = KAPPA0, []
+    gs, hs = [("g", i) for i in range(P.m)], [("h", j) for j in range(P.p)]
+    pairs = [it for k in range(P.l) for it in (("G", k), ("H", k))]
+    ends = np.cumsum([1, P.m, P.p, P.l, P.l])  # V's columns: f, g, h, G, H
 
-    def objective(rows, Z, grad=False):  # at the current kappa
-        fv = P.values(Z, [OBJECTIVE])[:, 0]  # before the constraints: first error
-        g, h, G, H = P.constraint_values(Z)
-        r = np.sqrt(np.sum(np.maximum(g, 0.0) ** 2, axis=1) + np.sum(h ** 2, axis=1)
-                    + np.sum(np.minimum(G ** 2, H ** 2), axis=1))
-        fv = fv + kappa * r
+    def objective(rows, Z, V=None, grad=False):  # at the current kappa
+        V = P.values(Z, P.items) if V is None else V  # f first: the first error
+        g, h, G, H = (V[:, a:b] for a, b in zip(ends, ends[1:]))
+        r = np.sqrt((np.maximum(g, 0.0) ** 2).sum(axis=1) + (h ** 2).sum(axis=1)
+                    + np.minimum(G ** 2, H ** 2).sum(axis=1))
+        fv = V[:, 0] + kappa * r
         if not grad:
-            return fv
-        out = P.jacobian(Z, [OBJECTIVE])[:, 0]
+            return fv, V
         active = r > 0.0
-        if not np.any(active):
-            return fv, out
-        dr = _add_gradients(P, Z, np.zeros_like(Z), [("g", i) for i in range(P.m)],
-                            np.maximum(g, 0.0), gated=True)
-        _add_gradients(P, Z, dr, [("h", j) for j in range(P.p)], h)
+        if not active.any():
+            return fv, V, P.jacobian(Z, [OBJECTIVE])[:, 0]
+        gated, W = _gate(gs, np.maximum(g, 0.0))
+        J = P.jacobian(Z, [OBJECTIVE] + gated + hs + pairs)
+        out, dGH = J[:, 0], J[:, 1 + len(gated) + P.p:]
+        dr = _add_gradients(np.zeros_like(Z), J[:, 1:], W, h)
         for k in range(P.l):
             use_g = G[:, k] ** 2 <= H[:, k] ** 2  # tie -> G piece
-            dG, dH = P.jacobian(Z, [("G", k), ("H", k)]).transpose(1, 0, 2)
-            dr += np.where(use_g[:, None], G[:, k:k + 1] * dG, H[:, k:k + 1] * dH)
+            dr += np.where(use_g[:, None], G[:, k:k + 1] * dGH[:, 2 * k],
+                           H[:, k:k + 1] * dGH[:, 2 * k + 1])
         safe = np.where(active, r, 1.0)
         out[active] += kappa * (dr[active] / safe[active, None])
-        return fv, out
+        return fv, V, out
 
     while kappa <= KAPPA_MAX:
-        x = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT)
+        x, _ = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT)
         kappas.append(kappa)
         if float(P.residual(x[0])) <= tol.tau_feas * 10:
             break

@@ -296,6 +296,17 @@ class TestOtherCommands:
         jsonschema.validate(rep, report.load_schema())
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--samples", "5"),
+                                        ("--eps", "0.1"), ("--tau-feas", "1"),
+                                        ("--angular-tol", "0.1")])
+def test_penalty_takes_no_tolerance_flags(capsys, flag, value):
+    # the penalized objective reads no tolerance, so the command takes none
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["penalty", str(problem_path("ray2d")), "--point", "0.1,0.2", flag, value])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 # bad option values, each on the command that reads it
 BAD_OPTIONS = [
     ("analyze", "--samples", "0"),

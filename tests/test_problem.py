@@ -380,6 +380,34 @@ class TestCompiledKernel:
         with pytest.raises(EvalDomainError, match=r"overflowed.*\(offset 0\)"):
             P.values([0.0, 1.0], [("g", 2)])  # a constant item is checked too
 
+    def test_domain_error_after_an_overflowed_tree_reports_that_tree(self):
+        # row 1 overflows trees 1 and 2; row 0 then fails tree 3's log check:
+        # the walk stops at tree 1's output check first
+        P = pb.load_problem("vars x1 x2\nmin x1\nineq x2 - 1\nineq exp(x1)\n"
+                            "ineq 2 * exp(x1)\nineq 5 + log(x2)\n", from_path=False)
+        trees = [P.expr("g", i) for i in range(4)]
+        X = np.array([[1.0, 0.0], [1000.0, 1.0]])
+        for first, want in ((0, trees[1].offset), (2, trees[2].offset), (3, 4)):
+            what = "log of a nonpositive value" if first == 3 else "overflowed"
+            err = compiled(trees[first:], X)[1]
+            assert err == tree_walk(trees[first:], X)[1]
+            assert what in err[0] and err[1] == want
+        assert trees[1].offset != trees[2].offset
+
+    @pytest.mark.parametrize("items", [1, 4, 40])
+    def test_two_finiteness_checks_whatever_the_width(self, items, monkeypatch):
+        # one check of the point and one of the outputs, not one per tree
+        sources = []
+
+        def spy(src, *args):
+            sources.append(src)
+            return compile(src, *args)
+        monkeypatch.setattr(ex, "compile", spy, raising=False)
+        trees = [Bin("*", Var(i % 3), Const(float(i))) for i in range(items)]
+        ex.compile_kernel(trees)
+        ex.compile_kernel([ex.diff(e, j) for e in trees for j in range(3)])
+        assert [src.count("isfinite") for src in sources] == [2, 2]
+
     def test_non_finite_point_is_a_domain_error(self, corpus):
         P = corpus["axes2d"]
         for call in (lambda: P.values([np.inf, 0.0], P.items),

@@ -15,10 +15,12 @@ regenerates them, from the root of a checkout, with
 tests/data/snapshots/ holds the other commands' JSON, written the same way
 with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
 origins, `errorbound --json` on a FAILS and a HOLDS instance, and
-`solve --json` for a feasible and a failed solve and for a penalty-mode
-solve (penalty descent, then the augmented-Lagrangian branch polish).
-Bytes are compared, not parsed values, so key order and number formatting
-are pinned too.
+`solve --json` for a feasible and a failed solve, for enumerative solves of
+pinch2d and diagonal2d, and for penalty-mode solves (penalty descent, then
+the augmented-Lagrangian branch polish) from the default start and from all
+ones.  A run that exits 2 writes no JSON; its snapshot is the stderr
+(`<name>.stderr`).  Bytes are compared, not parsed values, so key order and
+number formatting are pinned too.
 """
 
 from pathlib import Path
@@ -40,6 +42,10 @@ def _origin(name):
     return ",".join("0" for _ in CORPUS_POINTS[name])
 
 
+def _ones(name):
+    return ",".join("1" for _ in CORPUS_POINTS[name])
+
+
 # snapshot name -> (expected exit code, CLI arguments before --json)
 SNAPSHOTS = {
     **{f"cones_{name}": (0, ["cones", str(problem_path(name)), "--point", _origin(name)])
@@ -50,14 +56,20 @@ SNAPSHOTS = {
     "solve_axes2d": (0, ["solve", str(problem_path("axes2d"))]),
     "solve_axes2d_penalty": (0, ["solve", str(problem_path("axes2d")), "--mode", "penalty"]),
     "solve_nobranch": (1, ["solve", NO_BRANCH]),
+    **{f"solve_{name}": (0, ["solve", str(problem_path(name))])
+       for name in ("pinch2d", "diagonal2d")},
+    **{f"solve_{name}_penalty_ones": (code, ["solve", str(problem_path(name)), "--mode",
+                                             "penalty", "--from", _ones(name)])
+       for name, code in (("wedge3d", 1), ("tilted_sheet3d", 1), ("pinch2d", 2))},
 }
 
 
 def _json_bytes(argv, tmp_path, capsys):
+    """Exit code and the --json file, or the stderr of a run that wrote none."""
     jpath = tmp_path / "out.json"
     code = cli.main(argv + ["--json", str(jpath)])
-    capsys.readouterr()
-    return code, jpath.read_bytes()
+    err = capsys.readouterr().err
+    return code, jpath.read_bytes() if jpath.exists() else err.encode()
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_POINTS))
@@ -73,4 +85,4 @@ def test_command_json_matches_snapshot(name, tmp_path, capsys):
     want_code, argv = SNAPSHOTS[name]
     code, got = _json_bytes(argv, tmp_path, capsys)
     assert code == want_code
-    assert got == (SNAPSHOT_DIR / f"{name}.json").read_bytes()
+    assert got == (SNAPSHOT_DIR / f"{name}.{'stderr' if code == 2 else 'json'}").read_bytes()

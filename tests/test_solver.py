@@ -1,10 +1,14 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mpsckit import solver
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import (Bipartition, all_branches, branch, index_sets,
-                             load_problem)
+from mpsckit.problem import (Bipartition, MpscProblem, all_branches, branch,
+                             index_sets, load_problem)
 from mpsckit.report import annotate_stationarity
 
 TOL = Tolerances()
@@ -22,22 +26,82 @@ class TestDescentBatch:
         A = np.array([1.0, 10.0])  # f(z) = 0.5 * sum(A * z^2) per row
         calls = []
 
-        def objective(rows, Z, grad=False):
-            calls.append((grad, rows.copy(), Z.copy()))
-            f = 0.5 * np.sum(A * Z ** 2, axis=1)
-            return (f, A * Z) if grad else f
+        def objective(rows, Z, V=None, grad=False):
+            calls.append((grad, V is None, rows.copy(), Z.copy()))
+            V = Z.copy() if V is None else V  # the "item values" are the point
+            f = 0.5 * np.sum(A * V ** 2, axis=1)
+            return (f, V, A * Z) if grad else (f, V)
 
         Y0 = np.array([[1.0, 1.0], [-2.0, 0.5], [0.3, -0.7]])
-        Y = solver._descent_batch(objective, Y0, 5)
-        assert [grad for grad, _, _ in calls].count(True) == 5
+        Y, V = solver._descent_batch(objective, Y0, 5)
+        assert [grad for grad, _, _, _ in calls].count(True) == 5
         assert calls[0][0]
-        for grad, rows, Z in calls:
+        evaluated = []
+        for grad, fresh, rows, Z in calls:
             if grad:
                 assert np.array_equal(rows, np.arange(3))
+                assert fresh == (not evaluated)  # cached values after the start
                 iterate = Z
             else:  # a trial point: never the iterate whose gradient was asked
-                assert np.all(np.any(Z != iterate[rows], axis=1))
+                assert fresh and np.all(np.any(Z != iterate[rows], axis=1))
+            if fresh:
+                evaluated += [(r, z.tobytes()) for r, z in zip(rows, Z)]
+        assert len(evaluated) == len(set(evaluated))  # no point evaluated twice
+        assert np.array_equal(V, Y)  # the returned values are the final rows'
         assert np.all(np.sum(A * Y ** 2, axis=1) < np.sum(A * Y0 ** 2, axis=1))
+
+    def test_one_jacobian_call_per_iteration_on_ray2d(self, corpus, monkeypatch):
+        # in a real branch solve every gradient is one "j" kernel call and no
+        # "v" call after a descent's first, and each iterate's values come
+        # from one evaluation (at the start or as the accepted trial); only a
+        # row whose backtracking failed retries its last rejected trial point
+        kinds, descents = [], []
+        evaluate, descent = MpscProblem._evaluate, solver._descent_batch
+
+        def counted_evaluate(self, kind, items, x):
+            kinds.append(kind)
+            return evaluate(self, kind, items, x)
+
+        def counted_descent(objective, Y, *args, **kw):
+            gradients, iterates, evaluated = [], [], []
+
+            def counted(rows, Z, V=None, grad=False):
+                start = len(kinds)
+                out = objective(rows, Z, V, grad)
+                points = [(r, z.tobytes()) for r, z in zip(rows, Z)]
+                if grad:
+                    gradients.append(kinds[start:])
+                    iterates.extend(points)
+                if V is None:
+                    evaluated.extend(points)
+                return out
+            out = descent(counted, Y, *args, **kw)
+            descents.append((gradients, iterates, evaluated))
+            return out
+
+        monkeypatch.setattr(MpscProblem, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(solver, "_descent_batch", counted_descent)
+        P = corpus["ray2d"]
+        sol = solver.solve_branch(P, all_branches(P)[1], np.array([0.4, 0.3]), TOL)
+        assert sol.status == "feasible" and len(descents) == sol.iterations
+        for gradients, iterates, evaluated in descents:
+            assert gradients[0] == ["v", "j"]
+            assert all(calls == ["j"] for calls in gradients[1:])
+            times = Counter(evaluated)
+            assert all(times[point] == 1 for point in iterates)
+
+def test_descent_loops_use_ndarray_reductions():
+    # the descent and its three objective closures reduce with ndarray
+    # methods, not numpy's module-level wrappers
+    tree = ast.parse(Path(solver.__file__).read_text())
+    loops = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and fn.name in ("_descent_batch", "objective")]
+    assert len(loops) == 4
+    wrapped = [(fn.name, node.lineno) for fn in loops for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+               and node.func.attr in ("sum", "any", "all", "max", "min")]
+    assert wrapped == []
 
 
 class TestProjectBranch:
