@@ -61,11 +61,10 @@ class ConePiece:
 
     @property
     def dim(self):
-        return (self.A_eq if self.A_eq.size else self.A_le).shape[1]
+        return self.A_eq.shape[1]
 
     def polyhedron(self):
-        return Polyhedron.make(self.dim, A_eq=self.A_eq if self.A_eq.size else None,
-                               A_le=self.A_le if self.A_le.size else None)
+        return Polyhedron.make(self.dim, A_eq=self.A_eq, A_le=self.A_le)
 
     def violation(self, d):
         """Worst normalized constraint violation of a direction."""

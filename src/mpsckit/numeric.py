@@ -1,9 +1,10 @@
 """Dense small-scale numeric kernels.
 
 Rank and nullspace are SVD-based with a relative cutoff.  The LP solver is a
-deterministic two-phase dense simplex with Bland's rule; generator
-enumeration is exhaustive over active-set bases.  Everything here is sized
-for desk-scale inputs (tens of rows, not thousands).
+deterministic two-phase dense simplex with Bland's rule over the standard
+form A z = b, z >= 0; generator enumeration is exhaustive over active-set
+bases and decides emptiness by that search, with no LP.  Everything here is
+sized for desk-scale inputs (tens of rows, not thousands).
 """
 
 from __future__ import annotations
@@ -69,9 +70,11 @@ class Polyhedron:
     def make(dim, A_eq=None, b_eq=None, A_le=None, b_le=None) -> "Polyhedron":
         A_eq = np.zeros((0, dim)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
         A_le = np.zeros((0, dim)) if A_le is None else np.atleast_2d(np.asarray(A_le, float))
-        if A_eq.size == 0:
+        # an empty matrix of another width has no rows; one of width dim
+        # keeps its rows, which in dimension 0 still carry right-hand sides
+        if A_eq.size == 0 and A_eq.shape[1] != dim:
             A_eq = A_eq.reshape(0, dim)
-        if A_le.size == 0:
+        if A_le.size == 0 and A_le.shape[1] != dim:
             A_le = A_le.reshape(0, dim)
         b_eq = np.zeros(A_eq.shape[0]) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
         b_le = np.zeros(A_le.shape[0]) if b_le is None else np.atleast_1d(np.asarray(b_le, float))
@@ -82,8 +85,8 @@ class Polyhedron:
     def contains(self, x, tol: float) -> bool:
         x = np.asarray(x, float)
         scale = 1.0 + float(np.linalg.norm(x))
-        ok_eq = self.A_eq.size == 0 or np.max(np.abs(self.A_eq @ x - self.b_eq)) <= tol * scale
-        ok_le = self.A_le.size == 0 or np.max(self.A_le @ x - self.b_le) <= tol * scale
+        ok_eq = np.all(np.abs(self.A_eq @ x - self.b_eq) <= tol * scale)
+        ok_le = np.all(self.A_le @ x - self.b_le <= tol * scale)
         return bool(ok_eq and ok_le)
 
 
@@ -254,34 +257,27 @@ def _simplex_core(T, basis, n_total, tol):
         f"simplex did not terminate within {MAX_SIMPLEX_PIVOTS} pivots")
 
 
-def _standard_form(c, P: Polyhedron):
-    """Split free vars, add slacks: min c~ z s.t. A z = b, z >= 0."""
-    n = P.dim
-    m_le = P.A_le.shape[0]
-    A = np.hstack([
-        np.vstack([P.A_eq, P.A_le]),
-        -np.vstack([P.A_eq, P.A_le]),
-        np.vstack([np.zeros((P.A_eq.shape[0], m_le)), np.eye(m_le)]),
-    ])
-    b = np.concatenate([P.b_eq, P.b_le])
-    cc = np.concatenate([c, -c, np.zeros(m_le)])
-    return A, b, cc
+def _basic_solution(T, basis, nt):
+    z = np.zeros(nt)
+    for i, var in enumerate(basis):
+        if var < nt:
+            z[var] = T[i, -1]
+    return z
 
 
-def lp_solve(c, P: Polyhedron, sense: str = "min") -> LpResult:
-    """Solve min/max c.x over P, or decide feasibility (sense="feasibility").
+def lp_solve(c, A, b) -> LpResult:
+    """Minimize c.z subject to A z = b, z >= 0; c None decides feasibility by
+    phase 1 alone.
 
-    Returns a basic solution when the problem is bounded.  Feasibility is
-    decided by phase 1 alone.
+    Returns a basic solution when the problem is bounded (the phase-1 one
+    when c is None, with no value).
     """
-    c = np.zeros(P.dim) if sense == "feasibility" else np.asarray(c, float)
-    if c.shape != (P.dim,):
-        raise ValueError("objective dimension mismatch")
-    if sense == "max":
-        c = -c
-    tol = 1e-9
-    A, b, cc = _standard_form(c, P)
+    A = np.array(A, float)
+    b = np.array(b, float)
     m, nt = A.shape
+    if b.shape != (m,) or (c is not None and np.shape(c) != (nt,)):
+        raise ValueError("LP dimension mismatch")
+    tol = 1e-9
     neg = b < 0
     A[neg] *= -1.0
     b = np.abs(b)
@@ -300,6 +296,8 @@ def lp_solve(c, P: Polyhedron, sense: str = "min") -> LpResult:
     _simplex_core(T, basis, nt + m, tol)
     if -T[-1, -1] > 1e-8:
         return LpResult("infeasible")
+    if c is None:
+        return LpResult("optimal", x=_basic_solution(T, basis, nt))
     # drive remaining artificials out of the basis
     for i in range(m):
         if basis[i] >= nt:
@@ -313,22 +311,14 @@ def lp_solve(c, P: Polyhedron, sense: str = "min") -> LpResult:
     T2 = np.zeros((m + 1, nt + 1))
     T2[:m, :nt] = T[:m, :nt]
     T2[:m, -1] = T[:m, -1]
-    T2[-1, :nt] = cc
+    T2[-1, :nt] = c
     for i in range(m):
         if basis[i] < nt:
             T2[-1] -= T2[-1, basis[i]] * T2[i]
-    status = _simplex_core(T2, basis, nt, tol)
-    if status == "unbounded":
+    if _simplex_core(T2, basis, nt, tol) == "unbounded":
         return LpResult("unbounded")
-    z = np.zeros(nt)
-    for i in range(m):
-        if basis[i] < nt:
-            z[basis[i]] = T2[i, -1]
-    x = z[:P.dim] - z[P.dim:2 * P.dim]
-    value = float(np.dot(c, x))
-    if sense == "max":
-        value = -value
-    return LpResult("optimal", x=x, value=value)
+    z = _basic_solution(T2, basis, nt)
+    return LpResult("optimal", x=z, value=float(np.dot(c, z)))
 
 
 def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
@@ -336,7 +326,8 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
 
     Each free coordinate is split into the difference of two nonnegative
     parts: the system runs over the columns [B | -B_free] with every
-    coordinate >= 0, in that order, and answers are mapped back to signed z.
+    coordinate >= 0, in that order, and answers are mapped back to signed z;
+    lp_solve takes this standard form as it is.
     mode "feasible": whether some z exists; "l1": the z of least l1 norm, or
     None; "residual": min ||B z - rhs||_1, through slack columns [I | -I]
     appended after the split; "rays": the signed vertices of
@@ -362,18 +353,18 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
     if nc == 0:
         ok = mode != "rays" and np.linalg.norm(rhs) <= 1e-9
         return {"feasible": ok, "l1": np.zeros(0) if ok else None, "rays": []}[mode]
-    pol = Polyhedron.make(nc, A_eq=A, b_eq=rhs, A_le=-np.eye(nc), b_le=np.zeros(nc))
     if mode == "feasible":
-        return lp_solve(None, pol, sense="feasibility").status == "optimal"
+        return lp_solve(None, A, rhs).status == "optimal"
     if mode == "rays":
+        pol = Polyhedron.make(nc, A_eq=A, b_eq=rhs, A_le=-np.eye(nc), b_le=np.zeros(nc))
         try:
             return [signed(v) for v in enumerate_generators(pol, tol).vertices]
         except ValueError:  # infeasible: no nonzero combination at all
             return []
     if mode == "residual":
         c = np.concatenate([np.zeros(nc - 2 * n), np.ones(2 * n)])
-        return float(lp_solve(c, pol, sense="min").value)
-    res = lp_solve(np.ones(nc), pol, sense="min")
+        return lp_solve(c, A, rhs).value
+    res = lp_solve(np.ones(nc), A, rhs)
     return signed(res.x) if res.status == "optimal" else None
 
 
@@ -453,31 +444,27 @@ def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
 
     For a polyhedron with nontrivial lineality the enumeration runs in the
     quotient space and the reported "vertices" are minimal-face points.
+    Emptiness is decided without an LP: a nonempty pointed polyhedron has a
+    vertex, so a vertex search that finds none means an empty one; with no
+    quotient left, the origin decides.  So every result has a vertex.
     Raises SizeCapError beyond the desk-scale caps and ValueError("infeasible")
     for an empty polyhedron.
     """
     _check_caps(P)
-    if lp_solve(None, P, sense="feasibility").status == "infeasible":
-        raise ValueError("infeasible polyhedron")
     n = P.dim
-    if n == 0:
-        return Generators([np.zeros(0)], [], [])
-
     stacked = np.vstack([P.A_eq, P.A_le])
     L = nullspace(stacked, tol) if stacked.size else np.eye(n)
-    if L.shape[1] == 0:
-        verts, rays = _enumerate_pointed(P, tol)
-        return Generators(verts, rays, [])
-
-    # quotient out the lineality space: x = Q z + L w
     Q = nullspace(L.T, tol)  # orthonormal complement, shape (n, n - dim L)
-    if Q.shape[1] == 0:
-        return Generators([np.zeros(n)], [], [L[:, j] for j in range(L.shape[1])])
-    Pq = Polyhedron.make(Q.shape[1], A_eq=P.A_eq @ Q, b_eq=P.b_eq,
-                         A_le=P.A_le @ Q, b_le=P.b_le)
-    verts_q, rays_q = _enumerate_pointed(Pq, tol)
-    return Generators(
-        [Q @ v for v in verts_q],
-        [Q @ r for r in rays_q],
-        [L[:, j] for j in range(L.shape[1])],
-    )
+    if Q.shape[1] == 0:  # no row is left to bound the origin's face
+        verts = [np.zeros(n)] if P.contains(np.zeros(n), tol.tau_feas) else []
+        rays = []
+    elif L.shape[1] == 0:
+        verts, rays = _enumerate_pointed(P, tol)
+    else:  # quotient out the lineality space: x = Q z + L w
+        Pq = Polyhedron.make(Q.shape[1], A_eq=P.A_eq @ Q, b_eq=P.b_eq,
+                             A_le=P.A_le @ Q, b_le=P.b_le)
+        verts, rays = _enumerate_pointed(Pq, tol)
+        verts, rays = [Q @ v for v in verts], [Q @ r for r in rays]
+    if not verts:
+        raise ValueError("infeasible polyhedron")
+    return Generators(verts, rays, [L[:, j] for j in range(L.shape[1])])

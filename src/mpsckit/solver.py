@@ -68,7 +68,7 @@ def lhs_starts(rng, count, center, halfwidth):
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # an infinite trial fails Armijo
-def _descent_batch(objective, Y, iters, t0=1.0, gtol=0.0):
+def _descent_batch(objective, Y, iters, t0=1.0, gtol=0.0, V=None):
     """Row-wise gradient descent with Armijo backtracking; returns the final
     rows and their item values V.
 
@@ -76,13 +76,14 @@ def _descent_batch(objective, Y, iters, t0=1.0, gtol=0.0):
     row can carry its own anchor/multiplier state) and returns the objective
     values and V; objective(rows, Z, V, grad=True) reads cached values V (None:
     evaluate them) and also returns the gradients.  So the items are evaluated
-    at the start, then only at trial points.
+    at the start, unless the caller passes their values V at Y, then only at
+    trial points.
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
     rows_all = np.arange(N)
     t = np.full(N, float(t0))
-    stall, V = 0, None
+    stall = 0
     for _ in range(iters):
         f, V, g = objective(rows_all, Y, V, grad=True)
         gn2 = (g * g).sum(axis=1)
@@ -187,8 +188,9 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
         J = P.jacobian(Z, gated + eqs)
         return fv, V, _add_gradients(2.0 * (Z - X0[rows]), J, W, 2.0 * sigma * ev)
 
+    V = None  # items at Y, independent of sigma: each stage starts from the last's
     for sigma in SIGMA_SCHEDULE:
-        Y, _ = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma))
+        Y, V = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma), V=V)
     return _gauss_newton_polish(br, Y, tol)
 
 
@@ -222,7 +224,7 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     sigma = np.full(N, 10.0)
     prev_res = np.full(N, np.inf)
     kkt = np.full(N, np.inf)
-    X_prev = None
+    X_prev = V = None
     outer_used = 0
 
     def objective(rows, Z, V=None, grad=False):  # at the current sigma, rho and lam
@@ -242,11 +244,11 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
 
     for _ in range(MAX_OUTER):
         outer_used += 1
-        X, V = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT)
-        V = V[:, 1:]  # eqs + gs at X
-        res = br.residual_of(V)
-        rho = rho + sigma[:, None] * V[:, :len(eqs)]
-        lam = np.maximum(0.0, lam + sigma[:, None] * V[:, len(eqs):])
+        # the items at X do not depend on sigma, rho or lam: the next descent reuses V
+        X, V = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT, V=V)
+        res = br.residual_of(V[:, 1:])  # eqs + gs at X
+        rho = rho + sigma[:, None] * V[:, 1:1 + len(eqs)]
+        lam = np.maximum(0.0, lam + sigma[:, None] * V[:, 1 + len(eqs):])
 
         J = P.jacobian(X, [OBJECTIVE] + eqs + gs)
         kkt_vec = _add_gradients(J[:, 0], J[:, 1:], rho, lam)
@@ -320,7 +322,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     piece; exact ties take the G side.
     """
     x = np.atleast_2d(np.asarray(x0, float)).copy()
-    kappa, kappas = KAPPA0, []
+    kappa, kappas, V = KAPPA0, [], None
     gs, hs = [("g", i) for i in range(P.m)], [("h", j) for j in range(P.p)]
     pairs = [it for k in range(P.l) for it in (("G", k), ("H", k))]
     ends = np.cumsum([1, P.m, P.p, P.l, P.l])  # V's columns: f, g, h, G, H
@@ -349,7 +351,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
         return fv, V, out
 
     while kappa <= KAPPA_MAX:
-        x, _ = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT)
+        x, V = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT, V=V)
         kappas.append(kappa)
         if float(P.residual(x[0])) <= tol.tau_feas * 10:
             break

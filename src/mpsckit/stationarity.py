@@ -166,14 +166,12 @@ def s_multiplier_polyhedron(ctx: PointContext):
     B, labels = ctx.rows(items).T, multiplier_labels(items)
     rhs = -ctx.grad("f")
     ncols = len(labels)
-    lam_rows = np.array([[-1.0 if c == r else 0.0 for c in range(ncols)]
-                         for r, (kind, _) in enumerate(labels) if kind == "lam"])
-    pol = Polyhedron.make(ncols, A_eq=B if B.size else None,
-                          b_eq=rhs if B.size else None,
-                          A_le=lam_rows if lam_rows.size else None,
-                          b_le=np.zeros(lam_rows.shape[0]) if lam_rows.size else None)
     if ncols == 0 and np.linalg.norm(rhs) > 1e-9:
         raise NotSStationaryError("point is not S-stationary")
+    lam = [c for c, (kind, _) in enumerate(labels) if kind == "lam"]
+    lam_rows = np.zeros((len(lam), ncols))
+    lam_rows[range(len(lam)), lam] = -1.0
+    pol = Polyhedron.make(ncols, A_eq=B, b_eq=rhs, A_le=lam_rows)
     try:
         gen = enumerate_generators(pol, ctx.tol)
     except ValueError as err:

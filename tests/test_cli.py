@@ -122,7 +122,8 @@ class TestAnalyze:
 
     def test_simplex_cap_is_reported_not_raised(self, capsys, monkeypatch, tmp_path):
         # every LP of the CLI runs inside a component that records MpscErrors:
-        # analyze lists them and exits 1, cones marks the pieces
+        # analyze lists them and exits 1; cones runs no LP, and marks the
+        # pieces whose enumeration hits a cap
         monkeypatch.setattr(numeric, "MAX_SIMPLEX_PIVOTS", 0)
         jpath = tmp_path / "report.json"
         code, _, err = run_cli(capsys, "analyze", str(problem_path("axes2d")),
@@ -134,7 +135,13 @@ class TestAnalyze:
                              "--point", "0,0", "--json", str(jpath))
         assert code == 0
         pieces = json.loads(jpath.read_text())["linearization"]["pieces"]
-        assert all("simplex did not terminate" in p["error"] for p in pieces)
+        assert pieces and all("error" not in p and p["vertices"] for p in pieces)
+        monkeypatch.setattr(numeric, "_MAX_BASES", 0)
+        code, _, _ = run_cli(capsys, "cones", str(problem_path("axes2d")),
+                             "--point", "0,0", "--json", str(jpath))
+        assert code == 0
+        pieces = json.loads(jpath.read_text())["linearization"]["pieces"]
+        assert all("too many candidate active sets" in p["error"] for p in pieces)
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "nonexistent.mpsc",

@@ -100,69 +100,37 @@ class TestEig:
 
 
 class TestLpSolve:
+    """lp_solve's standard form: min c.z subject to A z = b, z >= 0."""
+
     def test_single_multiplier_feasible(self):
         # lambda >= 0 with -lambda + 1 = 0
-        P = Polyhedron.make(1, A_eq=[[-1.0]], b_eq=[-1.0], A_le=[[-1.0]], b_le=[0.0])
-        res = numeric.lp_solve(None, P, sense="feasibility")
+        res = numeric.lp_solve(None, [[-1.0]], [-1.0])
         assert res.status == "optimal"
         assert np.allclose(res.x, [1.0])
 
     def test_inconsistent_system_infeasible(self):
         # lambda >= 0 with 1 - lambda = 0 and -3 + lambda = 0
-        P = Polyhedron.make(1, A_eq=[[-1.0], [1.0]], b_eq=[-1.0, 3.0],
-                            A_le=[[-1.0]], b_le=[0.0])
-        assert numeric.lp_solve(None, P, sense="feasibility").status == "infeasible"
+        assert numeric.lp_solve(None, [[-1.0], [1.0]], [-1.0, 3.0]).status == "infeasible"
 
     def test_min_on_simplex(self):
-        P = Polyhedron.make(2, A_eq=[[1.0, 1.0]], b_eq=[1.0],
-                            A_le=[[-1.0, 0.0], [0.0, -1.0]], b_le=[0.0, 0.0])
-        res = numeric.lp_solve([1.0, 0.0], P, sense="min")
+        res = numeric.lp_solve([1.0, 0.0], [[1.0, 1.0]], [1.0])
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(res.x, [0.0, 1.0], atol=1e-9)
 
     def test_unbounded(self):
-        P = Polyhedron.make(1, A_le=[[-1.0]], b_le=[0.0])
-        assert numeric.lp_solve([-1.0], P, sense="min").status == "unbounded"
-
-    def test_max_sense(self):
-        P = Polyhedron.make(1, A_le=[[1.0], [-1.0]], b_le=[2.0, 0.0])
-        res = numeric.lp_solve([1.0], P, sense="max")
-        assert res.value == pytest.approx(2.0, abs=1e-9)
-
-    def _random_polyhedron(self, rng, n):
-        m = int(rng.integers(1, 5))
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m)
-        q = int(rng.integers(0, 2))
-        Aeq = rng.normal(size=(q, n))
-        beq = rng.normal(size=q)
-        return Polyhedron.make(n, A_eq=Aeq if q else None, b_eq=beq if q else None,
-                               A_le=A, b_le=b)
-
-    def test_feasibility_vs_rejection_sampling(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            P = self._random_polyhedron(rng, n)
-            res = numeric.lp_solve(None, P, sense="feasibility")
-            X = rng.uniform(-5, 5, size=(100_000, n))
-            ok = np.ones(len(X), dtype=bool)
-            if P.A_le.size:
-                ok &= np.all(X @ P.A_le.T <= P.b_le + 1e-9, axis=1)
-            if P.A_eq.size:
-                ok &= np.all(np.abs(X @ P.A_eq.T - P.b_eq) <= 1e-9, axis=1)
-            if res.status == "infeasible":
-                assert not np.any(ok)
+        # z1 = z2 leaves the ray (1, 1) along which -z1 decreases
+        assert numeric.lp_solve([-1.0, 0.0], [[1.0, -1.0]], [0.0]).status == "unbounded"
 
     def test_against_scipy_linprog(self):
         rng = np.random.default_rng(7)
-        for _ in range(40):
-            n = int(rng.integers(1, 4))
-            P = self._random_polyhedron(rng, n)
-            c = rng.normal(size=n)
-            mine = numeric.lp_solve(c, P, sense="min")
-            ref = scipy_linprog(c, P)
+        seen = set()
+        for _ in range(60):
+            m, nt = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            A, b, c = rng.normal(size=(m, nt)), rng.normal(size=m), rng.normal(size=nt)
+            mine = numeric.lp_solve(c, A, b)
+            ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+            seen.add(mine.status)
             if ref.status == 2:
                 assert mine.status == "infeasible"
             elif ref.status == 3:
@@ -170,20 +138,40 @@ class TestLpSolve:
             else:
                 assert mine.status == "optimal"
                 assert mine.value == pytest.approx(ref.fun, abs=1e-6)
+                assert np.all(mine.x >= 0.0) and np.allclose(A @ mine.x, b, atol=1e-7)
+        assert seen == {"optimal", "infeasible", "unbounded"}
 
     def test_phase1_stop_on_feasible_cone_pieces(self, capsys):
         # every piece has a zero right-hand side, so the origin is feasible;
-        # phase 1 of one linearization piece stops "unbounded" at objective 0
+        # phase 1 on one linearization piece's split form [A, -A] (plus a
+        # slack per inequality row) stops "unbounded" at objective 0
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
         assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
         capsys.readouterr()
         ctx = PointContext(load_problem(str(path)), np.zeros(8), TOL)
         for cone in (cones.linearization_cone(ctx), cones.critical_cone(ctx)):
             for piece in cone.pieces:
-                poly = piece.polyhedron()
-                mine = numeric.lp_solve(None, poly, sense="feasibility")
-                ref = scipy_linprog(np.zeros(poly.dim), poly)
+                rows, m_le = np.vstack([piece.A_eq, piece.A_le]), piece.A_le.shape[0]
+                slack = np.vstack([np.zeros((piece.A_eq.shape[0], m_le)), np.eye(m_le)])
+                A = np.hstack([rows, -rows, slack])
+                mine = numeric.lp_solve(None, A, np.zeros(A.shape[0]))
+                ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=np.zeros(A.shape[0]),
+                              bounds=(0, None), method="highs")
                 assert (mine.status == "infeasible") == (ref.status == 2)
+
+    def test_combination_lp_is_the_only_caller(self):
+        # the multiplier systems reach the simplex through combination_lp alone
+        src = Path(numeric.__file__).parent
+        callers = sorted(
+            f"{path.stem}.{fn.name}"
+            for path in src.glob("*.py")
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) == "lp_solve"
+                         or getattr(node.func, "attr", None) == "lp_solve")
+                    for node in ast.walk(fn)))
+        assert callers == ["numeric.combination_lp"]
 
 
 class TestCombinationLp:
@@ -291,6 +279,92 @@ class TestEnumerateGenerators:
         P = Polyhedron.make(13)
         with pytest.raises(SizeCapError):
             numeric.enumerate_generators(P, TOL)
+
+    def test_dimension_zero_keeps_its_rows(self):
+        # a zero-width equality row still carries its right-hand side
+        P = Polyhedron.make(0, A_eq=np.zeros((1, 0)), b_eq=[1.0])
+        assert P.A_eq.shape == (1, 0) and not P.contains(np.zeros(0), TOL.tau_feas)
+        with pytest.raises(ValueError, match="infeasible"):
+            numeric.enumerate_generators(P, TOL)
+        P = Polyhedron.make(0, A_eq=np.zeros((2, 0)), b_eq=[0.0, 0.0],
+                            A_le=np.zeros((1, 0)), b_le=[1.0])
+        assert (P.A_eq.shape, P.A_le.shape) == ((2, 0), (1, 0))
+        gen = numeric.enumerate_generators(P, TOL)
+        assert [v.shape for v in gen.vertices] == [(0,)]
+        assert Polyhedron.make(2, A_eq=[], A_le=np.zeros((0, 5))).A_le.shape == (0, 2)
+
+    def _random_polyhedron(self, rng, n):
+        m = int(rng.integers(1, 5))
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m)
+        q = int(rng.integers(0, 2))
+        Aeq = rng.normal(size=(q, n))
+        beq = rng.normal(size=q)
+        return Polyhedron.make(n, A_eq=Aeq if q else None, b_eq=beq if q else None,
+                               A_le=A, b_le=b)
+
+    def test_feasibility_vs_rejection_sampling(self):
+        # emptiness comes from the vertex search: a polyhedron is reported
+        # empty only when no sample of the box is feasible
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            n = int(rng.integers(1, 4))
+            P = self._random_polyhedron(rng, n)
+            try:
+                numeric.enumerate_generators(P, TOL)
+                empty = False
+            except ValueError:
+                empty = True
+            X = rng.uniform(-5, 5, size=(100_000, n))
+            ok = np.ones(len(X), dtype=bool)
+            if P.A_le.size:
+                ok &= np.all(X @ P.A_le.T <= P.b_le + 1e-9, axis=1)
+            if P.A_eq.size:
+                ok &= np.all(np.abs(X @ P.A_eq.T - P.b_eq) <= 1e-9, axis=1)
+            if empty:
+                assert not np.any(ok)
+
+    def test_emptiness_against_scipy(self):
+        # cones (never empty), polyhedra with lineality and polyhedra with
+        # conflicting rows, in the pointed, quotient and full-lineality cases
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 5))
+            kind = trial % 3
+            r = int(rng.integers(0, n)) if kind == 1 else n  # row rank
+            q, m = int(rng.integers(0, 3)), int(rng.integers(0, 6))
+            A_eq = rng.normal(size=(q, r)) @ rng.normal(size=(r, n))
+            A_le = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            if kind == 0:
+                b_eq, b_le = np.zeros(q), np.zeros(m)
+            else:
+                x0 = rng.normal(size=n)
+                b_eq = A_eq @ x0 + (rng.normal(size=q) if rng.uniform() < 0.3 else 0.0)
+                b_le = A_le @ x0 + rng.normal(size=m)
+            P = Polyhedron.make(n, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+            ref = scipy_linprog(np.zeros(n), P)
+            try:
+                gen = numeric.enumerate_generators(P, TOL)
+            except ValueError:
+                assert ref.status == 2
+                seen.add("empty")
+                continue
+            assert ref.status == 0 and gen.vertices
+            assert all(P.contains(v, 1e-6) for v in gen.vertices)
+            seen.add("nonempty")
+        assert seen == {"empty", "nonempty"}
+
+    def test_cones_make_no_lp_call(self, capsys, monkeypatch):
+        # cone pieces are decided by the vertex search alone
+        calls = []
+        lp_solve = numeric.lp_solve
+        monkeypatch.setattr(numeric, "lp_solve",
+                            lambda *args: calls.append(args) or lp_solve(*args))
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
+        capsys.readouterr()
+        assert calls == []
 
     def test_vertex_validity_random(self):
         rng = np.random.default_rng(5)
