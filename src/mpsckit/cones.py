@@ -107,15 +107,6 @@ class ConePiece:
 class ConeUnion:
     pieces: list = field(default_factory=list)
 
-    def member(self, d, tol: Tolerances):
-        """Membership with slack tau_feas * (1 + ||d||); returns (bool, piece)."""
-        d = np.asarray(d, float)
-        slack = tol.tau_feas * (1.0 + np.linalg.norm(d))
-        for i, piece in enumerate(self.pieces):
-            if piece.contains(d, slack):
-                return True, i
-        return False, None
-
     def member_angular(self, d, tol: Tolerances):
         """Directional membership: some piece within angular_tol of the unit d."""
         d = np.asarray(d, float)

@@ -3,7 +3,8 @@
 Rank and nullspace are SVD-based with a relative cutoff.  The LP solver is a
 deterministic two-phase dense simplex with Bland's rule over the standard
 form A z = b, z >= 0; generator enumeration is exhaustive over active-set
-bases and decides emptiness by that search, with no LP.  Everything here is
+bases, ranked in batched SVDs, and decides emptiness by that search, with
+no LP; a cone stops at its only vertex, the origin.  Everything here is
 sized for desk-scale inputs (tens of rows, not thousands).
 """
 
@@ -21,6 +22,7 @@ from .errors import NumericBreakdownError, SizeCapError
 MAX_GEN_CONSTRAINTS = 24
 MAX_GEN_DIM = 12
 _MAX_BASES = 200_000
+_BASES_PER_BATCH = 4096  # bounds the memory of one batched SVD
 MAX_SIMPLEX_PIVOTS = 50_000
 
 
@@ -396,8 +398,44 @@ def _check_caps(P: Polyhedron):
             f"({n_con} constraints, dim {P.dim})")
 
 
+def _bases(P: Polyhedron, size):
+    """The candidate bases [A_eq; A_le[S]] and right-hand sides over S in
+    combinations(range(m_le), size), in blocks of shape (N, q, n), (N, q)."""
+    m_eq = P.A_eq.shape[0]
+    M, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
+    combos = itertools.combinations(range(m_eq, m_eq + P.A_le.shape[0]), size)
+    while S := list(itertools.islice(combos, _BASES_PER_BATCH)):
+        S = np.array(S, dtype=int).reshape(len(S), size)
+        rows = np.hstack([np.broadcast_to(np.arange(m_eq), (len(S), m_eq)), S])
+        yield M[rows], b[rows]
+
+
+def _vertex_candidates(P: Polyhedron, size, tol: Tolerances):
+    """Basic solutions of the full-rank candidate bases that lie in P."""
+    for Ms, bs in _bases(P, size):
+        full = rank_tol_batch(Ms, tol) >= P.dim
+        for A, b in zip(Ms[full], bs[full]):
+            x = np.linalg.lstsq(A, b, rcond=None)[0]
+            if np.max(np.abs(A @ x - b)) > 1e-7 * (1.0 + np.linalg.norm(b)):
+                continue
+            if P.contains(x, tol.tau_feas):
+                yield x
+
+
+def _kernel_lines(Ms, tol: Tolerances):
+    """The kernel direction of each basis whose kernel is a line, cut from one
+    batched SVD exactly as nullspace cuts it (no rows: the kernel is eye(n))."""
+    N, q, n = Ms.shape
+    if q == 0:
+        return [np.eye(n)[:, 0]] * N if n == 1 else []
+    _, s, Vt = np.linalg.svd(Ms)
+    r = np.where(s[:, 0] > 0, np.sum(s > tol.tau_rank * s[:, :1], axis=1), 0)
+    return [Vt[i, r[i]] for i in range(N) if r[i] == n - 1]
+
+
 def _enumerate_pointed(P: Polyhedron, tol: Tolerances):
-    """Vertices and extreme rays of a polyhedron whose lineality is trivial."""
+    """Vertices and extreme rays of a polyhedron whose lineality is trivial;
+    a cone (b = 0) stops its vertex search at its only vertex, the origin."""
     n = P.dim
     rank_eq = rank_tol(P.A_eq, tol) if P.A_eq.size else 0
     m_le = P.A_le.shape[0]
@@ -407,16 +445,8 @@ def _enumerate_pointed(P: Polyhedron, tol: Tolerances):
     if k >= 0:
         if math.comb(m_le, min(k, m_le)) > _MAX_BASES:
             raise SizeCapError("too many candidate active sets")
-        for S in itertools.combinations(range(m_le), min(k, m_le)):
-            A = np.vstack([P.A_eq, P.A_le[list(S)]]) if S else np.vstack([P.A_eq, np.zeros((0, n))])
-            b = np.concatenate([P.b_eq, P.b_le[list(S)]])
-            if rank_tol(A, tol) < n:
-                continue
-            x, res, *_ = np.linalg.lstsq(A, b, rcond=None)
-            if A.shape[0] and np.max(np.abs(A @ x - b)) > 1e-7 * (1.0 + np.linalg.norm(b)):
-                continue
-            if P.contains(x, tol.tau_feas):
-                vertices.append(x)
+        found = _vertex_candidates(P, min(k, m_le), tol)
+        vertices = found if P.b_eq.any() or P.b_le.any() else itertools.islice(found, 1)
     vertices = _dedupe_points(vertices)
 
     # recession cone {A_eq d = 0, A_le d <= 0}; extreme rays have n-1
@@ -424,17 +454,11 @@ def _enumerate_pointed(P: Polyhedron, tol: Tolerances):
     rays = []
     target = n - 1 - rank_eq
     if target >= 0 and math.comb(m_le, min(target, m_le)) <= _MAX_BASES:
-        for S in itertools.combinations(range(m_le), min(target, m_le)):
-            A = np.vstack([P.A_eq, P.A_le[list(S)]])
-            if rank_tol(A, tol) != n - 1:
-                continue
-            ker = nullspace(A, tol)
-            if ker.shape[1] != 1:
-                continue
-            d = ker[:, 0]
-            for cand in (d, -d):
-                if P.A_le.size == 0 or np.max(P.A_le @ cand) <= 1e-9:
-                    rays.append(cand / np.linalg.norm(cand))
+        for Ms, _ in _bases(P, min(target, m_le)):
+            for d in _kernel_lines(Ms[rank_tol_batch(Ms, tol) == n - 1], tol):
+                for cand in (d, -d):
+                    if P.A_le.size == 0 or np.max(P.A_le @ cand) <= 1e-9:
+                        rays.append(cand / np.linalg.norm(cand))
     rays = _dedupe_rays(rays)
     return vertices, rays
 

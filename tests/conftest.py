@@ -51,6 +51,13 @@ def kernel_hessian(e, x):
     return _objective_only(e, len(x)).hessian(x, OBJECTIVE)
 
 
+def in_cone_union(cone, d, tol):
+    """Whether some piece of a cone union holds d, with slack tau_feas * (1 + ||d||)."""
+    d = np.asarray(d, float)
+    slack = tol.tau_feas * (1.0 + np.linalg.norm(d))
+    return any(piece.contains(d, slack) for piece in cone.pieces)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load(name) for name in CORPUS_POINTS}

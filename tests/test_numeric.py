@@ -1,11 +1,15 @@
 import ast
 import json
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+
+import basiswalk
 
 from mpsckit import cli, cones, numeric
 from mpsckit.cones import PointContext
@@ -366,6 +370,46 @@ class TestEnumerateGenerators:
         capsys.readouterr()
         assert calls == []
 
+    def test_cones_work_counts(self, capsys, monkeypatch):
+        # the batched searches on cones_wide_1005_5's 128 pieces: per
+        # enumerate_generators call one rank_tol (the equality rows), one
+        # rank_tol_batch per search (the vertex search runs in
+        # _vertex_candidates), one lstsq (a cone's single vertex), and no
+        # nullspace call from the ray search; counted by (callee, caller)
+        per_call, active, lstsq_calls = [], [], []
+
+        def counted(name, f):
+            def wrapped(*args, **kw):
+                if active:
+                    active[-1][name, sys._getframe(1).f_code.co_name] += 1
+                return f(*args, **kw)
+            return wrapped
+
+        def enumerate_generators(*args):
+            per_call.append(Counter())
+            active.append(per_call[-1])
+            try:
+                return numeric.enumerate_generators(*args)
+            finally:
+                active.pop()
+
+        for name in ("rank_tol", "rank_tol_batch", "nullspace"):
+            monkeypatch.setattr(numeric, name, counted(name, getattr(numeric, name)))
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", counted(
+            "lstsq", lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw)))
+        monkeypatch.setattr(cones, "enumerate_generators", enumerate_generators)
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
+        capsys.readouterr()
+        assert len(per_call) == 128 and len(lstsq_calls) == 128
+        assert all(c == per_call[0] for c in per_call)
+        assert per_call[0] == Counter({("rank_tol", "_enumerate_pointed"): 1,
+                                       ("rank_tol_batch", "_vertex_candidates"): 1,
+                                       ("lstsq", "_vertex_candidates"): 1,
+                                       ("rank_tol_batch", "_enumerate_pointed"): 1,
+                                       ("nullspace", "enumerate_generators"): 2})
+
     def test_vertex_validity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -379,6 +423,96 @@ class TestEnumerateGenerators:
                 assert P.contains(v, TOL.tau_feas)
                 act = [A[i] for i in range(m) if abs(A[i] @ v - b[i]) <= 1e-7]
                 assert numeric.rank_tol(np.array(act), TOL) >= n
+
+
+def _generators_bytes(P):
+    """enumerate_generators' result as exact bytes, or its error."""
+    try:
+        gen = numeric.enumerate_generators(P, TOL)
+    except (ValueError, SizeCapError) as e:
+        return type(e).__name__, str(e)
+    return [[(v.shape, v.tobytes()) for v in part]
+            for part in (gen.vertices, gen.rays, gen.lineality)]
+
+
+class TestBatchedSearches:
+    """The batched searches of _enumerate_pointed against the basis walk in
+    tests/basiswalk.py: the same generators in the same order, bit for bit
+    (signed zeros included), or the same error."""
+
+    def assert_same(self, P, monkeypatch):
+        fast = _generators_bytes(P)
+        with monkeypatch.context() as m:
+            m.setattr(numeric, "_enumerate_pointed", basiswalk.enumerate_pointed)
+            walk = _generators_bytes(P)
+        assert fast == walk
+        return fast
+
+    def assert_same_pointed(self, P):
+        fast = numeric._enumerate_pointed(P, TOL)
+        walk = basiswalk.enumerate_pointed(P, TOL)
+        assert [[v.tobytes() for v in part] for part in fast] == \
+               [[v.tobytes() for v in part] for part in walk]
+        return fast
+
+    @pytest.mark.parametrize("block", [numeric._BASES_PER_BATCH, 3])
+    def test_random_cones_and_polyhedra(self, monkeypatch, block):
+        # block 3 splits the searches into many batches of candidate bases
+        monkeypatch.setattr(numeric, "_BASES_PER_BATCH", block)
+        rng = np.random.default_rng(11)
+        seen = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 6))
+            r = int(rng.integers(1, n + 1)) if trial % 4 == 3 else n  # row rank
+            q, m = int(rng.integers(0, 3)), int(rng.integers(0, 8))
+            A_eq = rng.normal(size=(q, r)) @ rng.normal(size=(r, n))
+            A_le = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            cone = trial % 2 == 0
+            b_eq = np.zeros(q) if cone else A_eq @ rng.normal(size=n)
+            b_le = np.zeros(m) if cone else rng.normal(size=m)
+            P = Polyhedron.make(n, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+            out = self.assert_same(P, monkeypatch)
+            if isinstance(out, tuple):
+                seen.add("empty")
+            else:
+                seen.add(("cone" if cone else "polyhedron", "quotient" if out[2] else "pointed"))
+        assert seen == {"empty", ("cone", "pointed"), ("cone", "quotient"),
+                        ("polyhedron", "pointed"), ("polyhedron", "quotient")}
+
+    def test_one_variable_without_equality_rows(self):
+        # the ray search's basis has no rows: its kernel is the whole line
+        for A_le, b_le in (([], []), ([[1.0]], [0.0]), ([[-2.0]], [1.0]),
+                           ([[1.0], [-1.0]], [1.0, 0.0])):
+            P = Polyhedron.make(1, A_le=np.reshape(A_le, (-1, 1)), b_le=b_le)
+            self.assert_same_pointed(P)
+        _, rays = self.assert_same_pointed(Polyhedron.make(1))
+        assert [r.tolist() for r in rays] == [[1.0], [-1.0]]
+
+    def test_size_zero_combinations(self, monkeypatch):
+        # k = n - rank_eq = 0 in the vertex search, no inequality rows in both
+        for P in (Polyhedron.make(2, A_eq=np.eye(2), b_eq=[1.0, -0.0]),
+                  Polyhedron.make(2, A_eq=np.eye(2), b_eq=[1.0, 2.0],
+                                  A_le=[[1.0, 1.0]], b_le=[5.0]),
+                  Polyhedron.make(2, A_eq=[[1.0, -1.0]], b_eq=[0.0]),
+                  Polyhedron.make(3, A_eq=[[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]],
+                                  b_eq=[0.0, 3.0])):
+            self.assert_same_pointed(P)
+            self.assert_same(P, monkeypatch)
+
+    def test_lineality_quotient(self, monkeypatch):
+        # x3 is free in both: the searches run in the quotient of the line
+        for b_le in ([0.0, 0.0], [1.0, -0.5]):
+            P = Polyhedron.make(3, A_le=[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], b_le=b_le)
+            vertices, rays, lineality = self.assert_same(P, monkeypatch)
+            assert len(vertices) == 1 and len(rays) == 2 and len(lineality) == 1
+
+    def test_cones_wide_pieces(self, monkeypatch):
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        ctx = PointContext(load_problem(str(path)), np.zeros(8), TOL)
+        pieces = cones.linearization_cone(ctx).pieces + cones.critical_cone(ctx).pieces
+        assert len(pieces) == 128
+        for piece in pieces:
+            self.assert_same(piece.polyhedron(), monkeypatch)
 
 
 class TestTolerances:
