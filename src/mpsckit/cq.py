@@ -418,9 +418,3 @@ def lattice_closure(verdicts: dict) -> dict:
 CHECKERS = {"LICQ": check_licq, "WCR": check_wcr, "PWCR": check_pwcr,
             "RCRCQ": check_rcrcq, "PCRSC": check_pcrsc, "ACQ": check_acq,
             "PSOQN": check_psoqn}
-
-
-def run_all(ctx: PointContext, with_psoqn=True) -> dict:
-    """Direct checks plus lattice closure; the standard CQ table."""
-    return lattice_closure({name: check(ctx) for name, check in CHECKERS.items()
-                            if with_psoqn or name != "PSOQN"})

@@ -1,11 +1,12 @@
 """Dense small-scale numeric kernels.
 
-Rank and nullspace are SVD-based with a relative cutoff.  The LP solver is a
-deterministic two-phase dense simplex with Bland's rule over the standard
-form A z = b, z >= 0; generator enumeration is exhaustive over active-set
-bases, ranked in batched SVDs, and decides emptiness by that search, with
-no LP; a cone stops at its only vertex, the origin.  Everything here is
-sized for desk-scale inputs (tens of rows, not thousands).
+Rank, nullspace and stacked least squares are SVD-based with a relative
+cutoff.  The LP solver is a deterministic two-phase dense simplex with Bland's
+rule over the standard form A z = b, z >= 0; generator enumeration is
+exhaustive over active-set bases, ranked in batched SVDs, and decides
+emptiness by that search, with no LP; a cone stops at its only vertex, the
+origin.  Everything here is sized for desk-scale inputs (tens of rows, not
+thousands).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import zlib
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # private: the stacked lstsq gufunc
 
 from .errors import NumericBreakdownError, SizeCapError
 
@@ -198,6 +200,22 @@ def nullspace(M, tol: Tolerances) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     r = int(np.sum(s > tol.tau_rank * smax)) if smax > 0 else 0
     return Vt[r:].T.copy()
+
+
+def _lstsq_diverged(err, flag):
+    raise NumericBreakdownError("least-squares SVD did not converge")
+
+
+@np.errstate(all="ignore", invalid="call", call=_lstsq_diverged)
+def lstsq_stack(A, b):
+    """Least-squares solutions of a stack of systems (N, m, n), (N, m) -> (N, n),
+    m >= 1, from one call of the LAPACK gufunc np.linalg.lstsq calls per matrix
+    at its rcond=None cutoff, so each slice is bit for bit that call's solution.
+    Non-finite input, or an SVD that does not converge, raises NumericBreakdownError."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise NumericBreakdownError("least-squares input is not finite")
+    return _umath_linalg.lstsq(A, b[..., None], np.finfo(float).eps * max(A.shape[-2:]),
+                               signature="ddd->ddid")[0][..., 0]
 
 
 def eig_sym(M):

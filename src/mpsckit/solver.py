@@ -3,7 +3,8 @@
 Every loop descends through _descent_batch, Armijo gradient descent batched
 over rows, with one objective callback that evaluates the loop's items once
 per point and makes one Jacobian call per gradient.
-project_branch_cloud projects by quadratic penalty plus a Gauss-Newton polish;
+project_branch_cloud projects by quadratic penalty plus a Gauss-Newton polish
+with one stacked least-squares solve per pattern of used constraints;
 solve_branch runs an augmented-Lagrangian loop over all starts;
 solve_penalty_descent minimizes f + kappa * residual, then polishes on its
 incumbent's branch.  The enumerative solver keeps the best feasible branch
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError
-from .numeric import Tolerances
+from .numeric import Tolerances, lstsq_stack
 from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
                       branch_from_assignment)
 
@@ -135,7 +135,8 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
 
     Values, and gradients where used (every equality, an inequality only where
     violated), are evaluated in batches over the live rows; the least-squares
-    step is solved per row, on the equalities then the violated inequalities.
+    steps on the equalities then the violated inequalities are solved in one
+    stack per pattern of used constraints, and a non-finite step is skipped.
     """
     P = br.problem
     cons = br.equalities() + [("g", i) for i in range(P.m)]
@@ -152,15 +153,17 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
         for j, it in enumerate(cons):
             if np.any(use[:, j]):
                 J[use[:, j], j] = P.jacobian(X[live[use[:, j]]], [it])[:, 0]
-        moved = False
-        for k, idx in enumerate(live):
-            if np.any(use[k]):
-                step, *_ = np.linalg.lstsq(J[k, use[k]], vals[k, use[k]], rcond=None)
-                if np.all(np.isfinite(step)):
-                    X[idx] -= step
-                    moved = True
-        if not moved:
+        step = np.full((live.size, P.n), np.nan)
+        todo = use.any(axis=1)
+        while todo.any():  # one stacked solve per pattern of used constraints
+            pattern = use[todo.argmax()]
+            rows = todo & (use == pattern).all(axis=1)
+            step[rows] = lstsq_stack(J[rows][:, pattern], vals[rows][:, pattern])
+            todo &= ~rows
+        ok = np.isfinite(step).all(axis=1)
+        if not ok.any():
             break
+        X[live[ok]] -= step[ok]
     return X
 
 
@@ -192,21 +195,6 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
     for sigma in SIGMA_SCHEDULE:
         Y, V = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma), V=V)
     return _gauss_newton_polish(br, Y, tol)
-
-
-def project_branch(P: MpscProblem, br: BranchProblem, x0, tol: Tolerances):
-    """Nearest branch-feasible point to x0 (best over a few starts)."""
-    x0 = np.asarray(x0, float)
-    starts = [x0]
-    rng = tol.rng("project", br.label())
-    starts.extend(lhs_starts(rng, 4, x0, max(0.5, 0.1 * np.linalg.norm(x0))))
-    Y = project_branch_cloud(P, br, np.array(starts), tol)
-    res = br.residual(Y)
-    ok = np.where(res <= tol.tau_feas)[0]
-    if ok.size == 0:
-        raise EstimationError(f"projection onto branch {br.label()} stalled infeasible")
-    dists = np.linalg.norm(Y[ok] - x0, axis=1)
-    return Y[ok[int(np.argmin(dists))]]
 
 
 # ---------------------------------------------------------------------------

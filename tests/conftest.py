@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mpsckit import cq
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import OBJECTIVE, MpscProblem, load_problem
+from mpsckit.solver import lhs_starts, project_branch_cloud
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -56,6 +58,30 @@ def in_cone_union(cone, d, tol):
     d = np.asarray(d, float)
     slack = tol.tau_feas * (1.0 + np.linalg.norm(d))
     return any(piece.contains(d, slack) for piece in cone.pieces)
+
+
+def cq_table(ctx, with_psoqn=True):
+    """The standard CQ table: every direct check (PSOQN optional), then the
+    lattice closure, which raises on a contradiction."""
+    return cq.lattice_closure({name: check(ctx) for name, check in cq.CHECKERS.items()
+                               if with_psoqn or name != "PSOQN"})
+
+
+def projection_starts(br, x0, tol):
+    """x0 and four Latin hypercube starts around it, seeded by the branch."""
+    x0 = np.asarray(x0, float)
+    rng = tol.rng("project", br.label())
+    return np.vstack([x0, lhs_starts(rng, 4, x0, max(0.5, 0.1 * np.linalg.norm(x0)))])
+
+
+def project_branch(P, br, x0, tol):
+    """The nearest branch-feasible point to x0 that project_branch_cloud
+    reaches from projection_starts."""
+    x0 = np.asarray(x0, float)
+    Y = project_branch_cloud(P, br, projection_starts(br, x0, tol), tol)
+    ok = np.flatnonzero(br.residual(Y) <= tol.tau_feas)
+    assert ok.size, f"projection onto branch {br.label()} stalled infeasible"
+    return Y[ok[np.argmin(np.linalg.norm(Y[ok] - x0, axis=1))]]
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ criterion FAIL.  Defaults throughout: seed 42, n_samples 512.
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS, kernel_gradient, kernel_hessian, kernel_value
+from conftest import CORPUS_POINTS, cq_table, kernel_gradient, kernel_hessian, kernel_value
 from mpsckit import cones, cq, penalty, soc
 from mpsckit import stationarity as st
 from mpsckit.cones import PointContext
@@ -347,7 +347,7 @@ def test_criterion_8e_residual_distance_zero_sets(corpus):
 def test_criterion_8f_lattice_closure_no_contradiction(corpus):
     for name, P in corpus.items():
         x = np.array(CORPUS_POINTS[name])
-        table = cq.run_all(PointContext(P, x, TOL))  # raises on contradiction
+        table = cq_table(PointContext(P, x, TOL))  # raises on contradiction
         assert set(table) == set(cq.CQ_NAMES)
     _report("8f", "lattice closure raises no contradiction on the corpus")
 

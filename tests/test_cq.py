@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS
+from conftest import CORPUS_POINTS, cq_table
 from mpsckit import cones, cq
 from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
@@ -224,13 +224,13 @@ class TestGoldenTriples:
     def test_closure_no_contradiction_on_corpus(self, corpus, tol):
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
-            table = cq.run_all(PointContext(P, x, tol), with_psoqn=False)
+            table = cq_table(PointContext(P, x, tol), with_psoqn=False)
             assert set(table) == set(cq.CQ_NAMES) - {"PSOQN"} or "PSOQN" in table
 
     def test_determinism(self, corpus):
         P = corpus["wedge3d"]
-        a = cq.run_all(PointContext(P, [0.0, 0.0, 0.0], TOL))
-        b = cq.run_all(PointContext(P, [0.0, 0.0, 0.0], TOL))
+        a = cq_table(PointContext(P, [0.0, 0.0, 0.0], TOL))
+        b = cq_table(PointContext(P, [0.0, 0.0, 0.0], TOL))
         assert {k: v.status for k, v in a.items()} == {k: v.status for k, v in b.items()}
 
 

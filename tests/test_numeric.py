@@ -13,7 +13,7 @@ import basiswalk
 
 from mpsckit import cli, cones, numeric
 from mpsckit.cones import PointContext
-from mpsckit.errors import SizeCapError
+from mpsckit.errors import NumericBreakdownError, SizeCapError
 from mpsckit.numeric import Polyhedron, Tolerances, sanitize
 from mpsckit.problem import load_problem
 
@@ -80,6 +80,51 @@ class TestNullspace:
             if B.size:
                 assert np.max(np.abs(M @ B)) <= 1e-10
                 assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-12)
+
+
+class TestLstsqStack:
+    def test_equals_lstsq_slice_by_slice(self):
+        # np.linalg.lstsq on each matrix is the oracle, compared as bytes
+        rng = np.random.default_rng(12)
+        shapes = Counter()
+        for _ in range(2000):
+            N, m, n = (int(v) for v in rng.integers(1, 6, size=3))
+            scale = 10.0 ** rng.uniform(-8.0, 3.0)
+            A = scale * rng.normal(size=(N, m, n))
+            duplicated = m > 1 and rng.random() < 0.3
+            if duplicated:  # rank-deficient
+                A[:, -1] = A[:, 0]
+            b = scale * rng.normal(size=(N, m))
+            got = numeric.lstsq_stack(A, b)
+            assert got.shape == (N, n)
+            for k in range(N):
+                want = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+                assert got[k].tobytes() == want.tobytes(), (N, m, n, scale, k)
+            shapes[(np.sign(m - n), duplicated)] += 1
+        assert len(shapes) == 6 and min(shapes.values()) >= 50
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_before_lapack(self, where, bad, capfd):
+        A, b = np.ones((3, 2, 2)), np.ones((3, 2))
+        (A if where == "A" else b)[1, 0] = bad
+        with pytest.raises(NumericBreakdownError, match="not finite"):
+            numeric.lstsq_stack(A, b)
+        assert capfd.readouterr() == ("", "")  # LAPACK printed nothing
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        # the gufunc reports an SVD that did not converge by raising the
+        # invalid floating-point flag, the signal np.linalg.lstsq turns
+        # into LinAlgError; a stand-in gufunc raises that flag
+        class Diverging:
+            @staticmethod
+            def lstsq(A, b, rcond, signature):
+                x = np.sqrt(np.full(A.shape[:-2] + A.shape[-1:] + (1,), -1.0))
+                return x, np.zeros(A.shape[:-2] + (1,)), 0, np.zeros(A.shape[:-1])
+
+        monkeypatch.setattr(numeric, "_umath_linalg", Diverging)
+        with pytest.raises(NumericBreakdownError, match="did not converge"):
+            numeric.lstsq_stack(np.eye(2)[None], np.ones((1, 2)))
 
 
 class TestEig:

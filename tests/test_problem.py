@@ -487,3 +487,11 @@ def test_no_process_wide_caches_or_function_local_imports():
             offenders += [(path.name, fn.name, "import") for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def test_private_lapack_gufunc_is_reached_only_through_numeric():
+    # numpy.linalg._umath_linalg is private: numeric.lstsq_stack is its one
+    # user, so a numpy release that moves it breaks in exactly one place
+    users = [path.name for path in sorted(Path(pb.__file__).parent.glob("*.py"))
+             if "_umath_linalg" in path.read_text()]
+    assert users == ["numeric.py"]

@@ -138,8 +138,7 @@ class TestCqSoncConsistency:
         return bool(np.all(fvals >= kernel_value(P.f, np.asarray(x, float)) - tol.tau_feas))
 
     def test_cq_implies_sonc_at_verified_minimizers(self, corpus, tol):
-        from conftest import CORPUS_POINTS
-        from mpsckit import cq
+        from conftest import CORPUS_POINTS, cq_table
         from mpsckit.stationarity import check_s_stationary
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
@@ -148,7 +147,7 @@ class TestCqSoncConsistency:
                 continue
             if not self._sampled_local_min(P, x, tol):
                 continue
-            table = cq.run_all(ctx, with_psoqn=False)
+            table = cq_table(ctx, with_psoqn=False)
             if table["RCRCQ"].holds() or table["PCRSC"].holds():
                 assert soc.check_ssonc(ctx).status != "FAILS", name
             if table["WCR"].holds() or table["PWCR"].holds():

@@ -1,14 +1,16 @@
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import problem_path, project_branch
 
-from mpsckit import solver
+from mpsckit import cli, solver
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import (Bipartition, MpscProblem, all_branches, branch,
-                             index_sets, load_problem)
+from mpsckit.problem import (Bipartition, BranchProblem, MpscProblem, all_branches,
+                             branch, index_sets, load_problem)
 from mpsckit.report import annotate_stationarity
 
 TOL = Tolerances()
@@ -110,19 +112,19 @@ class TestProjectBranch:
     def test_already_feasible_is_fixed(self):
         P = load_problem("vars x1 x2\nmin x1\nineq -x1\n", from_path=False)
         br = all_branches(P)[0]
-        y = solver.project_branch(P, br, [0.3, 0.7], TOL)
+        y = project_branch(P, br, [0.3, 0.7], TOL)
         assert np.allclose(y, [0.3, 0.7], atol=1e-9)
 
     def test_orthogonal_projection_on_plane(self):
         P = load_problem("vars x1 x2\nmin x1\neq x1\n", from_path=False)
         br = all_branches(P)[0]
-        y = solver.project_branch(P, br, [0.3, 0.7], TOL)
+        y = project_branch(P, br, [0.3, 0.7], TOL)
         assert np.allclose(y, [0.0, 0.7], atol=1e-6)
 
     def test_parabola_projection(self):
         P = load_problem("vars x1 x2\nmin x1\neq x2 - x1^2\n", from_path=False)
         br = all_branches(P)[0]
-        y = solver.project_branch(P, br, [0.2, 0.1], TOL)
+        y = project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
         # grid oracle over the parabola arc
         t = np.linspace(-1.0, 1.0, 20001)
@@ -134,7 +136,7 @@ class TestProjectBranch:
         P = corpus["ray2d"]
         I = index_sets(P, [0.0, 0.0], TOL)
         br = branch(P, I, Bipartition((), (0,)))
-        y = solver.project_branch(P, br, [0.2, 0.1], TOL)
+        y = project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
         # the tau_feas tube admits parabola points with x1 ~ sqrt(tau_feas)
         assert np.allclose(y, [0.0, 0.0], atol=2e-4)
@@ -206,6 +208,58 @@ class TestGaussNewtonPolish:
         got = solver._gauss_newton_polish(br, X, TOL)
         assert np.array_equal(got, polish_per_row(br, X, TOL))
         assert np.all(br.residual(got) <= TOL.tau_feas)
+
+    def test_batched_equals_per_row_with_mixed_use_patterns(self):
+        # one iteration's live rows use the equality alone, with either
+        # inequality, or with both: four stacked solves side by side
+        P = load_problem("vars x1 x2 x3\nmin x3\nineq x1^2 - 1\nineq x2 - 1\n"
+                         "eq x3 - x1*x2\n", from_path=False)
+        br = all_branches(P)[0]
+        rng = np.random.default_rng(3)
+        X = np.array([[a, b, c] for a in (0.5, -2.0) for b in (0.2, 3.0)
+                      for c in rng.normal(size=4)])
+        used = P.values(X, [("g", 0), ("g", 1)]) > 0.0
+        assert len({tuple(u) for u in used}) == 4
+        got = solver._gauss_newton_polish(br, X, TOL)
+        assert np.array_equal(got, polish_per_row(br, X, TOL))
+        assert np.all(br.residual(got) <= TOL.tau_feas)
+
+    def test_polish_work_counts(self, capsys, monkeypatch):
+        # analyze --with-penalty on wedge3d: the polish makes no per-row
+        # np.linalg.lstsq call, and in each iteration one stacked solve per
+        # distinct pattern of used constraints among its live rows, over
+        # that pattern's rows and constraints
+        iterations, lstsq_calls = [], []
+        residual_of, lstsq_stack, lstsq = (BranchProblem.residual_of,
+                                           solver.lstsq_stack, np.linalg.lstsq)
+
+        def counted_residual_of(self, V):  # once per polish iteration
+            res = residual_of(self, V)
+            if sys._getframe(1).f_code.co_name == "_gauss_newton_polish":
+                live = res > max(TOL.tau_feas * 1e-6, 1e-15)
+                use = (V[live] > 0.0) | (np.arange(V.shape[1]) < len(self.equalities()))
+                patterns = Counter(tuple(u) for u in use if u.any())
+                iterations.append((sorted((rows, sum(u)) for u, rows in patterns.items()), []))
+            return res
+
+        def counted_stack(A, b):
+            iterations[-1][1].append(A.shape[:2])
+            return lstsq_stack(A, b)
+
+        def counted_lstsq(*args, **kw):
+            lstsq_calls.append(sys._getframe(1).f_code.co_name)
+            return lstsq(*args, **kw)
+
+        monkeypatch.setattr(BranchProblem, "residual_of", counted_residual_of)
+        monkeypatch.setattr(solver, "lstsq_stack", counted_stack)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        path = str(problem_path("wedge3d"))
+        assert cli.main(["analyze", path, "--point", "0,0,0", "--with-penalty"]) == 0
+        capsys.readouterr()
+        assert "_gauss_newton_polish" not in lstsq_calls
+        assert sum(len(want) >= 3 for want, _ in iterations) >= 4
+        for want, got in iterations:
+            assert sorted(got) == want
 
 
 class TestSolveBranch:

@@ -10,6 +10,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+from conftest import projection_starts
 
 from mpsckit import cones, solver
 from mpsckit.numeric import Tolerances
@@ -46,7 +47,8 @@ def test_traced_rows_are_the_batch_rows(monkeypatch):
     tracer = load_tracer_module().Tracer()
     with tracer:
         solver.solve_branch(P, br, np.array([2.0, 1.0]), Tolerances())
-        solver.project_branch(P, br, np.array([0.0, 1.0]), Tolerances())
+        solver.project_branch_cloud(
+            P, br, projection_starts(br, np.array([0.0, 1.0]), Tolerances()), Tolerances())
     layers = tracer.layers()
     assert (layers["solver._alm_batch"]["calls"], layers["solver._alm_batch"]["rows"]) == (1, 3)
     assert layers["solver.project_branch_cloud"]["rows"] == 5
