@@ -97,9 +97,10 @@ def build_parser():
 
 
 def _emit_json(path, payload):
+    """Write payload, already plain JSON (sanitize's output), to path if given."""
     if path:
         with open(path, "w") as fh:
-            json.dump(rp.sanitize(payload), fh, indent=2)
+            json.dump(payload, fh, indent=2)
 
 
 def _print_verdict_line(name, v):
@@ -189,7 +190,7 @@ def cmd_solve(args):
     if args.mode == "enumerative":
         for line in best.log:
             print(f"  {line}")
-    _emit_json(args.json_path, best)
+    _emit_json(args.json_path, rp.sanitize(best))
     return 0 if best.status == "feasible" else 1
 
 
@@ -205,7 +206,7 @@ def cmd_penalty(args):
     print(f"residual: {r:.6e}")
     for row in rows:
         print(f"kappa={row['kappa']:g}: penalized objective = {row['value']:.10g}")
-    _emit_json(args.json_path, {"residual": r, "values": rows})
+    _emit_json(args.json_path, rp.sanitize({"residual": r, "values": rows}))
     return 0
 
 
@@ -223,7 +224,7 @@ def cmd_errorbound(args):
         for s in rep.witness_sequence:
             print(f"    radius={s['radius']:.3g} ratio={s['ratio']:.6g} "
                   f"point={s['point']}")
-    _emit_json(args.json_path, rep)
+    _emit_json(args.json_path, rp.sanitize(rep))
     return 0
 
 
@@ -231,7 +232,7 @@ def cmd_cones(args):
     P = load_problem(args.file)
     tol = _tolerances(args)
     x = _parse_point(args.point, P.n)
-    section = rp.cones_section(PointContext(P, x, tol))
+    section = rp.sanitize(rp.cones_section(PointContext(P, x, tol)))
     for title, key in (("linearization cone", "linearization"),
                        ("critical cone", "critical")):
         print(f"{title}:")

@@ -44,9 +44,5 @@ class NumericBreakdownError(MpscError):
     """A numeric kernel hit its iteration cap without converging."""
 
 
-class EstimationError(MpscError):
-    """A numeric estimation (projection, distance) failed to produce a witness."""
-
-
 class LatticeContradictionError(MpscError):
     """HOLDS met FAILS on one lattice node; indicates a tolerance/sampling bug."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, EvalDomainError, InfeasiblePointError
+from .errors import EvalDomainError, InfeasiblePointError
 from .numeric import RADII_FRACTIONS, Tolerances, ball_offsets
 from .problem import OBJECTIVE, MpscProblem, all_branches
 from .solver import project_branch_cloud
@@ -58,45 +58,6 @@ def _nearest_feasible_batch(P, X, tol: Tolerances):
         best_d[take] = d[take]
         best_y[take] = Y[take]
     return best_d, best_y
-
-
-def distance_to_feasible(P: MpscProblem, x, tol: Tolerances, with_info=False):
-    """Distance estimate with a feasible witness point.
-
-    Branch projections provide the estimate; for n <= 3 a refinement grid
-    cross-checks them (the gap is reported when the grid wins by more than
-    1e-6).  The returned value is an upper bound attained by the witness.
-    Raises EstimationError when no feasible witness is found.
-    """
-    x = np.asarray(x, float)
-    info = {"grid_gap": 0.0}
-    if float(P.residual(x)) <= tol.tau_feas:
-        return (0.0, x, info) if with_info else (0.0, x)
-    d, y = _nearest_feasible_batch(P, x[None, :], tol)
-    proj_d = best_d = float(d[0])
-    best_y = y[0]
-
-    if P.n <= 3:
-        R = 2.0 * best_d if np.isfinite(best_d) else 1.0
-        axes = [np.linspace(x[j] - R, x[j] + R, 11) for j in range(P.n)]
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
-        res = P.residual(grid)
-        order = np.argsort(np.linalg.norm(grid - x, axis=1))
-        cand = [i for i in order if res[i] <= np.sqrt(tol.tau_feas)][:6]
-        if cand:
-            _, yg = _nearest_feasible_batch(P, grid[cand], tol)
-            tot = np.linalg.norm(yg - x[None, :], axis=1)
-            valid = np.where(np.isfinite(tot))[0]
-            if valid.size:
-                k = valid[int(np.argmin(tot[valid]))]
-                if tot[k] < best_d:
-                    best_d, best_y = float(tot[k]), yg[k]
-                    if proj_d - best_d > 1e-6:
-                        info["grid_gap"] = proj_d - best_d
-
-    if not np.isfinite(best_d):
-        raise EstimationError("no feasible witness found near the query point")
-    return (best_d, best_y, info) if with_info else (best_d, best_y)
 
 
 @dataclass

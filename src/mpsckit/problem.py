@@ -186,6 +186,7 @@ class BranchProblem:
         P = self.problem
         return self.residual_of(P.values(x, self.equalities() + [("g", i) for i in range(P.m)]))
 
+    @np.errstate(over="ignore")  # callers reject a non-finite residual
     def residual_of(self, V):
         """residual from the values of equalities() + every g, in that order."""
         p = self.problem.p

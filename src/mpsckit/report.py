@@ -57,14 +57,15 @@ def _piece_json(piece, tol):
 
 
 def cones_section(ctx: cn.PointContext) -> dict:
+    """Cone generators at ctx's point, as numpy arrays: sanitize makes it JSON."""
     L = ctx.linearization
     C = cn.critical_cone(ctx)
     B = cn.critical_subspace(ctx)
-    return sanitize({
+    return {
         "linearization": {"pieces": [_piece_json(p, ctx.tol) for p in L.pieces]},
         "critical": {"pieces": [_piece_json(p, ctx.tol) for p in C.pieces]},
         "critical_subspace": B.T,
-    })
+    }
 
 
 def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:

@@ -1,10 +1,13 @@
 """Desk-scale local solving over branch feasible sets.
 
-Every loop descends through _descent_batch, Armijo gradient descent batched
-over rows, with one objective callback that evaluates the loop's items once
-per point and makes one Jacobian call per gradient.
-project_branch_cloud projects by quadratic penalty plus a Gauss-Newton polish
-with one stacked least-squares solve per pattern of used constraints;
+Every loop descends through _descent_batch, an Armijo line search batched
+over rows along the direction its objective callback returns; the callback
+evaluates the loop's items once per point and makes one Jacobian call per
+gradient.  project_branch_cloud projects by quadratic penalty, with damped
+Gauss-Newton steps (one stacked least-squares solve per iteration) at each
+penalty stage, plus a Gauss-Newton polish with one stacked least-squares
+solve per pattern of used constraints; the other loops step along the
+gradient.
 solve_branch runs an augmented-Lagrangian loop over all starts;
 solve_penalty_descent minimizes f + kappa * residual, then polishes on its
 incumbent's branch.  The enumerative solver keeps the best feasible branch
@@ -24,7 +27,8 @@ from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
 
 # every descent: Armijo sufficient-decrease constant
 ARMIJO_C = 1e-4
-# projection: penalty per stage, descent steps per stage, Gauss-Newton step cap
+# projection: penalty per stage, Gauss-Newton steps per stage (a cap: a stage
+# ends when its steps stall), polish step cap
 SIGMA_SCHEDULE = (1e2, 1e4, 1e6)
 PENALTY_STEPS = 60
 POLISH_ITERS = 40
@@ -64,50 +68,66 @@ def lhs_starts(rng, count, center, halfwidth):
 
 
 # ---------------------------------------------------------------------------
-# batched first-order descent
+# batched line-search descent
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # an infinite trial fails Armijo
-def _descent_batch(objective, Y, iters, t0=1.0, gtol=0.0, V=None):
-    """Row-wise gradient descent with Armijo backtracking; returns the final
-    rows and their item values V.
+def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
+    """Row-wise descent with Armijo backtracking along a search direction;
+    returns the final rows and their item values V.
 
     objective(rows, Z) evaluates the loop's items at the given rows only (each
     row can carry its own anchor/multiplier state) and returns the objective
     values and V; objective(rows, Z, V, grad=True) reads cached values V (None:
-    evaluate them) and also returns the gradients.  So the items are evaluated
-    at the start, unless the caller passes their values V at Y, then only at
-    trial points.
+    evaluate them) and also returns the gradients g and the search directions
+    d (d is g for steepest descent).  A trial point is Z - t * d, accepted on
+    sufficient decrease along <g, d>; t starts at 1, halves on rejection and
+    doubles on acceptance up to t_max.  So the items are evaluated at the
+    start, unless the caller passes their values V at Y, then only at trial
+    points, each once per row: a rejected trial met again reuses its cached
+    values, and a row whose slope <g, d> is not above gtol^2 (or is NaN)
+    takes no trial.
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
     rows_all = np.arange(N)
-    t = np.full(N, float(t0))
+    t = np.ones(N)
+    last = np.empty_like(Y)  # the last trial point of the rows in stuck
+    stuck = np.zeros(N, bool)  # rows whose every halving failed last iteration
+    ft, Vt = np.empty(N), None
     stall = 0
     for _ in range(iters):
-        f, V, g = objective(rows_all, Y, V, grad=True)
-        gn2 = (g * g).sum(axis=1)
-        live = gn2 > max(gtol * gtol, 1e-26)
+        f, V, g, d = objective(rows_all, Y, V, grad=True)
+        slope = (g * d).sum(axis=1)  # |g|^2 for steepest descent; NaN: no trial
+        live = slope > max(gtol * gtol, 1e-26)
         if not live.any():
             break
-        trial = Y - t[:, None] * g
-        ft, Vt = objective(rows_all, trial)
-        need = live & (ft > f - ARMIJO_C * t * gn2)
-        for _ in range(30):
+        Vt = np.empty_like(V) if Vt is None else Vt
+        trial = Y - t[:, None] * d
+        rows = live.nonzero()[0]
+        if stuck.any():  # a first trial that is the last rejected one reuses ft, Vt
+            rows = rows[~(stuck[rows] & (trial[rows] == last[rows]).all(axis=1))]
+        if rows.size:
+            ft[rows], Vt[rows] = objective(rows, trial[rows])
+        need = live & (ft > f - ARMIJO_C * t * slope)
+        for _ in range(30):  # a row outside need keeps its t, so its trial
             if not need.any():
                 break
+            np.multiply(t, 0.5, out=t, where=need)
+            trial = Y - t[:, None] * d
             rows = need.nonzero()[0]
-            t[rows] *= 0.5
-            trial[rows] = Y[rows] - t[rows, None] * g[rows]
             ft[rows], Vt[rows] = objective(rows, trial[rows])
-            need[rows] = ft[rows] > f[rows] - ARMIJO_C * t[rows] * gn2[rows]
+            need &= ft > f - ARMIJO_C * t * slope
+        stuck = need
+        np.copyto(last, trial, where=need[:, None])
         accept = live & ~need
         decrease = float(abs(f[accept] - ft[accept]).max()) if accept.any() else 0.0
         stall = stall + 1 if decrease <= 1e-14 * (1.0 + float(abs(f).max())) else 0
-        Y[accept] = trial[accept]
-        V[accept] = Vt[accept]  # after the last use of f, which may view V
-        t[accept] = np.minimum(t[accept] * 2.0, 1e6)
-        t[need] = np.maximum(t[need], 1e-18)
+        np.copyto(Y, trial, where=accept[:, None])
+        # after the last use of f, which may view V
+        np.copyto(V, Vt, where=accept[:, None])
+        np.minimum(t * 2.0, t_max, out=t, where=accept)
+        np.maximum(t, 1e-18, out=t, where=need)
         if stall >= 3:
             break
     return Y, V
@@ -170,9 +190,10 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
 def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     """Approximate projection of a batch of points onto the branch set.
 
-    Minimizes ||y - x0||^2 by quadratic penalty over SIGMA_SCHEDULE, then
-    polishes with Gauss-Newton.  Rows that end infeasible are the caller's
-    to filter.
+    Minimizes ||y - x0||^2 + sigma * (||g+||^2 + ||e||^2) at each sigma of
+    SIGMA_SCHEDULE by damped Gauss-Newton steps (the step length starts at 1
+    and never exceeds it), then polishes with Gauss-Newton.  Rows that end
+    infeasible are the caller's to filter.
     """
     gs = [("g", i) for i in range(P.m)]
     eqs = br.equalities()
@@ -187,13 +208,28 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
             + sigma * ((gp ** 2).sum(axis=1) + (ev ** 2).sum(axis=1))
         if not grad:
             return fv, V
-        gated, W = _gate(gs, 2.0 * sigma * gp)
+        gated, Gp = _gate(gs, gp)
         J = P.jacobian(Z, gated + eqs)
-        return fv, V, _add_gradients(2.0 * (Z - X0[rows]), J, W, 2.0 * sigma * ev)
+        g = _add_gradients(2.0 * (Z - X0[rows]), J, 2.0 * sigma * Gp, 2.0 * sigma * ev)
+        # Gauss-Newton: d solves (I + sigma * sum_used grad c grad c^T) d = g / 2,
+        # over every equality and each inequality where it is violated, as the
+        # least-squares problem [I; sqrt(sigma) J_used] d = [Z - x0; sqrt(sigma) c],
+        # whose I rows keep it well posed however large sigma * |grad c|^2 is
+        r = np.sqrt(sigma)
+        Ju = J * np.concatenate([Gp > 0.0, np.ones(ev.shape, bool)], axis=1)[:, :, None]
+        A = np.concatenate([np.broadcast_to(np.eye(P.n), (len(Z), P.n, P.n)),
+                            r * Ju], axis=1)
+        b = np.concatenate([Z - X0[rows], r * Gp, r * ev], axis=1)
+        ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+        d = np.full(Z.shape, np.nan)  # a non-finite system or step: no trial
+        if ok.any():
+            d[ok] = lstsq_stack(A[ok], b[ok])
+        d[~np.isfinite(d).all(axis=1)] = np.nan
+        return fv, V, g, d
 
     V = None  # items at Y, independent of sigma: each stage starts from the last's
     for sigma in SIGMA_SCHEDULE:
-        Y, V = _descent_batch(objective, Y, PENALTY_STEPS, t0=0.2 / (1.0 + sigma), V=V)
+        Y, V = _descent_batch(objective, Y, PENALTY_STEPS, V=V, t_max=1.0)
     return _gauss_newton_polish(br, Y, tol)
 
 
@@ -228,7 +264,8 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
             return fv, V
         gated, W = _gate(gs, w)
         J = P.jacobian(Z, [OBJECTIVE] + eqs + gated)
-        return fv, V, _add_gradients(J[:, 0], J[:, 1:], rho[rows] + s[:, None] * ev, W)
+        g = _add_gradients(J[:, 0], J[:, 1:], rho[rows] + s[:, None] * ev, W)
+        return fv, V, g, g
 
     for _ in range(MAX_OUTER):
         outer_used += 1
@@ -325,7 +362,8 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
             return fv, V
         active = r > 0.0
         if not active.any():
-            return fv, V, P.jacobian(Z, [OBJECTIVE])[:, 0]
+            out = P.jacobian(Z, [OBJECTIVE])[:, 0]
+            return fv, V, out, out
         gated, W = _gate(gs, np.maximum(g, 0.0))
         J = P.jacobian(Z, [OBJECTIVE] + gated + hs + pairs)
         out, dGH = J[:, 0], J[:, 1 + len(gated) + P.p:]
@@ -336,7 +374,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
                            H[:, k:k + 1] * dGH[:, 2 * k + 1])
         safe = np.where(active, r, 1.0)
         out[active] += kappa * (dr[active] / safe[active, None])
-        return fv, V, out
+        return fv, V, out, out
 
     while kappa <= KAPPA_MAX:
         x, V = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT, V=V)

@@ -336,3 +336,19 @@ def test_bad_option_value_exits_2_without_traceback(capsys, command, flag, value
                              *point, flag, value)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", ["--with-penalty"]), ("cones", []), ("errorbound", []),
+    ("penalty", ["--kappa", "3"]), ("solve", [])])
+def test_json_is_coerced_once(capsys, monkeypatch, tmp_path, command, extra):
+    # one top-level sanitize call per command: the plain JSON it returns is
+    # written as it is, not walked again float by float
+    calls, sanitize = [], report.sanitize
+    monkeypatch.setattr(report, "sanitize", lambda obj: calls.append(1) or sanitize(obj))
+    point = [] if command == "solve" else ["--point", "0,0"]
+    jpath = tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, command, str(problem_path("diagonal2d")), *point, *extra,
+                         "--json", str(jpath))
+    assert code == 0 and jpath.exists()
+    assert len(calls) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpsckit import penalty, report
-from mpsckit.errors import EstimationError, InfeasiblePointError
+from mpsckit.errors import EvalDomainError, InfeasiblePointError
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
 
@@ -58,29 +58,32 @@ class TestPenalizedObjective:
 
 
 class TestDistance:
+    """Distances through penalty._nearest_feasible_batch, the error-bound
+    probe's path: every row of a batch is projected onto every branch."""
+
     def test_feasible_point_zero(self, corpus):
-        d, y = penalty.distance_to_feasible(corpus["axes2d"], [0.0, 0.0], TOL)
-        assert d == 0.0 and np.allclose(y, [0.0, 0.0])
+        d, Y = penalty._nearest_feasible_batch(corpus["axes2d"], [[0.0, 0.0]], TOL)
+        assert d[0] == 0.0 and np.allclose(Y[0], [0.0, 0.0])
 
     def test_ray2d_off_axis(self, corpus):
-        d, y = penalty.distance_to_feasible(corpus["ray2d"], [0.1, 0.0], TOL)
-        assert d == pytest.approx(0.1, abs=1e-4)
-        assert np.allclose(y, [0.0, 0.0], atol=1e-3)
+        d, Y = penalty._nearest_feasible_batch(corpus["ray2d"], [[0.1, 0.0]], TOL)
+        assert d[0] == pytest.approx(0.1, abs=1e-4)
+        assert np.allclose(Y[0], [0.0, 0.0], atol=1e-3)
 
     def test_plane_distance(self):
         P = load_problem("vars x1 x2\nmin x1\neq x1\n", from_path=False)
-        d, y = penalty.distance_to_feasible(P, [0.3, 0.7], TOL)
-        assert d == pytest.approx(0.3, abs=1e-6)
-        assert np.allclose(y, [0.0, 0.7], atol=1e-6)
+        d, Y = penalty._nearest_feasible_batch(P, [[0.3, 0.7]], TOL)
+        assert d[0] == pytest.approx(0.3, abs=1e-6)
+        assert np.allclose(Y[0], [0.0, 0.7], atol=1e-6)
 
     def test_zero_set_agreement(self, corpus):
         rng = np.random.default_rng(2)
         P = corpus["axes2d"]
-        for _ in range(25):
-            x = rng.uniform(-0.5, 0.5, size=2)
-            d, y = penalty.distance_to_feasible(P, x, TOL)
+        X = rng.uniform(-0.5, 0.5, size=(25, 2))
+        d, Y = penalty._nearest_feasible_batch(P, X, TOL)
+        for x, dist, y in zip(X, d, Y):
             r = penalty.residual(P, x)
-            assert (d == 0.0) == (r <= TOL.tau_feas)
+            assert (dist == 0.0) == (r <= TOL.tau_feas)
             assert penalty.residual(P, y) <= TOL.tau_feas
 
 
@@ -149,11 +152,10 @@ class TestDistanceInfo:
     def test_witness_attains_reported_distance(self, corpus):
         rng = np.random.default_rng(5)
         P = corpus["ray2d"]
-        for _ in range(10):
-            x = rng.uniform(-0.4, 0.4, size=2)
-            d, y, info = penalty.distance_to_feasible(P, x, TOL, with_info=True)
-            assert np.linalg.norm(x - y) == pytest.approx(d, abs=1e-12)
-            assert info["grid_gap"] >= 0.0
+        X = rng.uniform(-0.4, 0.4, size=(10, 2))
+        d, Y = penalty._nearest_feasible_batch(P, X, TOL)
+        for x, dist, y in zip(X, d, Y):
+            assert np.linalg.norm(x - y) == pytest.approx(dist, abs=1e-12)
 
 
 class TestAnalyzeWithPenalty:
@@ -173,10 +175,10 @@ class TestAnalyzeWithPenalty:
 
     def test_probe_error_reported_for_both_sections(self, corpus, monkeypatch):
         def failing(*args, **kwargs):
-            raise EstimationError("no feasible witness found near the query point")
+            raise EvalDomainError("sqrt of a negative value", offset=4)
 
         monkeypatch.setattr(penalty, "error_bound_probe", failing)
         rep = report.analyze(corpus["diagonal2d"], [0.0, 0.0], TOL, with_penalty=True)
         assert "errorbound" not in rep and "penalty" not in rep
         assert [e["component"] for e in rep["errors"]] == ["errorbound", "penalty"]
-        assert all("no feasible witness" in e["message"] for e in rep["errors"])
+        assert all(e["message"] == "sqrt of a negative value (offset 4)" for e in rep["errors"])

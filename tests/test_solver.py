@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import problem_path, project_branch
+from scipy.optimize import minimize
 
 from mpsckit import cli, solver
-from mpsckit.numeric import Tolerances
+from mpsckit.numeric import Tolerances, ball_offsets
 from mpsckit.problem import (Bipartition, BranchProblem, MpscProblem, all_branches,
                              branch, index_sets, load_problem)
 from mpsckit.report import annotate_stationarity
@@ -32,7 +33,7 @@ class TestDescentBatch:
             calls.append((grad, V is None, rows.copy(), Z.copy()))
             V = Z.copy() if V is None else V  # the "item values" are the point
             f = 0.5 * np.sum(A * V ** 2, axis=1)
-            return (f, V, A * Z) if grad else (f, V)
+            return (f, V, A * Z, A * Z) if grad else (f, V)  # steepest descent
 
         Y0 = np.array([[1.0, 1.0], [-2.0, 0.5], [0.3, -0.7]])
         Y, V = solver._descent_batch(objective, Y0, 5)
@@ -56,9 +57,10 @@ class TestDescentBatch:
         # in a real branch solve every gradient is one "j" kernel call; only
         # the solve's first descent evaluates values before its first
         # gradient, each later one starts from the values the last returned,
-        # and each iterate's values come from one evaluation (at the start or
-        # as the accepted trial) over the whole solve; only a row whose
-        # backtracking failed retries its last rejected trial point
+        # and no (row, point) pair is evaluated twice over the whole solve:
+        # each iterate's values come from one evaluation (at the start or as
+        # the accepted trial), and a row whose backtracking failed reuses its
+        # last rejected trial's values when that point comes round again
         kinds, descents, evaluated = [], [], []
         evaluate, descent = MpscProblem._evaluate, solver._descent_batch
 
@@ -93,6 +95,7 @@ class TestDescentBatch:
             assert gradients[0] == (["j"] if d else ["v", "j"])
             assert all(calls == ["j"] for calls in gradients[1:])
             assert all(times[point] == 1 for point in iterates)
+        assert set(times.values()) == {1}
 
 def test_descent_loops_use_ndarray_reductions():
     # the descent and its three objective closures reduce with ndarray
@@ -140,6 +143,114 @@ class TestProjectBranch:
         assert float(br.residual(y)) <= 1e-8
         # the tau_feas tube admits parabola points with x1 ~ sqrt(tau_feas)
         assert np.allclose(y, [0.0, 0.0], atol=2e-4)
+
+    def test_matches_slsqp_on_corpus_branches(self, corpus):
+        # every feasible row is as near its start as scipy's SLSQP gets from
+        # that start, up to 1e-6 (nearer is allowed: the tau_feas tube)
+        rng = np.random.default_rng(11)
+        compared = feasible = 0
+        for name, P in sorted(corpus.items()):
+            for br in all_branches(P):
+                X0 = ball_offsets(rng, 8, P.n, 0.6)
+                Y = solver.project_branch_cloud(P, br, X0, TOL)
+                ok = br.residual(Y) <= TOL.tau_feas
+                feasible += int(ok.sum())
+                for x0, y in zip(X0[ok], Y[ok]):
+                    z = slsqp_projection(P, br, x0)
+                    if br.residual(z) > TOL.tau_feas:
+                        continue  # SLSQP stalled short of the branch set
+                    compared += 1
+                    assert np.linalg.norm(y - x0) <= np.linalg.norm(z - x0) + 1e-6, \
+                        (name, br.label(), x0)
+        assert feasible == 8 * sum(len(all_branches(P)) for P in corpus.values())
+        assert compared >= 0.9 * feasible
+
+    def test_stages_take_few_gradient_steps(self, capsys, monkeypatch):
+        # analyze --with-penalty on axes2d and ray2d: the Gauss-Newton stages
+        # converge in a few steps each instead of running to PENALTY_STEPS
+        stages, descent = [], solver._descent_batch
+
+        def counted_descent(objective, Y, *args, **kw):
+            steps = [0]
+
+            def counted(rows, Z, V=None, grad=False):
+                steps[0] += grad
+                return objective(rows, Z, V, grad)
+            out = descent(counted, Y, *args, **kw)
+            if sys._getframe(1).f_code.co_name == "project_branch_cloud":
+                stages.append(steps[0])
+            return out
+
+        monkeypatch.setattr(solver, "_descent_batch", counted_descent)
+        for name in ("axes2d", "ray2d"):
+            path = str(problem_path(name))
+            assert cli.main(["analyze", path, "--point", "0,0", "--with-penalty"]) == 0
+        capsys.readouterr()
+        assert len(stages) > 0 and max(stages) <= 15
+
+    def test_non_finite_direction_takes_no_trial(self, monkeypatch):
+        # where sqrt(sigma) * grad c overflows (2e307 * x1) the direction is
+        # not finite and no row moves; where only the gradient overflows
+        # (x1 + 1e307) the Gauss-Newton direction is finite and every row
+        # lands on the plane; no non-finite trial point reaches the kernel
+        # either way; with the polish both planes are reached, and the
+        # overflowing residual at x1 = 0.7 does not warn
+        trials, evaluate = [], MpscProblem._evaluate
+
+        def checked_evaluate(self, kind, items, x):
+            trials.append(np.asarray(x, float).copy())
+            return evaluate(self, kind, items, x)
+
+        monkeypatch.setattr(MpscProblem, "_evaluate", checked_evaluate)
+        monkeypatch.setattr(solver, "_gauss_newton_polish", lambda br, X, tol: X)
+        X0 = np.array([[1e-10, 0.7], [-1e-300, 0.1]])
+        for text, X, Y_want, rtol in (
+                ("vars x1 x2\nmin x1\neq 2e307 * x1\n", X0, X0, 0.0),
+                # the last stage's minimizer sits 1e301 (sigma = 1e6) short
+                ("vars x1\nmin x1\neq x1 + 1e307\n", X0[:, :1], np.full((2, 1), -1e307), 1e-5)):
+            P = load_problem(text, from_path=False)
+            Y = solver.project_branch_cloud(P, all_branches(P)[0], X, TOL)
+            assert np.allclose(Y, Y_want, rtol=rtol, atol=0.0), text
+        assert len(trials) > 0 and all(np.isfinite(x).all() for x in trials)
+        monkeypatch.undo()
+        P = load_problem("vars x1 x2\nmin x1\neq 2e307 * x1\n", from_path=False)
+        Y = solver.project_branch_cloud(P, all_branches(P)[0], X0, TOL)
+        assert np.allclose(Y, [[0.0, 0.7], [0.0, 0.1]], atol=1e-12)
+        P = load_problem("vars x1\nmin x1\neq x1 + 1e307\n", from_path=False)
+        Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.7]], TOL)
+        assert np.allclose(Y, -1e307, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scale", ["1e5", "1e6"])
+    def test_badly_scaled_plane(self, scale, tmp_path, capsys):
+        # sigma * |grad c|^2 far above 1 / eps: I + sigma * grad c grad c^T
+        # is singular in floating point, the stacked least squares is not
+        text = f"vars x1 x2\nmin x1\neq {scale} * x1 + {scale} * x2\n"
+        P = load_problem(text, from_path=False)
+        Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.3, 0.7], [0.2, -0.6]], TOL)
+        assert np.allclose(Y, [[-0.2, 0.2], [0.4, -0.4]], atol=1e-6)
+        path = tmp_path / "plane.mpsc"
+        path.write_text(text)
+        assert cli.main(["analyze", str(path), "--point", "0,0", "--with-penalty"]) == 0
+        capsys.readouterr()
+
+
+def slsqp_projection(P, br, x0):
+    """scipy's SLSQP from x0 on min ||y - x0||^2 over the branch set; an
+    equality system with more rows than variables, which SLSQP refuses, is
+    posed as pairs of opposite inequalities."""
+    eqs, gs = br.equalities(), [("g", i) for i in range(P.m)]
+    split = len(eqs) > P.n
+    sides = (1.0, -1.0) if split else (1.0,)
+
+    def stacked(items, signs):
+        return {"fun": lambda y: np.concatenate([s * P.values(y, items) for s in signs]),
+                "jac": lambda y: np.concatenate([s * P.jacobian(y, items) for s in signs])}
+
+    cons = [{"type": "ineq" if split else "eq", **stacked(eqs, sides)}] if eqs else []
+    cons += [{"type": "ineq", **stacked(gs, (-1.0,))}] if gs else []
+    res = minimize(lambda y: ((y - x0) ** 2).sum(), x0, jac=lambda y: 2.0 * (y - x0),
+                   constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
+    return res.x
 
 
 def polish_per_row(br, X, tol, iters=40):
@@ -242,8 +353,9 @@ class TestGaussNewtonPolish:
                 iterations.append((sorted((rows, sum(u)) for u, rows in patterns.items()), []))
             return res
 
-        def counted_stack(A, b):
-            iterations[-1][1].append(A.shape[:2])
+        def counted_stack(A, b):  # the projection's stages solve stacks too
+            if sys._getframe(1).f_code.co_name == "_gauss_newton_polish":
+                iterations[-1][1].append(A.shape[:2])
             return lstsq_stack(A, b)
 
         def counted_lstsq(*args, **kw):
