@@ -73,9 +73,9 @@ class MpscProblem:
 
     def _evaluate(self, kind, items, x):
         """Run the kernel of kind "v" (item values), "j" (their gradient rows)
-        or "h" (the upper triangle of one item's Hessian, row-major) at a
-        point or a batch, under one np.errstate: an overflow ends as the
-        kernel's EvalDomainError on a non-finite output."""
+        or "h" (the upper triangles of their Hessians, row-major) at a point
+        or a batch, under one np.errstate: an overflow ends as the kernel's
+        EvalDomainError on a non-finite output."""
         kernel = self._kernels.get((kind, tuple(items)))
         if kernel is None:
             if kind == "v":
@@ -83,8 +83,8 @@ class MpscProblem:
             elif kind == "j":
                 trees = [d for it in items for d in self.gradient_trees[it]]
             else:
-                grad = self.gradient_trees[items[0]]
-                trees = [ex.diff(grad[i], j) for i, j in zip(*np.triu_indices(self.n))]
+                trees = [ex.diff(self.gradient_trees[it][i], j) for it in items
+                         for i, j in zip(*np.triu_indices(self.n))]
             kernel = self._kernels[kind, tuple(items)] = ex.compile_kernel(trees)
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -100,15 +100,20 @@ class MpscProblem:
         V = self._evaluate("j", items, x)
         return V.reshape(V.shape[:-1] + (len(items), self.n))
 
-    def hessian(self, x, item):
-        """Hessian of one item at a point, shape (n, n): the upper triangle
-        is evaluated row by row and mirrored."""
-        upper = np.triu_indices(self.n)
-        v = self._evaluate("h", (item,), x)
-        H = np.empty((self.n, self.n))
-        H[upper] = v
-        H[upper[::-1]] = v
+    def hessians(self, x, items):
+        """Item Hessians, shape (K, n, n) at a point or (N, K, n, n) over a
+        batch: the upper triangles are evaluated in one call and mirrored."""
+        i, j = np.triu_indices(self.n)
+        V = self._evaluate("h", items, x)
+        V = V.reshape(V.shape[:-1] + (len(items), i.size))
+        H = np.empty(V.shape[:-1] + (self.n, self.n))
+        H[..., i, j] = V
+        H[..., j, i] = V
         return H
+
+    def hessian(self, x, item):
+        """Hessian of one item at a point, shape (n, n)."""
+        return self.hessians(x, [item])[0]
 
     def constraint_values(self, x):
         """(g, h, G, H) value arrays at a point or batch."""

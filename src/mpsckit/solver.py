@@ -6,10 +6,13 @@ evaluates the loop's items once per point and makes one Jacobian call per
 gradient.  project_branch_cloud projects by quadratic penalty, with damped
 Gauss-Newton steps (one stacked least-squares solve per iteration) at each
 penalty stage, plus a Gauss-Newton polish with one stacked least-squares
-solve per pattern of used constraints; the other loops step along the
-gradient.
-solve_branch runs an augmented-Lagrangian loop over all starts;
-solve_penalty_descent minimizes f + kappa * residual, then polishes on its
+solve per pattern of used constraints.
+solve_branch runs an augmented-Lagrangian loop over all starts, whose inner
+steps are Newton steps on the exact Hessian of the augmented Lagrangian
+(one Hessian kernel call per gradient, eigenvalues floored to keep it
+positive definite); both take steps that start at 1 and never exceed it.
+solve_penalty_descent minimizes f + kappa * residual along the gradient
+(the residual is a nonsmooth square root), then polishes on its
 incumbent's branch.  The enumerative solver keeps the best feasible branch
 over every switch sign assignment, which is exact on the union structure.
 """
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import EvalDomainError
 from .numeric import Tolerances, lstsq_stack
 from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
                       branch_from_assignment)
@@ -136,6 +140,21 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
 # ---------------------------------------------------------------------------
 # branch helpers
 # ---------------------------------------------------------------------------
+
+def _floored_newton(H, g):
+    """Row-wise Newton directions on H with each eigenvalue lam replaced by
+    max(|lam|, 1e-8 * (1 + max |lam|)), one batched eigh; a row whose H, g
+    or direction is not finite gets a NaN direction (no trial)."""
+    d = np.full(g.shape, np.nan)
+    ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+    if ok.any():  # eigh raises on a non-finite matrix
+        lam, Q = np.linalg.eigh(H[ok])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-8 * (1.0 + lam.max(axis=1, keepdims=True)))
+        d[ok] = (Q @ ((g[ok][:, None, :] @ Q)[:, 0] / lam)[:, :, None])[:, :, 0]
+    d[~np.isfinite(d).all(axis=1)] = np.nan
+    return d
+
 
 def _gate(items, W):
     """The items whose weight column has a positive entry, and those columns."""
@@ -262,15 +281,27 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
             fv = fv + (w ** 2 - lam[rows] ** 2).sum(axis=1) / (2.0 * s)
         if not grad:
             return fv, V
+        if not np.isfinite(fv).all():  # no Armijo step starts where the merit
+            # overflows (a start far out, as 1e200): a numeric breakdown
+            raise EvalDomainError("evaluation point must be finite")
         gated, W = _gate(gs, w)
-        J = P.jacobian(Z, [OBJECTIVE] + eqs + gated)
-        g = _add_gradients(J[:, 0], J[:, 1:], rho[rows] + s[:, None] * ev, W)
-        return fv, V, g, g
+        items = [OBJECTIVE] + eqs + gated
+        J = P.jacobian(Z, items)
+        c = rho[rows] + s[:, None] * ev
+        g = _add_gradients(J[:, 0], J[:, 1:], c, W)
+        # Newton: the exact Hessian of the augmented Lagrangian, the f, e and
+        # gated g Hessians weighted 1, c and w plus s * grad u grad u^T over
+        # every equality and each inequality with w > 0
+        Ju = J[:, 1:] * np.concatenate([np.ones(ev.shape), W > 0.0], axis=1)[:, :, None]
+        H = np.einsum("rk,rkij->rij", np.concatenate([np.ones((len(Z), 1)), c, W], axis=1),
+                      P.hessians(Z, items)) \
+            + s[:, None, None] * (Ju.transpose(0, 2, 1) @ Ju)
+        return fv, V, g, _floored_newton(H, g)
 
     for _ in range(MAX_OUTER):
         outer_used += 1
         # the items at X do not depend on sigma, rho or lam: the next descent reuses V
-        X, V = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT, V=V)
+        X, V = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT, V=V, t_max=1.0)
         res = br.residual_of(V[:, 1:])  # eqs + gs at X
         rho = rho + sigma[:, None] * V[:, 1:1 + len(eqs)]
         lam = np.maximum(0.0, lam + sigma[:, None] * V[:, 1 + len(eqs):])

@@ -215,62 +215,3 @@ def normal_cone_oracle(ctx: PointContext, kind: str) -> bool:
         if ctx.combination(items, rhs, "feasible"):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# M-to-S bridge
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BridgeReport:
-    partitions: list            # [(beta1, beta2), ...] from the zero pattern
-    kkt_with_given: list        # residual of the fixed-multiplier KKT system
-    kkt_any: list               # is the point a KKT point of the branch at all
-    s_certificate: Multipliers | None
-    reconstruction_residual: float
-    note: str
-
-
-def m_to_s_bridge(ctx: PointContext, mult: Multipliers) -> BridgeReport:
-    """Probe whether an M-multiplier hides an S-certificate.
-
-    Builds the two bipartitions matching the multiplier's support (a switch
-    index with a nonzero mu goes to the G-pinned side, one with a nonzero nu
-    to the H-pinned side; indices with both zero split the two partitions),
-    reports KKT feasibility of each branch, and re-checks grad L = 0 after
-    zeroing mu off I_G and nu off I_H.
-    """
-    P, tol, I = ctx.P, ctx.tol, ctx.I
-    lam, rho, mu, nu = mult.as_arrays()
-    nz = lambda v: abs(v) > tol.tau_act
-
-    part1 = (tuple(k for k in I.I_GH if nz(mu[k])),
-             tuple(k for k in I.I_GH if not nz(mu[k])))
-    part2 = (tuple(k for k in I.I_GH if not nz(nu[k])),
-             tuple(k for k in I.I_GH if nz(nu[k])))
-
-    kkt_given, kkt_any = [], []
-    scale = 1.0 + float(np.linalg.norm(ctx.grad("f")))
-    coef = {"g": lam, "h": rho, "G": mu, "H": nu}
-    for beta1, beta2 in (part1, part2):
-        items = branch_items(ctx, beta1, beta2)
-        r = ctx.grad("f").copy()
-        for (kind, i), row in zip(items, ctx.rows(items)):
-            r += coef[kind][i] * row
-        kkt_given.append(float(np.linalg.norm(r)))
-        kkt_any.append(_solve_system(ctx, items) is not None)
-
-    mu_bar = np.where([k in I.I_G for k in range(P.l)], mu, 0.0)
-    nu_bar = np.where([k in I.I_H for k in range(P.l)], nu, 0.0)
-    cand = Multipliers(tuple(lam), tuple(rho), tuple(mu_bar), tuple(nu_bar))
-    res = float(np.linalg.norm(lagrangian_gradient(ctx, cand)))
-    cert = cand if res <= 1e-8 * scale and np.all(lam >= 0.0) else None
-    return BridgeReport(
-        partitions=[part1, part2],
-        kkt_with_given=kkt_given,
-        kkt_any=kkt_any,
-        s_certificate=cert,
-        reconstruction_residual=res,
-        note=("both candidate partitions are reported with their KKT status; "
-              "the verdict is not aggregated into a single quantifier"),
-    )

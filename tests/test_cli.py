@@ -198,6 +198,8 @@ class TestSolve:
         assert sol["status"] == "feasible"
         assert abs(sol["value"]) <= 1e-6
         assert abs(sol["x"][0]) <= 1e-5
+        # the Newton inner steps reach a KKT point (first-order steps stalled at 4.98e4)
+        assert float(next(s for s in sol["log"] if s.startswith("kkt="))[4:]) <= 1e-6
 
     def test_axes2d_enumerative_table(self, capsys):
         code, out, _ = run_cli(capsys, "solve", str(problem_path("axes2d")),

@@ -252,16 +252,23 @@ class TestKernel:
                         for e in exprs]
             X = np.vstack([CORPUS_POINTS[name], rng.uniform(-2.0, 2.0, size=(16, P.n))])
             V, J = P.values(X, P.items), P.jacobian(X, P.items)
+            H = P.hessians(X, P.items)  # one "h" kernel call for every item
             assert V.shape == (len(X), len(P.items))
             assert J.shape == (len(X), len(P.items), P.n)
+            assert H.shape == (len(X), len(P.items), P.n, P.n)
+            subset = P.items[:0:-2]  # a reordered subset comes back in the order asked
             for r, x in enumerate(X):
                 want_v, want_j = value(*x), jac(*x)
+                want_h = np.array([hess(*x) for hess in hessians])
                 assert_close(V[r], want_v, (name, r))
                 assert_close(J[r], want_j, (name, r))
+                assert_close(H[r], want_h, (name, r))
                 assert_close(P.values(x, P.items), want_v, (name, r))
                 assert_close(P.jacobian(x, P.items), want_j, (name, r))
-                for it, hess in zip(P.items, hessians):
-                    assert_close(P.hessian(x, it), hess(*x), (name, r, it))
+                assert_close(P.hessians(x, subset),
+                             want_h[[P.items.index(it) for it in subset]], (name, r))
+                for it, want in zip(P.items, want_h):
+                    assert_close(P.hessian(x, it), want, (name, r, it))
 
     def test_failing_item_raises_with_its_offset(self):
         from mpsckit.errors import EvalDomainError

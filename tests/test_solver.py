@@ -54,8 +54,9 @@ class TestDescentBatch:
         assert np.all(np.sum(A * Y ** 2, axis=1) < np.sum(A * Y0 ** 2, axis=1))
 
     def test_one_jacobian_call_per_iteration_on_ray2d(self, corpus, monkeypatch):
-        # in a real branch solve every gradient is one "j" kernel call; only
-        # the solve's first descent evaluates values before its first
+        # in a real branch solve every gradient is one "j" and one "h" kernel
+        # call (the Newton direction's Hessians of all its items at once);
+        # only the solve's first descent evaluates values before its first
         # gradient, each later one starts from the values the last returned,
         # and no (row, point) pair is evaluated twice over the whole solve:
         # each iterate's values come from one evaluation (at the start or as
@@ -92,8 +93,8 @@ class TestDescentBatch:
         assert sol.status == "feasible" and len(descents) == sol.iterations > 1
         times = Counter(evaluated)
         for d, (gradients, iterates) in enumerate(descents):
-            assert gradients[0] == (["j"] if d else ["v", "j"])
-            assert all(calls == ["j"] for calls in gradients[1:])
+            assert gradients[0] == (["j", "h"] if d else ["v", "j", "h"])
+            assert all(calls == ["j", "h"] for calls in gradients[1:])
             assert all(times[point] == 1 for point in iterates)
         assert set(times.values()) == {1}
 
@@ -235,9 +236,15 @@ class TestProjectBranch:
 
 
 def slsqp_projection(P, br, x0):
-    """scipy's SLSQP from x0 on min ||y - x0||^2 over the branch set; an
-    equality system with more rows than variables, which SLSQP refuses, is
-    posed as pairs of opposite inequalities."""
+    """scipy's SLSQP from x0 on min ||y - x0||^2 over the branch set."""
+    return slsqp_on_branch(P, br, x0, lambda y: ((y - x0) ** 2).sum(),
+                           lambda y: 2.0 * (y - x0))
+
+
+def slsqp_on_branch(P, br, x0, fun, jac):
+    """scipy's SLSQP from x0 on min fun over the branch set; an equality
+    system with more rows than variables, which SLSQP refuses, is posed as
+    pairs of opposite inequalities."""
     eqs, gs = br.equalities(), [("g", i) for i in range(P.m)]
     split = len(eqs) > P.n
     sides = (1.0, -1.0) if split else (1.0,)
@@ -248,8 +255,8 @@ def slsqp_projection(P, br, x0):
 
     cons = [{"type": "ineq" if split else "eq", **stacked(eqs, sides)}] if eqs else []
     cons += [{"type": "ineq", **stacked(gs, (-1.0,))}] if gs else []
-    res = minimize(lambda y: ((y - x0) ** 2).sum(), x0, jac=lambda y: 2.0 * (y - x0),
-                   constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
+    res = minimize(fun, x0, jac=jac, constraints=cons, method="SLSQP",
+                   options={"ftol": 1e-14, "maxiter": 500})
     return res.x
 
 
@@ -395,6 +402,26 @@ class TestSolveBranch:
         P = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
         sol = solver.solve_branch(P, all_branches(P)[0], [0.0], TOL)
         assert sol.status == "infeasible-stall"
+
+    def test_matches_slsqp_on_bounded_corpus_branches(self, corpus):
+        # from the starts solve_branch draws, its value is at most the best
+        # that scipy's SLSQP reaches on the branch NLP, plus 1e-6
+        compared = 0
+        for name in ("axes2d", "ray2d", "pinch2d", "diagonal2d"):
+            P = corpus[name]
+            f = lambda y: float(P.values(y, [("f", 0)])[0])
+            df = lambda y: P.jacobian(y, [("f", 0)])[0]
+            for x0 in (np.array([0.7, -0.4]), np.array([-1.3, 0.9])):
+                for br in all_branches(P):
+                    sol = solver.solve_branch(P, br, x0, TOL)
+                    assert sol.status == "feasible", (name, br.label(), x0)
+                    starts = np.vstack([x0, solver.lhs_starts(
+                        TOL.rng("solve", br.label()), solver.LHS_STARTS, x0, solver.START_BOX)])
+                    ref = [f(z) for z in (slsqp_on_branch(P, br, s, f, df) for s in starts)
+                           if br.residual(z) <= TOL.tau_feas]
+                    compared += bool(ref)
+                    assert not ref or sol.value <= min(ref) + 1e-6, (name, br.label(), x0)
+        assert compared >= 16
 
     def test_start_count_is_the_module_constant(self, monkeypatch):
         monkeypatch.setattr(solver, "LHS_STARTS", 2)

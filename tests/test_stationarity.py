@@ -137,31 +137,6 @@ class TestNormalConeOracle:
                 st.check_s_stationary(PointContext(P, x, tol)).holds(), name
 
 
-class TestBridge:
-    def test_axes2d_mu_side_multiplier(self, corpus):
-        P = corpus["axes2d"]
-        rep = st.m_to_s_bridge(PointContext(P, [0.0, 0.0], TOL),
-                               mult(lam=(3.0,), mu=(2.0,), nu=(0.0,)))
-        # the G-pinned partition carries the given multiplier exactly
-        assert rep.partitions[0] == ((0,), ())
-        assert rep.kkt_with_given[0] == pytest.approx(0.0, abs=1e-9)
-        assert rep.s_certificate is None
-        assert rep.reconstruction_residual == pytest.approx(2.0, abs=1e-9)
-
-    def test_diagonal2d_s_multiplier_passes_through(self, corpus):
-        P = corpus["diagonal2d"]
-        m = mult(rho=(0.0,), mu=(0.0,), nu=(0.0,))
-        rep = st.m_to_s_bridge(PointContext(P, [0.0, 0.0], TOL), m)
-        assert rep.s_certificate == m
-
-    def test_s_witness_is_fixed_point(self, corpus):
-        P = corpus["diagonal2d"]
-        ctx = PointContext(P, [0.0, 0.0], TOL)
-        w = st.check_s_stationary(ctx).witness
-        rep = st.m_to_s_bridge(ctx, w)
-        assert rep.s_certificate == w
-
-
 class TestChain:
     def test_s_implies_m_implies_w(self, corpus, tol):
         from conftest import CORPUS_POINTS
