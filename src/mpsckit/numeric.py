@@ -1,12 +1,12 @@
 """Dense small-scale numeric kernels.
 
 Rank, nullspace and stacked least squares are SVD-based with a relative
-cutoff.  The LP solver is a deterministic two-phase dense simplex with Bland's
-rule over the standard form A z = b, z >= 0; generator enumeration is
-exhaustive over active-set bases, ranked in batched SVDs, and decides
-emptiness by that search, with no LP; a cone stops at its only vertex, the
-origin.  Everything here is sized for desk-scale inputs (tens of rows, not
-thousands).
+cutoff; a stack of symmetric eigensolves is one LAPACK call.  The LP solver
+is a deterministic two-phase dense simplex with Bland's rule over the
+standard form A z = b, z >= 0; generator enumeration is exhaustive over
+active-set bases, ranked in batched SVDs, and decides emptiness by that
+search, with no LP; a cone stops at its only vertex, the origin.
+Everything here is sized for desk-scale inputs (tens of rows, not thousands).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import zlib
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # private: the stacked lstsq gufunc
+from numpy.linalg import _umath_linalg  # private: the stacked lstsq and eigh gufuncs
 
 from .errors import NumericBreakdownError, SizeCapError
 
@@ -216,6 +216,18 @@ def lstsq_stack(A, b):
         raise NumericBreakdownError("least-squares input is not finite")
     return _umath_linalg.lstsq(A, b[..., None], np.finfo(float).eps * max(A.shape[-2:]),
                                signature="ddd->ddid")[0][..., 0]
+
+
+def _eigh_diverged(err, flag):
+    raise NumericBreakdownError("eigensolver did not converge")
+
+
+@np.errstate(all="ignore", invalid="call", call=_eigh_diverged)
+def eigh_stack(H):
+    """np.linalg.eigh of a stack of finite symmetric matrices (N, n, n), bit for
+    bit, from one call of the LAPACK gufunc it calls per stack; an iteration
+    that does not converge raises NumericBreakdownError."""
+    return _umath_linalg.eigh_lo(H, signature="d->dd")
 
 
 def eig_sym(M):

@@ -71,20 +71,25 @@ class MpscProblem:
         """(kind, items) -> its compiled kernel, built on first use."""
         return {}
 
+    @cached_property
+    def _mirror(self) -> np.ndarray:
+        """(n, n) map from a Hessian's entries to its row-major upper triangle."""
+        M = np.zeros((self.n, self.n), int)  # M.T fills its zero lower triangle
+        M[np.triu_indices(self.n)] = np.arange(self.n * (self.n + 1) // 2)
+        return np.maximum(M, M.T)
+
     def _evaluate(self, kind, items, x):
         """Run the kernel of kind "v" (item values), "j" (their gradient rows)
-        or "h" (the upper triangles of their Hessians, row-major) at a point
-        or a batch, under one np.errstate: an overflow ends as the kernel's
-        EvalDomainError on a non-finite output."""
+        or "jh" (the gradient rows, then the upper triangles of their Hessians,
+        row-major) at a point or a batch, under one np.errstate: an overflow
+        ends as the kernel's EvalDomainError on a non-finite output."""
         kernel = self._kernels.get((kind, tuple(items)))
         if kernel is None:
-            if kind == "v":
-                trees = [self.expr(*it) for it in items]
-            elif kind == "j":
-                trees = [d for it in items for d in self.gradient_trees[it]]
-            else:
-                trees = [ex.diff(self.gradient_trees[it][i], j) for it in items
-                         for i, j in zip(*np.triu_indices(self.n))]
+            trees = ([self.expr(*it) for it in items] if kind == "v" else
+                     [d for it in items for d in self.gradient_trees[it]])
+            if kind == "jh":
+                trees += [ex.diff(self.gradient_trees[it][i], j) for it in items
+                          for i, j in zip(*np.triu_indices(self.n))]
             kernel = self._kernels[kind, tuple(items)] = ex.compile_kernel(trees)
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -100,20 +105,18 @@ class MpscProblem:
         V = self._evaluate("j", items, x)
         return V.reshape(V.shape[:-1] + (len(items), self.n))
 
-    def hessians(self, x, items):
-        """Item Hessians, shape (K, n, n) at a point or (N, K, n, n) over a
-        batch: the upper triangles are evaluated in one call and mirrored."""
-        i, j = np.triu_indices(self.n)
-        V = self._evaluate("h", items, x)
-        V = V.reshape(V.shape[:-1] + (len(items), i.size))
-        H = np.empty(V.shape[:-1] + (self.n, self.n))
-        H[..., i, j] = V
-        H[..., j, i] = V
-        return H
+    def derivatives(self, x, items):
+        """Item gradient rows and Hessians from one kernel call: (K, n) and
+        (K, n, n) at a point, (N, K, n) and (N, K, n, n) over a batch; the
+        gradients are evaluated first, so their error is the first."""
+        V = self._evaluate("jh", items, x)
+        head, K, n = V.shape[:-1], len(items), self.n
+        tri = V[..., K * n:].reshape(head + (K, n * (n + 1) // 2))
+        return V[..., :K * n].reshape(head + (K, n)), tri[..., self._mirror]
 
     def hessian(self, x, item):
         """Hessian of one item at a point, shape (n, n)."""
-        return self.hessians(x, [item])[0]
+        return self.derivatives(x, [item])[1][0]
 
     def constraint_values(self, x):
         """(g, h, G, H) value arrays at a point or batch."""

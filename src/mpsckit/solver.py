@@ -2,15 +2,16 @@
 
 Every loop descends through _descent_batch, an Armijo line search batched
 over rows along the direction its objective callback returns; the callback
-evaluates the loop's items once per point and makes one Jacobian call per
+evaluates the loop's items once per point and makes one kernel call per
 gradient.  project_branch_cloud projects by quadratic penalty, with damped
 Gauss-Newton steps (one stacked least-squares solve per iteration) at each
 penalty stage, plus a Gauss-Newton polish with one stacked least-squares
 solve per pattern of used constraints.
 solve_branch runs an augmented-Lagrangian loop over all starts, whose inner
 steps are Newton steps on the exact Hessian of the augmented Lagrangian
-(one Hessian kernel call per gradient, eigenvalues floored to keep it
-positive definite); both take steps that start at 1 and never exceed it.
+(one derivatives call per gradient, then one eigh_stack call flooring the
+eigenvalues to keep it positive definite); both take steps that start at 1
+and never exceed it.
 solve_penalty_descent minimizes f + kappa * residual along the gradient
 (the residual is a nonsmooth square root), then polishes on its
 incumbent's branch.  The enumerative solver keeps the best feasible branch
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalDomainError
-from .numeric import Tolerances, lstsq_stack
+from .numeric import Tolerances, eigh_stack, lstsq_stack
 from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
                       branch_from_assignment)
 
@@ -143,16 +144,16 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
 
 def _floored_newton(H, g):
     """Row-wise Newton directions on H with each eigenvalue lam replaced by
-    max(|lam|, 1e-8 * (1 + max |lam|)), one batched eigh; a row whose H, g
-    or direction is not finite gets a NaN direction (no trial)."""
-    d = np.full(g.shape, np.nan)
-    ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
-    if ok.any():  # eigh raises on a non-finite matrix
-        lam, Q = np.linalg.eigh(H[ok])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, 1e-8 * (1.0 + lam.max(axis=1, keepdims=True)))
-        d[ok] = (Q @ ((g[ok][:, None, :] @ Q)[:, 0] / lam)[:, :, None])[:, :, 0]
-    d[~np.isfinite(d).all(axis=1)] = np.nan
+    max(|lam|, 1e-8 * (1 + max |lam|)), one eigh_stack call over every row of
+    H, which is overwritten: a row whose H or g is not finite is the identity
+    there, and it or a row with a non-finite direction gets NaN (no trial)."""
+    bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
+    H[bad] = np.eye(H.shape[-1])
+    lam, Q = eigh_stack(H)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-8 * (1.0 + lam.max(axis=1, keepdims=True)))
+    d = (Q @ ((g[:, None, :] @ Q)[:, 0] / lam)[:, :, None])[:, :, 0]
+    d[bad | ~np.isfinite(d).all(axis=1)] = np.nan
     return d
 
 
@@ -286,7 +287,7 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
             raise EvalDomainError("evaluation point must be finite")
         gated, W = _gate(gs, w)
         items = [OBJECTIVE] + eqs + gated
-        J = P.jacobian(Z, items)
+        J, Hs = P.derivatives(Z, items)
         c = rho[rows] + s[:, None] * ev
         g = _add_gradients(J[:, 0], J[:, 1:], c, W)
         # Newton: the exact Hessian of the augmented Lagrangian, the f, e and
@@ -294,8 +295,7 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
         # every equality and each inequality with w > 0
         Ju = J[:, 1:] * np.concatenate([np.ones(ev.shape), W > 0.0], axis=1)[:, :, None]
         H = np.einsum("rk,rkij->rij", np.concatenate([np.ones((len(Z), 1)), c, W], axis=1),
-                      P.hessians(Z, items)) \
-            + s[:, None, None] * (Ju.transpose(0, 2, 1) @ Ju)
+                      Hs) + s[:, None, None] * (Ju.transpose(0, 2, 1) @ Ju)
         return fv, V, g, _floored_newton(H, g)
 
     for _ in range(MAX_OUTER):

@@ -127,6 +127,44 @@ class TestLstsqStack:
             numeric.lstsq_stack(np.eye(2)[None], np.ones((1, 2)))
 
 
+class TestEighStack:
+    def test_equals_eigh_slice_by_slice(self):
+        # np.linalg.eigh on each matrix is the oracle, compared as bytes; both
+        # read the lower triangle only, so an asymmetric stack agrees too
+        rng = np.random.default_rng(13)
+        kinds = Counter()
+        for _ in range(600):
+            N, n = (int(v) for v in rng.integers(1, 6, size=2))
+            A = 10.0 ** rng.uniform(-8.0, 3.0) * rng.normal(size=(N, n, n))
+            kind = ("symmetric", "singular", "asymmetric")[int(rng.integers(3))]
+            if kind == "symmetric":
+                A = A + A.transpose(0, 2, 1)
+            elif kind == "singular":  # rank one: repeated zero eigenvalues
+                A = A[:, :, :1] @ A[:, :, :1].transpose(0, 2, 1)
+            lam, Q = numeric.eigh_stack(A)
+            assert lam.shape == (N, n) and Q.shape == (N, n, n)
+            for k in range(N):
+                w, V = np.linalg.eigh(A[k])
+                assert lam[k].tobytes() == w.tobytes(), (kind, N, n, k)
+                assert Q[k].tobytes() == V.tobytes(), (kind, N, n, k)
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 150
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        # the gufunc reports an iteration that did not converge by raising
+        # the invalid floating-point flag, the signal np.linalg.eigh turns
+        # into LinAlgError; a stand-in gufunc raises that flag
+        class Diverging:
+            @staticmethod
+            def eigh_lo(H, signature):
+                return np.sqrt(np.full(H.shape[:-1], -1.0)), np.full(H.shape, np.nan)
+
+        monkeypatch.setattr(numeric, "_umath_linalg", Diverging)
+        with pytest.raises(NumericBreakdownError, match="did not converge") as err:
+            numeric.eigh_stack(np.eye(2)[None])
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
 class TestEig:
     def test_negative_diag(self):
         w, _ = numeric.eig_sym(np.diag([-2.0, -2.0]))

@@ -237,6 +237,9 @@ class TestKernel:
         assert P.values(np.zeros((4, 2)), []).shape == (4, 0)
         assert P.jacobian([0.0, 0.0], []).shape == (0, 2)
         assert P.jacobian(np.zeros((4, 2)), []).shape == (4, 0, 2)
+        assert [a.shape for a in P.derivatives([0.0, 0.0], [])] == [(0, 2), (0, 2, 2)]
+        assert [a.shape for a in P.derivatives(np.zeros((4, 2)), [])] == [(4, 0, 2),
+                                                                           (4, 0, 2, 2)]
 
     def test_matches_sympy_on_corpus(self, corpus):
         import sympy
@@ -252,21 +255,25 @@ class TestKernel:
                         for e in exprs]
             X = np.vstack([CORPUS_POINTS[name], rng.uniform(-2.0, 2.0, size=(16, P.n))])
             V, J = P.values(X, P.items), P.jacobian(X, P.items)
-            H = P.hessians(X, P.items)  # one "h" kernel call for every item
+            DJ, H = P.derivatives(X, P.items)  # one "jh" kernel call for every item
             assert V.shape == (len(X), len(P.items))
-            assert J.shape == (len(X), len(P.items), P.n)
+            assert J.shape == DJ.shape == (len(X), len(P.items), P.n)
             assert H.shape == (len(X), len(P.items), P.n, P.n)
+            assert np.array_equal(DJ, J)  # both kernels are the tree walk, bit for bit
             subset = P.items[:0:-2]  # a reordered subset comes back in the order asked
+            order = [P.items.index(it) for it in subset]
             for r, x in enumerate(X):
-                want_v, want_j = value(*x), jac(*x)
+                want_v, want_j = value(*x), np.array(jac(*x))
                 want_h = np.array([hess(*x) for hess in hessians])
                 assert_close(V[r], want_v, (name, r))
                 assert_close(J[r], want_j, (name, r))
+                assert_close(DJ[r], want_j, (name, r))
                 assert_close(H[r], want_h, (name, r))
                 assert_close(P.values(x, P.items), want_v, (name, r))
                 assert_close(P.jacobian(x, P.items), want_j, (name, r))
-                assert_close(P.hessians(x, subset),
-                             want_h[[P.items.index(it) for it in subset]], (name, r))
+                sub_j, sub_h = P.derivatives(x, subset)
+                assert_close(sub_j, want_j[order], (name, r))
+                assert_close(sub_h, want_h[order], (name, r))
                 for it, want in zip(P.items, want_h):
                     assert_close(P.hessian(x, it), want, (name, r, it))
 
@@ -400,6 +407,31 @@ class TestCompiledKernel:
             assert err == tree_walk(trees[first:], X)[1]
             assert what in err[0] and err[1] == want
         assert trees[1].offset != trees[2].offset
+
+    def test_derivatives_report_the_gradient_trees_first(self):
+        # the "jh" kernel computes every gradient tree, then the Hessians'
+        # upper-triangle trees, so its first error is the walk's over that
+        # order: at (0.1, 1e155) the Hessian of g0 overflows and so does the
+        # gradient of g1, which wins though g0 comes first
+        P = pb.load_problem("vars x1 x2\nmin x1\nineq 1e308 * x1^2\nineq x2^3\n",
+                            from_path=False)
+        items = [("g", 0), ("g", 1)]
+        grads = [d for it in items for d in P.gradient_trees[it]]
+        hess = [ex.diff(P.gradient_trees[it][i], j) for it in items
+                for i, j in zip(*np.triu_indices(P.n))]
+        far, near = np.array([[0.1, 1e155]]), np.array([[0.1, 1.0]])
+        assert tree_walk(grads, near)[1] is None
+        assert tree_walk(grads, far)[1] != tree_walk(hess, far)[1]
+        for x, want in ((far, tree_walk(grads, far)[1]), (near, tree_walk(hess, near)[1])):
+            X = np.vstack([x, [0.0, 0.0]])
+            with pytest.raises(EvalDomainError) as err:
+                P.derivatives(X, items)
+            assert (str(err.value), err.value.offset) == tree_walk(grads + hess, X)[1] == want
+        # so the Hessian of g1 alone now raises where only its gradient overflows
+        with pytest.raises(EvalDomainError, match=r"overflowed.*\(offset 2\)"):
+            P.hessian([0.1, 1e155], ("g", 1))
+        assert np.array_equal(P.hessian([0.1, 2.0 ** 300], ("g", 1)),
+                              [[0.0, 0.0], [0.0, 6 * 2.0 ** 300]])
 
     @pytest.mark.parametrize("items", [1, 4, 40])
     def test_two_finiteness_checks_whatever_the_width(self, items, monkeypatch):

@@ -16,11 +16,13 @@ tests/data/snapshots/ holds the other commands' JSON, written the same way
 with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
 origins, `errorbound --json` on a FAILS and a HOLDS instance, and
 `solve --json` for a feasible and a failed solve, for enumerative solves of
-pinch2d and diagonal2d, and for penalty-mode solves (penalty descent, then
-the augmented-Lagrangian branch polish) from the default start and from all
-ones.  A run that exits 2 writes no JSON; its snapshot is the stderr
-(`<name>.stderr`).  Bytes are compared, not parsed values, so key order and
-number formatting are pinned too.
+pinch2d, diagonal2d and the unbounded tilted_sheet3d and parabola_sheet3d
+(whose augmented-Lagrangian rows walk their valleys to the iteration caps),
+and for penalty-mode solves (penalty descent, then the augmented-Lagrangian
+branch polish) from the default start and from all ones.  A run that exits
+2 writes no JSON; its snapshot is the stderr (`<name>.stderr`).  Bytes are
+compared, not parsed values, so key order and number formatting are pinned
+too.
 """
 
 from pathlib import Path
@@ -57,10 +59,11 @@ SNAPSHOTS = {
     "solve_axes2d_penalty": (0, ["solve", str(problem_path("axes2d")), "--mode", "penalty"]),
     "solve_nobranch": (1, ["solve", NO_BRANCH]),
     **{f"solve_{name}": (0, ["solve", str(problem_path(name))])
-       for name in ("pinch2d", "diagonal2d")},
+       for name in ("pinch2d", "diagonal2d", "tilted_sheet3d", "parabola_sheet3d")},
     **{f"solve_{name}_penalty_ones": (code, ["solve", str(problem_path(name)), "--mode",
                                              "penalty", "--from", _ones(name)])
-       for name, code in (("wedge3d", 1), ("tilted_sheet3d", 1), ("pinch2d", 2))},
+       for name, code in (("wedge3d", 1), ("tilted_sheet3d", 1), ("pinch2d", 2),
+                          ("parabola_sheet3d", 0))},
 }
 
 

@@ -54,8 +54,8 @@ class TestDescentBatch:
         assert np.all(np.sum(A * Y ** 2, axis=1) < np.sum(A * Y0 ** 2, axis=1))
 
     def test_one_jacobian_call_per_iteration_on_ray2d(self, corpus, monkeypatch):
-        # in a real branch solve every gradient is one "j" and one "h" kernel
-        # call (the Newton direction's Hessians of all its items at once);
+        # in a real branch solve every gradient is one "jh" kernel call (the
+        # gradient rows and the Newton direction's Hessians of all its items);
         # only the solve's first descent evaluates values before its first
         # gradient, each later one starts from the values the last returned,
         # and no (row, point) pair is evaluated twice over the whole solve:
@@ -93,23 +93,61 @@ class TestDescentBatch:
         assert sol.status == "feasible" and len(descents) == sol.iterations > 1
         times = Counter(evaluated)
         for d, (gradients, iterates) in enumerate(descents):
-            assert gradients[0] == (["j", "h"] if d else ["v", "j", "h"])
-            assert all(calls == ["j", "h"] for calls in gradients[1:])
+            assert gradients[0] == (["jh"] if d else ["v", "jh"])
+            assert all(calls == ["jh"] for calls in gradients[1:])
             assert all(times[point] == 1 for point in iterates)
         assert set(times.values()) == {1}
 
+def _np_call(node):
+    """The dotted name of a call of np.<name> or np.linalg.<name>, else None."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if not isinstance(func, ast.Attribute):
+        return None
+    if isinstance(func.value, ast.Name) and func.value.id == "np":
+        return func.attr
+    if isinstance(func.value, ast.Attribute) and func.value.attr == "linalg" \
+            and isinstance(func.value.value, ast.Name) and func.value.value.id == "np":
+        return f"linalg.{func.attr}"
+    return None
+
+
 def test_descent_loops_use_ndarray_reductions():
-    # the descent and its three objective closures reduce with ndarray
-    # methods, not numpy's module-level wrappers
+    # the descent, its three objective closures and the Newton direction
+    # reduce with ndarray methods, not numpy's module-level wrappers, and
+    # call no Python-level wrapper of numpy.linalg (eigh_stack and
+    # lstsq_stack reach LAPACK directly) and build no triangle indices
     tree = ast.parse(Path(solver.__file__).read_text())
     loops = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-             and fn.name in ("_descent_batch", "objective")]
-    assert len(loops) == 4
-    wrapped = [(fn.name, node.lineno) for fn in loops for node in ast.walk(fn)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-               and node.func.attr in ("sum", "any", "all", "max", "min")]
+             and fn.name in ("_descent_batch", "objective", "_floored_newton")]
+    assert len(loops) == 5
+    calls = [(fn.name, node.lineno, _np_call(node)) for fn in loops
+             for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    wrapped = [(name, line, call) for name, line, call in calls if call is not None
+               and (call in ("sum", "any", "all", "max", "min", "triu_indices")
+                    or call.startswith("linalg."))]
     assert wrapped == []
+    assert _np_call(ast.parse("np.linalg.eigh(H)").body[0].value) == "linalg.eigh"
+
+
+class TestFlooredNewton:
+    def test_bad_rows_are_nan_and_finite_rows_keep_their_one_row_bits(self):
+        # rows 1 and 3 have a non-finite H and g, row 5's direction overflows;
+        # called under the errstate of _descent_batch, as the ALM calls it
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(7, 3, 3))
+        H, g = A + A.transpose(0, 2, 1), rng.normal(size=(7, 3))  # indefinite
+        H[4] = H[5] = 0.0  # every eigenvalue floored at 1e-8
+        H[1, 0, 2], g[3, 1], g[5] = np.nan, np.inf, 1e305
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = solver._floored_newton(H.copy(), g)
+            one = [solver._floored_newton(H[r:r + 1].copy(), g[r:r + 1])[0] for r in range(7)]
+        assert np.isnan(d[[1, 3, 5]]).all()
+        for r in (0, 2, 4, 6):
+            assert d[r].tobytes() == one[r].tobytes()
+            lam, Q = np.linalg.eigh(H[r])
+            lam = np.maximum(np.abs(lam), 1e-8 * (1.0 + np.abs(lam).max()))
+            assert np.allclose(d[r], Q @ ((g[r] @ Q) / lam), rtol=1e-12, atol=0.0)
+        assert np.array_equal(d[4], g[4] / 1e-8)
 
 
 class TestProjectBranch:
