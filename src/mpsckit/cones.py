@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasiblePointError
-from .numeric import (Generators, Polyhedron, Tolerances, combination_lp,
-                      enumerate_generators, nullspace)
+from .numeric import (RADII_FRACTIONS, Generators, Polyhedron, Tolerances, ball_offsets,
+                      combination_lp, enumerate_generators, nullspace)
 from .problem import Bipartition, IndexSets, MpscProblem, bipartitions, branch, index_sets
 from .solver import project_branch_cloud
 
@@ -67,18 +67,13 @@ class ConePiece:
         return Polyhedron.make(self.dim, A_eq=self.A_eq, A_le=self.A_le)
 
     def violation(self, d):
-        """Worst normalized constraint violation of a direction."""
+        """Worst normalized constraint violation of a direction, or of each
+        row of a stack of directions; zero rows are skipped."""
         d = np.asarray(d, float)
-        v = 0.0
-        for row in self.A_eq:
-            nrm = np.linalg.norm(row)
-            if nrm > 0:
-                v = max(v, abs(row @ d) / nrm)
-        for row in self.A_le:
-            nrm = np.linalg.norm(row)
-            if nrm > 0:
-                v = max(v, (row @ d) / nrm)
-        return v
+        eq, le = np.linalg.norm(self.A_eq, axis=1), np.linalg.norm(self.A_le, axis=1)
+        r = np.concatenate([np.abs(d @ self.A_eq[eq > 0].T) / eq[eq > 0],
+                            (d @ self.A_le[le > 0].T) / le[le > 0]], axis=-1)
+        return np.max(r, axis=-1, initial=0.0)
 
     def contains(self, d, slack):
         return self.violation(d) <= slack
@@ -108,16 +103,16 @@ class ConeUnion:
     pieces: list = field(default_factory=list)
 
     def member_angular(self, d, tol: Tolerances):
-        """Directional membership: some piece within angular_tol of the unit d."""
+        """Directional membership of a direction, or a mask over a stack of
+        them: some piece within angular_tol of the unit direction.  A zero
+        direction is a member."""
         d = np.asarray(d, float)
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            return True, 0 if self.pieces else None
-        u = d / nrm
-        for i, piece in enumerate(self.pieces):
-            if piece.violation(u) <= np.sin(tol.angular_tol):
-                return True, i
-        return False, None
+        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+        u = d / np.where(nrm > 0.0, nrm, 1.0)
+        inside = nrm[..., 0] == 0.0
+        for piece in self.pieces:
+            inside |= piece.violation(u) <= np.sin(tol.angular_tol)
+        return inside
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +127,7 @@ class PointContext:
     Hessian at x are computed on first use and not kept when they raise, so
     each component that needs them reports the error itself.  The
     linearization-cone pieces are built once and keep their generators;
+    `shells` draws each sampled check's neighbourhood points once, and
     `once` keeps any other point-level result that several components share.
     """
 
@@ -158,6 +154,15 @@ class PointContext:
     @cached_property
     def linearization(self) -> ConeUnion:
         return linearization_cone(self)
+
+    def shells(self, *tag) -> list:
+        """tol.n_samples points around x in each ball of radius
+        eps_ball * RADII_FRACTIONS, drawn from tol.rng(*tag, shell) once."""
+        tol = self.tol
+        return self.once(("shells",) + tag, lambda: [
+            self.x[None, :] + ball_offsets(tol.rng(*tag, ri), tol.n_samples, self.P.n,
+                                           tol.eps_ball * frac)
+            for ri, frac in enumerate(RADII_FRACTIONS)])
 
     def rows(self, items) -> np.ndarray:
         """Gradients of the items stacked as rows, shape (len(items), n)."""

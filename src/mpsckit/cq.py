@@ -3,7 +3,10 @@
 Neighbourhood quantifiers ("there is a ball where the rank is constant")
 are undecidable numerically, so every rank-constancy check samples three
 shrinking radii and labels a positive verdict as sampled evidence rather
-than proof.  The implication lattice then completes the verdict table and
+than proof.  One sampled rank routine, `rank_constancy`, decides WCR, PWCR,
+PCRSC and each RCRCQ subset triple: it evaluates the active-family Jacobian
+on a tag's shells once per point context and slices each family out of
+that tensor.  The implication lattice then completes the verdict table and
 cross-checks the direct results for contradictions.
 """
 
@@ -18,8 +21,8 @@ import numpy as np
 from . import cones as cn
 from .cones import PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import (RADII_FRACTIONS, ball_offsets, eig_sym, nullspace, rank_margin,
-                      rank_tol, rank_tol_batch)
+from .numeric import (RADII_FRACTIONS, eig_sym, nullspace, rank_margin, rank_tol,
+                      rank_tol_batch)
 from .problem import Bipartition
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
@@ -55,23 +58,27 @@ class CqVerdict:
 # ---------------------------------------------------------------------------
 
 def rank_constancy(ctx: PointContext, items, tag) -> dict:
-    """Sampled rank constancy of a gradient family near x.
+    """Sampled rank constancy near x of a gradient family within the active
+    family, sliced from the active-family Jacobians on the tag's shells,
+    which are evaluated once per context.
 
     Returns a dict with constant (bool), base rank, witness sample (if any),
     and a thin_margin flag for fragile decisions near the rank cutoff.
     """
-    P, x, tol = ctx.P, ctx.x, ctx.tol
+    tol = ctx.tol
     M0 = ctx.rows(items)
     r0 = rank_tol(M0, tol)
     thin = rank_margin(M0, tol) < 10.0
+    active = active_items(ctx)
+    sel = [active.index(it) for it in items]
+    shells = ctx.once(("shell jacobians", tag), lambda: [
+        (X, ctx.P.jacobian(X, active)) for X in ctx.shells("rankconst", tag)])
     witness = None
-    for ri, frac in enumerate(RADII_FRACTIONS):
-        rng = tol.rng("rankconst", tag, ri)
-        X = x[None, :] + ball_offsets(rng, tol.n_samples, P.n, tol.eps_ball * frac)
-        ranks = rank_tol_batch(P.jacobian(X, items), tol)
-        bad = np.where(ranks != r0)[0]
-        for b in bad:
-            if rank_margin(P.jacobian(X[b], items), tol) < 10.0:
+    for frac, (X, T) in zip(RADII_FRACTIONS, shells):
+        F = T[:, sel, :]
+        ranks = rank_tol_batch(F, tol)
+        for b in np.flatnonzero(ranks != r0):
+            if rank_margin(F[b], tol) < 10.0:
                 thin = True
                 continue
             witness = {"point": X[b].tolist(), "rank": int(ranks[b]),
@@ -125,49 +132,25 @@ def check_pwcr(ctx: PointContext) -> CqVerdict:
 
 def check_rcrcq(ctx: PointContext) -> CqVerdict:
     """Sampled constant rank over all subset triples (I1, I3, I4)."""
-    P, x, tol, I = ctx.P, ctx.x, ctx.tol, ctx.I
+    I, tol = ctx.I, ctx.tol
     n_triples = 2 ** len(I.I_g) * 4 ** len(I.I_GH)
     if n_triples > RCRCQ_TRIPLE_CAP:
         return CqVerdict("RCRCQ", UNKNOWN, "sampled",
                          {"note": f"{n_triples} subset triples exceed the cap"})
-    # evaluate the full gradient tensor once per radius, slice per triple
-    full_items = [("g", i) for i in I.I_g] + list(P.items[1 + P.m:])
-    pos = {it: r for r, it in enumerate(full_items)}
-
-    tensors = []
-    for ri, frac in enumerate(RADII_FRACTIONS):
-        rng = tol.rng("rankconst", "rcrcq", ri)
-        X = x[None, :] + ball_offsets(rng, tol.n_samples, P.n, tol.eps_ball * frac)
-        tensors.append((X, P.jacobian(X, full_items)))
-
-    g_subsets = list(_subsets(I.I_g))
     gh_subsets = list(_subsets(I.I_GH))
     any_thin = False
-    checked = 0
-    for I1 in g_subsets:
-        for I3 in gh_subsets:
-            for I4 in gh_subsets:
-                items = branch_items(ctx, I3, I4, g_idx=I1)
-                checked += 1
-                if not items:
-                    continue
-                sel = [pos[it] for it in items]
-                r0 = rank_tol(ctx.rows(items), tol)
-                for X, T in tensors:
-                    ranks = rank_tol_batch(T[:, sel, :], tol)
-                    bad = np.where(ranks != r0)[0]
-                    for bidx in bad:
-                        if rank_margin(P.jacobian(X[bidx], items), tol) < 10.0:
-                            any_thin = True
-                            continue
-                        return CqVerdict("RCRCQ", FAILS, "sampled", {
-                            "triple": {"I1": list(I1), "I3": list(I3), "I4": list(I4)},
-                            "witness": {"point": X[bidx].tolist(),
-                                        "rank": int(ranks[bidx]), "base_rank": r0},
-                            "seed": tol.seed})
+    for I1, I3, I4 in itertools.product(_subsets(I.I_g), gh_subsets, gh_subsets):
+        rep = rank_constancy(ctx, branch_items(ctx, I3, I4, g_idx=I1), "rcrcq")
+        any_thin |= rep["thin_margin"]
+        if not rep["constant"]:
+            w = rep["witness"]
+            return CqVerdict("RCRCQ", FAILS, "sampled", {
+                "triple": {"I1": list(I1), "I3": list(I3), "I4": list(I4)},
+                "witness": {"point": w["point"], "rank": w["rank"], "base_rank": rep["rank"]},
+                "seed": tol.seed})
     status = UNKNOWN if any_thin else HOLDS
     return CqVerdict("RCRCQ", status, "sampled",
-                     {"triples_checked": checked, "n_samples": tol.n_samples,
+                     {"triples_checked": n_triples, "n_samples": tol.n_samples,
                       "seed": tol.seed})
 
 
@@ -258,12 +241,12 @@ def check_acq(ctx: PointContext) -> CqVerdict:
                          {"note": "linearization cone is the origin"})
 
     cloud = cn.sample_tangent_directions(P, x, tol)
-    for d in cloud.directions:
-        if not L.member_angular(d, tol)[0]:
-            return CqVerdict("ACQ", UNKNOWN, "sampled", {
-                "note": "sampled tangent direction escaped the linearization "
-                        "cone; projection accuracy is suspect",
-                "direction": d.tolist()})
+    escaped = np.flatnonzero(~L.member_angular(cloud.directions, tol))
+    if escaped.size:
+        return CqVerdict("ACQ", UNKNOWN, "sampled", {
+            "note": "sampled tangent direction escaped the linearization "
+                    "cone; projection accuracy is suspect",
+            "direction": cloud.directions[escaped[0]].tolist()})
 
     unresolved = []
     for piece in L.pieces:
@@ -340,13 +323,12 @@ def _psoqn_second_order(ctx, b, m):
 
 def _psoqn_sign_sequence(ctx, m):
     """A sample at every shrinking radius matching all strict sign conditions."""
-    P, x, tol = ctx.P, ctx.x, ctx.tol
+    P, tol = ctx.P, ctx.tol
     lam, rho, mu, nu = m.as_arrays()
-    for ri, frac in enumerate(RADII_FRACTIONS):
-        rng = tol.rng("psoqn", ri)
-        X = x[None, :] + ball_offsets(rng, tol.n_samples, P.n, tol.eps_ball * frac)
-        g, h, G, H = P.constraint_values(X)
-        ok = np.ones(X.shape[0], dtype=bool)
+    shell_values = ctx.once("psoqn values", lambda: [
+        P.constraint_values(X) for X in ctx.shells("psoqn")])
+    for g, h, G, H in shell_values:
+        ok = np.ones(g.shape[0], dtype=bool)
         for i in range(P.m):
             if lam[i] > tol.tau_act:
                 ok &= g[:, i] > 1e-12

@@ -97,7 +97,7 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
     sphere = rng.normal(size=(tol.n_samples, n))
     sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
     slack = tol.tau_feas * 2.0
-    dirs.extend(d for d in sphere if piece.contains(d, slack))
+    dirs.extend(sphere[piece.contains(sphere, slack)])
 
     D = np.array(dirs)
     vals = np.einsum("ij,jk,ik->i", D, Q, D)
@@ -106,13 +106,14 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
                           exact=False, method="generator_sweep")
 
 
-def _multiplier_generators(ctx):
-    """Vertices and (both-signed) rays of the S-multiplier polyhedron,
-    enumerated once per context for both second-order checks."""
+def _multiplier_sweep(ctx):
+    """(multiplier, is_ray) over the vertices, then the (both-signed) rays,
+    of the S-multiplier polyhedron, enumerated once per context for both
+    second-order checks."""
     def expand():
         _, labels, gen = s_multiplier_polyhedron(ctx)
-        return ([expand_multiplier(ctx.P, labels, v) for v in gen.vertices],
-                [expand_multiplier(ctx.P, labels, r) for r in gen.all_rays()])
+        return ([(expand_multiplier(ctx.P, labels, v), False) for v in gen.vertices]
+                + [(expand_multiplier(ctx.P, labels, r), True) for r in gen.all_rays()])
     return ctx.once("S-multipliers", expand)
 
 
@@ -146,41 +147,29 @@ def check_wsonc(ctx: PointContext) -> SocVerdict:
         return SocVerdict("WSONC", HOLDS, "exact",
                           evidence={"subspace_dim": 0, "note": "vacuous"})
     try:
-        vertices, rays = _multiplier_generators(ctx)
+        sweep = _multiplier_sweep(ctx)
     except SizeCapError as err:
         return SocVerdict("WSONC", UNKNOWN, "exact",
                           evidence={"note": str(err)})
-    checked = 0
-    for mult in vertices:
-        Q = lagrangian_hessian(ctx, mult)
+    for mult, is_ray in sweep:
+        Q = lagrangian_hessian(ctx, mult, include_objective=not is_ray)
         w, V = eig_sym(B.T @ Q @ B)
-        checked += 1
         if w[0] < -tol.tau_psd:
             d = B @ V[:, 0]
             d /= np.linalg.norm(d)
-            return SocVerdict("WSONC", FAILS, "exact",
-                              witness={"multiplier": mult, "direction": d,
-                                       "value": float(d @ Q @ d)},
-                              evidence={"subspace_dim": B.shape[1],
-                                        "method": "subspace_eig"})
-    anchor = vertices[0]
-    for ray in rays:
-        Qr = lagrangian_hessian(ctx, ray, include_objective=False)
-        w, V = eig_sym(B.T @ Qr @ B)
-        checked += 1
-        if w[0] < -tol.tau_psd:
-            d = B @ V[:, 0]
-            d /= np.linalg.norm(d)
-            mult, value = _ray_witness_multiplier(ctx, anchor, ray, d)
+            evidence = {"subspace_dim": B.shape[1], "method": "subspace_eig"}
+            if is_ray:
+                mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
+                evidence["via_recession_ray"] = True
+            else:
+                value = float(d @ Q @ d)
             return SocVerdict("WSONC", FAILS, "exact",
                               witness={"multiplier": mult, "direction": d,
                                        "value": value},
-                              evidence={"subspace_dim": B.shape[1],
-                                        "method": "subspace_eig",
-                                        "via_recession_ray": True})
+                              evidence=evidence)
     return SocVerdict("WSONC", HOLDS, "exact",
                       evidence={"subspace_dim": B.shape[1],
-                                "generators_checked": checked,
+                                "generators_checked": len(sweep),
                                 "multiplier_argument": MULTIPLIER_ARGUMENT,
                                 "method": "subspace_eig"})
 
@@ -190,7 +179,7 @@ def check_ssonc(ctx: PointContext) -> SocVerdict:
     tol = ctx.tol
     witness0 = _gate_s_stationary(ctx)
     try:
-        vertices, rays = _multiplier_generators(ctx)
+        sweep = _multiplier_sweep(ctx)
     except SizeCapError as err:
         return SocVerdict("SSONC", UNKNOWN, "sampled", evidence={"note": str(err)})
     pieces = cn.critical_cone(ctx, mult=witness0).pieces
@@ -198,9 +187,8 @@ def check_ssonc(ctx: PointContext) -> SocVerdict:
     all_exact = True
     low_coverage = []
     piece_tags = []
-    for gi, (mult, homogeneous) in enumerate(
-            [(v, False) for v in vertices] + [(r, True) for r in rays]):
-        Q = lagrangian_hessian(ctx, mult, include_objective=not homogeneous)
+    for gi, (mult, is_ray) in enumerate(sweep):
+        Q = lagrangian_hessian(ctx, mult, include_objective=not is_ray)
         for pi, piece in enumerate(pieces):
             rng = tol.rng("ssonc", gi, pi)
             qf = quadform_min_over_cone(Q, piece, tol, rng=rng)
@@ -211,8 +199,8 @@ def check_ssonc(ctx: PointContext) -> SocVerdict:
                                "admitted": qf.admitted})
             if qf.value is not None and qf.value < -tol.tau_psd:
                 d = qf.direction
-                if homogeneous:
-                    wit_mult, value = _ray_witness_multiplier(ctx, vertices[0], mult, d)
+                if is_ray:
+                    wit_mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
                 else:
                     wit_mult, value = mult, qf.value
                 assert piece.contains(d, tol.tau_feas * 2.0)

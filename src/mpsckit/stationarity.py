@@ -64,13 +64,6 @@ def _lagrangian_terms(P: MpscProblem, mult: Multipliers):
     return [(c, it) for c, it in terms if c != 0.0]
 
 
-def lagrangian_gradient(ctx: PointContext, mult: Multipliers):
-    out = ctx.grad("f")
-    for c, it in _lagrangian_terms(ctx.P, mult):
-        out = out + c * ctx.grad(*it)
-    return out
-
-
 def lagrangian_hessian(ctx: PointContext, mult: Multipliers, include_objective=True):
     n = ctx.P.n
     out = ctx.hessian("f").copy() if include_objective else np.zeros((n, n))

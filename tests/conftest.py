@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpsckit import cq
+from mpsckit.stationarity import _lagrangian_terms
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import OBJECTIVE, MpscProblem, load_problem
 from mpsckit.solver import lhs_starts, project_branch_cloud
@@ -51,6 +52,15 @@ def kernel_gradient(e, x):
 def kernel_hessian(e, x):
     """Hessian of e at a point, from the evaluation kernel."""
     return _objective_only(e, len(x)).hessian(x, OBJECTIVE)
+
+
+def lagrangian_gradient(ctx, mult):
+    """grad f + the multiplier combination of the item gradients at x: the
+    tests' witness check (it vanishes at a stationary point)."""
+    out = ctx.grad("f")
+    for c, it in _lagrangian_terms(ctx.P, mult):
+        out = out + c * ctx.grad(*it)
+    return out
 
 
 def in_cone_union(cone, d, tol):

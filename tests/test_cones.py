@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import in_cone_union
+import rowwalk
+from conftest import CORPUS_POINTS, in_cone_union
 
 from mpsckit import cones
-from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, PointContext
+from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, ConeUnion, PointContext
+from mpsckit.stationarity import check_s_stationary
 from mpsckit.errors import InfeasiblePointError
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
@@ -133,6 +135,68 @@ class TestExplicitMembership:
         L = cones.linearization_cone(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
         assert not in_cone_union(L, [-1.0, 0.0, 0.0], TOL)
         assert in_cone_union(L, [0.0, 0.0, 0.0], TOL)
+
+
+class TestStackedMembership:
+    """The stacked violation and member_angular against the row walk
+    (tests/rowwalk.py)."""
+
+    @staticmethod
+    def random_pieces(rng, n):
+        # every shape pairing of empty and nonempty A_eq / A_le, with zero rows
+        for m_eq, m_le in ((0, 0), (0, 3), (2, 0), (1, 2), (3, 4)):
+            A_eq, A_le = rng.normal(size=(m_eq, n)), rng.normal(size=(m_le, n))
+            A_eq[:1] = 0.0
+            A_le[-1:] = 0.0
+            yield ConePiece(A_eq=A_eq, A_le=A_le)
+
+    def test_violation_matches_the_row_walk_on_random_stacks(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 4):
+            for piece in self.random_pieces(rng, n):
+                D = rng.normal(size=(64, n))
+                D[0] = 0.0
+                ref = np.array([rowwalk.violation(piece, d) for d in D])
+                v = piece.violation(D)
+                assert v.shape == (64,) and v[0] == 0.0
+                assert np.allclose(v, ref, rtol=1e-12, atol=1e-15)
+                assert piece.violation(D[1]) == pytest.approx(ref[1], rel=1e-12, abs=1e-15)
+                assert np.array_equal(piece.contains(D, 0.5), ref <= 0.5)
+
+    def test_member_angular_matches_the_row_walk_on_random_stacks(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 3, 4):
+            pieces = list(self.random_pieces(rng, n))
+            # generators of the pieces, jittered across the angular tolerance
+            gens = np.reshape([r for p in pieces for r in p.generators(TOL).all_rays()], (-1, n))
+            D = np.vstack([np.zeros((1, n)), rng.normal(size=(64, n)),
+                           gens + 0.05 * rng.normal(size=gens.shape)])
+            for cone in (ConeUnion(), ConeUnion(pieces[1:2]), ConeUnion(pieces[1:]),
+                         ConeUnion(pieces)):
+                mask = cone.member_angular(D, TOL)
+                assert mask.shape == (len(D),) and mask[0]
+                assert mask.tolist() == [rowwalk.member_angular(cone, d, TOL) for d in D]
+                assert bool(cone.member_angular(D[0], TOL))
+
+    def test_decisions_match_the_row_walk_on_corpus_pieces(self, corpus):
+        rng = np.random.default_rng(7)
+        slack = 2.0 * TOL.tau_feas
+        for name, P in corpus.items():
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            cones_at_x = [ctx.linearization, cones.critical_cone(ctx)]
+            s = check_s_stationary(ctx)
+            if s.holds():
+                cones_at_x.append(cones.critical_cone(ctx, s.witness))
+            cloud = cones.sample_tangent_directions(P, ctx.x, TOL)
+            for cone in cones_at_x:
+                gens = [r for p in cone.pieces for r in p.generators(TOL).all_rays()]
+                D = np.vstack([np.zeros((1, P.n)), cloud.directions,
+                               rng.normal(size=(256, P.n)), np.reshape(gens, (-1, P.n))])
+                assert cone.member_angular(D, TOL).tolist() \
+                    == [rowwalk.member_angular(cone, d, TOL) for d in D], name
+                for piece in cone.pieces:
+                    assert piece.contains(D, slack).tolist() \
+                        == [rowwalk.violation(piece, d) <= slack for d in D], name
 
 
 class TestPointContext:

@@ -7,7 +7,7 @@ from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
 from mpsckit.errors import LatticeContradictionError
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import Bipartition, load_problem
+from mpsckit.problem import Bipartition, MpscProblem, load_problem
 
 TOL = Tolerances()
 
@@ -75,6 +75,19 @@ class TestRcrcq:
     def test_linear_constraints_hold(self):
         P = load_problem("vars x1 x2\nmin x1\nineq x1 + x2\nineq -x1\n", from_path=False)
         assert cq.check_rcrcq(PointContext(P, [0.0, 0.0], TOL)).status == "HOLDS"
+
+    def test_thin_base_margin_reads_unknown_as_wcr_does(self):
+        # the two active gradients are 5e-8 apart in direction, so the rank
+        # at x sits within a factor 10 of the cutoff, for WCR's family and
+        # for the RCRCQ triple (I_g, (), ()), which is the same family
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x1\nineq -x1 - 5e-8*x2\n",
+                         from_path=False)
+        ctx = PointContext(P, [0.0, 0.0], TOL)
+        wcr, rcrcq = cq.check_wcr(ctx), cq.check_rcrcq(ctx)
+        assert (wcr.status, rcrcq.status) == ("UNKNOWN", "UNKNOWN")
+        assert rcrcq.evidence["triples_checked"] == 4
+        table = cq.lattice_closure({"WCR": wcr, "RCRCQ": rcrcq})
+        assert (table["WCR"].status, table["RCRCQ"].status) == ("UNKNOWN", "UNKNOWN")
 
     def test_single_triple_agrees_with_wcr(self, corpus, tol):
         # WCR is the (I_g, I_GH, I_GH) instance of the RCRCQ family
@@ -171,6 +184,45 @@ class TestPsoqn:
         P = load_problem("vars x\nmin x^2\nineq x\nineq -x\n", from_path=False)
         v = cq.check_psoqn(PointContext(P, [0.0], TOL))
         assert v.status == "UNKNOWN"
+
+
+class TestSampleWork:
+    """Each sampled tag evaluates its three shells in one batch call per
+    shell, however many families or candidate multipliers read them."""
+
+    @staticmethod
+    def batch_calls(monkeypatch, name):
+        calls = []
+        original = getattr(MpscProblem, name)
+
+        def counting(self, x, *args):
+            if np.ndim(x) == 2:
+                calls.append(len(x))
+            return original(self, x, *args)
+
+        monkeypatch.setattr(MpscProblem, name, counting)
+        return calls
+
+    def test_rcrcq_makes_three_batch_jacobian_calls(self, corpus, monkeypatch):
+        calls = self.batch_calls(monkeypatch, "jacobian")
+        triples = []
+        for name, P in corpus.items():
+            calls.clear()
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            cq.check_rcrcq(ctx)
+            assert calls == [TOL.n_samples] * 3, name
+            triples.append(2 ** len(ctx.I.I_g) * 4 ** len(ctx.I.I_GH))
+        assert max(triples) >= 16
+
+    def test_psoqn_makes_at_most_three_batch_value_calls(self, corpus, monkeypatch):
+        calls = self.batch_calls(monkeypatch, "constraint_values")
+        for name, P in corpus.items():
+            calls.clear()
+            v = cq.check_psoqn(PointContext(P, CORPUS_POINTS[name], TOL))
+            assert len(calls) <= 3, name
+        calls.clear()
+        v = cq.check_psoqn(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
+        assert v.evidence["candidates"] == 12 and calls == [TOL.n_samples] * 3
 
 
 class TestLattice:

@@ -509,6 +509,21 @@ def test_only_the_kernel_evaluates_expressions():
     assert offenders == {}
 
 
+def test_only_the_point_context_and_penalty_draw_neighbourhood_samples():
+    # a point-level check reads ctx.shells(*tag), so its samples are drawn
+    # once per context and stay the ones every other check draws
+    callers = set()
+    for path in sorted(Path(pb.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update((path.name, fn.name) for node in ast.walk(fn)
+                               if isinstance(node, ast.Call)
+                               and "ball_offsets" in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)))
+    assert {name for name, _ in callers} == {"cones.py", "penalty.py"}
+    assert {fn for name, fn in callers if name == "cones.py"} == {"shells"}
+
+
 def _decorator_name(node):
     node = node.func if isinstance(node, ast.Call) else node
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)

@@ -59,12 +59,30 @@ class TestWsonc:
         assert v.status == "HOLDS"
         assert v.evidence["subspace_dim"] == 0
 
+    @pytest.mark.parametrize("text, dim, generators", [
+        # no multiplier: the one (empty) vertex on the whole plane
+        ("vars x1 x2\nmin x1^2 + x2^2\n", 2, 1),
+        # lambda1 + 2 lambda2 = 1, lambda >= 0: two vertices
+        ("vars x1 x2\nmin x1 + x2^2\nineq -x1\nineq -2*x1\n", 1, 2),
+        # rho1 + 2 rho2 = -1: one vertex and both signs of the lineality ray
+        ("vars x1 x2\nmin x1 + x2^2\neq x1\neq 2*x1\n", 1, 3),
+    ])
+    def test_convex_on_the_subspace_holds_after_the_full_sweep(self, text, dim, generators):
+        P = load_problem(text, from_path=False)
+        v = soc.check_wsonc(PointContext(P, [0.0] * P.n, TOL))
+        assert (v.status, v.mode, v.witness) == ("HOLDS", "exact", None)
+        assert v.evidence == {"subspace_dim": dim, "generators_checked": generators,
+                              "multiplier_argument": soc.MULTIPLIER_ARGUMENT,
+                              "method": "subspace_eig"}
+
     def test_unconstrained_concave_fails(self):
         P = load_problem("vars x\nmin -x^2\n", from_path=False)
         v = soc.check_wsonc(PointContext(P, [0.0], TOL))
         assert v.status == "FAILS"
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-12)
         assert abs(v.witness["direction"][0]) == pytest.approx(1.0)
+        # a vertex witness: no recession ray was needed
+        assert v.evidence == {"subspace_dim": 1, "method": "subspace_eig"}
 
     def test_requires_s_stationary(self, corpus):
         with pytest.raises(NotSStationaryError):
