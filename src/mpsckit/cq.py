@@ -21,8 +21,7 @@ import numpy as np
 from . import cones as cn
 from .cones import PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import (RADII_FRACTIONS, eig_sym, nullspace, rank_margin, rank_tol,
-                      rank_tol_batch)
+from .numeric import RADII_FRACTIONS, eig_sym, nullspace, rank_margin, rank_tol_batch
 from .problem import Bipartition
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
@@ -57,6 +56,12 @@ class CqVerdict:
 # gradient families and sampled rank constancy
 # ---------------------------------------------------------------------------
 
+def _thin_rank(M, tol):
+    """Rank and margin of M, and whether a margin under 10 makes it thin."""
+    r, margin = rank_margin(M, tol)
+    return r, margin, margin < 10.0
+
+
 def rank_constancy(ctx: PointContext, items, tag) -> dict:
     """Sampled rank constancy near x of a gradient family within the active
     family, sliced from the active-family Jacobians on the tag's shells,
@@ -66,9 +71,7 @@ def rank_constancy(ctx: PointContext, items, tag) -> dict:
     and a thin_margin flag for fragile decisions near the rank cutoff.
     """
     tol = ctx.tol
-    M0 = ctx.rows(items)
-    r0 = rank_tol(M0, tol)
-    thin = rank_margin(M0, tol) < 10.0
+    r0, _, thin = _thin_rank(ctx.rows(items), tol)
     active = active_items(ctx)
     sel = [active.index(it) for it in items]
     shells = ctx.once(("shell jacobians", tag), lambda: [
@@ -78,7 +81,7 @@ def rank_constancy(ctx: PointContext, items, tag) -> dict:
         F = T[:, sel, :]
         ranks = rank_tol_batch(F, tol)
         for b in np.flatnonzero(ranks != r0):
-            if rank_margin(F[b], tol) < 10.0:
+            if _thin_rank(F[b], tol)[2]:
                 thin = True
                 continue
             witness = {"point": X[b].tolist(), "rank": int(ranks[b]),
@@ -96,12 +99,13 @@ def rank_constancy(ctx: PointContext, items, tag) -> dict:
 # ---------------------------------------------------------------------------
 
 def check_licq(ctx: PointContext) -> CqVerdict:
-    """Linear independence of the full active gradient family (exact)."""
+    """Linear independence of the active gradient family; a thin rank margin reads UNKNOWN."""
     items = active_items(ctx)
-    r = rank_tol(ctx.rows(items), ctx.tol)
-    status = HOLDS if r == len(items) else FAILS
+    r, margin, thin = _thin_rank(ctx.rows(items), ctx.tol)
+    status = UNKNOWN if thin else HOLDS if r == len(items) else FAILS
+    thin = {"thin_margin": True, "margin": margin} if thin else {}
     return CqVerdict("LICQ", status, "exact",
-                     {"rows": len(items), "rank": r, "family": items})
+                     {"rows": len(items), "rank": r, "family": items, **thin})
 
 
 def check_wcr(ctx: PointContext) -> CqVerdict:

@@ -5,7 +5,7 @@ cutoff; a stack of symmetric eigensolves is one LAPACK call.  The LP solver
 is a deterministic two-phase dense simplex with Bland's rule over the
 standard form A z = b, z >= 0; generator enumeration is exhaustive over
 active-set bases, ranked in batched SVDs, and decides emptiness by that
-search, with no LP; a cone stops at its only vertex, the origin.
+search, with no LP; a cone's only vertex is the origin, found by no search.
 Everything here is sized for desk-scale inputs (tens of rows, not thousands).
 """
 
@@ -159,24 +159,18 @@ def singular_values(M) -> np.ndarray:
 
 def rank_tol(M, tol: Tolerances) -> int:
     """Singular values above tau_rank * sigma_max; rank 0 for zero/empty M."""
+    return rank_margin(M, tol)[0]
+
+
+def rank_margin(M, tol: Tolerances) -> tuple[int, float]:
+    """The rank of M (as rank_tol counts it) and, from the same SVD, the
+    smallest factor by which a singular value sits away from the cutoff:
+    near 1 the rank decision is fragile, and inf means no ambiguity."""
     s = singular_values(M)
     if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol.tau_rank * s[0]))
-
-
-def rank_margin(M, tol: Tolerances) -> float:
-    """Smallest factor by which a singular value sits away from the cutoff.
-
-    Values near 1 mean the rank decision is fragile; callers may degrade a
-    verdict to UNKNOWN.  Returns inf when there is no ambiguity.
-    """
-    s = singular_values(M)
-    if s.size == 0 or s[0] <= 0.0:
-        return math.inf
+        return 0, math.inf
     cut = tol.tau_rank * s[0]
-    margins = [max(x / cut, cut / x) for x in s if x > 0.0]
-    return min(margins) if margins else math.inf
+    return int(np.sum(s > cut)), min(max(x / cut, cut / x) for x in s if x > 0.0)
 
 
 def rank_tol_batch(Ms, tol: Tolerances) -> np.ndarray:
@@ -430,7 +424,10 @@ def _check_caps(P: Polyhedron):
 
 def _bases(P: Polyhedron, size):
     """The candidate bases [A_eq; A_le[S]] and right-hand sides over S in
-    combinations(range(m_le), size), in blocks of shape (N, q, n), (N, q)."""
+    combinations(range(m_le), size), in blocks of shape (N, q, n), (N, q);
+    SizeCapError when there are more than _MAX_BASES of them."""
+    if math.comb(P.A_le.shape[0], size) > _MAX_BASES:
+        raise SizeCapError("too many candidate active sets")
     m_eq = P.A_eq.shape[0]
     M, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
     combos = itertools.combinations(range(m_eq, m_eq + P.A_le.shape[0]), size)
@@ -464,49 +461,46 @@ def _kernel_lines(Ms, tol: Tolerances):
 
 
 def _enumerate_pointed(P: Polyhedron, tol: Tolerances):
-    """Vertices and extreme rays of a polyhedron whose lineality is trivial;
-    a cone (b = 0) stops its vertex search at its only vertex, the origin."""
+    """Vertices and extreme rays of a polyhedron whose lineality is trivial.
+    A cone is never empty: its only vertex, the origin, needs no search.  The
+    ray search ranks and cuts each block of candidate bases from one SVD."""
     n = P.dim
     rank_eq = rank_tol(P.A_eq, tol) if P.A_eq.size else 0
     m_le = P.A_le.shape[0]
-
-    vertices = []
-    k = n - rank_eq
-    if k >= 0:
-        if math.comb(m_le, min(k, m_le)) > _MAX_BASES:
-            raise SizeCapError("too many candidate active sets")
-        found = _vertex_candidates(P, min(k, m_le), tol)
-        vertices = found if P.b_eq.any() or P.b_le.any() else itertools.islice(found, 1)
-    vertices = _dedupe_points(vertices)
+    vertices = ([np.zeros(n)] if not (P.b_eq.any() or P.b_le.any())
+                else _dedupe_points(_vertex_candidates(P, min(n - rank_eq, m_le), tol)))
 
     # recession cone {A_eq d = 0, A_le d <= 0}; extreme rays have n-1
     # linearly independent active rows
     rays = []
-    target = n - 1 - rank_eq
-    if target >= 0 and math.comb(m_le, min(target, m_le)) <= _MAX_BASES:
-        for Ms, _ in _bases(P, min(target, m_le)):
-            for d in _kernel_lines(Ms[rank_tol_batch(Ms, tol) == n - 1], tol):
+    if rank_eq < n:
+        for Ms, _ in _bases(P, min(n - 1 - rank_eq, m_le)):
+            for d in _kernel_lines(Ms, tol):
                 for cand in (d, -d):
                     if P.A_le.size == 0 or np.max(P.A_le @ cand) <= 1e-9:
                         rays.append(cand / np.linalg.norm(cand))
-    rays = _dedupe_rays(rays)
-    return vertices, rays
+    return vertices, _dedupe_rays(rays)
 
 
 def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
     """Exact generator list (vertices, extreme rays, lineality basis).
 
-    For a polyhedron with nontrivial lineality the enumeration runs in the
-    quotient space and the reported "vertices" are minimal-face points.
-    Emptiness is decided without an LP: a nonempty pointed polyhedron has a
-    vertex, so a vertex search that finds none means an empty one; with no
-    quotient left, the origin decides.  So every result has a vertex.
-    Raises SizeCapError beyond the desk-scale caps and ValueError("infeasible")
-    for an empty polyhedron.
+    Rows and right-hand sides are first scaled to unit norm, so no rank
+    decision rests on a row's scale.  With nontrivial lineality the search
+    runs in the quotient space and the "vertices" are minimal-face points.
+    A cone (b = 0) is never empty: its only vertex, the origin, needs no
+    search; the ray search ranks and cuts each block of bases by one SVD.
+    Other emptiness needs no LP: a pointed polyhedron with no vertex (or,
+    with no quotient left, without the origin) is empty and raises
+    ValueError("infeasible"); SizeCapError beyond the desk-scale caps.
     """
     _check_caps(P)
-    n = P.dim
-    stacked = np.vstack([P.A_eq, P.A_le])
+    n, q = P.dim, P.A_eq.shape[0]
+    stacked, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
+    s = np.linalg.norm(stacked, axis=1)
+    s[s == 0.0] = 1.0
+    stacked, b = stacked / s[:, None], b / s
+    P = Polyhedron(stacked[:q], b[:q], stacked[q:], b[q:], n)
     L = nullspace(stacked, tol) if stacked.size else np.eye(n)
     Q = nullspace(L.T, tol)  # orthonormal complement, shape (n, n - dim L)
     if Q.shape[1] == 0:  # no row is left to bound the origin's face

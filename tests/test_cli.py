@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import problem_path
@@ -286,6 +287,34 @@ class TestOtherCommands:
         section = json.loads(jpath.read_text())
         for piece in section["critical"]["pieces"]:
             assert piece["rays"] == [] and piece["lineality"] == []
+
+    def test_thin_equality_row_cone_is_the_origin(self, capsys, tmp_path):
+        # the equality row is too thin for any basis to reach full rank at the
+        # basis's own scale, yet the cone is pointed: its only vertex is the
+        # origin, and neither command ends in "infeasible polyhedron"
+        text = ("vars x1 x2\nmin x1 + x2\nineq 222200*x1 - 99099*x2\n"
+                "ineq -305484*x1 - 132105*x2\neq -0.0000007927*x1 + 0.0000022538*x2\n")
+        jpath = tmp_path / "cones.json"
+        assert run_cli(capsys, "cones", text, "--point", "0,0", "--json", str(jpath))[0] == 0
+        section = json.loads(jpath.read_text())
+        for piece in section["linearization"]["pieces"] + section["critical"]["pieces"]:
+            assert (piece["vertices"], piece["rays"]) == ([[0.0, 0.0]], [])
+        code, _, err = run_cli(capsys, "analyze", text, "--point", "0,0")
+        assert (code, err) == (0, "")
+
+    def test_thin_equality_row_keeps_the_rays(self, capsys, tmp_path):
+        # every ray basis [eq; ineq_i] is rank 1 at its own scale, yet both
+        # cones have two rays: x1 = x2 >= 0, x3 >= 0, and x1 <= x3 in the
+        # critical cone
+        text = ("vars x1 x2 x3\nmin x1 - x3\neq 0.0001*x1 - 0.0001*x2\n"
+                "ineq -100000*x1\nineq -100000*x2\nineq -100000*x3\n")
+        jpath = tmp_path / "cones.json"
+        assert run_cli(capsys, "cones", text, "--point", "0,0,0", "--json", str(jpath))[0] == 0
+        section = json.loads(jpath.read_text())
+        for cone, ray in (("linearization", [1.0, 1.0, 0.0]), ("critical", [1.0, 1.0, 1.0])):
+            (piece,) = section[cone]["pieces"]
+            assert piece["vertices"] == [[0.0, 0.0, 0.0]] and piece["lineality"] == []
+            assert np.allclose(piece["rays"], [[0.0, 0.0, 1.0], ray / np.linalg.norm(ray)])
 
     def test_parse_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "parse", str(problem_path("wedge3d")))

@@ -31,6 +31,21 @@ class TestLicq:
         P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
         assert cq.check_licq(PointContext(P, [0.0], TOL)).status == "HOLDS"
 
+    def test_thin_margin_reads_unknown(self):
+        # the two active gradients are 5e-8 apart in direction, so the rank
+        # sits within a factor 10 of the cutoff, the rule rank_constancy
+        # applies; LICQ then implies nothing over WCR's and RCRCQ's UNKNOWN
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x1\nineq -x1 - 5e-8*x2\n",
+                         from_path=False)
+        ctx = PointContext(P, [0.0, 0.0], TOL)
+        licq = cq.check_licq(ctx)
+        assert (licq.status, licq.mode, licq.evidence["thin_margin"]) == ("UNKNOWN", "exact", True)
+        assert 1.0 <= licq.evidence["margin"] < 10.0
+        table = cq.lattice_closure({"LICQ": licq, "WCR": cq.check_wcr(ctx),
+                                    "RCRCQ": cq.check_rcrcq(ctx)})
+        assert [(table[n].status, table[n].mode) for n in ("LICQ", "WCR", "RCRCQ")] == \
+            [("UNKNOWN", "exact"), ("UNKNOWN", "sampled"), ("UNKNOWN", "sampled")]
+
 
 class TestWcr:
     def test_wedge3d_holds(self, corpus):

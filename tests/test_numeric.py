@@ -454,11 +454,12 @@ class TestEnumerateGenerators:
         assert calls == []
 
     def test_cones_work_counts(self, capsys, monkeypatch):
-        # the batched searches on cones_wide_1005_5's 128 pieces: per
-        # enumerate_generators call one rank_tol (the equality rows), one
-        # rank_tol_batch per search (the vertex search runs in
-        # _vertex_candidates), one lstsq (a cone's single vertex), and no
-        # nullspace call from the ray search; counted by (callee, caller)
+        # the searches on cones_wide_1005_5's 128 pieces: per
+        # enumerate_generators call one rank_tol (the equality rows) and the
+        # two nullspace calls of the lineality split; a cone's vertex is the
+        # origin with no search (no rank_tol_batch, no lstsq), and the ray
+        # search cuts its bases in _kernel_lines' own SVD (no rank_tol_batch,
+        # no nullspace); counted by (callee, caller)
         per_call, active, lstsq_calls = [], [], []
 
         def counted(name, f):
@@ -485,13 +486,49 @@ class TestEnumerateGenerators:
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
         assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
         capsys.readouterr()
-        assert len(per_call) == 128 and len(lstsq_calls) == 128
+        assert len(per_call) == 128 and lstsq_calls == []
         assert all(c == per_call[0] for c in per_call)
         assert per_call[0] == Counter({("rank_tol", "_enumerate_pointed"): 1,
-                                       ("rank_tol_batch", "_vertex_candidates"): 1,
-                                       ("lstsq", "_vertex_candidates"): 1,
-                                       ("rank_tol_batch", "_enumerate_pointed"): 1,
                                        ("nullspace", "enumerate_generators"): 2})
+
+    def test_generators_do_not_depend_on_row_scales(self):
+        # rows scaled by 10^U(-9, 9): at its own scale a basis can fall short
+        # of full rank although the cone is pointed, and the searches then
+        # called the cone empty or lost its rays; the same cone with unscaled
+        # rows has the same generators, and its only vertex is the origin
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(rng.integers(1, 5))
+            q, m = int(rng.integers(0, 3)), int(rng.integers(0, 7))
+            A_eq, A_le = rng.normal(size=(q, n)), rng.normal(size=(m, n))
+            ref = numeric.enumerate_generators(Polyhedron.make(n, A_eq=A_eq, A_le=A_le), TOL)
+            A_eq = A_eq * 10.0 ** rng.uniform(-9, 9, size=(q, 1))
+            A_le = A_le * 10.0 ** rng.uniform(-9, 9, size=(m, 1))
+            gen = numeric.enumerate_generators(Polyhedron.make(n, A_eq=A_eq, A_le=A_le), TOL)
+            assert len(gen.vertices) == 1 and np.array_equal(gen.vertices[0], np.zeros(n))
+            for part, want in zip((gen.rays, gen.lineality), (ref.rays, ref.lineality)):
+                assert len(part) == len(want)
+                assert all(np.allclose(d, e, atol=1e-9) for d, e in zip(part, want))
+
+    def test_thin_equality_row_keeps_the_rays(self):
+        # every ray basis [e; a_i] is rank 1 at its own scale (ratio 1e-9),
+        # yet the cone {x1 = x2, x >= 0} has two rays
+        P = Polyhedron.make(3, A_eq=[[1e-4, -1e-4, 0.0]], A_le=-1e5 * np.eye(3))
+        gen = numeric.enumerate_generators(P, TOL)
+        assert [v.tolist() for v in gen.vertices] == [[0.0, 0.0, 0.0]]
+        assert np.allclose(gen.rays, [[0.0, 0.0, 1.0], [2 ** -0.5, 2 ** -0.5, 0.0]])
+        assert gen.lineality == []
+
+    def test_thin_rows_nonempty_polyhedron(self):
+        # the rows of the thin-cone problem with b_le > 0: a segment of the
+        # equality's line, each end on one inequality row
+        A_le, A_eq = [[222200.0, -99099.0], [-305484.0, -132105.0]], [[-7.927e-7, 2.2538e-6]]
+        P = Polyhedron.make(2, A_eq=A_eq, A_le=A_le, b_le=[1.0, 1.0])
+        gen = numeric.enumerate_generators(P, TOL)
+        assert len(gen.vertices) == 2 and gen.rays == [] and gen.lineality == []
+        assert all(P.contains(v, TOL.tau_feas) for v in gen.vertices)
+        active = np.isclose(np.asarray(A_le) @ np.transpose(gen.vertices), 1.0)
+        assert active.sum(axis=0).tolist() == [1, 1] and active.any(axis=1).all()
 
     def test_vertex_validity_random(self):
         rng = np.random.default_rng(5)
@@ -509,19 +546,25 @@ class TestEnumerateGenerators:
 
 
 def _generators_bytes(P):
-    """enumerate_generators' result as exact bytes, or its error."""
+    """enumerate_generators' result as exact bytes, or its error; a cone's
+    vertex, the origin, as values, since the walk's lstsq can return -0.0."""
+    def exact(part):
+        return [(v.shape, v.tobytes()) for v in part]
+
     try:
         gen = numeric.enumerate_generators(P, TOL)
     except (ValueError, SizeCapError) as e:
         return type(e).__name__, str(e)
-    return [[(v.shape, v.tobytes()) for v in part]
-            for part in (gen.vertices, gen.rays, gen.lineality)]
+    cone = not (P.b_eq.any() or P.b_le.any())
+    vertices = [v.tolist() for v in gen.vertices] if cone else exact(gen.vertices)
+    return [vertices, exact(gen.rays), exact(gen.lineality)]
 
 
 class TestBatchedSearches:
-    """The batched searches of _enumerate_pointed against the basis walk in
+    """The searches of _enumerate_pointed against the basis walk in
     tests/basiswalk.py: the same generators in the same order, bit for bit
-    (signed zeros included), or the same error."""
+    (signed zeros included) but for a cone's vertex, which is compared by
+    value, or the same error."""
 
     def assert_same(self, P, monkeypatch):
         fast = _generators_bytes(P)
@@ -529,13 +572,6 @@ class TestBatchedSearches:
             m.setattr(numeric, "_enumerate_pointed", basiswalk.enumerate_pointed)
             walk = _generators_bytes(P)
         assert fast == walk
-        return fast
-
-    def assert_same_pointed(self, P):
-        fast = numeric._enumerate_pointed(P, TOL)
-        walk = basiswalk.enumerate_pointed(P, TOL)
-        assert [[v.tobytes() for v in part] for part in fast] == \
-               [[v.tobytes() for v in part] for part in walk]
         return fast
 
     @pytest.mark.parametrize("block", [numeric._BASES_PER_BATCH, 3])
@@ -562,24 +598,26 @@ class TestBatchedSearches:
         assert seen == {"empty", ("cone", "pointed"), ("cone", "quotient"),
                         ("polyhedron", "pointed"), ("polyhedron", "quotient")}
 
-    def test_one_variable_without_equality_rows(self):
+    def test_one_variable_without_equality_rows(self, monkeypatch):
         # the ray search's basis has no rows: its kernel is the whole line
-        for A_le, b_le in (([], []), ([[1.0]], [0.0]), ([[-2.0]], [1.0]),
+        assert [d.tolist() for d in numeric._kernel_lines(np.zeros((1, 0, 1)), TOL)] == [[1.0]]
+        for A_le, b_le in (([[1.0]], [0.0]), ([[-2.0]], [1.0]),
                            ([[1.0], [-1.0]], [1.0, 0.0])):
             P = Polyhedron.make(1, A_le=np.reshape(A_le, (-1, 1)), b_le=b_le)
-            self.assert_same_pointed(P)
-        _, rays = self.assert_same_pointed(Polyhedron.make(1))
-        assert [r.tolist() for r in rays] == [[1.0], [-1.0]]
+            self.assert_same(P, monkeypatch)
+        # with no row at all the line is the lineality space, not two rays
+        vertices, rays, lineality = self.assert_same(Polyhedron.make(1), monkeypatch)
+        assert (vertices, rays, len(lineality)) == ([[0.0]], [], 1)
 
     def test_size_zero_combinations(self, monkeypatch):
-        # k = n - rank_eq = 0 in the vertex search, no inequality rows in both
+        # k = n - rank_eq = 0 in the vertex search, no inequality rows in both;
+        # the last two are lines, searched in the quotient of their lineality
         for P in (Polyhedron.make(2, A_eq=np.eye(2), b_eq=[1.0, -0.0]),
                   Polyhedron.make(2, A_eq=np.eye(2), b_eq=[1.0, 2.0],
                                   A_le=[[1.0, 1.0]], b_le=[5.0]),
                   Polyhedron.make(2, A_eq=[[1.0, -1.0]], b_eq=[0.0]),
                   Polyhedron.make(3, A_eq=[[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]],
                                   b_eq=[0.0, 3.0])):
-            self.assert_same_pointed(P)
             self.assert_same(P, monkeypatch)
 
     def test_lineality_quotient(self, monkeypatch):
