@@ -38,9 +38,9 @@ class CrossConeKind:
 
 
 def cross_cones(a: float, b: float, tol: Tolerances) -> CrossConeKind:
-    """Cone triple of {(u,v): uv = 0} at a point (a, b) of the set."""
+    """Cone triple of {(u,v): uv = 0} at (a, b), a side zero by index_sets' test."""
     az, bz = abs(a) <= tol.tau_act, abs(b) <= tol.tau_act
-    if abs(a * b) > tol.tau_feas or not (az or bz):
+    if not (az or bz):
         raise InfeasiblePointError(f"({a}, {b}) is not in the cross set")
     if az and bz:
         return CrossConeKind("both_zero", CROSS, ORIGIN, CROSS)
@@ -127,8 +127,8 @@ class PointContext:
     Hessian at x are computed on first use and not kept when they raise, so
     each component that needs them reports the error itself.  The
     linearization-cone pieces are built once and keep their generators;
-    `shells` draws each sampled check's neighbourhood points once, and
-    `once` keeps any other point-level result that several components share.
+    `shells` is the one neighbourhood sample that every sampled check at x
+    reads, and `once` keeps any other point-level result checks share.
     """
 
     def __init__(self, P: MpscProblem, x, tol: Tolerances):
@@ -155,14 +155,14 @@ class PointContext:
     def linearization(self) -> ConeUnion:
         return linearization_cone(self)
 
-    def shells(self, *tag) -> list:
+    @cached_property
+    def shells(self) -> list:
         """tol.n_samples points around x in each ball of radius
-        eps_ball * RADII_FRACTIONS, drawn from tol.rng(*tag, shell) once."""
+        eps_ball * RADII_FRACTIONS, drawn from tol.rng("neighbourhood", shell)."""
         tol = self.tol
-        return self.once(("shells",) + tag, lambda: [
-            self.x[None, :] + ball_offsets(tol.rng(*tag, ri), tol.n_samples, self.P.n,
-                                           tol.eps_ball * frac)
-            for ri, frac in enumerate(RADII_FRACTIONS)])
+        return [self.x[None, :] + ball_offsets(tol.rng("neighbourhood", ri), tol.n_samples,
+                                               self.P.n, tol.eps_ball * frac)
+                for ri, frac in enumerate(RADII_FRACTIONS)]
 
     def rows(self, items) -> np.ndarray:
         """Gradients of the items stacked as rows, shape (len(items), n)."""
@@ -254,38 +254,32 @@ class TangentCloud:
 
 
 # a projected sample only witnesses a tangent direction if its step kept a
-# fixed fraction of the perturbation radius: points in the residual-tolerance
+# fixed fraction of its distance from x: points in the residual-tolerance
 # tube of a branch contract to the tube scale and carry no directional
 # information (tangentially intersecting equalities make that tube fat)
 CONTRACTION_MIN = 0.05
 
 
 def sample_tangent_directions(P: MpscProblem, x, tol: Tolerances) -> TangentCloud:
-    """Project perturbed points onto each branch set and normalize the steps.
+    """Project the outer shell of `PointContext.shells` onto each branch set
+    and normalize the steps.
 
-    Directions whose step contracted below CONTRACTION_MIN of the sample
-    radius are discarded; an empty cloud is a valid outcome (isolated
-    feasible point).
+    Directions whose step contracted below CONTRACTION_MIN of the sample's
+    distance from x are discarded; an empty cloud is a valid outcome
+    (isolated feasible point).
     """
-    x = np.asarray(x, float)
-    I = index_sets(P, x, tol)
-    pooled = []
+    ctx = PointContext(P, x, tol)
+    x, X0 = ctx.x, ctx.shells[0]
+    radii = np.linalg.norm(X0 - x[None, :], axis=1)
     by_branch = {}
-    for bi, b in enumerate(bipartitions(I)):
-        br = branch(P, I, b)
-        rng = tol.rng("tangent", bi)
-        U = rng.normal(size=(tol.n_samples, P.n))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        radii = tol.eps_ball * rng.uniform(size=(tol.n_samples, 1)) ** (1.0 / P.n)
-        Y = project_branch_cloud(P, br, x[None, :] + radii * U, tol)
+    for b in ctx.bipartitions:
+        br = branch(P, ctx.I, b)
+        Y = project_branch_cloud(P, br, X0, tol)
         steps = Y - x[None, :]
         norms = np.linalg.norm(steps, axis=1)
         keep = (br.residual(Y) <= tol.tau_feas) \
-            & (norms >= CONTRACTION_MIN * radii[:, 0]) \
+            & (norms >= CONTRACTION_MIN * radii) \
             & (norms > tol.eps_ball * 1e-6)
-        dirs = steps[keep] / norms[keep, None]
-        by_branch[b.label()] = dirs
-        if dirs.size:
-            pooled.append(dirs)
-    directions = np.vstack(pooled) if pooled else np.zeros((0, P.n))
+        by_branch[b.label()] = steps[keep] / norms[keep, None]
+    directions = np.vstack([np.zeros((0, P.n)), *by_branch.values()])
     return TangentCloud(directions=directions, by_branch=by_branch)

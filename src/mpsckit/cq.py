@@ -4,9 +4,9 @@ Neighbourhood quantifiers ("there is a ball where the rank is constant")
 are undecidable numerically, so every rank-constancy check samples three
 shrinking radii and labels a positive verdict as sampled evidence rather
 than proof.  One sampled rank routine, `rank_constancy`, decides WCR, PWCR,
-PCRSC and each RCRCQ subset triple: it evaluates the active-family Jacobian
-on a tag's shells once per point context and slices each family out of
-that tensor.  The implication lattice then completes the verdict table and
+PCRSC and each RCRCQ subset triple, each family sliced out of one
+active-family Jacobian on the context's shells, so all are probed at the
+same points.  The implication lattice then completes the verdict table and
 cross-checks the direct results for contradictions.
 """
 
@@ -62,10 +62,10 @@ def _thin_rank(M, tol):
     return r, margin, margin < 10.0
 
 
-def rank_constancy(ctx: PointContext, items, tag) -> dict:
+def rank_constancy(ctx: PointContext, items) -> dict:
     """Sampled rank constancy near x of a gradient family within the active
-    family, sliced from the active-family Jacobians on the tag's shells,
-    which are evaluated once per context.
+    family, sliced from the active-family Jacobians on `ctx.shells`, which
+    are evaluated once per context.
 
     Returns a dict with constant (bool), base rank, witness sample (if any),
     and a thin_margin flag for fragile decisions near the rank cutoff.
@@ -74,10 +74,9 @@ def rank_constancy(ctx: PointContext, items, tag) -> dict:
     r0, _, thin = _thin_rank(ctx.rows(items), tol)
     active = active_items(ctx)
     sel = [active.index(it) for it in items]
-    shells = ctx.once(("shell jacobians", tag), lambda: [
-        (X, ctx.P.jacobian(X, active)) for X in ctx.shells("rankconst", tag)])
+    tensors = ctx.once("shell jacobians", lambda: [ctx.P.jacobian(X, active) for X in ctx.shells])
     witness = None
-    for frac, (X, T) in zip(RADII_FRACTIONS, shells):
+    for frac, X, T in zip(RADII_FRACTIONS, ctx.shells, tensors):
         F = T[:, sel, :]
         ranks = rank_tol_batch(F, tol)
         for b in np.flatnonzero(ranks != r0):
@@ -110,7 +109,7 @@ def check_licq(ctx: PointContext) -> CqVerdict:
 
 def check_wcr(ctx: PointContext) -> CqVerdict:
     """Sampled constant rank of the full active family near x."""
-    rep = rank_constancy(ctx, active_items(ctx), "wcr")
+    rep = rank_constancy(ctx, active_items(ctx))
     if rep["constant"] and rep["thin_margin"]:
         return CqVerdict("WCR", UNKNOWN, "sampled", rep)
     return CqVerdict("WCR", HOLDS if rep["constant"] else FAILS, "sampled", rep)
@@ -120,8 +119,8 @@ def check_pwcr(ctx: PointContext) -> CqVerdict:
     """Per-bipartition sampled constant rank of the branch families."""
     reports = []
     any_thin = False
-    for bi, b in enumerate(ctx.bipartitions):
-        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2), ("pwcr", bi))
+    for b in ctx.bipartitions:
+        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2))
         rep["bipartition"] = [list(b.beta1), list(b.beta2)]
         reports.append(rep)
         any_thin |= rep["thin_margin"]
@@ -144,7 +143,7 @@ def check_rcrcq(ctx: PointContext) -> CqVerdict:
     gh_subsets = list(_subsets(I.I_GH))
     any_thin = False
     for I1, I3, I4 in itertools.product(_subsets(I.I_g), gh_subsets, gh_subsets):
-        rep = rank_constancy(ctx, branch_items(ctx, I3, I4, g_idx=I1), "rcrcq")
+        rep = rank_constancy(ctx, branch_items(ctx, I3, I4, g_idx=I1))
         any_thin |= rep["thin_margin"]
         if not rep["constant"]:
             w = rep["witness"]
@@ -199,11 +198,10 @@ def check_pcrsc(ctx: PointContext) -> CqVerdict:
     reports = []
     any_thin = False
     any_mismatch = False
-    for bi, b in enumerate(ctx.bipartitions):
+    for b in ctx.bipartitions:
         igm, cross = i_g_minus(ctx, b)
         any_mismatch |= not cross["agree"]
-        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2, g_idx=igm),
-                             ("pcrsc", bi))
+        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2, g_idx=igm))
         rep["bipartition"] = [list(b.beta1), list(b.beta2)]
         rep["I_g_minus"] = list(igm)
         rep["crosscheck"] = cross
@@ -329,8 +327,7 @@ def _psoqn_sign_sequence(ctx, m):
     """A sample at every shrinking radius matching all strict sign conditions."""
     P, tol = ctx.P, ctx.tol
     lam, rho, mu, nu = m.as_arrays()
-    shell_values = ctx.once("psoqn values", lambda: [
-        P.constraint_values(X) for X in ctx.shells("psoqn")])
+    shell_values = ctx.once("psoqn values", lambda: [P.constraint_values(X) for X in ctx.shells])
     for g, h, G, H in shell_values:
         ok = np.ones(g.shape[0], dtype=bool)
         for i in range(P.m):

@@ -86,9 +86,9 @@ class Polyhedron:
             raise ValueError("inconsistent polyhedron shapes")
         return Polyhedron(A_eq, b_eq, A_le, b_le, dim)
 
-    def contains(self, x, tol: float) -> bool:
+    def contains(self, x, tol: float, s: float = 1.0) -> bool:  # residuals <= tol * (s + |x|)
         x = np.asarray(x, float)
-        scale = 1.0 + float(np.linalg.norm(x))
+        scale = s + float(np.linalg.norm(x))
         ok_eq = np.all(np.abs(self.A_eq @ x - self.b_eq) <= tol * scale)
         ok_le = np.all(self.A_le @ x - self.b_le <= tol * scale)
         return bool(ok_eq and ok_le)
@@ -356,9 +356,10 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
     lp_solve takes this standard form as it is.
     mode "feasible": whether some z exists; "l1": the z of least l1 norm, or
     None; "residual": min ||B z - rhs||_1, through slack columns [I | -I]
-    appended after the split; "rays": the signed vertices of
-    {B z = 0, sum of the parts = 1} (rhs unused, needs tol), one per extreme
-    nonzero combination; SizeCapError beyond the enumeration caps.
+    appended after the split (NumericBreakdownError if unsolved); "rays": the
+    signed vertices of {B z = 0, sum of the parts = 1} (rhs unused, needs
+    tol), one per extreme nonzero combination; SizeCapError beyond the
+    enumeration caps.
     """
     B = np.asarray(B, float)
     n, k = B.shape
@@ -389,7 +390,10 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
             return []
     if mode == "residual":
         c = np.concatenate([np.zeros(nc - 2 * n), np.ones(2 * n)])
-        return lp_solve(c, A, rhs).value
+        res = lp_solve(c, A, rhs)
+        if res.status != "optimal":
+            raise NumericBreakdownError(f"residual LP ended {res.status}")
+        return res.value
     res = lp_solve(np.ones(nc), A, rhs)
     return signed(res.x) if res.status == "optimal" else None
 
@@ -398,10 +402,10 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
 # generator enumeration
 # ---------------------------------------------------------------------------
 
-def _dedupe_points(points, tol=1e-7):
+def _dedupe_points(points, s, tol=1e-7):
     out = []
     for p in points:
-        if not any(np.linalg.norm(p - q) <= tol * (1.0 + np.linalg.norm(q)) for q in out):
+        if not any(np.linalg.norm(p - q) <= tol * (s + np.linalg.norm(q)) for q in out):
             out.append(p)
     return out
 
@@ -437,15 +441,15 @@ def _bases(P: Polyhedron, size):
         yield M[rows], b[rows]
 
 
-def _vertex_candidates(P: Polyhedron, size, tol: Tolerances):
-    """Basic solutions of the full-rank candidate bases that lie in P."""
+def _vertex_candidates(P: Polyhedron, size, s, tol: Tolerances):
+    """Basic solutions of the full-rank candidate bases that lie in P at scale s."""
     for Ms, bs in _bases(P, size):
         full = rank_tol_batch(Ms, tol) >= P.dim
         for A, b in zip(Ms[full], bs[full]):
             x = np.linalg.lstsq(A, b, rcond=None)[0]
             if np.max(np.abs(A @ x - b)) > 1e-7 * (1.0 + np.linalg.norm(b)):
                 continue
-            if P.contains(x, tol.tau_feas):
+            if P.contains(x, tol.tau_feas, s):
                 yield x
 
 
@@ -462,13 +466,15 @@ def _kernel_lines(Ms, tol: Tolerances):
 
 def _enumerate_pointed(P: Polyhedron, tol: Tolerances):
     """Vertices and extreme rays of a polyhedron whose lineality is trivial.
-    A cone is never empty: its only vertex, the origin, needs no search.  The
-    ray search ranks and cuts each block of candidate bases from one SVD."""
+    A cone is never empty: its only vertex, the origin, needs no search; the
+    vertex search tests containment and merges points at the scale s = max|b|.
+    The ray search ranks and cuts each block of candidate bases from one SVD."""
     n = P.dim
     rank_eq = rank_tol(P.A_eq, tol) if P.A_eq.size else 0
     m_le = P.A_le.shape[0]
-    vertices = ([np.zeros(n)] if not (P.b_eq.any() or P.b_le.any())
-                else _dedupe_points(_vertex_candidates(P, min(n - rank_eq, m_le), tol)))
+    s = float(np.max(np.abs(np.concatenate([P.b_eq, P.b_le])), initial=0.0))
+    vertices = ([np.zeros(n)] if s == 0.0 else
+                _dedupe_points(_vertex_candidates(P, min(n - rank_eq, m_le), s, tol), s))
 
     # recession cone {A_eq d = 0, A_le d <= 0}; extreme rays have n-1
     # linearly independent active rows

@@ -170,20 +170,19 @@ def _minimality_samples(P, x, radius, count, rng):
     return np.vstack([ball, np.array(rays)])
 
 
-def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances, eb=None) -> PenaltyReport:
+def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
+                        eb: ErrorBoundReport) -> PenaltyReport:
     """Estimate the exact-penalty threshold and test local minimality of
     the penalized objective at a feasible point.
 
     kappa_bar_hat = alpha_hat * L_f_hat is only claimed when the error-bound
-    probe `eb` (run here when None) HOLDS; the kappa grid is evaluated either
-    way.  The Lipschitz estimate is the largest sampled gradient norm over the
+    probe's report `eb` HOLDS; the kappa grid is evaluated either way.  The
+    Lipschitz estimate is the largest sampled gradient norm over the
     minimality ball (the radius is reported since the constant depends on it).
     """
     x = np.asarray(x, float)
     if float(P.residual(x)) > tol.tau_feas:
         raise InfeasiblePointError("exact-penalty probe needs a feasible center")
-    eb = error_bound_probe(P, x, tol) if eb is None else eb
-
     ball = x[None, :] + ball_offsets(tol.rng("lipschitz"), tol.n_samples, P.n,
                                      MINIMALITY_RADIUS)
     grads = P.jacobian(ball, [OBJECTIVE])[:, 0]

@@ -21,6 +21,7 @@ def enumerate_pointed(P, tol):
     n = P.dim
     rank_eq = rank_tol(P.A_eq, tol) if P.A_eq.size else 0
     m_le = P.A_le.shape[0]
+    s = float(np.max(np.abs(np.concatenate([P.b_eq, P.b_le])), initial=0.0))
 
     vertices = []
     k = n - rank_eq
@@ -35,9 +36,9 @@ def enumerate_pointed(P, tol):
             x, res, *_ = np.linalg.lstsq(A, b, rcond=None)
             if A.shape[0] and np.max(np.abs(A @ x - b)) > 1e-7 * (1.0 + np.linalg.norm(b)):
                 continue
-            if P.contains(x, tol.tau_feas):
+            if P.contains(x, tol.tau_feas, s):
                 vertices.append(x)
-    vertices = _dedupe_points(vertices)
+    vertices = _dedupe_points(vertices, s)
 
     rays = []
     target = n - 1 - rank_eq

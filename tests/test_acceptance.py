@@ -234,7 +234,7 @@ def test_criterion_7_error_bound_and_exact_penalty(corpus):
 
     rep2 = penalty.error_bound_probe(corpus["diagonal2d"], np.zeros(2), TOL)
     assert rep2.verdict == "HOLDS"
-    pr = penalty.exact_penalty_probe(corpus["diagonal2d"], np.zeros(2), TOL)
+    pr = penalty.exact_penalty_probe(corpus["diagonal2d"], np.zeros(2), TOL, rep2)
     assert pr.kappa_bar_hat is not None
     assert pr.minimality_radius == 0.05 and pr.n_min_samples == 1000
     two_kappa = [g for g in pr.kappa_grid

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import problem_path
-from mpsckit import cli, numeric, report
+from mpsckit import cli, cones, numeric, report
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -188,6 +188,19 @@ class TestAnalyze:
                    for name in ("LICQ", "WCR", "PWCR", "RCRCQ", "PCRSC"))
         assert "LICQ: FAILS" in out and "PCRSC: HOLDS" in out
 
+    def test_switch_side_within_tau_act_is_active_for_the_oracle(self, capsys, tmp_path):
+        # G = -9.09e-13 is active by index_sets' test |G| <= tau_act, although
+        # |G * H| = 1.3e-8 exceeds tau_feas; the cross-set table agrees
+        prob = tmp_path / "cross.mpsc"
+        prob.write_text("vars x1 x2\nmin x1 + x2\nswitch x1 | x2 + 13978.69\n")
+        jpath = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "analyze", str(prob), "--point=-9.09e-13,0",
+                               "--json", str(jpath))
+        assert (code, err) == (0, "")
+        rep = json.loads(jpath.read_text())
+        assert rep["errors"] == [] and rep["index_sets"]["I_G"] == [0]
+        assert set(rep["verdicts"]["stationarity"]["normal_cone_oracle"]) == {"M", "S"}
+
 
 class TestSolve:
     def test_ray2d_enumerative(self, capsys, tmp_path):
@@ -245,6 +258,27 @@ class TestSolve:
                              "--from", "1e200,1e200", strict=True)
             assert (run.returncode, run.stdout) == (code, out)
             assert run.stderr == ("error: evaluation point must be finite\n" if code == 2 else "")
+
+    def test_unsolved_residual_lp_is_recorded(self, capsys, monkeypatch, tmp_path):
+        # the W-residual LP ending without an optimum is a numeric breakdown,
+        # which the solution's stationarity annotation records
+        residual, combination, lp_solve = [], cones.combination_lp, numeric.lp_solve
+
+        def spy(B, nonneg, rhs, mode, tol=None):
+            residual.append(mode == "residual")
+            return combination(B, nonneg, rhs, mode, tol)
+
+        def unsolved(c, A, b):
+            return numeric.LpResult("infeasible") if residual[-1] else lp_solve(c, A, b)
+
+        monkeypatch.setattr(cones, "combination_lp", spy)
+        monkeypatch.setattr(numeric, "lp_solve", unsolved)
+        jpath = tmp_path / "sol.json"
+        code, _, err = run_cli(capsys, "solve", str(problem_path("axes2d")),
+                               "--json", str(jpath))
+        assert (code, err) == (0, "") and any(residual)
+        sol = json.loads(jpath.read_text())
+        assert sol["stationarity"] == {"error": "residual LP ended infeasible"}
 
     def test_penalty_mode(self, capsys):
         code, out, _ = run_cli(capsys, "solve", str(problem_path("axes2d")),

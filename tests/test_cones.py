@@ -129,6 +129,27 @@ class TestTangentSampling:
             on_sheet = d[0] >= -1e-9 and abs(d[1]) <= np.sin(TOL.angular_tol)
             assert in_plane or on_sheet
 
+    def test_every_branch_projects_the_outer_shell(self, corpus, monkeypatch):
+        # the cloud starts from the point context's outer shell, radius
+        # eps_ball, the same n_samples points for every branch
+        starts = []
+        project = cones.project_branch_cloud
+
+        def recording(P, br, X0, tol):
+            starts.append(X0)
+            return project(P, br, X0, tol)
+
+        monkeypatch.setattr(cones, "project_branch_cloud", recording)
+        for name, P in corpus.items():
+            starts.clear()
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            cones.sample_tangent_directions(P, ctx.x, TOL)
+            assert len(starts) == len(ctx.bipartitions), name
+            for X0 in starts:
+                np.testing.assert_array_equal(X0, ctx.shells[0])
+            assert ctx.shells[0].shape == (TOL.n_samples, P.n)
+            assert np.max(np.linalg.norm(ctx.shells[0] - ctx.x, axis=1)) <= TOL.eps_ball
+
 
 class TestExplicitMembership:
     def test_negative_axis_outside_halfspace_union(self, corpus):

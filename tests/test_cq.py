@@ -110,7 +110,7 @@ class TestRcrcq:
             x = np.array(CORPUS_POINTS[name])
             ctx = PointContext(P, x, tol)
             items = cones.active_items(ctx)
-            rep = cq.rank_constancy(ctx, items, "wcr")
+            rep = cq.rank_constancy(ctx, items)
             wcr = cq.check_wcr(ctx)
             expected = "HOLDS" if rep["constant"] and not rep["thin_margin"] else (
                 "FAILS" if not rep["constant"] else "UNKNOWN")
@@ -202,8 +202,9 @@ class TestPsoqn:
 
 
 class TestSampleWork:
-    """Each sampled tag evaluates its three shells in one batch call per
-    shell, however many families or candidate multipliers read them."""
+    """The sampled checks at a point read the point context's one sample of
+    three shells, evaluated in one batch call per shell, however many
+    checks, families or candidate multipliers read it."""
 
     @staticmethod
     def batch_calls(monkeypatch, name):
@@ -228,6 +229,29 @@ class TestSampleWork:
             assert calls == [TOL.n_samples] * 3, name
             triples.append(2 ** len(ctx.I.I_g) * 4 ** len(ctx.I.I_GH))
         assert max(triples) >= 16
+
+    def test_rank_checks_share_three_batch_jacobian_calls(self, corpus, monkeypatch):
+        calls = self.batch_calls(monkeypatch, "jacobian")
+        for name, P in corpus.items():
+            calls.clear()
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            for check in (cq.check_wcr, cq.check_pwcr, cq.check_rcrcq, cq.check_pcrsc):
+                check(ctx)
+            assert calls == [TOL.n_samples] * 3, name
+
+    def test_psoqn_reads_the_context_shells(self, corpus, monkeypatch):
+        seen = []
+        original = MpscProblem.constraint_values
+
+        def recording(self, x):
+            if np.ndim(x) == 2:
+                seen.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(MpscProblem, "constraint_values", recording)
+        ctx = PointContext(corpus["pinch2d"], [0.0, 0.0], TOL)
+        cq.check_psoqn(ctx)
+        assert len(seen) == 3 and all(X is S for X, S in zip(seen, ctx.shells))
 
     def test_psoqn_makes_at_most_three_batch_value_calls(self, corpus, monkeypatch):
         calls = self.batch_calls(monkeypatch, "constraint_values")

@@ -530,6 +530,32 @@ class TestEnumerateGenerators:
         active = np.isclose(np.asarray(A_le) @ np.transpose(gen.vertices), 1.0)
         assert active.sum(axis=0).tolist() == [1, 1] and active.any(axis=1).all()
 
+    def test_thin_rows_small_polyhedron_keeps_both_ends(self):
+        # the same segment scaled by 1e-3: its ends are 2.9e-9 and 5.7e-9 from
+        # the origin, so an absolute merge or containment rule loses one
+        A_le, A_eq = [[222200.0, -99099.0], [-305484.0, -132105.0]], [[-7.927e-7, 2.2538e-6]]
+        big, small = (numeric.enumerate_generators(
+            Polyhedron.make(2, A_eq=A_eq, A_le=A_le, b_le=[c, c]), TOL).vertices
+            for c in (1.0, 1e-3))
+        assert len(small) == len(big) == 2
+        for v, w in zip(small, big):
+            assert np.linalg.norm(v - 1e-3 * w) <= 1e-9 * 1e-3 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1e3])
+    def test_scaled_polytope_scales_its_vertices(self, c):
+        # {A x <= c b}: the vertex search decides at the polyhedron's own
+        # scale, so the vertices are c times those of {A x <= b}
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            A = np.vstack([rng.normal(size=(m, n)), np.eye(n), -np.eye(n)])
+            b = np.concatenate([rng.uniform(0.1, 2.0, size=m), rng.uniform(0.5, 2.0, size=2 * n)])
+            ref, got = (numeric.enumerate_generators(Polyhedron.make(n, A_le=A, b_le=k * b),
+                                                     TOL).vertices for k in (1.0, c))
+            assert len(got) == len(ref)
+            for v, w in zip(got, ref):
+                assert np.linalg.norm(v - c * w) <= 1e-9 * c * np.linalg.norm(w)
+
     def test_vertex_validity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

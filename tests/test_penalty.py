@@ -114,9 +114,15 @@ class TestErrorBound:
             penalty.error_bound_probe(corpus["ray2d"], [1.0, 1.0], TOL)
 
 
+def eb(P):
+    """The error-bound probe's report at the origin, which the penalty probe takes."""
+    return penalty.error_bound_probe(P, [0.0, 0.0], TOL)
+
+
 class TestExactPenalty:
     def test_diagonal2d_certificate(self, corpus):
-        rep = penalty.exact_penalty_probe(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        P = corpus["diagonal2d"]
+        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
         assert rep.error_bound.verdict == "HOLDS"
         assert rep.kappa_bar_hat is not None and rep.kappa_bar_hat > 0
         by_factor = {round(g["kappa"] / rep.kappa_bar_hat, 3): g for g in rep.kappa_grid}
@@ -125,11 +131,12 @@ class TestExactPenalty:
 
     def test_constant_objective_always_local_min(self):
         P = load_problem("vars x1 x2\nmin 0\nswitch x1 | x2\n", from_path=False)
-        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL)
+        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
         assert all(g["local_min"] for g in rep.kappa_grid)
 
     def test_ray2d_no_certificate_and_grid_fails(self, corpus):
-        rep = penalty.exact_penalty_probe(corpus["ray2d"], [0.0, 0.0], TOL)
+        P = corpus["ray2d"]
+        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
         assert rep.error_bound.verdict == "FAILS"
         assert rep.kappa_bar_hat is None
         assert rep.notes
@@ -140,7 +147,7 @@ class TestExactPenalty:
 
     def test_lipschitz_estimate_covers_samples(self, corpus):
         P = corpus["diagonal2d"]
-        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL)
+        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
         rng = np.random.default_rng(9)
         X = rng.uniform(-rep.minimality_radius, rep.minimality_radius, size=(200, 2))
         X = X[np.linalg.norm(X, axis=1) <= rep.minimality_radius]
@@ -173,12 +180,34 @@ class TestAnalyzeWithPenalty:
         assert rep["errorbound"] == rep["penalty"]["error_bound"]
         assert rep["errors"] == []
 
-    def test_probe_error_reported_for_both_sections(self, corpus, monkeypatch):
+    def test_probe_error_skips_the_penalty_section(self, corpus, monkeypatch):
+        calls = []
+
         def failing(*args, **kwargs):
+            calls.append(args)
             raise EvalDomainError("sqrt of a negative value", offset=4)
 
         monkeypatch.setattr(penalty, "error_bound_probe", failing)
         rep = report.analyze(corpus["diagonal2d"], [0.0, 0.0], TOL, with_penalty=True)
         assert "errorbound" not in rep and "penalty" not in rep
-        assert [e["component"] for e in rep["errors"]] == ["errorbound", "penalty"]
-        assert all(e["message"] == "sqrt of a negative value (offset 4)" for e in rep["errors"])
+        assert rep["errors"] == [{"component": "errorbound",
+                                  "message": "sqrt of a negative value (offset 4)"}]
+        assert len(calls) == 1
+
+    def test_domain_error_in_the_probe_is_reported_once(self, monkeypatch):
+        # the error-bound probe evaluates sqrt(x2) at x2 < 0; the penalty
+        # section, which needs its report, is skipped rather than probing again
+        calls = []
+        probe = penalty.error_bound_probe
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(penalty, "error_bound_probe", counting)
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+                         "switch x1 | x2\n", from_path=False)
+        rep = report.analyze(P, [0.0, 0.0], TOL, with_penalty=True)
+        assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN", "errorbound"]
+        assert "errorbound" not in rep and "penalty" not in rep
+        assert len(calls) == 1

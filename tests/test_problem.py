@@ -510,18 +510,24 @@ def test_only_the_kernel_evaluates_expressions():
 
 
 def test_only_the_point_context_and_penalty_draw_neighbourhood_samples():
-    # a point-level check reads ctx.shells(*tag), so its samples are drawn
-    # once per context and stay the ones every other check draws
-    callers = set()
-    for path in sorted(Path(pb.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callers.update((path.name, fn.name) for node in ast.walk(fn)
+    # a point-level check reads ctx.shells, so its samples are drawn once per
+    # context and are the ones every other check at the point reads; in cones
+    # and cq no other function draws random numbers at all
+    def callers(name):
+        out = set()
+        for path in sorted(Path(pb.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out.update((path.name, fn.name) for node in ast.walk(fn)
                                if isinstance(node, ast.Call)
-                               and "ball_offsets" in (getattr(node.func, "id", None),
-                                                      getattr(node.func, "attr", None)))
-    assert {name for name, _ in callers} == {"cones.py", "penalty.py"}
-    assert {fn for name, fn in callers if name == "cones.py"} == {"shells"}
+                               and name in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None)))
+        return out
+
+    offsets = callers("ball_offsets")
+    assert {name for name, _ in offsets} == {"cones.py", "penalty.py"}
+    assert {fn for name, fn in offsets if name == "cones.py"} == {"shells"}
+    assert {c for c in callers("rng") if c[0] in ("cones.py", "cq.py")} == {("cones.py", "shells")}
 
 
 def _decorator_name(node):
