@@ -59,6 +59,11 @@ class ConePiece:
     # generators and lineality basis per tolerance set, kept after the first call
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @staticmethod
+    def subspace(rows) -> "ConePiece":
+        """The subspace {d : rows . d = 0} as a piece with no inequality rows."""
+        return ConePiece(A_eq=rows, A_le=np.zeros((0, rows.shape[1])))
+
     @property
     def dim(self):
         return self.A_eq.shape[1]
@@ -86,6 +91,12 @@ class ConePiece:
         if N.shape[1] == 0:
             return True
         return bool(np.max(np.abs(self.A_le @ N)) <= 1e-10)
+
+    def is_origin(self, tol: Tolerances) -> bool:
+        """True when the piece is {0}: no lineality and, unless it is a
+        subspace, no extreme ray (only then are its generators enumerated)."""
+        return self.lineality_basis(tol).shape[1] == 0 and (
+            self.is_subspace(tol) or not self.generators(tol).rays)
 
     def generators(self, tol: Tolerances) -> Generators:
         if ("gen", tol) not in self._cache:
@@ -126,9 +137,10 @@ class PointContext:
     the one Jacobian at x over P.items, kinds f/g/h/G/H, and each item
     Hessian at x are computed on first use and not kept when they raise, so
     each component that needs them reports the error itself.  The
-    linearization-cone pieces are built once and keep their generators;
-    `shells` is the one neighbourhood sample that every sampled check at x
-    reads, and `once` keeps any other point-level result checks share.
+    linearization-cone pieces and the critical-subspace piece are built
+    once and keep their generators; `shells` is the one neighbourhood
+    sample that every sampled check at x reads, and `once` keeps any other
+    point-level result checks share.
     """
 
     def __init__(self, P: MpscProblem, x, tol: Tolerances):
@@ -154,6 +166,11 @@ class PointContext:
     @cached_property
     def linearization(self) -> ConeUnion:
         return linearization_cone(self)
+
+    @cached_property
+    def critical_subspace(self) -> ConePiece:
+        """{d : every active row . d = 0}."""
+        return ConePiece.subspace(self.rows(active_items(self)))
 
     @cached_property
     def shells(self) -> list:
@@ -237,7 +254,7 @@ def critical_cone(ctx: PointContext, mult=None) -> ConeUnion:
 
 def critical_subspace(ctx: PointContext) -> np.ndarray:
     """Orthonormal basis of the subspace where every active row vanishes."""
-    return nullspace(ctx.rows(active_items(ctx)), ctx.tol)
+    return ctx.critical_subspace.lineality_basis(ctx.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones as cn
-from .cones import PointContext, active_items, branch_items
+from .cones import ConePiece, PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import RADII_FRACTIONS, eig_sym, nullspace, rank_margin, rank_tol_batch
+from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch
 from .problem import Bipartition
+from .soc import quadform_min_over_cone
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
 HOLDS, FAILS, UNKNOWN = "HOLDS", "FAILS", "UNKNOWN"
@@ -236,9 +237,7 @@ def check_acq(ctx: PointContext) -> CqVerdict:
     P, x, tol = ctx.P, ctx.x, ctx.tol
     L = ctx.linearization
 
-    trivial = all(p.lineality_basis(tol).shape[1] == 0
-                  and not p.generators(tol).rays for p in L.pieces)
-    if trivial:
+    if all(p.is_origin(tol) for p in L.pieces):
         return CqVerdict("ACQ", HOLDS, "exact",
                          {"note": "linearization cone is the origin"})
 
@@ -315,12 +314,9 @@ def check_psoqn(ctx: PointContext) -> CqVerdict:
 
 def _psoqn_second_order(ctx, b, m):
     """Constraint-Hessian combination PSD on the branch critical subspace."""
-    B = nullspace(ctx.rows(branch_items(ctx, b.beta1, b.beta2)), ctx.tol)
-    if B.shape[1] == 0:
-        return True
-    K = lagrangian_hessian(ctx, m, include_objective=False)
-    w, _ = eig_sym(B.T @ K @ B)
-    return bool(w[0] >= -ctx.tol.tau_psd)
+    piece = ConePiece.subspace(ctx.rows(branch_items(ctx, b.beta1, b.beta2)))
+    qf = quadform_min_over_cone(lagrangian_hessian(ctx, m, include_objective=False), piece, ctx.tol)
+    return qf.value is None or qf.value >= -ctx.tol.tau_psd
 
 
 def _psoqn_sign_sequence(ctx, m):

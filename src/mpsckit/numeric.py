@@ -170,30 +170,30 @@ def rank_margin(M, tol: Tolerances) -> tuple[int, float]:
     if s.size == 0 or s[0] <= 0.0:
         return 0, math.inf
     cut = tol.tau_rank * s[0]
-    return int(np.sum(s > cut)), min(max(x / cut, cut / x) for x in s if x > 0.0)
+    return int(_svd_rank(s, tol)), min(max(x / cut, cut / x) for x in s if x > 0.0)
+
+
+def _svd_rank(s, tol: Tolerances) -> np.ndarray:
+    """The rank cutoff over the last axis of descending singular values: the
+    count above tau_rank * sigma_max, 0 where sigma_max is 0 or s is empty."""
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int)
+    smax = s[..., :1]
+    return np.where(smax[..., 0] > 0, np.sum(s > tol.tau_rank * smax, axis=-1), 0)
 
 
 def rank_tol_batch(Ms, tol: Tolerances) -> np.ndarray:
     """Ranks of a stack of matrices, shape (N, q, n) -> (N,)."""
-    Ms = np.asarray(Ms, float)
-    if Ms.shape[1] == 0 or Ms.shape[2] == 0:
-        return np.zeros(Ms.shape[0], dtype=int)
-    s = np.linalg.svd(Ms, compute_uv=False)
-    smax = s[:, 0]
-    cut = tol.tau_rank * np.where(smax > 0, smax, 1.0)
-    return np.sum(s > cut[:, None], axis=1).astype(int)
+    return _svd_rank(np.linalg.svd(np.asarray(Ms, float), compute_uv=False), tol)
 
 
 def nullspace(M, tol: Tolerances) -> np.ndarray:
     """Orthonormal basis (columns) of ker M; shape (n, n - rank)."""
     M = np.atleast_2d(np.asarray(M, float))
-    n = M.shape[1]
     if M.shape[0] == 0:
-        return np.eye(n)
+        return np.eye(M.shape[1])
     _, s, Vt = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol.tau_rank * smax)) if smax > 0 else 0
-    return Vt[r:].T.copy()
+    return Vt[int(_svd_rank(s, tol)):].T.copy()
 
 
 def _lstsq_diverged(err, flag):
@@ -460,7 +460,7 @@ def _kernel_lines(Ms, tol: Tolerances):
     if q == 0:
         return [np.eye(n)[:, 0]] * N if n == 1 else []
     _, s, Vt = np.linalg.svd(Ms)
-    r = np.where(s[:, 0] > 0, np.sum(s > tol.tau_rank * s[:, :1], axis=1), 0)
+    r = _svd_rank(s, tol)
     return [Vt[i, r[i]] for i in range(N) if r[i] == n - 1]
 
 

@@ -125,13 +125,16 @@ class MpscProblem:
         return V[..., :m], V[..., m:m + p], V[..., m + p:m + p + l], V[..., m + p + l:]
 
     def residual(self, x):
-        """l2 constraint violation: sqrt(sum g+^2 + sum h^2 + sum min(G^2,H^2))."""
-        g, h, G, H = self.constraint_values(x)
-        with np.errstate(over="ignore"):  # callers reject a non-finite residual
-            viol = np.sum(np.maximum(g, 0.0) ** 2, axis=-1) \
-                + np.sum(h ** 2, axis=-1) \
-                + np.sum(np.minimum(G ** 2, H ** 2), axis=-1)
-        return np.sqrt(viol)
+        """l2 constraint violation at a point or batch (see residual_of)."""
+        return self.residual_of(*self.constraint_values(x))
+
+    @staticmethod
+    @np.errstate(over="ignore")  # callers reject a non-finite residual
+    def residual_of(g, h, G, H):
+        """sqrt(sum g+^2 + sum h^2 + sum min(G^2,H^2)) over the last axis of
+        the (g, h, G, H) value arrays."""
+        return np.sqrt(np.sum(np.maximum(g, 0.0) ** 2, axis=-1) + np.sum(h ** 2, axis=-1)
+                       + np.sum(np.minimum(G ** 2, H ** 2), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,6 @@ class BranchProblem:
     problem: MpscProblem
     eq_G: tuple
     eq_H: tuple
-    bipartition: Bipartition | None = None
 
     def equalities(self):
         """Equality items: every h, then G over eq_G and H over eq_H."""
@@ -322,7 +324,7 @@ def branch(P: MpscProblem, I: IndexSets, b: Bipartition) -> BranchProblem:
     """Branch problem for a bipartition of the biactive set at a point."""
     eq_G = tuple(sorted(set(I.I_G) | set(b.beta1)))
     eq_H = tuple(sorted(set(I.I_H) | set(b.beta2)))
-    return BranchProblem(P, eq_G, eq_H, bipartition=b)
+    return BranchProblem(P, eq_G, eq_H)
 
 
 def branch_from_assignment(P: MpscProblem, eq_G, eq_H) -> BranchProblem:

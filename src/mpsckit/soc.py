@@ -1,13 +1,14 @@
 """Second-order necessary conditions at an S-stationary point.
 
-The weak condition lives on the critical subspace, where a projected
-eigensolve decides it exactly.  The strong condition quantifies over the
-critical cone, handled piecewise: exact on lineality spaces, sampled via
-conic combinations of generators elsewhere.  Both sweep the full
-S-multiplier polyhedron through its generators: the quadratic form is
-affine in the multiplier, so nonnegativity at the vertices plus
-nonnegativity of the constraint-Hessian part along recession rays covers
-every multiplier.
+Both conditions ask whether d^T hess_L(mult) d >= 0 on a cone, and both go
+through one routine, `quadform_min_over_cone`, one cone piece at a time:
+exact on a subspace piece by a projected eigensolve, sampled via conic
+combinations of generators elsewhere.  The strong condition's cone is the
+critical cone, piece by piece; the weak condition is the one-piece case of
+the critical subspace.  Both sweep the full S-multiplier polyhedron through
+its generators: the quadratic form is affine in the multiplier, so
+nonnegativity at the vertices plus nonnegativity of the constraint-Hessian
+part along recession rays covers every multiplier.
 """
 
 from __future__ import annotations
@@ -56,30 +57,26 @@ def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
                            rng=None) -> QuadFormResult:
     """Estimate min d^T Q d over unit directions of a polyhedral cone piece.
 
-    Exact when the piece is a subspace (projected eigensolve); otherwise the
-    minimum over generators, pairwise generator midpoints, random conic
-    combinations and membership-filtered sphere samples.  The returned value
-    is attained by a concrete feasible direction, hence an upper bound on
-    the true minimum.
+    Vacuous (value None) on the origin; exact when the piece is a subspace
+    (projected eigensolve); otherwise the minimum over generators, pairwise
+    generator midpoints, random conic combinations and membership-filtered
+    sphere samples.  The returned value is attained by a concrete feasible
+    direction, hence an upper bound on the true minimum.
     """
     Q = np.asarray(Q, float)
     n = Q.shape[0]
     rng = rng or tol.rng("quadform")
 
-    lin = piece.lineality_basis(tol)
+    if piece.is_origin(tol):
+        return QuadFormResult(None, None, 0, True, "vacuous")
     if piece.is_subspace(tol):
-        if lin.shape[1] == 0:
-            return QuadFormResult(None, None, 0, True, "vacuous")
+        lin = piece.lineality_basis(tol)
         w, V = eig_sym(lin.T @ Q @ lin)
         d = lin @ V[:, 0]
         return QuadFormResult(float(w[0]), d / np.linalg.norm(d),
                               admitted=tol.n_samples, exact=True, method="subspace_eig")
 
-    gens = piece.generators(tol)
-    rays = [r / np.linalg.norm(r) for r in gens.all_rays()]
-    if not rays:
-        return QuadFormResult(None, None, 0, True, "vacuous")
-
+    rays = [r / np.linalg.norm(r) for r in piece.generators(tol).all_rays()]
     dirs = list(rays)
     for a in range(len(rays)):
         for b in range(a + 1, len(rays)):
@@ -138,84 +135,65 @@ def _ray_witness_multiplier(ctx, vertex: Multipliers, ray: Multipliers,
     return mult, float(d @ lagrangian_hessian(ctx, mult) @ d)
 
 
-def check_wsonc(ctx: PointContext) -> SocVerdict:
-    """Projected-Hessian nonnegativity on the critical subspace (exact)."""
+def _sonc(ctx: PointContext, kind: str, pieces) -> SocVerdict:
+    """d^T hess_L(mult) d >= 0 on every piece for every S-multiplier, one
+    `quadform_min_over_cone` per (multiplier, piece); a cone whose every
+    piece is the origin holds before any multiplier is enumerated."""
     tol = ctx.tol
-    _gate_s_stationary(ctx)
-    B = cn.critical_subspace(ctx)
-    if B.shape[1] == 0:
-        return SocVerdict("WSONC", HOLDS, "exact",
-                          evidence={"subspace_dim": 0, "note": "vacuous"})
+    live = [(pi, piece) for pi, piece in enumerate(pieces) if not piece.is_origin(tol)]
+    if not live:
+        return SocVerdict(kind, HOLDS, "exact",
+                          evidence={"pieces": len(pieces), "note": "the cone is the origin"})
     try:
         sweep = _multiplier_sweep(ctx)
     except SizeCapError as err:
-        return SocVerdict("WSONC", UNKNOWN, "exact",
-                          evidence={"note": str(err)})
-    for mult, is_ray in sweep:
-        Q = lagrangian_hessian(ctx, mult, include_objective=not is_ray)
-        w, V = eig_sym(B.T @ Q @ B)
-        if w[0] < -tol.tau_psd:
-            d = B @ V[:, 0]
-            d /= np.linalg.norm(d)
-            evidence = {"subspace_dim": B.shape[1], "method": "subspace_eig"}
-            if is_ray:
-                mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
-                evidence["via_recession_ray"] = True
-            else:
-                value = float(d @ Q @ d)
-            return SocVerdict("WSONC", FAILS, "exact",
-                              witness={"multiplier": mult, "direction": d,
-                                       "value": value},
-                              evidence=evidence)
-    return SocVerdict("WSONC", HOLDS, "exact",
-                      evidence={"subspace_dim": B.shape[1],
-                                "generators_checked": len(sweep),
-                                "multiplier_argument": MULTIPLIER_ARGUMENT,
-                                "method": "subspace_eig"})
-
-
-def check_ssonc(ctx: PointContext) -> SocVerdict:
-    """Quadratic-form nonnegativity over the critical cone, multiplier-swept."""
-    tol = ctx.tol
-    witness0 = _gate_s_stationary(ctx)
-    try:
-        sweep = _multiplier_sweep(ctx)
-    except SizeCapError as err:
-        return SocVerdict("SSONC", UNKNOWN, "sampled", evidence={"note": str(err)})
-    pieces = cn.critical_cone(ctx, mult=witness0).pieces
+        return SocVerdict(kind, UNKNOWN, "sampled", evidence={"note": str(err)})
 
     all_exact = True
     low_coverage = []
     piece_tags = []
     for gi, (mult, is_ray) in enumerate(sweep):
         Q = lagrangian_hessian(ctx, mult, include_objective=not is_ray)
-        for pi, piece in enumerate(pieces):
-            rng = tol.rng("ssonc", gi, pi)
-            qf = quadform_min_over_cone(Q, piece, tol, rng=rng)
-            if qf.method == "vacuous":
-                continue
+        for pi, piece in live:
+            qf = quadform_min_over_cone(Q, piece, tol, rng=tol.rng("ssonc", gi, pi))
             all_exact &= qf.exact
             piece_tags.append({"piece": pi, "generator": gi, "method": qf.method,
                                "admitted": qf.admitted})
-            if qf.value is not None and qf.value < -tol.tau_psd:
+            if qf.value < -tol.tau_psd:
                 d = qf.direction
+                evidence = {"piece": pi, "method": qf.method}
                 if is_ray:
-                    wit_mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
+                    mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
+                    evidence["via_recession_ray"] = True
                 else:
-                    wit_mult, value = mult, qf.value
+                    value = qf.value
                 assert piece.contains(d, tol.tau_feas * 2.0)
-                return SocVerdict("SSONC", FAILS,
-                                  "exact" if qf.exact else "sampled",
-                                  witness={"multiplier": wit_mult, "direction": d,
+                return SocVerdict(kind, FAILS, "exact" if qf.exact else "sampled",
+                                  witness={"multiplier": mult, "direction": d,
                                            "value": value},
-                                  evidence={"piece": pi, "method": qf.method})
+                                  evidence=evidence)
             if not qf.exact and qf.admitted < 32:
                 low_coverage.append(pi)
     if low_coverage:
-        return SocVerdict("SSONC", UNKNOWN, "sampled",
+        return SocVerdict(kind, UNKNOWN, "sampled",
                           evidence={"low_coverage_pieces": sorted(set(low_coverage))})
-    return SocVerdict("SSONC", HOLDS, "exact" if all_exact else "sampled",
+    return SocVerdict(kind, HOLDS, "exact" if all_exact else "sampled",
                       evidence={"pieces": len(pieces),
                                 "sweeps": piece_tags,
                                 "multiplier_argument": MULTIPLIER_ARGUMENT,
                                 "seed": tol.seed})
+
+
+def check_wsonc(ctx: PointContext) -> SocVerdict:
+    """Quadratic-form nonnegativity on the critical subspace (exact)."""
+    _gate_s_stationary(ctx)
+    piece = ctx.critical_subspace
+    v = _sonc(ctx, "WSONC", [piece])
+    v.evidence["subspace_dim"] = piece.lineality_basis(ctx.tol).shape[1]
+    return v
+
+
+def check_ssonc(ctx: PointContext) -> SocVerdict:
+    """Quadratic-form nonnegativity over the critical cone, multiplier-swept."""
+    witness0 = _gate_s_stationary(ctx)
+    return _sonc(ctx, "SSONC", cn.critical_cone(ctx, mult=witness0).pieces)

@@ -386,8 +386,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     def objective(rows, Z, V=None, grad=False):  # at the current kappa
         V = P.values(Z, P.items) if V is None else V  # f first: the first error
         g, h, G, H = (V[:, a:b] for a, b in zip(ends, ends[1:]))
-        r = np.sqrt((np.maximum(g, 0.0) ** 2).sum(axis=1) + (h ** 2).sum(axis=1)
-                    + np.minimum(G ** 2, H ** 2).sum(axis=1))
+        r = MpscProblem.residual_of(g, h, G, H)
         fv = V[:, 0] + kappa * r
         if not grad:
             return fv, V

@@ -8,7 +8,7 @@ from mpsckit import cones
 from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, ConeUnion, PointContext
 from mpsckit.stationarity import check_s_stationary
 from mpsckit.errors import InfeasiblePointError
-from mpsckit.numeric import Tolerances
+from mpsckit.numeric import Tolerances, enumerate_generators
 from mpsckit.problem import load_problem
 
 TOL = Tolerances()
@@ -55,6 +55,28 @@ class TestLinearizationCone:
         L = cones.linearization_cone(PointContext(P, [0.3, -0.4], TOL))
         assert len(L.pieces) == 1
         assert in_cone_union(L, [17.0, -5.0], TOL)
+
+
+class TestIsOrigin:
+    def test_agrees_with_the_generators_on_random_pieces(self):
+        # "no lineality and no extreme ray" read off a fresh enumeration; the
+        # pieces span pointed cones, subspaces and inequality rows that only
+        # restate equalities (a subspace whose generators is_origin skips)
+        rng = np.random.default_rng(19)
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for _ in range(40):
+                A_eq = rng.normal(size=(rng.integers(0, n + 1), n))
+                if A_eq.shape[0] and rng.uniform() < 0.3:
+                    A_le = rng.normal(size=(2, A_eq.shape[0])) @ A_eq
+                else:
+                    A_le = rng.normal(size=(rng.integers(0, 2 * n + 2), n))
+                piece = ConePiece(A_eq=A_eq, A_le=A_le)
+                gens = enumerate_generators(piece.polyhedron(), TOL)
+                expected = not gens.lineality and not gens.rays
+                assert piece.is_origin(TOL) == expected, (A_eq, A_le)
+                seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestCriticalCone:

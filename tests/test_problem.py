@@ -509,25 +509,34 @@ def test_only_the_kernel_evaluates_expressions():
     assert offenders == {}
 
 
+def _callers(name):
+    """(module file, function) pairs of the package that call `name`."""
+    out = set()
+    for path in sorted(Path(pb.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.update((path.name, fn.name) for node in ast.walk(fn)
+                           if isinstance(node, ast.Call)
+                           and name in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None)))
+    return out
+
+
 def test_only_the_point_context_and_penalty_draw_neighbourhood_samples():
     # a point-level check reads ctx.shells, so its samples are drawn once per
     # context and are the ones every other check at the point reads; in cones
     # and cq no other function draws random numbers at all
-    def callers(name):
-        out = set()
-        for path in sorted(Path(pb.__file__).parent.glob("*.py")):
-            for fn in ast.walk(ast.parse(path.read_text())):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out.update((path.name, fn.name) for node in ast.walk(fn)
-                               if isinstance(node, ast.Call)
-                               and name in (getattr(node.func, "id", None),
-                                            getattr(node.func, "attr", None)))
-        return out
-
-    offsets = callers("ball_offsets")
+    offsets = _callers("ball_offsets")
     assert {name for name, _ in offsets} == {"cones.py", "penalty.py"}
     assert {fn for name, fn in offsets if name == "cones.py"} == {"shells"}
-    assert {c for c in callers("rng") if c[0] in ("cones.py", "cq.py")} == {("cones.py", "shells")}
+    assert {c for c in _callers("rng") if c[0] in ("cones.py", "cq.py")} == {("cones.py", "shells")}
+
+
+def test_only_the_cone_quadratic_form_routine_eigensolves_in_soc_and_cq():
+    # WSONC, SSONC and PSOQN's curvature test all minimize d^T Q d over cone
+    # pieces through quadform_min_over_cone, the one projected eigensolve
+    assert {c for c in _callers("eig_sym") if c[0] in ("soc.py", "cq.py")} \
+        == {("soc.py", "quadform_min_over_cone")}
 
 
 def _decorator_name(node):

@@ -71,9 +71,13 @@ class TestWsonc:
         P = load_problem(text, from_path=False)
         v = soc.check_wsonc(PointContext(P, [0.0] * P.n, TOL))
         assert (v.status, v.mode, v.witness) == ("HOLDS", "exact", None)
-        assert v.evidence == {"subspace_dim": dim, "generators_checked": generators,
+        # the critical subspace is the one piece, decided once per generator
+        assert v.evidence == {"pieces": 1,
+                              "sweeps": [{"piece": 0, "generator": gi, "method": "subspace_eig",
+                                          "admitted": TOL.n_samples}
+                                         for gi in range(generators)],
                               "multiplier_argument": soc.MULTIPLIER_ARGUMENT,
-                              "method": "subspace_eig"}
+                              "seed": TOL.seed, "subspace_dim": dim}
 
     def test_unconstrained_concave_fails(self):
         P = load_problem("vars x\nmin -x^2\n", from_path=False)
@@ -82,7 +86,7 @@ class TestWsonc:
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-12)
         assert abs(v.witness["direction"][0]) == pytest.approx(1.0)
         # a vertex witness: no recession ray was needed
-        assert v.evidence == {"subspace_dim": 1, "method": "subspace_eig"}
+        assert v.evidence == {"piece": 0, "method": "subspace_eig", "subspace_dim": 1}
 
     def test_requires_s_stationary(self, corpus):
         with pytest.raises(NotSStationaryError):
@@ -201,6 +205,24 @@ class TestSharedSStationarity:
 
     def test_pinch2d_solves_s_system_once(self, corpus, monkeypatch):
         assert self._count(monkeypatch, corpus["pinch2d"], [0.0, 0.0]) == (1, 1)
+
+    def test_origin_cones_hold_without_enumerating_s_multipliers(self, corpus, monkeypatch):
+        # diagonal2d's critical cone and critical subspace are the origin, so
+        # d = 0 proves both conditions and no S-multiplier is enumerated
+        from mpsckit import stationarity as st
+        calls, enumerate_generators = [], st.enumerate_generators
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_generators(*args, **kwargs)
+
+        monkeypatch.setattr(st, "enumerate_generators", counting)
+        ctx = PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        verdicts = [soc.check_wsonc(ctx), soc.check_ssonc(ctx)]
+        assert calls == []
+        for v in verdicts:
+            assert (v.status, v.mode, v.evidence["note"]) == ("HOLDS", "exact",
+                                                              "the cone is the origin")
 
     def test_crossplanes3d_enumerates_s_multipliers_once(self, corpus, monkeypatch):
         # the critical subspace is a line here, so both gates sweep the multipliers
