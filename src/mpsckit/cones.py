@@ -49,6 +49,12 @@ def cross_cones(a: float, b: float, tol: Tolerances) -> CrossConeKind:
     return CrossConeKind("a_nonzero_b_zero", AXIS_A, AXIS_B, AXIS_B)
 
 
+def unit_rows(A) -> np.ndarray:
+    """A with each nonzero row scaled to unit norm."""
+    nrm = np.linalg.norm(A, axis=1, keepdims=True)
+    return A / np.where(nrm > 0.0, nrm, 1.0)
+
+
 @dataclass
 class ConePiece:
     """Polyhedral cone {d : A_eq d = 0, A_le d <= 0} tagged by its bipartition."""
@@ -56,7 +62,8 @@ class ConePiece:
     A_eq: np.ndarray
     A_le: np.ndarray
     tag: Bipartition | None = None
-    # generators and lineality basis per tolerance set, kept after the first call
+    # generators, lineality basis and implicit equalities per tolerance set,
+    # kept after the first call
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -83,20 +90,29 @@ class ConePiece:
     def contains(self, d, slack):
         return self.violation(d) <= slack
 
+    def implicit_equalities(self, tol: Tolerances) -> tuple:
+        """Indices of the inequality rows that vanish on the whole piece.
+
+        With every row scaled to unit norm, row i is such a row when -row_i
+        is a nonnegative combination of the other inequality rows plus a
+        free combination of the equality rows: one feasibility LP per row,
+        with no enumeration and no cap.
+        """
+        if ("implicit", tol) not in self._cache:
+            eq, le = unit_rows(self.A_eq), unit_rows(self.A_le)
+            self._cache["implicit", tol] = tuple(
+                i for i in range(len(le)) if combination_lp(
+                    np.vstack([np.delete(le, i, axis=0), eq]).T,
+                    [True] * (len(le) - 1) + [False] * len(eq), -le[i], "feasible", tol))
+        return self._cache["implicit", tol]
+
     def is_subspace(self, tol: Tolerances) -> bool:
-        """True when the inequality rows vanish on the equality nullspace."""
-        if self.A_le.size == 0:
-            return True
-        N = nullspace(self.A_eq, tol) if self.A_eq.size else np.eye(self.dim)
-        if N.shape[1] == 0:
-            return True
-        return bool(np.max(np.abs(self.A_le @ N)) <= 1e-10)
+        """True when every inequality row is an implicit equality."""
+        return len(self.implicit_equalities(tol)) == len(self.A_le)
 
     def is_origin(self, tol: Tolerances) -> bool:
-        """True when the piece is {0}: no lineality and, unless it is a
-        subspace, no extreme ray (only then are its generators enumerated)."""
-        return self.lineality_basis(tol).shape[1] == 0 and (
-            self.is_subspace(tol) or not self.generators(tol).rays)
+        """True when the piece is {0}: a subspace with no lineality."""
+        return self.lineality_basis(tol).shape[1] == 0 and self.is_subspace(tol)
 
     def generators(self, tol: Tolerances) -> Generators:
         if ("gen", tol) not in self._cache:
@@ -105,7 +121,8 @@ class ConePiece:
 
     def lineality_basis(self, tol: Tolerances) -> np.ndarray:
         if ("lin", tol) not in self._cache:
-            self._cache["lin", tol] = nullspace(np.vstack([self.A_eq, self.A_le]), tol)
+            rows = unit_rows(np.vstack([self.A_eq, self.A_le]))
+            self._cache["lin", tol] = nullspace(rows, tol)
         return self._cache["lin", tol]
 
 
@@ -137,8 +154,8 @@ class PointContext:
     the one Jacobian at x over P.items, kinds f/g/h/G/H, and each item
     Hessian at x are computed on first use and not kept when they raise, so
     each component that needs them reports the error itself.  The
-    linearization-cone pieces and the critical-subspace piece are built
-    once and keep their generators; `shells` is the one neighbourhood
+    linearization-cone, critical-cone and critical-subspace pieces are
+    built once and keep their generators; `shells` is the one neighbourhood
     sample that every sampled check at x reads, and `once` keeps any other
     point-level result checks share.
     """
@@ -166,6 +183,10 @@ class PointContext:
     @cached_property
     def linearization(self) -> ConeUnion:
         return linearization_cone(self)
+
+    @cached_property
+    def critical(self) -> ConeUnion:
+        return critical_cone(self)
 
     @cached_property
     def critical_subspace(self) -> ConePiece:
@@ -220,12 +241,10 @@ def active_items(ctx: PointContext) -> list:
     return branch_items(ctx, ctx.I.I_GH, ctx.I.I_GH)
 
 
-def piece_for_bipartition(ctx: PointContext, b: Bipartition,
-                          extra_eq=(), active_ineq=None) -> ConePiece:
+def piece_for_bipartition(ctx: PointContext, b: Bipartition) -> ConePiece:
     """Linearized branch cone: g rows <= 0, h/G/H rows = 0 for the branch."""
-    ineq_idx = ctx.I.I_g if active_ineq is None else active_ineq
-    return ConePiece(A_eq=ctx.rows(list(extra_eq) + branch_items(ctx, b.beta1, b.beta2, ())),
-                     A_le=ctx.rows([("g", i) for i in ineq_idx]), tag=b)
+    return ConePiece(A_eq=ctx.rows(branch_items(ctx, b.beta1, b.beta2, ())),
+                     A_le=ctx.rows([("g", i) for i in ctx.I.I_g]), tag=b)
 
 
 def linearization_cone(ctx: PointContext) -> ConeUnion:
@@ -233,28 +252,17 @@ def linearization_cone(ctx: PointContext) -> ConeUnion:
     return ConeUnion([piece_for_bipartition(ctx, b) for b in ctx.bipartitions])
 
 
-def critical_cone(ctx: PointContext, mult=None) -> ConeUnion:
-    """Linearization directions that are first-order neutral for f.
+def critical_cone(ctx: PointContext) -> ConeUnion:
+    """C(x) = {d in L(x) : grad f . d <= 0}, each linearization piece cut by
+    grad f; read it as `PointContext.critical`, built once per context.
 
-    Without a multiplier each piece is intersected with grad f . d <= 0;
-    with an S-multiplier the active inequalities with positive lambda turn
-    into equalities instead.
+    At an S-stationary point the cut makes each active inequality with a
+    positive multiplier an implicit equality of every piece, which
+    `ConePiece.implicit_equalities` finds with no multiplier at hand.
     """
-    if mult is None:
-        gf = ctx.grad("f")[None, :]
-        return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag)
-                          for p in ctx.linearization.pieces])
-    lam = np.asarray(mult.lam, float)
-    plus = tuple(i for i in ctx.I.I_g if lam[i] > ctx.tol.tau_act)
-    rest = tuple(i for i in ctx.I.I_g if i not in plus)
-    return ConeUnion([piece_for_bipartition(ctx, b, extra_eq=[("g", i) for i in plus],
-                                            active_ineq=rest)
-                      for b in ctx.bipartitions])
-
-
-def critical_subspace(ctx: PointContext) -> np.ndarray:
-    """Orthonormal basis of the subspace where every active row vanishes."""
-    return ctx.critical_subspace.lineality_basis(ctx.tol)
+    gf = ctx.grad("f")[None, :]
+    return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag)
+                      for p in ctx.linearization.pieces])
 
 
 # ---------------------------------------------------------------------------

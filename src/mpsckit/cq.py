@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones as cn
-from .cones import ConePiece, PointContext, active_items, branch_items
+from .cones import ConePiece, PointContext, active_items, branch_items, unit_rows
 from .errors import LatticeContradictionError, SizeCapError
 from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch
 from .problem import Bipartition
@@ -171,27 +171,19 @@ def _subsets(idx):
 def i_g_minus(ctx: PointContext, b: Bipartition):
     """Active inequalities forced to equality on the branch linearization cone.
 
-    Primary route: -grad g_l lies in the cone generated by the remaining
-    active inequality gradients (nonnegative weights) plus the span of the
-    branch equality gradients.  Cross-check: g_l annihilates every generator
-    of the branch linearization cone.  Returns (indices, crosscheck dict).
+    Primary route: the implicit equalities of the branch's linearization
+    piece (`ConePiece.implicit_equalities`, unit rows), mapped to I_g.
+    Cross-check: the unit gradient of g_l annihilates every generator of
+    that piece.  Returns (indices, crosscheck dict).
     """
     I = ctx.I
-    picked = [l for l in I.I_g if ctx.combination(
-        branch_items(ctx, b.beta1, b.beta2, g_idx=[i for i in I.I_g if i != l]),
-        -ctx.grad("g", l), "feasible")]
-
-    # cross-check against I_0 computed from the cone generators
     piece = ctx.linearization.pieces[ctx.bipartitions.index(b)]
-    dirs = piece.generators(ctx.tol).all_rays()
-    i0 = []
-    for i in I.I_g:
-        gi = ctx.grad("g", i)
-        scale = 1e-9 * (1.0 + np.linalg.norm(gi))
-        if all(abs(gi @ d) <= scale for d in dirs):
-            i0.append(i)
-    agree = set(picked) == set(i0)
-    return tuple(picked), {"I0": i0, "agree": agree}
+    picked = [I.I_g[k] for k in piece.implicit_equalities(ctx.tol)]
+
+    # cross-check against I_0: the unit rows that vanish on every generator
+    dirs = np.reshape(piece.generators(ctx.tol).all_rays(), (-1, ctx.P.n))
+    i0 = [i for i, u in zip(I.I_g, unit_rows(piece.A_le)) if np.all(np.abs(dirs @ u) <= 1e-9)]
+    return tuple(picked), {"I0": i0, "agree": set(picked) == set(i0)}
 
 
 def check_pcrsc(ctx: PointContext) -> CqVerdict:

@@ -58,13 +58,10 @@ def _piece_json(piece, tol):
 
 def cones_section(ctx: cn.PointContext) -> dict:
     """Cone generators at ctx's point, as numpy arrays: sanitize makes it JSON."""
-    L = ctx.linearization
-    C = cn.critical_cone(ctx)
-    B = cn.critical_subspace(ctx)
     return {
-        "linearization": {"pieces": [_piece_json(p, ctx.tol) for p in L.pieces]},
-        "critical": {"pieces": [_piece_json(p, ctx.tol) for p in C.pieces]},
-        "critical_subspace": B.T,
+        "linearization": {"pieces": [_piece_json(p, ctx.tol) for p in ctx.linearization.pieces]},
+        "critical": {"pieces": [_piece_json(p, ctx.tol) for p in ctx.critical.pieces]},
+        "critical_subspace": ctx.critical_subspace.lineality_basis(ctx.tol).T,
     }
 
 

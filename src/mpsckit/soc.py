@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cones as cn
-from .cones import PointContext
+from .cones import ConePiece, PointContext
 from .errors import NotSStationaryError, SizeCapError
 from .numeric import Tolerances, eig_sym
 from .stationarity import (Multipliers, check_s_stationary, expand_multiplier,
@@ -53,7 +52,7 @@ class QuadFormResult:
     method: str                  # subspace_eig | generator_sweep | vacuous
 
 
-def quadform_min_over_cone(Q, piece: cn.ConePiece, tol: Tolerances,
+def quadform_min_over_cone(Q, piece: ConePiece, tol: Tolerances,
                            rng=None) -> QuadFormResult:
     """Estimate min d^T Q d over unit directions of a polyhedral cone piece.
 
@@ -114,12 +113,10 @@ def _multiplier_sweep(ctx):
     return ctx.once("S-multipliers", expand)
 
 
-def _gate_s_stationary(ctx) -> Multipliers:
-    v = check_s_stationary(ctx)
-    if not v.holds():
+def _gate_s_stationary(ctx):
+    if not check_s_stationary(ctx).holds():
         raise NotSStationaryError("second-order conditions presuppose an "
                                   "S-stationary point")
-    return v.witness
 
 
 def _ray_witness_multiplier(ctx, vertex: Multipliers, ray: Multipliers,
@@ -195,5 +192,5 @@ def check_wsonc(ctx: PointContext) -> SocVerdict:
 
 def check_ssonc(ctx: PointContext) -> SocVerdict:
     """Quadratic-form nonnegativity over the critical cone, multiplier-swept."""
-    witness0 = _gate_s_stationary(ctx)
-    return _sonc(ctx, "SSONC", cn.critical_cone(ctx, mult=witness0).pieces)
+    _gate_s_stationary(ctx)
+    return _sonc(ctx, "SSONC", ctx.critical.pieces)

@@ -6,7 +6,6 @@ from conftest import CORPUS_POINTS, in_cone_union
 
 from mpsckit import cones
 from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, ConeUnion, PointContext
-from mpsckit.stationarity import check_s_stationary
 from mpsckit.errors import InfeasiblePointError
 from mpsckit.numeric import Tolerances, enumerate_generators
 from mpsckit.problem import load_problem
@@ -59,24 +58,46 @@ class TestLinearizationCone:
 
 class TestIsOrigin:
     def test_agrees_with_the_generators_on_random_pieces(self):
-        # "no lineality and no extreme ray" read off a fresh enumeration; the
-        # pieces span pointed cones, subspaces and inequality rows that only
-        # restate equalities (a subspace whose generators is_origin skips)
+        # read off a fresh enumeration: a row is an implicit equality when it
+        # vanishes on every generator, a piece is a subspace when it has no
+        # extreme ray and the origin when it has no lineality either; the
+        # pieces span pointed cones, subspaces, inequality rows that only
+        # restate equalities and opposite row pairs, each row scaled by 1e-9
+        # to 1e6, and no decision may depend on the scales
         rng = np.random.default_rng(19)
         seen = set()
         for n in (1, 2, 3, 4):
             for _ in range(40):
                 A_eq = rng.normal(size=(rng.integers(0, n + 1), n))
-                if A_eq.shape[0] and rng.uniform() < 0.3:
+                kind = rng.uniform()
+                if A_eq.shape[0] and kind < 0.3:
                     A_le = rng.normal(size=(2, A_eq.shape[0])) @ A_eq
+                elif kind < 0.6:
+                    r = rng.normal(size=(1, n))
+                    A_le = np.vstack([r, -r, rng.normal(size=(rng.integers(0, n + 1), n))])
                 else:
                     A_le = rng.normal(size=(rng.integers(0, 2 * n + 2), n))
+                A_eq *= 10.0 ** rng.uniform(-9, 6, size=(len(A_eq), 1))
+                A_le *= 10.0 ** rng.uniform(-9, 6, size=(len(A_le), 1))
                 piece = ConePiece(A_eq=A_eq, A_le=A_le)
                 gens = enumerate_generators(piece.polyhedron(), TOL)
+                G = np.reshape(gens.all_rays(), (-1, n))
+                unit = A_le / np.linalg.norm(A_le, axis=1, keepdims=True)
+                vanish = tuple(i for i in range(len(A_le)) if np.all(np.abs(G @ unit[i]) <= 1e-8))
+                assert piece.implicit_equalities(TOL) == vanish, (A_eq, A_le)
+                assert piece.is_subspace(TOL) == (not gens.rays), (A_eq, A_le)
                 expected = not gens.lineality and not gens.rays
                 assert piece.is_origin(TOL) == expected, (A_eq, A_le)
-                seen.add(expected)
-        assert seen == {True, False}
+                seen.add((piece.is_subspace(TOL), bool(vanish), expected))
+        assert {s[:2] for s in seen} == {(True, True), (True, False), (False, True), (False, False)}
+        assert {s[2] for s in seen} == {True, False}
+
+    def test_a_thin_row_bounds_a_half_line(self):
+        # 1e-11 * x <= 0 is the half-line d <= 0, not the origin
+        P = load_problem("vars x\nmin -x^2\nineq 1e-11*x\n", from_path=False)
+        piece = PointContext(P, [0.0], TOL).linearization.pieces[0]
+        assert piece.implicit_equalities(TOL) == ()
+        assert not piece.is_subspace(TOL) and not piece.is_origin(TOL)
 
 
 class TestCriticalCone:
@@ -101,17 +122,18 @@ class TestCriticalCone:
 
 class TestCriticalSubspace:
     def test_parabola_sheet_spans_e3(self, corpus):
-        B = cones.critical_subspace(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
+        ctx = PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
+        B = ctx.critical_subspace.lineality_basis(TOL)
         assert B.shape == (3, 1)
         assert np.allclose(np.abs(B[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_pinch2d_trivial(self, corpus):
-        B = cones.critical_subspace(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
+        B = PointContext(corpus["pinch2d"], [0.0, 0.0], TOL).critical_subspace.lineality_basis(TOL)
         assert B.shape == (2, 0)
 
     def test_no_active_constraints_full(self):
         P = load_problem("vars x1 x2\nmin x1\nineq x1 - 1\n", from_path=False)
-        B = cones.critical_subspace(PointContext(P, [0.0, 0.0], TOL))
+        B = PointContext(P, [0.0, 0.0], TOL).critical_subspace.lineality_basis(TOL)
         assert B.shape == (2, 2)
 
     def test_subspace_inside_every_linearization_piece(self, corpus, tol):
@@ -121,7 +143,7 @@ class TestCriticalSubspace:
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
             ctx = PointContext(P, x, tol)
-            B = cones.critical_subspace(ctx)
+            B = ctx.critical_subspace.lineality_basis(tol)
             L = cones.linearization_cone(ctx)
             for j in range(B.shape[1]):
                 for piece in L.pieces:
@@ -226,12 +248,8 @@ class TestStackedMembership:
         slack = 2.0 * TOL.tau_feas
         for name, P in corpus.items():
             ctx = PointContext(P, CORPUS_POINTS[name], TOL)
-            cones_at_x = [ctx.linearization, cones.critical_cone(ctx)]
-            s = check_s_stationary(ctx)
-            if s.holds():
-                cones_at_x.append(cones.critical_cone(ctx, s.witness))
             cloud = cones.sample_tangent_directions(P, ctx.x, TOL)
-            for cone in cones_at_x:
+            for cone in (ctx.linearization, ctx.critical):
                 gens = [r for p in cone.pieces for r in p.generators(TOL).all_rays()]
                 D = np.vstack([np.zeros((1, P.n)), cloud.directions,
                                rng.normal(size=(256, P.n)), np.reshape(gens, (-1, P.n))])

@@ -539,6 +539,13 @@ def test_only_the_cone_quadratic_form_routine_eigensolves_in_soc_and_cq():
         == {("soc.py", "quadform_min_over_cone")}
 
 
+def test_the_critical_cone_is_built_only_by_the_point_context():
+    # report and SSONC read ctx.critical, one cut-form cone per point, and
+    # I_g^- reads the linearization piece's implicit equalities, not an LP of its own
+    assert _callers("critical_cone") == {("cones.py", "critical")}
+    assert not {("cq.py", "i_g_minus")} & (_callers("combination") | _callers("combination_lp"))
+
+
 def _decorator_name(node):
     node = node.func if isinstance(node, ast.Call) else node
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)

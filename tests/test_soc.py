@@ -3,9 +3,9 @@ import pytest
 
 from conftest import in_cone_union
 
-from mpsckit import cones, soc
+from mpsckit import cones, cq, soc
 from mpsckit.cones import ConePiece, PointContext
-from mpsckit.errors import NotSStationaryError
+from mpsckit.errors import NotSStationaryError, SizeCapError
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
 
@@ -134,6 +134,43 @@ class TestSsonc:
         w = soc.check_wsonc(PointContext(P, [0.0], TOL))
         s = soc.check_ssonc(PointContext(P, [0.0], TOL))
         assert w.status == s.status == "HOLDS"
+
+    @pytest.mark.parametrize("c", ["1e-11", "1e-6", "1", "1e6"])
+    def test_the_scale_of_a_row_moves_no_verdict(self, c):
+        # c * x1 <= 0 cuts the half-plane d1 <= 0 at every scale c, and -x1^2
+        # is negative along (-1, 0); the row is never an implicit equality
+        P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n", from_path=False)
+        ctx = PointContext(P, [0.0, 0.0], TOL)
+        v = soc.check_ssonc(ctx)
+        assert v.status == "FAILS"
+        assert v.witness["value"] == pytest.approx(-2.0, abs=1e-9)
+        np.testing.assert_allclose(v.witness["direction"], [-1.0, 0.0], atol=1e-9)
+        pcrsc = cq.check_pcrsc(ctx)
+        assert [(r["I_g_minus"], r["crosscheck"]["agree"])
+                for r in pcrsc.evidence["bipartitions"]] == [([], True)]
+
+    def test_a_positive_multiplier_makes_the_critical_cone_a_subspace(self):
+        # lambda = 1: grad f . d <= 0 and -d1 <= 0 pin d1 = 0, which the
+        # implicit-equality test finds on the cut form of the cone
+        P = load_problem("vars x1 x2\nmin x1 - x2^2\nineq -x1\n", from_path=False)
+        v = soc.check_ssonc(PointContext(P, [0.0, 0.0], TOL))
+        assert (v.status, v.mode, v.evidence["method"]) == ("FAILS", "exact", "subspace_eig")
+        assert v.witness["value"] == pytest.approx(-2.0, abs=1e-12)
+        np.testing.assert_allclose(np.abs(v.witness["direction"]), [0.0, 1.0], atol=1e-12)
+
+    def test_a_subspace_beyond_the_enumeration_caps_stays_exact(self):
+        # 13 variables exceed the generator caps, so only the LP test can
+        # tell that the critical cone {d1 = d2 = 0} is a subspace
+        names = [f"x{i}" for i in range(1, 14)]
+        P = load_problem(f"vars {' '.join(names)}\nmin -x1 - x2 + "
+                         + " + ".join(f"{v}^2" for v in names) + "\nineq x1\nineq x2\n",
+                         from_path=False)
+        ctx = PointContext(P, [0.0] * 13, TOL)
+        with pytest.raises(SizeCapError):
+            ctx.critical.pieces[0].generators(TOL)
+        v = soc.check_ssonc(ctx)
+        assert (v.status, v.mode) == ("HOLDS", "exact")
+        assert [s["method"] for s in v.evidence["sweeps"]] == ["subspace_eig"]
 
     def test_fails_witness_reverifies(self, corpus):
         from mpsckit.stationarity import lagrangian_hessian
