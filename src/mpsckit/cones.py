@@ -3,8 +3,8 @@
 The switching feasible set decomposes into branch sets over bipartitions of
 the biactive index set, and every cone here is carried as a finite union of
 polyhedral pieces in that same decomposition.  The tangent cone is never
-computed exactly; it is sampled by projecting perturbed points onto each
-branch set.
+built: ACQ (`cq.check_acq`) tests the linearization cone's own directions
+for tangency by distance ratios.  This layer runs no solver.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from .errors import InfeasiblePointError
 from .numeric import (RADII_FRACTIONS, Generators, Polyhedron, Tolerances, ball_offsets,
                       combination_lp, enumerate_generators, nullspace)
-from .problem import Bipartition, IndexSets, MpscProblem, bipartitions, branch, index_sets
-from .solver import project_branch_cloud
+from .problem import (Bipartition, BranchProblem, IndexSets, MpscProblem, bipartitions, branch,
+                      index_sets)
 
 # symbolic one-pair cones (subsets of R^2)
 AXIS_A = "RxO"      # R x {0}
@@ -130,18 +130,6 @@ class ConePiece:
 class ConeUnion:
     pieces: list = field(default_factory=list)
 
-    def member_angular(self, d, tol: Tolerances):
-        """Directional membership of a direction, or a mask over a stack of
-        them: some piece within angular_tol of the unit direction.  A zero
-        direction is a member."""
-        d = np.asarray(d, float)
-        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-        u = d / np.where(nrm > 0.0, nrm, 1.0)
-        inside = nrm[..., 0] == 0.0
-        for piece in self.pieces:
-            inside |= piece.violation(u) <= np.sin(tol.angular_tol)
-        return inside
-
 
 # ---------------------------------------------------------------------------
 # point context
@@ -150,10 +138,11 @@ class ConeUnion:
 class PointContext:
     """What every point-level check derives from (P, x, tol), computed once.
 
-    The index sets (which gate feasibility), the bipartitions, the rows of
-    the one Jacobian at x over P.items, kinds f/g/h/G/H, and each item
-    Hessian at x are computed on first use and not kept when they raise, so
-    each component that needs them reports the error itself.  The
+    The index sets (which gate feasibility), the bipartitions and their
+    branch problems, the rows of the one Jacobian at x over P.items, kinds
+    f/g/h/G/H, and each item Hessian at x are computed on first use and not
+    kept when they raise, so each component that needs them reports the
+    error itself.  The
     linearization-cone, critical-cone and critical-subspace pieces are
     built once and keep their generators; `shells` is the one neighbourhood
     sample that every sampled check at x reads, and `once` keeps any other
@@ -179,6 +168,11 @@ class PointContext:
     @cached_property
     def bipartitions(self) -> list[Bipartition]:
         return bipartitions(self.I)
+
+    @cached_property
+    def branches(self) -> list[BranchProblem]:
+        """The branch problem of each bipartition; near x, F is their union."""
+        return [branch(self.P, self.I, b) for b in self.bipartitions]
 
     @cached_property
     def linearization(self) -> ConeUnion:
@@ -263,48 +257,3 @@ def critical_cone(ctx: PointContext) -> ConeUnion:
     gf = ctx.grad("f")[None, :]
     return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag)
                       for p in ctx.linearization.pieces])
-
-
-# ---------------------------------------------------------------------------
-# sampled tangent cone
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TangentCloud:
-    directions: np.ndarray          # (N, n) unit rows, pooled
-    by_branch: dict                 # bipartition label -> (N_b, n)
-
-    def __len__(self):
-        return self.directions.shape[0]
-
-
-# a projected sample only witnesses a tangent direction if its step kept a
-# fixed fraction of its distance from x: points in the residual-tolerance
-# tube of a branch contract to the tube scale and carry no directional
-# information (tangentially intersecting equalities make that tube fat)
-CONTRACTION_MIN = 0.05
-
-
-def sample_tangent_directions(P: MpscProblem, x, tol: Tolerances) -> TangentCloud:
-    """Project the outer shell of `PointContext.shells` onto each branch set
-    and normalize the steps.
-
-    Directions whose step contracted below CONTRACTION_MIN of the sample's
-    distance from x are discarded; an empty cloud is a valid outcome
-    (isolated feasible point).
-    """
-    ctx = PointContext(P, x, tol)
-    x, X0 = ctx.x, ctx.shells[0]
-    radii = np.linalg.norm(X0 - x[None, :], axis=1)
-    by_branch = {}
-    for b in ctx.bipartitions:
-        br = branch(P, ctx.I, b)
-        Y = project_branch_cloud(P, br, X0, tol)
-        steps = Y - x[None, :]
-        norms = np.linalg.norm(steps, axis=1)
-        keep = (br.residual(Y) <= tol.tau_feas) \
-            & (norms >= CONTRACTION_MIN * radii) \
-            & (norms > tol.eps_ball * 1e-6)
-        by_branch[b.label()] = steps[keep] / norms[keep, None]
-    directions = np.vstack([np.zeros((0, P.n)), *by_branch.values()])
-    return TangentCloud(directions=directions, by_branch=by_branch)

@@ -6,8 +6,10 @@ shrinking radii and labels a positive verdict as sampled evidence rather
 than proof.  One sampled rank routine, `rank_constancy`, decides WCR, PWCR,
 PCRSC and each RCRCQ subset triple, each family sliced out of one
 active-family Jacobian on the context's shells, so all are probed at the
-same points.  The implication lattice then completes the verdict table and
-cross-checks the direct results for contradictions.
+same points.  ACQ tests the linearization cone's own directions for
+tangency by the ratio dist(x + t d, F) / t over shrinking t, the distances
+through the branches at x.  The implication lattice then completes the verdict
+table and cross-checks the direct results for contradictions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cones as cn
+from . import penalty as pen
 from .cones import ConePiece, PointContext, active_items, branch_items, unit_rows
 from .errors import LatticeContradictionError, SizeCapError
 from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch
@@ -214,56 +216,93 @@ def check_pcrsc(ctx: PointContext) -> CqVerdict:
 
 
 # ---------------------------------------------------------------------------
-# ACQ (sampled tangent cone vs linearization cone)
+# ACQ (tangency of the linearization cone's directions by distance ratios)
 # ---------------------------------------------------------------------------
 
+TILT = 0.3          # weight of the other generator in a tilted direction
+N_INTERIOR = 16     # seeded interior combinations per piece
+T_FRACTIONS = (1.0, 1e-1, 1e-2, 1e-3)  # steps t along a direction, times eps_ball
+WITNESS_KEEP = 0.5  # a witness's ratio at the smallest t keeps at least this
+                    # share of its ratio at the largest; a ratio falling with t
+                    # is a tangent direction along a curved boundary
+
+
+def _unit(D):
+    return D / np.linalg.norm(D, axis=-1, keepdims=True)
+
+
+def acq_directions(piece: ConePiece, k, tol) -> np.ndarray:
+    """Unit directions ACQ tests in piece k of the linearization cone, in
+    order: the generators, each generator tilted toward each other one by
+    TILT, then N_INTERIOR combinations from tol.rng("tangency", k) with
+    uniform weights on the rays and normal weights on the lineality.  All
+    lie in the piece; a piece that is the origin has none."""
+    gens = piece.generators(tol)
+    U = _unit(np.reshape(gens.all_rays(), (-1, piece.dim)))
+    if not len(U):
+        return U
+    tilted = (U[:, None] + TILT * U[None])[~np.eye(len(U), dtype=bool)]
+    rng = tol.rng("tangency", k)
+    rays = np.reshape(gens.rays, (-1, piece.dim))
+    lin = np.reshape(gens.lineality, (-1, piece.dim))
+    interior = rng.uniform(size=(N_INTERIOR, len(rays))) @ rays \
+        + rng.normal(size=(N_INTERIOR, len(lin))) @ lin
+    return np.vstack([U, _unit(tilted), _unit(interior)])
+
+
+def distance_ratios(ctx: PointContext, D, branches) -> np.ndarray:
+    """dist(x + t d, F) / t for each row d of D (rows) and each step t of
+    eps_ball * T_FRACTIONS (columns), the distance from one
+    `penalty.nearest_feasible` call over `branches`; inf where no
+    projection ends feasible."""
+    ts = ctx.tol.eps_ball * np.array(T_FRACTIONS)
+    X = ctx.x + ts[:, None, None] * np.asarray(D)[None]
+    dist, _ = pen.nearest_feasible(ctx.P, X.reshape(-1, ctx.P.n), ctx.tol, branches)
+    return dist.reshape(len(ts), -1).T / ts
+
+
 def check_acq(ctx: PointContext) -> CqVerdict:
-    """Evidence-based equality of tangent and linearization cones.
+    """T(x) = L(x) tested along L's own directions (`acq_directions`).
 
-    The inclusion T in L always holds; a sampled violation marks numeric
-    failure (UNKNOWN).  The reverse inclusion is tested per piece: every
-    generator must be shadowed by a sampled tangent direction of the same
-    branch.  An unmatched generator whose ray visibly leaves the feasible
-    set is a FAILS witness.
+    d is tangent exactly when dist(x + t d, F) / t -> 0 as t -> 0.  A
+    direction whose ratio is finite, above sin(angular_tol) at every t and
+    not falling (WITNESS_KEEP) is a witness that ACQ fails; one whose ratio
+    at the smallest t is at most that threshold is tangent; any other is
+    undecided.  HOLDS (sampled) needs every direction tangent; FAILS names
+    the first witness.  Near x, F is the union of the branches at x: the
+    distance through a direction's own branch bounds dist to F from above
+    and settles most tangent directions, and only the rest are projected
+    onto every branch at x.
     """
-    P, x, tol = ctx.P, ctx.x, ctx.tol
+    tol = ctx.tol
     L = ctx.linearization
-
     if all(p.is_origin(tol) for p in L.pieces):
         return CqVerdict("ACQ", HOLDS, "exact",
                          {"note": "linearization cone is the origin"})
 
-    cloud = cn.sample_tangent_directions(P, x, tol)
-    escaped = np.flatnonzero(~L.member_angular(cloud.directions, tol))
-    if escaped.size:
-        return CqVerdict("ACQ", UNKNOWN, "sampled", {
-            "note": "sampled tangent direction escaped the linearization "
-                    "cone; projection accuracy is suspect",
-            "direction": cloud.directions[escaped[0]].tolist()})
-
-    unresolved = []
-    for piece in L.pieces:
-        gens = piece.generators(tol)
-        targets = [r / np.linalg.norm(r) for r in gens.all_rays()]
-        branch_dirs = cloud.by_branch.get(piece.tag.label(), np.zeros((0, P.n)))
-        for t in targets:
-            if branch_dirs.size and np.max(branch_dirs @ t) >= math.cos(tol.angular_tol):
-                continue
-            probe = x + 0.5 * tol.eps_ball * t
-            r = float(P.residual(probe))
-            if r > 10.0 * tol.tau_feas:
-                return CqVerdict("ACQ", FAILS, "sampled", {
-                    "witness_generator": t.tolist(),
-                    "bipartition": [list(piece.tag.beta1), list(piece.tag.beta2)],
-                    "probe_residual": r,
-                    "n_samples": tol.n_samples, "seed": tol.seed})
-            unresolved.append({"generator": t.tolist(), "probe_residual": r})
-    if unresolved:
-        return CqVerdict("ACQ", UNKNOWN, "sampled",
-                         {"unmatched": unresolved, "seed": tol.seed})
-    return CqVerdict("ACQ", HOLDS, "sampled",
-                     {"cloud_size": len(cloud), "n_samples": tol.n_samples,
-                      "seed": tol.seed})
+    per_piece = [acq_directions(p, k, tol) for k, p in enumerate(L.pieces)]
+    D = np.vstack(per_piece)
+    owner = np.repeat(np.arange(len(per_piece)), [len(d) for d in per_piece])
+    ratios = np.vstack([distance_ratios(ctx, d, [br])
+                        for d, br in zip(per_piece, ctx.branches) if len(d)])
+    threshold = math.sin(tol.angular_tol)
+    rest = ratios[:, -1] > threshold
+    if rest.any():
+        ratios[rest] = distance_ratios(ctx, D[rest], ctx.branches)
+    witness = np.isfinite(ratios).all(axis=1) & (ratios > threshold).all(axis=1) \
+        & (ratios[:, -1] >= WITNESS_KEEP * ratios[:, 0])
+    tangent = ratios[:, -1] <= threshold
+    evidence = {"directions": len(D), "tangent": int(tangent.sum()),
+                "witnesses": int(witness.sum()), "undecided": int((~witness & ~tangent).sum()),
+                "t": tol.eps_ball * np.array(T_FRACTIONS), "threshold": threshold,
+                "seed": tol.seed}
+    if witness.any():
+        i = int(np.argmax(witness))
+        b = L.pieces[owner[i]].tag
+        return CqVerdict("ACQ", FAILS, "sampled", {
+            "witness": D[i], "bipartition": [list(b.beta1), list(b.beta2)],
+            "ratios": ratios[i], **evidence})
+    return CqVerdict("ACQ", HOLDS if tangent.all() else UNKNOWN, "sampled", evidence)
 
 
 # ---------------------------------------------------------------------------

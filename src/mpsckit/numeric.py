@@ -36,7 +36,7 @@ class Tolerances:
     tau_act: float = 1e-8      # active-set threshold
     tau_feas: float = 1e-8     # feasibility / residual threshold
     tau_psd: float = 1e-8      # eigenvalue nonnegativity slack
-    angular_tol: float = 0.05  # radians, cone-direction matching
+    angular_tol: float = 0.05  # radians to T beyond which a direction is not tangent
     seed: int = 42
     n_samples: int = 512
     eps_ball: float = 1e-2     # neighbourhood sampling radius

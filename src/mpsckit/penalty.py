@@ -45,12 +45,15 @@ def penalized_objective(P: MpscProblem, x, kappa: float) -> float:
     return float(P.values(x, [OBJECTIVE])[0]) + kappa * float(P.residual(x))
 
 
-def _nearest_feasible_batch(P, X, tol: Tolerances):
-    """Per-row distance upper bounds through every branch projection."""
+def nearest_feasible(P, X, tol: Tolerances, branches):
+    """Per-row distance upper bounds to F through the projection onto each
+    of `branches`, and the projections; inf where none ends feasible.  The
+    error-bound probe passes every branch of P, ACQ's distance ratios the
+    branches at their point."""
     X = np.atleast_2d(np.asarray(X, float))
     best_d = np.full(X.shape[0], np.inf)
     best_y = np.full_like(X, np.nan)
-    for br in all_branches(P):
+    for br in branches:
         Y = project_branch_cloud(P, br, X, tol)
         ok = br.residual(Y) <= tol.tau_feas
         d = np.linalg.norm(Y - X, axis=1)
@@ -102,7 +105,7 @@ def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
         # plus the deterministic axis probes
         order = infeas[np.argsort(-(r / res[infeas]))][:DIST_BATCH]
         picked = sorted(set(order.tolist()) | (set(range(n_axes)) & set(infeas.tolist())))
-        dists, _ = _nearest_feasible_batch(P, X[picked], tol)
+        dists, _ = nearest_feasible(P, X[picked], tol, all_branches(P))
         ratios = {}
         for di, dist in zip(picked, dists):
             if np.isfinite(dist):

@@ -54,6 +54,22 @@ def kernel_hessian(e, x):
     return _objective_only(e, len(x)).hessian(x, OBJECTIVE)
 
 
+def checked_acq_directions(ctx):
+    """The directions ACQ tests in each piece of ctx's linearization cone,
+    each block checked: unit rows, the piece's unit generators first, every
+    row inside the piece, and no rows only where the piece is the origin."""
+    out = []
+    for k, piece in enumerate(ctx.linearization.pieces):
+        D = cq.acq_directions(piece, k, ctx.tol)
+        gens = np.reshape(piece.generators(ctx.tol).all_rays(), (-1, piece.dim))
+        assert len(D) or piece.is_origin(ctx.tol)
+        assert np.allclose(np.linalg.norm(D, axis=1), 1.0)
+        assert np.allclose(D[:len(gens)], gens / np.linalg.norm(gens, axis=1, keepdims=True))
+        assert np.all(piece.contains(D, 1e-9))
+        out.append(D)
+    return out
+
+
 def lagrangian_gradient(ctx, mult):
     """grad f + the multiplier combination of the item gradients at x: the
     tests' witness check (it vanishes at a stationary point)."""

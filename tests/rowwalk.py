@@ -1,8 +1,7 @@
 """The row walk: cone membership one direction and one constraint row at a time.
 
-It is the reference the stacked `mpsckit.cones.ConePiece.violation` and
-`mpsckit.cones.ConeUnion.member_angular` are compared against
-(tests/test_cones.py).
+It is the reference the stacked `mpsckit.cones.ConePiece.violation` is
+compared against (tests/test_cones.py).
 """
 
 import numpy as np
@@ -21,13 +20,3 @@ def violation(piece, d):
         if nrm > 0:
             v = max(v, (row @ d) / nrm)
     return v
-
-
-def member_angular(cone, d, tol):
-    """Whether some piece lies within angular_tol of the unit direction of d;
-    a zero direction is a member."""
-    d = np.asarray(d, float)
-    nrm = np.linalg.norm(d)
-    if nrm == 0.0:
-        return True
-    return any(violation(piece, d / nrm) <= np.sin(tol.angular_tol) for piece in cone.pieces)

@@ -7,8 +7,8 @@ criterion FAIL.  Defaults throughout: seed 42, n_samples 512.
 import numpy as np
 import pytest
 
-from conftest import (CORPUS_POINTS, cq_table, kernel_gradient, kernel_hessian, kernel_value,
-                      lagrangian_gradient)
+from conftest import (CORPUS_POINTS, checked_acq_directions, cq_table, kernel_gradient,
+                      kernel_hessian, kernel_value, lagrangian_gradient)
 from mpsckit import cones, cq, penalty, soc
 from mpsckit import stationarity as st
 from mpsckit.cones import PointContext
@@ -107,22 +107,21 @@ def test_criterion_3_i_g_minus_golden(corpus):
 def test_criterion_4_acq_verdicts(corpus):
     v = cq.check_acq(PointContext(corpus["parabola_sheet3d"], np.zeros(3), TOL))
     assert v.status == "FAILS"
-    w = np.array(v.evidence["witness_generator"])
-    assert w[0] > 0.9  # generator of the half-space piece R+ x R x R
-    assert v.evidence["probe_residual"] > 10 * TOL.tau_feas
+    w = np.array(v.evidence["witness"])
+    assert w[0] > 0.9  # close to the generator e1 of the half-space piece R+ x R x R
     probe = np.zeros(3) + 0.5 * TOL.eps_ball * w
     assert float(corpus["parabola_sheet3d"].residual(probe)) > 10 * TOL.tau_feas
 
-    v2 = cq.check_acq(PointContext(corpus["crossplanes3d"], np.zeros(3), TOL))
+    ctx = PointContext(corpus["crossplanes3d"], np.zeros(3), TOL)
+    v2 = cq.check_acq(ctx)
     assert v2.status == "HOLDS"
-    # every generator of every piece is matched by the sampled cloud
-    L = cones.linearization_cone(PointContext(corpus["crossplanes3d"], np.zeros(3), TOL))
-    cloud = cones.sample_tangent_directions(corpus["crossplanes3d"], np.zeros(3), TOL)
-    for piece in L.pieces:
-        dirs = cloud.by_branch[piece.tag.label()]
-        for r in piece.generators(TOL).all_rays():
-            t = r / np.linalg.norm(r)
-            assert np.max(dirs @ t) >= np.cos(0.05)
+    # every generator of every piece is a verified tangent direction:
+    # dist(x + t d, F) / t falls to the threshold at the smallest t
+    for piece in ctx.linearization.pieces:
+        gens = np.reshape(piece.generators(TOL).all_rays(), (-1, 3))
+        ratios = cq.distance_ratios(ctx, gens / np.linalg.norm(gens, axis=1, keepdims=True),
+                                    ctx.branches)
+        assert np.all(ratios[:, -1] <= np.sin(TOL.angular_tol))
     _report(4, "ACQ verdicts on the two boundary examples")
 
 
@@ -294,13 +293,12 @@ def test_criterion_8b_branch_union_law(corpus):
     _report("8b", "branch-union feasibility law")
 
 
-def test_criterion_8c_tangent_cloud_inside_linearization(corpus):
+def test_criterion_8c_acq_directions_inside_linearization(corpus):
+    # ACQ tests only directions of L, where T in L is never at stake, and
+    # it finds a direction to test in every piece that is not the origin
     for name, P in corpus.items():
-        x = np.array(CORPUS_POINTS[name])
-        L = cones.linearization_cone(PointContext(P, x, TOL))
-        cloud = cones.sample_tangent_directions(P, x, TOL)
-        assert np.all(L.member_angular(cloud.directions, TOL)), name
-    _report("8c", "sampled tangent cloud inside the linearization cone")
+        assert checked_acq_directions(PointContext(P, np.array(CORPUS_POINTS[name]), TOL)), name
+    _report("8c", "directions ACQ tests lie in the linearization cone")
 
 
 def test_criterion_8d_stationarity_chain(corpus):
@@ -332,7 +330,7 @@ def test_criterion_8e_residual_distance_zero_sets(corpus):
     for name, P in corpus.items():
         # the error-bound probe's path: one batch of every point per problem
         X = rng.uniform(-0.6, 0.6, size=(25, P.n))
-        dists, Y = penalty._nearest_feasible_batch(P, X, TOL)
+        dists, Y = penalty.nearest_feasible(P, X, TOL, all_branches(P))
         for x, d, y in zip(X, dists, Y):
             if not np.isfinite(d):
                 continue  # no branch projection ended feasible

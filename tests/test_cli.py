@@ -168,10 +168,11 @@ class TestAnalyze:
         assert json.loads(jpath.read_text())["verdicts"]["cq"] == {}
 
     def test_failing_cq_checker_keeps_the_others(self, capsys, tmp_path):
-        # ACQ samples sqrt(x2) at x2 < 0 and PSOQN needs the undefined gradient
-        # of the inactive sqrt(x2) - 5: both fail alone, the other five decide
+        # ACQ steps along L's lineality -e1 to x1 < 0, where sqrt(x1) is
+        # undefined, and PSOQN needs the undefined gradient of the inactive
+        # sqrt(x1) - 5: both fail alone, the other five decide
         prob = tmp_path / "sqrt.mpsc"
-        prob.write_text("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+        prob.write_text("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x1) - 5\n"
                         "switch x1 | x2\n")
         jpath = tmp_path / "report.json"
         code, out, err = run_cli(capsys, "analyze", str(prob), "--point", "0,0",

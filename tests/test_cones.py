@@ -4,8 +4,8 @@ import pytest
 import rowwalk
 from conftest import CORPUS_POINTS, in_cone_union
 
-from mpsckit import cones
-from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, ConeUnion, PointContext
+from mpsckit import cones, cq, report
+from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, PointContext
 from mpsckit.errors import InfeasiblePointError
 from mpsckit.numeric import Tolerances, enumerate_generators
 from mpsckit.problem import load_problem
@@ -152,49 +152,6 @@ class TestCriticalSubspace:
                     assert piece.contains(-B[:, j], slack), name
 
 
-class TestTangentSampling:
-    def test_halfline(self):
-        P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
-        cloud = cones.sample_tangent_directions(P, [0.0], TOL)
-        assert len(cloud) > 0
-        assert np.all(cloud.directions > 0.999)
-
-    def test_isolated_point_empty_cloud(self, corpus):
-        cloud = cones.sample_tangent_directions(corpus["diagonal2d"], [0.0, 0.0], TOL)
-        assert len(cloud) == 0
-
-    def test_parabola_sheet_cloud_in_tangent_union(self, corpus):
-        cloud = cones.sample_tangent_directions(
-            corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
-        assert len(cloud) > 0
-        # T = ({0} x R x R) u (R+ x {0} x R) within the angular tolerance
-        for d in cloud.directions:
-            in_plane = abs(d[0]) <= np.sin(TOL.angular_tol)
-            on_sheet = d[0] >= -1e-9 and abs(d[1]) <= np.sin(TOL.angular_tol)
-            assert in_plane or on_sheet
-
-    def test_every_branch_projects_the_outer_shell(self, corpus, monkeypatch):
-        # the cloud starts from the point context's outer shell, radius
-        # eps_ball, the same n_samples points for every branch
-        starts = []
-        project = cones.project_branch_cloud
-
-        def recording(P, br, X0, tol):
-            starts.append(X0)
-            return project(P, br, X0, tol)
-
-        monkeypatch.setattr(cones, "project_branch_cloud", recording)
-        for name, P in corpus.items():
-            starts.clear()
-            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
-            cones.sample_tangent_directions(P, ctx.x, TOL)
-            assert len(starts) == len(ctx.bipartitions), name
-            for X0 in starts:
-                np.testing.assert_array_equal(X0, ctx.shells[0])
-            assert ctx.shells[0].shape == (TOL.n_samples, P.n)
-            assert np.max(np.linalg.norm(ctx.shells[0] - ctx.x, axis=1)) <= TOL.eps_ball
-
-
 class TestExplicitMembership:
     def test_negative_axis_outside_halfspace_union(self, corpus):
         L = cones.linearization_cone(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
@@ -203,8 +160,7 @@ class TestExplicitMembership:
 
 
 class TestStackedMembership:
-    """The stacked violation and member_angular against the row walk
-    (tests/rowwalk.py)."""
+    """The stacked violation against the row walk (tests/rowwalk.py)."""
 
     @staticmethod
     def random_pieces(rng, n):
@@ -228,33 +184,16 @@ class TestStackedMembership:
                 assert piece.violation(D[1]) == pytest.approx(ref[1], rel=1e-12, abs=1e-15)
                 assert np.array_equal(piece.contains(D, 0.5), ref <= 0.5)
 
-    def test_member_angular_matches_the_row_walk_on_random_stacks(self):
-        rng = np.random.default_rng(6)
-        for n in (1, 2, 3, 4):
-            pieces = list(self.random_pieces(rng, n))
-            # generators of the pieces, jittered across the angular tolerance
-            gens = np.reshape([r for p in pieces for r in p.generators(TOL).all_rays()], (-1, n))
-            D = np.vstack([np.zeros((1, n)), rng.normal(size=(64, n)),
-                           gens + 0.05 * rng.normal(size=gens.shape)])
-            for cone in (ConeUnion(), ConeUnion(pieces[1:2]), ConeUnion(pieces[1:]),
-                         ConeUnion(pieces)):
-                mask = cone.member_angular(D, TOL)
-                assert mask.shape == (len(D),) and mask[0]
-                assert mask.tolist() == [rowwalk.member_angular(cone, d, TOL) for d in D]
-                assert bool(cone.member_angular(D[0], TOL))
-
     def test_decisions_match_the_row_walk_on_corpus_pieces(self, corpus):
         rng = np.random.default_rng(7)
         slack = 2.0 * TOL.tau_feas
         for name, P in corpus.items():
             ctx = PointContext(P, CORPUS_POINTS[name], TOL)
-            cloud = cones.sample_tangent_directions(P, ctx.x, TOL)
+            acq = [cq.acq_directions(p, k, TOL) for k, p in enumerate(ctx.linearization.pieces)]
             for cone in (ctx.linearization, ctx.critical):
                 gens = [r for p in cone.pieces for r in p.generators(TOL).all_rays()]
-                D = np.vstack([np.zeros((1, P.n)), cloud.directions,
+                D = np.vstack([np.zeros((1, P.n)), *acq,
                                rng.normal(size=(256, P.n)), np.reshape(gens, (-1, P.n))])
-                assert cone.member_angular(D, TOL).tolist() \
-                    == [rowwalk.member_angular(cone, d, TOL) for d in D], name
                 for piece in cone.pieces:
                     assert piece.contains(D, slack).tolist() \
                         == [rowwalk.violation(piece, d) <= slack for d in D], name
@@ -270,12 +209,26 @@ class TestPointContext:
         assert ctx.rows([]).shape == (0, 3)
 
     def test_undefined_gradient_of_an_unused_item_is_not_evaluated(self):
-        # sqrt(x2) - 5 is inactive at the origin and its gradient is undefined
+        # sqrt(x1) - 5 is inactive at the origin and its gradient is undefined
         # there: only two CQ checkers fail, PSOQN, which uses every inequality
-        # gradient, and ACQ, which samples points with x2 < 0
-        from mpsckit import report
-        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+        # gradient, and ACQ, which steps along L's lineality -e1 to x1 < 0
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x1) - 5\n"
                          "switch x1 | x2\n", from_path=False)
         rep = report.analyze(P, [0.0, 0.0], TOL)
         assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN"]
         assert set(rep["verdicts"]["stationarity"]) == {"W", "M", "S", "normal_cone_oracle"}
+
+    def test_one_context_per_analysis(self, corpus, monkeypatch):
+        # every component of an analysis reads the index sets of one context
+        calls = []
+        index_sets = cones.index_sets
+
+        def counting(P, x, tol):
+            calls.append(1)
+            return index_sets(P, x, tol)
+
+        monkeypatch.setattr(cones, "index_sets", counting)
+        for name, P in corpus.items():
+            calls.clear()
+            report.analyze(P, CORPUS_POINTS[name], TOL, with_penalty=True)
+            assert len(calls) == 1, name

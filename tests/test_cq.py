@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS, cq_table
-from mpsckit import cones, cq
+from conftest import CORPUS_POINTS, checked_acq_directions, cq_table, problem_path
+from mpsckit import cones, cq, penalty
 from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
 from mpsckit.errors import LatticeContradictionError
@@ -10,6 +13,7 @@ from mpsckit.numeric import Tolerances
 from mpsckit.problem import Bipartition, MpscProblem, load_problem
 
 TOL = Tolerances()
+REPORT_DIR = Path(__file__).resolve().parent / "data" / "reports"
 
 
 def rank_oracle(P, x, items):
@@ -164,14 +168,48 @@ class TestPcrsc:
         assert cq.check_pcrsc(PointContext(P, [0.0, 0.0], TOL)).status == "HOLDS"
 
 
+GOLDEN_ACQ = {name: json.loads((REPORT_DIR / f"{name}.json").read_text())
+              ["verdicts"]["cq"]["ACQ"]["status"] for name in CORPUS_POINTS}
+
+
+def scaled_text(name, c):
+    """A corpus problem with every ineq, eq and switch side multiplied by c."""
+    out = []
+    for line in problem_path(name).read_text().splitlines():
+        head, _, rest = line.partition(" ")
+        if head in ("ineq", "eq"):
+            line = f"{head} {c}*({rest})"
+        elif head == "switch":
+            a, _, b = rest.partition("|")
+            line = f"switch {c}*({a.strip()}) | {c}*({b.strip()})"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 class TestAcq:
     def test_parabola_sheet3d_fails(self, corpus):
-        v = cq.check_acq(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
+        P = corpus["parabola_sheet3d"]
+        v = cq.check_acq(PointContext(P, [0.0, 0.0, 0.0], TOL))
         assert v.status == "FAILS"
-        w = np.array(v.evidence["witness_generator"])
+        w = np.array(v.evidence["witness"])
         # witness leaves along x1 with the x2 = x1^2 sheet left behind
         assert w[0] > 0.9
-        assert v.evidence["probe_residual"] > 10 * TOL.tau_feas
+        assert float(P.residual(0.5 * TOL.eps_ball * w)) > 10 * TOL.tau_feas
+        # dist/t stays near |w2|: the sheet is tangent only along x2 = 0
+        assert np.all(np.abs(np.array(v.evidence["ratios"]) - abs(w[1])) < 0.02)
+
+    def test_parabola_sheet3d_tangent_directions_lie_in_t(self, corpus):
+        # T = ({0} x R x R) u (R+ x {0} x R); a direction read tangent is
+        # within the threshold of it, and some direction of each part is
+        ctx = PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
+        D = np.vstack([cq.acq_directions(p, k, TOL)
+                       for k, p in enumerate(ctx.linearization.pieces)])
+        thr = np.sin(TOL.angular_tol) + 1e-3
+        T = D[cq.distance_ratios(ctx, D, ctx.branches)[:, -1] <= np.sin(TOL.angular_tol)]
+        in_plane = np.abs(T[:, 0]) <= thr
+        on_sheet = (T[:, 0] >= -1e-9) & (np.abs(T[:, 1]) <= thr)
+        assert np.all(in_plane | on_sheet)
+        assert np.any(in_plane & (np.abs(T[:, 1]) > 0.5)) and np.any(T[:, 0] > 0.9)
 
     def test_crossplanes3d_holds(self, corpus):
         v = cq.check_acq(PointContext(corpus["crossplanes3d"], [0.0, 0.0, 0.0], TOL))
@@ -181,9 +219,103 @@ class TestAcq:
         P = load_problem("vars x1 x2\nmin x1\neq x1 - x2\n", from_path=False)
         assert cq.check_acq(PointContext(P, [0.0, 0.0], TOL)).status == "HOLDS"
 
+    def test_halfline_holds(self):
+        P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        v = cq.check_acq(PointContext(P, [0.0], TOL))
+        assert (v.status, v.mode) == ("HOLDS", "sampled")
+        # the ray e1 and 16 interior combinations, all of them e1
+        assert (v.evidence["directions"], v.evidence["tangent"]) == (17, 17)
+
     def test_diagonal2d_exact(self, corpus):
         v = cq.check_acq(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
         assert v.status == "HOLDS" and v.mode == "exact"
+
+    def test_evidence_counts_the_directions(self, corpus):
+        for name, P in corpus.items():
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            ev = cq.check_acq(ctx).evidence
+            if name == "diagonal2d":
+                continue
+            D = [cq.acq_directions(p, k, TOL) for k, p in enumerate(ctx.linearization.pieces)]
+            assert ev["directions"] == sum(len(d) for d in D) > 0, name
+            assert ev["tangent"] + ev["witnesses"] + ev["undecided"] == ev["directions"], name
+            assert ev["t"] == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5]), name
+            assert ev["seed"] == TOL.seed, name
+
+    def test_directions_lie_in_their_piece(self, corpus):
+        for name, P in corpus.items():
+            assert checked_acq_directions(PointContext(P, CORPUS_POINTS[name], TOL)), name
+
+    def test_distances_through_the_own_branch_then_the_local_branches(self, corpus, monkeypatch):
+        # each piece's directions are projected onto that piece's branch,
+        # then those not tangent there onto every branch at x, in one call
+        calls = []
+        nearest = penalty.nearest_feasible
+
+        def recording(P, X, tol, branches):
+            calls.append((len(X), [(br.eq_G, br.eq_H) for br in branches]))
+            return nearest(P, X, tol, branches)
+
+        monkeypatch.setattr(penalty, "nearest_feasible", recording)
+        for name, P in corpus.items():
+            calls.clear()
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            v = cq.check_acq(ctx)
+            if v.mode == "exact":
+                assert calls == [], name
+                continue
+            local = [(br.eq_G, br.eq_H) for br in ctx.branches]
+            sizes = [len(D) for D in checked_acq_directions(ctx)]
+            own = [(4 * n, [br]) for n, br in zip(sizes, local) if n]
+            assert calls[:len(own)] == own, name
+            rest = calls[len(own):]
+            assert len(rest) <= 1, name
+            undecided_or_witness = 4 * (v.evidence["witnesses"] + v.evidence["undecided"])
+            assert sum(n for n, _ in rest) >= undecided_or_witness, name
+            assert all(brs == local for _, brs in rest), name
+
+    def test_many_switches_with_one_biactive(self):
+        # l = 17 exceeds the cap on all 2^l branches; only the 2 branches
+        # at x are projected onto, and F near 0 is the union of two axes
+        text = "vars x1 x2 x3\nmin x1 + x2\nswitch x1 | x2\n" + "switch x3 | 1\n" * 16
+        P = load_problem(text, from_path=False)
+        v = cq.check_acq(PointContext(P, [0.0, 0.0, 0.0], TOL))
+        assert (v.status, v.mode) == ("HOLDS", "sampled")
+
+    def test_a_ratio_falling_with_t_is_no_witness(self):
+        # on {x2 >= 1e4 x1^2}, e1 is tangent along a strongly curved
+        # boundary: dist/t stays above the threshold at every t, but falls
+        P = load_problem("vars x1 x2\nmin x2\nineq 1e4*x1^2 - x2\n", from_path=False)
+        v = cq.check_acq(PointContext(P, [0.0, 0.0], TOL))
+        assert v.status == "UNKNOWN" and v.evidence["witnesses"] == 0
+
+    @pytest.mark.parametrize("c", ["1e-11", "1e-6", "1", "1e6"])
+    def test_the_scale_of_a_row_moves_no_verdict(self, c):
+        P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n", from_path=False)
+        v = cq.check_acq(PointContext(P, [0.0, 0.0], TOL))
+        assert (v.status, v.mode) == ("HOLDS", "sampled")
+
+    @pytest.mark.parametrize("c", ["1e-3", "1e3"])
+    def test_scaling_every_constraint_moves_no_status(self, c):
+        for name in CORPUS_POINTS:
+            P = load_problem(scaled_text(name, c), from_path=False)
+            v = cq.check_acq(PointContext(P, CORPUS_POINTS[name], TOL))
+            assert v.status == GOLDEN_ACQ[name], (name, c)
+
+    def test_no_distance_reads_unknown(self, corpus, monkeypatch):
+        # a distance estimate that never ends feasible decides nothing
+        def nowhere(P, X, tol, branches):
+            X = np.atleast_2d(X)
+            return np.full(len(X), np.inf), np.full_like(X, np.nan)
+
+        monkeypatch.setattr(penalty, "nearest_feasible", nowhere)
+        for name, P in corpus.items():
+            v = cq.check_acq(PointContext(P, CORPUS_POINTS[name], TOL))
+            if v.mode == "exact":
+                continue
+            assert v.status == "UNKNOWN", name
+            assert v.evidence["undecided"] == v.evidence["directions"], name
+            assert v.evidence["tangent"] == v.evidence["witnesses"] == 0, name
 
 
 class TestPsoqn:
@@ -327,21 +459,23 @@ class TestGoldenTriples:
 
 class TestAcqTangentialIntersections:
     # branches whose equalities touch tangentially have fat residual tubes;
-    # the contraction filter must not let tube points fabricate tangent
-    # evidence for linearization directions that leave the feasible set
+    # points in a tube must not make a linearization direction that leaves
+    # the feasible set read tangent
     def test_ray2d_fails(self, corpus):
         v = cq.check_acq(PointContext(corpus["ray2d"], [0.0, 0.0], TOL))
         assert v.status == "FAILS"
-        w = np.array(v.evidence["witness_generator"])
+        w = np.array(v.evidence["witness"])
         assert w[0] > 0.9  # the (t, 0) escape ray
 
     def test_pinch2d_fails(self, corpus):
         v = cq.check_acq(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert v.status == "FAILS"
-        w = np.array(v.evidence["witness_generator"])
+        w = np.array(v.evidence["witness"])
         assert abs(w[0]) > 0.9 and abs(w[1]) < 0.1
 
-    def test_pinch2d_cloud_is_empty(self, corpus):
-        from mpsckit import cones
-        cloud = cones.sample_tangent_directions(corpus["pinch2d"], [0.0, 0.0], TOL)
-        assert len(cloud) == 0
+    def test_pinch2d_has_no_tangent_direction(self, corpus):
+        # the origin is isolated in F, so T = {0} and every direction of L
+        # is a witness
+        ev = cq.check_acq(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL)).evidence
+        assert ev["witnesses"] == ev["directions"] > 0
+        assert ev["tangent"] == ev["undecided"] == 0

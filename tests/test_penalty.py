@@ -4,7 +4,7 @@ import pytest
 from mpsckit import penalty, report
 from mpsckit.errors import EvalDomainError, InfeasiblePointError
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import load_problem
+from mpsckit.problem import all_branches, load_problem
 
 TOL = Tolerances()
 
@@ -58,21 +58,23 @@ class TestPenalizedObjective:
 
 
 class TestDistance:
-    """Distances through penalty._nearest_feasible_batch, the error-bound
-    probe's path: every row of a batch is projected onto every branch."""
+    """Distances through penalty.nearest_feasible, the error-bound
+    probe's path: every row of a batch is projected onto every branch of P."""
 
     def test_feasible_point_zero(self, corpus):
-        d, Y = penalty._nearest_feasible_batch(corpus["axes2d"], [[0.0, 0.0]], TOL)
+        P = corpus["axes2d"]
+        d, Y = penalty.nearest_feasible(P, [[0.0, 0.0]], TOL, all_branches(P))
         assert d[0] == 0.0 and np.allclose(Y[0], [0.0, 0.0])
 
     def test_ray2d_off_axis(self, corpus):
-        d, Y = penalty._nearest_feasible_batch(corpus["ray2d"], [[0.1, 0.0]], TOL)
+        P = corpus["ray2d"]
+        d, Y = penalty.nearest_feasible(P, [[0.1, 0.0]], TOL, all_branches(P))
         assert d[0] == pytest.approx(0.1, abs=1e-4)
         assert np.allclose(Y[0], [0.0, 0.0], atol=1e-3)
 
     def test_plane_distance(self):
         P = load_problem("vars x1 x2\nmin x1\neq x1\n", from_path=False)
-        d, Y = penalty._nearest_feasible_batch(P, [[0.3, 0.7]], TOL)
+        d, Y = penalty.nearest_feasible(P, [[0.3, 0.7]], TOL, all_branches(P))
         assert d[0] == pytest.approx(0.3, abs=1e-6)
         assert np.allclose(Y[0], [0.0, 0.7], atol=1e-6)
 
@@ -80,7 +82,7 @@ class TestDistance:
         rng = np.random.default_rng(2)
         P = corpus["axes2d"]
         X = rng.uniform(-0.5, 0.5, size=(25, 2))
-        d, Y = penalty._nearest_feasible_batch(P, X, TOL)
+        d, Y = penalty.nearest_feasible(P, X, TOL, all_branches(P))
         for x, dist, y in zip(X, d, Y):
             r = penalty.residual(P, x)
             assert (dist == 0.0) == (r <= TOL.tau_feas)
@@ -160,7 +162,7 @@ class TestDistanceInfo:
         rng = np.random.default_rng(5)
         P = corpus["ray2d"]
         X = rng.uniform(-0.4, 0.4, size=(10, 2))
-        d, Y = penalty._nearest_feasible_batch(P, X, TOL)
+        d, Y = penalty.nearest_feasible(P, X, TOL, all_branches(P))
         for x, dist, y in zip(X, d, Y):
             assert np.linalg.norm(x - y) == pytest.approx(dist, abs=1e-12)
 
@@ -195,7 +197,7 @@ class TestAnalyzeWithPenalty:
         assert len(calls) == 1
 
     def test_domain_error_in_the_probe_is_reported_once(self, monkeypatch):
-        # the error-bound probe evaluates sqrt(x2) at x2 < 0; the penalty
+        # the error-bound probe evaluates sqrt(x1) at x1 < 0; the penalty
         # section, which needs its report, is skipped rather than probing again
         calls = []
         probe = penalty.error_bound_probe
@@ -205,7 +207,7 @@ class TestAnalyzeWithPenalty:
             return probe(*args, **kwargs)
 
         monkeypatch.setattr(penalty, "error_bound_probe", counting)
-        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x1) - 5\n"
                          "switch x1 | x2\n", from_path=False)
         rep = report.analyze(P, [0.0, 0.0], TOL, with_penalty=True)
         assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN", "errorbound"]

@@ -525,11 +525,21 @@ def _callers(name):
 def test_only_the_point_context_and_penalty_draw_neighbourhood_samples():
     # a point-level check reads ctx.shells, so its samples are drawn once per
     # context and are the ones every other check at the point reads; in cones
-    # and cq no other function draws random numbers at all
+    # and cq the only other random draw is ACQ's weights of the interior
+    # directions of a cone piece, which samples no point
     offsets = _callers("ball_offsets")
     assert {name for name, _ in offsets} == {"cones.py", "penalty.py"}
     assert {fn for name, fn in offsets if name == "cones.py"} == {"shells"}
-    assert {c for c in _callers("rng") if c[0] in ("cones.py", "cq.py")} == {("cones.py", "shells")}
+    assert {c for c in _callers("rng") if c[0] in ("cones.py", "cq.py")} \
+        == {("cones.py", "shells"), ("cq.py", "acq_directions")}
+
+
+def test_the_cone_layer_runs_no_solver():
+    # cones builds the cones; projections onto F belong to penalty and solver
+    tree = ast.parse((Path(pb.__file__).parent / "cones.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "solver" not in imported and imported <= {"__future__", "dataclasses", "functools",
+                                                     "errors", "numeric", "problem"}
 
 
 def test_only_the_cone_quadratic_form_routine_eigensolves_in_soc_and_cq():
