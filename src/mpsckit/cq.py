@@ -252,13 +252,11 @@ def acq_directions(piece: ConePiece, k, tol) -> np.ndarray:
 
 def distance_ratios(ctx: PointContext, D, branches) -> np.ndarray:
     """dist(x + t d, F) / t for each row d of D (rows) and each step t of
-    eps_ball * T_FRACTIONS (columns), the distance from one
-    `penalty.nearest_feasible` call over `branches`; inf where no
-    projection ends feasible."""
+    eps_ball * T_FRACTIONS (columns), the distance from
+    `penalty.ray_distances` over `branches`; inf where no projection ends
+    feasible."""
     ts = ctx.tol.eps_ball * np.array(T_FRACTIONS)
-    X = ctx.x + ts[:, None, None] * np.asarray(D)[None]
-    dist, _ = pen.nearest_feasible(ctx.P, X.reshape(-1, ctx.P.n), ctx.tol, branches)
-    return dist.reshape(len(ts), -1).T / ts
+    return pen.ray_distances(ctx.P, ctx.x, D, ts, ctx.tol, branches) / ts
 
 
 def check_acq(ctx: PointContext) -> CqVerdict:

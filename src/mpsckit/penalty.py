@@ -24,7 +24,7 @@ FAIL_FACTOR = 16.0   # monotone growth beyond this is a failure witness
 GROWTH_SLACK = 1e-2  # relative slack on the factor: distance estimates carry
                      # tolerance-tube error, and 1/t-type growth sits exactly
                      # at the 16x boundary over a 16x radius shrink
-DIST_BATCH = 32      # distance evaluations per radius
+DIST_BATCH = 32      # directions projected besides the axes
 MINIMALITY_RADIUS = 0.05  # exact-penalty probe: ball radius and sample count
 N_MIN_SAMPLES = 1000
 
@@ -63,6 +63,15 @@ def nearest_feasible(P, X, tol: Tolerances, branches):
     return best_d, best_y
 
 
+def ray_distances(P, x, D, ts, tol: Tolerances, branches):
+    """Distance upper bounds dist(x + t d, F) for each row d of D (rows) and
+    each step t of ts (columns), from one `nearest_feasible` call over
+    `branches`; inf where no projection ends feasible."""
+    X = x + ts[:, None, None] * np.asarray(D)[None]
+    dist, _ = nearest_feasible(P, X.reshape(-1, P.n), tol, branches)
+    return dist.reshape(len(ts), -1).T
+
+
 @dataclass
 class ErrorBoundReport:
     verdict: str  # HOLDS | FAILS | UNKNOWN
@@ -79,7 +88,9 @@ def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
 
     The same direction set is reused at every radius so ratio growth is a
     per-direction scaling law; coordinate axes come first to keep canonical
-    escape rays deterministic.
+    escape rays deterministic.  dist <= r bounds a ratio by r / residual:
+    the DIST_BATCH directions with the largest bound at the smallest radius,
+    and the axes, are projected at every radius in one `ray_distances` call.
     """
     x = np.asarray(x, float)
     if float(P.residual(x)) > tol.tau_feas:
@@ -88,36 +99,26 @@ def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
     D = np.vstack([np.eye(P.n), -np.eye(P.n),
                    rng.normal(size=(tol.n_samples, P.n))])
     D /= np.linalg.norm(D, axis=1, keepdims=True)
-    n_axes = 2 * P.n
+    radii = tol.eps_ball * np.array(RADII_FRACTIONS)
+    X = x + radii[:, None, None] * D[None]  # (radius, direction, n)
+    res = P.residual(X.reshape(-1, P.n)).reshape(len(radii), -1).T
+    infeas = res > tol.tau_feas
 
-    curve = []
-    alpha_hat = 0.0
-    per_dir = {}  # direction index -> [(radius, ratio, point)]
-    for frac in RADII_FRACTIONS:
-        r = tol.eps_ball * frac
-        X = x[None, :] + r * D
-        res = P.residual(X)
-        infeas = np.where(res > tol.tau_feas)[0]
-        if infeas.size == 0:
-            curve.append({"radius": r, "max_ratio": 0.0, "witness": None})
-            continue
-        # dist <= r bounds every ratio by r / residual; evaluate the top block
-        # plus the deterministic axis probes
-        order = infeas[np.argsort(-(r / res[infeas]))][:DIST_BATCH]
-        picked = sorted(set(order.tolist()) | (set(range(n_axes)) & set(infeas.tolist())))
-        dists, _ = nearest_feasible(P, X[picked], tol, all_branches(P))
-        ratios = {}
-        for di, dist in zip(picked, dists):
-            if np.isfinite(dist):
-                ratios[di] = dist / res[di]
-                per_dir.setdefault(di, []).append((r, ratios[di], X[di].tolist()))
-        if not ratios:
-            curve.append({"radius": r, "max_ratio": None, "witness": None})
-            continue
-        widx = max(ratios, key=ratios.get)
-        curve.append({"radius": r, "max_ratio": float(ratios[widx]),
-                      "witness": X[widx].tolist()})
-        alpha_hat = max(alpha_hat, float(ratios[widx]))
+    small = np.flatnonzero(infeas[:, -1])
+    block = small[np.argsort(-(radii[-1] / res[small, -1]))][:DIST_BATCH]
+    picked = np.union1d(block, np.arange(2 * P.n))
+    dist = ray_distances(P, x, D[picked], radii, tol, all_branches(P))
+    ok = infeas[picked] & np.isfinite(dist)  # (direction, radius) with a ratio
+    ratios = np.divide(dist, res[picked], out=np.full(dist.shape, np.nan), where=ok)
+
+    # a radius with infeasible samples but no finite ratio reads None
+    best = np.argmax(np.where(ok, ratios, -np.inf), axis=0)
+    curve = [{"radius": float(r),
+              "max_ratio": float(ratios[i, j]) if ok[i, j]
+              else (None if infeas[:, j].any() else 0.0),
+              "witness": X[j, picked[i]].tolist() if ok[i, j] else None}
+             for j, (r, i) in enumerate(zip(radii, best))]
+    alpha_hat = float(ratios[ok].max()) if ok.any() else 0.0
 
     maxima = [c["max_ratio"] for c in curve]
     if any(m is None for m in maxima):
@@ -130,18 +131,17 @@ def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
     # a single direction whose ratio grows monotonically past the factor and
     # ends among the dominant ratios is a failure witness sequence
     largest, mid, smallest = maxima
-    for di, seq in sorted(per_dir.items()):
-        if len(seq) != len(RADII_FRACTIONS):
-            continue
-        r1, r2, r3 = (s[1] for s in seq)
-        if r1 <= r2 <= r3 and r3 >= FAIL_FACTOR * (1.0 - GROWTH_SLACK) * r1 \
-                and r3 >= 0.25 * smallest:
-            witness = [{"radius": s[0], "ratio": float(s[1]), "point": s[2]}
-                       for s in seq]
-            return ErrorBoundReport(
-                "FAILS", alpha_hat, curve, tol.n_samples, tol.seed,
-                note="ratio grows monotonically along a fixed direction",
-                witness_sequence=witness)
+    r1, r2, r3 = ratios.T
+    grows = ok.all(axis=1) & (r1 <= r2) & (r2 <= r3) \
+        & (r3 >= FAIL_FACTOR * (1.0 - GROWTH_SLACK) * r1) & (r3 >= 0.25 * smallest)
+    if grows.any():
+        i = int(np.argmax(grows))
+        witness = [{"radius": float(r), "ratio": float(ratios[i, j]),
+                    "point": X[j, picked[i]].tolist()} for j, r in enumerate(radii)]
+        return ErrorBoundReport(
+            "FAILS", alpha_hat, curve, tol.n_samples, tol.seed,
+            note="ratio grows monotonically along a fixed direction",
+            witness_sequence=witness)
     if smallest <= HOLD_FACTOR * largest:
         return ErrorBoundReport("HOLDS", alpha_hat, curve, tol.n_samples, tol.seed)
     return ErrorBoundReport("UNKNOWN", alpha_hat, curve, tol.n_samples, tol.seed)

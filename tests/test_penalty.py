@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import CORPUS_POINTS
 from mpsckit import penalty, report
 from mpsckit.errors import EvalDomainError, InfeasiblePointError
 from mpsckit.numeric import Tolerances
@@ -115,6 +116,42 @@ class TestErrorBound:
         with pytest.raises(InfeasiblePointError):
             penalty.error_bound_probe(corpus["ray2d"], [1.0, 1.0], TOL)
 
+    @pytest.mark.parametrize("seed", [42, *range(1, 21)])
+    def test_parabola_sheet3d_fails_along_l_minus_t(self, corpus, seed):
+        # L = {d1 >= 0} there, but T holds no d with d1 > 0 and d2 != 0:
+        # dist/t stays bounded below while the residual is o(t)
+        tol = Tolerances(seed=seed)
+        rep = penalty.error_bound_probe(corpus["parabola_sheet3d"], np.zeros(3), tol)
+        assert rep.verdict == "FAILS"
+        seq = rep.witness_sequence
+        d = [np.array(s["point"]) / s["radius"] for s in seq]
+        assert all(np.allclose(di, d[0], atol=1e-12) for di in d)
+        assert d[0][0] > 0 and abs(d[0][1]) > 0.1
+        ratios = [s["ratio"] for s in seq]
+        assert ratios[0] <= ratios[1] <= ratios[2]
+        assert ratios[2] >= 16.0 * (1.0 - penalty.GROWTH_SLACK) * ratios[0]
+
+    def test_one_projection_of_one_direction_set(self, corpus, monkeypatch):
+        # every projected direction is tested at all three radii, in one call
+        calls = []
+        nearest = penalty.nearest_feasible
+
+        def recording(P, X, tol, branches):
+            calls.append((np.array(X), len(branches)))
+            return nearest(P, X, tol, branches)
+
+        monkeypatch.setattr(penalty, "nearest_feasible", recording)
+        for name, P in corpus.items():
+            calls.clear()
+            rep = penalty.error_bound_probe(P, np.zeros(P.n), TOL)
+            assert len(calls) == 1, name
+            X, n_branches = calls[0]
+            assert n_branches == len(all_branches(P)), name
+            radii = [c["radius"] for c in rep.ratio_curve]
+            D = X.reshape(len(radii), -1, P.n) / np.array(radii)[:, None, None]
+            assert np.allclose(D, D[0], atol=1e-12), name
+            assert np.allclose(D[0, :2 * P.n], np.vstack([np.eye(P.n), -np.eye(P.n)])), name
+
 
 def eb(P):
     """The error-bound probe's report at the origin, which the penalty probe takes."""
@@ -168,6 +205,13 @@ class TestDistanceInfo:
 
 
 class TestAnalyzeWithPenalty:
+    def test_error_bound_holds_only_where_acq_does_not_fail(self, corpus):
+        # calmness (the local error bound) forces T(x) = L(x)
+        for name, P in corpus.items():
+            rep = report.analyze(P, CORPUS_POINTS[name], TOL, with_penalty=True)
+            if rep["errorbound"]["verdict"] == "HOLDS":
+                assert rep["verdicts"]["cq"]["ACQ"]["status"] != "FAILS", name
+
     def test_error_bound_probe_runs_once(self, corpus, monkeypatch):
         calls = []
         probe = penalty.error_bound_probe

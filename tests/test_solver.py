@@ -381,10 +381,10 @@ class TestGaussNewtonPolish:
         assert np.all(br.residual(got) <= TOL.tau_feas)
 
     def test_polish_work_counts(self, capsys, monkeypatch):
-        # analyze --with-penalty on wedge3d: the polish makes no per-row
-        # np.linalg.lstsq call, and in each iteration one stacked solve per
-        # distinct pattern of used constraints among its live rows, over
-        # that pattern's rows and constraints
+        # analyze --with-penalty on wedge3d and ray2d: the polish makes no
+        # per-row np.linalg.lstsq call, and in each iteration one stacked
+        # solve per distinct pattern of used constraints among its live
+        # rows, over that pattern's rows and constraints
         iterations, lstsq_calls = [], []
         residual_of, lstsq_stack, lstsq = (BranchProblem.residual_of,
                                            solver.lstsq_stack, np.linalg.lstsq)
@@ -410,8 +410,9 @@ class TestGaussNewtonPolish:
         monkeypatch.setattr(BranchProblem, "residual_of", counted_residual_of)
         monkeypatch.setattr(solver, "lstsq_stack", counted_stack)
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        path = str(problem_path("wedge3d"))
-        assert cli.main(["analyze", path, "--point", "0,0,0", "--with-penalty"]) == 0
+        for name, point in (("wedge3d", "0,0,0"), ("ray2d", "0,0")):
+            path = str(problem_path(name))
+            assert cli.main(["analyze", path, "--point", point, "--with-penalty"]) == 0
         capsys.readouterr()
         assert "_gauss_newton_polish" not in lstsq_calls
         assert sum(len(want) >= 3 for want, _ in iterations) >= 4
