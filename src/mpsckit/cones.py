@@ -1,10 +1,10 @@
 """Cone constructions at a feasible point.
 
-The switching feasible set decomposes into branch sets over bipartitions of
-the biactive index set, and every cone here is carried as a finite union of
-polyhedral pieces in that same decomposition.  The tangent cone is never
-built: ACQ (`cq.check_acq`) tests the linearization cone's own directions
-for tangency by distance ratios.  This layer runs no solver.
+Every cone here is a finite union of polyhedral pieces over the bipartitions
+of the biactive index set; a critical piece is its linearization piece cut by
+grad f, its generators cut from that piece's with no search.  The tangent
+cone is never built: ACQ (`cq.check_acq`) tests the linearization cone's own
+directions for tangency by distance ratios.  This layer runs no solver.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InfeasiblePointError
 from .numeric import (RADII_FRACTIONS, Generators, Polyhedron, Tolerances, ball_offsets,
-                      combination_lp, enumerate_generators, nullspace)
+                      check_caps, combination_lp, cut_generators, enumerate_generators, nullspace)
 from .problem import (Bipartition, BranchProblem, IndexSets, MpscProblem, bipartitions, branch,
                       index_sets)
 
@@ -65,6 +65,8 @@ class ConePiece:
     # generators, lineality basis and implicit equalities per tolerance set,
     # kept after the first call
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # a cut piece's uncut parent: the same rows but the last inequality row
+    parent: "ConePiece | None" = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def subspace(rows) -> "ConePiece":
@@ -116,7 +118,13 @@ class ConePiece:
 
     def generators(self, tol: Tolerances) -> Generators:
         if ("gen", tol) not in self._cache:
-            self._cache["gen", tol] = enumerate_generators(self.polyhedron(), tol)
+            if self.parent is None:
+                self._cache["gen", tol] = enumerate_generators(self.polyhedron(), tol)
+            else:  # the piece's own caps, then its parent's generators cut
+                check_caps(self.polyhedron())
+                rows = unit_rows(np.vstack([self.A_eq, self.A_le]))
+                self._cache["gen", tol] = cut_generators(self.parent.generators(tol), rows[:-1],
+                                                         rows[-1], self.lineality_basis(tol), tol)
         return self._cache["gen", tol]
 
     def lineality_basis(self, tol: Tolerances) -> np.ndarray:
@@ -255,5 +263,5 @@ def critical_cone(ctx: PointContext) -> ConeUnion:
     `ConePiece.implicit_equalities` finds with no multiplier at hand.
     """
     gf = ctx.grad("f")[None, :]
-    return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag)
+    return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag, parent=p)
                       for p in ctx.linearization.pieces])

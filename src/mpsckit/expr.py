@@ -313,15 +313,15 @@ def compile_kernel(exprs):
     """Straight-line code for a list of trees: kernel(X) returns their values
     over the rows of X as the columns of an (N, K) array.
 
-    Every node applies the numpy operation of a node-by-node walk of the tree
-    to the same operand types (constants as np.full arrays, powers as
-    `base ** float(k)`), so the values are the walk's to the bit.  The first
-    error is the one a walk of tree after tree meets: a non-finite X, then
-    the domain checks in walk order (a failed one first reports the first
-    non-finite output of the trees already computed), then the outputs' one
-    finiteness check.  A node is computed once per operation and operand
-    names plus its domain check's offset, so equal subtrees whose checked
-    nodes sit at other offsets stay apart.
+    Every node applies the numpy operation of a node-by-node walk of the tree to the
+    same operand types (constants as np.full arrays, or as float literals where an
+    output column or an array's +, -, * reads them; powers as `base ** float(k)`), so
+    the values are the walk's to the bit.  The first error is the one a walk of tree
+    after tree meets: a non-finite X, then the domain checks in walk order (a failed
+    one first reports the first non-finite output of the trees already computed),
+    then the outputs' one finiteness check.  A node is computed once per operation
+    and operand names plus its domain check's offset, so equal subtrees whose
+    checked nodes sit at other offsets stay apart.
     """
     code, names, offsets = [], {}, []  # offsets of the trees computed so far
 
@@ -337,15 +337,16 @@ def compile_kernel(exprs):
             code.append(f"{names[value, check]} = {value}")
         return names[value, check]
 
-    def emit(e):
+    def emit(e, literal=False):
         if isinstance(e, Const):
-            return bind(f"np.full(N, {e.value!r})")
+            return f"({e.value!r})" if literal else bind(f"np.full(N, {e.value!r})")
         if isinstance(e, Var):
             return bind(f"X[:, {e.index}]")
         if isinstance(e, Neg):
             return bind(f"-{emit(e.arg)}")
-        if isinstance(e, Bin):
-            a, b = emit(e.lhs), emit(e.rhs)
+        if isinstance(e, Bin):  # at most one literal, so the result is an array
+            lit = e.op != "/"
+            a, b = emit(e.lhs, lit and not isinstance(e.rhs, Const)), emit(e.rhs, lit)
             return bind(f"{a} {e.op} {b}", ("/", b, e.offset) if e.op == "/" else None)
         if isinstance(e, Pow):
             a = emit(e.base)
@@ -357,7 +358,7 @@ def compile_kernel(exprs):
         raise TypeError(f"not an Expr: {e!r}")
 
     for e in exprs:
-        code.append(f"out[:, {len(offsets)}] = {emit(e)}")
+        code.append(f"out[:, {len(offsets)}] = {emit(e, True)}")
         offsets.append(e.offset)
     if exprs:
         code.insert(0, "if not np.isfinite(X).all(): "

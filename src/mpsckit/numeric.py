@@ -5,7 +5,8 @@ cutoff; a stack of symmetric eigensolves is one LAPACK call.  The LP solver
 is a deterministic two-phase dense simplex with Bland's rule over the
 standard form A z = b, z >= 0; generator enumeration is exhaustive over
 active-set bases, ranked in batched SVDs, and decides emptiness by that
-search, with no LP; a cone's only vertex is the origin, found by no search.
+search, with no LP; a cone's only vertex is the origin, found by no search, and
+a cone cut by one more row is cut from the uncut cone's generators in one step.
 Everything here is sized for desk-scale inputs (tens of rows, not thousands).
 """
 
@@ -418,12 +419,12 @@ def _dedupe_rays(rays, tol=1e-7):
     return out
 
 
-def _check_caps(P: Polyhedron):
+def check_caps(P: Polyhedron):
+    """SizeCapError for a polyhedron beyond the desk-scale enumeration caps."""
     n_con = P.A_eq.shape[0] + P.A_le.shape[0]
     if n_con > MAX_GEN_CONSTRAINTS or P.dim > MAX_GEN_DIM:
         raise SizeCapError(
-            f"polyhedron too large for enumeration "
-            f"({n_con} constraints, dim {P.dim})")
+            f"polyhedron too large for enumeration ({n_con} constraints, dim {P.dim})")
 
 
 def _bases(P: Polyhedron, size):
@@ -500,7 +501,7 @@ def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
     with no quotient left, without the origin) is empty and raises
     ValueError("infeasible"); SizeCapError beyond the desk-scale caps.
     """
-    _check_caps(P)
+    check_caps(P)
     n, q = P.dim, P.A_eq.shape[0]
     stacked, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
     s = np.linalg.norm(stacked, axis=1)
@@ -522,3 +523,23 @@ def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
     if not verts:
         raise ValueError("infeasible polyhedron")
     return Generators(verts, rays, [L[:, j] for j in range(L.shape[1])])
+
+
+def cut_generators(gen: Generators, rows, a, lineality, tol: Tolerances) -> Generators:
+    """Generators of {d in cone(gen) : a . d <= 0} by one double-description step
+    (Motzkin et al. 1953), given the cone's unit rows, the unit cut row a and the cut
+    cone's lineality basis: a lost lineality direction l (a . l < 0) joins the rays,
+    shifted along it onto a . d = 0; else rays with a . r <= 1e-9 stay and each pair
+    across the cut with common active rows of rank k - 2 (k = dim of quotient) adds one."""
+    L, R = np.reshape(gen.lineality, (-1, len(a))).T, np.reshape(gen.rays, (-1, len(a)))
+    if lineality.shape[1] < L.shape[1]:
+        l = -L @ (L.T @ a)
+        R = np.vstack([l, R - np.outer(R @ a / (a @ l), l)])
+    else:
+        s, k, Z = R @ a, len(a) - L.shape[1], np.abs(R @ rows.T) <= 1e-9
+        R = np.vstack([R[s <= 1e-9]] + [s[p] * R[q] - s[q] * R[p] for p in np.flatnonzero(s > 1e-9)
+                                        for q in np.flatnonzero(s < -1e-9)
+                                        if k <= 2 or rank_tol(rows[Z[p] & Z[q]], tol) >= k - 2])
+    R = R - (R @ lineality) @ lineality.T
+    return Generators([np.zeros_like(a)], _dedupe_rays(R / np.linalg.norm(R, axis=1)[:, None]),
+                      list(lineality.T))

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import basiswalk
 import rowwalk
 from conftest import CORPUS_POINTS, in_cone_union
 
-from mpsckit import cones, cq, report
+from mpsckit import cones, cq, numeric, report
 from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, PointContext
 from mpsckit.errors import InfeasiblePointError
 from mpsckit.numeric import Tolerances, enumerate_generators
@@ -118,6 +121,81 @@ class TestCriticalCone:
         P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n", from_path=False)
         C = cones.critical_cone(PointContext(P, [0.0, 0.0], TOL))
         assert in_cone_union(C, [3.0, -4.0], TOL)
+
+
+def cut_piece(A_eq, A_le, a):
+    """The piece {A_eq d = 0, A_le d <= 0, a . d <= 0} cut from its parent."""
+    return ConePiece(A_eq=A_eq, A_le=np.vstack([A_le, a]),
+                     parent=ConePiece(A_eq=A_eq, A_le=A_le))
+
+
+class TestCutGenerators:
+    """A cut piece's generators, cut from its parent's by one
+    double-description step, against the enumeration of the cut piece
+    itself, batched and by the basis walk of tests/basiswalk.py: the same
+    rays as sets, the same lineality and the origin as the one vertex."""
+
+    @staticmethod
+    def assert_matches_enumeration(piece, monkeypatch):
+        got = piece.generators(TOL)
+        n = piece.dim
+        for walk in (False, True):
+            with monkeypatch.context() as m:
+                if walk:
+                    m.setattr(numeric, "_enumerate_pointed", basiswalk.enumerate_pointed)
+                ref = enumerate_generators(piece.polyhedron(), TOL)
+            G, R = np.reshape(got.rays, (-1, n)), np.reshape(ref.rays, (-1, n))
+            assert len(G) == len(R), (piece, G, R)
+            assert all(np.min(np.linalg.norm(R - g, axis=1)) <= 1e-7 for g in G), (piece, G, R)
+            assert np.array_equal(got.lineality, ref.lineality)
+            assert [v.tolist() for v in got.vertices] == [[0.0] * n]
+        return got
+
+    def test_random_pieces(self, monkeypatch):
+        # parents pointed or with lineality, in dimensions 2 to 6, rows
+        # scaled by 1e-3 to 1e3; cut rows random, zero, parallel or
+        # opposite to a row, or the negated sum of the unit inequality rows,
+        # which is positive on every ray of a pointed parent
+        rng = np.random.default_rng(23)
+        seen = set()
+        for trial in range(400):
+            n = int(rng.integers(2, 7))
+            r = int(rng.integers(1, n)) if trial % 3 == 0 else n  # row rank
+            q, m = int(rng.integers(0, n - 1)), int(rng.integers(1, 2 * n + 2))
+            A_eq = rng.normal(size=(q, r)) @ rng.normal(size=(r, n))
+            A_le = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            A_le *= 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            kind = ("random", "zero", "parallel", "opposite", "all cut")[trial % 5]
+            row = A_le[rng.integers(m)]
+            a = {"random": rng.normal(size=n), "zero": np.zeros(n), "parallel": 2.0 * row,
+                 "opposite": -0.5 * row,
+                 "all cut": -np.sum(cones.unit_rows(A_le), axis=0)}[kind]
+            piece = cut_piece(A_eq, A_le, a)
+            got = self.assert_matches_enumeration(piece, monkeypatch)
+            parent = piece.parent.generators(TOL)
+            R = np.reshape(parent.rays, (-1, n))
+            s = R @ cones.unit_rows(a[None, :])[0]
+            k = n - len(parent.lineality)
+            if len(got.lineality) < len(parent.lineality):
+                seen.add("split" if len(R) else "split, no ray")
+            elif k >= 3 and (s > 1e-9).any() and (s < -1e-9).any():
+                pairs = (s > 1e-9).sum() * (s < -1e-9).sum()
+                seen.add("rank test" if pairs <= len(got.rays) - (s <= 1e-9).sum()
+                         else "rank test rejects a pair")
+            if len(R) and (s > 1e-9).all():
+                seen.add("every ray cut")
+            seen.add(kind)
+        assert seen == {"random", "zero", "parallel", "opposite", "all cut", "split",
+                        "split, no ray", "rank test", "rank test rejects a pair",
+                        "every ray cut"}
+
+    def test_cones_wide_critical_pieces(self, monkeypatch):
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        pieces = PointContext(load_problem(str(path)), np.zeros(8), TOL).critical.pieces
+        assert len(pieces) == 64
+        for piece in pieces:
+            assert piece.parent is not None
+            self.assert_matches_enumeration(piece, monkeypatch)
 
 
 class TestCriticalSubspace:

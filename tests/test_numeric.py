@@ -454,13 +454,15 @@ class TestEnumerateGenerators:
         assert calls == []
 
     def test_cones_work_counts(self, capsys, monkeypatch):
-        # the searches on cones_wide_1005_5's 128 pieces: per
-        # enumerate_generators call one rank_tol (the equality rows) and the
-        # two nullspace calls of the lineality split; a cone's vertex is the
-        # origin with no search (no rank_tol_batch, no lstsq), and the ray
-        # search cuts its bases in _kernel_lines' own SVD (no rank_tol_batch,
-        # no nullspace); counted by (callee, caller)
-        per_call, active, lstsq_calls = [], [], []
+        # the searches on cones_wide_1005_5's 64 linearization pieces (8
+        # inequality rows each): per enumerate_generators call one rank_tol
+        # (the equality rows) and the two nullspace calls of the lineality
+        # split; a cone's vertex is the origin with no search (no
+        # rank_tol_batch, no lstsq), and the ray search cuts its bases in
+        # _kernel_lines' own SVD (no rank_tol_batch, no nullspace); counted
+        # by (callee, caller).  The 64 critical pieces (9 rows) make no
+        # search: each is cut from its parent's generators
+        per_call, active, lstsq_calls, searched, cuts = [], [], [], [], []
 
         def counted(name, f):
             def wrapped(*args, **kw):
@@ -469,11 +471,12 @@ class TestEnumerateGenerators:
                 return f(*args, **kw)
             return wrapped
 
-        def enumerate_generators(*args):
+        def enumerate_generators(P, tol):
+            searched.append(P.A_le.shape[0])
             per_call.append(Counter())
             active.append(per_call[-1])
             try:
-                return numeric.enumerate_generators(*args)
+                return numeric.enumerate_generators(P, tol)
             finally:
                 active.pop()
 
@@ -483,13 +486,35 @@ class TestEnumerateGenerators:
         monkeypatch.setattr(np.linalg, "lstsq", counted(
             "lstsq", lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw)))
         monkeypatch.setattr(cones, "enumerate_generators", enumerate_generators)
+        monkeypatch.setattr(cones, "cut_generators",
+                            lambda *args: cuts.append(1) or numeric.cut_generators(*args))
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
         assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
         capsys.readouterr()
-        assert len(per_call) == 128 and lstsq_calls == []
+        assert searched == [8] * 64 and len(cuts) == 64 and lstsq_calls == []
         assert all(c == per_call[0] for c in per_call)
         assert per_call[0] == Counter({("rank_tol", "_enumerate_pointed"): 1,
                                        ("nullspace", "enumerate_generators"): 2})
+
+    @pytest.mark.parametrize("cap, value, lin_error", [
+        ("MAX_GEN_CONSTRAINTS", 14, None),
+        ("MAX_GEN_DIM", 7, "polyhedron too large for enumeration (14 constraints, dim 8)")],
+        ids=["constraints", "dim"])
+    def test_a_cut_piece_over_the_caps_reports_its_own_size(self, cap, value, lin_error,
+                                                            tmp_path, capsys, monkeypatch):
+        # cones_wide_1005_5's linearization pieces have 14 rows and its
+        # critical pieces 15: a cut piece checks its own caps before its
+        # parent's search, so its error names its own size
+        monkeypatch.setattr(numeric, cap, value)
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        out = tmp_path / "cones.json"
+        assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8),
+                         "--json", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert {p.get("error") for p in doc["linearization"]["pieces"]} == {lin_error}
+        assert {p.get("error") for p in doc["critical"]["pieces"]} \
+            == {"polyhedron too large for enumeration (15 constraints, dim 8)"}
 
     def test_generators_do_not_depend_on_row_scales(self):
         # rows scaled by 10^U(-9, 9): at its own scale a basis can fall short

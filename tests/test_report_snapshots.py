@@ -3,14 +3,10 @@
 tests/data/reports/<name>.json holds the JSON report of
 `mpsckit analyze problems/<name>.mpsc --point 0,...,0 --with-penalty --json`
 at the default tolerances.  A change that alters the numerics on purpose
-regenerates them, from the root of a checkout, with
+regenerates every golden file from the runs below, from the root of a
+checkout, with
 
-    for f in problems/*.mpsc; do
-        n=$(sed -n 's/^vars //p' "$f" | wc -w)
-        PYTHONPATH=src python -m mpsckit.cli analyze "$f" --with-penalty \\
-            --point "$(python -c "print(','.join(['0'] * $n))")" \\
-            --json "tests/data/reports/$(basename "$f" .mpsc).json"
-    done
+    PYTHONPATH=src python tests/test_report_snapshots.py
 
 tests/data/snapshots/ holds the other commands' JSON, written the same way
 with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
@@ -25,6 +21,10 @@ compared, not parsed values, so key order and number formatting are pinned
 too.
 """
 
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -67,25 +67,45 @@ SNAPSHOTS = {
 }
 
 
-def _json_bytes(argv, tmp_path, capsys):
+def _report_argv(name):
+    return ["analyze", str(problem_path(name)), "--point", _origin(name), "--with-penalty"]
+
+
+def _snapshot_file(name, code):
+    return SNAPSHOT_DIR / f"{name}.{'stderr' if code == 2 else 'json'}"
+
+
+def _json_bytes(argv, tmp_dir):
     """Exit code and the --json file, or the stderr of a run that wrote none."""
-    jpath = tmp_path / "out.json"
-    code = cli.main(argv + ["--json", str(jpath)])
-    err = capsys.readouterr().err
-    return code, jpath.read_bytes() if jpath.exists() else err.encode()
+    jpath = Path(tmp_dir) / "out.json"
+    jpath.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv + ["--json", str(jpath)])
+    return code, jpath.read_bytes() if jpath.exists() else err.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_POINTS))
-def test_report_matches_snapshot(name, tmp_path, capsys):
-    code, got = _json_bytes(["analyze", str(problem_path(name)), "--point",
-                             _origin(name), "--with-penalty"], tmp_path, capsys)
+def test_report_matches_snapshot(name, tmp_path):
+    code, got = _json_bytes(_report_argv(name), tmp_path)
     assert code == 0
     assert got == (REPORT_DIR / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
-def test_command_json_matches_snapshot(name, tmp_path, capsys):
+def test_command_json_matches_snapshot(name, tmp_path):
     want_code, argv = SNAPSHOTS[name]
-    code, got = _json_bytes(argv, tmp_path, capsys)
+    code, got = _json_bytes(argv, tmp_path)
     assert code == want_code
-    assert got == (SNAPSHOT_DIR / f"{name}.{'stderr' if code == 2 else 'json'}").read_bytes()
+    assert got == _snapshot_file(name, code).read_bytes()
+
+
+if __name__ == "__main__":  # rewrite the golden files; pytest never runs this
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CORPUS_POINTS):
+            (REPORT_DIR / f"{name}.json").write_bytes(_json_bytes(_report_argv(name), tmp)[1])
+        for name, (want_code, argv) in sorted(SNAPSHOTS.items()):
+            code, got = _json_bytes(argv, tmp)
+            _snapshot_file(name, code).write_bytes(got)
+            if code != want_code:
+                print(f"{name}: exit {code}, expected {want_code}", file=sys.stderr)
