@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InfeasiblePointError
 from .numeric import (RADII_FRACTIONS, Generators, Polyhedron, Tolerances, ball_offsets,
-                      check_caps, combination_lp, cut_generators, enumerate_generators, nullspace)
+                      check_caps, combination_lp, cut_generators, enumerate_generators, nullspace,
+                      unit_rows)
 from .problem import (Bipartition, BranchProblem, IndexSets, MpscProblem, bipartitions, branch,
                       index_sets)
 
@@ -47,12 +48,6 @@ def cross_cones(a: float, b: float, tol: Tolerances) -> CrossConeKind:
     if az:
         return CrossConeKind("a_zero_b_nonzero", AXIS_B, AXIS_A, AXIS_A)
     return CrossConeKind("a_nonzero_b_zero", AXIS_A, AXIS_B, AXIS_B)
-
-
-def unit_rows(A) -> np.ndarray:
-    """A with each nonzero row scaled to unit norm."""
-    nrm = np.linalg.norm(A, axis=1, keepdims=True)
-    return A / np.where(nrm > 0.0, nrm, 1.0)
 
 
 @dataclass
@@ -124,7 +119,7 @@ class ConePiece:
                 check_caps(self.polyhedron())
                 rows = unit_rows(np.vstack([self.A_eq, self.A_le]))
                 self._cache["gen", tol] = cut_generators(self.parent.generators(tol), rows[:-1],
-                                                         rows[-1], self.lineality_basis(tol), tol)
+                                                         rows[-1], self.lineality_basis(tol))
         return self._cache["gen", tol]
 
     def lineality_basis(self, tol: Tolerances) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import penalty as pen
-from .cones import ConePiece, PointContext, active_items, branch_items, unit_rows
+from .cones import ConePiece, PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
-from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch
+from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch, unit_rows
 from .problem import Bipartition
 from .soc import quadform_min_over_cone
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels

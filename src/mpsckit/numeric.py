@@ -3,10 +3,11 @@
 Rank, nullspace and stacked least squares are SVD-based with a relative
 cutoff; a stack of symmetric eigensolves is one LAPACK call.  The LP solver
 is a deterministic two-phase dense simplex with Bland's rule over the
-standard form A z = b, z >= 0; generator enumeration is exhaustive over
-active-set bases, ranked in batched SVDs, and decides emptiness by that
-search, with no LP; a cone's only vertex is the origin, found by no search, and
-a cone cut by one more row is cut from the uncut cone's generators in one step.
+standard form A z = b, z >= 0; generator enumeration is one exhaustive ray
+search over active-set bases, ranked in batched SVDs: a polyhedron's vertices
+are the rays of the cone over it, so that search also decides emptiness, with
+no LP; a cone's only vertex is the origin, and a cone cut by one more row is
+cut from the uncut cone's generators in one step.
 Everything here is sized for desk-scale inputs (tens of rows, not thousands).
 """
 
@@ -86,13 +87,6 @@ class Polyhedron:
         if A_eq.shape != (len(b_eq), dim) or A_le.shape != (len(b_le), dim):
             raise ValueError("inconsistent polyhedron shapes")
         return Polyhedron(A_eq, b_eq, A_le, b_le, dim)
-
-    def contains(self, x, tol: float, s: float = 1.0) -> bool:  # residuals <= tol * (s + |x|)
-        x = np.asarray(x, float)
-        scale = s + float(np.linalg.norm(x))
-        ok_eq = np.all(np.abs(self.A_eq @ x - self.b_eq) <= tol * scale)
-        ok_le = np.all(self.A_le @ x - self.b_le <= tol * scale)
-        return bool(ok_eq and ok_le)
 
 
 @dataclass
@@ -358,8 +352,9 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
     mode "feasible": whether some z exists; "l1": the z of least l1 norm, or
     None; "residual": min ||B z - rhs||_1, through slack columns [I | -I]
     appended after the split (NumericBreakdownError if unsolved); "rays": the
-    signed vertices of {B z = 0, sum of the parts = 1} (rhs unused, needs
-    tol), one per extreme nonzero combination; SizeCapError beyond the
+    signed extreme rays of the cone {[B | -B_free] v = 0, v >= 0} (rhs unused,
+    needs tol), their parts clipped at 0 so that z_c >= 0 holds exactly where
+    nonneg[c], one per extreme nonzero combination; SizeCapError beyond the
     enumeration caps.
     """
     B = np.asarray(B, float)
@@ -368,9 +363,6 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
     A = np.hstack([B, -B[:, free]])
     if mode == "residual":
         A = np.hstack([A, np.eye(n), -np.eye(n)])
-    elif mode == "rays":
-        A = np.vstack([A, np.ones((1, A.shape[1]))])
-        rhs = np.concatenate([np.zeros(n), [1.0]])
     nc = A.shape[1]
 
     def signed(v):
@@ -384,11 +376,8 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
     if mode == "feasible":
         return lp_solve(None, A, rhs).status == "optimal"
     if mode == "rays":
-        pol = Polyhedron.make(nc, A_eq=A, b_eq=rhs, A_le=-np.eye(nc), b_le=np.zeros(nc))
-        try:
-            return [signed(v) for v in enumerate_generators(pol, tol).vertices]
-        except ValueError:  # infeasible: no nonzero combination at all
-            return []
+        pol = Polyhedron.make(nc, A_eq=A, A_le=-np.eye(nc))
+        return [signed(np.maximum(v, 0.0)) for v in enumerate_generators(pol, tol).rays]
     if mode == "residual":
         c = np.concatenate([np.zeros(nc - 2 * n), np.ones(2 * n)])
         res = lp_solve(c, A, rhs)
@@ -402,14 +391,6 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
 # ---------------------------------------------------------------------------
 # generator enumeration
 # ---------------------------------------------------------------------------
-
-def _dedupe_points(points, s, tol=1e-7):
-    out = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol * (s + np.linalg.norm(q)) for q in out):
-            out.append(p)
-    return out
-
 
 def _dedupe_rays(rays, tol=1e-7):
     out = []
@@ -427,31 +408,23 @@ def check_caps(P: Polyhedron):
             f"polyhedron too large for enumeration ({n_con} constraints, dim {P.dim})")
 
 
-def _bases(P: Polyhedron, size):
-    """The candidate bases [A_eq; A_le[S]] and right-hand sides over S in
-    combinations(range(m_le), size), in blocks of shape (N, q, n), (N, q);
-    SizeCapError when there are more than _MAX_BASES of them."""
-    if math.comb(P.A_le.shape[0], size) > _MAX_BASES:
+def unit_rows(A) -> np.ndarray:
+    """A with each nonzero row scaled to unit norm."""
+    nrm = np.linalg.norm(A, axis=1, keepdims=True)
+    return A / np.where(nrm > 0.0, nrm, 1.0)
+
+
+def _bases(A_eq, A_le, size):
+    """The candidate bases [A_eq; A_le[S]] over S in combinations(range(m_le), size),
+    in blocks of shape (N, q, n); SizeCapError when there are more than
+    _MAX_BASES of them."""
+    if math.comb(A_le.shape[0], size) > _MAX_BASES:
         raise SizeCapError("too many candidate active sets")
-    m_eq = P.A_eq.shape[0]
-    M, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
-    combos = itertools.combinations(range(m_eq, m_eq + P.A_le.shape[0]), size)
+    m_eq, M = A_eq.shape[0], np.vstack([A_eq, A_le])
+    combos = itertools.combinations(range(m_eq, m_eq + A_le.shape[0]), size)
     while S := list(itertools.islice(combos, _BASES_PER_BATCH)):
         S = np.array(S, dtype=int).reshape(len(S), size)
-        rows = np.hstack([np.broadcast_to(np.arange(m_eq), (len(S), m_eq)), S])
-        yield M[rows], b[rows]
-
-
-def _vertex_candidates(P: Polyhedron, size, s, tol: Tolerances):
-    """Basic solutions of the full-rank candidate bases that lie in P at scale s."""
-    for Ms, bs in _bases(P, size):
-        full = rank_tol_batch(Ms, tol) >= P.dim
-        for A, b in zip(Ms[full], bs[full]):
-            x = np.linalg.lstsq(A, b, rcond=None)[0]
-            if np.max(np.abs(A @ x - b)) > 1e-7 * (1.0 + np.linalg.norm(b)):
-                continue
-            if P.contains(x, tol.tau_feas, s):
-                yield x
+        yield M[np.hstack([np.broadcast_to(np.arange(m_eq), (len(S), m_eq)), S])]
 
 
 def _kernel_lines(Ms, tol: Tolerances):
@@ -465,81 +438,74 @@ def _kernel_lines(Ms, tol: Tolerances):
     return [Vt[i, r[i]] for i in range(N) if r[i] == n - 1]
 
 
-def _enumerate_pointed(P: Polyhedron, tol: Tolerances):
-    """Vertices and extreme rays of a polyhedron whose lineality is trivial.
-    A cone is never empty: its only vertex, the origin, needs no search; the
-    vertex search tests containment and merges points at the scale s = max|b|.
-    The ray search ranks and cuts each block of candidate bases from one SVD."""
-    n = P.dim
-    rank_eq = rank_tol(P.A_eq, tol) if P.A_eq.size else 0
-    m_le = P.A_le.shape[0]
-    s = float(np.max(np.abs(np.concatenate([P.b_eq, P.b_le])), initial=0.0))
-    vertices = ([np.zeros(n)] if s == 0.0 else
-                _dedupe_points(_vertex_candidates(P, min(n - rank_eq, m_le), s, tol), s))
-
-    # recession cone {A_eq d = 0, A_le d <= 0}; extreme rays have n-1
-    # linearly independent active rows
+def _extreme_rays(A_eq, A_le, tol: Tolerances):
+    """Unit extreme rays of the pointed cone {A_eq d = 0, A_le d <= 0}: the kernel
+    lines of the bases with n - 1 independent rows that meet every row, each
+    block of candidate bases ranked and cut by one SVD."""
+    n = A_eq.shape[1]
+    rank_eq = rank_tol(A_eq, tol) if A_eq.size else 0
     rays = []
     if rank_eq < n:
-        for Ms, _ in _bases(P, min(n - 1 - rank_eq, m_le)):
+        for Ms in _bases(A_eq, A_le, min(n - 1 - rank_eq, A_le.shape[0])):
             for d in _kernel_lines(Ms, tol):
                 for cand in (d, -d):
-                    if P.A_le.size == 0 or np.max(P.A_le @ cand) <= 1e-9:
+                    if A_le.size == 0 or np.max(A_le @ cand) <= 1e-9:
                         rays.append(cand / np.linalg.norm(cand))
-    return vertices, _dedupe_rays(rays)
+    return _dedupe_rays(rays)
 
 
 def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
-    """Exact generator list (vertices, extreme rays, lineality basis).
+    """Exact generator list (vertices, extreme rays, lineality basis) from one
+    ray search.
 
     Rows and right-hand sides are first scaled to unit norm, so no rank
-    decision rests on a row's scale.  With nontrivial lineality the search
-    runs in the quotient space and the "vertices" are minimal-face points.
-    A cone (b = 0) is never empty: its only vertex, the origin, needs no
-    search; the ray search ranks and cuts each block of bases by one SVD.
-    Other emptiness needs no LP: a pointed polyhedron with no vertex (or,
-    with no quotient left, without the origin) is empty and raises
-    ValueError("infeasible"); SizeCapError beyond the desk-scale caps.
+    decision rests on a row's scale, and the search runs in the quotient of
+    the lineality space, where the "vertices" are minimal-face points.  A
+    cone (b = 0) is never empty: its only vertex is the origin.  Any other P
+    is searched as the cone over it, {(x, t) : A x <= b t / s, t >= 0} at its
+    own scale s = max|b| (Fukuda & Prodon 1996): the rays with t > 0 are its
+    vertices s x / t, those with t = 0 its rays; with none of the first, P is
+    empty and ValueError("infeasible polyhedron") is raised, with no LP.
+    SizeCapError beyond the desk-scale caps.
     """
     check_caps(P)
     n, q = P.dim, P.A_eq.shape[0]
-    stacked, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
-    s = np.linalg.norm(stacked, axis=1)
-    s[s == 0.0] = 1.0
-    stacked, b = stacked / s[:, None], b / s
-    P = Polyhedron(stacked[:q], b[:q], stacked[q:], b[q:], n)
-    L = nullspace(stacked, tol) if stacked.size else np.eye(n)
+    A, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
+    nrm = np.linalg.norm(A, axis=1)
+    nrm[nrm == 0.0] = 1.0
+    A, b = A / nrm[:, None], b / nrm
+    L = nullspace(A, tol) if A.size else np.eye(n)
     Q = nullspace(L.T, tol)  # orthonormal complement, shape (n, n - dim L)
-    if Q.shape[1] == 0:  # no row is left to bound the origin's face
-        verts = [np.zeros(n)] if P.contains(np.zeros(n), tol.tau_feas) else []
-        rays = []
-    elif L.shape[1] == 0:
-        verts, rays = _enumerate_pointed(P, tol)
-    else:  # quotient out the lineality space: x = Q z + L w
-        Pq = Polyhedron.make(Q.shape[1], A_eq=P.A_eq @ Q, b_eq=P.b_eq,
-                             A_le=P.A_le @ Q, b_le=P.b_le)
-        verts, rays = _enumerate_pointed(Pq, tol)
-        verts, rays = [Q @ v for v in verts], [Q @ r for r in rays]
-    if not verts:
+    lineality = list(L.T)
+    s = float(np.max(np.abs(b), initial=0.0))
+    if s == 0.0:
+        rays = _extreme_rays(A[:q] @ Q, A[q:] @ Q, tol)
+        return Generators([np.zeros(n)], [Q @ r for r in rays], lineality)
+    H = unit_rows(np.block([[A @ Q, -b[:, None] / s], [np.zeros((1, Q.shape[1])), -1.0]]))
+    rays = _extreme_rays(H[:q], H[q:], tol)
+    vertices = [s * (Q @ r[:-1]) / r[-1] for r in rays if r[-1] > 1e-9]
+    if not vertices:
         raise ValueError("infeasible polyhedron")
-    return Generators(verts, rays, [L[:, j] for j in range(L.shape[1])])
+    rays = [Q @ r[:-1] for r in rays if r[-1] <= 1e-9]
+    return Generators(vertices, [r / np.linalg.norm(r) for r in rays], lineality)
 
 
-def cut_generators(gen: Generators, rows, a, lineality, tol: Tolerances) -> Generators:
+def cut_generators(gen: Generators, rows, a, lineality) -> Generators:
     """Generators of {d in cone(gen) : a . d <= 0} by one double-description step
     (Motzkin et al. 1953), given the cone's unit rows, the unit cut row a and the cut
     cone's lineality basis: a lost lineality direction l (a . l < 0) joins the rays,
     shifted along it onto a . d = 0; else rays with a . r <= 1e-9 stay and each pair
-    across the cut with common active rows of rank k - 2 (k = dim of quotient) adds one."""
+    across the cut that is adjacent adds one.  Rays p and q are adjacent when no third
+    ray is zero on every row zero at both (the combinatorial test, no rank)."""
     L, R = np.reshape(gen.lineality, (-1, len(a))).T, np.reshape(gen.rays, (-1, len(a)))
     if lineality.shape[1] < L.shape[1]:
         l = -L @ (L.T @ a)
         R = np.vstack([l, R - np.outer(R @ a / (a @ l), l)])
     else:
-        s, k, Z = R @ a, len(a) - L.shape[1], np.abs(R @ rows.T) <= 1e-9
+        s, Z = R @ a, np.abs(R @ rows.T) <= 1e-9
         R = np.vstack([R[s <= 1e-9]] + [s[p] * R[q] - s[q] * R[p] for p in np.flatnonzero(s > 1e-9)
                                         for q in np.flatnonzero(s < -1e-9)
-                                        if k <= 2 or rank_tol(rows[Z[p] & Z[q]], tol) >= k - 2])
+                                        if np.count_nonzero((Z | ~(Z[p] & Z[q])).all(axis=1)) == 2])
     R = R - (R @ lineality) @ lineality.T
     return Generators([np.zeros_like(a)], _dedupe_rays(R / np.linalg.norm(R, axis=1)[:, None]),
                       list(lineality.T))

@@ -132,7 +132,7 @@ def cut_piece(A_eq, A_le, a):
 class TestCutGenerators:
     """A cut piece's generators, cut from its parent's by one
     double-description step, against the enumeration of the cut piece
-    itself, batched and by the basis walk of tests/basiswalk.py: the same
+    itself, batched and by the ray walk of tests/basiswalk.py: the same
     rays as sets, the same lineality and the origin as the one vertex."""
 
     @staticmethod
@@ -142,7 +142,7 @@ class TestCutGenerators:
         for walk in (False, True):
             with monkeypatch.context() as m:
                 if walk:
-                    m.setattr(numeric, "_enumerate_pointed", basiswalk.enumerate_pointed)
+                    m.setattr(numeric, "_extreme_rays", basiswalk.extreme_rays)
                 ref = enumerate_generators(piece.polyhedron(), TOL)
             G, R = np.reshape(got.rays, (-1, n)), np.reshape(ref.rays, (-1, n))
             assert len(G) == len(R), (piece, G, R)
@@ -180,13 +180,13 @@ class TestCutGenerators:
                 seen.add("split" if len(R) else "split, no ray")
             elif k >= 3 and (s > 1e-9).any() and (s < -1e-9).any():
                 pairs = (s > 1e-9).sum() * (s < -1e-9).sum()
-                seen.add("rank test" if pairs <= len(got.rays) - (s <= 1e-9).sum()
-                         else "rank test rejects a pair")
+                seen.add("adjacency test" if pairs <= len(got.rays) - (s <= 1e-9).sum()
+                         else "adjacency test rejects a pair")
             if len(R) and (s > 1e-9).all():
                 seen.add("every ray cut")
             seen.add(kind)
         assert seen == {"random", "zero", "parallel", "opposite", "all cut", "split",
-                        "split, no ray", "rank test", "rank test rejects a pair",
+                        "split, no ray", "adjacency test", "adjacency test rejects a pair",
                         "every ray cut"}
 
     def test_cones_wide_critical_pieces(self, monkeypatch):

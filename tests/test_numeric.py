@@ -260,6 +260,25 @@ class TestLpSolve:
                     for node in ast.walk(fn)))
         assert callers == ["numeric.combination_lp"]
 
+    def test_one_generator_search(self):
+        # every polyhedron is enumerated by the one ray search over candidate
+        # bases, and no vertex search solves its bases one by one: no module
+        # calls np.linalg.lstsq (stacked solves go through lstsq_stack)
+        src = Path(numeric.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+        callers = sorted(
+            f"{stem}.{fn.name}" for stem, tree in trees.items()
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call) and "_bases" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)))
+        assert callers == ["numeric._extreme_rays"]
+        lstsq = sorted(stem for stem, tree in trees.items() for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "lstsq"
+                       and ast.unparse(node.value) in ("np.linalg", "numpy.linalg", "linalg")
+                       or isinstance(node, ast.alias) and node.name == "lstsq")
+        assert lstsq == []
+
 
 class TestCombinationLp:
     """combination_lp against scipy on an independent formulation.
@@ -317,6 +336,22 @@ class TestCombinationLp:
                                         abs=1e-7)
         assert seen == {True, False}
 
+    def test_rays_keep_the_signs_exactly(self):
+        # the split parts of a ray are >= -1e-9 by construction and clipped
+        # at 0, so z_c >= 0 holds exactly, not to rounding, where nonneg[c];
+        # every ray, its parts of unit norm, solves B z = 0
+        rng = np.random.default_rng(17)
+        count = 0
+        for _ in range(300):
+            n, k = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            B = rng.normal(size=(n, k))
+            nonneg = rng.uniform(size=k) < 0.6
+            for z in numeric.combination_lp(B, nonneg, None, "rays", TOL):
+                assert np.all(z[nonneg] >= 0.0), (B, nonneg, z)
+                assert np.linalg.norm(B @ z) <= 1e-9 * np.abs(B).sum()
+                count += 1
+        assert count > 100
+
     def test_no_columns(self):
         B = np.zeros((2, 0))
         assert numeric.combination_lp(B, [], np.zeros(2), "feasible")
@@ -370,7 +405,7 @@ class TestEnumerateGenerators:
     def test_dimension_zero_keeps_its_rows(self):
         # a zero-width equality row still carries its right-hand side
         P = Polyhedron.make(0, A_eq=np.zeros((1, 0)), b_eq=[1.0])
-        assert P.A_eq.shape == (1, 0) and not P.contains(np.zeros(0), TOL.tau_feas)
+        assert P.A_eq.shape == (1, 0) and not basiswalk.contains(P, np.zeros(0), TOL.tau_feas)
         with pytest.raises(ValueError, match="infeasible"):
             numeric.enumerate_generators(P, TOL)
         P = Polyhedron.make(0, A_eq=np.zeros((2, 0)), b_eq=[0.0, 0.0],
@@ -391,7 +426,7 @@ class TestEnumerateGenerators:
                                A_le=A, b_le=b)
 
     def test_feasibility_vs_rejection_sampling(self):
-        # emptiness comes from the vertex search: a polyhedron is reported
+        # emptiness comes from the ray search: a polyhedron is reported
         # empty only when no sample of the box is feasible
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -438,12 +473,12 @@ class TestEnumerateGenerators:
                 seen.add("empty")
                 continue
             assert ref.status == 0 and gen.vertices
-            assert all(P.contains(v, 1e-6) for v in gen.vertices)
+            assert all(basiswalk.contains(P, v, 1e-6) for v in gen.vertices)
             seen.add("nonempty")
         assert seen == {"empty", "nonempty"}
 
     def test_cones_make_no_lp_call(self, capsys, monkeypatch):
-        # cone pieces are decided by the vertex search alone
+        # cone pieces are decided by the ray search alone
         calls = []
         lp_solve = numeric.lp_solve
         monkeypatch.setattr(numeric, "lp_solve",
@@ -454,14 +489,14 @@ class TestEnumerateGenerators:
         assert calls == []
 
     def test_cones_work_counts(self, capsys, monkeypatch):
-        # the searches on cones_wide_1005_5's 64 linearization pieces (8
+        # the search on cones_wide_1005_5's 64 linearization pieces (8
         # inequality rows each): per enumerate_generators call one rank_tol
         # (the equality rows) and the two nullspace calls of the lineality
-        # split; a cone's vertex is the origin with no search (no
-        # rank_tol_batch, no lstsq), and the ray search cuts its bases in
+        # split; a cone's vertex is the origin, and no vertex search runs (no
+        # rank_tol_batch, no lstsq); the ray search cuts its bases in
         # _kernel_lines' own SVD (no rank_tol_batch, no nullspace); counted
         # by (callee, caller).  The 64 critical pieces (9 rows) make no
-        # search: each is cut from its parent's generators
+        # search and no rank test: each is cut from its parent's generators
         per_call, active, lstsq_calls, searched, cuts = [], [], [], [], []
 
         def counted(name, f):
@@ -493,7 +528,7 @@ class TestEnumerateGenerators:
         capsys.readouterr()
         assert searched == [8] * 64 and len(cuts) == 64 and lstsq_calls == []
         assert all(c == per_call[0] for c in per_call)
-        assert per_call[0] == Counter({("rank_tol", "_enumerate_pointed"): 1,
+        assert per_call[0] == Counter({("rank_tol", "_extreme_rays"): 1,
                                        ("nullspace", "enumerate_generators"): 2})
 
     @pytest.mark.parametrize("cap, value, lin_error", [
@@ -551,7 +586,7 @@ class TestEnumerateGenerators:
         P = Polyhedron.make(2, A_eq=A_eq, A_le=A_le, b_le=[1.0, 1.0])
         gen = numeric.enumerate_generators(P, TOL)
         assert len(gen.vertices) == 2 and gen.rays == [] and gen.lineality == []
-        assert all(P.contains(v, TOL.tau_feas) for v in gen.vertices)
+        assert all(basiswalk.contains(P, v, TOL.tau_feas) for v in gen.vertices)
         active = np.isclose(np.asarray(A_le) @ np.transpose(gen.vertices), 1.0)
         assert active.sum(axis=0).tolist() == [1, 1] and active.any(axis=1).all()
 
@@ -568,7 +603,7 @@ class TestEnumerateGenerators:
 
     @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1e3])
     def test_scaled_polytope_scales_its_vertices(self, c):
-        # {A x <= c b}: the vertex search decides at the polyhedron's own
+        # {A x <= c b}: the search decides at the polyhedron's own
         # scale, so the vertices are c times those of {A x <= b}
         rng = np.random.default_rng(3)
         for _ in range(300):
@@ -581,6 +616,24 @@ class TestEnumerateGenerators:
             for v, w in zip(got, ref):
                 assert np.linalg.norm(v - c * w) <= 1e-9 * c * np.linalg.norm(w)
 
+    def test_far_vertex_precision(self):
+        # a vertex read off the cone over P as s x / t, with t about s / |v|,
+        # carries a relative error of about eps |v| / s: the two rows meeting
+        # at v = R (far, 0) * c are 1 / far apart in slope
+        rng, eps = np.random.default_rng(19), np.finfo(float).eps
+        for far in (1e2, 1e4, 1e6, 1e7):
+            for _ in range(20):
+                th, c = rng.uniform(0.0, 2.0 * np.pi), 10.0 ** rng.uniform(-3, 3)
+                R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+                A = np.array([[0.0, -1.0], [1.0 / far, 1.0], [-1.0, 0.0]]) @ R.T
+                P = Polyhedron.make(2, A_le=A, b_le=[0.0, c, 0.0])
+                s = c / np.linalg.norm(A[1])
+                want = c * far * R[:, 0]
+                got = numeric.enumerate_generators(P, TOL).vertices
+                assert len(got) == 3
+                err = min(np.linalg.norm(v - want) for v in got)
+                assert err <= 16.0 * eps * np.linalg.norm(want) ** 2 / s
+
     def test_vertex_validity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -591,14 +644,13 @@ class TestEnumerateGenerators:
             P = Polyhedron.make(n, A_le=A, b_le=b)
             gen = numeric.enumerate_generators(P, TOL)
             for v in gen.vertices:
-                assert P.contains(v, TOL.tau_feas)
+                assert basiswalk.contains(P, v, TOL.tau_feas)
                 act = [A[i] for i in range(m) if abs(A[i] @ v - b[i]) <= 1e-7]
                 assert numeric.rank_tol(np.array(act), TOL) >= n
 
 
 def _generators_bytes(P):
-    """enumerate_generators' result as exact bytes, or its error; a cone's
-    vertex, the origin, as values, since the walk's lstsq can return -0.0."""
+    """enumerate_generators' result as exact bytes, or its error."""
     def exact(part):
         return [(v.shape, v.tobytes()) for v in part]
 
@@ -606,23 +658,36 @@ def _generators_bytes(P):
         gen = numeric.enumerate_generators(P, TOL)
     except (ValueError, SizeCapError) as e:
         return type(e).__name__, str(e)
-    cone = not (P.b_eq.any() or P.b_le.any())
-    vertices = [v.tolist() for v in gen.vertices] if cone else exact(gen.vertices)
-    return [vertices, exact(gen.rays), exact(gen.lineality)]
+    return [exact(gen.vertices), exact(gen.rays), exact(gen.lineality)]
+
+
+def _unit_scaled_b(P):
+    """P's right-hand sides over its rows' norms (zero rows kept as they are)."""
+    nrm = np.linalg.norm(np.vstack([P.A_eq, P.A_le]), axis=1)
+    return np.concatenate([P.b_eq, P.b_le]) / np.where(nrm > 0.0, nrm, 1.0)
 
 
 class TestBatchedSearches:
-    """The searches of _enumerate_pointed against the basis walk in
-    tests/basiswalk.py: the same generators in the same order, bit for bit
-    (signed zeros included) but for a cone's vertex, which is compared by
-    value, or the same error."""
+    """The ray search _extreme_rays against the ray walk in tests/basiswalk.py:
+    the same generators in the same order, bit for bit (signed zeros
+    included), or the same error; and the vertices read off the cone over P
+    against the walk of P's own vertex bases, as sets."""
 
     def assert_same(self, P, monkeypatch):
         fast = _generators_bytes(P)
         with monkeypatch.context() as m:
-            m.setattr(numeric, "_enumerate_pointed", basiswalk.enumerate_pointed)
+            m.setattr(numeric, "_extreme_rays", basiswalk.extreme_rays)
             walk = _generators_bytes(P)
         assert fast == walk
+        try:
+            got = numeric.enumerate_generators(P, TOL).vertices
+        except ValueError:
+            got = []
+        want = basiswalk.vertices(P, TOL)
+        s = float(np.max(np.abs(_unit_scaled_b(P)), initial=0.0))
+        assert len(got) == len(want), (P, got, want)
+        assert all(min(np.linalg.norm(w - v) for w in want) <= 1e-9 * (s + np.linalg.norm(v))
+                   for v in got), (P, got, want)
         return fast
 
     @pytest.mark.parametrize("block", [numeric._BASES_PER_BATCH, 3])
@@ -658,11 +723,12 @@ class TestBatchedSearches:
             self.assert_same(P, monkeypatch)
         # with no row at all the line is the lineality space, not two rays
         vertices, rays, lineality = self.assert_same(Polyhedron.make(1), monkeypatch)
-        assert (vertices, rays, len(lineality)) == ([[0.0]], [], 1)
+        assert (vertices, rays, len(lineality)) == ([((1,), np.zeros(1).tobytes())], [], 1)
 
     def test_size_zero_combinations(self, monkeypatch):
-        # k = n - rank_eq = 0 in the vertex search, no inequality rows in both;
-        # the last two are lines, searched in the quotient of their lineality
+        # points and lines: the ray search of the cone over each runs on bases
+        # with no inequality row; the lines are searched in the quotient of
+        # their lineality
         for P in (Polyhedron.make(2, A_eq=np.eye(2), b_eq=[1.0, -0.0]),
                   Polyhedron.make(2, A_eq=np.eye(2), b_eq=[1.0, 2.0],
                                   A_le=[[1.0, 1.0]], b_le=[5.0]),
@@ -670,6 +736,33 @@ class TestBatchedSearches:
                   Polyhedron.make(3, A_eq=[[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]],
                                   b_eq=[0.0, 3.0])):
             self.assert_same(P, monkeypatch)
+
+    def test_edge_cases(self, monkeypatch):
+        # dimension 0, zero rows with b > 0 and b < 0, a half-line, a strip
+        # with lineality, an empty polyhedron and a single point
+        e = np.eye(2)
+        cases = [
+            (Polyhedron.make(0, A_le=np.zeros((1, 0)), b_le=[1.0]), [np.zeros(0)], [], 0),
+            (Polyhedron.make(0, A_le=np.zeros((1, 0)), b_le=[-1.0]), None, None, None),
+            (Polyhedron.make(2, A_le=[[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], b_le=[2.0, 0.0, 0.0]),
+             [np.zeros(2)], [e[0], e[1]], 0),
+            (Polyhedron.make(2, A_le=[[0.0, 0.0], [-1.0, 0.0]], b_le=[-2.0, 0.0]),
+             None, None, None),
+            (Polyhedron.make(1, A_le=[[-3.0]], b_le=[-6.0]), [[2.0]], [[1.0]], 0),
+            (Polyhedron.make(2, A_le=[[1.0, 0.0], [-1.0, 0.0]], b_le=[1.0, 0.0]),
+             [e[0], np.zeros(2)], [], 1),
+            (Polyhedron.make(1, A_le=[[1.0], [-1.0]], b_le=[-1.0, -1.0]), None, None, None),
+            (Polyhedron.make(2, A_eq=2.0 * e, b_eq=[4.0, -6.0]), [[2.0, -3.0]], [], 0),
+        ]
+        for P, vertices, rays, lin in cases:
+            out = self.assert_same(P, monkeypatch)
+            if vertices is None:
+                assert out == ("ValueError", "infeasible polyhedron")
+                continue
+            gen = numeric.enumerate_generators(P, TOL)
+            for part, want in ((gen.vertices, vertices), (gen.rays, rays)):
+                assert sorted(np.round(part, 12).tolist()) == sorted(np.asarray(want).tolist())
+            assert len(gen.lineality) == lin
 
     def test_lineality_quotient(self, monkeypatch):
         # x3 is free in both: the searches run in the quotient of the line

@@ -22,6 +22,7 @@ too.
 """
 
 import io
+import json
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -90,6 +91,27 @@ def test_report_matches_snapshot(name, tmp_path):
     code, got = _json_bytes(_report_argv(name), tmp_path)
     assert code == 0
     assert got == (REPORT_DIR / f"{name}.json").read_bytes()
+
+
+def _lambdas(node):
+    """Every "lambda" list in a parsed report, however deep."""
+    if isinstance(node, dict):
+        yield from ([node["lambda"]] if "lambda" in node else [])
+        for v in node.values():
+            yield from _lambdas(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _lambdas(v)
+
+
+def test_reported_inequality_multipliers_are_nonnegative():
+    # the paper's multipliers of the inequality rows are >= 0, so no golden
+    # report (each the live report, byte for byte) prints a negative lambda,
+    # not even a rounding-level one
+    lams = {name: [v for lam in _lambdas(json.loads((REPORT_DIR / f"{name}.json").read_text()))
+                   for v in lam] for name in sorted(CORPUS_POINTS)}
+    assert sum(map(len, lams.values())) > 0
+    assert all(v >= 0.0 for vs in lams.values() for v in vs), lams
 
 
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
