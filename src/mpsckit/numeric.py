@@ -354,8 +354,8 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
     appended after the split (NumericBreakdownError if unsolved); "rays": the
     signed extreme rays of the cone {[B | -B_free] v = 0, v >= 0} (rhs unused,
     needs tol), their parts clipped at 0 so that z_c >= 0 holds exactly where
-    nonneg[c], one per extreme nonzero combination; SizeCapError beyond the
-    enumeration caps.
+    nonneg[c], one per extreme nonzero combination (l1 > 1e-9: the two parts of a
+    free column cancel on one ray); SizeCapError beyond the enumeration caps.
     """
     B = np.asarray(B, float)
     n, k = B.shape
@@ -377,7 +377,8 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
         return lp_solve(None, A, rhs).status == "optimal"
     if mode == "rays":
         pol = Polyhedron.make(nc, A_eq=A, A_le=-np.eye(nc))
-        return [signed(np.maximum(v, 0.0)) for v in enumerate_generators(pol, tol).rays]
+        rays = [signed(np.maximum(v, 0.0)) for v in enumerate_generators(pol, tol).rays]
+        return [z for z in rays if np.abs(z).sum() > 1e-9]  # a free column's e_c + e_c' is 0
     if mode == "residual":
         c = np.concatenate([np.zeros(nc - 2 * n), np.ones(2 * n)])
         res = lp_solve(c, A, rhs)

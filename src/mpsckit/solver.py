@@ -3,10 +3,10 @@
 Every loop descends through _descent_batch, an Armijo line search batched
 over rows along the direction its objective callback returns; the callback
 evaluates the loop's items once per point and makes one kernel call per
-gradient.  project_branch_cloud projects by quadratic penalty, with damped
-Gauss-Newton steps (one stacked least-squares solve per iteration) at each
-penalty stage, plus a Gauss-Newton polish with one stacked least-squares
-solve per pattern of used constraints.
+gradient, asked only at the rows that moved.  project_branch_cloud projects
+by quadratic penalty with damped Gauss-Newton steps (in constraint space, one
+eigh_stack call per iteration) at each stage, plus a Gauss-Newton polish
+with one stacked least-squares solve per pattern of used constraints.
 solve_branch runs an augmented-Lagrangian loop over all starts, whose inner
 steps are Newton steps on the exact Hessian of the augmented Lagrangian
 (one derivatives call per gradient, then one eigh_stack call flooring the
@@ -84,25 +84,29 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
     objective(rows, Z) evaluates the loop's items at the given rows only (each
     row can carry its own anchor/multiplier state) and returns the objective
     values and V; objective(rows, Z, V, grad=True) reads cached values V (None:
-    evaluate them) and also returns the gradients g and the search directions
-    d (d is g for steepest descent).  A trial point is Z - t * d, accepted on
-    sufficient decrease along <g, d>; t starts at 1, halves on rejection and
-    doubles on acceptance up to t_max.  So the items are evaluated at the
-    start, unless the caller passes their values V at Y, then only at trial
-    points, each once per row: a rejected trial met again reuses its cached
-    values, and a row whose slope <g, d> is not above gtol^2 (or is NaN)
-    takes no trial.
+    evaluate them) and also returns the gradients g and search directions d
+    (d is g for steepest descent), fixed within one call: after the start only
+    rows that accepted a step are asked again (all in one call when all did).
+    A trial point is Z - t * d, accepted on sufficient decrease along <g, d>;
+    t starts at 1, halves on rejection and doubles on acceptance up to t_max.
+    So the items are evaluated at the start, unless the caller passes their
+    values V at Y, then only at trial points, each once per row: a rejected
+    trial met again reuses its cached values, and a row whose slope <g, d>
+    is not above gtol^2 (or is NaN) takes no trial.
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
-    rows_all = np.arange(N)
+    rows_all = moved = np.arange(N)
     t = np.ones(N)
     last = np.empty_like(Y)  # the last trial point of the rows in stuck
     stuck = np.zeros(N, bool)  # rows whose every halving failed last iteration
     ft, Vt = np.empty(N), None
     stall = 0
     for _ in range(iters):
-        f, V, g, d = objective(rows_all, Y, V, grad=True)
+        if moved.size == N:  # the start, or every row accepted: one full-batch call
+            f, V, g, d = objective(rows_all, Y, V, grad=True)
+        elif moved.size:  # an unmoved row keeps its exact f, g and d
+            f[moved], _, g[moved], d[moved] = objective(moved, Y[moved], V[moved], grad=True)
         slope = (g * d).sum(axis=1)  # |g|^2 for steepest descent; NaN: no trial
         live = slope > max(gtol * gtol, 1e-26)
         if not live.any():
@@ -129,6 +133,7 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
         decrease = float(abs(f[accept] - ft[accept]).max()) if accept.any() else 0.0
         stall = stall + 1 if decrease <= 1e-14 * (1.0 + float(abs(f).max())) else 0
         np.copyto(Y, trial, where=accept[:, None])
+        moved = accept.nonzero()[0]
         # after the last use of f, which may view V
         np.copyto(V, Vt, where=accept[:, None])
         np.minimum(t * 2.0, t_max, out=t, where=accept)
@@ -154,6 +159,22 @@ def _floored_newton(H, g):
     lam = np.maximum(lam, 1e-8 * (1.0 + lam.max(axis=1, keepdims=True)))
     d = (Q @ ((g[:, None, :] @ Q)[:, 0] / lam)[:, :, None])[:, :, 0]
     d[bad | ~np.isfinite(d).all(axis=1)] = np.nan
+    return d
+
+
+def _gauss_newton_step(Ju, b, c, sigma):
+    """Row-wise minimizers of |d - b|^2 + sigma |Ju d - c|^2, d = b - Ju^T M^-1 (Ju b - c)
+    with M = I / sigma + Ju Ju^T (Sherman-Morrison-Woodbury), from one eigh_stack of
+    Ju Ju^T, its eigenvalues clipped at 0 (exactly, they are >= 0) so M is never singular;
+    NaN (no trial) where Ju Ju^T (past |Ju| ~ 1e154) or d is not finite."""
+    JJ = Ju @ Ju.transpose(0, 2, 1)
+    ok = np.isfinite(JJ).all(axis=(1, 2))
+    A, (lam, Q) = Ju[ok], eigh_stack(JJ[ok])
+    u = (((A @ b[ok, :, None])[:, :, 0] - c[ok])[:, None, :] @ Q)[:, 0]
+    u = Q @ (u / (np.maximum(lam, 0.0) + 1.0 / sigma))[:, :, None]
+    d = np.full(b.shape, np.nan)
+    d[ok] = b[ok] - (A.transpose(0, 2, 1) @ u)[:, :, 0]
+    d[~np.isfinite(d).all(axis=1)] = np.nan
     return d
 
 
@@ -231,21 +252,9 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
         gated, Gp = _gate(gs, gp)
         J = P.jacobian(Z, gated + eqs)
         g = _add_gradients(2.0 * (Z - X0[rows]), J, 2.0 * sigma * Gp, 2.0 * sigma * ev)
-        # Gauss-Newton: d solves (I + sigma * sum_used grad c grad c^T) d = g / 2,
-        # over every equality and each inequality where it is violated, as the
-        # least-squares problem [I; sqrt(sigma) J_used] d = [Z - x0; sqrt(sigma) c],
-        # whose I rows keep it well posed however large sigma * |grad c|^2 is
-        r = np.sqrt(sigma)
+        # Gauss-Newton, in constraint space, over every equality and each violated inequality
         Ju = J * np.concatenate([Gp > 0.0, np.ones(ev.shape, bool)], axis=1)[:, :, None]
-        A = np.concatenate([np.broadcast_to(np.eye(P.n), (len(Z), P.n, P.n)),
-                            r * Ju], axis=1)
-        b = np.concatenate([Z - X0[rows], r * Gp, r * ev], axis=1)
-        ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-        d = np.full(Z.shape, np.nan)  # a non-finite system or step: no trial
-        if ok.any():
-            d[ok] = lstsq_stack(A[ok], b[ok])
-        d[~np.isfinite(d).all(axis=1)] = np.nan
-        return fv, V, g, d
+        return fv, V, g, _gauss_newton_step(Ju, Z - X0[rows], np.hstack([Gp, ev]), sigma)
 
     V = None  # items at Y, independent of sigma: each stage starts from the last's
     for sigma in SIGMA_SCHEDULE:

@@ -348,9 +348,25 @@ class TestCombinationLp:
             nonneg = rng.uniform(size=k) < 0.6
             for z in numeric.combination_lp(B, nonneg, None, "rays", TOL):
                 assert np.all(z[nonneg] >= 0.0), (B, nonneg, z)
+                assert np.abs(z).sum() > 1e-9, (B, nonneg)
                 assert np.linalg.norm(B @ z) <= 1e-9 * np.abs(B).sum()
                 count += 1
         assert count > 100
+
+    def test_no_zero_rays(self):
+        # splitting a free column c makes e_c + e_c' an extreme ray of the
+        # split cone, which signs to z = 0: one per free column, dropped here;
+        # {B z = 0, z_0 >= 0} is a half-plane, whose lineality comes back as
+        # a pair of opposite rays, and its edge directions
+        B = np.array([[1.0, 2.0, 0.5]])
+        rays = numeric.combination_lp(B, [True, False, False], None, "rays", TOL)
+        assert len(rays) == 4
+        for z in rays:
+            assert np.abs(z).sum() > 1e-9 and z[0] >= 0.0
+            assert abs(B[0] @ z) <= 1e-12
+        line = np.array([0.0, -1.0, 4.0]) / np.sqrt(17.0)  # B . line = 0, z_0 = 0
+        assert sum(min(np.linalg.norm(z - line), np.linalg.norm(z + line)) <= 1e-12
+                   for z in rays) == 2
 
     def test_no_columns(self):
         B = np.zeros((2, 0))

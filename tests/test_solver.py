@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import problem_path, project_branch
+from conftest import CORPUS_POINTS, problem_path, project_branch
+from scipy.linalg import lstsq as scipy_lstsq
 from scipy.optimize import minimize
 
 from mpsckit import cli, solver
@@ -53,6 +54,57 @@ class TestDescentBatch:
         assert np.array_equal(V, Y)  # the returned values are the final rows'
         assert np.all(np.sum(A * Y ** 2, axis=1) < np.sum(A * Y0 ** 2, axis=1))
 
+    def test_gradients_only_at_rows_that_moved(self):
+        # the objective is fixed within one call, so a row that accepted no
+        # step keeps its f, g and d: no row is asked for its gradient twice at
+        # one iterate (row 1 starts at the minimizer and is asked once), and
+        # each row comes out bit for bit as when it descends alone
+        A = np.array([1.0, 10.0])
+        asked = []
+
+        def objective(rows, Z, V=None, grad=False):
+            V = Z.copy() if V is None else V
+            f = 0.5 * np.sum(A * V ** 2, axis=1)
+            if grad:
+                asked.append((rows.copy(), Z.copy()))
+            return (f, V, A * Z, A * Z) if grad else (f, V)
+
+        Y0 = np.array([[1.0, 1.0], [0.0, 0.0], [-2.0, 0.5], [0.3, -0.7]])
+        Y, V = solver._descent_batch(objective, Y0, 8)
+        points = [(r, z.tobytes()) for rows, Z in asked for r, z in zip(rows, Z)]
+        assert len(points) == len(set(points))
+        assert [r for r, _ in points].count(1) == 1
+        assert len(asked) == 8 and np.array_equal(asked[0][0], np.arange(4))
+        assert all(0 < len(rows) < 4 for rows, _ in asked[1:])
+        alone = np.vstack([solver._descent_batch(objective, y[None], 8)[0] for y in Y0])
+        assert Y.tobytes() == alone.tobytes() and V.tobytes() == alone.tobytes()
+
+    def test_skipped_rows_leave_every_corpus_solve_unchanged(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # solve --json on the 8 corpus problems in both modes writes the same
+        # bytes (and the same stderr where it exits 2 and writes none) when
+        # every descent iteration re-evaluates every row
+        subset_calls = []
+
+        def runs():
+            out = []
+            for name in sorted(CORPUS_POINTS):
+                ones = ",".join("1" for _ in CORPUS_POINTS[name])
+                for extra in (["--mode", "enumerative"], ["--mode", "penalty", "--from", ones]):
+                    path = tmp_path / "out.json"
+                    path.unlink(missing_ok=True)
+                    code = cli.main(["solve", str(problem_path(name)), *extra,
+                                     "--json", str(path)])
+                    out.append((name, extra[1], code, capsys.readouterr().err,
+                                path.exists() and path.read_bytes()))
+            return out
+
+        want = runs()
+        monkeypatch.setattr(solver, "_descent_batch",
+                            full_gradients(solver._descent_batch, subset_calls))
+        assert runs() == want
+        assert sum(bool(w) for *_, w in want) == 14 and len(subset_calls) > 0
+
     def test_one_jacobian_call_per_iteration_on_ray2d(self, corpus, monkeypatch):
         # in a real branch solve every gradient is one "jh" kernel call (the
         # gradient rows and the Newton direction's Hessians of all its items);
@@ -97,6 +149,51 @@ class TestDescentBatch:
             assert all(calls == ["jh"] for calls in gradients[1:])
             assert all(times[point] == 1 for point in iterates)
         assert set(times.values()) == {1}
+
+
+def full_gradients(descent, subset_calls=None):
+    """descent with every gradient asked at every row: a gradient call at some
+    rows is answered from one full-batch call at the current rows, each of
+    which the loop last passed (at the start or when it moved), and is logged
+    in subset_calls."""
+    def forced(objective, Y, *args, **kw):
+        Y_all, V_all = np.array(Y, float), None
+
+        def full(rows, Z, V=None, grad=False):
+            nonlocal V_all
+            if not grad:
+                return objective(rows, Z, V)
+            if len(rows) < len(Y_all) and subset_calls is not None:
+                subset_calls.append(len(rows))
+            Y_all[rows] = Z
+            if V is not None:
+                V_all = np.array(V) if V_all is None else V_all
+                V_all[rows] = V
+            f, V_all, g, d = objective(np.arange(len(Y_all)), Y_all.copy(), V_all, grad=True)
+            return f[rows], V_all[rows], g[rows], d[rows]
+        return descent(full, Y, *args, **kw)
+    return forced
+
+
+def test_projection_steps_solve_through_eigh_stack():
+    # the stacked least squares (minimum-norm SVD steps) is the polish's
+    # alone; the projection's stage steps solve in constraint space through
+    # eigh_stack, as the ALM's Newton directions do
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(solver.__file__).parent.glob("*.py")}
+
+    def callers(name):
+        return sorted(f"{stem}.{fn.name}" for stem, tree in trees.items()
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      and any(isinstance(node, ast.Call)
+                              and name in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))
+                              for node in ast.walk(fn)))
+    assert callers("lstsq_stack") == ["solver._gauss_newton_polish"]
+    assert callers("eigh_stack") == ["solver._floored_newton", "solver._gauss_newton_step"]
+    # the projection's objective, nested in project_branch_cloud
+    assert callers("_gauss_newton_step") == ["solver.objective", "solver.project_branch_cloud"]
+
 
 def _np_call(node):
     """The dotted name of a call of np.<name> or np.linalg.<name>, else None."""
@@ -271,6 +368,119 @@ class TestProjectBranch:
         path.write_text(text)
         assert cli.main(["analyze", str(path), "--point", "0,0", "--with-penalty"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", ["1", "1e3", "1e5", "1e6"])
+    def test_duplicated_rows(self, scale):
+        # two equal equality rows and the inequality on the same plane make
+        # Ju Ju^T singular, and I / sigma + Ju Ju^T too in floating point at
+        # 1e5 and 1e6 (np.linalg.solve raises on it); with the eigenvalues
+        # clipped at 0 before 1 / sigma is added it never is
+        row = f"{scale} * x1 + {scale} * x2"
+        P = load_problem(f"vars x1 x2\nmin x1\neq {row}\neq {row}\nineq {row}\n",
+                         from_path=False)
+        Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.3, 0.7], [0.2, -0.6]], TOL)
+        assert np.allclose(Y, [[-0.2, 0.2], [0.4, -0.4]], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", ["1e150", "1e200", "1e300"])
+    def test_huge_gradients_land_on_the_plane(self, scale):
+        # past |grad c| ~ 1e154 Ju Ju^T overflows: those rows take no stage
+        # step, and the polish's least squares places them on the plane
+        P = load_problem(f"vars x1 x2\nmin x1\neq {scale} * x1 + {scale} * x2\n",
+                         from_path=False)
+        Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.3, 0.7], [0.2, -0.6]], TOL)
+        assert np.allclose(Y, [[-0.2, 0.2], [0.4, -0.4]], rtol=0.0, atol=1e-12)
+
+
+class TestGaussNewtonStep:
+    """The constraint-space step against scipy's least squares on the
+    n-column system [I; sqrt(sigma) Ju] d = [b; sqrt(sigma) c], one matrix at
+    a time."""
+
+    def _systems(self, rng, consistent):
+        # per point a scale 1e-3 to 1e3 and one of: a zero gradient row, an
+        # inequality row masked off (gradient and value zeroed, as where it
+        # holds) or a duplicated row (equal gradient and value); consistent
+        # values c = Ju y lie in the range of Ju, random ones need not
+        N, n, K = 8, int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        Ju = rng.normal(size=(N, K, n)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1, 1))
+        c = rng.normal(size=(N, K)) * 10.0 ** rng.uniform(-3, 3, size=(N, 1))
+        for r, kind in enumerate(rng.integers(4, size=N)):
+            k = int(rng.integers(K))
+            if kind in (1, 2):
+                Ju[r, k], c[r, k] = 0.0, (0.0 if kind == 2 else c[r, k])
+            elif kind == 3 and K > 1:
+                Ju[r, (k + 1) % K], c[r, (k + 1) % K] = Ju[r, k], c[r, k]
+        if consistent:
+            c = (Ju @ rng.normal(size=(N, n, 1)))[:, :, 0]
+        return Ju, rng.normal(size=(N, n)), c
+
+    def _compare(self, consistent):
+        """(|d - oracle|, oracle, sigma, Ju, c) for each system with
+        cond([I; sqrt(sigma) Ju]) <= 1e6."""
+        rng = np.random.default_rng(29 if consistent else 31)
+        out = []
+        for _ in range(150):
+            Ju, b, c = self._systems(rng, consistent)
+            for sigma in solver.SIGMA_SCHEDULE:
+                d = solver._gauss_newton_step(Ju, b, c, sigma)
+                for r in range(len(b)):
+                    A = np.vstack([np.eye(b.shape[1]), np.sqrt(sigma) * Ju[r]])
+                    if np.linalg.cond(A) > 1e6:
+                        continue
+                    ref = scipy_lstsq(A, np.concatenate([b[r], np.sqrt(sigma) * c[r]]))[0]
+                    out.append((np.linalg.norm(d[r] - ref), ref, sigma, Ju[r], c[r]))
+        return out
+
+    def test_matches_least_squares(self):
+        # zero, masked and duplicated rows at every stage's sigma: the two
+        # agree to 1e-9 relative wherever cond([I; sqrt(sigma) Ju]) <= 1e6
+        compared = self._compare(consistent=True)
+        assert len(compared) > 3000
+        for err, ref, *_ in compared:
+            assert err <= 1e-9 * np.linalg.norm(ref)
+
+    def test_inconsistent_values_cost_sigma_eps(self):
+        # the part of c outside the range of Ju does not move the minimizer,
+        # but the step reaches it through Ju^T q ~ eps |Ju| on the null
+        # eigenvectors q, weighted sigma: an error of about
+        # sigma * eps * |Ju| * |c|, 2e-10 at sigma = 1e6 on unit scales
+        eps = np.finfo(float).eps
+        compared = self._compare(consistent=False)
+        assert len(compared) > 3000
+        for err, ref, sigma, Ju, c in compared:
+            bound = sigma * eps * np.linalg.norm(Ju, 2) * np.linalg.norm(c)
+            assert err <= 1e3 * bound + 1e-9 * np.linalg.norm(ref)
+
+    def test_eigenvalues_rounded_below_zero_are_clipped(self, monkeypatch):
+        # rounding moves the zero eigenvalues of Ju Ju^T (here two: four rows
+        # in two variables) by up to about eps * its largest; one that lands
+        # on -1 / sigma would make M singular, but clipped at 0 it is harmless
+        rng = np.random.default_rng(5)
+        Ju = 1e3 * rng.normal(size=(3, 4, 2))
+        b, c = rng.normal(size=(3, 2)), (Ju @ rng.normal(size=(3, 2, 1)))[:, :, 0]
+        want = solver._gauss_newton_step(Ju, b, c, 1e6)
+        eigh_stack = solver.eigh_stack
+
+        def rounded(H):
+            lam, Q = eigh_stack(H)
+            return np.where(np.arange(lam.shape[1]) < 2, -1e-6, lam), Q
+
+        monkeypatch.setattr(solver, "eigh_stack", rounded)
+        got = solver._gauss_newton_step(Ju, b, c, 1e6)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_non_finite_rows_get_nan(self):
+        # a row whose Ju Ju^T overflows or is NaN takes no trial; the others
+        # keep their one-row bits
+        rng = np.random.default_rng(3)
+        Ju, b, c = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        Ju[1, 0, 0], Ju[2, 1, 2] = 1e200, np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = solver._gauss_newton_step(Ju, b, c, 1e4)
+            one = [solver._gauss_newton_step(Ju[r:r + 1], b[r:r + 1], c[r:r + 1], 1e4)[0]
+                   for r in (0, 3)]
+        assert np.isnan(d[[1, 2]]).all()
+        assert d[0].tobytes() == one[0].tobytes() and d[3].tobytes() == one[1].tobytes()
 
 
 def slsqp_projection(P, br, x0):
