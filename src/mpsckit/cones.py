@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InfeasiblePointError
 from .numeric import (RADII_FRACTIONS, Generators, Polyhedron, Tolerances, ball_offsets,
                       check_caps, combination_lp, cut_generators, enumerate_generators, nullspace,
-                      unit_rows)
+                      row_norms, unit_rows)
 from .problem import (Bipartition, BranchProblem, IndexSets, MpscProblem, bipartitions, branch,
                       index_sets)
 
@@ -79,7 +79,7 @@ class ConePiece:
         """Worst normalized constraint violation of a direction, or of each
         row of a stack of directions; zero rows are skipped."""
         d = np.asarray(d, float)
-        eq, le = np.linalg.norm(self.A_eq, axis=1), np.linalg.norm(self.A_le, axis=1)
+        eq, le = row_norms(self.A_eq), row_norms(self.A_le)
         r = np.concatenate([np.abs(d @ self.A_eq[eq > 0].T) / eq[eq > 0],
                             (d @ self.A_le[le > 0].T) / le[le > 0]], axis=-1)
         return np.max(r, axis=-1, initial=0.0)

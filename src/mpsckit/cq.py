@@ -310,14 +310,14 @@ def check_acq(ctx: PointContext) -> CqVerdict:
 def check_psoqn(ctx: PointContext) -> CqVerdict:
     """Search for singular multipliers; certify absence, else probe failure.
 
-    HOLDS is exact: no branch admits a nonzero (lambda >= 0, rho, mu, nu)
+    HOLDS is exact: no branch admits a nonzero (lambda >= 0 on I_g, rho, mu, nu)
     with vanishing constraint-gradient combination.  FAILS needs all three
     defining conditions witnessed at once; anything less is UNKNOWN.
     """
     P = ctx.P
     candidates = []
     for b in ctx.bipartitions:
-        items = branch_items(ctx, b.beta1, b.beta2, g_idx=range(P.m))
+        items = branch_items(ctx, b.beta1, b.beta2)
         try:
             rays = ctx.combination(items, np.zeros(P.n), "rays")
         except SizeCapError:
@@ -345,7 +345,7 @@ def _psoqn_second_order(ctx, b, m):
     """Constraint-Hessian combination PSD on the branch critical subspace."""
     piece = ConePiece.subspace(ctx.rows(branch_items(ctx, b.beta1, b.beta2)))
     qf = quadform_min_over_cone(lagrangian_hessian(ctx, m, include_objective=False), piece, ctx.tol)
-    return qf.value is None or qf.value >= -ctx.tol.tau_psd
+    return not qf.negative(ctx.tol)
 
 
 def _psoqn_sign_sequence(ctx, m):

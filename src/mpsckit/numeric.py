@@ -409,9 +409,21 @@ def check_caps(P: Polyhedron):
             f"polyhedron too large for enumeration ({n_con} constraints, dim {P.dim})")
 
 
+def row_norms(A) -> np.ndarray:
+    """The Euclidean norm of each row of A, rescaled by the row's largest entry
+    where the plain norm overflows, or underflows to 0 on a nonzero row."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(A, axis=-1)
+    for i in np.flatnonzero(~(nrm > 0.0) | (nrm == np.inf)):
+        s = np.max(np.abs(A[i]), initial=0.0)
+        if 0.0 < s < np.inf:
+            nrm[i] = s * np.linalg.norm(A[i] / s)
+    return nrm
+
+
 def unit_rows(A) -> np.ndarray:
     """A with each nonzero row scaled to unit norm."""
-    nrm = np.linalg.norm(A, axis=1, keepdims=True)
+    nrm = row_norms(A)[:, None]
     return A / np.where(nrm > 0.0, nrm, 1.0)
 
 
@@ -472,7 +484,7 @@ def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
     check_caps(P)
     n, q = P.dim, P.A_eq.shape[0]
     A, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
-    nrm = np.linalg.norm(A, axis=1)
+    nrm = row_norms(A)
     nrm[nrm == 0.0] = 1.0
     A, b = A / nrm[:, None], b / nrm
     L = nullspace(A, tol) if A.size else np.eye(n)

@@ -1,29 +1,33 @@
 """Second-order necessary conditions at an S-stationary point.
 
 Both conditions ask whether d^T hess_L(mult) d >= 0 on a cone, and both go
-through one routine, `quadform_min_over_cone`, one cone piece at a time:
-exact on a subspace piece by a projected eigensolve, sampled via conic
-combinations of generators elsewhere.  The strong condition's cone is the
-critical cone, piece by piece; the weak condition is the one-piece case of
-the critical subspace.  Both sweep the full S-multiplier polyhedron through
-its generators: the quadratic form is affine in the multiplier, so
+through one routine, `quadform_min_over_cone`, one cone piece at a time and
+exact on every piece: by a projected eigensolve on a subspace, by a
+copositivity test over the piece's generators elsewhere, and UNKNOWN only
+past a size cap.  The strong condition's cone is the critical cone, piece
+by piece; the weak condition is the one-piece case of the critical
+subspace.  Both sweep the full S-multiplier polyhedron through its
+generators: the quadratic form is affine in the multiplier, so
 nonnegativity at the vertices plus nonnegativity of the constraint-Hessian
-part along recession rays covers every multiplier.
+part along recession rays covers every multiplier.  Nothing here samples.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import ConePiece, PointContext
 from .errors import NotSStationaryError, SizeCapError
-from .numeric import Tolerances, eig_sym
+from .numeric import Tolerances, eig_sym, eigh_stack, unit_rows
 from .stationarity import (Multipliers, check_s_stationary, expand_multiplier,
                            lagrangian_hessian, s_multiplier_polyhedron)
 
 HOLDS, FAILS, UNKNOWN = "HOLDS", "FAILS", "UNKNOWN"
+
+COPOSITIVE_COLUMN_CAP = 16  # 2^16 - 1 principal submatrices
 
 MULTIPLIER_ARGUMENT = (
     "d^T hess_L(mult) d is affine in the multiplier, so nonnegativity at "
@@ -45,61 +49,54 @@ class SocVerdict:
 
 @dataclass
 class QuadFormResult:
-    value: float | None          # min of d^T Q d over unit directions (None: empty)
+    value: float | None          # see quadform_min_over_cone
     direction: np.ndarray | None
-    admitted: int
-    exact: bool
-    method: str                  # subspace_eig | generator_sweep | vacuous
+    method: str                  # vacuous | subspace_eig | copositivity
+
+    def negative(self, tol: Tolerances) -> bool:
+        """Whether some unit direction of the piece has d^T Q d < -tau_psd."""
+        return self.value is not None and self.value < -tol.tau_psd
 
 
-def quadform_min_over_cone(Q, piece: ConePiece, tol: Tolerances,
-                           rng=None) -> QuadFormResult:
-    """Estimate min d^T Q d over unit directions of a polyhedral cone piece.
+def quadform_min_over_cone(Q, piece: ConePiece, tol: Tolerances) -> QuadFormResult:
+    """Decide d^T Q d >= -tau_psd over the unit directions of a cone piece, exactly.
 
-    Vacuous (value None) on the origin; exact when the piece is a subspace
-    (projected eigensolve); otherwise the minimum over generators, pairwise
-    generator midpoints, random conic combinations and membership-filtered
-    sphere samples.  The returned value is attained by a concrete feasible
-    direction, hence an upper bound on the true minimum.
+    Vacuous (value None) on the origin.  On a subspace, the minimum and a
+    minimizer from a projected eigensolve.  Elsewhere, with the unit rays and
+    both signs of each lineality vector as the columns of G, the form holds
+    exactly when M = G^T (Q + tau_psd I) G is copositive (Kaplan 2000), and
+    value None says so.  The principal submatrices of M are searched by
+    increasing size, one eigh_stack per size: the smallest non-copositive
+    ones have one negative eigenvalue with a positive eigenvector (Cottle,
+    Habetler & Lemke 1970; Hadeler 1983), so the first whose clipped
+    eigenvector y gives a value below -tau_psd yields the witness G y / |G y|
+    and its value.  SizeCapError past COPOSITIVE_COLUMN_CAP columns.
     """
-    Q = np.asarray(Q, float)
-    n = Q.shape[0]
-    rng = rng or tol.rng("quadform")
-
     if piece.is_origin(tol):
-        return QuadFormResult(None, None, 0, True, "vacuous")
+        return QuadFormResult(None, None, "vacuous")
     if piece.is_subspace(tol):
         lin = piece.lineality_basis(tol)
         w, V = eig_sym(lin.T @ Q @ lin)
         d = lin @ V[:, 0]
-        return QuadFormResult(float(w[0]), d / np.linalg.norm(d),
-                              admitted=tol.n_samples, exact=True, method="subspace_eig")
+        return QuadFormResult(float(w[0]), d / np.linalg.norm(d), "subspace_eig")
 
-    rays = [r / np.linalg.norm(r) for r in piece.generators(tol).all_rays()]
-    dirs = list(rays)
-    for a in range(len(rays)):
-        for b in range(a + 1, len(rays)):
-            mid = rays[a] + rays[b]
-            nrm = np.linalg.norm(mid)
-            if nrm > 1e-9:
-                dirs.append(mid / nrm)
-    # random conic combinations stay inside the piece by construction
-    coeffs = rng.exponential(size=(tol.n_samples, len(rays)))
-    combo = coeffs @ np.array(rays)
-    nrm = np.linalg.norm(combo, axis=1)
-    good = nrm > 1e-12
-    dirs.extend(combo[good] / nrm[good, None])
-    # membership-filtered sphere samples catch anything the generators miss
-    sphere = rng.normal(size=(tol.n_samples, n))
-    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-    slack = tol.tau_feas * 2.0
-    dirs.extend(sphere[piece.contains(sphere, slack)])
-
-    D = np.array(dirs)
-    vals = np.einsum("ij,jk,ik->i", D, Q, D)
-    best = int(np.argmin(vals))
-    return QuadFormResult(float(vals[best]), D[best], admitted=len(dirs),
-                          exact=False, method="generator_sweep")
+    G = unit_rows(np.array(piece.generators(tol).all_rays())).T
+    k = G.shape[1]
+    if k > COPOSITIVE_COLUMN_CAP:
+        raise SizeCapError(f"{k} cone generators exceed the copositivity cap "
+                           f"of {COPOSITIVE_COLUMN_CAP}")
+    M = G.T @ (Q + tol.tau_psd * np.eye(len(Q))) @ G
+    for size in range(1, k + 1):
+        S = np.array(list(itertools.combinations(range(k), size)))
+        w, V = eigh_stack(M[S[:, :, None], S[:, None, :]])
+        Y, S = V[w[:, 0] < 0.0, :, 0], S[w[:, 0] < 0.0]
+        Y = np.clip(Y * np.sign(Y.sum(axis=1, keepdims=True)), 0.0, None)
+        D = unit_rows(np.einsum("nis,is->in", G[:, S], Y))  # a zero row stays 0
+        vals = np.einsum("ij,jk,ik->i", D, Q, D)
+        if np.any(vals < -tol.tau_psd):
+            i = int(np.argmax(vals < -tol.tau_psd))
+            return QuadFormResult(float(vals[i]), D[i], "copositivity")
+    return QuadFormResult(None, None, "copositivity")
 
 
 def _multiplier_sweep(ctx):
@@ -125,17 +122,15 @@ def _ray_witness_multiplier(ctx, vertex: Multipliers, ray: Multipliers,
     qv = float(d @ lagrangian_hessian(ctx, vertex) @ d)
     qr = float(d @ lagrangian_hessian(ctx, ray, include_objective=False) @ d)
     t = (abs(qv) + 1.0) / max(-qr, 1e-12)
-    lam_v, rho_v, mu_v, nu_v = vertex.as_arrays()
-    lam_r, rho_r, mu_r, nu_r = ray.as_arrays()
-    mult = Multipliers(tuple(lam_v + t * lam_r), tuple(rho_v + t * rho_r),
-                       tuple(mu_v + t * mu_r), tuple(nu_v + t * nu_r))
+    mult = Multipliers(*(tuple(v + t * r) for v, r in zip(vertex.as_arrays(), ray.as_arrays())))
     return mult, float(d @ lagrangian_hessian(ctx, mult) @ d)
 
 
 def _sonc(ctx: PointContext, kind: str, pieces) -> SocVerdict:
     """d^T hess_L(mult) d >= 0 on every piece for every S-multiplier, one
     `quadform_min_over_cone` per (multiplier, piece); a cone whose every
-    piece is the origin holds before any multiplier is enumerated."""
+    piece is the origin holds before any multiplier is enumerated, and a
+    piece past the size caps leaves the verdict UNKNOWN unless another fails."""
     tol = ctx.tol
     live = [(pi, piece) for pi, piece in enumerate(pieces) if not piece.is_origin(tol)]
     if not live:
@@ -144,41 +139,32 @@ def _sonc(ctx: PointContext, kind: str, pieces) -> SocVerdict:
     try:
         sweep = _multiplier_sweep(ctx)
     except SizeCapError as err:
-        return SocVerdict(kind, UNKNOWN, "sampled", evidence={"note": str(err)})
+        return SocVerdict(kind, UNKNOWN, "exact", evidence={"note": str(err)})
 
-    all_exact = True
-    low_coverage = []
-    piece_tags = []
+    piece_tags, capped = [], {}
     for gi, (mult, is_ray) in enumerate(sweep):
         Q = lagrangian_hessian(ctx, mult, include_objective=not is_ray)
         for pi, piece in live:
-            qf = quadform_min_over_cone(Q, piece, tol, rng=tol.rng("ssonc", gi, pi))
-            all_exact &= qf.exact
-            piece_tags.append({"piece": pi, "generator": gi, "method": qf.method,
-                               "admitted": qf.admitted})
-            if qf.value < -tol.tau_psd:
-                d = qf.direction
-                evidence = {"piece": pi, "method": qf.method}
+            try:
+                qf = quadform_min_over_cone(Q, piece, tol)
+            except SizeCapError as err:
+                capped[pi] = str(err)
+                continue
+            piece_tags.append({"piece": pi, "generator": gi, "method": qf.method})
+            if qf.negative(tol):
+                d, value, evidence = qf.direction, qf.value, {"piece": pi, "method": qf.method}
                 if is_ray:
                     mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
                     evidence["via_recession_ray"] = True
-                else:
-                    value = qf.value
                 assert piece.contains(d, tol.tau_feas * 2.0)
-                return SocVerdict(kind, FAILS, "exact" if qf.exact else "sampled",
-                                  witness={"multiplier": mult, "direction": d,
-                                           "value": value},
-                                  evidence=evidence)
-            if not qf.exact and qf.admitted < 32:
-                low_coverage.append(pi)
-    if low_coverage:
-        return SocVerdict(kind, UNKNOWN, "sampled",
-                          evidence={"low_coverage_pieces": sorted(set(low_coverage))})
-    return SocVerdict(kind, HOLDS, "exact" if all_exact else "sampled",
-                      evidence={"pieces": len(pieces),
-                                "sweeps": piece_tags,
-                                "multiplier_argument": MULTIPLIER_ARGUMENT,
-                                "seed": tol.seed})
+                return SocVerdict(kind, FAILS, "exact", evidence=evidence, witness={
+                    "multiplier": mult, "direction": d, "value": value})
+    if capped:
+        return SocVerdict(kind, UNKNOWN, "exact",
+                          evidence={"capped_pieces": sorted(capped),
+                                    "note": next(iter(capped.values()))})
+    return SocVerdict(kind, HOLDS, "exact", evidence={
+        "pieces": len(pieces), "sweeps": piece_tags, "multiplier_argument": MULTIPLIER_ARGUMENT})
 
 
 def check_wsonc(ctx: PointContext) -> SocVerdict:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mpsckit import cq
+from mpsckit.cones import ConePiece
 from mpsckit.stationarity import _lagrangian_terms
-from mpsckit.numeric import Tolerances
+from mpsckit.numeric import Tolerances, unit_rows
 from mpsckit.problem import OBJECTIVE, MpscProblem, load_problem
 from mpsckit.solver import lhs_starts, project_branch_cloud
 
@@ -84,6 +85,26 @@ def in_cone_union(cone, d, tol):
     d = np.asarray(d, float)
     slack = tol.tau_feas * (1.0 + np.linalg.norm(d))
     return any(piece.contains(d, slack) for piece in cone.pieces)
+
+
+def random_cut_piece(rng, trial):
+    """A seeded random piece cut from its parent, and the kind of its cut row:
+    parents pointed or with lineality, in dimensions 2 to 6, rows scaled by
+    1e-3 to 1e3; cut rows random, zero, parallel or opposite to a row, or the
+    negated sum of the unit inequality rows, which is positive on every ray
+    of a pointed parent."""
+    n = int(rng.integers(2, 7))
+    r = int(rng.integers(1, n)) if trial % 3 == 0 else n  # row rank
+    q, m = int(rng.integers(0, n - 1)), int(rng.integers(1, 2 * n + 2))
+    A_eq = rng.normal(size=(q, r)) @ rng.normal(size=(r, n))
+    A_le = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+    A_le *= 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    kind = ("random", "zero", "parallel", "opposite", "all cut")[trial % 5]
+    row = A_le[rng.integers(m)]
+    a = {"random": rng.normal(size=n), "zero": np.zeros(n), "parallel": 2.0 * row,
+         "opposite": -0.5 * row, "all cut": -np.sum(unit_rows(A_le), axis=0)}[kind]
+    return ConePiece(A_eq=A_eq, A_le=np.vstack([A_le, a]),
+                     parent=ConePiece(A_eq=A_eq, A_le=A_le)), kind
 
 
 def cq_table(ctx, with_psoqn=True):

@@ -121,6 +121,24 @@ class TestAnalyze:
             assert proc.returncode == 2, command
             assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("s", ["1e160", "1e200", "1e-170"])
+    def test_rows_whose_squares_leave_the_float_range(self, capsys, tmp_path, s):
+        # the inequality's gradient (2 s, 0) squares past the largest float or
+        # below the smallest nonzero one, and a RuntimeWarning fails the test;
+        # every verdict but LICQ's (whose rank cutoff is relative to the
+        # largest row) is the one at s = 1
+        def statuses(scale):
+            path, jpath = tmp_path / "p.mpsc", tmp_path / "report.json"
+            path.write_text(f"vars x1 x2\nmin x1^2\nineq {scale}*x1^2 - {scale}\n"
+                            "switch x1 | x2\n")
+            code, _, _ = run_cli(capsys, "analyze", str(path), "--point", "1,0",
+                                 "--with-penalty", "--json", str(jpath))
+            rep = json.loads(jpath.read_text())
+            assert (code, rep["errors"]) == (0, [])
+            return ({k: v["status"] for k, v in rep["verdicts"]["cq"].items() if k != "LICQ"},
+                    rep["errorbound"]["verdict"])
+        assert statuses(s) == statuses("1")
+
     def test_simplex_cap_is_reported_not_raised(self, capsys, monkeypatch, tmp_path):
         # every LP of the CLI runs inside a component that records MpscErrors:
         # analyze lists them and exits 1; cones runs no LP, and marks the

@@ -5,7 +5,7 @@ import pytest
 
 import basiswalk
 import rowwalk
-from conftest import CORPUS_POINTS, in_cone_union
+from conftest import CORPUS_POINTS, in_cone_union, random_cut_piece
 
 from mpsckit import cones, cq, numeric, report
 from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, PointContext
@@ -123,12 +123,6 @@ class TestCriticalCone:
         assert in_cone_union(C, [3.0, -4.0], TOL)
 
 
-def cut_piece(A_eq, A_le, a):
-    """The piece {A_eq d = 0, A_le d <= 0, a . d <= 0} cut from its parent."""
-    return ConePiece(A_eq=A_eq, A_le=np.vstack([A_le, a]),
-                     parent=ConePiece(A_eq=A_eq, A_le=A_le))
-
-
 class TestCutGenerators:
     """A cut piece's generators, cut from its parent's by one
     double-description step, against the enumeration of the cut piece
@@ -152,27 +146,13 @@ class TestCutGenerators:
         return got
 
     def test_random_pieces(self, monkeypatch):
-        # parents pointed or with lineality, in dimensions 2 to 6, rows
-        # scaled by 1e-3 to 1e3; cut rows random, zero, parallel or
-        # opposite to a row, or the negated sum of the unit inequality rows,
-        # which is positive on every ray of a pointed parent
         rng = np.random.default_rng(23)
         seen = set()
         for trial in range(400):
-            n = int(rng.integers(2, 7))
-            r = int(rng.integers(1, n)) if trial % 3 == 0 else n  # row rank
-            q, m = int(rng.integers(0, n - 1)), int(rng.integers(1, 2 * n + 2))
-            A_eq = rng.normal(size=(q, r)) @ rng.normal(size=(r, n))
-            A_le = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
-            A_le *= 10.0 ** rng.uniform(-3, 3, size=(m, 1))
-            kind = ("random", "zero", "parallel", "opposite", "all cut")[trial % 5]
-            row = A_le[rng.integers(m)]
-            a = {"random": rng.normal(size=n), "zero": np.zeros(n), "parallel": 2.0 * row,
-                 "opposite": -0.5 * row,
-                 "all cut": -np.sum(cones.unit_rows(A_le), axis=0)}[kind]
-            piece = cut_piece(A_eq, A_le, a)
+            piece, kind = random_cut_piece(rng, trial)
             got = self.assert_matches_enumeration(piece, monkeypatch)
             parent = piece.parent.generators(TOL)
+            n, a = piece.dim, piece.A_le[-1]
             R = np.reshape(parent.rays, (-1, n))
             s = R @ cones.unit_rows(a[None, :])[0]
             k = n - len(parent.lineality)

@@ -186,6 +186,20 @@ class TestEig:
             numeric.eig_sym([[0.0, 1.0], [0.0, 0.0]])
 
 
+class TestRowNorms:
+    def test_rows_whose_squares_leave_the_float_range(self):
+        # 3e200 and 3e-170 square to inf and to 0; a RuntimeWarning fails the test
+        A = np.array([[3e200, 4e200], [3e-170, -4e-170], [0.0, 0.0], [np.inf, 1.0]])
+        np.testing.assert_allclose(numeric.row_norms(A), [5e200, 5e-170, 0.0, np.inf],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(numeric.unit_rows(A[:3]), [[0.6, 0.8], [0.6, -0.8], [0, 0]],
+                                   rtol=1e-15)
+
+    def test_other_rows_keep_the_plain_norm_bit_for_bit(self):
+        A = np.random.default_rng(4).normal(size=(50, 5)) * 10.0 ** np.arange(-100, 100, 4)[:, None]
+        assert np.array_equal(numeric.row_norms(A), np.linalg.norm(A, axis=1))
+
+
 class TestLpSolve:
     """lp_solve's standard form: min c.z subject to A z = b, z >= 0."""
 

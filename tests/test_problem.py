@@ -526,11 +526,11 @@ def test_only_the_point_context_and_penalty_draw_neighbourhood_samples():
     # a point-level check reads ctx.shells, so its samples are drawn once per
     # context and are the ones every other check at the point reads; in cones
     # and cq the only other random draw is ACQ's weights of the interior
-    # directions of a cone piece, which samples no point
+    # directions of a cone piece, which samples no point; soc draws nothing
     offsets = _callers("ball_offsets")
     assert {name for name, _ in offsets} == {"cones.py", "penalty.py"}
     assert {fn for name, fn in offsets if name == "cones.py"} == {"shells"}
-    assert {c for c in _callers("rng") if c[0] in ("cones.py", "cq.py")} \
+    assert {c for c in _callers("rng") if c[0] in ("cones.py", "cq.py", "soc.py")} \
         == {("cones.py", "shells"), ("cq.py", "acq_directions")}
 
 
@@ -543,10 +543,11 @@ def test_the_cone_layer_runs_no_solver():
 
 
 def test_only_the_cone_quadratic_form_routine_eigensolves_in_soc_and_cq():
-    # WSONC, SSONC and PSOQN's curvature test all minimize d^T Q d over cone
-    # pieces through quadform_min_over_cone, the one projected eigensolve
-    assert {c for c in _callers("eig_sym") if c[0] in ("soc.py", "cq.py")} \
-        == {("soc.py", "quadform_min_over_cone")}
+    # WSONC, SSONC and PSOQN's curvature test all decide d^T Q d over cone
+    # pieces through quadform_min_over_cone: the projected eigensolve on a
+    # subspace and the copositivity test's stacked eigensolves elsewhere
+    assert {c for c in _callers("eig_sym") | _callers("eigh_stack")
+            if c[0] in ("soc.py", "cq.py")} == {("soc.py", "quadform_min_over_cone")}
 
 
 def test_the_critical_cone_is_built_only_by_the_point_context():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from conftest import in_cone_union
+from conftest import in_cone_union, random_cut_piece
 
 from mpsckit import cones, cq, soc
 from mpsckit.cones import ConePiece, PointContext
@@ -24,14 +25,16 @@ class TestQuadForm:
     def test_negative_definite_on_axis_subspace(self):
         piece = ConePiece(A_eq=np.array([[0.0, 1.0]]), A_le=np.zeros((0, 2)))
         qf = soc.quadform_min_over_cone(np.diag([-2.0, -2.0]), piece, TOL)
-        assert qf.exact and qf.method == "subspace_eig"
+        assert qf.method == "subspace_eig"
         assert qf.value == pytest.approx(-2.0, abs=1e-12)
         assert abs(qf.direction[0]) == pytest.approx(1.0)
 
     def test_identity_nonnegative_everywhere(self):
+        # a half-plane is no subspace, so the copositivity test decides it
         piece = ConePiece(A_eq=np.zeros((0, 2)), A_le=np.array([[-1.0, 0.0]]))
         qf = soc.quadform_min_over_cone(np.eye(2), piece, TOL)
-        assert qf.value >= 1.0 - 1e-9
+        assert (qf.method, qf.value, qf.direction) == ("copositivity", None, None)
+        assert not qf.negative(TOL)
 
     def test_indefinite_but_positive_on_subspace(self):
         piece = ConePiece(A_eq=np.array([[0.0, 1.0]]), A_le=np.zeros((0, 2)))
@@ -46,6 +49,115 @@ class TestQuadForm:
         piece = ConePiece(A_eq=np.eye(2), A_le=np.zeros((0, 2)))
         qf = soc.quadform_min_over_cone(np.eye(2), piece, TOL)
         assert qf.method == "vacuous" and qf.value is None
+
+
+def orthant_family(n):
+    """The nonnegative orthant of R^n and Q = I - 1.01 w w^T, w = (1, ..., n)/|.|:
+    the form is positive on every proper face of the orthant (each proper
+    subvector of w has squared norm below 1/1.01) and -0.01 at w, inside it."""
+    w = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+    return ConePiece(A_eq=np.zeros((0, n)), A_le=-np.eye(n)), np.eye(n) - 1.01 * np.outer(w, w)
+
+
+def simplex_min(M, rng, starts=40):
+    """min y^T M y over the unit simplex by SLSQP from every vertex and from
+    `starts` random points: the oracle for copositivity of M."""
+    k = len(M)
+    simplex = ({"type": "eq", "fun": lambda y: y.sum() - 1.0, "jac": lambda y: np.ones(k)},)
+    best = np.inf
+    for y0 in np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=starts)]):
+        y = minimize(lambda y: y @ M @ y, y0, jac=lambda y: 2.0 * M @ y, method="SLSQP",
+                     bounds=[(0.0, None)] * k, constraints=simplex).x.clip(0.0)
+        best = min(best, (y @ M @ y) / y.sum() ** 2)
+    return best
+
+
+class TestCopositivity:
+    """The exact test on pieces that are not subspaces."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_the_orthant_family_fails_inside_the_piece(self, n):
+        # the sampled sweep this test replaced read -0.0015 at n = 4 and
+        # +0.0035 at n = 5
+        piece, Q = orthant_family(n)
+        qf = soc.quadform_min_over_cone(Q, piece, TOL)
+        assert qf.method == "copositivity" and qf.negative(TOL)
+        d = qf.direction
+        assert piece.contains(d, 1e-12)
+        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        assert qf.value == pytest.approx(d @ Q @ d, abs=1e-15)
+        assert qf.value <= -0.005
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_the_orthant_family_fails_ssonc_exactly(self, n):
+        # min 1/2 x^T Q x over x >= 0: the critical cone at 0 is the orthant
+        _, Q = orthant_family(n)
+        names = [f"x{i + 1}" for i in range(n)]
+        f = " + ".join(f"{float(0.5 * Q[i, j])!r}*{names[i]}*{names[j]}"
+                       for i in range(n) for j in range(n)).replace("+ -", "- ")
+        P = load_problem(f"vars {' '.join(names)}\nmin {f}\n"
+                         + "".join(f"ineq -{v}\n" for v in names), from_path=False)
+        v = soc.check_ssonc(PointContext(P, [0.0] * n, TOL))
+        assert (v.status, v.mode, v.evidence["method"]) == ("FAILS", "exact", "copositivity")
+        assert np.all(np.asarray(v.witness["direction"]) >= 0.0)
+        assert v.witness["value"] <= -0.005
+
+    def test_random_pieces_agree_with_an_optimizer_over_the_simplex(self):
+        # d^T Q d >= 0 on cone(G) exactly when y^T G^T Q G y >= 0 on the simplex;
+        # the oracle decides the sign wherever its minimum clears 10 tau_psd
+        rng = np.random.default_rng(5)
+        seen = set()
+        for trial in range(150):
+            piece, _ = random_cut_piece(rng, trial)
+            n = piece.dim
+            B = rng.normal(size=(n, n))
+            Q = 0.5 * (B + B.T) + rng.uniform(0.0, 3.0) * np.eye(n)
+            if piece.is_subspace(TOL):
+                continue
+            G = np.array(piece.generators(TOL).all_rays()).T
+            if G.shape[1] > soc.COPOSITIVE_COLUMN_CAP:
+                with pytest.raises(SizeCapError):
+                    soc.quadform_min_over_cone(Q, piece, TOL)
+                seen.add("capped")
+                continue
+            qf = soc.quadform_min_over_cone(Q, piece, TOL)
+            if qf.negative(TOL):
+                assert piece.contains(qf.direction, 1e-9)
+                assert qf.direction @ Q @ qf.direction == pytest.approx(qf.value, abs=1e-12)
+            oracle = simplex_min(G.T @ Q @ G, rng)
+            if abs(oracle) > 10.0 * TOL.tau_psd:
+                assert qf.negative(TOL) == (oracle < 0.0), (trial, qf, oracle)
+                seen.add("FAILS" if oracle < 0.0 else "HOLDS")
+        assert seen == {"FAILS", "HOLDS", "capped"}
+
+    def test_a_piece_past_the_cap_is_unknown_and_named(self):
+        # six rays and six lineality directions: 18 columns
+        names = [f"x{i}" for i in range(1, 13)]
+        P = load_problem(f"vars {' '.join(names)}\nmin "
+                         + " + ".join(f"{v}^2" for v in names) + "\n"
+                         + "".join(f"ineq -{v}\n" for v in names[:6]), from_path=False)
+        ctx = PointContext(P, [0.0] * 12, TOL)
+        assert len(ctx.critical.pieces[0].generators(TOL).all_rays()) == 18
+        v = soc.check_ssonc(ctx)
+        assert (v.status, v.witness) == ("UNKNOWN", None)
+        assert v.evidence == {"capped_pieces": [0], "note": "18 cone generators exceed "
+                              f"the copositivity cap of {soc.COPOSITIVE_COLUMN_CAP}"}
+        # the critical subspace {x1 = ... = x6 = 0} is decided exactly
+        assert soc.check_wsonc(ctx).status == "HOLDS"
+
+    @pytest.mark.parametrize("f, status, evidence", [
+        # piece 0 (lineality e1) is capped and fails nowhere else: UNKNOWN
+        ("-x1^2", "UNKNOWN", {"capped_pieces": [0],
+                              "note": "3 cone generators exceed the copositivity cap of 2"}),
+        # piece 1 fails along e2, so the capped piece 0 hides nothing
+        ("-x2^2", "FAILS", {"piece": 1, "method": "copositivity"}),
+    ])
+    def test_a_capped_piece_hides_no_failing_piece(self, monkeypatch, f, status, evidence):
+        monkeypatch.setattr(soc, "COPOSITIVE_COLUMN_CAP", 2)
+        P = load_problem(f"vars x1 x2 x3\nmin {f}\nineq -x2\nineq -x3\nswitch x1 | x2\n",
+                         from_path=False)
+        v = soc.check_ssonc(PointContext(P, [0.0] * 3, TOL))
+        assert (v.status, v.evidence) == (status, evidence)
 
 
 class TestWsonc:
@@ -73,11 +185,10 @@ class TestWsonc:
         assert (v.status, v.mode, v.witness) == ("HOLDS", "exact", None)
         # the critical subspace is the one piece, decided once per generator
         assert v.evidence == {"pieces": 1,
-                              "sweeps": [{"piece": 0, "generator": gi, "method": "subspace_eig",
-                                          "admitted": TOL.n_samples}
+                              "sweeps": [{"piece": 0, "generator": gi, "method": "subspace_eig"}
                                          for gi in range(generators)],
                               "multiplier_argument": soc.MULTIPLIER_ARGUMENT,
-                              "seed": TOL.seed, "subspace_dim": dim}
+                              "subspace_dim": dim}
 
     def test_unconstrained_concave_fails(self):
         P = load_problem("vars x\nmin -x^2\n", from_path=False)
@@ -142,7 +253,7 @@ class TestSsonc:
         P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n", from_path=False)
         ctx = PointContext(P, [0.0, 0.0], TOL)
         v = soc.check_ssonc(ctx)
-        assert v.status == "FAILS"
+        assert (v.status, v.mode, v.evidence["method"]) == ("FAILS", "exact", "copositivity")
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-9)
         np.testing.assert_allclose(v.witness["direction"], [-1.0, 0.0], atol=1e-9)
         pcrsc = cq.check_pcrsc(ctx)

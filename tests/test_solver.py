@@ -178,7 +178,7 @@ def full_gradients(descent, subset_calls=None):
 def test_projection_steps_solve_through_eigh_stack():
     # the stacked least squares (minimum-norm SVD steps) is the polish's
     # alone; the projection's stage steps solve in constraint space through
-    # eigh_stack, as the ALM's Newton directions do
+    # eigh_stack, as the ALM's Newton directions and soc's copositivity test do
     trees = {path.stem: ast.parse(path.read_text())
              for path in Path(solver.__file__).parent.glob("*.py")}
 
@@ -190,7 +190,8 @@ def test_projection_steps_solve_through_eigh_stack():
                                            getattr(node.func, "attr", None))
                               for node in ast.walk(fn)))
     assert callers("lstsq_stack") == ["solver._gauss_newton_polish"]
-    assert callers("eigh_stack") == ["solver._floored_newton", "solver._gauss_newton_step"]
+    assert callers("eigh_stack") == ["soc.quadform_min_over_cone", "solver._floored_newton",
+                                     "solver._gauss_newton_step"]
     # the projection's objective, nested in project_branch_cloud
     assert callers("_gauss_newton_step") == ["solver.objective", "solver.project_branch_cloud"]
 
