@@ -199,12 +199,9 @@ class BranchProblem:
     @np.errstate(over="ignore")  # callers reject a non-finite residual
     def residual_of(self, V):
         """residual from the values of equalities() + every g, in that order."""
-        p = self.problem.p
-        q = p + len(self.eq_G)
-        r = q + len(self.eq_H)
+        r = self.problem.p + len(self.eq_G) + len(self.eq_H)
         return np.sqrt(np.sum(np.maximum(V[..., r:], 0.0) ** 2, axis=-1)
-                       + np.sum(V[..., :p] ** 2, axis=-1)
-                       + np.sum(V[..., p:q] ** 2, axis=-1) + np.sum(V[..., q:r] ** 2, axis=-1))
+                       + np.sum(V[..., :r] ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 Every loop descends through _descent_batch, an Armijo line search batched
 over rows along the direction its objective callback returns; the callback
 evaluates the loop's items once per point and makes one kernel call per
-gradient, asked only at the rows that moved.  project_branch_cloud projects
-by quadratic penalty with damped Gauss-Newton steps (in constraint space, one
-eigh_stack call per iteration) at each stage, plus a Gauss-Newton polish
-with one stacked least-squares solve per pattern of used constraints.
-solve_branch runs an augmented-Lagrangian loop over all starts, whose inner
-steps are Newton steps on the exact Hessian of the augmented Lagrangian
-(one derivatives call per gradient, then one eigh_stack call flooring the
-eigenvalues to keep it positive definite); both take steps that start at 1
-and never exceed it.
+gradient, asked only at the rows that moved.  Every row stops on its own
+and no step reads another row, so a row's result does not depend on its
+batch.  project_branch_cloud projects by quadratic penalty with damped
+Gauss-Newton steps (in constraint space, one eigh_stack call per iteration)
+at each stage, plus a Gauss-Newton polish with one stacked least-squares
+solve per iteration over all live rows.
+solve_branch runs an augmented-Lagrangian loop over all starts, freezing
+each once it is done or diverged, whose inner steps are Newton steps on the
+exact Hessian of the augmented Lagrangian (one derivatives call per
+gradient, then one eigh_stack call flooring the eigenvalues to keep it
+positive definite); both take steps that start at 1 and never exceed it.
 solve_penalty_descent minimizes f + kappa * residual along the gradient
 (the residual is a nonsmooth square root), then polishes on its
 incumbent's branch.  The enumerative solver keeps the best feasible branch
@@ -86,39 +88,36 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
     values and V; objective(rows, Z, V, grad=True) reads cached values V (None:
     evaluate them) and also returns the gradients g and search directions d
     (d is g for steepest descent), fixed within one call: after the start only
-    rows that accepted a step are asked again (all in one call when all did).
+    rows that accepted a step and go on are asked again (in one call when all did).
     A trial point is Z - t * d, accepted on sufficient decrease along <g, d>;
     t starts at 1, halves on rejection and doubles on acceptance up to t_max.
     So the items are evaluated at the start, unless the caller passes their
-    values V at Y, then only at trial points, each once per row: a rejected
-    trial met again reuses its cached values, and a row whose slope <g, d>
-    is not above gtol^2 (or is NaN) takes no trial.
+    values V at Y, then only at trial points.  Each row stops on its own, so
+    it comes out the same in any batch: when its slope <g, d> is not above
+    gtol^2 (or is NaN), when all 30 halvings of a step are rejected, or after
+    three steps in a row that each lower its f by at most 1e-14 * (1 + |f|).
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
     rows_all = moved = np.arange(N)
     t = np.ones(N)
-    last = np.empty_like(Y)  # the last trial point of the rows in stuck
-    stuck = np.zeros(N, bool)  # rows whose every halving failed last iteration
+    on = np.ones(N, bool)  # rows still descending
+    flat = np.zeros(N, int)  # each row's run of steps with a negligible decrease
     ft, Vt = np.empty(N), None
-    stall = 0
     for _ in range(iters):
         if moved.size == N:  # the start, or every row accepted: one full-batch call
             f, V, g, d = objective(rows_all, Y, V, grad=True)
         elif moved.size:  # an unmoved row keeps its exact f, g and d
             f[moved], _, g[moved], d[moved] = objective(moved, Y[moved], V[moved], grad=True)
         slope = (g * d).sum(axis=1)  # |g|^2 for steepest descent; NaN: no trial
-        live = slope > max(gtol * gtol, 1e-26)
-        if not live.any():
+        on &= slope > max(gtol * gtol, 1e-26)
+        if not on.any():
             break
         Vt = np.empty_like(V) if Vt is None else Vt
         trial = Y - t[:, None] * d
-        rows = live.nonzero()[0]
-        if stuck.any():  # a first trial that is the last rejected one reuses ft, Vt
-            rows = rows[~(stuck[rows] & (trial[rows] == last[rows]).all(axis=1))]
-        if rows.size:
-            ft[rows], Vt[rows] = objective(rows, trial[rows])
-        need = live & (ft > f - ARMIJO_C * t * slope)
+        rows = on.nonzero()[0]
+        ft[rows], Vt[rows] = objective(rows, trial[rows])
+        need = on & (ft > f - ARMIJO_C * t * slope)
         for _ in range(30):  # a row outside need keeps its t, so its trial
             if not need.any():
                 break
@@ -127,19 +126,14 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
             rows = need.nonzero()[0]
             ft[rows], Vt[rows] = objective(rows, trial[rows])
             need &= ft > f - ARMIJO_C * t * slope
-        stuck = need
-        np.copyto(last, trial, where=need[:, None])
-        accept = live & ~need
-        decrease = float(abs(f[accept] - ft[accept]).max()) if accept.any() else 0.0
-        stall = stall + 1 if decrease <= 1e-14 * (1.0 + float(abs(f).max())) else 0
+        accept = on & ~need
+        flat = np.where(f - ft <= 1e-14 * (1.0 + abs(f)), flat + 1, 0)
+        on = accept & (flat < 3)
         np.copyto(Y, trial, where=accept[:, None])
-        moved = accept.nonzero()[0]
+        moved = on.nonzero()[0]
         # after the last use of f, which may view V
         np.copyto(V, Vt, where=accept[:, None])
         np.minimum(t * 2.0, t_max, out=t, where=accept)
-        np.maximum(t, 1e-18, out=t, where=need)
-        if stall >= 3:
-            break
     return Y, V
 
 
@@ -166,11 +160,14 @@ def _gauss_newton_step(Ju, b, c, sigma):
     """Row-wise minimizers of |d - b|^2 + sigma |Ju d - c|^2, d = b - Ju^T M^-1 (Ju b - c)
     with M = I / sigma + Ju Ju^T (Sherman-Morrison-Woodbury), from one eigh_stack of
     Ju Ju^T, its eigenvalues clipped at 0 (exactly, they are >= 0) so M is never singular;
-    NaN (no trial) where Ju Ju^T (past |Ju| ~ 1e154) or d is not finite."""
+    NaN (no trial) where Ju Ju^T (past |Ju| ~ 1e154) or d is not finite.  The part of
+    Ju b - c on eigenvalues at most K eps max(lambda) (K rows) is dropped: Ju^T maps it
+    to 0 exactly, but weighted up to sigma it would carry the eigenvectors' rounding."""
     JJ = Ju @ Ju.transpose(0, 2, 1)
     ok = np.isfinite(JJ).all(axis=(1, 2))
     A, (lam, Q) = Ju[ok], eigh_stack(JJ[ok])
     u = (((A @ b[ok, :, None])[:, :, 0] - c[ok])[:, None, :] @ Q)[:, 0]
+    u[lam <= Ju.shape[1] * np.finfo(float).eps * lam.max(axis=1, keepdims=True, initial=0.0)] = 0.0
     u = Q @ (u / (np.maximum(lam, 0.0) + 1.0 / sigma))[:, :, None]
     d = np.full(b.shape, np.nan)
     d[ok] = b[ok] - (A.transpose(0, 2, 1) @ u)[:, :, 0]
@@ -196,31 +193,25 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
 
     Values, and gradients where used (every equality, an inequality only where
     violated), are evaluated in batches over the live rows; the least-squares
-    steps on the equalities then the violated inequalities are solved in one
-    stack per pattern of used constraints, and a non-finite step is skipped.
+    steps of all live rows are solved in one stack per iteration, over every
+    equality then every inequality, an unused one a zero row with value 0, so
+    a row's step does not depend on the other rows; a non-finite step is skipped.
     """
     P = br.problem
     cons = br.equalities() + [("g", i) for i in range(P.m)]
-    n_eq = len(cons) - P.m
+    is_eq = np.arange(len(cons)) < len(cons) - P.m
     X = np.array(X, float)
     for _ in range(POLISH_ITERS):
         V = P.values(X, cons)
         live = np.where(br.residual_of(V) > max(tol.tau_feas * 1e-6, 1e-15))[0]
         if live.size == 0:
             break
-        vals = V[live]
-        use = (vals > 0.0) | (np.arange(len(cons)) < n_eq)
-        J = np.zeros(vals.shape + (P.n,))
+        use = is_eq | (V[live] > 0.0)
+        J = np.zeros(use.shape + (P.n,))
         for j, it in enumerate(cons):
-            if np.any(use[:, j]):
+            if use[:, j].any():
                 J[use[:, j], j] = P.jacobian(X[live[use[:, j]]], [it])[:, 0]
-        step = np.full((live.size, P.n), np.nan)
-        todo = use.any(axis=1)
-        while todo.any():  # one stacked solve per pattern of used constraints
-            pattern = use[todo.argmax()]
-            rows = todo & (use == pattern).all(axis=1)
-            step[rows] = lstsq_stack(J[rows][:, pattern], vals[rows][:, pattern])
-            todo &= ~rows
+        step = lstsq_stack(J, np.where(use, V[live], 0.0))
         ok = np.isfinite(step).all(axis=1)
         if not ok.any():
             break
@@ -236,25 +227,26 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
     and never exceeds it), then polishes with Gauss-Newton.  Rows that end
     infeasible are the caller's to filter.
     """
-    gs = [("g", i) for i in range(P.m)]
-    eqs = br.equalities()
+    items = [("g", i) for i in range(P.m)] + br.equalities()
+    is_eq = np.arange(len(items)) >= P.m
     X0 = np.atleast_2d(np.asarray(X0, float))
     Y = X0.copy()
 
     def objective(rows, Z, V=None, grad=False):  # at the current stage's sigma
-        V = P.values(Z, gs + eqs) if V is None else V
-        gp = np.maximum(V[:, :P.m], 0.0)
-        ev = V[:, P.m:]
-        fv = ((Z - X0[rows]) ** 2).sum(axis=1) \
-            + sigma * ((gp ** 2).sum(axis=1) + (ev ** 2).sum(axis=1))
+        V = P.values(Z, items) if V is None else V
+        c = np.where(is_eq, V, np.maximum(V, 0.0))
+        fv = ((Z - X0[rows]) ** 2).sum(axis=1) + sigma * (c ** 2).sum(axis=1)
         if not grad:
             return fv, V
-        gated, Gp = _gate(gs, gp)
-        J = P.jacobian(Z, gated + eqs)
-        g = _add_gradients(2.0 * (Z - X0[rows]), J, 2.0 * sigma * Gp, 2.0 * sigma * ev)
-        # Gauss-Newton, in constraint space, over every equality and each violated inequality
-        Ju = J * np.concatenate([Gp > 0.0, np.ones(ev.shape, bool)], axis=1)[:, :, None]
-        return fv, V, g, _gauss_newton_step(Ju, Z - X0[rows], np.hstack([Gp, ev]), sigma)
+        # Gauss-Newton, in constraint space, over every equality and each violated
+        # inequality: a zero row where an inequality holds keeps Ju's width fixed
+        used = is_eq | (c > 0.0)
+        cols = used.any(axis=0)  # gradients only of the items some row uses
+        Ju = np.zeros(c.shape + (P.n,))
+        Ju[:, cols] = P.jacobian(Z, [it for it, u in zip(items, cols) if u])
+        Ju *= used[:, :, None]
+        g = _add_gradients(2.0 * (Z - X0[rows]), Ju, 2.0 * sigma * c)
+        return fv, V, g, _gauss_newton_step(Ju, Z - X0[rows], c, sigma)
 
     V = None  # items at Y, independent of sigma: each stage starts from the last's
     for sigma in SIGMA_SCHEDULE:
@@ -277,12 +269,14 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     sigma = np.full(N, 10.0)
     prev_res = np.full(N, np.inf)
     kkt = np.full(N, np.inf)
-    X_prev = V = None
+    V = np.empty((N, 1 + len(eqs) + len(gs)))
+    act = np.arange(N)  # the rows neither done nor diverged; the others are frozen
     outer_used = 0
 
     def objective(rows, Z, V=None, grad=False):  # at the current sigma, rho and lam
         V = P.values(Z, [OBJECTIVE] + eqs + gs) if V is None else V
         fv, ev, gv = V[:, 0], V[:, 1:1 + len(eqs)], V[:, 1 + len(eqs):]
+        rows = act[rows]
         s = sigma[rows]
         w = np.maximum(0.0, lam[rows] + s[:, None] * gv)
         if ev.size:
@@ -309,28 +303,30 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
 
     for _ in range(MAX_OUTER):
         outer_used += 1
-        # the items at X do not depend on sigma, rho or lam: the next descent reuses V
-        X, V = _descent_batch(objective, X, MAX_INNER, gtol=0.1 * TAU_KKT, V=V, t_max=1.0)
-        res = br.residual_of(V[:, 1:])  # eqs + gs at X
-        rho = rho + sigma[:, None] * V[:, 1:1 + len(eqs)]
-        lam = np.maximum(0.0, lam + sigma[:, None] * V[:, 1 + len(eqs):])
+        # the items at X do not depend on sigma, rho or lam: after the first
+        # descent each starts from the values the last returned
+        first = outer_used == 1
+        Xa, Va = _descent_batch(objective, X[act], MAX_INNER, gtol=0.1 * TAU_KKT,
+                                V=None if first else V[act], t_max=1.0)
+        moved = np.full(act.size, np.inf) if first else np.linalg.norm(Xa - X[act], axis=1)
+        X[act], V[act] = Xa, Va
+        res = br.residual_of(Va[:, 1:])  # eqs + gs at X[act]
+        rho[act] += sigma[act, None] * Va[:, 1:1 + len(eqs)]
+        lam[act] = np.maximum(0.0, lam[act] + sigma[act, None] * Va[:, 1 + len(eqs):])
 
-        J = P.jacobian(X, [OBJECTIVE] + eqs + gs)
-        kkt_vec = _add_gradients(J[:, 0], J[:, 1:], rho, lam)
-        kkt = np.linalg.norm(kkt_vec, axis=1)
-        moved = np.linalg.norm(X - X_prev, axis=1) if X_prev is not None \
-            else np.full(N, np.inf)
-        X_prev = X.copy()
+        J = P.jacobian(Xa, [OBJECTIVE] + eqs + gs)
+        kkt[act] = np.linalg.norm(_add_gradients(J[:, 0], J[:, 1:], rho[act], lam[act]), axis=1)
         # a stalled iterate on the feasible set is accepted even without a
         # small KKT residual (branch minimizers need not be KKT points)
-        done = ((kkt <= TAU_KKT) | (moved <= 1e-9 * (1.0 + np.linalg.norm(X, axis=1)))) \
-            & (res <= tol.tau_feas)
-        diverged = np.linalg.norm(X, axis=1) > 1e8
-        if np.all(done | diverged):
+        size = np.linalg.norm(Xa, axis=1)
+        done = ((kkt[act] <= TAU_KKT) | (moved <= 1e-9 * (1.0 + size))) & (res <= tol.tau_feas)
+        keep = ~done & (size <= 1e8)
+        act, res = act[keep], res[keep]
+        if act.size == 0:
             break
-        grow = ~done & (res > 0.25 * prev_res)
+        grow = act[res > 0.25 * prev_res[act]]
         sigma[grow] = np.minimum(sigma[grow] * PENALTY_GROWTH, 1e12)
-        prev_res = np.minimum(prev_res, res)
+        prev_res[act] = np.minimum(prev_res[act], res)
 
     X = _gauss_newton_polish(br, X, tol)
     res = br.residual(X)

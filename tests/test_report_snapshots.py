@@ -8,6 +8,9 @@ checkout, with
 
     PYTHONPATH=src python tests/test_report_snapshots.py
 
+which prints each golden file whose bytes changed and exits 1, naming the
+JSON path, if any `status`, `verdict` or `mode` value (or an exit code) moved.
+
 tests/data/snapshots/ holds the other commands' JSON, written the same way
 with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
 origins, `errorbound --json` on a FAILS and a HOLDS instance, and
@@ -122,12 +125,48 @@ def test_command_json_matches_snapshot(name, tmp_path):
     assert got == _snapshot_file(name, code).read_bytes()
 
 
+def _verdicts(node, path="$"):
+    """{JSON path: value} of every status, verdict and mode key of a parsed
+    document, however deep."""
+    out = {}
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("status", "verdict", "mode"):
+                out[f"{path}.{key}"] = value
+            out.update(_verdicts(value, f"{path}.{key}"))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            out.update(_verdicts(value, f"{path}[{i}]"))
+    return out
+
+
+def _rewrite(path, got):
+    """Write one golden file and print it if its bytes changed; returns the
+    JSON paths of the status, verdict and mode values that moved."""
+    old = path.read_bytes() if path.exists() else None
+    if old == got:
+        return []
+    path.write_bytes(got)
+    print(path.relative_to(DATA_DIR.parent.parent))
+    if old is None or path.suffix != ".json":
+        return []
+    before, after = _verdicts(json.loads(old)), _verdicts(json.loads(got))
+    return [f"{path.name}: {key} {before.get(key)!r} -> {after.get(key)!r}"
+            for key in sorted(before.keys() | after.keys()) if before.get(key) != after.get(key)]
+
+
 if __name__ == "__main__":  # rewrite the golden files; pytest never runs this
+    # prints each file whose bytes changed; exits 1 if a status, verdict or
+    # mode value or an exit code moved, so a regeneration cannot hide one
+    moved = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CORPUS_POINTS):
-            (REPORT_DIR / f"{name}.json").write_bytes(_json_bytes(_report_argv(name), tmp)[1])
+            moved += _rewrite(REPORT_DIR / f"{name}.json", _json_bytes(_report_argv(name), tmp)[1])
         for name, (want_code, argv) in sorted(SNAPSHOTS.items()):
             code, got = _json_bytes(argv, tmp)
-            _snapshot_file(name, code).write_bytes(got)
+            moved += _rewrite(_snapshot_file(name, code), got)
             if code != want_code:
-                print(f"{name}: exit {code}, expected {want_code}", file=sys.stderr)
+                moved.append(f"{name}: exit {code}, expected {want_code}")
+    for line in moved:
+        print(f"moved: {line}", file=sys.stderr)
+    sys.exit(1 if moved else 0)

@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from mpsckit import cli, solver
 from mpsckit.numeric import Tolerances, ball_offsets
+from mpsckit.penalty import nearest_feasible
 from mpsckit.problem import (Bipartition, BranchProblem, MpscProblem, all_branches,
                              branch, index_sets, load_problem)
 from mpsckit.report import annotate_stationarity
@@ -112,8 +113,8 @@ class TestDescentBatch:
         # gradient, each later one starts from the values the last returned,
         # and no (row, point) pair is evaluated twice over the whole solve:
         # each iterate's values come from one evaluation (at the start or as
-        # the accepted trial), and a row whose backtracking failed reuses its
-        # last rejected trial's values when that point comes round again
+        # the accepted trial), and a row whose backtracking failed stops, so
+        # it never meets its last rejected trial again
         kinds, descents, evaluated = [], [], []
         evaluate, descent = MpscProblem._evaluate, solver._descent_batch
 
@@ -441,16 +442,14 @@ class TestGaussNewtonStep:
             assert err <= 1e-9 * np.linalg.norm(ref)
 
     def test_inconsistent_values_cost_sigma_eps(self):
-        # the part of c outside the range of Ju does not move the minimizer,
-        # but the step reaches it through Ju^T q ~ eps |Ju| on the null
-        # eigenvectors q, weighted sigma: an error of about
-        # sigma * eps * |Ju| * |c|, 2e-10 at sigma = 1e6 on unit scales
-        eps = np.finfo(float).eps
+        # the part of c outside the range of Ju does not move the minimizer;
+        # kept, it would reach the step through Ju^T q ~ eps |Ju| on the null
+        # eigenvectors q, weighted sigma (3% of the solution on one system
+        # here), but its eigencomponents at rounding level are dropped
         compared = self._compare(consistent=False)
         assert len(compared) > 3000
-        for err, ref, sigma, Ju, c in compared:
-            bound = sigma * eps * np.linalg.norm(Ju, 2) * np.linalg.norm(c)
-            assert err <= 1e3 * bound + 1e-9 * np.linalg.norm(ref)
+        for err, ref, *_ in compared:
+            assert err <= 1e-7 * np.linalg.norm(ref)
 
     def test_eigenvalues_rounded_below_zero_are_clipped(self, monkeypatch):
         # rounding moves the zero eigenvalues of Ju Ju^T (here two: four rows
@@ -510,7 +509,9 @@ def slsqp_on_branch(P, br, x0, fun, jac):
 
 
 def polish_per_row(br, X, tol, iters=40):
-    """Reference Gauss-Newton polish: one point and one constraint at a time."""
+    """Reference Gauss-Newton polish: one point and one constraint at a time,
+    each step the least squares over every equality then every inequality,
+    one that holds a zero row with value 0."""
     P = br.problem
     X = np.array(X, float)
     for _ in range(iters):
@@ -524,11 +525,8 @@ def polish_per_row(br, X, tol, iters=40):
             vals = [P.values(x, [it])[0] for it in br.equalities()]
             for i in range(P.m):
                 v = P.values(x, [("g", i)])[0]
-                if v > 0.0:
-                    rows.append(P.jacobian(x, [("g", i)])[0])
-                    vals.append(v)
-            if not rows:
-                continue
+                rows.append(P.jacobian(x, [("g", i)])[0] if v > 0.0 else np.zeros(P.n))
+                vals.append(v if v > 0.0 else 0.0)
             step, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
             if np.all(np.isfinite(step)):
                 X[idx] = x - step
@@ -578,7 +576,7 @@ class TestGaussNewtonPolish:
 
     def test_batched_equals_per_row_with_mixed_use_patterns(self):
         # one iteration's live rows use the equality alone, with either
-        # inequality, or with both: four stacked solves side by side
+        # inequality, or with both: four patterns in one stacked solve
         P = load_problem("vars x1 x2 x3\nmin x3\nineq x1^2 - 1\nineq x2 - 1\n"
                          "eq x3 - x1*x2\n", from_path=False)
         br = all_branches(P)[0]
@@ -594,8 +592,7 @@ class TestGaussNewtonPolish:
     def test_polish_work_counts(self, capsys, monkeypatch):
         # analyze --with-penalty on wedge3d and ray2d: the polish makes no
         # per-row np.linalg.lstsq call, and in each iteration one stacked
-        # solve per distinct pattern of used constraints among its live
-        # rows, over that pattern's rows and constraints
+        # solve over all of its live rows and all of the branch's constraints
         iterations, lstsq_calls = [], []
         residual_of, lstsq_stack, lstsq = (BranchProblem.residual_of,
                                            solver.lstsq_stack, np.linalg.lstsq)
@@ -603,15 +600,12 @@ class TestGaussNewtonPolish:
         def counted_residual_of(self, V):  # once per polish iteration
             res = residual_of(self, V)
             if sys._getframe(1).f_code.co_name == "_gauss_newton_polish":
-                live = res > max(TOL.tau_feas * 1e-6, 1e-15)
-                use = (V[live] > 0.0) | (np.arange(V.shape[1]) < len(self.equalities()))
-                patterns = Counter(tuple(u) for u in use if u.any())
-                iterations.append((sorted((rows, sum(u)) for u, rows in patterns.items()), []))
+                live = int((res > max(TOL.tau_feas * 1e-6, 1e-15)).sum())
+                iterations.append(([(live, V.shape[1])] if live else [], []))
             return res
 
-        def counted_stack(A, b):  # the projection's stages solve stacks too
-            if sys._getframe(1).f_code.co_name == "_gauss_newton_polish":
-                iterations[-1][1].append(A.shape[:2])
+        def counted_stack(A, b):
+            iterations[-1][1].append(A.shape[:2])
             return lstsq_stack(A, b)
 
         def counted_lstsq(*args, **kw):
@@ -626,9 +620,52 @@ class TestGaussNewtonPolish:
             assert cli.main(["analyze", path, "--point", point, "--with-penalty"]) == 0
         capsys.readouterr()
         assert "_gauss_newton_polish" not in lstsq_calls
-        assert sum(len(want) >= 3 for want, _ in iterations) >= 4
+        assert sum(bool(want) and want[0][0] >= 3 for want, _ in iterations) >= 4
         for want, got in iterations:
-            assert sorted(got) == want
+            assert got == want
+
+
+class TestBatchInvariance:
+    """A row's result does not depend on the rows batched with it: no stop
+    rule or step of a solver loop reads another row, so each row comes out
+    bit for bit the same alone, in its batch and in a permuted batch."""
+
+    @staticmethod
+    def _assert_rowwise(run, X):
+        """run(X) returns arrays indexed by row; each row's entries have the
+        same bytes from X whole, from X permuted and from the row alone."""
+        perm = np.random.default_rng(1).permutation(len(X))
+        batches = [run(X), [out[np.argsort(perm)] for out in run(X[perm])]]
+        for i in range(len(X)):
+            alone = [out[0].tobytes() for out in run(X[i:i + 1])]
+            for outs in batches:
+                assert [out[i].tobytes() for out in outs] == alone, (i, X[i])
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_POINTS))
+    def test_projection_rows(self, name, corpus):
+        # rows at three distances from the origin, as the error-bound probe's
+        P = corpus[name]
+        rng = np.random.default_rng(17)
+        X = np.vstack([ball_offsets(rng, 6, P.n, r) for r in (0.5, 0.05, 0.005)])
+        for br in all_branches(P):
+            self._assert_rowwise(lambda Z: [solver.project_branch_cloud(P, br, Z, TOL)], X)
+
+    def test_ray2d_point_among_40_rows(self, corpus):
+        # (0.0025, 0) was 1.4e-13 farther from F projected alone than with 40 other rows
+        P = corpus["ray2d"]
+        X = np.vstack([[0.0025, 0.0], ball_offsets(np.random.default_rng(3), 40, 2, 0.01)])
+        self._assert_rowwise(lambda Z: list(nearest_feasible(P, Z, TOL, all_branches(P))), X)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_POINTS))
+    def test_solve_branch_start_rows(self, name, corpus):
+        # the start sets solve_branch draws at the origin and at all ones:
+        # final rows, KKT residuals, residuals and statuses
+        P = corpus[name]
+        for br in all_branches(P):
+            for x0 in (np.zeros(P.n), np.ones(P.n)):
+                starts = np.vstack([x0, solver.lhs_starts(TOL.rng("solve", br.label()),
+                                                          solver.LHS_STARTS, x0, solver.START_BOX)])
+                self._assert_rowwise(lambda Z: solver._alm_batch(P, br, Z, TOL)[:4], starts)
 
 
 class TestSolveBranch:
