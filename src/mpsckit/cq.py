@@ -1,15 +1,15 @@
 """Constraint-qualification checkers with three-valued verdicts.
 
 Neighbourhood quantifiers ("there is a ball where the rank is constant")
-are undecidable numerically, so every rank-constancy check samples three
-shrinking radii and labels a positive verdict as sampled evidence rather
-than proof.  One sampled rank routine, `rank_constancy`, decides WCR, PWCR,
-PCRSC and each RCRCQ subset triple, each family sliced out of one
-active-family Jacobian on the context's shells, so all are probed at the
-same points.  ACQ tests the linearization cone's own directions for
-tangency by the ratio dist(x + t d, F) / t over shrinking t, the distances
-through the branches at x.  The implication lattice then completes the verdict
-table and cross-checks the direct results for contradictions.
+are undecidable numerically.  One rank routine, `rank_constancy`, decides
+WCR, PWCR, PCRSC and each RCRCQ subset triple: a family of full rank at x
+with a clear margin on unit rows, or of constant gradients, is certified
+without a sample; any other is sliced out of one active-family Jacobian on
+the context's three shrinking shells, the same points for all, and its
+positive verdict is sampled evidence.  ACQ tests the linearization cone's
+own directions for tangency by the ratio dist(x + t d, F) / t over shrinking
+t, through the branches at x.  The implication lattice then completes the
+verdict table and cross-checks the direct results for contradictions.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from . import penalty as pen
 from .cones import ConePiece, PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
+from .expr import Const
 from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch, unit_rows
 from .problem import Bipartition
 from .soc import quadform_min_over_cone
@@ -56,7 +57,7 @@ class CqVerdict:
 
 
 # ---------------------------------------------------------------------------
-# gradient families and sampled rank constancy
+# gradient families and rank constancy
 # ---------------------------------------------------------------------------
 
 def _thin_rank(M, tol):
@@ -66,15 +67,24 @@ def _thin_rank(M, tol):
 
 
 def rank_constancy(ctx: PointContext, items) -> dict:
-    """Sampled rank constancy near x of a gradient family within the active
-    family, sliced from the active-family Jacobians on `ctx.shells`, which
-    are evaluated once per context.
+    """Rank constancy near x of a gradient family within the active family: certified
+    with no sample (`because`, n_samples 0) when its unit rows have rank min(len(items),
+    n) with a clear margin, as rank is lower semicontinuous, or its gradient trees are
+    constants; otherwise sampled on `ctx.shells`, whose Jacobians one context shares.
 
     Returns a dict with constant (bool), base rank, witness sample (if any),
     and a thin_margin flag for fragile decisions near the rank cutoff.
     """
-    tol = ctx.tol
-    r0, _, thin = _thin_rank(ctx.rows(items), tol)
+    tol, rows = ctx.tol, ctx.rows(items)
+    r0, _, thin = _thin_rank(rows, tol)
+    rep = {"constant": True, "rank": r0, "witness": None, "thin_margin": thin,
+           "n_samples": 0, "radii": [tol.eps_ball * f for f in RADII_FRACTIONS], "seed": tol.seed}
+    ru, _, ru_thin = _thin_rank(unit_rows(rows), tol)
+    if ru == min(len(items), ctx.P.n) and not ru_thin:
+        return {**rep, "rank": ru, "thin_margin": False,
+                "because": "full rank at x; rank is lower semicontinuous"}
+    if all(isinstance(d, Const) for it in items for d in ctx.P.gradient_trees[it]):
+        return {**rep, "because": "constant gradients"}
     active = active_items(ctx)
     sel = [active.index(it) for it in items]
     tensors = ctx.once("shell jacobians", lambda: [ctx.P.jacobian(X, active) for X in ctx.shells])
@@ -91,9 +101,8 @@ def rank_constancy(ctx: PointContext, items) -> dict:
             break
         if witness:
             break
-    return {"constant": witness is None, "rank": r0, "witness": witness,
-            "thin_margin": thin, "n_samples": tol.n_samples,
-            "radii": [tol.eps_ball * f for f in RADII_FRACTIONS], "seed": tol.seed}
+    return {**rep, "constant": witness is None, "witness": witness, "thin_margin": thin,
+            "n_samples": tol.n_samples}
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +110,9 @@ def rank_constancy(ctx: PointContext, items) -> dict:
 # ---------------------------------------------------------------------------
 
 def check_licq(ctx: PointContext) -> CqVerdict:
-    """Linear independence of the active gradient family; a thin rank margin reads UNKNOWN."""
+    """Linear independence of the active gradients, on unit rows; a thin margin reads UNKNOWN."""
     items = active_items(ctx)
-    r, margin, thin = _thin_rank(ctx.rows(items), ctx.tol)
+    r, margin, thin = _thin_rank(unit_rows(ctx.rows(items)), ctx.tol)
     status = UNKNOWN if thin else HOLDS if r == len(items) else FAILS
     thin = {"thin_margin": True, "margin": margin} if thin else {}
     return CqVerdict("LICQ", status, "exact",
@@ -121,19 +130,14 @@ def check_wcr(ctx: PointContext) -> CqVerdict:
 def check_pwcr(ctx: PointContext) -> CqVerdict:
     """Per-bipartition sampled constant rank of the branch families."""
     reports = []
-    any_thin = False
     for b in ctx.bipartitions:
         rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2))
         rep["bipartition"] = [list(b.beta1), list(b.beta2)]
         reports.append(rep)
-        any_thin |= rep["thin_margin"]
         if not rep["constant"]:
             return CqVerdict("PWCR", FAILS, "sampled",
                              {"bipartitions": reports, "witness": rep["witness"]})
-    status = UNKNOWN if any_thin else HOLDS
-    return CqVerdict("PWCR", status, "sampled",
-                     {"bipartitions": reports, "n_samples": ctx.tol.n_samples,
-                      "seed": ctx.tol.seed})
+    return _kept_rank("PWCR", reports, ctx.tol, bipartitions=reports)
 
 
 def check_rcrcq(ctx: PointContext) -> CqVerdict:
@@ -144,19 +148,25 @@ def check_rcrcq(ctx: PointContext) -> CqVerdict:
         return CqVerdict("RCRCQ", UNKNOWN, "sampled",
                          {"note": f"{n_triples} subset triples exceed the cap"})
     gh_subsets = list(_subsets(I.I_GH))
-    any_thin = False
+    reports = []
     for I1, I3, I4 in itertools.product(_subsets(I.I_g), gh_subsets, gh_subsets):
         rep = rank_constancy(ctx, branch_items(ctx, I3, I4, g_idx=I1))
-        any_thin |= rep["thin_margin"]
+        reports.append(rep)
         if not rep["constant"]:
             w = rep["witness"]
             return CqVerdict("RCRCQ", FAILS, "sampled", {
                 "triple": {"I1": list(I1), "I3": list(I3), "I4": list(I4)},
                 "witness": {"point": w["point"], "rank": w["rank"], "base_rank": rep["rank"]},
                 "seed": tol.seed})
-    status = UNKNOWN if any_thin else HOLDS
-    return CqVerdict("RCRCQ", status, "sampled",
-                     {"triples_checked": n_triples, "n_samples": tol.n_samples,
+    return _kept_rank("RCRCQ", reports, tol, triples_checked=n_triples)
+
+
+def _kept_rank(name, reports, tol, **evidence):
+    """The sampled verdict of families that all kept their rank: HOLDS, or UNKNOWN
+    when a rank decision was thin; n_samples is 0 when every family was certified."""
+    status = UNKNOWN if any(r["thin_margin"] for r in reports) else HOLDS
+    return CqVerdict(name, status, "sampled",
+                     {**evidence, "n_samples": max(r["n_samples"] for r in reports),
                       "seed": tol.seed})
 
 
@@ -191,7 +201,6 @@ def i_g_minus(ctx: PointContext, b: Bipartition):
 def check_pcrsc(ctx: PointContext) -> CqVerdict:
     """Per-bipartition constant rank with g restricted to I_g^-."""
     reports = []
-    any_thin = False
     any_mismatch = False
     for b in ctx.bipartitions:
         igm, cross = i_g_minus(ctx, b)
@@ -201,7 +210,6 @@ def check_pcrsc(ctx: PointContext) -> CqVerdict:
         rep["I_g_minus"] = list(igm)
         rep["crosscheck"] = cross
         reports.append(rep)
-        any_thin |= rep["thin_margin"]
         if not rep["constant"] and cross["agree"]:
             return CqVerdict("PCRSC", FAILS, "sampled",
                              {"bipartitions": reports, "witness": rep["witness"]})
@@ -209,10 +217,7 @@ def check_pcrsc(ctx: PointContext) -> CqVerdict:
         return CqVerdict("PCRSC", UNKNOWN, "sampled",
                          {"bipartitions": reports,
                           "note": "I_g^- LP and I_0 cross-check disagree"})
-    status = UNKNOWN if any_thin else HOLDS
-    return CqVerdict("PCRSC", status, "sampled",
-                     {"bipartitions": reports, "n_samples": ctx.tol.n_samples,
-                      "seed": ctx.tol.seed})
+    return _kept_rank("PCRSC", reports, ctx.tol, bipartitions=reports)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,8 @@ def compile_kernel(exprs):
     Every node applies the numpy operation of a node-by-node walk of the tree to the
     same operand types (constants as np.full arrays, or as float literals where an
     output column or an array's +, -, * reads them; powers as `base ** float(k)`), so
-    the values are the walk's to the bit.  The first error is the one a walk of tree
+    the values are the walk's to the bit; the constant output columns are stored in
+    one assignment ahead of the first tree.  The first error is the one a walk of tree
     after tree meets: a non-finite X, then the domain checks in walk order (a failed
     one first reports the first non-finite output of the trees already computed),
     then the outputs' one finiteness check.  A node is computed once per operation
@@ -357,9 +358,14 @@ def compile_kernel(exprs):
             return bind(f"np.{e.fn}({a})", (e.fn, a, e.offset) if e.fn in _DOMAIN else None)
         raise TypeError(f"not an Expr: {e!r}")
 
+    consts = {k: e.value for k, e in enumerate(exprs) if isinstance(e, Const)}
     for e in exprs:
-        code.append(f"out[:, {len(offsets)}] = {emit(e, True)}")
+        if not isinstance(e, Const):
+            code.append(f"out[:, {len(offsets)}] = {emit(e, True)}")
         offsets.append(e.offset)
+    if consts:
+        code.insert(0, f"out[:, {list(consts)}] = {list(consts.values())}" if len(consts) > 1
+                    else "out[:, {}] = ({!r})".format(*consts.popitem()))
     if exprs:
         code.insert(0, "if not np.isfinite(X).all(): "
                        "raise EvalDomainError('evaluation point must be finite')")

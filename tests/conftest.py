@@ -33,6 +33,20 @@ def load(name):
     return load_problem(str(problem_path(name)))
 
 
+def scaled_text(name, c):
+    """A corpus problem with every ineq, eq and switch side multiplied by c."""
+    out = []
+    for line in problem_path(name).read_text().splitlines():
+        head, _, rest = line.partition(" ")
+        if head in ("ineq", "eq"):
+            line = f"{head} {c}*({rest})"
+        elif head == "switch":
+            a, _, b = rest.partition("|")
+            line = f"switch {c}*({a.strip()}) | {c}*({b.strip()})"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 def _objective_only(e, n):
     """A problem whose only expression is the objective e."""
     return MpscProblem(n, tuple(f"x{j + 1}" for j in range(n)), e, (), (), ())

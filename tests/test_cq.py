@@ -4,12 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS, checked_acq_directions, cq_table, problem_path
+from conftest import CORPUS_POINTS, checked_acq_directions, cq_table, scaled_text
 from mpsckit import cones, cq, penalty
 from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
 from mpsckit.errors import LatticeContradictionError
-from mpsckit.numeric import Tolerances
+from mpsckit.numeric import Tolerances, rank_tol_batch
 from mpsckit.problem import Bipartition, MpscProblem, load_problem
 
 TOL = Tolerances()
@@ -49,6 +49,17 @@ class TestLicq:
                                     "RCRCQ": cq.check_rcrcq(ctx)})
         assert [(table[n].status, table[n].mode) for n in ("LICQ", "WCR", "RCRCQ")] == \
             [("UNKNOWN", "exact"), ("UNKNOWN", "sampled"), ("UNKNOWN", "sampled")]
+
+    @pytest.mark.parametrize("s", ["1e-170", "1e-12", "1e-9", "1", "1e7", "1e8", "1e9",
+                                   "1e12", "1e50", "1e160", "1e200"])
+    def test_the_scale_of_a_row_moves_no_rank_verdict(self, s):
+        # the active gradients (2s, 0) and (0, 1) are independent at every
+        # s > 0; on raw rows LICQ cut the smaller one off, or read a thin margin
+        P = load_problem(f"vars x1 x2\nmin x1^2\nineq {s}*x1^2 - {s}\nswitch x1 | x2\n",
+                         from_path=False)
+        ctx = PointContext(P, [1.0, 0.0], TOL)
+        assert [cq.CHECKERS[name](ctx).status for name in ("LICQ", "WCR", "PWCR", "RCRCQ")] \
+            == ["HOLDS"] * 4
 
 
 class TestWcr:
@@ -170,20 +181,6 @@ class TestPcrsc:
 
 GOLDEN_ACQ = {name: json.loads((REPORT_DIR / f"{name}.json").read_text())
               ["verdicts"]["cq"]["ACQ"]["status"] for name in CORPUS_POINTS}
-
-
-def scaled_text(name, c):
-    """A corpus problem with every ineq, eq and switch side multiplied by c."""
-    out = []
-    for line in problem_path(name).read_text().splitlines():
-        head, _, rest = line.partition(" ")
-        if head in ("ineq", "eq"):
-            line = f"{head} {c}*({rest})"
-        elif head == "switch":
-            a, _, b = rest.partition("|")
-            line = f"switch {c}*({a.strip()}) | {c}*({b.strip()})"
-        out.append(line)
-    return "\n".join(out) + "\n"
 
 
 class TestAcq:
@@ -351,25 +348,32 @@ class TestSampleWork:
         monkeypatch.setattr(MpscProblem, name, counting)
         return calls
 
-    def test_rcrcq_makes_three_batch_jacobian_calls(self, corpus, monkeypatch):
+    # the corpus problems where some rank family is neither of full rank at
+    # x nor of constant gradients, so the four rank checks sample
+    SAMPLING = {"wedge3d", "tilted_sheet3d", "ray2d", "parabola_sheet3d", "crossplanes3d",
+                "pinch2d"}
+
+    def test_rcrcq_makes_at_most_three_batch_jacobian_calls(self, corpus, monkeypatch):
         calls = self.batch_calls(monkeypatch, "jacobian")
         triples = []
         for name, P in corpus.items():
             calls.clear()
             ctx = PointContext(P, CORPUS_POINTS[name], TOL)
             cq.check_rcrcq(ctx)
-            assert calls == [TOL.n_samples] * 3, name
+            assert calls == [TOL.n_samples] * 3 * (name in self.SAMPLING), name
             triples.append(2 ** len(ctx.I.I_g) * 4 ** len(ctx.I.I_GH))
         assert max(triples) >= 16
 
-    def test_rank_checks_share_three_batch_jacobian_calls(self, corpus, monkeypatch):
+    def test_rank_checks_share_at_most_three_batch_jacobian_calls(self, corpus, monkeypatch):
         calls = self.batch_calls(monkeypatch, "jacobian")
         for name, P in corpus.items():
             calls.clear()
             ctx = PointContext(P, CORPUS_POINTS[name], TOL)
-            for check in (cq.check_wcr, cq.check_pwcr, cq.check_rcrcq, cq.check_pcrsc):
-                check(ctx)
-            assert calls == [TOL.n_samples] * 3, name
+            verdicts = [check(ctx) for check in (cq.check_wcr, cq.check_pwcr, cq.check_rcrcq,
+                                                 cq.check_pcrsc)]
+            assert calls == [TOL.n_samples] * 3 * (name in self.SAMPLING), name
+            if name not in self.SAMPLING:  # and the evidence says no sample was drawn
+                assert [v.evidence["n_samples"] for v in verdicts] == [0] * 4, name
 
     def test_psoqn_reads_the_context_shells(self, corpus, monkeypatch):
         seen = []
@@ -394,6 +398,43 @@ class TestSampleWork:
         calls.clear()
         v = cq.check_psoqn(PointContext(corpus["pinch2d"], [0.0, 0.0], TOL))
         assert v.evidence["candidates"] == 12 and calls == [TOL.n_samples] * 3
+
+
+class TestRankCertificate:
+    @staticmethod
+    def rank_reports(corpus, monkeypatch):
+        """(context, family, rank_constancy's result) of every family the
+        four rank checks test at the corpus points."""
+        seen, original = [], cq.rank_constancy
+
+        def recording(ctx, items):
+            seen.append((ctx, items, original(ctx, items)))
+            return seen[-1][2]
+        monkeypatch.setattr(cq, "rank_constancy", recording)
+        for name, P in corpus.items():
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            for check in (cq.check_wcr, cq.check_pwcr, cq.check_rcrcq, cq.check_pcrsc):
+                check(ctx)
+        return seen
+
+    def test_a_certified_family_keeps_its_rank_at_every_sample(self, corpus, monkeypatch):
+        # the oracle is the sampled path the certificate skips
+        because = []
+        for ctx, items, rep in self.rank_reports(corpus, monkeypatch):
+            if "because" not in rep:
+                assert rep["n_samples"] == TOL.n_samples
+                continue
+            because.append(rep["because"])
+            assert (rep["constant"], rep["witness"], rep["n_samples"]) == (True, None, 0)
+            for X in ctx.shells:
+                assert np.all(rank_tol_batch(ctx.P.jacobian(X, items), TOL) == rep["rank"])
+        assert because.count("full rank at x; rank is lower semicontinuous") == 73
+        assert because.count("constant gradients") == 5
+
+    def test_a_real_rank_drop_is_still_sampled(self, corpus):
+        v = cq.check_wcr(PointContext(corpus["tilted_sheet3d"], [0.0, 0.0, 0.0], TOL))
+        assert (v.status, v.mode) == ("FAILS", "sampled")
+        assert v.evidence["witness"] and "because" not in v.evidence
 
 
 class TestLattice:

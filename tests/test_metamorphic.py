@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS, problem_path
+from conftest import CORPUS_POINTS, problem_path, scaled_text
 
 from mpsckit import penalty, report
 from mpsckit.numeric import Tolerances
@@ -17,16 +17,18 @@ TOL = Tolerances()
 CONSTRAINT = re.compile(r"(ineq|eq|switch) ")
 
 
-def statuses(text, x):
-    """Every status of `analyze` on the problem text at x, keyed by its path
-    in the report, and the error bound's verdict."""
-    P = load_problem(text, from_path=False)
+def analyze_statuses(P, x):
+    """Every status of `analyze` on P at x, keyed by its path in the report."""
     rep = report.analyze(P, x, TOL)
     assert rep["errors"] == []
-    out = {f"{group}.{name}": v["status"] for group, table in rep["verdicts"].items()
-           for name, v in table.items() if isinstance(v, dict) and "status" in v}
-    out["errorbound"] = penalty.error_bound_probe(P, x, TOL).verdict
-    return out
+    return {f"{group}.{name}": v["status"] for group, table in rep["verdicts"].items()
+            for name, v in table.items() if isinstance(v, dict) and "status" in v}
+
+
+def statuses(text, x):
+    """Every status of `analyze` on the problem text at x and the error bound's verdict."""
+    P = load_problem(text, from_path=False)
+    return {**analyze_statuses(P, x), "errorbound": penalty.error_bound_probe(P, x, TOL).verdict}
 
 
 def corpus_text(name):
@@ -81,3 +83,13 @@ def test_a_duplicated_constraint_keeps_the_feasible_set_verdicts(name, original)
     got = statuses(duplicate_first_constraint(corpus_text(name)), CORPUS_POINTS[name])
     keys = ("cq.ACQ", "cq.GCQ", "errorbound", "stationarity.M", "stationarity.S")
     assert {k: got[k] for k in keys} == {k: original[name][k] for k in keys}
+
+
+@pytest.mark.parametrize("c", ["1e-3", "1e3", "2^-10", "2^10"])
+@pytest.mark.parametrize("name", CORPUS_POINTS)
+def test_scaling_every_constraint_moves_no_analyze_status(name, c, original):
+    # F, the cones and every CQ's truth are unchanged; the error bound's
+    # residuals are still read against an absolute tau_feas, so it stays out
+    got = analyze_statuses(load_problem(scaled_text(name, c), from_path=False),
+                           CORPUS_POINTS[name])
+    assert got == {k: v for k, v in original[name].items() if k != "errorbound"}

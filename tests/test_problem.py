@@ -1,5 +1,6 @@
 import ast
 import gc
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -446,6 +447,28 @@ class TestCompiledKernel:
         ex.compile_kernel(trees)
         ex.compile_kernel([ex.diff(e, j) for e in trees for j in range(3)])
         assert [src.count("isfinite") for src in sources] == [2, 2]
+
+    def test_constant_columns_share_one_store(self, monkeypatch):
+        # tilted_sheet3d's "jh" kernel over [f, H0, g0] has 27 constant
+        # columns (every gradient entry and every Hessian entry)
+        sources = []
+
+        def spy(src, *args):
+            sources.append(src)
+            return compile(src, *args)
+        monkeypatch.setattr(ex, "compile", spy, raising=False)
+        P = pb.load_problem(str(problem_path("tilted_sheet3d")))
+        items = [pb.OBJECTIVE, ("H", 0), ("g", 0)]
+        X = np.random.default_rng(0).normal(size=(9, 3))
+        trees = [d for it in items for d in P.gradient_trees[it]]
+        trees += [ex.diff(P.gradient_trees[it][i], j) for it in items
+                  for i, j in zip(*np.triu_indices(3))]
+        assert_bitwise(P._evaluate("jh", items, X), tree_walk(trees, X)[0])
+        ex.compile_kernel([Var(0), Const(2.0)])
+        stores = [[line.strip() for line in src.splitlines()
+                   if re.match(r"\s*out\[:, .*\] = (?!t\d+$)", line)] for src in sources]
+        assert len(stores[0]) == 1 and stores[0][0].startswith("out[:, [")
+        assert stores[1] == ["out[:, 1] = (2.0)"]
 
     def test_non_finite_point_is_a_domain_error(self, corpus):
         P = corpus["axes2d"]
