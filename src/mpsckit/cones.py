@@ -1,8 +1,10 @@
 """Cone constructions at a feasible point.
 
-Every cone here is a finite union of polyhedral pieces over the bipartitions
-of the biactive index set; a critical piece is its linearization piece cut by
-grad f, its generators cut from that piece's with no search.  The tangent
+Every cone here is a finite union of same-shape polyhedral pieces over the
+bipartitions of the biactive index set, whose generators and lineality bases
+come from one search stacked over the union, filled on the first request; a
+critical piece is its linearization piece cut by grad f, its generators cut
+from that piece's with no search.  The tangent
 cone is never built: ACQ (`cq.check_acq`) tests the linearization cone's own
 directions for tangency by distance ratios.  This layer runs no solver.
 """
@@ -62,6 +64,8 @@ class ConePiece:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # a cut piece's uncut parent: the same rows but the last inequality row
     parent: "ConePiece | None" = field(default=None, repr=False, compare=False)
+    # the pieces of this piece's union, which one stacked search fills at once
+    union: list = field(default_factory=list, repr=False, compare=False)
 
     @staticmethod
     def subspace(rows) -> "ConePiece":
@@ -113,25 +117,38 @@ class ConePiece:
 
     def generators(self, tol: Tolerances) -> Generators:
         if ("gen", tol) not in self._cache:
-            if self.parent is None:
-                self._cache["gen", tol] = enumerate_generators(self.polyhedron(), tol)
+            if self.parent is None:  # one search over the union's pieces
+                pieces = self.union or [self]
+                gens = enumerate_generators([p.polyhedron() for p in pieces], tol)
+                for p, gen in zip(pieces, gens):
+                    p._cache["gen", tol] = gen
             else:  # the piece's own caps, then its parent's generators cut
                 check_caps(self.polyhedron())
                 rows = unit_rows(np.vstack([self.A_eq, self.A_le]))
                 self._cache["gen", tol] = cut_generators(self.parent.generators(tol), rows[:-1],
                                                          rows[-1], self.lineality_basis(tol))
-        return self._cache["gen", tol]
+        if isinstance(gen := self._cache["gen", tol], Exception):
+            raise gen  # a failed search stays with its piece
+        return gen
 
     def lineality_basis(self, tol: Tolerances) -> np.ndarray:
-        if ("lin", tol) not in self._cache:
-            rows = unit_rows(np.vstack([self.A_eq, self.A_le]))
-            self._cache["lin", tol] = nullspace(rows, tol)
+        if ("lin", tol) not in self._cache:  # one SVD over the union's pieces
+            pieces = self.union or [self]
+            rows = unit_rows(np.stack([np.vstack([p.A_eq, p.A_le]) for p in pieces]))
+            for p, lin in zip(pieces, nullspace(rows, tol)):
+                p._cache["lin", tol] = lin
         return self._cache["lin", tol]
 
 
 @dataclass
 class ConeUnion:
+    """Same-shape pieces; a generator or lineality request on any piece fills all."""
+
     pieces: list = field(default_factory=list)
+
+    def __post_init__(self):
+        for p in self.pieces:
+            p.union = self.pieces
 
 
 # ---------------------------------------------------------------------------

@@ -67,22 +67,21 @@ def _thin_rank(M, tol):
 
 
 def rank_constancy(ctx: PointContext, items) -> dict:
-    """Rank constancy near x of a gradient family within the active family: certified
-    with no sample (`because`, n_samples 0) when its unit rows have rank min(len(items),
-    n) with a clear margin, as rank is lower semicontinuous, or its gradient trees are
-    constants; otherwise sampled on `ctx.shells`, whose Jacobians one context shares.
+    """Rank constancy near x of a gradient family within the active family, every rank
+    taken on unit rows: certified with no sample (`because`, n_samples 0) when the family
+    has rank min(len(items), n) with a clear margin, as rank is lower semicontinuous, or
+    its gradient trees are constants; otherwise sampled on `ctx.shells`, whose Jacobians
+    one context shares.
 
     Returns a dict with constant (bool), base rank, witness sample (if any),
     and a thin_margin flag for fragile decisions near the rank cutoff.
     """
-    tol, rows = ctx.tol, ctx.rows(items)
-    r0, _, thin = _thin_rank(rows, tol)
+    tol = ctx.tol
+    r0, _, thin = _thin_rank(unit_rows(ctx.rows(items)), tol)
     rep = {"constant": True, "rank": r0, "witness": None, "thin_margin": thin,
            "n_samples": 0, "radii": [tol.eps_ball * f for f in RADII_FRACTIONS], "seed": tol.seed}
-    ru, _, ru_thin = _thin_rank(unit_rows(rows), tol)
-    if ru == min(len(items), ctx.P.n) and not ru_thin:
-        return {**rep, "rank": ru, "thin_margin": False,
-                "because": "full rank at x; rank is lower semicontinuous"}
+    if r0 == min(len(items), ctx.P.n) and not thin:
+        return {**rep, "because": "full rank at x; rank is lower semicontinuous"}
     if all(isinstance(d, Const) for it in items for d in ctx.P.gradient_trees[it]):
         return {**rep, "because": "constant gradients"}
     active = active_items(ctx)
@@ -90,7 +89,7 @@ def rank_constancy(ctx: PointContext, items) -> dict:
     tensors = ctx.once("shell jacobians", lambda: [ctx.P.jacobian(X, active) for X in ctx.shells])
     witness = None
     for frac, X, T in zip(RADII_FRACTIONS, ctx.shells, tensors):
-        F = T[:, sel, :]
+        F = unit_rows(T[:, sel, :])
         ranks = rank_tol_batch(F, tol)
         for b in np.flatnonzero(ranks != r0):
             if _thin_rank(F[b], tol)[2]:

@@ -4,7 +4,8 @@ Rank, nullspace and stacked least squares are SVD-based with a relative
 cutoff; a stack of symmetric eigensolves is one LAPACK call.  The LP solver
 is a deterministic two-phase dense simplex with Bland's rule over the
 standard form A z = b, z >= 0; generator enumeration is one exhaustive ray
-search over active-set bases, ranked in batched SVDs: a polyhedron's vertices
+search over active-set bases, ranked in SVDs batched over the bases and over a
+stack of same-shape polyhedra (a cone union's pieces): a polyhedron's vertices
 are the rays of the cone over it, so that search also decides emptiness, with
 no LP; a cone's only vertex is the origin, and a cone cut by one more row is
 cut from the uncut cone's generators in one step.
@@ -109,8 +110,9 @@ class Generators:
 def sanitize(obj):
     """Coerce a result to plain JSON types: an object with to_json() goes
     through it, a dataclass becomes a dict of its fields in field order,
-    numpy scalars and arrays become Python numbers and lists, and a
-    non-finite float becomes None, so the output is strict JSON."""
+    numpy scalars and arrays become Python numbers and lists (an all-finite
+    float array in one tolist call), and a non-finite float becomes None, so
+    the output is strict JSON."""
     if hasattr(obj, "to_json"):
         return sanitize(obj.to_json())
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -120,6 +122,8 @@ def sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and np.isfinite(obj).all():
+            return obj.tolist()
         return [sanitize(v) for v in obj.tolist()]
     if isinstance(obj, np.bool_):
         return bool(obj)
@@ -145,13 +149,6 @@ def ball_offsets(rng, count, n, radius):
 # rank / nullspace / eigensolve
 # ---------------------------------------------------------------------------
 
-def singular_values(M) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, float))
-    if M.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(M, compute_uv=False)
-
-
 def rank_tol(M, tol: Tolerances) -> int:
     """Singular values above tau_rank * sigma_max; rank 0 for zero/empty M."""
     return rank_margin(M, tol)[0]
@@ -161,7 +158,8 @@ def rank_margin(M, tol: Tolerances) -> tuple[int, float]:
     """The rank of M (as rank_tol counts it) and, from the same SVD, the
     smallest factor by which a singular value sits away from the cutoff:
     near 1 the rank decision is fragile, and inf means no ambiguity."""
-    s = singular_values(M)
+    M = np.atleast_2d(np.asarray(M, float))
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     if s.size == 0 or s[0] <= 0.0:
         return 0, math.inf
     cut = tol.tau_rank * s[0]
@@ -182,13 +180,15 @@ def rank_tol_batch(Ms, tol: Tolerances) -> np.ndarray:
     return _svd_rank(np.linalg.svd(np.asarray(Ms, float), compute_uv=False), tol)
 
 
-def nullspace(M, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis (columns) of ker M; shape (n, n - rank)."""
-    M = np.atleast_2d(np.asarray(M, float))
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
-    _, s, Vt = np.linalg.svd(M)
-    return Vt[int(_svd_rank(s, tol)):].T.copy()
+def nullspace(M, tol: Tolerances):
+    """Orthonormal basis (columns) of ker M, shape (n, n - rank); for a stack of
+    matrices (N, q, n), the list of their bases from one batched SVD, each bit
+    for bit its own matrix's."""
+    M = np.asarray(M, float)
+    if M.ndim < 3:
+        return nullspace(np.atleast_2d(M)[None], tol)[0]
+    _, s, Vt = np.linalg.svd(M)  # no rows: Vt is eye(n)
+    return [V[r:].T.copy() for V, r in zip(Vt, _svd_rank(s, tol))]
 
 
 def _lstsq_diverged(err, flag):
@@ -410,11 +410,11 @@ def check_caps(P: Polyhedron):
 
 
 def row_norms(A) -> np.ndarray:
-    """The Euclidean norm of each row of A, rescaled by the row's largest entry
-    where the plain norm overflows, or underflows to 0 on a nonzero row."""
+    """The Euclidean norm of each row of A or of a stack (..., rows, n), rescaled by the
+    row's largest entry where the plain norm overflows, or underflows to 0 on a nonzero row."""
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(A, axis=-1)
-    for i in np.flatnonzero(~(nrm > 0.0) | (nrm == np.inf)):
+    for i in zip(*np.nonzero(~(nrm > 0.0) | (nrm == np.inf))):
         s = np.max(np.abs(A[i]), initial=0.0)
         if 0.0 < s < np.inf:
             nrm[i] = s * np.linalg.norm(A[i] / s)
@@ -422,54 +422,59 @@ def row_norms(A) -> np.ndarray:
 
 
 def unit_rows(A) -> np.ndarray:
-    """A with each nonzero row scaled to unit norm."""
-    nrm = row_norms(A)[:, None]
+    """A (or each matrix of a stack) with each nonzero row scaled to unit norm."""
+    nrm = row_norms(A)[..., None]
     return A / np.where(nrm > 0.0, nrm, 1.0)
 
 
 def _bases(A_eq, A_le, size):
-    """The candidate bases [A_eq; A_le[S]] over S in combinations(range(m_le), size),
-    in blocks of shape (N, q, n); SizeCapError when there are more than
-    _MAX_BASES of them."""
-    if math.comb(A_le.shape[0], size) > _MAX_BASES:
+    """The candidate bases [A_eq; A_le[S]] of each cone of a stack over S in
+    combinations(range(m_le), size), cone by cone, in blocks of at most _BASES_PER_BATCH:
+    (each basis's cone, the bases); SizeCapError past _MAX_BASES bases per cone."""
+    (N, m_eq, _), m_le = A_eq.shape, A_le.shape[1]
+    if math.comb(m_le, size) > _MAX_BASES:
         raise SizeCapError("too many candidate active sets")
-    m_eq, M = A_eq.shape[0], np.vstack([A_eq, A_le])
-    combos = itertools.combinations(range(m_eq, m_eq + A_le.shape[0]), size)
-    while S := list(itertools.islice(combos, _BASES_PER_BATCH)):
-        S = np.array(S, dtype=int).reshape(len(S), size)
-        yield M[np.hstack([np.broadcast_to(np.arange(m_eq), (len(S), m_eq)), S])]
+    M = np.concatenate([A_eq, A_le], axis=1)
+    bases = ((i, *range(m_eq), *S) for i in range(N)  # (cone, rows)
+             for S in itertools.combinations(range(m_eq, m_eq + m_le), size))
+    while (B := np.array(list(itertools.islice(bases, _BASES_PER_BATCH)), dtype=int)).size:
+        yield B[:, 0], M[B[:, :1], B[:, 1:]]
 
 
 def _kernel_lines(Ms, tol: Tolerances):
-    """The kernel direction of each basis whose kernel is a line, cut from one
-    batched SVD exactly as nullspace cuts it (no rows: the kernel is eye(n))."""
-    N, q, n = Ms.shape
-    if q == 0:
-        return [np.eye(n)[:, 0]] * N if n == 1 else []
+    """Per basis of a stack, its kernel direction where the kernel is a line, else
+    None, cut from one batched SVD exactly as nullspace cuts it."""
     _, s, Vt = np.linalg.svd(Ms)
-    r = _svd_rank(s, tol)
-    return [Vt[i, r[i]] for i in range(N) if r[i] == n - 1]
+    return [V[r] if r == Ms.shape[2] - 1 else None for V, r in zip(Vt, _svd_rank(s, tol))]
 
 
-def _extreme_rays(A_eq, A_le, tol: Tolerances):
-    """Unit extreme rays of the pointed cone {A_eq d = 0, A_le d <= 0}: the kernel
-    lines of the bases with n - 1 independent rows that meet every row, each
-    block of candidate bases ranked and cut by one SVD."""
-    n = A_eq.shape[1]
-    rank_eq = rank_tol(A_eq, tol) if A_eq.size else 0
-    rays = []
-    if rank_eq < n:
-        for Ms in _bases(A_eq, A_le, min(n - 1 - rank_eq, A_le.shape[0])):
-            for d in _kernel_lines(Ms, tol):
-                for cand in (d, -d):
-                    if A_le.size == 0 or np.max(A_le @ cand) <= 1e-9:
-                        rays.append(cand / np.linalg.norm(cand))
-    return _dedupe_rays(rays)
+def _extreme_rays(A_eq, A_le, tol: Tolerances) -> list:
+    """Unit extreme rays, or the SizeCapError, of each pointed cone {A_eq d = 0, A_le d <= 0}
+    of a stack: the kernel lines of the bases with n - 1 independent rows that meet every
+    row, ranked and cut in batched SVDs over the cones of one equality rank."""
+    N, _, n = A_eq.shape
+    rank_eq = rank_tol_batch(A_eq, tol)
+    rays = [[] for _ in range(N)]
+    for r in sorted(set(rank_eq[rank_eq < n].tolist())):  # np.unique would import numpy.ma
+        group = np.flatnonzero(rank_eq == r)
+        try:
+            for owner, Ms in _bases(A_eq[group], A_le[group], min(n - 1 - r, A_le.shape[1])):
+                for i, d in zip(group[owner], _kernel_lines(Ms, tol)):
+                    for cand in () if d is None else (d, -d):
+                        if np.max(A_le[i] @ cand, initial=0.0) <= 1e-9:
+                            rays[i].append(cand / np.linalg.norm(cand))
+        except SizeCapError as err:
+            for i in group:
+                rays[i] = err
+    return [r if isinstance(r, SizeCapError) else _dedupe_rays(r) for r in rays]
 
 
-def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
+def enumerate_generators(P, tol: Tolerances):
     """Exact generator list (vertices, extreme rays, lineality basis) from one
-    ray search.
+    ray search.  For a list of same-shape polyhedra (a cone union's pieces), each
+    one's result, or the ValueError or basis-count SizeCapError it met, bit for bit
+    from one search stacked over them: each SVD is one call over the pieces of one
+    lineality and equality rank.
 
     Rows and right-hand sides are first scaled to unit norm, so no rank
     decision rests on a row's scale, and the search runs in the quotient of
@@ -481,26 +486,38 @@ def enumerate_generators(P: Polyhedron, tol: Tolerances) -> Generators:
     empty and ValueError("infeasible polyhedron") is raised, with no LP.
     SizeCapError beyond the desk-scale caps.
     """
-    check_caps(P)
-    n, q = P.dim, P.A_eq.shape[0]
-    A, b = np.vstack([P.A_eq, P.A_le]), np.concatenate([P.b_eq, P.b_le])
+    Ps = [P] if isinstance(P, Polyhedron) else P
+    for p in Ps:
+        check_caps(p)
+    n, q = Ps[0].dim, Ps[0].A_eq.shape[0]
+    A = np.stack([np.vstack([p.A_eq, p.A_le]) for p in Ps])
+    b = np.stack([np.concatenate([p.b_eq, p.b_le]) for p in Ps])
     nrm = row_norms(A)
     nrm[nrm == 0.0] = 1.0
-    A, b = A / nrm[:, None], b / nrm
-    L = nullspace(A, tol) if A.size else np.eye(n)
-    Q = nullspace(L.T, tol)  # orthonormal complement, shape (n, n - dim L)
-    lineality = list(L.T)
-    s = float(np.max(np.abs(b), initial=0.0))
-    if s == 0.0:
-        rays = _extreme_rays(A[:q] @ Q, A[q:] @ Q, tol)
-        return Generators([np.zeros(n)], [Q @ r for r in rays], lineality)
-    H = unit_rows(np.block([[A @ Q, -b[:, None] / s], [np.zeros((1, Q.shape[1])), -1.0]]))
-    rays = _extreme_rays(H[:q], H[q:], tol)
-    vertices = [s * (Q @ r[:-1]) / r[-1] for r in rays if r[-1] > 1e-9]
-    if not vertices:
-        raise ValueError("infeasible polyhedron")
-    rays = [Q @ r[:-1] for r in rays if r[-1] <= 1e-9]
-    return Generators(vertices, [r / np.linalg.norm(r) for r in rays], lineality)
+    A, b = A / nrm[..., None], b / nrm
+    Ls = nullspace(A, tol)
+    s, groups, out = np.max(np.abs(b), axis=1, initial=0.0), {}, [None] * len(Ps)
+    for i, L in enumerate(Ls):  # one lineality rank and kind, one search shape
+        groups.setdefault((L.shape[1], s[i] == 0.0), []).append(i)
+    for idx in groups.values():
+        Qs = nullspace(np.stack([Ls[i].T for i in idx]), tol)  # orthonormal complements
+        H = np.stack([np.vstack([A[i, :q] @ Q, A[i, q:] @ Q]) if s[i] == 0.0 else
+                      unit_rows(np.block([[A[i] @ Q, -b[i, :, None] / s[i]],
+                                          [np.zeros((1, Q.shape[1])), -1.0]]))
+                      for i, Q in zip(idx, Qs)])
+        for i, Q, R in zip(idx, Qs, _extreme_rays(H[:, :q], H[:, q:], tol)):
+            if isinstance(R, SizeCapError):
+                out[i] = R
+            elif s[i] == 0.0:
+                out[i] = Generators([np.zeros(n)], [Q @ r for r in R], list(Ls[i].T))
+            elif vertices := [s[i] * (Q @ r[:-1]) / r[-1] for r in R if r[-1] > 1e-9]:
+                R = [Q @ r[:-1] for r in R if r[-1] <= 1e-9]
+                out[i] = Generators(vertices, [r / np.linalg.norm(r) for r in R], list(Ls[i].T))
+            else:
+                out[i] = ValueError("infeasible polyhedron")
+    if Ps is not P and isinstance(out[0], Exception):
+        raise out[0]
+    return out if Ps is P else out[0]
 
 
 def cut_generators(gen: Generators, rows, a, lineality) -> Generators:

@@ -1,8 +1,9 @@
 """The basis walk: generator enumeration one candidate basis at a time.
 
 Each basis is stacked, ranked, solved and kernel-cut on its own, with no
-early exit.  `extreme_rays` is the reference the batched ray search
-`mpsckit.numeric._extreme_rays` is compared against, bit for bit;
+early exit, and each cone of a stack is walked on its own.  `extreme_rays` is
+the reference the batched ray search `mpsckit.numeric._extreme_rays` is
+compared against, bit for bit;
 `vertices` walks the vertex bases of a polyhedron itself, a search
 `mpsckit.numeric` no longer runs, and is the independent oracle for the
 vertices it reads off the cone over the polyhedron (tests/test_numeric.py).
@@ -18,6 +19,18 @@ from mpsckit.numeric import _MAX_BASES, _dedupe_rays, Polyhedron, nullspace, ran
 
 
 def extreme_rays(A_eq, A_le, tol):
+    """Unit extreme rays of each pointed cone {A_eq d = 0, A_le d <= 0} of a stack
+    (N, q, n), (N, m, n), or its SizeCapError, walked cone by cone."""
+    out = []
+    for E, L in zip(A_eq, A_le):
+        try:
+            out.append(cone_rays(E, L, tol))
+        except SizeCapError as err:
+            out.append(err)
+    return out
+
+
+def cone_rays(A_eq, A_le, tol):
     """Unit extreme rays of the pointed cone {A_eq d = 0, A_le d <= 0}."""
     n = A_eq.shape[1]
     rank_eq = rank_tol(A_eq, tol) if A_eq.size else 0

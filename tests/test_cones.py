@@ -9,7 +9,7 @@ from conftest import CORPUS_POINTS, in_cone_union, random_cut_piece
 
 from mpsckit import cones, cq, numeric, report
 from mpsckit.cones import AXIS_A, AXIS_B, CROSS, ORIGIN, ConePiece, PointContext
-from mpsckit.errors import InfeasiblePointError
+from mpsckit.errors import InfeasiblePointError, SizeCapError
 from mpsckit.numeric import Tolerances, enumerate_generators
 from mpsckit.problem import load_problem
 
@@ -176,6 +176,63 @@ class TestCutGenerators:
         for piece in pieces:
             assert piece.parent is not None
             self.assert_matches_enumeration(piece, monkeypatch)
+
+
+class TestStackedPieces:
+    """A union's pieces are filled by one search stacked over them: each piece's
+    generators and lineality basis against the piece alone, bit for bit."""
+
+    @staticmethod
+    def contexts(corpus):
+        for name, P in corpus.items():
+            yield PointContext(P, CORPUS_POINTS[name], TOL)
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        yield PointContext(load_problem(str(path)), np.zeros(8), TOL)
+
+    def test_each_piece_gets_its_own_search_bit_for_bit(self, corpus, monkeypatch):
+        def exact(gen):
+            return [[v.tobytes() for v in part] for part in (gen.vertices, gen.rays, gen.lineality)]
+
+        searches = []
+        monkeypatch.setattr(cones, "enumerate_generators", lambda Ps, tol: searches.append(
+            len(Ps)) or enumerate_generators(Ps, tol))
+        for ctx in self.contexts(corpus):
+            searches.clear()
+            lin, crit = ctx.linearization.pieces, ctx.critical.pieces
+            crit[-1].generators(TOL)  # searches every uncut piece, and cuts one
+            assert searches == [len(lin)]
+            assert all(("gen", TOL) in p._cache for p in lin)
+            assert all(("lin", TOL) in p._cache for p in crit)
+            for piece in lin + crit:
+                rows = cones.unit_rows(np.vstack([piece.A_eq, piece.A_le]))
+                want = numeric.nullspace(rows, TOL)
+                assert piece.lineality_basis(TOL).tobytes() == want.tobytes()
+            for piece, cut in zip(lin, crit):
+                alone = enumerate_generators(piece.polyhedron(), TOL)
+                assert exact(piece.generators(TOL)) == exact(alone)
+                rows = cones.unit_rows(np.vstack([cut.A_eq, cut.A_le]))
+                want = numeric.cut_generators(alone, rows[:-1], rows[-1],
+                                              numeric.nullspace(rows, TOL))
+                assert exact(cut.generators(TOL)) == exact(want)
+
+    def test_a_failed_search_stays_with_its_piece(self, monkeypatch):
+        # pieces of equality rank 0 have C(6, 3) = 20 candidate bases and those
+        # of rank 1 C(6, 2) = 15: under a cap of 15 only the first fail, each on
+        # every access, and the others keep their generators
+        monkeypatch.setattr(numeric, "_MAX_BASES", 15)
+        rng = np.random.default_rng(41)
+        union = cones.ConeUnion([ConePiece(A_eq=np.array([[1.0, -1.0, 0.0, 0.0]]) * (k % 2),
+                                           A_le=-np.abs(rng.normal(size=(6, 4))))
+                                 for k in range(4)])
+        assert union.pieces[1].generators(TOL).rays
+        for k, piece in enumerate(union.pieces):
+            for _ in range(2):
+                if k % 2:
+                    assert np.array_equal(piece.generators(TOL).rays,
+                                          enumerate_generators(piece.polyhedron(), TOL).rays)
+                else:
+                    with pytest.raises(SizeCapError, match="too many candidate active sets"):
+                        piece.generators(TOL)
 
 
 class TestCriticalSubspace:

@@ -78,6 +78,17 @@ class TestWcr:
     def test_ray2d_holds(self, corpus):
         assert cq.check_wcr(PointContext(corpus["ray2d"], [0.0, 0.0], TOL)).status == "HOLDS"
 
+    @pytest.mark.parametrize("s", [f"1e{e}" for e in range(-12, 13)])
+    def test_the_scale_of_a_row_moves_no_sampled_rank(self, s):
+        # the active family has rank 2 at x and rank 3 wherever x3 != 0, so it
+        # is sampled; on raw rows a large s cut the switch rows off at x and at
+        # every sample, and WCR read a wrong HOLDS with rank 1
+        P = load_problem(f"vars x1 x2 x3\nmin x1^2\nineq {s}*x1^2 - {s}\n"
+                         "switch x2 + x3^2 | x2\n", from_path=False)
+        v = cq.check_wcr(PointContext(P, [1.0, 0.0, 0.0], TOL))
+        assert (v.status, v.mode, v.evidence["rank"]) == ("FAILS", "sampled", 2)
+        assert v.evidence["witness"]["rank"] == 3
+
 
 class TestPwcr:
     def test_wedge3d_fails_on_g_pinned_branch(self, corpus):

@@ -195,6 +195,14 @@ class TestRowNorms:
         np.testing.assert_allclose(numeric.unit_rows(A[:3]), [[0.6, 0.8], [0.6, -0.8], [0, 0]],
                                    rtol=1e-15)
 
+    def test_a_stack_is_each_matrix_row_by_row(self):
+        # the rescaling reaches a row inside a stack (..., rows, n) too
+        A = np.array([[3e200, 4e200], [3e-170, -4e-170], [0.0, 0.0], [1.0, 2.0]])
+        S = np.stack([A, A[::-1]])
+        assert np.array_equal(numeric.row_norms(S),
+                              [numeric.row_norms(A), numeric.row_norms(A[::-1])])
+        assert np.array_equal(numeric.unit_rows(S[None])[0, 1], numeric.unit_rows(A[::-1]))
+
     def test_other_rows_keep_the_plain_norm_bit_for_bit(self):
         A = np.random.default_rng(4).normal(size=(50, 5)) * 10.0 ** np.arange(-100, 100, 4)[:, None]
         assert np.array_equal(numeric.row_norms(A), np.linalg.norm(A, axis=1))
@@ -519,47 +527,37 @@ class TestEnumerateGenerators:
         assert calls == []
 
     def test_cones_work_counts(self, capsys, monkeypatch):
-        # the search on cones_wide_1005_5's 64 linearization pieces (8
-        # inequality rows each): per enumerate_generators call one rank_tol
-        # (the equality rows) and the two nullspace calls of the lineality
-        # split; a cone's vertex is the origin, and no vertex search runs (no
-        # rank_tol_batch, no lstsq); the ray search cuts its bases in
-        # _kernel_lines' own SVD (no rank_tol_batch, no nullspace); counted
-        # by (callee, caller).  The 64 critical pieces (9 rows) make no
-        # search and no rank test: each is cut from its parent's generators
-        per_call, active, lstsq_calls, searched, cuts = [], [], [], [], []
+        # cones_wide_1005_5's 64 linearization pieces (8 inequality rows each)
+        # are searched by one enumerate_generators call stacked over the union,
+        # and each SVD of that search is one batched call over its one rank
+        # group: the two nullspace calls of the lineality split, the
+        # equality-rank test and the block of all 64 x 8 candidate bases in
+        # _kernel_lines.  The 64 critical pieces (9 rows) make no search:
+        # their lineality bases are one stacked nullspace, and each is cut
+        # from its parent's generators; the critical subspace is one nullspace
+        # more.  No vertex search runs (no lstsq) and no rank is taken one
+        # matrix at a time (no rank_tol); SVDs are counted by caller
+        searched, cuts, svds, others = [], [], Counter(), []
 
-        def counted(name, f):
-            def wrapped(*args, **kw):
-                if active:
-                    active[-1][name, sys._getframe(1).f_code.co_name] += 1
-                return f(*args, **kw)
-            return wrapped
+        def enumerate_generators(Ps, tol):
+            searched.append([P.A_le.shape[0] for P in Ps])
+            return numeric.enumerate_generators(Ps, tol)
 
-        def enumerate_generators(P, tol):
-            searched.append(P.A_le.shape[0])
-            per_call.append(Counter())
-            active.append(per_call[-1])
-            try:
-                return numeric.enumerate_generators(P, tol)
-            finally:
-                active.pop()
-
-        for name in ("rank_tol", "rank_tol_batch", "nullspace"):
-            monkeypatch.setattr(numeric, name, counted(name, getattr(numeric, name)))
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", counted(
-            "lstsq", lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw)))
+        svd, lstsq, rank_tol = np.linalg.svd, np.linalg.lstsq, numeric.rank_tol
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.update(
+            [sys._getframe(1).f_code.co_name]) or svd(*a, **kw))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **kw: others.append("lstsq") or lstsq(*a, **kw))
+        monkeypatch.setattr(numeric, "rank_tol",
+                            lambda *a: others.append("rank_tol") or rank_tol(*a))
         monkeypatch.setattr(cones, "enumerate_generators", enumerate_generators)
         monkeypatch.setattr(cones, "cut_generators",
                             lambda *args: cuts.append(1) or numeric.cut_generators(*args))
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
         assert cli.main(["cones", str(path), "--point", ",".join(["0"] * 8)]) == 0
         capsys.readouterr()
-        assert searched == [8] * 64 and len(cuts) == 64 and lstsq_calls == []
-        assert all(c == per_call[0] for c in per_call)
-        assert per_call[0] == Counter({("rank_tol", "_extreme_rays"): 1,
-                                       ("nullspace", "enumerate_generators"): 2})
+        assert searched == [[8] * 64] and len(cuts) == 64 and others == []
+        assert svds == Counter({"nullspace": 4, "rank_tol_batch": 1, "_kernel_lines": 1})
 
     @pytest.mark.parametrize("cap, value, lin_error", [
         ("MAX_GEN_CONSTRAINTS", 14, None),
@@ -808,6 +806,78 @@ class TestBatchedSearches:
         assert len(pieces) == 128
         for piece in pieces:
             self.assert_same(piece.polyhedron(), monkeypatch)
+
+
+class TestStackedSearch:
+    """enumerate_generators over a stack of same-shape polyhedra against each
+    one searched alone: the same generators bit for bit, or the same error,
+    piece by piece."""
+
+    @staticmethod
+    def assert_stack_matches_lone(Ps):
+        def exact(out):
+            if isinstance(out, Exception):
+                return type(out).__name__, str(out)
+            return [[(v.shape, v.tobytes()) for v in part]
+                    for part in (out.vertices, out.rays, out.lineality)]
+
+        got = [exact(out) for out in numeric.enumerate_generators(Ps, TOL)]
+        want = [_generators_bytes(P) for P in Ps]
+        assert got == want
+        return want
+
+    @staticmethod
+    def random_stack(rng, n, q, m, size, cone):
+        """size polyhedra of one shape whose equality and lineality ranks differ:
+        some zero or duplicated equality rows, some low-rank rows."""
+        Ps = []
+        for k in range(size):
+            r = int(rng.integers(1, n + 1)) if k % 3 == 2 else n
+            A_eq = rng.normal(size=(q, r)) @ rng.normal(size=(r, n))
+            A_le = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            if q and k % 4 == 1:
+                A_eq[int(rng.integers(q))] = 0.0
+            if q > 1 and k % 4 == 3:
+                A_eq[1] = A_eq[0]
+            b_eq = np.zeros(q) if cone else A_eq @ rng.normal(size=n)
+            b_le = np.zeros(m) if cone else rng.normal(size=m)
+            Ps.append(Polyhedron.make(n, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le))
+        return Ps
+
+    @pytest.mark.parametrize("block", [numeric._BASES_PER_BATCH, 3])
+    def test_random_stacks(self, monkeypatch, block):
+        # block 3 makes batches that end inside a piece and span pieces
+        monkeypatch.setattr(numeric, "_BASES_PER_BATCH", block)
+        rng = np.random.default_rng(29)
+        seen = set()
+        for trial in range(120):
+            n, q, m = int(rng.integers(1, 6)), int(rng.integers(0, 4)), int(rng.integers(0, 8))
+            Ps = self.random_stack(rng, n, q, m, int(rng.integers(1, 9)), trial % 2 == 0)
+            if trial % 5 == 4:  # cones and polyhedra in one stack
+                Ps += self.random_stack(rng, n, q, m, 3, trial % 2 == 1)
+            self.assert_stack_matches_lone(Ps)
+            eq = [numeric.rank_tol(P.A_eq, TOL) if q else 0 for P in Ps]
+            seen.add("ranks differ" if len(set(eq)) > 1 else "one rank")
+        assert seen == {"ranks differ", "one rank"}
+
+    def test_edge_cases(self):
+        # no equality row, no inequality row, one variable, and no row at all
+        rng = np.random.default_rng(31)
+        for n, q, m in ((3, 0, 5), (3, 2, 0), (1, 1, 3), (1, 0, 2), (1, 0, 0), (2, 0, 0)):
+            for cone in (True, False):
+                self.assert_stack_matches_lone(self.random_stack(rng, n, q, m, 6, cone))
+
+    def test_only_one_rank_group_passes_the_basis_cap(self, monkeypatch):
+        # n = 4, six inequality rows: a piece of equality rank 0 has C(6, 3) = 20
+        # candidate bases, of rank 1 C(6, 2) = 15, so a cap of 15 fails the first
+        # group alone, and each piece keeps its own result
+        monkeypatch.setattr(numeric, "_MAX_BASES", 15)
+        rng = np.random.default_rng(37)
+        Ps = [Polyhedron.make(4, A_eq=rng.normal(size=(1, 4)) * (k % 2),
+                              A_le=rng.normal(size=(6, 4))) for k in range(6)]
+        want = self.assert_stack_matches_lone(Ps)
+        assert [w == ("SizeCapError", "too many candidate active sets") for w in want] \
+            == [True, False] * 3
 
 
 class TestTolerances:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 from conftest import projection_starts
 
-from mpsckit import solver
+from mpsckit import report, solver
+from mpsckit.cones import PointContext
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import all_branches, load_problem
 
@@ -52,3 +53,15 @@ def test_traced_rows_are_the_batch_rows(monkeypatch):
     layers = tracer.layers()
     assert (layers["solver._alm_batch"]["calls"], layers["solver._alm_batch"]["rows"]) == (1, 3)
     assert layers["solver.project_branch_cloud"]["rows"] == 5
+
+
+def test_the_stacked_generator_search_is_traced():
+    # cones searches each union's pieces by one stacked call of the traced name
+    # numeric.enumerate_generators, so its calls and self time do not read 0
+    path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+    ctx = PointContext(load_problem(str(path)), np.zeros(8), Tolerances())
+    tracer = load_tracer_module().Tracer()
+    with tracer:
+        report.cones_section(ctx)
+    layer = tracer.layers()["numeric.enumerate_generators"]
+    assert layer["calls"] == 1 and layer["self_s"] > 0.0
