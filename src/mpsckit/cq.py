@@ -24,7 +24,7 @@ from . import penalty as pen
 from .cones import ConePiece, PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
 from .expr import Const
-from .numeric import RADII_FRACTIONS, rank_margin, rank_tol_batch, unit_rows
+from .numeric import RADII_FRACTIONS, rank_tol_batch, unit_rows
 from .problem import Bipartition
 from .soc import quadform_min_over_cone
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
@@ -60,10 +60,11 @@ class CqVerdict:
 # gradient families and rank constancy
 # ---------------------------------------------------------------------------
 
-def _thin_rank(M, tol):
-    """Rank and margin of M, and whether a margin under 10 makes it thin."""
-    r, margin = rank_margin(M, tol)
-    return r, margin, margin < 10.0
+def _thin_ranks(F, tol):
+    """Ranks and margins of a stack of families on unit rows, and where a margin
+    under 10 makes a rank thin."""
+    ranks, margins = rank_tol_batch(unit_rows(F), tol)
+    return ranks, margins, margins < 10.0
 
 
 def rank_constancy(ctx: PointContext, items) -> dict:
@@ -77,7 +78,7 @@ def rank_constancy(ctx: PointContext, items) -> dict:
     and a thin_margin flag for fragile decisions near the rank cutoff.
     """
     tol = ctx.tol
-    r0, _, thin = _thin_rank(unit_rows(ctx.rows(items)), tol)
+    r0, _, thin = (v[0].item() for v in _thin_ranks(ctx.rows(items)[None], tol))
     rep = {"constant": True, "rank": r0, "witness": None, "thin_margin": thin,
            "n_samples": 0, "radii": [tol.eps_ball * f for f in RADII_FRACTIONS], "seed": tol.seed}
     if r0 == min(len(items), ctx.P.n) and not thin:
@@ -89,10 +90,9 @@ def rank_constancy(ctx: PointContext, items) -> dict:
     tensors = ctx.once("shell jacobians", lambda: [ctx.P.jacobian(X, active) for X in ctx.shells])
     witness = None
     for frac, X, T in zip(RADII_FRACTIONS, ctx.shells, tensors):
-        F = unit_rows(T[:, sel, :])
-        ranks = rank_tol_batch(F, tol)
+        ranks, _, thins = _thin_ranks(T[:, sel, :], tol)
         for b in np.flatnonzero(ranks != r0):
-            if _thin_rank(F[b], tol)[2]:
+            if thins[b]:
                 thin = True
                 continue
             witness = {"point": X[b].tolist(), "rank": int(ranks[b]),
@@ -111,7 +111,7 @@ def rank_constancy(ctx: PointContext, items) -> dict:
 def check_licq(ctx: PointContext) -> CqVerdict:
     """Linear independence of the active gradients, on unit rows; a thin margin reads UNKNOWN."""
     items = active_items(ctx)
-    r, margin, thin = _thin_rank(unit_rows(ctx.rows(items)), ctx.tol)
+    r, margin, thin = (v[0].item() for v in _thin_ranks(ctx.rows(items)[None], ctx.tol))
     status = UNKNOWN if thin else HOLDS if r == len(items) else FAILS
     thin = {"thin_margin": True, "margin": margin} if thin else {}
     return CqVerdict("LICQ", status, "exact",
@@ -231,10 +231,6 @@ WITNESS_KEEP = 0.5  # a witness's ratio at the smallest t keeps at least this
                     # is a tangent direction along a curved boundary
 
 
-def _unit(D):
-    return D / np.linalg.norm(D, axis=-1, keepdims=True)
-
-
 def acq_directions(piece: ConePiece, k, tol) -> np.ndarray:
     """Unit directions ACQ tests in piece k of the linearization cone, in
     order: the generators, each generator tilted toward each other one by
@@ -242,7 +238,7 @@ def acq_directions(piece: ConePiece, k, tol) -> np.ndarray:
     uniform weights on the rays and normal weights on the lineality.  All
     lie in the piece; a piece that is the origin has none."""
     gens = piece.generators(tol)
-    U = _unit(np.reshape(gens.all_rays(), (-1, piece.dim)))
+    U = unit_rows(np.reshape(gens.all_rays(), (-1, piece.dim)))
     if not len(U):
         return U
     tilted = (U[:, None] + TILT * U[None])[~np.eye(len(U), dtype=bool)]
@@ -251,7 +247,7 @@ def acq_directions(piece: ConePiece, k, tol) -> np.ndarray:
     lin = np.reshape(gens.lineality, (-1, piece.dim))
     interior = rng.uniform(size=(N_INTERIOR, len(rays))) @ rays \
         + rng.normal(size=(N_INTERIOR, len(lin))) @ lin
-    return np.vstack([U, _unit(tilted), _unit(interior)])
+    return np.vstack([U, unit_rows(tilted), unit_rows(interior)])
 
 
 def distance_ratios(ctx: PointContext, D, branches) -> np.ndarray:
@@ -427,6 +423,5 @@ def lattice_closure(verdicts: dict) -> dict:
     return out
 
 
-CHECKERS = {"LICQ": check_licq, "WCR": check_wcr, "PWCR": check_pwcr,
-            "RCRCQ": check_rcrcq, "PCRSC": check_pcrsc, "ACQ": check_acq,
-            "PSOQN": check_psoqn}
+# the CQs checked directly, each by its check_<name> function
+CHECKERS = ("LICQ", "WCR", "PWCR", "RCRCQ", "PCRSC", "ACQ", "PSOQN")

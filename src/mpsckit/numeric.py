@@ -149,23 +149,6 @@ def ball_offsets(rng, count, n, radius):
 # rank / nullspace / eigensolve
 # ---------------------------------------------------------------------------
 
-def rank_tol(M, tol: Tolerances) -> int:
-    """Singular values above tau_rank * sigma_max; rank 0 for zero/empty M."""
-    return rank_margin(M, tol)[0]
-
-
-def rank_margin(M, tol: Tolerances) -> tuple[int, float]:
-    """The rank of M (as rank_tol counts it) and, from the same SVD, the
-    smallest factor by which a singular value sits away from the cutoff:
-    near 1 the rank decision is fragile, and inf means no ambiguity."""
-    M = np.atleast_2d(np.asarray(M, float))
-    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0, math.inf
-    cut = tol.tau_rank * s[0]
-    return int(_svd_rank(s, tol)), min(max(x / cut, cut / x) for x in s if x > 0.0)
-
-
 def _svd_rank(s, tol: Tolerances) -> np.ndarray:
     """The rank cutoff over the last axis of descending singular values: the
     count above tau_rank * sigma_max, 0 where sigma_max is 0 or s is empty."""
@@ -175,9 +158,16 @@ def _svd_rank(s, tol: Tolerances) -> np.ndarray:
     return np.where(smax[..., 0] > 0, np.sum(s > tol.tau_rank * smax, axis=-1), 0)
 
 
-def rank_tol_batch(Ms, tol: Tolerances) -> np.ndarray:
-    """Ranks of a stack of matrices, shape (N, q, n) -> (N,)."""
-    return _svd_rank(np.linalg.svd(np.asarray(Ms, float), compute_uv=False), tol)
+@np.errstate(divide="ignore", invalid="ignore")  # a zero singular value has no factor
+def rank_tol_batch(Ms, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of a stack of matrices, shape (N, q, n) -> (N,), and, from the same
+    SVD, each one's margin: the smallest factor by which a nonzero singular value
+    sits away from the cutoff; near 1 the rank decision is fragile, and inf means
+    no ambiguity (a zero or empty matrix)."""
+    s = np.linalg.svd(np.asarray(Ms, float), compute_uv=False)
+    cut = tol.tau_rank * s[..., :1]
+    far = np.where(s > 0.0, np.maximum(s / cut, cut / s), np.inf)
+    return _svd_rank(s, tol), np.min(far, axis=-1, initial=np.inf)
 
 
 def nullspace(M, tol: Tolerances):
@@ -217,17 +207,6 @@ def eigh_stack(H):
     bit, from one call of the LAPACK gufunc it calls per stack; an iteration
     that does not converge raises NumericBreakdownError."""
     return _umath_linalg.eigh_lo(H, signature="d->dd")
-
-
-def eig_sym(M):
-    """Eigenvalues ascending and orthonormal eigenvectors of a symmetric M."""
-    M = np.atleast_2d(np.asarray(M, float))
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if M.size and np.max(np.abs(M - M.T)) > 1e-10 * (1.0 + np.max(np.abs(M))):
-        raise ValueError("matrix must be symmetric")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return w, V
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +432,7 @@ def _extreme_rays(A_eq, A_le, tol: Tolerances) -> list:
     of a stack: the kernel lines of the bases with n - 1 independent rows that meet every
     row, ranked and cut in batched SVDs over the cones of one equality rank."""
     N, _, n = A_eq.shape
-    rank_eq = rank_tol_batch(A_eq, tol)
+    rank_eq = rank_tol_batch(A_eq, tol)[0]
     rays = [[] for _ in range(N)]
     for r in sorted(set(rank_eq[rank_eq < n].tolist())):  # np.unique would import numpy.ma
         group = np.flatnonzero(rank_eq == r)

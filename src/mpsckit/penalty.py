@@ -106,7 +106,8 @@ def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
 
     small = np.flatnonzero(infeas[:, -1])
     block = small[np.argsort(-(radii[-1] / res[small, -1]))][:DIST_BATCH]
-    picked = np.union1d(block, np.arange(2 * P.n))
+    # the union of block and the axis directions; np.union1d would import numpy.ma
+    picked = np.array(sorted({*block.tolist(), *range(2 * P.n)}), dtype=int)
     dist = ray_distances(P, x, D[picked], radii, tol, all_branches(P))
     ok = infeas[picked] & np.isfinite(dist)  # (direction, radius) with a ratio
     ratios = np.divide(dist, res[picked], out=np.full(dist.shape, np.nan), where=ok)

@@ -196,12 +196,11 @@ class BranchProblem:
         P = self.problem
         return self.residual_of(P.values(x, self.equalities() + [("g", i) for i in range(P.m)]))
 
-    @np.errstate(over="ignore")  # callers reject a non-finite residual
     def residual_of(self, V):
-        """residual from the values of equalities() + every g, in that order."""
+        """residual from the values of equalities() + every g, in that order: the
+        instance's formula with the equalities as h and no switch terms."""
         r = self.problem.p + len(self.eq_G) + len(self.eq_H)
-        return np.sqrt(np.sum(np.maximum(V[..., r:], 0.0) ** 2, axis=-1)
-                       + np.sum(V[..., :r] ** 2, axis=-1))
+        return MpscProblem.residual_of(V[..., r:], V[..., :r], V[..., :0], V[..., :0])
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,8 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
         sta["normal_cone_oracle"] = oracle
 
     decided = {}  # each checker is its own component; the rest still close the lattice
-    for name, check in cqmod.CHECKERS.items():
-        v = run(f"cq.{name}", lambda check=check: check(ctx))
+    for name in cqmod.CHECKERS:  # looked up at call time, so a rebound checker is the one run
+        v = run(f"cq.{name}", lambda name=name: getattr(cqmod, "check_" + name.lower())(ctx))
         if v is not None:
             decided[name] = v
     cq_table = run("cq", lambda: cqmod.lattice_closure(decided)) if decided else None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cones import ConePiece, PointContext
 from .errors import NotSStationaryError, SizeCapError
-from .numeric import Tolerances, eig_sym, eigh_stack, unit_rows
+from .numeric import Tolerances, eigh_stack, unit_rows
 from .stationarity import (Multipliers, check_s_stationary, expand_multiplier,
                            lagrangian_hessian, s_multiplier_polyhedron)
 
@@ -76,9 +76,10 @@ def quadform_min_over_cone(Q, piece: ConePiece, tol: Tolerances) -> QuadFormResu
         return QuadFormResult(None, None, "vacuous")
     if piece.is_subspace(tol):
         lin = piece.lineality_basis(tol)
-        w, V = eig_sym(lin.T @ Q @ lin)
-        d = lin @ V[:, 0]
-        return QuadFormResult(float(w[0]), d / np.linalg.norm(d), "subspace_eig")
+        S = lin.T @ Q @ lin
+        w, V = eigh_stack(0.5 * (S + S.T)[None])
+        d = lin @ V[0, :, 0]
+        return QuadFormResult(float(w[0, 0]), d / np.linalg.norm(d), "subspace_eig")
 
     G = unit_rows(np.array(piece.generators(tol).all_rays())).T
     k = G.shape[1]

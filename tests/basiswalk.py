@@ -15,7 +15,14 @@ import math
 import numpy as np
 
 from mpsckit.errors import SizeCapError
-from mpsckit.numeric import _MAX_BASES, _dedupe_rays, Polyhedron, nullspace, rank_tol
+from mpsckit.numeric import _MAX_BASES, _dedupe_rays, Polyhedron, nullspace
+
+
+def rank(M, tol):
+    """The rank of one matrix from its own SVD: its singular values above
+    tau_rank * sigma_max, 0 when sigma_max is 0 or M has no entry."""
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    return int(np.sum(s > tol.tau_rank * s[0])) if s.size and s[0] > 0.0 else 0
 
 
 def extreme_rays(A_eq, A_le, tol):
@@ -33,7 +40,7 @@ def extreme_rays(A_eq, A_le, tol):
 def cone_rays(A_eq, A_le, tol):
     """Unit extreme rays of the pointed cone {A_eq d = 0, A_le d <= 0}."""
     n = A_eq.shape[1]
-    rank_eq = rank_tol(A_eq, tol) if A_eq.size else 0
+    rank_eq = rank(A_eq, tol)
     m_le = A_le.shape[0]
     rays = []
     target = n - 1 - rank_eq
@@ -42,7 +49,7 @@ def cone_rays(A_eq, A_le, tol):
             raise SizeCapError("too many candidate active sets")
         for S in itertools.combinations(range(m_le), min(target, m_le)):
             A = np.vstack([A_eq, A_le[list(S)]])
-            if rank_tol(A, tol) != n - 1:
+            if rank(A, tol) != n - 1:
                 continue
             ker = nullspace(A, tol)
             if ker.shape[1] != 1:
@@ -83,14 +90,14 @@ def vertices(P, tol):
     s = float(np.max(np.abs(b), initial=0.0))
     Q = nullspace(nullspace(A, tol).T, tol) if A.size else np.zeros((n, 0))
     P = Polyhedron.make(Q.shape[1], A_eq=A[:q] @ Q, b_eq=b[:q], A_le=A[q:] @ Q, b_le=b[q:])
-    k = P.dim - (rank_tol(P.A_eq, tol) if P.A_eq.size else 0)
+    k = P.dim - rank(P.A_eq, tol)
     m_le = P.A_le.shape[0]
     if math.comb(m_le, min(k, m_le)) > _MAX_BASES:
         raise SizeCapError("too many candidate active sets")
     found = []
     for S in itertools.combinations(range(m_le), min(k, m_le)):
         A, b = np.vstack([P.A_eq, P.A_le[list(S)]]), np.concatenate([P.b_eq, P.b_le[list(S)]])
-        if rank_tol(A, tol) < P.dim:
+        if rank(A, tol) < P.dim:
             continue
         x = np.linalg.lstsq(A, b, rcond=None)[0]
         if A.shape[0] and np.max(np.abs(A @ x - b)) > 1e-7 * (1.0 + np.linalg.norm(b)):

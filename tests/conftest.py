@@ -124,8 +124,8 @@ def random_cut_piece(rng, trial):
 def cq_table(ctx, with_psoqn=True):
     """The standard CQ table: every direct check (PSOQN optional), then the
     lattice closure, which raises on a contradiction."""
-    return cq.lattice_closure({name: check(ctx) for name, check in cq.CHECKERS.items()
-                               if with_psoqn or name != "PSOQN"})
+    return cq.lattice_closure({name: getattr(cq, "check_" + name.lower())(ctx)
+                               for name in cq.CHECKERS if with_psoqn or name != "PSOQN"})
 
 
 def projection_starts(br, x0, tol):

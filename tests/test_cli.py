@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import problem_path
+from conftest import CORPUS_POINTS, problem_path
 from mpsckit import cli, cones, numeric, report
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -436,3 +436,28 @@ def test_json_is_coerced_once(capsys, monkeypatch, tmp_path, command, extra):
                          "--json", str(jpath))
     assert code == 0 and jpath.exists()
     assert len(calls) == 1
+
+
+def test_no_command_loads_numpy_ma():
+    # numpy.ma costs a fresh process its import time and memory; numpy's set
+    # routines (np.unique, np.union1d, ...) load it and the package calls none.
+    # Every corpus problem at its origin; the solves, which take seconds on
+    # the 3-variable problems, on the 2-variable ones
+    argvs = []
+    for name, x in CORPUS_POINTS.items():
+        path, point = str(problem_path(name)), ",".join(map(str, x))
+        argvs += [["analyze", path, "--point", point, "--with-penalty"],
+                  ["errorbound", path, "--point", point], ["cones", path, "--point", point]]
+        argvs += [["solve", path, "--mode", "enumerative"],
+                  ["solve", path, "--mode", "penalty", "--from", "1,1"]] if len(x) == 2 else []
+    script = ("import contextlib, io, json, sys\n"
+              "from mpsckit import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "            contextlib.redirect_stderr(io.StringIO()):\n"
+              "        cli.main(argv)\n"
+              "    if 'numpy.ma' in sys.modules:\n"
+              "        sys.exit(' '.join(argv))\n")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (done.returncode, done.stderr) == (0, "")

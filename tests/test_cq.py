@@ -58,8 +58,8 @@ class TestLicq:
         P = load_problem(f"vars x1 x2\nmin x1^2\nineq {s}*x1^2 - {s}\nswitch x1 | x2\n",
                          from_path=False)
         ctx = PointContext(P, [1.0, 0.0], TOL)
-        assert [cq.CHECKERS[name](ctx).status for name in ("LICQ", "WCR", "PWCR", "RCRCQ")] \
-            == ["HOLDS"] * 4
+        assert [cq.check_licq(ctx).status, cq.check_wcr(ctx).status,
+                cq.check_pwcr(ctx).status, cq.check_rcrcq(ctx).status] == ["HOLDS"] * 4
 
 
 class TestWcr:
@@ -438,7 +438,7 @@ class TestRankCertificate:
             because.append(rep["because"])
             assert (rep["constant"], rep["witness"], rep["n_samples"]) == (True, None, 0)
             for X in ctx.shells:
-                assert np.all(rank_tol_batch(ctx.P.jacobian(X, items), TOL) == rep["rank"])
+                assert np.all(rank_tol_batch(ctx.P.jacobian(X, items), TOL)[0] == rep["rank"])
         assert because.count("full rank at x; rank is lower semicontinuous") == 73
         assert because.count("constant gradients") == 5
 

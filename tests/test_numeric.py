@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -29,23 +30,38 @@ def scipy_linprog(c, P):
                    bounds=(None, None), method="highs")
 
 
+def rank(M, tol=TOL):
+    """The rank of one matrix, from rank_tol_batch on a stack of one."""
+    return int(numeric.rank_tol_batch(np.atleast_2d(np.asarray(M, float))[None], tol)[0][0])
+
+
+def rank_margin_reference(M, tol=TOL):
+    """The rank and margin of one matrix from its own SVD, the cutoff and the
+    margin written out in Python."""
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return 0, math.inf
+    cut = tol.tau_rank * s[0]
+    return int(np.sum(s > cut)), min(max(x / cut, cut / x) for x in s if x > 0.0)
+
+
 class TestRank:
     def test_rank_one(self):
-        assert numeric.rank_tol([[1, 0], [2, 0]], TOL) == 1
+        assert rank([[1, 0], [2, 0]]) == 1
 
     def test_identity(self):
-        assert numeric.rank_tol(np.eye(3), TOL) == 3
+        assert rank(np.eye(3)) == 3
 
     def test_near_singular(self):
         # sigma2/sigma1 < 1e-8, confirmed against the raw SVD
         M = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
         s = np.linalg.svd(M, compute_uv=False)
         assert s[1] / s[0] < 1e-8
-        assert numeric.rank_tol(M, TOL) == 1
+        assert rank(M) == 1
 
     def test_zero_and_empty(self):
-        assert numeric.rank_tol(np.zeros((2, 2)), TOL) == 0
-        assert numeric.rank_tol(np.zeros((0, 3)), TOL) == 0
+        assert rank(np.zeros((2, 2))) == 0
+        assert rank(np.zeros((0, 3))) == 0
 
     def test_rank_equals_rank_of_transpose(self):
         rng = np.random.default_rng(42)
@@ -53,7 +69,37 @@ class TestRank:
             m, n = rng.integers(1, 6, size=2)
             r = int(rng.integers(0, min(m, n) + 1))
             M = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n))
-            assert numeric.rank_tol(M, TOL) == numeric.rank_tol(M.T, TOL) == r
+            assert rank(M) == rank(M.T) == r
+
+    def test_stack_equals_svd_slice_by_slice(self):
+        # each matrix's own SVD, cut and measured in Python, is the oracle,
+        # the margins compared as bytes
+        rng = np.random.default_rng(30)
+        kinds = Counter()
+        for trial in range(600):
+            N, q, n = int(rng.integers(1, 6)), int(rng.integers(0, 6)), int(rng.integers(1, 6))
+            Ms = 10.0 ** rng.uniform(-8.0, 3.0) * rng.normal(size=(N, q, n))
+            kind = ("random", "zero", "deficient", "near cutoff")[trial % 4]
+            if kind == "zero":
+                Ms[rng.integers(N)] = 0.0
+            elif kind == "deficient" and q > 1:
+                Ms[:, -1] = 2.0 * Ms[:, 0]
+            elif kind == "near cutoff" and min(q, n) > 1:
+                # a singular value within a factor 1 + 1e-6 of tau_rank * sigma_max
+                U, _, Vt = np.linalg.svd(Ms)
+                s = np.zeros((N, min(q, n)))
+                s[:, 0] = 1.0
+                s[:, -1] = TOL.tau_rank * (1.0 + 1e-6 * rng.choice([-1.0, 1.0], size=N))
+                Ms = np.einsum("nik,nk,nkj->nij", U[:, :, :s.shape[1]], s, Vt[:, :s.shape[1]])
+            ranks, margins = numeric.rank_tol_batch(Ms, TOL)
+            assert ranks.shape == margins.shape == (N,)
+            for k in range(N):
+                r, margin = rank_margin_reference(Ms[k])
+                assert ranks[k] == r, (kind, N, q, n, k)
+                assert margins[k].tobytes() == np.float64(margin).tobytes(), (kind, N, q, n, k)
+                kinds["empty" if q == 0 else "zero" if r == 0 else
+                      "thin" if margin < 1.01 else kind] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestNullspace:
@@ -76,7 +122,7 @@ class TestNullspace:
             M = rng.normal(size=(m, n))
             M[rng.integers(0, m)] = 0.0
             B = numeric.nullspace(M, TOL)
-            assert B.shape[1] == n - numeric.rank_tol(M, TOL)
+            assert B.shape[1] == n - rank(M)
             if B.size:
                 assert np.max(np.abs(M @ B)) <= 1e-10
                 assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-12)
@@ -167,23 +213,19 @@ class TestEighStack:
 
 class TestEig:
     def test_negative_diag(self):
-        w, _ = numeric.eig_sym(np.diag([-2.0, -2.0]))
-        assert np.allclose(w, [-2.0, -2.0])
+        w, _ = numeric.eigh_stack(np.diag([-2.0, -2.0])[None])
+        assert np.allclose(w[0], [-2.0, -2.0])
 
     def test_zero(self):
-        w, _ = numeric.eig_sym(np.zeros((3, 3)))
-        assert np.array_equal(w, np.zeros(3))
+        w, _ = numeric.eigh_stack(np.zeros((1, 3, 3)))
+        assert np.array_equal(w[0], np.zeros(3))
 
     def test_swap_matrix(self):
-        w, V = numeric.eig_sym([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(w, [-1.0, 1.0])
         M = np.array([[0.0, 1.0], [1.0, 0.0]])
+        w, V = (a[0] for a in numeric.eigh_stack(M[None]))
+        assert np.allclose(w, [-1.0, 1.0])
         for k in range(2):
             assert np.linalg.norm(M @ V[:, k] - w[k] * V[:, k]) <= 1e-10
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            numeric.eig_sym([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestRowNorms:
@@ -535,21 +577,18 @@ class TestEnumerateGenerators:
         # _kernel_lines.  The 64 critical pieces (9 rows) make no search:
         # their lineality bases are one stacked nullspace, and each is cut
         # from its parent's generators; the critical subspace is one nullspace
-        # more.  No vertex search runs (no lstsq) and no rank is taken one
-        # matrix at a time (no rank_tol); SVDs are counted by caller
+        # more.  No vertex search runs (no lstsq); SVDs are counted by caller
         searched, cuts, svds, others = [], [], Counter(), []
 
         def enumerate_generators(Ps, tol):
             searched.append([P.A_le.shape[0] for P in Ps])
             return numeric.enumerate_generators(Ps, tol)
 
-        svd, lstsq, rank_tol = np.linalg.svd, np.linalg.lstsq, numeric.rank_tol
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.update(
             [sys._getframe(1).f_code.co_name]) or svd(*a, **kw))
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **kw: others.append("lstsq") or lstsq(*a, **kw))
-        monkeypatch.setattr(numeric, "rank_tol",
-                            lambda *a: others.append("rank_tol") or rank_tol(*a))
         monkeypatch.setattr(cones, "enumerate_generators", enumerate_generators)
         monkeypatch.setattr(cones, "cut_generators",
                             lambda *args: cuts.append(1) or numeric.cut_generators(*args))
@@ -674,7 +713,7 @@ class TestEnumerateGenerators:
             for v in gen.vertices:
                 assert basiswalk.contains(P, v, TOL.tau_feas)
                 act = [A[i] for i in range(m) if abs(A[i] @ v - b[i]) <= 1e-7]
-                assert numeric.rank_tol(np.array(act), TOL) >= n
+                assert rank(np.array(act)) >= n
 
 
 def _generators_bytes(P):
@@ -856,7 +895,7 @@ class TestStackedSearch:
             if trial % 5 == 4:  # cones and polyhedra in one stack
                 Ps += self.random_stack(rng, n, q, m, 3, trial % 2 == 1)
             self.assert_stack_matches_lone(Ps)
-            eq = [numeric.rank_tol(P.A_eq, TOL) if q else 0 for P in Ps]
+            eq = [rank(P.A_eq) if q else 0 for P in Ps]
             seen.add("ranks differ" if len(set(eq)) > 1 else "one rank")
         assert seen == {"ranks differ", "one rank"}
 

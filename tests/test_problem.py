@@ -569,8 +569,20 @@ def test_only_the_cone_quadratic_form_routine_eigensolves_in_soc_and_cq():
     # WSONC, SSONC and PSOQN's curvature test all decide d^T Q d over cone
     # pieces through quadform_min_over_cone: the projected eigensolve on a
     # subspace and the copositivity test's stacked eigensolves elsewhere
-    assert {c for c in _callers("eig_sym") | _callers("eigh_stack")
+    assert {c for c in _callers("eigh_stack")
             if c[0] in ("soc.py", "cq.py")} == {("soc.py", "quadform_min_over_cone")}
+
+
+def test_no_module_calls_a_numpy_set_routine():
+    # with numpy 2.4 each of these imports numpy.ma, a cost to every fresh
+    # process that reaches the call; np.isin does not
+    banned = {"unique", "union1d", "intersect1d", "setdiff1d", "setxor1d"}
+    calls = {(path.name, node.func.attr)
+             for path in sorted(Path(pb.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in banned}
+    assert calls == set()
 
 
 def test_the_critical_cone_is_built_only_by_the_point_context():

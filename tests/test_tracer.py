@@ -30,7 +30,7 @@ def load_tracer_module():
 def test_only_the_tree_walk_targets_are_missing():
     tracer = load_tracer_module().Tracer()
     assert sorted(tracer.missing) == ["cones.sample_tangent_directions", "expr.evaluate",
-                                      "expr.gradient", "expr.hessian"]
+                                      "expr.gradient", "expr.hessian", "numeric.rank_tol"]
 
 
 def test_argument_positions_the_tracer_reads():
@@ -57,7 +57,8 @@ def test_traced_rows_are_the_batch_rows(monkeypatch):
 
 def test_the_stacked_generator_search_is_traced():
     # cones searches each union's pieces by one stacked call of the traced name
-    # numeric.enumerate_generators, so its calls and self time do not read 0
+    # numeric.enumerate_generators, so its calls and self time do not read 0,
+    # and the search ranks the equalities by the traced numeric.rank_tol_batch
     path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
     ctx = PointContext(load_problem(str(path)), np.zeros(8), Tolerances())
     tracer = load_tracer_module().Tracer()
@@ -65,3 +66,16 @@ def test_the_stacked_generator_search_is_traced():
         report.cones_section(ctx)
     layer = tracer.layers()["numeric.enumerate_generators"]
     assert layer["calls"] == 1 and layer["self_s"] > 0.0
+    assert tracer.layers()["numeric.rank_tol_batch"]["calls"] >= 1
+
+
+def test_the_cq_checkers_are_traced():
+    # report.analyze looks each checker up on the cq module when it runs it,
+    # so the tracer's rebinding of cq.check_* reaches those calls
+    P = load_problem(str(Path(__file__).resolve().parent.parent / "problems" / "ray2d.mpsc"))
+    tracer = load_tracer_module().Tracer()
+    with tracer:
+        report.analyze(P, np.zeros(2), Tolerances())
+    layers = tracer.layers()
+    assert all(layers[f"cq.{name}"]["calls"] >= 1
+               for name in ("check_acq", "check_rcrcq", "check_psoqn"))
