@@ -1,23 +1,25 @@
 """Desk-scale local solving over branch feasible sets.
 
 Every loop descends through _descent_batch, an Armijo line search batched
-over rows along the direction its objective callback returns; the callback
-evaluates the loop's items once per point and makes one kernel call per
-gradient, asked only at the rows that moved.  Every row stops on its own
-and no step reads another row, so a row's result does not depend on its
-batch.  project_branch_cloud projects by quadratic penalty with damped
-Gauss-Newton steps (in constraint space, one eigh_stack call per iteration)
-at each stage, plus a Gauss-Newton polish with one stacked least-squares
-solve per iteration over all live rows.
+over rows along the direction its objective callback returns.  The callback
+evaluates the loop's items and the objective once per point; a gradient
+call, asked only at the rows that moved, gets both (from the start or the
+accepted trial) and returns them with the gradient and the direction from
+one kernel call.  Every row stops on its own and no step reads another row,
+so a row's result does not depend on its batch.  project_branch_cloud
+projects by quadratic penalty with damped Gauss-Newton steps (in constraint
+space, one eigh_stack call per iteration) at each stage, plus a Gauss-Newton
+polish with one stacked least-squares solve per iteration over all live rows.
 solve_branch runs an augmented-Lagrangian loop over all starts, freezing
 each once it is done or diverged, whose inner steps are Newton steps on the
 exact Hessian of the augmented Lagrangian (one derivatives call per
 gradient, then one eigh_stack call flooring the eigenvalues to keep it
-positive definite); both take steps that start at 1 and never exceed it.
-solve_penalty_descent minimizes f + kappa * residual along the gradient
-(the residual is a nonsmooth square root), then polishes on its
-incumbent's branch.  The enumerative solver keeps the best feasible branch
-over every switch sign assignment, which is exact on the union structure.
+positive definite), its multipliers sliced once per descent; both take
+steps that start at 1 and never exceed it.  solve_penalty_descent minimizes
+f + kappa * residual along the gradient (the residual is a nonsmooth square
+root), then polishes on its incumbent's branch.  The enumerative solver keeps
+the best feasible branch over every switch sign assignment, which is exact on
+the union structure.
 """
 
 from __future__ import annotations
@@ -85,17 +87,19 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
 
     objective(rows, Z) evaluates the loop's items at the given rows only (each
     row can carry its own anchor/multiplier state) and returns the objective
-    values and V; objective(rows, Z, V, grad=True) reads cached values V (None:
-    evaluate them) and also returns the gradients g and search directions d
-    (d is g for steepest descent), fixed within one call: after the start only
-    rows that accepted a step and go on are asked again (in one call when all did).
-    A trial point is Z - t * d, accepted on sufficient decrease along <g, d>;
-    t starts at 1, halves on rejection and doubles on acceptance up to t_max.
-    So the items are evaluated at the start, unless the caller passes their
-    values V at Y, then only at trial points.  Each row stops on its own, so
-    it comes out the same in any batch: when its slope <g, d> is not above
-    gtol^2 (or is NaN), when all 30 halvings of a step are rejected, or after
-    three steps in a row that each lower its f by at most 1e-14 * (1 + |f|).
+    values f and V; a gradient call objective(rows, Z, V, f, grad=True) gets
+    cached V and f (None: evaluate V, compute f from V) and returns f and V, as
+    given if given, the gradients g and search directions d (d is g for steepest
+    descent), fixed within one call: after the start only rows that accepted a
+    step and go on are asked again (in one call when all did), with the V and
+    f of that trial.  A trial point is Z - t * d, accepted on sufficient
+    decrease along <g, d>; t starts at 1, halves on rejection and doubles on
+    acceptance up to t_max.  So f is computed once per point, and the items
+    are evaluated at the start, unless the caller passes their values V at Y,
+    then only at trial points.  Each row stops on its own, so it comes out the
+    same in any batch: when its slope <g, d> is not above gtol^2 (or is NaN),
+    when all 30 halvings of a step are rejected, or after three steps in a row
+    that each lower its f by at most 1e-14 * (1 + |f|).
     """
     Y = np.array(Y, float)
     N = Y.shape[0]
@@ -103,12 +107,12 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
     t = np.ones(N)
     on = np.ones(N, bool)  # rows still descending
     flat = np.zeros(N, int)  # each row's run of steps with a negligible decrease
-    ft, Vt = np.empty(N), None
+    f, ft, Vt = None, np.empty(N), None
     for _ in range(iters):
         if moved.size == N:  # the start, or every row accepted: one full-batch call
-            f, V, g, d = objective(rows_all, Y, V, grad=True)
+            f, V, g, d = objective(rows_all, Y, V, f, grad=True)
         elif moved.size:  # an unmoved row keeps its exact f, g and d
-            f[moved], _, g[moved], d[moved] = objective(moved, Y[moved], V[moved], grad=True)
+            g[moved], d[moved] = objective(moved, Y[moved], V[moved], f[moved], grad=True)[2:]
         slope = (g * d).sum(axis=1)  # |g|^2 for steepest descent; NaN: no trial
         on &= slope > max(gtol * gtol, 1e-26)
         if not on.any():
@@ -131,8 +135,9 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
         on = accept & (flat < 3)
         np.copyto(Y, trial, where=accept[:, None])
         moved = on.nonzero()[0]
-        # after the last use of f, which may view V
+        # after the last use of f, which may view V: both take the accepted trial's
         np.copyto(V, Vt, where=accept[:, None])
+        np.copyto(f, ft, where=accept)
         np.minimum(t * 2.0, t_max, out=t, where=accept)
     return Y, V
 
@@ -147,12 +152,15 @@ def _floored_newton(H, g):
     H, which is overwritten: a row whose H or g is not finite is the identity
     there, and it or a row with a non-finite direction gets NaN (no trial)."""
     bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
-    H[bad] = np.eye(H.shape[-1])
+    if bad.any():
+        H[bad] = np.eye(H.shape[-1])
     lam, Q = eigh_stack(H)
     lam = np.abs(lam)
     lam = np.maximum(lam, 1e-8 * (1.0 + lam.max(axis=1, keepdims=True)))
     d = (Q @ ((g[:, None, :] @ Q)[:, 0] / lam)[:, :, None])[:, :, 0]
-    d[bad | ~np.isfinite(d).all(axis=1)] = np.nan
+    bad |= ~np.isfinite(d).all(axis=1)
+    if bad.any():
+        d[bad] = np.nan
     return d
 
 
@@ -175,10 +183,12 @@ def _gauss_newton_step(Ju, b, c, sigma):
     return d
 
 
-def _gate(items, W):
-    """The items whose weight column has a positive entry, and those columns."""
+def _gate(W, lists, build):
+    """The item list build(keep) for the columns keep of W with a positive
+    entry, built once per keep pattern and kept in lists, and those columns."""
     keep = (W > 0.0).any(axis=0)
-    return [it for it, k in zip(items, keep) if k], W[:, keep]
+    key = keep.tobytes()
+    return lists.get(key) or lists.setdefault(key, build(keep)), W[:, keep]
 
 
 def _add_gradients(out, J, *weights):
@@ -232,12 +242,12 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
     X0 = np.atleast_2d(np.asarray(X0, float))
     Y = X0.copy()
 
-    def objective(rows, Z, V=None, grad=False):  # at the current stage's sigma
+    def objective(rows, Z, V=None, f=None, grad=False):  # at the current stage's sigma
         V = P.values(Z, items) if V is None else V
         c = np.where(is_eq, V, np.maximum(V, 0.0))
-        fv = ((Z - X0[rows]) ** 2).sum(axis=1) + sigma * (c ** 2).sum(axis=1)
+        f = ((Z - X0[rows]) ** 2).sum(axis=1) + sigma * (c ** 2).sum(axis=1) if f is None else f
         if not grad:
-            return fv, V
+            return f, V
         # Gauss-Newton, in constraint space, over every equality and each violated
         # inequality: a zero row where an inequality holds keeps Ju's width fixed
         used = is_eq | (c > 0.0)
@@ -246,7 +256,7 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
         Ju[:, cols] = P.jacobian(Z, [it for it, u in zip(items, cols) if u])
         Ju *= used[:, :, None]
         g = _add_gradients(2.0 * (Z - X0[rows]), Ju, 2.0 * sigma * c)
-        return fv, V, g, _gauss_newton_step(Ju, Z - X0[rows], c, sigma)
+        return f, V, g, _gauss_newton_step(Ju, Z - X0[rows], c, sigma)
 
     V = None  # items at Y, independent of sigma: each stage starts from the last's
     for sigma in SIGMA_SCHEDULE:
@@ -260,61 +270,62 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
 
 def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     """Run the ALM loop on every start row; returns (X, kkt, res, status)."""
-    gs = [("g", i) for i in range(P.m)]
-    eqs = br.equalities()
+    gs, eqs = [("g", i) for i in range(P.m)], br.equalities()
+    items, ne, lists = [OBJECTIVE] + eqs + gs, len(eqs), {}
     X = np.atleast_2d(np.asarray(X0, float)).copy()
     N = X.shape[0]
-    lam = np.zeros((N, len(gs)))
-    rho = np.zeros((N, len(eqs)))
-    sigma = np.full(N, 10.0)
-    prev_res = np.full(N, np.inf)
-    kkt = np.full(N, np.inf)
-    V = np.empty((N, 1 + len(eqs) + len(gs)))
+    lam, rho, V = np.zeros((N, len(gs))), np.zeros((N, ne)), np.empty((N, len(items)))
+    sigma, prev_res, kkt = np.full(N, 10.0), np.full(N, np.inf), np.full(N, np.inf)
     act = np.arange(N)  # the rows neither done nor diverged; the others are frozen
-    outer_used = 0
 
-    def objective(rows, Z, V=None, grad=False):  # at the current sigma, rho and lam
-        V = P.values(Z, [OBJECTIVE] + eqs + gs) if V is None else V
-        fv, ev, gv = V[:, 0], V[:, 1:1 + len(eqs)], V[:, 1 + len(eqs):]
-        rows = act[rows]
-        s = sigma[rows]
-        w = np.maximum(0.0, lam[rows] + s[:, None] * gv)
-        if ev.size:
-            fv = fv + (rho[rows] * ev + 0.5 * s[:, None] * ev ** 2).sum(axis=1)
-        if gv.size:
-            fv = fv + (w ** 2 - lam[rows] ** 2).sum(axis=1) / (2.0 * s)
+    def objective(rows, Z, V=None, f=None, grad=False):  # at this descent's constants
+        V = P.values(Z, items) if V is None else V
+        ev, gv = V[:, 1:1 + ne], V[:, 1 + ne:]
+        s, s_half, s_twice, r, lm, lm_sq = (
+            consts if rows.size == consts[0].size else [a[rows] for a in consts])
+        w = np.maximum(0.0, lm + s * gv)
+        if f is None:
+            f = V[:, 0]
+            if ne:
+                f = f + (r * ev + s_half * ev ** 2).sum(axis=1)
+            if gs:
+                f = f + (w ** 2 - lm_sq).sum(axis=1) / s_twice
         if not grad:
-            return fv, V
-        if not np.isfinite(fv).all():  # no Armijo step starts where the merit
+            return f, V
+        if not np.isfinite(f).all():  # no Armijo step starts where the merit
             # overflows (a start far out, as 1e200): a numeric breakdown
             raise EvalDomainError("evaluation point must be finite")
-        gated, W = _gate(gs, w)
-        items = [OBJECTIVE] + eqs + gated
-        J, Hs = P.derivatives(Z, items)
-        c = rho[rows] + s[:, None] * ev
-        g = _add_gradients(J[:, 0], J[:, 1:], c, W)
+        gated, W = _gate(w, lists, lambda keep: [OBJECTIVE] + eqs + [
+            it for it, k in zip(gs, keep) if k])
+        J, Hs = P.derivatives(Z, gated)
         # Newton: the exact Hessian of the augmented Lagrangian, the f, e and
         # gated g Hessians weighted 1, c and w plus s * grad u grad u^T over
         # every equality and each inequality with w > 0
-        Ju = J[:, 1:] * np.concatenate([np.ones(ev.shape), W > 0.0], axis=1)[:, :, None]
-        H = np.einsum("rk,rkij->rij", np.concatenate([np.ones((len(Z), 1)), c, W], axis=1),
-                      Hs) + s[:, None, None] * (Ju.transpose(0, 2, 1) @ Ju)
-        return fv, V, g, _floored_newton(H, g)
+        weights = np.ones((len(Z), len(gated)))  # 1, c = r + s e, W
+        weights[:, 1:1 + ne] = r + s * ev
+        weights[:, 1 + ne:] = W
+        g = _add_gradients(J[:, 0], J[:, 1:], weights[:, 1:])
+        Ju = J[:, 1:].copy()
+        Ju[:, ne:] *= W[:, :, None] > 0.0
+        H = np.einsum("rk,rkij->rij", weights, Hs) + s[:, :, None] * (
+            Ju.transpose(0, 2, 1) @ Ju)
+        return f, V, g, _floored_newton(H, g)
 
-    for _ in range(MAX_OUTER):
-        outer_used += 1
+    for outer_used in range(1, MAX_OUTER + 1):
         # the items at X do not depend on sigma, rho or lam: after the first
         # descent each starts from the values the last returned
         first = outer_used == 1
+        s, lm = sigma[act, None], lam[act]
+        consts = (s, 0.5 * s, 2.0 * s[:, 0], rho[act], lm, lm ** 2)  # fixed in one descent
         Xa, Va = _descent_batch(objective, X[act], MAX_INNER, gtol=0.1 * TAU_KKT,
                                 V=None if first else V[act], t_max=1.0)
         moved = np.full(act.size, np.inf) if first else np.linalg.norm(Xa - X[act], axis=1)
         X[act], V[act] = Xa, Va
         res = br.residual_of(Va[:, 1:])  # eqs + gs at X[act]
-        rho[act] += sigma[act, None] * Va[:, 1:1 + len(eqs)]
-        lam[act] = np.maximum(0.0, lam[act] + sigma[act, None] * Va[:, 1 + len(eqs):])
+        rho[act] += s * Va[:, 1:1 + ne]
+        lam[act] = np.maximum(0.0, lm + s * Va[:, 1 + ne:])
 
-        J = P.jacobian(Xa, [OBJECTIVE] + eqs + gs)
+        J = P.jacobian(Xa, items)
         kkt[act] = np.linalg.norm(_add_gradients(J[:, 0], J[:, 1:], rho[act], lam[act]), axis=1)
         # a stalled iterate on the feasible set is accepted even without a
         # small KKT residual (branch minimizers need not be KKT points)
@@ -330,9 +341,8 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
 
     X = _gauss_newton_polish(br, X, tol)
     res = br.residual(X)
-    diverged = np.linalg.norm(X, axis=1) > 1e8
-    status = np.where(diverged, "diverged",
-                      np.where(res <= tol.tau_feas, "feasible", "infeasible-stall"))
+    status = np.where(res <= tol.tau_feas, "feasible", "infeasible-stall")
+    status[np.linalg.norm(X, axis=1) > 1e8] = "diverged"
     return X, kkt, res, status, outer_used
 
 
@@ -341,36 +351,27 @@ def solve_branch(P: MpscProblem, br: BranchProblem, x0,
     """Best local solution of the branch NLP over multistart."""
     x0 = np.asarray(x0, float)
     rng = tol.rng("solve", br.label())
-    starts = np.vstack([x0[None, :],
-                        lhs_starts(rng, LHS_STARTS, x0, START_BOX)])
+    starts = np.vstack([x0[None, :], lhs_starts(rng, LHS_STARTS, x0, START_BOX)])
     X, kkt, res, status, outer = _alm_batch(P, br, starts, tol)
     fvals = P.values(X, [OBJECTIVE])[:, 0]
-    order = sorted(range(len(X)),
-                   key=lambda i: (status[i] != "feasible", fvals[i], i))
-    best = order[0]
+    best = min(range(len(X)), key=lambda i: (status[i] != "feasible", fvals[i], i))
     return LocalSolution(
         x=X[best], value=float(fvals[best]), residual=float(res[best]),
         branch=br.label(), status=str(status[best]), iterations=outer,
-        log=[f"kkt={kkt[best]:.2e}", f"starts={len(X)}"],
-    )
+        log=[f"kkt={kkt[best]:.2e}", f"starts={len(X)}"])
 
 
 def solve_enumerative(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     """Best-of-branches over every switch sign assignment (2^l solves)."""
-    best = None
-    table = []
-    for bi, br in enumerate(all_branches(P)):
+    best, table = None, []
+    for br in all_branches(P):
         sol = solve_branch(P, br, x0, tol)
         table.append((br.label(), sol.status, sol.value))
-        if sol.status != "feasible":
-            continue
-        if best is None or sol.value < best.value - 1e-12:
+        if sol.status == "feasible" and (best is None or sol.value < best.value - 1e-12):
             best = sol
     if best is None:
-        out = LocalSolution(x=np.asarray(x0, float), value=np.nan, residual=np.inf,
-                            branch="none", status="failure")
-        out.log = [f"{lab}: {st}" for lab, st, _ in table]
-        return out
+        return LocalSolution(x=np.asarray(x0, float), value=np.nan, residual=np.inf, branch="none",
+                             status="failure", log=[f"{lab}: {st}" for lab, st, _ in table])
     best.log += [f"{lab}: {st} value={val:.6g}" if np.isfinite(val) else f"{lab}: {st}"
                  for lab, st, val in table]
     return best
@@ -383,25 +384,26 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     piece; exact ties take the G side.
     """
     x = np.atleast_2d(np.asarray(x0, float)).copy()
-    kappa, kappas, V = KAPPA0, [], None
+    kappa, kappas, V, lists = KAPPA0, [], None, {}
     gs, hs = [("g", i) for i in range(P.m)], [("h", j) for j in range(P.p)]
     pairs = [it for k in range(P.l) for it in (("G", k), ("H", k))]
     ends = np.cumsum([1, P.m, P.p, P.l, P.l])  # V's columns: f, g, h, G, H
 
-    def objective(rows, Z, V=None, grad=False):  # at the current kappa
+    def objective(rows, Z, V=None, f=None, grad=False):  # at the current kappa
         V = P.values(Z, P.items) if V is None else V  # f first: the first error
         g, h, G, H = (V[:, a:b] for a, b in zip(ends, ends[1:]))
         r = MpscProblem.residual_of(g, h, G, H)
-        fv = V[:, 0] + kappa * r
+        f = V[:, 0] + kappa * r if f is None else f
         if not grad:
-            return fv, V
+            return f, V
         active = r > 0.0
         if not active.any():
             out = P.jacobian(Z, [OBJECTIVE])[:, 0]
-            return fv, V, out, out
-        gated, W = _gate(gs, np.maximum(g, 0.0))
-        J = P.jacobian(Z, [OBJECTIVE] + gated + hs + pairs)
-        out, dGH = J[:, 0], J[:, 1 + len(gated) + P.p:]
+            return f, V, out, out
+        gated, W = _gate(np.maximum(g, 0.0), lists, lambda keep: [OBJECTIVE] + [
+            it for it, k in zip(gs, keep) if k] + hs + pairs)
+        J = P.jacobian(Z, gated)
+        out, dGH = J[:, 0], J[:, len(gated) - 2 * P.l:]
         dr = _add_gradients(np.zeros_like(Z), J[:, 1:], W, h)
         for k in range(P.l):
             use_g = G[:, k] ** 2 <= H[:, k] ** 2  # tie -> G piece
@@ -409,7 +411,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
                            H[:, k:k + 1] * dGH[:, 2 * k + 1])
         safe = np.where(active, r, 1.0)
         out[active] += kappa * (dr[active] / safe[active, None])
-        return fv, V, out, out
+        return f, V, out, out
 
     while kappa <= KAPPA_MAX:
         x, V = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT, V=V)
@@ -429,11 +431,9 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     br = branch_from_assignment(P, eq_G, eq_H)
     X, kkt, res, status, outer = _alm_batch(P, br, x, tol)
     sol = LocalSolution(
-        x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]),
-        residual=float(P.residual(X[0])),
+        x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]), residual=float(P.residual(X[0])),
         branch=br.label(), status=str(status[0]), iterations=len(kappas) + outer,
-        log=[f"kappa_final={kappas[-1]:.1e}", f"kkt={kkt[0]:.2e}", "branch polish"],
-    )
+        log=[f"kappa_final={kappas[-1]:.1e}", f"kkt={kkt[0]:.2e}", "branch polish"])
     if sol.residual > tol.tau_feas:
         sol.status = "infeasible-stall"
     return sol

@@ -31,24 +31,30 @@ class TestDescentBatch:
         A = np.array([1.0, 10.0])  # f(z) = 0.5 * sum(A * z^2) per row
         calls = []
 
-        def objective(rows, Z, V=None, grad=False):
-            calls.append((grad, V is None, rows.copy(), Z.copy()))
+        def objective(rows, Z, V=None, f=None, grad=False):
+            calls.append((grad, V is None, None if f is None else f.copy(), rows.copy(),
+                          Z.copy()))
             V = Z.copy() if V is None else V  # the "item values" are the point
-            f = 0.5 * np.sum(A * V ** 2, axis=1)
+            f = 0.5 * np.sum(A * V ** 2, axis=1) if f is None else f
             return (f, V, A * Z, A * Z) if grad else (f, V)  # steepest descent
 
         Y0 = np.array([[1.0, 1.0], [-2.0, 0.5], [0.3, -0.7]])
         Y, V = solver._descent_batch(objective, Y0, 5)
-        assert [grad for grad, _, _, _ in calls].count(True) == 5
+        assert [grad for grad, *_ in calls].count(True) == 5
         assert calls[0][0]
         evaluated = []
-        for grad, fresh, rows, Z in calls:
+        for grad, fresh, f, rows, Z in calls:
             if grad:
                 assert np.array_equal(rows, np.arange(3))
                 assert fresh == (not evaluated)  # cached values after the start
+                # after the start the merit comes from the accepted trial, the
+                # merit at that point to the bit
+                assert (f is None) == (not evaluated)
+                if f is not None:
+                    assert f.tobytes() == (0.5 * np.sum(A * Z ** 2, axis=1)).tobytes()
                 iterate = Z
             else:  # a trial point: never the iterate whose gradient was asked
-                assert fresh and np.all(np.any(Z != iterate[rows], axis=1))
+                assert fresh and f is None and np.all(np.any(Z != iterate[rows], axis=1))
             if fresh:
                 evaluated += [(r, z.tobytes()) for r, z in zip(rows, Z)]
         assert len(evaluated) == len(set(evaluated))  # no point evaluated twice
@@ -63,9 +69,9 @@ class TestDescentBatch:
         A = np.array([1.0, 10.0])
         asked = []
 
-        def objective(rows, Z, V=None, grad=False):
+        def objective(rows, Z, V=None, f=None, grad=False):
             V = Z.copy() if V is None else V
-            f = 0.5 * np.sum(A * V ** 2, axis=1)
+            f = 0.5 * np.sum(A * V ** 2, axis=1) if f is None else f
             if grad:
                 asked.append((rows.copy(), Z.copy()))
             return (f, V, A * Z, A * Z) if grad else (f, V)
@@ -125,18 +131,20 @@ class TestDescentBatch:
         def counted_descent(objective, Y, *args, **kw):
             gradients, iterates = [], []
 
-            def counted(rows, Z, V=None, grad=False):
+            def counted(rows, Z, V=None, f=None, grad=False):
                 start = len(kinds)
-                out = objective(rows, Z, V, grad)
+                out = objective(rows, Z, V, f, grad)
                 points = [(r, z.tobytes()) for r, z in zip(rows, Z)]
                 if grad:
                     gradients.append(kinds[start:])
                     iterates.extend(points)
+                    merits.append(f is None)
                 if V is None:
                     evaluated.extend(points)
                 return out
+            merits = []
             out = descent(counted, Y, *args, **kw)
-            descents.append((gradients, iterates))
+            descents.append((gradients, iterates, merits))
             return out
 
         monkeypatch.setattr(MpscProblem, "_evaluate", counted_evaluate)
@@ -145,33 +153,89 @@ class TestDescentBatch:
         sol = solver.solve_branch(P, all_branches(P)[1], np.array([0.4, 0.3]), TOL)
         assert sol.status == "feasible" and len(descents) == sol.iterations > 1
         times = Counter(evaluated)
-        for d, (gradients, iterates) in enumerate(descents):
+        for d, (gradients, iterates, merits) in enumerate(descents):
             assert gradients[0] == (["jh"] if d else ["v", "jh"])
             assert all(calls == ["jh"] for calls in gradients[1:])
+            # each descent computes its start's merit; later ones are handed on
+            assert merits == [True] + [False] * (len(merits) - 1)
             assert all(times[point] == 1 for point in iterates)
         assert set(times.values()) == {1}
 
 
+    def test_unbounded_walk_work_counts(self, corpus, monkeypatch):
+        # parabola_sheet3d's H branch is unbounded below (x1 grows along
+        # x2 = x1^2), so after its first descent (which backtracks) every
+        # descent runs to the cap and takes each trial at t = 1: each step makes
+        # one "v" call (its trial) and one "jh" call (the next gradient).  The
+        # merit is computed once per (row, point) of a descent, at its start and
+        # at each trial; an accepted trial's merit is handed on to its gradient
+        # call, the same bits
+        kinds, steps, merits, handed = [], [], Counter(), []
+        evaluate, descent = MpscProblem._evaluate, solver._descent_batch
+
+        def counted_evaluate(self, kind, items, x):
+            kinds.append(kind)
+            return evaluate(self, kind, items, x)
+
+        def spied_descent(objective, Y, *args, **kw):
+            d = len(steps)
+            steps.append([])
+
+            def spied(rows, Z, V=None, f=None, grad=False):
+                if f is None:
+                    merits.update((d, r, z.tobytes()) for r, z in zip(rows, Z))
+                else:  # a values call on V computes the merit from scratch
+                    merit = objective(rows, Z, V)[0]
+                start = len(kinds)
+                out = objective(rows, Z, V, f, grad)
+                steps[d].append((grad, len(rows), kinds[start:]))
+                if f is not None:  # the closure returns the merit it was handed
+                    handed.append(out[0] is f and f.tobytes() == merit.tobytes())
+                return out
+            return descent(spied, Y, *args, **kw)
+
+        monkeypatch.setattr(MpscProblem, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(solver, "_descent_batch", spied_descent)
+        P = corpus["parabola_sheet3d"]
+        br = next(b for b in all_branches(P) if b.label() == "H")
+        sol = solver.solve_branch(P, br, np.zeros(3), TOL)
+        assert sol.iterations == len(steps) > 10
+        calls = [c for d in steps for c in d]
+        assert calls[0] == (True, solver.LHS_STARTS + 1, ["v", "jh"])
+        assert all(k == (["jh"] if grad else ["v"]) for grad, _, k in calls[1:])
+        for d in steps[1:]:
+            rows = d[0][1]
+            assert d == [(True, rows, ["jh"]), (False, rows, ["v"])] * solver.MAX_INNER
+        starts = sum(d[0][1] for d in steps)
+        trials = sum(rows for grad, rows, _ in calls if not grad)
+        assert len(merits) == starts + trials and set(merits.values()) == {1}
+        gradients = sum(grad for grad, _, _ in calls)
+        assert len(handed) == gradients - len(steps) and all(handed)
+
 def full_gradients(descent, subset_calls=None):
     """descent with every gradient asked at every row: a gradient call at some
-    rows is answered from one full-batch call at the current rows, each of
-    which the loop last passed (at the start or when it moved), and is logged
-    in subset_calls."""
+    rows is answered from one full-batch call at the current rows, with the
+    values and merits the loop last passed for each (at the start or when it
+    moved), and is logged in subset_calls."""
     def forced(objective, Y, *args, **kw):
-        Y_all, V_all = np.array(Y, float), None
+        Y_all, V_all, f_all = np.array(Y, float), None, None
 
-        def full(rows, Z, V=None, grad=False):
-            nonlocal V_all
+        def full(rows, Z, V=None, f=None, grad=False):
+            nonlocal V_all, f_all
             if not grad:
-                return objective(rows, Z, V)
+                return objective(rows, Z, V, f)
             if len(rows) < len(Y_all) and subset_calls is not None:
                 subset_calls.append(len(rows))
             Y_all[rows] = Z
             if V is not None:
                 V_all = np.array(V) if V_all is None else V_all
                 V_all[rows] = V
-            f, V_all, g, d = objective(np.arange(len(Y_all)), Y_all.copy(), V_all, grad=True)
-            return f[rows], V_all[rows], g[rows], d[rows]
+            if f is not None:
+                f_all[rows] = f
+            f_all, V_all, g, d = objective(np.arange(len(Y_all)), Y_all.copy(), V_all, f_all,
+                                           grad=True)
+            f_all = np.array(f_all)  # not a view of V_all
+            return f_all[rows], V_all[rows], g[rows], d[rows]
         return descent(full, Y, *args, **kw)
     return forced
 
@@ -311,9 +375,9 @@ class TestProjectBranch:
         def counted_descent(objective, Y, *args, **kw):
             steps = [0]
 
-            def counted(rows, Z, V=None, grad=False):
+            def counted(rows, Z, V=None, f=None, grad=False):
                 steps[0] += grad
-                return objective(rows, Z, V, grad)
+                return objective(rows, Z, V, f, grad)
             out = descent(counted, Y, *args, **kw)
             if sys._getframe(1).f_code.co_name == "project_branch_cloud":
                 stages.append(steps[0])
