@@ -129,7 +129,7 @@ class TestDescentBatch:
             return evaluate(self, kind, items, x)
 
         def counted_descent(objective, Y, *args, **kw):
-            gradients, iterates = [], []
+            gradients, iterates, merits = [], [], []
 
             def counted(rows, Z, V=None, f=None, grad=False):
                 start = len(kinds)
@@ -142,7 +142,6 @@ class TestDescentBatch:
                 if V is None:
                     evaluated.extend(points)
                 return out
-            merits = []
             out = descent(counted, Y, *args, **kw)
             descents.append((gradients, iterates, merits))
             return out
@@ -160,7 +159,6 @@ class TestDescentBatch:
             assert merits == [True] + [False] * (len(merits) - 1)
             assert all(times[point] == 1 for point in iterates)
         assert set(times.values()) == {1}
-
 
     def test_unbounded_walk_work_counts(self, corpus, monkeypatch):
         # parabola_sheet3d's H branch is unbounded below (x1 grows along
@@ -211,6 +209,7 @@ class TestDescentBatch:
         assert len(merits) == starts + trials and set(merits.values()) == {1}
         gradients = sum(grad for grad, _, _ in calls)
         assert len(handed) == gradients - len(steps) and all(handed)
+
 
 def full_gradients(descent, subset_calls=None):
     """descent with every gradient asked at every row: a gradient call at some
