@@ -134,8 +134,8 @@ def check_pwcr(ctx: PointContext) -> CqVerdict:
         rep["bipartition"] = [list(b.beta1), list(b.beta2)]
         reports.append(rep)
         if not rep["constant"]:
-            return CqVerdict("PWCR", FAILS, "sampled",
-                             {"bipartitions": reports, "witness": rep["witness"]})
+            ev = {"bipartitions": reports, **_sample_keys(reports, ctx.tol)}
+            return CqVerdict("PWCR", FAILS, "sampled", {**ev, "witness": rep["witness"]})
     return _kept_rank("PWCR", reports, ctx.tol, bipartitions=reports)
 
 
@@ -144,8 +144,8 @@ def check_rcrcq(ctx: PointContext) -> CqVerdict:
     I, tol = ctx.I, ctx.tol
     n_triples = 2 ** len(I.I_g) * 4 ** len(I.I_GH)
     if n_triples > RCRCQ_TRIPLE_CAP:
-        return CqVerdict("RCRCQ", UNKNOWN, "sampled",
-                         {"note": f"{n_triples} subset triples exceed the cap"})
+        return CqVerdict("RCRCQ", UNKNOWN, "sampled", {
+            "note": f"{n_triples} subset triples exceed the cap", **_sample_keys([], tol)})
     gh_subsets = list(_subsets(I.I_GH))
     reports = []
     for I1, I3, I4 in itertools.product(_subsets(I.I_g), gh_subsets, gh_subsets):
@@ -156,17 +156,21 @@ def check_rcrcq(ctx: PointContext) -> CqVerdict:
             return CqVerdict("RCRCQ", FAILS, "sampled", {
                 "triple": {"I1": list(I1), "I3": list(I3), "I4": list(I4)},
                 "witness": {"point": w["point"], "rank": w["rank"], "base_rank": rep["rank"]},
-                "seed": tol.seed})
+                **_sample_keys(reports, tol)})
     return _kept_rank("RCRCQ", reports, tol, triples_checked=n_triples)
+
+
+def _sample_keys(reports, tol):
+    """The sample count and seed every sampled verdict carries: the largest count
+    over the families checked (0 when each was certified, or none was checked)."""
+    return {"n_samples": max((r["n_samples"] for r in reports), default=0), "seed": tol.seed}
 
 
 def _kept_rank(name, reports, tol, **evidence):
     """The sampled verdict of families that all kept their rank: HOLDS, or UNKNOWN
-    when a rank decision was thin; n_samples is 0 when every family was certified."""
+    when a rank decision was thin."""
     status = UNKNOWN if any(r["thin_margin"] for r in reports) else HOLDS
-    return CqVerdict(name, status, "sampled",
-                     {**evidence, "n_samples": max(r["n_samples"] for r in reports),
-                      "seed": tol.seed})
+    return CqVerdict(name, status, "sampled", {**evidence, **_sample_keys(reports, tol)})
 
 
 def _subsets(idx):
@@ -210,12 +214,12 @@ def check_pcrsc(ctx: PointContext) -> CqVerdict:
         rep["crosscheck"] = cross
         reports.append(rep)
         if not rep["constant"] and cross["agree"]:
-            return CqVerdict("PCRSC", FAILS, "sampled",
-                             {"bipartitions": reports, "witness": rep["witness"]})
+            ev = {"bipartitions": reports, **_sample_keys(reports, ctx.tol)}
+            return CqVerdict("PCRSC", FAILS, "sampled", {**ev, "witness": rep["witness"]})
     if any_mismatch:
-        return CqVerdict("PCRSC", UNKNOWN, "sampled",
-                         {"bipartitions": reports,
-                          "note": "I_g^- LP and I_0 cross-check disagree"})
+        return CqVerdict("PCRSC", UNKNOWN, "sampled", {
+            "bipartitions": reports, "note": "I_g^- LP and I_0 cross-check disagree",
+            **_sample_keys(reports, ctx.tol)})
     return _kept_rank("PCRSC", reports, ctx.tol, bipartitions=reports)
 
 

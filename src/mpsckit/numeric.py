@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # private: the stacked lstsq and eigh gufuncs
@@ -58,9 +58,6 @@ class Tolerances:
         """Deterministic per-task substream keyed by (seed, tags)."""
         key = [self.seed] + [zlib.crc32(str(t).encode()) for t in tags]
         return np.random.default_rng(key)
-
-    def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,6 @@ class Bipartition:
     beta1: tuple
     beta2: tuple
 
-    def label(self):
-        return f"({set(self.beta1) or '{}'},{set(self.beta2) or '{}'})"
-
 
 @dataclass(frozen=True)
 class BranchProblem:
@@ -323,11 +320,6 @@ def branch(P: MpscProblem, I: IndexSets, b: Bipartition) -> BranchProblem:
     return BranchProblem(P, eq_G, eq_H)
 
 
-def branch_from_assignment(P: MpscProblem, eq_G, eq_H) -> BranchProblem:
-    """Branch from a global sign assignment (used by the enumerative solver)."""
-    return BranchProblem(P, tuple(sorted(eq_G)), tuple(sorted(eq_H)))
-
-
 def all_branches(P: MpscProblem) -> list[BranchProblem]:
     """Branches over all switch indices; their union covers the feasible set."""
     if P.l > MAX_BIACTIVE:
@@ -336,5 +328,5 @@ def all_branches(P: MpscProblem) -> list[BranchProblem]:
     for choice in itertools.product((0, 1), repeat=P.l):
         eq_G = tuple(k for k in range(P.l) if choice[k] == 0)
         eq_H = tuple(k for k in range(P.l) if choice[k] == 1)
-        out.append(branch_from_assignment(P, eq_G, eq_H))
+        out.append(BranchProblem(P, eq_G, eq_H))
     return out

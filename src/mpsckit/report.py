@@ -8,6 +8,7 @@ analysis.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -151,7 +152,7 @@ def annotate_stationarity(P: MpscProblem, sol: solver.LocalSolution,
     """
     if sol.status != "feasible":
         return sol
-    ctx = cn.PointContext(P, sol.x, tol.with_(tau_act=max(tol.tau_act, 10.0 * solver.TAU_KKT)))
+    ctx = cn.PointContext(P, sol.x, replace(tol, tau_act=max(tol.tau_act, 10.0 * solver.TAU_KKT)))
     try:
         w_res = st.w_stationarity_residual(ctx)
     except MpscError as err:

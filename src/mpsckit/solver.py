@@ -9,17 +9,20 @@ one kernel call.  Every row stops on its own and no step reads another row,
 so a row's result does not depend on its batch.  project_branch_cloud
 projects by quadratic penalty with damped Gauss-Newton steps (in constraint
 space, one eigh_stack call per iteration) at each stage, plus a Gauss-Newton
-polish with one stacked least-squares solve per iteration over all live rows.
-solve_branch runs an augmented-Lagrangian loop over all starts, freezing
-each once it is done or diverged, whose inner steps are Newton steps on the
-exact Hessian of the augmented Lagrangian (one derivatives call per
-gradient, then one eigh_stack call flooring the eigenvalues to keep it
-positive definite), its multipliers sliced once per descent; both take
-steps that start at 1 and never exceed it.  solve_penalty_descent minimizes
-f + kappa * residual along the gradient (the residual is a nonsmooth square
-root), then polishes on its incumbent's branch.  The enumerative solver keeps
-the best feasible branch over every switch sign assignment, which is exact on
-the union structure.
+polish with one stacked least-squares solve per iteration over all live
+rows; both evaluate a constraint gradient only at the rows that use it
+(_used_jacobian), so one that a row discards is never computed and cannot
+fail the batch.  solve_branch runs an augmented-Lagrangian loop over all
+starts, freezing each once it is done or diverged, whose inner steps are
+Newton steps on the exact Hessian of the augmented Lagrangian (one
+derivatives call per gradient over every row, the one exception to that
+rule, as per-item calls measured slower, then one eigh_stack call flooring
+the eigenvalues to keep it positive definite), its multipliers sliced once
+per descent; both take steps that start at 1 and never exceed it.
+solve_penalty_descent minimizes f + kappa * residual along the gradient (the
+residual is a nonsmooth square root), then polishes on its incumbent's
+branch.  The enumerative solver keeps the best feasible branch over every
+switch sign assignment, which is exact on the union structure.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ import numpy as np
 
 from .errors import EvalDomainError
 from .numeric import Tolerances, eigh_stack, lstsq_stack
-from .problem import (OBJECTIVE, BranchProblem, MpscProblem, all_branches,
-                      branch_from_assignment)
+from .problem import OBJECTIVE, BranchProblem, MpscProblem, all_branches
 
 
 # every descent: Armijo sufficient-decrease constant
@@ -198,14 +200,24 @@ def _add_gradients(out, J, *weights):
     return out
 
 
+def _used_jacobian(P: MpscProblem, Z, items, used):
+    """Gradient rows of items at the rows of Z, (N, len(items), n): item j only at
+    the rows r where used[r, j] holds, one call per item, a zero row elsewhere."""
+    J = np.zeros(used.shape + (P.n,))
+    for j, (it, rows) in enumerate(zip(items, used.T)):
+        if rows.any():
+            J[rows, j] = P.jacobian(Z[rows], [it])[:, 0]
+    return J
+
+
 def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
     """Newton steps on the violated constraint system to sharpen feasibility.
 
-    Values, and gradients where used (every equality, an inequality only where
-    violated), are evaluated in batches over the live rows; the least-squares
-    steps of all live rows are solved in one stack per iteration, over every
-    equality then every inequality, an unused one a zero row with value 0, so
-    a row's step does not depend on the other rows; a non-finite step is skipped.
+    Values at the live rows, and each gradient only at the live rows that use it
+    (every equality, an inequality only where violated), are evaluated in batches;
+    the least-squares steps of all live rows are solved in one stack per iteration,
+    over every equality then every inequality, an unused one a zero row with value 0,
+    so a row's step does not depend on the other rows; a non-finite step is skipped.
     """
     P = br.problem
     cons = br.equalities() + [("g", i) for i in range(P.m)]
@@ -217,11 +229,7 @@ def _gauss_newton_polish(br: BranchProblem, X, tol: Tolerances):
         if live.size == 0:
             break
         use = is_eq | (V[live] > 0.0)
-        J = np.zeros(use.shape + (P.n,))
-        for j, it in enumerate(cons):
-            if use[:, j].any():
-                J[use[:, j], j] = P.jacobian(X[live[use[:, j]]], [it])[:, 0]
-        step = lstsq_stack(J, np.where(use, V[live], 0.0))
+        step = lstsq_stack(_used_jacobian(P, X[live], cons, use), np.where(use, V[live], 0.0))
         ok = np.isfinite(step).all(axis=1)
         if not ok.any():
             break
@@ -248,13 +256,10 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
         f = ((Z - X0[rows]) ** 2).sum(axis=1) + sigma * (c ** 2).sum(axis=1) if f is None else f
         if not grad:
             return f, V
-        # Gauss-Newton, in constraint space, over every equality and each violated
-        # inequality: a zero row where an inequality holds keeps Ju's width fixed
+        # Gauss-Newton, in constraint space, over every equality and each violated inequality,
+        # each gradient only at the rows that use it: a zero row elsewhere keeps Ju's width fixed
         used = is_eq | (c > 0.0)
-        cols = used.any(axis=0)  # gradients only of the items some row uses
-        Ju = np.zeros(c.shape + (P.n,))
-        Ju[:, cols] = P.jacobian(Z, [it for it, u in zip(items, cols) if u])
-        Ju *= used[:, :, None]
+        Ju = _used_jacobian(P, Z, items, used)
         g = _add_gradients(2.0 * (Z - X0[rows]), Ju, 2.0 * sigma * c)
         return f, V, g, _gauss_newton_step(Ju, Z - X0[rows], c, sigma)
 
@@ -428,7 +433,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     g, h, G, H = P.constraint_values(x[0])
     eq_G = tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2)
     eq_H = tuple(k for k in range(P.l) if G[k] ** 2 > H[k] ** 2)
-    br = branch_from_assignment(P, eq_G, eq_H)
+    br = BranchProblem(P, eq_G, eq_H)
     X, kkt, res, status, outer = _alm_batch(P, br, x, tol)
     sol = LocalSolution(
         x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]), residual=float(P.residual(X[0])),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS_POINTS, checked_acq_directions, cq_table, scaled_text
-from mpsckit import cones, cq, penalty
+from mpsckit import cones, cq, penalty, report
 from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
 from mpsckit.errors import LatticeContradictionError
@@ -385,6 +385,17 @@ class TestSampleWork:
             assert calls == [TOL.n_samples] * 3 * (name in self.SAMPLING), name
             if name not in self.SAMPLING:  # and the evidence says no sample was drawn
                 assert [v.evidence["n_samples"] for v in verdicts] == [0] * 4, name
+
+    def test_every_rank_verdict_carries_its_seed_and_sample_count(self, corpus):
+        # the count is the largest over the families checked, 0 when each was
+        # certified; a FAILS is a rank rise seen in the sample
+        for name, P in corpus.items():
+            verdicts = report.analyze(P, CORPUS_POINTS[name], TOL)["verdicts"]["cq"]
+            for check in ("WCR", "PWCR", "RCRCQ", "PCRSC"):
+                v = verdicts[check]
+                assert v["evidence"]["seed"] == TOL.seed, (name, check)
+                want = [TOL.n_samples] if v["status"] == "FAILS" else [0, TOL.n_samples]
+                assert v["evidence"]["n_samples"] in want, (name, check)
 
     def test_psoqn_reads_the_context_shells(self, corpus, monkeypatch):
         seen = []

@@ -148,7 +148,7 @@ class TestBranch:
         # log(x2) is the unpinned side of the G branch: never evaluated there
         P = pb.load_problem("vars x1 x2\nmin x1\nineq x2 - 1\neq x1 - x2\n"
                             "switch x1 | log(x2)\n", from_path=False)
-        br = pb.branch_from_assignment(P, (0,), ())
+        br = pb.BranchProblem(P, (0,), ())
         assert float(br.residual([-1.0, -1.0])) == 1.0
         X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(64, 2))
         V = P.values(X, br.equalities() + [("g", 0)])

@@ -312,6 +312,16 @@ class TestFlooredNewton:
         assert np.array_equal(d[4], g[4] / 1e-8)
 
 
+def mixed_use_case():
+    """A problem and 16 rows of it that use its equality alone, with either
+    inequality, or with both."""
+    P = load_problem("vars x1 x2 x3\nmin x3\nineq x1^2 - 1\nineq x2 - 1\n"
+                     "eq x3 - x1*x2\n", from_path=False)
+    rng = np.random.default_rng(3)
+    return P, np.array([[a, b, c] for a in (0.5, -2.0) for b in (0.2, 3.0)
+                        for c in rng.normal(size=4)])
+
+
 class TestProjectBranch:
     def test_already_feasible_is_fixed(self):
         P = load_problem("vars x1 x2\nmin x1\nineq -x1\n", from_path=False)
@@ -365,6 +375,33 @@ class TestProjectBranch:
                         (name, br.label(), x0)
         assert feasible == 8 * sum(len(all_branches(P)) for P in corpus.values())
         assert compared >= 0.9 * feasible
+
+    def test_gradients_only_at_the_rows_that_use_them(self, corpus, monkeypatch):
+        # a row uses an item when it is an equality of the branch or its value
+        # there is > 0; neither the stages nor the polish ask for a gradient at
+        # a row that does not use it
+        jacobian, calls = MpscProblem.jacobian, []
+
+        def spy(self, Z, items):
+            calls.append((np.array(Z), list(items)))
+            return jacobian(self, Z, items)
+
+        monkeypatch.setattr(MpscProblem, "jacobian", spy)
+        rng = np.random.default_rng(17)
+        cases = [mixed_use_case()] + [
+            (P, np.vstack([ball_offsets(rng, 6, P.n, r) for r in (0.5, 0.05, 0.005)]))
+            for _, P in sorted(corpus.items())]
+        pairs = 0
+        for P, X in cases:
+            for br in all_branches(P):
+                calls.clear()
+                solver.project_branch_cloud(P, br, X, TOL)
+                for Z, items in calls:
+                    is_eq = np.array([it in br.equalities() for it in items])
+                    used = is_eq | (P.values(Z, items) > 0.0)
+                    assert used.all(), (br.label(), items, Z[~used.all(axis=1)])
+                    pairs += used.size
+        assert pairs > 0
 
     def test_stages_take_few_gradient_steps(self, capsys, monkeypatch):
         # analyze --with-penalty on axes2d and ray2d: the Gauss-Newton stages
@@ -640,12 +677,8 @@ class TestGaussNewtonPolish:
     def test_batched_equals_per_row_with_mixed_use_patterns(self):
         # one iteration's live rows use the equality alone, with either
         # inequality, or with both: four patterns in one stacked solve
-        P = load_problem("vars x1 x2 x3\nmin x3\nineq x1^2 - 1\nineq x2 - 1\n"
-                         "eq x3 - x1*x2\n", from_path=False)
+        P, X = mixed_use_case()
         br = all_branches(P)[0]
-        rng = np.random.default_rng(3)
-        X = np.array([[a, b, c] for a in (0.5, -2.0) for b in (0.2, 3.0)
-                      for c in rng.normal(size=4)])
         used = P.values(X, [("g", 0), ("g", 1)]) > 0.0
         assert len({tuple(u) for u in used}) == 4
         got = solver._gauss_newton_polish(br, X, TOL)
@@ -712,6 +745,16 @@ class TestBatchInvariance:
         X = np.vstack([ball_offsets(rng, 6, P.n, r) for r in (0.5, 0.05, 0.005)])
         for br in all_branches(P):
             self._assert_rowwise(lambda Z: [solver.project_branch_cloud(P, br, Z, TOL)], X)
+
+    def test_projection_row_beside_a_non_finite_unused_gradient(self):
+        # d/dx1 sqrt(x1) is not finite at x1 = 0, where the inequality holds:
+        # the row (0, 0.5) projects the same beside (4, 2), which violates it
+        P = load_problem("vars x1 x2\nmin x2\nineq sqrt(x1) - 1\neq x2 - 1\n",
+                         from_path=False)
+        (br,) = all_branches(P)
+        X = np.array([[0.0, 0.5], [4.0, 2.0]])
+        for rows in (X, X[::-1]):  # a permutation of two rows seeded 1 is the identity
+            self._assert_rowwise(lambda Z: [solver.project_branch_cloud(P, br, Z, TOL)], rows)
 
     def test_ray2d_point_among_40_rows(self, corpus):
         # (0.0025, 0) was 1.4e-13 farther from F projected alone than with 40 other rows
