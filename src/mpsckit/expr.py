@@ -316,11 +316,11 @@ def compile_kernel(exprs):
     Every node applies the numpy operation of a node-by-node walk of the tree to the
     same operand types (constants as np.full arrays, or as float literals where an
     output column or an array's +, -, * reads them; powers as `base ** float(k)`), so
-    the values are the walk's to the bit; the constant output columns are stored in
-    one assignment ahead of the first tree.  The first error is the one a walk of tree
-    after tree meets: a non-finite X, then the domain checks in walk order (a failed
-    one first reports the first non-finite output of the trees already computed),
-    then the outputs' one finiteness check.  A node is computed once per operation
+    the values are the walk's to the bit; the constant output columns are stored by
+    one broadcast of a row built at compile time, ahead of the first tree.  The first
+    error is the one a walk of tree after tree meets: a non-finite X, then the domain
+    checks in walk order (a failed one first reports the first non-finite output of
+    the trees already computed), then the outputs' one finiteness check.  A node is computed once per operation
     and operand names plus its domain check's offset, so equal subtrees whose
     checked nodes sit at other offsets stay apart.
     """
@@ -358,14 +358,14 @@ def compile_kernel(exprs):
             return bind(f"np.{e.fn}({a})", (e.fn, a, e.offset) if e.fn in _DOMAIN else None)
         raise TypeError(f"not an Expr: {e!r}")
 
-    consts = {k: e.value for k, e in enumerate(exprs) if isinstance(e, Const)}
+    # the constant columns' values, -0.0 kept; the computed columns overwrite theirs
+    row = np.array([e.value if isinstance(e, Const) else 0.0 for e in exprs])
     for e in exprs:
         if not isinstance(e, Const):
             code.append(f"out[:, {len(offsets)}] = {emit(e, True)}")
         offsets.append(e.offset)
-    if consts:
-        code.insert(0, f"out[:, {list(consts)}] = {list(consts.values())}" if len(consts) > 1
-                    else "out[:, {}] = ({!r})".format(*consts.popitem()))
+    if any(isinstance(e, Const) for e in exprs):
+        code.insert(0, "out[...] = _row")
     if exprs:
         code.insert(0, "if not np.isfinite(X).all(): "
                        "raise EvalDomainError('evaluation point must be finite')")
@@ -373,7 +373,7 @@ def compile_kernel(exprs):
     src = "\n    ".join(["def kernel(X):", "N = X.shape[0]",
                          f"out = np.empty((N, {len(exprs)}))"] + code + ["return out"])
     env = {"np": np, "EvalDomainError": EvalDomainError, "inf": np.inf, "nan": np.nan,
-           "_overflow": _overflow, "offsets": tuple(offsets)}
+           "_overflow": _overflow, "offsets": tuple(offsets), "_row": row}
     exec(compile(src, "<mpsckit kernel>", "exec"), env)
     return env["kernel"]
 

@@ -71,25 +71,19 @@ class MpscProblem:
         """(kind, items) -> its compiled kernel, built on first use."""
         return {}
 
-    @cached_property
-    def _mirror(self) -> np.ndarray:
-        """(n, n) map from a Hessian's entries to its row-major upper triangle."""
-        M = np.zeros((self.n, self.n), int)  # M.T fills its zero lower triangle
-        M[np.triu_indices(self.n)] = np.arange(self.n * (self.n + 1) // 2)
-        return np.maximum(M, M.T)
-
     def _evaluate(self, kind, items, x):
         """Run the kernel of kind "v" (item values), "j" (their gradient rows)
-        or "jh" (the gradient rows, then the upper triangles of their Hessians,
-        row-major) at a point or a batch, under one np.errstate: an overflow
-        ends as the kernel's EvalDomainError on a non-finite output."""
+        or "jh" (the gradient rows, then their whole Hessians, row-major, an
+        entry below the diagonal the same tree and value as its mirror above)
+        at a point or a batch, under one np.errstate: an overflow ends as the
+        kernel's EvalDomainError on a non-finite output."""
         kernel = self._kernels.get((kind, tuple(items)))
         if kernel is None:
             trees = ([self.expr(*it) for it in items] if kind == "v" else
                      [d for it in items for d in self.gradient_trees[it]])
-            if kind == "jh":
-                trees += [ex.diff(self.gradient_trees[it][i], j) for it in items
-                          for i, j in zip(*np.triu_indices(self.n))]
+            if kind == "jh":  # entry (i, j) below the diagonal: the tree of (j, i)
+                trees += [ex.diff(self.gradient_trees[it][min(i, j)], max(i, j)) for it in items
+                          for i in range(self.n) for j in range(self.n)]
             kernel = self._kernels[kind, tuple(items)] = ex.compile_kernel(trees)
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -111,8 +105,7 @@ class MpscProblem:
         gradients are evaluated first, so their error is the first."""
         V = self._evaluate("jh", items, x)
         head, K, n = V.shape[:-1], len(items), self.n
-        tri = V[..., K * n:].reshape(head + (K, n * (n + 1) // 2))
-        return V[..., :K * n].reshape(head + (K, n)), tri[..., self._mirror]
+        return V[..., :K * n].reshape(head + (K, n)), V[..., K * n:].reshape(head + (K, n, n))
 
     def hessian(self, x, item):
         """Hessian of one item at a point, shape (n, n)."""

@@ -1,28 +1,29 @@
 """Desk-scale local solving over branch feasible sets.
 
-Every loop descends through _descent_batch, an Armijo line search batched
-over rows along the direction its objective callback returns.  The callback
-evaluates the loop's items and the objective once per point; a gradient
-call, asked only at the rows that moved, gets both (from the start or the
-accepted trial) and returns them with the gradient and the direction from
-one kernel call.  Every row stops on its own and no step reads another row,
-so a row's result does not depend on its batch.  project_branch_cloud
-projects by quadratic penalty with damped Gauss-Newton steps (in constraint
-space, one eigh_stack call per iteration) at each stage, plus a Gauss-Newton
-polish with one stacked least-squares solve per iteration over all live
-rows; both evaluate a constraint gradient only at the rows that use it
-(_used_jacobian), so one that a row discards is never computed and cannot
-fail the batch.  solve_branch runs an augmented-Lagrangian loop over all
-starts, freezing each once it is done or diverged, whose inner steps are
-Newton steps on the exact Hessian of the augmented Lagrangian (one
-derivatives call per gradient over every row, the one exception to that
-rule, as per-item calls measured slower, then one eigh_stack call flooring
-the eigenvalues to keep it positive definite), its multipliers sliced once
-per descent; both take steps that start at 1 and never exceed it.
-solve_penalty_descent minimizes f + kappa * residual along the gradient (the
-residual is a nonsmooth square root), then polishes on its incumbent's
-branch.  The enumerative solver keeps the best feasible branch over every
-switch sign assignment, which is exact on the union structure.
+Every loop descends through _descent_batch, an Armijo line search batched over
+rows along the direction its objective callback returns.  The callback
+evaluates the loop's items and the objective once per point; a gradient call,
+asked only at the rows that moved, gets both (from the start or the accepted
+trial) and returns them with the gradient and the direction from one kernel
+call.  Every row stops on its own and no step reads another row, so a row's
+result does not depend on its batch; when every row tries (or accepts) a step,
+the descent works on whole arrays, without the gathers, scatters and masks a
+mixed batch needs.  project_branch_cloud projects by quadratic penalty with
+damped Gauss-Newton steps (in constraint space, one eigh_stack call per
+iteration) at each stage, plus a Gauss-Newton polish with one stacked
+least-squares solve per iteration over all live rows; both evaluate a
+constraint gradient only at the rows that use it (_used_jacobian), so one that
+a row discards is never computed and cannot fail the batch.  solve_branch runs
+an augmented-Lagrangian loop over all starts, freezing each once it is done or
+diverged, whose inner steps are Newton steps on the exact Hessian of the
+augmented Lagrangian (one derivatives call per gradient over every row, the
+one exception to that rule, as per-item calls measured slower, then one
+eigh_stack call flooring the eigenvalues to keep it positive definite), its
+multipliers sliced once per descent; both take steps that start at 1 and never
+exceed it.  solve_penalty_descent minimizes f + kappa * residual along the
+gradient (the residual is a nonsmooth square root), then polishes on its
+incumbent's branch.  The enumerative solver keeps the best feasible branch
+over every switch sign assignment, which is exact on the union structure.
 """
 
 from __future__ import annotations
@@ -106,10 +107,9 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
     Y = np.array(Y, float)
     N = Y.shape[0]
     rows_all = moved = np.arange(N)
-    t = np.ones(N)
+    t, f = np.ones(N), None
     on = np.ones(N, bool)  # rows still descending
     flat = np.zeros(N, int)  # each row's run of steps with a negligible decrease
-    f, ft, Vt = None, np.empty(N), None
     for _ in range(iters):
         if moved.size == N:  # the start, or every row accepted: one full-batch call
             f, V, g, d = objective(rows_all, Y, V, f, grad=True)
@@ -117,26 +117,32 @@ def _descent_batch(objective, Y, iters, gtol=0.0, V=None, t_max=1e6):
             g[moved], d[moved] = objective(moved, Y[moved], V[moved], f[moved], grad=True)[2:]
         slope = (g * d).sum(axis=1)  # |g|^2 for steepest descent; NaN: no trial
         on &= slope > max(gtol * gtol, 1e-26)
-        if not on.any():
+        rows = on.nonzero()[0]  # (cheaper than any / all on a few rows)
+        if not rows.size:
             break
-        Vt = np.empty_like(V) if Vt is None else Vt
-        trial = Y - t[:, None] * d
-        rows = on.nonzero()[0]
-        ft[rows], Vt[rows] = objective(rows, trial[rows])
-        need = on & (ft > f - ARMIJO_C * t * slope)
-        for _ in range(30):  # a row outside need keeps its t, so its trial
-            if not need.any():
-                break
-            np.multiply(t, 0.5, out=t, where=need)
+        accept, need, every = on, on, rows.size == N
+        for halving in range(31):  # the trial at t, then up to 30 halvings of it
+            if halving:  # a row outside need keeps its t, so its trial
+                np.multiply(t, 0.5, out=t, where=need)
             trial = Y - t[:, None] * d
+            if rows.size == N:  # every row tries: whole arrays, no gather or scatter
+                ft, Vt = objective(rows_all, trial)
+            else:  # fresh buffers at the first trial: f and V may be the last ones
+                ft, Vt = (np.empty(N), np.empty_like(V)) if not halving else (ft, Vt)
+                ft[rows], Vt[rows] = objective(rows, trial[rows])
+            need = need & (ft > f - ARMIJO_C * t * slope)
             rows = need.nonzero()[0]
-            ft[rows], Vt[rows] = objective(rows, trial[rows])
-            need &= ft > f - ARMIJO_C * t * slope
-        accept = on & ~need
-        flat = np.where(f - ft <= 1e-14 * (1.0 + abs(f)), flat + 1, 0)
+            if not rows.size:
+                break
+        else:  # a row whose 30 halvings all failed stops
+            accept, every = on & ~need, False
+        flat = (flat + 1) * (f - ft <= 1e-14 * (1.0 + abs(f)))
         on = accept & (flat < 3)
-        np.copyto(Y, trial, where=accept[:, None])
         moved = on.nonzero()[0]
+        if every:  # every row takes its trial, f and V with it
+            Y, V, f, t = trial, Vt, ft, np.minimum(t * 2.0, t_max)
+            continue
+        np.copyto(Y, trial, where=accept[:, None])
         # after the last use of f, which may view V: both take the accepted trial's
         np.copyto(V, Vt, where=accept[:, None])
         np.copyto(f, ft, where=accept)
@@ -153,16 +159,16 @@ def _floored_newton(H, g):
     max(|lam|, 1e-8 * (1 + max |lam|)), one eigh_stack call over every row of
     H, which is overwritten: a row whose H or g is not finite is the identity
     there, and it or a row with a non-finite direction gets NaN (no trial)."""
-    bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
-    if bad.any():
+    bad = False  # row masks only once a test over the whole stack fails
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        bad = ~(np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
         H[bad] = np.eye(H.shape[-1])
     lam, Q = eigh_stack(H)
     lam = np.abs(lam)
     lam = np.maximum(lam, 1e-8 * (1.0 + lam.max(axis=1, keepdims=True)))
     d = (Q @ ((g[:, None, :] @ Q)[:, 0] / lam)[:, :, None])[:, :, 0]
-    bad |= ~np.isfinite(d).all(axis=1)
-    if bad.any():
-        d[bad] = np.nan
+    if bad is not False or not np.isfinite(d).all():
+        d[bad | ~np.isfinite(d).all(axis=1)] = np.nan
     return d
 
 
@@ -193,10 +199,11 @@ def _gate(W, lists, build):
     return lists.get(key) or lists.setdefault(key, build(keep)), W[:, keep]
 
 
-def _add_gradients(out, J, *weights):
-    """out += w * J[:, c] over the columns c of J, w the c-th weight column."""
-    for c, w in enumerate(w for W in weights for w in W.T):
-        out += w[:, None] * J[:, c]
+def _add_gradients(out, J, W):
+    """out += W[:, c] * J[:, c] over the columns c of W, in order, the products
+    from one broadcast multiply."""
+    for p in (W[:, :, None] * J[:, :W.shape[1]]).transpose(1, 0, 2):
+        out += p
     return out
 
 
@@ -279,7 +286,8 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
     items, ne, lists = [OBJECTIVE] + eqs + gs, len(eqs), {}
     X = np.atleast_2d(np.asarray(X0, float)).copy()
     N = X.shape[0]
-    lam, rho, V = np.zeros((N, len(gs))), np.zeros((N, ne)), np.empty((N, len(items)))
+    mult, V = np.zeros((N, ne + len(gs))), np.empty((N, len(items)))
+    rho, lam = mult[:, :ne], mult[:, ne:]  # views: the multipliers in item order
     sigma, prev_res, kkt = np.full(N, 10.0), np.full(N, np.inf), np.full(N, np.inf)
     act = np.arange(N)  # the rows neither done nor diverged; the others are frozen
 
@@ -306,9 +314,8 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
         # Newton: the exact Hessian of the augmented Lagrangian, the f, e and
         # gated g Hessians weighted 1, c and w plus s * grad u grad u^T over
         # every equality and each inequality with w > 0
-        weights = np.ones((len(Z), len(gated)))  # 1, c = r + s e, W
-        weights[:, 1:1 + ne] = r + s * ev
-        weights[:, 1 + ne:] = W
+        weights = np.empty((len(Z), len(gated)))  # 1, c = r + s e, W
+        weights[:, 0], weights[:, 1:1 + ne], weights[:, 1 + ne:] = 1.0, r + s * ev, W
         g = _add_gradients(J[:, 0], J[:, 1:], weights[:, 1:])
         Ju = J[:, 1:].copy()
         Ju[:, ne:] *= W[:, :, None] > 0.0
@@ -331,7 +338,7 @@ def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
         lam[act] = np.maximum(0.0, lm + s * Va[:, 1 + ne:])
 
         J = P.jacobian(Xa, items)
-        kkt[act] = np.linalg.norm(_add_gradients(J[:, 0], J[:, 1:], rho[act], lam[act]), axis=1)
+        kkt[act] = np.linalg.norm(_add_gradients(J[:, 0], J[:, 1:], mult[act]), axis=1)
         # a stalled iterate on the feasible set is accepted even without a
         # small KKT residual (branch minimizers need not be KKT points)
         size = np.linalg.norm(Xa, axis=1)
@@ -409,7 +416,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
             it for it, k in zip(gs, keep) if k] + hs + pairs)
         J = P.jacobian(Z, gated)
         out, dGH = J[:, 0], J[:, len(gated) - 2 * P.l:]
-        dr = _add_gradients(np.zeros_like(Z), J[:, 1:], W, h)
+        dr = _add_gradients(np.zeros_like(Z), J[:, 1:], np.concatenate([W, h], axis=1))
         for k in range(P.l):
             use_g = G[:, k] ** 2 <= H[:, k] ** 2  # tie -> G piece
             dr += np.where(use_g[:, None], G[:, k:k + 1] * dGH[:, 2 * k],

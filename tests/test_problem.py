@@ -449,8 +449,10 @@ class TestCompiledKernel:
         assert [src.count("isfinite") for src in sources] == [2, 2]
 
     def test_constant_columns_share_one_store(self, monkeypatch):
-        # tilted_sheet3d's "jh" kernel over [f, H0, g0] has 27 constant
-        # columns (every gradient entry and every Hessian entry)
+        # tilted_sheet3d's "jh" kernel over [f, H0, g0] has 36 columns, all
+        # constant (every gradient entry and every Hessian entry); a kernel of
+        # computed columns beside -0.0, 0.0 and other constants still stores
+        # them in one whole-row broadcast, byte for byte the walk's
         sources = []
 
         def spy(src, *args):
@@ -461,14 +463,52 @@ class TestCompiledKernel:
         items = [pb.OBJECTIVE, ("H", 0), ("g", 0)]
         X = np.random.default_rng(0).normal(size=(9, 3))
         trees = [d for it in items for d in P.gradient_trees[it]]
-        trees += [ex.diff(P.gradient_trees[it][i], j) for it in items
-                  for i, j in zip(*np.triu_indices(3))]
+        trees += [ex.diff(P.gradient_trees[it][min(i, j)], max(i, j)) for it in items
+                  for i in range(3) for j in range(3)]
         assert_bitwise(P._evaluate("jh", items, X), tree_walk(trees, X)[0])
-        ex.compile_kernel([Var(0), Const(2.0)])
+        signed = [Const(-0.0), Var(0), Const(0.0), Bin("*", Var(1), Const(-0.0)),
+                  Const(-0.0), Const(2.5), Neg(Var(2)), Const(0.0)]
+        for trees in ([Var(0), Const(2.0)], signed):
+            got, want = compiled(trees, X)[0], tree_walk(trees, X)[0]
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[:, [0, 4]]).all() and not np.signbit(got[:, [2, 7]]).any()
         stores = [[line.strip() for line in src.splitlines()
-                   if re.match(r"\s*out\[:, .*\] = (?!t\d+$)", line)] for src in sources]
-        assert len(stores[0]) == 1 and stores[0][0].startswith("out[:, [")
-        assert stores[1] == ["out[:, 1] = (2.0)"]
+                   if re.match(r"\s*out\[.*\] = (?!t\d+$)", line)] for src in sources]
+        assert stores == [["out[...] = _row"]] * 3
+
+    @staticmethod
+    def _assert_whole_hessians(P, items, X):
+        """P.derivatives' Hessians equal their transposes byte for byte and
+        their upper triangles the walk of each upper entry's tree; where the
+        walk of the gradient trees, then those entries, fails, the same error."""
+        upper = [ex.diff(P.gradient_trees[it][i], j) for it in items
+                 for i, j in zip(*np.triu_indices(P.n))]
+        grads = [d for it in items for d in P.gradient_trees[it]]
+        want, err = tree_walk(grads + upper, X)
+        if err is not None:
+            with pytest.raises(EvalDomainError) as got:
+                P.derivatives(X, items)
+            assert (str(got.value), got.value.offset) == err
+            return
+        J, Hs = P.derivatives(X, items)
+        assert Hs.tobytes() == Hs.swapaxes(-1, -2).tobytes()
+        iu = np.triu_indices(P.n)
+        assert Hs[..., iu[0], iu[1]].reshape(len(X), -1).tobytes() == want[:, len(grads):].tobytes()
+        assert J.reshape(len(X), -1).tobytes() == want[:, :len(grads)].tobytes()
+
+    def test_whole_hessians_are_symmetric_to_the_bit_on_the_corpus(self, corpus):
+        rng = np.random.default_rng(8)
+        for P in corpus.values():
+            for rows in (1, 9):
+                self._assert_whole_hessians(P, list(P.items), rng.normal(size=(rows, P.n)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(hst.lists(EXPRESSIONS, min_size=1, max_size=3), hst.integers(0, 2 ** 32 - 1))
+    def test_whole_hessians_are_symmetric_to_the_bit(self, trees, seed):
+        P = pb.MpscProblem(N_VARS, ("x1", "x2", "x3"), trees[0], tuple(trees[1:]), (), ())
+        rng = np.random.default_rng(seed)
+        for X in (rng.uniform(0.1, 2.0, size=(9, N_VARS)), rng.normal(0.0, 3.0, size=(1, N_VARS))):
+            self._assert_whole_hessians(P, list(P.items), X)
 
     def test_non_finite_point_is_a_domain_error(self, corpus):
         P = corpus["axes2d"]
