@@ -214,7 +214,7 @@ def cmd_errorbound(args):
     P = load_problem(args.file)
     tol = _tolerances(args)
     x = _parse_point(args.point, P.n)
-    rep = pen.error_bound_probe(P, x, tol)
+    rep = pen.error_bound_probe(PointContext(P, x, tol))
     print(f"error bound: {rep.verdict} (alpha_hat={rep.alpha_hat:.6g}, "
           f"n_samples={rep.n_samples}, seed={rep.seed})")
     for c in rep.ratio_curve:

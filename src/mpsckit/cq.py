@@ -260,7 +260,7 @@ def distance_ratios(ctx: PointContext, D, branches) -> np.ndarray:
     `penalty.ray_distances` over `branches`; inf where no projection ends
     feasible."""
     ts = ctx.tol.eps_ball * np.array(T_FRACTIONS)
-    return pen.ray_distances(ctx.P, ctx.x, D, ts, ctx.tol, branches) / ts
+    return pen.ray_distances(ctx, D, ts, branches) / ts
 
 
 def check_acq(ctx: PointContext) -> CqVerdict:

@@ -1,11 +1,11 @@
 """Exact penalty function, feasibility residual, and local error-bound probes.
 
-The residual aggregates violations in the l2 sense, with each switching
-pair contributing min{G^2, H^2}.  Distance to the feasible set is estimated
-through the branch decomposition (each branch is a standard NLP).  The
-error-bound and exact-penalty probes are sampling heuristics over shrinking
-radii: their positive verdicts are evidence, not proofs, and every report
-carries the seed and sample counts.
+The residual aggregates violations in the l2 sense, with each switching pair
+contributing min{G^2, H^2}.  Distance to the feasible set is estimated through
+the branches at a `cones.PointContext`'s point (each branch is a standard NLP),
+whose index sets gate the error-bound and exact-penalty probes.  The probes are
+sampling heuristics over shrinking radii: their positive verdicts are evidence,
+not proofs, and every report carries the seed and sample counts.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvalDomainError, InfeasiblePointError
+from .errors import EvalDomainError
 from .numeric import RADII_FRACTIONS, Tolerances, ball_offsets
-from .problem import OBJECTIVE, MpscProblem, all_branches
+from .problem import OBJECTIVE, MpscProblem
 from .solver import project_branch_cloud
 
 HOLD_FACTOR = 4.0    # max ratio growth still considered bounded
@@ -48,8 +48,8 @@ def penalized_objective(P: MpscProblem, x, kappa: float) -> float:
 def nearest_feasible(P, X, tol: Tolerances, branches):
     """Per-row distance upper bounds to F through the projection onto each
     of `branches`, and the projections; inf where none ends feasible.  The
-    error-bound probe passes every branch of P, ACQ's distance ratios the
-    branches at their point."""
+    error-bound probe and ACQ's distance ratios pass branches at their point
+    (`PointContext.branches`, or the one branch of a cone piece)."""
     X = np.atleast_2d(np.asarray(X, float))
     best_d = np.full(X.shape[0], np.inf)
     best_y = np.full_like(X, np.nan)
@@ -63,12 +63,12 @@ def nearest_feasible(P, X, tol: Tolerances, branches):
     return best_d, best_y
 
 
-def ray_distances(P, x, D, ts, tol: Tolerances, branches):
-    """Distance upper bounds dist(x + t d, F) for each row d of D (rows) and
+def ray_distances(ctx, D, ts, branches):
+    """Distance upper bounds dist(ctx.x + t d, F) for each row d of D (rows) and
     each step t of ts (columns), from one `nearest_feasible` call over
     `branches`; inf where no projection ends feasible."""
-    X = x + ts[:, None, None] * np.asarray(D)[None]
-    dist, _ = nearest_feasible(P, X.reshape(-1, P.n), tol, branches)
+    X = ctx.x + ts[:, None, None] * np.asarray(D)[None]
+    dist, _ = nearest_feasible(ctx.P, X.reshape(-1, ctx.P.n), ctx.tol, branches)
     return dist.reshape(len(ts), -1).T
 
 
@@ -83,18 +83,16 @@ class ErrorBoundReport:
     witness_sequence: list | None = None  # FAILS: {radius, ratio, point} triple
 
 
-def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
-    """Probe dist_F <= alpha * residual on shells of shrinking radius.
+def error_bound_probe(ctx) -> ErrorBoundReport:
+    """Probe dist_F <= alpha * residual on shells of shrinking radius around ctx.x.
 
     The same direction set is reused at every radius so ratio growth is a
     per-direction scaling law; coordinate axes come first to keep canonical
     escape rays deterministic.  dist <= r bounds a ratio by r / residual:
     the DIST_BATCH directions with the largest bound at the smallest radius,
-    and the axes, are projected at every radius in one `ray_distances` call.
+    and the axes, are projected onto ctx.branches at every radius in one call.
     """
-    x = np.asarray(x, float)
-    if float(P.residual(x)) > tol.tau_feas:
-        raise InfeasiblePointError("error-bound probe needs a feasible center")
+    P, x, tol, branches = ctx.P, ctx.x, ctx.tol, ctx.branches  # ctx.I gates feasibility
     rng = tol.rng("errorbound")
     D = np.vstack([np.eye(P.n), -np.eye(P.n),
                    rng.normal(size=(tol.n_samples, P.n))])
@@ -108,7 +106,7 @@ def error_bound_probe(P: MpscProblem, x, tol: Tolerances) -> ErrorBoundReport:
     block = small[np.argsort(-(radii[-1] / res[small, -1]))][:DIST_BATCH]
     # the union of block and the axis directions; np.union1d would import numpy.ma
     picked = np.array(sorted({*block.tolist(), *range(2 * P.n)}), dtype=int)
-    dist = ray_distances(P, x, D[picked], radii, tol, all_branches(P))
+    dist = ray_distances(ctx, D[picked], radii, branches)
     ok = infeas[picked] & np.isfinite(dist)  # (direction, radius) with a ratio
     ratios = np.divide(dist, res[picked], out=np.full(dist.shape, np.nan), where=ok)
 
@@ -164,34 +162,29 @@ class PenaltyReport:
 def _minimality_samples(P, x, radius, count, rng):
     """Ball samples plus deterministic axis rays at geometric radii."""
     ball = x[None, :] + ball_offsets(rng, count, P.n, radius)
-    rays = []
-    for j in range(P.n):
-        for sgn in (1.0, -1.0):
-            for k in range(13):
-                step = np.zeros(P.n)
-                step[j] = sgn * radius * 2.0 ** (-k)
-                rays.append(x + step)
-    return np.vstack([ball, np.array(rays)])
+    # row (j, sign, k) is x + sign * radius * 2^-k * e_j, sign +1 then -1
+    steps = np.zeros((P.n, 2, 13, P.n))
+    steps[np.arange(P.n), :, :, np.arange(P.n)] = np.multiply.outer(
+        [1.0, -1.0], radius * 2.0 ** -np.arange(13.0))
+    return np.vstack([ball, x + steps.reshape(-1, P.n)])
 
 
-def exact_penalty_probe(P: MpscProblem, x, tol: Tolerances,
-                        eb: ErrorBoundReport) -> PenaltyReport:
+def exact_penalty_probe(ctx, eb: ErrorBoundReport) -> PenaltyReport:
     """Estimate the exact-penalty threshold and test local minimality of
-    the penalized objective at a feasible point.
+    the penalized objective at ctx.x.
 
     kappa_bar_hat = alpha_hat * L_f_hat is only claimed when the error-bound
     probe's report `eb` HOLDS; the kappa grid is evaluated either way.  The
     Lipschitz estimate is the largest sampled gradient norm over the
     minimality ball (the radius is reported since the constant depends on it).
     """
-    x = np.asarray(x, float)
-    if float(P.residual(x)) > tol.tau_feas:
-        raise InfeasiblePointError("exact-penalty probe needs a feasible center")
+    P, x, tol = ctx.P, ctx.x, ctx.tol
+    ctx.I  # the index sets gate feasibility
     ball = x[None, :] + ball_offsets(tol.rng("lipschitz"), tol.n_samples, P.n,
                                      MINIMALITY_RADIUS)
     grads = P.jacobian(ball, [OBJECTIVE])[:, 0]
     L_f_hat = float(np.max(np.linalg.norm(grads, axis=1)))
-    L_f_hat = max(L_f_hat, float(np.linalg.norm(P.jacobian(x, [OBJECTIVE])[0])))
+    L_f_hat = max(L_f_hat, float(np.linalg.norm(ctx.grad("f"))))
 
     kappa_bar = eb.alpha_hat * L_f_hat
     notes = []

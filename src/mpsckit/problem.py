@@ -272,11 +272,10 @@ def problem_text(P: MpscProblem) -> str:
 
 def index_sets(P: MpscProblem, x, tol: Tolerances) -> IndexSets:
     """Active sets at a feasible point; |value| <= tau_act decides activity."""
-    x = np.asarray(x, float)
-    r = float(P.residual(x))
+    g, h, G, H = P.constraint_values(np.asarray(x, float))
+    r = float(MpscProblem.residual_of(g, h, G, H))
     if r > tol.tau_feas:
         raise InfeasiblePointError(f"point is infeasible (residual {r:.3g})")
-    g, _, G, H = P.constraint_values(x)
     I_g = tuple(i for i in range(P.m) if abs(g[i]) <= tol.tau_act)
     I_G, I_H, I_GH = [], [], []
     for k in range(P.l):

@@ -134,10 +134,10 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     }
 
     if with_penalty:
-        eb = run("errorbound", lambda: pen.error_bound_probe(P, x, tol))
+        eb = run("errorbound", lambda: pen.error_bound_probe(ctx))
         if eb is not None:  # no penalty section without its error bound
             report["errorbound"] = eb
-            pr = run("penalty", lambda: pen.exact_penalty_probe(P, x, tol, eb))
+            pr = run("penalty", lambda: pen.exact_penalty_probe(ctx, eb))
             if pr is not None:
                 report["penalty"] = pr
     return sanitize(report)

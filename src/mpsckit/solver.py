@@ -281,7 +281,7 @@ def project_branch_cloud(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances)
 # ---------------------------------------------------------------------------
 
 def _alm_batch(P: MpscProblem, br: BranchProblem, X0, tol: Tolerances):
-    """Run the ALM loop on every start row; returns (X, kkt, res, status)."""
+    """Run the ALM loop on every start row; returns (X, kkt, res, status, outer steps run)."""
     gs, eqs = [("g", i) for i in range(P.m)], br.equalities()
     items, ne, lists = [OBJECTIVE] + eqs + gs, len(eqs), {}
     X = np.atleast_2d(np.asarray(X0, float)).copy()

@@ -223,7 +223,7 @@ def test_criterion_6_cross_set_cone_oracle():
 
 
 def test_criterion_7_error_bound_and_exact_penalty(corpus):
-    rep = penalty.error_bound_probe(corpus["ray2d"], np.zeros(2), TOL)
+    rep = penalty.error_bound_probe(PointContext(corpus["ray2d"], np.zeros(2), TOL))
     assert rep.verdict == "FAILS"
     ratios = [s["ratio"] for s in rep.witness_sequence]
     assert ratios[0] <= ratios[1] <= ratios[2]
@@ -231,9 +231,10 @@ def test_criterion_7_error_bound_and_exact_penalty(corpus):
     for s in rep.witness_sequence:  # escape ray is (t, 0)
         assert s["point"][0] > 0 and abs(s["point"][1]) <= 1e-9
 
-    rep2 = penalty.error_bound_probe(corpus["diagonal2d"], np.zeros(2), TOL)
+    ctx = PointContext(corpus["diagonal2d"], np.zeros(2), TOL)
+    rep2 = penalty.error_bound_probe(ctx)
     assert rep2.verdict == "HOLDS"
-    pr = penalty.exact_penalty_probe(corpus["diagonal2d"], np.zeros(2), TOL, rep2)
+    pr = penalty.exact_penalty_probe(ctx, rep2)
     assert pr.kappa_bar_hat is not None
     assert pr.minimality_radius == 0.05 and pr.n_min_samples == 1000
     two_kappa = [g for g in pr.kappa_grid

@@ -332,6 +332,13 @@ class TestOtherCommands:
         assert rep["verdict"] == "FAILS"
         assert rep["witness_sequence"]
 
+    def test_errorbound_at_an_infeasible_point_fails_as_cones_does(self, capsys):
+        # both read the point through its context, whose index sets gate it
+        argv = [str(problem_path("ray2d")), "--point", "1,1"]
+        code, out, err = run_cli(capsys, "errorbound", *argv)
+        assert (code, out) == (2, "") and err.startswith("error: point is infeasible")
+        assert run_cli(capsys, "cones", *argv) == (code, out, err)
+
     def test_cones_diagonal2d_pieces_trivial(self, capsys, tmp_path):
         jpath = tmp_path / "cones.json"
         code, out, _ = run_cli(capsys, "cones", str(problem_path("diagonal2d")),

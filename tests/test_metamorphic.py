@@ -10,6 +10,7 @@ import pytest
 from conftest import CORPUS_POINTS, problem_path, scaled_text
 
 from mpsckit import penalty, report
+from mpsckit.cones import PointContext
 from mpsckit.numeric import Tolerances
 from mpsckit.problem import load_problem
 
@@ -28,7 +29,8 @@ def analyze_statuses(P, x):
 def statuses(text, x):
     """Every status of `analyze` on the problem text at x and the error bound's verdict."""
     P = load_problem(text, from_path=False)
-    return {**analyze_statuses(P, x), "errorbound": penalty.error_bound_probe(P, x, TOL).verdict}
+    return {**analyze_statuses(P, x),
+            "errorbound": penalty.error_bound_probe(PointContext(P, x, TOL)).verdict}
 
 
 def corpus_text(name):

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import CORPUS_POINTS
 from mpsckit import penalty, report
+from mpsckit.cones import PointContext
 from mpsckit.errors import EvalDomainError, InfeasiblePointError
-from mpsckit.numeric import Tolerances
+from mpsckit.numeric import Tolerances, ball_offsets, sanitize
 from mpsckit.problem import all_branches, load_problem
 
 TOL = Tolerances()
@@ -93,11 +94,11 @@ class TestDistance:
 class TestErrorBound:
     def test_linear_constraints_hold(self):
         P = load_problem("vars x1 x2\nmin x1\neq x1 - x2\nineq -x1\n", from_path=False)
-        rep = penalty.error_bound_probe(P, [0.0, 0.0], TOL)
+        rep = penalty.error_bound_probe(PointContext(P, [0.0, 0.0], TOL))
         assert rep.verdict == "HOLDS"
 
     def test_ray2d_fails_with_growth(self, corpus):
-        rep = penalty.error_bound_probe(corpus["ray2d"], [0.0, 0.0], TOL)
+        rep = penalty.error_bound_probe(PointContext(corpus["ray2d"], [0.0, 0.0], TOL))
         assert rep.verdict == "FAILS"
         seq = rep.witness_sequence
         ratios = [s["ratio"] for s in seq]
@@ -108,20 +109,21 @@ class TestErrorBound:
             assert s["point"][0] > 0 and abs(s["point"][1]) <= 1e-9
 
     def test_diagonal2d_holds(self, corpus):
-        rep = penalty.error_bound_probe(corpus["diagonal2d"], [0.0, 0.0], TOL)
+        rep = penalty.error_bound_probe(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
         assert rep.verdict == "HOLDS"
         assert rep.alpha_hat <= 4.0
 
     def test_needs_feasible_center(self, corpus):
         with pytest.raises(InfeasiblePointError):
-            penalty.error_bound_probe(corpus["ray2d"], [1.0, 1.0], TOL)
+            penalty.error_bound_probe(PointContext(corpus["ray2d"], [1.0, 1.0], TOL))
 
     @pytest.mark.parametrize("seed", [42, *range(1, 21)])
     def test_parabola_sheet3d_fails_along_l_minus_t(self, corpus, seed):
         # L = {d1 >= 0} there, but T holds no d with d1 > 0 and d2 != 0:
         # dist/t stays bounded below while the residual is o(t)
         tol = Tolerances(seed=seed)
-        rep = penalty.error_bound_probe(corpus["parabola_sheet3d"], np.zeros(3), tol)
+        ctx = PointContext(corpus["parabola_sheet3d"], np.zeros(3), tol)
+        rep = penalty.error_bound_probe(ctx)
         assert rep.verdict == "FAILS"
         seq = rep.witness_sequence
         d = [np.array(s["point"]) / s["radius"] for s in seq]
@@ -143,25 +145,50 @@ class TestErrorBound:
         monkeypatch.setattr(penalty, "nearest_feasible", recording)
         for name, P in corpus.items():
             calls.clear()
-            rep = penalty.error_bound_probe(P, np.zeros(P.n), TOL)
+            ctx = PointContext(P, np.zeros(P.n), TOL)
+            rep = penalty.error_bound_probe(ctx)
             assert len(calls) == 1, name
             X, n_branches = calls[0]
-            assert n_branches == len(all_branches(P)), name
+            # the branches at x; every corpus origin has every switch biactive
+            assert n_branches == len(ctx.branches) == len(all_branches(P)), name
             radii = [c["radius"] for c in rep.ratio_curve]
             D = X.reshape(len(radii), -1, P.n) / np.array(radii)[:, None, None]
             assert np.allclose(D, D[0], atol=1e-12), name
             assert np.allclose(D[0, :2 * P.n], np.vstack([np.eye(P.n), -np.eye(P.n)])), name
 
+    # feasible points where not every switch is biactive, so that the branches
+    # at x are fewer than the problem's
+    OFF_BIACTIVE = [("axes2d", (0.5, 0.0)), ("axes2d", (0.0, -0.3)),
+                    ("wedge3d", (0.0, -0.5, 0.3)), ("ray2d", (0.0, -0.4)),
+                    ("crossplanes3d", (0.3, 0.3, 0.0)), ("parabola_sheet3d", (0.0, 0.2, 0.0)),
+                    ("tilted_sheet3d", (-0.2, 0.3, 0.0))]
 
-def eb(P):
-    """The error-bound probe's report at the origin, which the penalty probe takes."""
-    return penalty.error_bound_probe(P, [0.0, 0.0], TOL)
+    @pytest.mark.parametrize("name, x", [*OFF_BIACTIVE, *CORPUS_POINTS.items()])
+    def test_the_branches_at_x_give_every_branchs_error_bound(self, corpus, monkeypatch,
+                                                              name, x):
+        # near x, F is the union of the branches at x: projecting onto every
+        # branch of the problem instead moves no field of the report
+        P = corpus[name]
+        ctx = PointContext(P, x, TOL)
+        rep = sanitize(penalty.error_bound_probe(ctx))
+        assert (len(ctx.branches) < len(all_branches(P))) == ((name, x) in self.OFF_BIACTIVE)
+        nearest = penalty.nearest_feasible
+        monkeypatch.setattr(penalty, "nearest_feasible",
+                            lambda P, X, tol, branches: nearest(P, X, tol, all_branches(P)))
+        assert sanitize(penalty.error_bound_probe(PointContext(P, x, TOL))) == rep
+
+
+def at_origin(P):
+    """The point context at the origin and the error-bound probe's report
+    there, which the penalty probe takes."""
+    ctx = PointContext(P, [0.0, 0.0], TOL)
+    return ctx, penalty.error_bound_probe(ctx)
 
 
 class TestExactPenalty:
     def test_diagonal2d_certificate(self, corpus):
         P = corpus["diagonal2d"]
-        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
+        rep = penalty.exact_penalty_probe(*at_origin(P))
         assert rep.error_bound.verdict == "HOLDS"
         assert rep.kappa_bar_hat is not None and rep.kappa_bar_hat > 0
         by_factor = {round(g["kappa"] / rep.kappa_bar_hat, 3): g for g in rep.kappa_grid}
@@ -170,12 +197,12 @@ class TestExactPenalty:
 
     def test_constant_objective_always_local_min(self):
         P = load_problem("vars x1 x2\nmin 0\nswitch x1 | x2\n", from_path=False)
-        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
+        rep = penalty.exact_penalty_probe(*at_origin(P))
         assert all(g["local_min"] for g in rep.kappa_grid)
 
     def test_ray2d_no_certificate_and_grid_fails(self, corpus):
         P = corpus["ray2d"]
-        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
+        rep = penalty.exact_penalty_probe(*at_origin(P))
         assert rep.error_bound.verdict == "FAILS"
         assert rep.kappa_bar_hat is None
         assert rep.notes
@@ -186,12 +213,37 @@ class TestExactPenalty:
 
     def test_lipschitz_estimate_covers_samples(self, corpus):
         P = corpus["diagonal2d"]
-        rep = penalty.exact_penalty_probe(P, [0.0, 0.0], TOL, eb(P))
+        rep = penalty.exact_penalty_probe(*at_origin(P))
         rng = np.random.default_rng(9)
         X = rng.uniform(-rep.minimality_radius, rep.minimality_radius, size=(200, 2))
         X = X[np.linalg.norm(X, axis=1) <= rep.minimality_radius]
         norms = np.linalg.norm(P.jacobian(X, [("f", 0)])[:, 0], axis=1)
         assert rep.L_f_hat >= np.max(norms) - 1e-9
+
+
+class TestMinimalitySamples:
+    @staticmethod
+    def looped(P, x, radius, count, rng):
+        """The reference: the ball, then each axis ray built in its own loop step."""
+        ball = x[None, :] + ball_offsets(rng, count, P.n, radius)
+        rays = []
+        for j in range(P.n):
+            for sgn in (1.0, -1.0):
+                for k in range(13):
+                    step = np.zeros(P.n)
+                    step[j] = sgn * radius * 2.0 ** (-k)
+                    rays.append(x + step)
+        return np.vstack([ball, np.array(rays)])
+
+    def test_the_axis_rays_are_the_loops_bit_for_bit(self, corpus):
+        rng = np.random.default_rng(3)
+        for name, P in corpus.items():
+            for x in (np.zeros(P.n), -np.zeros(P.n), rng.normal(size=P.n)):
+                got = penalty._minimality_samples(P, x, penalty.MINIMALITY_RADIUS, 20,
+                                                  np.random.default_rng(0))
+                want = self.looped(P, x, penalty.MINIMALITY_RADIUS, 20, np.random.default_rng(0))
+                assert got.shape == want.shape == (20 + 26 * P.n, P.n), name
+                assert got.tobytes() == want.tobytes(), name
 
 
 class TestDistanceInfo:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import treewalk
-from conftest import problem_path
+from conftest import CORPUS_POINTS, problem_path
 
 from mpsckit import expr as ex
 from mpsckit import problem as pb
@@ -96,8 +96,30 @@ class TestIndexSets:
         with pytest.raises(InfeasiblePointError):
             pb.index_sets(corpus["ray2d"], [9.0, 9.0], TOL)
 
+    def test_constraint_values_at_x_evaluated_once(self, corpus, monkeypatch):
+        # index_sets gates on the residual of the same values it reads the
+        # active sets from; analyze --with-penalty reads the point through
+        # its one context, so the probes evaluate neither again
+        from mpsckit import report
+        calls, evaluate = [], pb.MpscProblem._evaluate
+
+        def spy(self, kind, items, x):
+            calls.append((kind, tuple(items), np.array(x, float)))
+            return evaluate(self, kind, items, x)
+
+        monkeypatch.setattr(pb.MpscProblem, "_evaluate", spy)
+        for name, P in corpus.items():
+            calls.clear()
+            pb.index_sets(P, CORPUS_POINTS[name], TOL)
+            assert [kind for kind, _, _ in calls] == ["v"], name
+        P, x = corpus["ray2d"], np.zeros(2)
+        calls.clear()
+        report.analyze(P, x, TOL, with_penalty=True)
+        at_x = [(kind, items) for kind, items, z in calls if z.shape == x.shape and (z == x).all()]
+        assert at_x.count(("v", tuple(P.items[1:]))) <= 4  # 7 with a residual test per probe
+        assert sum(kind in ("j", "jh") and pb.OBJECTIVE in items for kind, items in at_x) == 1
+
     def test_invariant_partition(self, corpus):
-        from conftest import CORPUS_POINTS
         for name, P in corpus.items():
             I = pb.index_sets(P, np.array(CORPUS_POINTS[name]), TOL)
             union = set(I.I_G) | set(I.I_H) | set(I.I_GH)

@@ -79,3 +79,16 @@ def test_the_cq_checkers_are_traced():
     layers = tracer.layers()
     assert all(layers[f"cq.{name}"]["calls"] >= 1
                for name in ("check_acq", "check_rcrcq", "check_psoqn"))
+
+
+def test_the_penalty_probes_are_traced():
+    # report.analyze calls each probe through the penalty module, so the
+    # tracer's rebinding of penalty.error_bound_probe and exact_penalty_probe
+    # reaches those calls whatever their signature
+    P = load_problem(str(Path(__file__).resolve().parent.parent / "problems" / "ray2d.mpsc"))
+    tracer = load_tracer_module().Tracer()
+    with tracer:
+        report.analyze(P, np.zeros(2), Tolerances(), with_penalty=True)
+    layers = tracer.layers()
+    assert layers["penalty.error_bound_probe"]["calls"] == 1
+    assert layers["penalty.exact_penalty_probe"]["calls"] == 1
