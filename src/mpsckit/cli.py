@@ -259,10 +259,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except MpscError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (MpscError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -162,11 +162,10 @@ class PointContext:
     branch problems, the rows of the one Jacobian at x over P.items, kinds
     f/g/h/G/H, and each item Hessian at x are computed on first use and not
     kept when they raise, so each component that needs them reports the
-    error itself.  The
-    linearization-cone, critical-cone and critical-subspace pieces are
-    built once and keep their generators; `shells` is the one neighbourhood
-    sample that every sampled check at x reads, and `once` keeps any other
-    point-level result checks share.
+    error itself.  The linearization-cone, critical-cone and critical-subspace
+    pieces are built once and keep their generators; `shells` is the one
+    neighbourhood sample that every sampled check at x reads, and `once` keeps
+    any other point-level result checks share.
     """
 
     def __init__(self, P: MpscProblem, x, tol: Tolerances):

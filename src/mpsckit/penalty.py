@@ -2,10 +2,10 @@
 
 The residual aggregates violations in the l2 sense, with each switching pair
 contributing min{G^2, H^2}.  Distance to the feasible set is estimated through
-the branches at a `cones.PointContext`'s point (each branch is a standard NLP),
-whose index sets gate the error-bound and exact-penalty probes.  The probes are
-sampling heuristics over shrinking radii: their positive verdicts are evidence,
-not proofs, and every report carries the seed and sample counts.
+the branch decomposition (each branch is a standard NLP).  The error-bound and
+exact-penalty probes take a `cones.PointContext`, whose index sets gate them;
+they are sampling heuristics over shrinking radii: their positive verdicts are
+evidence, not proofs, and every report carries the seed and sample counts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvalDomainError
 from .numeric import RADII_FRACTIONS, Tolerances, ball_offsets
-from .problem import OBJECTIVE, MpscProblem
+from .problem import OBJECTIVE, MpscProblem, all_branches
 from .solver import project_branch_cloud
 
 HOLD_FACTOR = 4.0    # max ratio growth still considered bounded
@@ -48,8 +48,8 @@ def penalized_objective(P: MpscProblem, x, kappa: float) -> float:
 def nearest_feasible(P, X, tol: Tolerances, branches):
     """Per-row distance upper bounds to F through the projection onto each
     of `branches`, and the projections; inf where none ends feasible.  The
-    error-bound probe and ACQ's distance ratios pass branches at their point
-    (`PointContext.branches`, or the one branch of a cone piece)."""
+    error-bound probe passes every branch of P, ACQ's distance ratios the
+    branches at their point."""
     X = np.atleast_2d(np.asarray(X, float))
     best_d = np.full(X.shape[0], np.inf)
     best_y = np.full_like(X, np.nan)
@@ -90,9 +90,11 @@ def error_bound_probe(ctx) -> ErrorBoundReport:
     per-direction scaling law; coordinate axes come first to keep canonical
     escape rays deterministic.  dist <= r bounds a ratio by r / residual:
     the DIST_BATCH directions with the largest bound at the smallest radius,
-    and the axes, are projected onto ctx.branches at every radius in one call.
+    and the axes, are projected at every radius in one `ray_distances` call
+    onto every branch of P, as the radii can reach switch sides inactive at x.
     """
-    P, x, tol, branches = ctx.P, ctx.x, ctx.tol, ctx.branches  # ctx.I gates feasibility
+    P, x, tol = ctx.P, ctx.x, ctx.tol
+    ctx.I  # the index sets gate feasibility
     rng = tol.rng("errorbound")
     D = np.vstack([np.eye(P.n), -np.eye(P.n),
                    rng.normal(size=(tol.n_samples, P.n))])
@@ -106,7 +108,7 @@ def error_bound_probe(ctx) -> ErrorBoundReport:
     block = small[np.argsort(-(radii[-1] / res[small, -1]))][:DIST_BATCH]
     # the union of block and the axis directions; np.union1d would import numpy.ma
     picked = np.array(sorted({*block.tolist(), *range(2 * P.n)}), dtype=int)
-    dist = ray_distances(ctx, D[picked], radii, branches)
+    dist = ray_distances(ctx, D[picked], radii, all_branches(P))
     ok = infeas[picked] & np.isfinite(dist)  # (direction, radius) with a ratio
     ratios = np.divide(dist, res[picked], out=np.full(dist.shape, np.nan), where=ok)
 
@@ -162,11 +164,14 @@ class PenaltyReport:
 def _minimality_samples(P, x, radius, count, rng):
     """Ball samples plus deterministic axis rays at geometric radii."""
     ball = x[None, :] + ball_offsets(rng, count, P.n, radius)
-    # row (j, sign, k) is x + sign * radius * 2^-k * e_j, sign +1 then -1
-    steps = np.zeros((P.n, 2, 13, P.n))
-    steps[np.arange(P.n), :, :, np.arange(P.n)] = np.multiply.outer(
-        [1.0, -1.0], radius * 2.0 ** -np.arange(13.0))
-    return np.vstack([ball, x + steps.reshape(-1, P.n)])
+    rays = []
+    for j in range(P.n):
+        for sgn in (1.0, -1.0):
+            for k in range(13):
+                step = np.zeros(P.n)
+                step[j] = sgn * radius * 2.0 ** (-k)
+                rays.append(x + step)
+    return np.vstack([ball, np.array(rays)])
 
 
 def exact_penalty_probe(ctx, eb: ErrorBoundReport) -> PenaltyReport:

@@ -5,7 +5,7 @@ from conftest import CORPUS_POINTS
 from mpsckit import penalty, report
 from mpsckit.cones import PointContext
 from mpsckit.errors import EvalDomainError, InfeasiblePointError
-from mpsckit.numeric import Tolerances, ball_offsets, sanitize
+from mpsckit.numeric import Tolerances, sanitize
 from mpsckit.problem import all_branches, load_problem
 
 TOL = Tolerances()
@@ -149,25 +149,26 @@ class TestErrorBound:
             rep = penalty.error_bound_probe(ctx)
             assert len(calls) == 1, name
             X, n_branches = calls[0]
-            # the branches at x; every corpus origin has every switch biactive
-            assert n_branches == len(ctx.branches) == len(all_branches(P)), name
+            assert n_branches == len(all_branches(P)), name
             radii = [c["radius"] for c in rep.ratio_curve]
             D = X.reshape(len(radii), -1, P.n) / np.array(radii)[:, None, None]
             assert np.allclose(D, D[0], atol=1e-12), name
             assert np.allclose(D[0, :2 * P.n], np.vstack([np.eye(P.n), -np.eye(P.n)])), name
 
     # feasible points where not every switch is biactive, so that the branches
-    # at x are fewer than the problem's
-    OFF_BIACTIVE = [("axes2d", (0.5, 0.0)), ("axes2d", (0.0, -0.3)),
+    # at x are fewer than the problem's; at the first two the inactive side
+    # x1 = 0 lies within the probe ball
+    OFF_BIACTIVE = [("axes2d", (1e-6, 0.0)), ("axes2d", (1e-3, 0.0)),
+                    ("axes2d", (0.5, 0.0)), ("axes2d", (0.0, -0.3)),
                     ("wedge3d", (0.0, -0.5, 0.3)), ("ray2d", (0.0, -0.4)),
                     ("crossplanes3d", (0.3, 0.3, 0.0)), ("parabola_sheet3d", (0.0, 0.2, 0.0)),
                     ("tilted_sheet3d", (-0.2, 0.3, 0.0))]
 
     @pytest.mark.parametrize("name, x", [*OFF_BIACTIVE, *CORPUS_POINTS.items()])
-    def test_the_branches_at_x_give_every_branchs_error_bound(self, corpus, monkeypatch,
-                                                              name, x):
-        # near x, F is the union of the branches at x: projecting onto every
-        # branch of the problem instead moves no field of the report
+    def test_the_error_bound_is_every_branchs(self, corpus, monkeypatch, name, x):
+        # the probe ball can reach switch sides inactive at x, so the probe
+        # projects onto every branch of the problem: its report is the one
+        # that projecting every ray onto every branch gives
         P = corpus[name]
         ctx = PointContext(P, x, TOL)
         rep = sanitize(penalty.error_bound_probe(ctx))
@@ -177,6 +178,12 @@ class TestErrorBound:
                             lambda P, X, tol, branches: nearest(P, X, tol, all_branches(P)))
         assert sanitize(penalty.error_bound_probe(PointContext(P, x, TOL))) == rep
 
+    def test_an_inactive_side_within_the_ball_is_projected_onto(self, corpus):
+        # at (1e-6, 0) only x2 = 0 is active, but on the ray (1e-6, -t) the
+        # branch x1 = 0 is 1e-6 away, as far as the residual says
+        rep = penalty.error_bound_probe(PointContext(corpus["axes2d"], [1e-6, 0.0], TOL))
+        assert rep.verdict == "HOLDS"
+        assert rep.alpha_hat < 1.01
 
 def at_origin(P):
     """The point context at the origin and the error-bound probe's report
@@ -219,31 +226,6 @@ class TestExactPenalty:
         X = X[np.linalg.norm(X, axis=1) <= rep.minimality_radius]
         norms = np.linalg.norm(P.jacobian(X, [("f", 0)])[:, 0], axis=1)
         assert rep.L_f_hat >= np.max(norms) - 1e-9
-
-
-class TestMinimalitySamples:
-    @staticmethod
-    def looped(P, x, radius, count, rng):
-        """The reference: the ball, then each axis ray built in its own loop step."""
-        ball = x[None, :] + ball_offsets(rng, count, P.n, radius)
-        rays = []
-        for j in range(P.n):
-            for sgn in (1.0, -1.0):
-                for k in range(13):
-                    step = np.zeros(P.n)
-                    step[j] = sgn * radius * 2.0 ** (-k)
-                    rays.append(x + step)
-        return np.vstack([ball, np.array(rays)])
-
-    def test_the_axis_rays_are_the_loops_bit_for_bit(self, corpus):
-        rng = np.random.default_rng(3)
-        for name, P in corpus.items():
-            for x in (np.zeros(P.n), -np.zeros(P.n), rng.normal(size=P.n)):
-                got = penalty._minimality_samples(P, x, penalty.MINIMALITY_RADIUS, 20,
-                                                  np.random.default_rng(0))
-                want = self.looped(P, x, penalty.MINIMALITY_RADIUS, 20, np.random.default_rng(0))
-                assert got.shape == want.shape == (20 + 26 * P.n, P.n), name
-                assert got.tobytes() == want.tobytes(), name
 
 
 class TestDistanceInfo:
