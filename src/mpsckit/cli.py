@@ -197,7 +197,7 @@ def cmd_solve(args):
 def cmd_penalty(args):
     P = load_problem(args.file)
     x = _parse_point(args.point, P.n)
-    r = pen.residual(P, x)
+    r = pen.residual(P.constraint_values(x))
     try:
         rows = [{"kappa": k, "value": pen.penalized_objective(P, x, k)}
                 for k in args.kappa or [1.0]]

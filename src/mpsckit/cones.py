@@ -158,14 +158,14 @@ class ConeUnion:
 class PointContext:
     """What every point-level check derives from (P, x, tol), computed once.
 
-    The index sets (which gate feasibility), the bipartitions and their
-    branch problems, the rows of the one Jacobian at x over P.items, kinds
-    f/g/h/G/H, and each item Hessian at x are computed on first use and not
-    kept when they raise, so each component that needs them reports the
-    error itself.  The linearization-cone, critical-cone and critical-subspace
-    pieces are built once and keep their generators; `shells` is the one
-    neighbourhood sample that every sampled check at x reads, and `once` keeps
-    any other point-level result checks share.
+    The (g, h, G, H) values at x, the index sets read from them (which gate
+    feasibility), the bipartitions and their branches, the rows of the one
+    Jacobian at x over P.items, kinds f/g/h/G/H, and each item Hessian at x
+    are computed on first use and not kept when they raise, so each component
+    that needs them reports the error itself.  The linearization-cone,
+    critical-cone and critical-subspace pieces are built once and keep their
+    generators; `shells` is the one neighbourhood sample that every sampled
+    check at x reads, and `once` keeps any other result checks share.
     """
 
     def __init__(self, P: MpscProblem, x, tol: Tolerances):
@@ -181,8 +181,12 @@ class PointContext:
         return self._kept[key]
 
     @cached_property
+    def values(self) -> tuple:
+        return self.P.constraint_values(self.x)
+
+    @cached_property
     def I(self) -> IndexSets:
-        return index_sets(self.P, self.x, self.tol)
+        return index_sets(self.values, self.tol)
 
     @cached_property
     def bipartitions(self) -> list[Bipartition]:

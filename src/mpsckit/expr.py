@@ -91,7 +91,8 @@ def _tokenize(text):
                         j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                if float(lit) == float("inf"):  # digits only: never negative or NaN
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"bad numeric literal {lit!r}", offset=i)
             toks.append(("num", lit, i))
@@ -279,11 +280,9 @@ def to_text(e: Expr, var_names) -> str:
             p = _PREC[e.op]
             if _prec(e.lhs) < p:
                 lhs = f"({lhs})"
-            # left-assoc: the right child needs parens at equal precedence
-            # for - and /, and a leading unary minus must be wrapped so the
-            # rendered text re-tokenizes the same way
-            rp = _prec(e.rhs)
-            if rp < p or (rp == p and e.op in "-/"):
+            # left-assoc: the right child needs parens at equal precedence,
+            # for + and * too, or it re-parses as the left child of its parent
+            if _prec(e.rhs) <= p:
                 rhs = f"({rhs})"
             return f"{lhs} {e.op} {rhs}" if e.op in "+-" else f"{lhs}{e.op}{rhs}"
         raise TypeError(f"not an Expr: {e!r}")

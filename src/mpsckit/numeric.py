@@ -347,7 +347,7 @@ def combination_lp(B, nonneg, rhs, mode, tol: Tolerances | None = None):
         return z
 
     if nc == 0:
-        ok = mode != "rays" and np.linalg.norm(rhs) <= 1e-9
+        ok = mode != "rays" and row_norms(np.atleast_2d(rhs))[0] <= 1e-9
         return {"feasible": ok, "l1": np.zeros(0) if ok else None, "rays": []}[mode]
     if mode == "feasible":
         return lp_solve(None, A, rhs).status == "optimal"

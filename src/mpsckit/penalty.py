@@ -29,10 +29,10 @@ MINIMALITY_RADIUS = 0.05  # exact-penalty probe: ball radius and sample count
 N_MIN_SAMPLES = 1000
 
 
-def residual(P: MpscProblem, x) -> float:
-    """sqrt(sum g+^2 + sum h^2 + sum min{G^2, H^2}); 0 exactly on F; an
-    overflow to a non-finite value raises EvalDomainError."""
-    r = float(P.residual(np.asarray(x, float)))
+def residual(values) -> float:
+    """sqrt(sum g+^2 + sum h^2 + sum min{G^2, H^2}) from the (g, h, G, H) values
+    at a point; 0 exactly on F; an overflow raises EvalDomainError."""
+    r = float(MpscProblem.residual_of(*values))
     if not np.isfinite(r):
         raise EvalDomainError("constraint residual overflowed to a non-finite value")
     return r

@@ -270,15 +270,15 @@ def problem_text(P: MpscProblem) -> str:
 # index sets and branches
 # ---------------------------------------------------------------------------
 
-def index_sets(P: MpscProblem, x, tol: Tolerances) -> IndexSets:
-    """Active sets at a feasible point; |value| <= tau_act decides activity."""
-    g, h, G, H = P.constraint_values(np.asarray(x, float))
+def index_sets(values, tol: Tolerances) -> IndexSets:
+    """Active sets from the (g, h, G, H) values at a feasible point; |value| <= tau_act."""
+    g, h, G, H = values
     r = float(MpscProblem.residual_of(g, h, G, H))
     if r > tol.tau_feas:
         raise InfeasiblePointError(f"point is infeasible (residual {r:.3g})")
-    I_g = tuple(i for i in range(P.m) if abs(g[i]) <= tol.tau_act)
+    I_g = tuple(i for i in range(len(g)) if abs(g[i]) <= tol.tau_act)
     I_G, I_H, I_GH = [], [], []
-    for k in range(P.l):
+    for k in range(len(G)):
         gz, hz = abs(G[k]) <= tol.tau_act, abs(H[k]) <= tol.tau_act
         if gz and hz:
             I_GH.append(k)
@@ -289,7 +289,7 @@ def index_sets(P: MpscProblem, x, tol: Tolerances) -> IndexSets:
         else:
             raise InfeasiblePointError(
                 f"switch pair {k} has neither side active (G={G[k]:.3g}, H={H[k]:.3g})")
-    return IndexSets(I_g, tuple(range(P.p)), tuple(I_G), tuple(I_H), tuple(I_GH))
+    return IndexSets(I_g, tuple(range(len(h))), tuple(I_G), tuple(I_H), tuple(I_GH))
 
 
 def bipartitions(I: IndexSets) -> list[Bipartition]:

@@ -11,8 +11,6 @@ import json
 from dataclasses import replace
 from importlib import resources
 
-import numpy as np
-
 from . import cones as cn
 from . import cq as cqmod
 from . import penalty as pen
@@ -68,17 +66,16 @@ def cones_section(ctx: cn.PointContext) -> dict:
 
 def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     """Full analysis pipeline; partial results on component errors."""
-    x = np.asarray(x, float)
+    ctx = cn.PointContext(P, x, tol)
     report = {
         "version": SCHEMA_VERSION,
         "seed": tol.seed,
         "tolerances": tol,
         "problem": problem_echo(P),
-        "point": x,
+        "point": ctx.x,
         "errors": [],
     }
-    r = pen.residual(P, x)
-    report["residual"] = r
+    report["residual"] = r = pen.residual(ctx.values)
     report["feasible"] = bool(r <= tol.tau_feas)
     if not report["feasible"]:
         report["note"] = "point is infeasible; analysis limited to the residual"
@@ -91,13 +88,14 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
             report["errors"].append({"component": name, "message": str(err)})
             return None
 
-    ctx = cn.PointContext(P, x, tol)
     I = run("index_sets", lambda: ctx.I)
     if I is not None:
         report["index_sets"] = I
         report["bipartitions"] = [[sorted(b.beta1), sorted(b.beta2)]
                                   for b in ctx.bipartitions]
-    report["cones"] = run("cones", lambda: cones_section(ctx))
+    cones = run("cones", lambda: cones_section(ctx))
+    if cones is not None:  # the schema has no null section
+        report["cones"] = cones
 
     sta = {}
     for kind, fn in (("W", st.check_w_stationary), ("M", st.check_m_stationary),

@@ -22,7 +22,8 @@ eigh_stack call flooring the eigenvalues to keep it positive definite), its
 multipliers sliced once per descent; both take steps that start at 1 and never
 exceed it.  solve_penalty_descent minimizes f + kappa * residual along the
 gradient (the residual is a nonsmooth square root), then polishes on its
-incumbent's branch.  The enumerative solver keeps the best feasible branch
+incumbent's branch; the item values its descent returns at the incumbent give
+its residual and branch.  The enumerative solver keeps the best feasible branch
 over every switch sign assignment, which is exact on the union structure.
 """
 
@@ -399,11 +400,12 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     kappa, kappas, V, lists = KAPPA0, [], None, {}
     gs, hs = [("g", i) for i in range(P.m)], [("h", j) for j in range(P.p)]
     pairs = [it for k in range(P.l) for it in (("G", k), ("H", k))]
-    ends = np.cumsum([1, P.m, P.p, P.l, P.l])  # V's columns: f, g, h, G, H
+    ends = np.cumsum([0, 1, P.m, P.p, P.l, P.l])
+    cols = [slice(a, b) for a, b in zip(ends, ends[1:])]  # V's columns: f, g, h, G, H
 
     def objective(rows, Z, V=None, f=None, grad=False):  # at the current kappa
         V = P.values(Z, P.items) if V is None else V  # f first: the first error
-        g, h, G, H = (V[:, a:b] for a, b in zip(ends, ends[1:]))
+        _, g, h, G, H = (V[:, c] for c in cols)
         r = MpscProblem.residual_of(g, h, G, H)
         f = V[:, 0] + kappa * r if f is None else f
         if not grad:
@@ -425,19 +427,19 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
         out[active] += kappa * (dr[active] / safe[active, None])
         return f, V, out, out
 
-    while kappa <= KAPPA_MAX:
+    while kappa <= KAPPA_MAX:  # the descent returns the items' values V at x
         x, V = _descent_batch(objective, x, MAX_INNER, gtol=0.1 * TAU_KKT, V=V)
         kappas.append(kappa)
-        if float(P.residual(x[0])) <= tol.tau_feas * 10:
+        f, g, h, G, H = (V[0, c] for c in cols)
+        r = float(MpscProblem.residual_of(g, h, G, H))
+        if r <= tol.tau_feas * 10:
             break
         kappa *= PENALTY_GROWTH
     else:
-        return LocalSolution(x=x[0], value=float(P.values(x[0], [OBJECTIVE])[0]),
-                             residual=float(P.residual(x[0])), branch="penalty",
+        return LocalSolution(x=x[0], value=float(f[0]), residual=r, branch="penalty",
                              status="failure", log=[f"kappa_final={kappas[-1]:.1e}"])
 
     # polish on the branch matching the active pattern at the incumbent
-    g, h, G, H = P.constraint_values(x[0])
     eq_G = tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2)
     eq_H = tuple(k for k in range(P.l) if G[k] ** 2 > H[k] ** 2)
     br = BranchProblem(P, eq_G, eq_H)

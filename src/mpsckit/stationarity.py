@@ -2,8 +2,8 @@
 
 Each notion is a linear feasibility system in the multipliers; the
 complementarity mu_k * nu_k = 0 of M-stationarity is handled by exact
-enumeration of the zero patterns over the biactive set.  Witnesses are
-l1-minimal for reproducibility.
+enumeration of the zero patterns over the biactive set, one per bipartition.
+Witnesses are l1-minimal for reproducibility.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 
 from .cones import (AXIS_A, AXIS_B, CROSS, ORIGIN, PointContext, active_items,
                     branch_items, cross_cones)
-from .errors import NotSStationaryError, SizeCapError
+from .errors import NotSStationaryError
 from .numeric import Polyhedron, enumerate_generators
-from .problem import MAX_BIACTIVE, MpscProblem
+from .problem import MpscProblem
 
 HOLDS, FAILS = "HOLDS", "FAILS"
 
@@ -127,18 +127,13 @@ def check_s_stationary(ctx: PointContext) -> StationarityVerdict:
 
 
 def check_m_stationary(ctx: PointContext) -> StationarityVerdict:
-    """Stationarity with mu_k * nu_k = 0 enforced by zero-pattern enumeration."""
-    I = ctx.I
-    if len(I.I_GH) > MAX_BIACTIVE:
-        raise SizeCapError(f"|I_GH| = {len(I.I_GH)} exceeds the pattern cap")
-    patterns = []
-    best = None
-    for choice in itertools.product((0, 1), repeat=len(I.I_GH)):
-        mu_side = {k for k, c in zip(I.I_GH, choice) if c == 0}
-        nu_side = {k for k, c in zip(I.I_GH, choice) if c == 1}
-        w = _solve_system(ctx, branch_items(ctx, mu_side, nu_side))
+    """Stationarity with mu_k * nu_k = 0: one zero pattern per bipartition of
+    the biactive set, mu free on beta1 and nu free on beta2."""
+    patterns, best = [], None
+    for b in ctx.bipartitions:
+        w = _solve_system(ctx, branch_items(ctx, b.beta1, b.beta2))
         patterns.append({
-            "mu_free_on": sorted(mu_side), "nu_free_on": sorted(nu_side),
+            "mu_free_on": list(b.beta1), "nu_free_on": list(b.beta2),
             "feasible": w is not None,
             "witness": w.to_json() if w else None,
         })
@@ -189,7 +184,7 @@ def normal_cone_oracle(ctx: PointContext, kind: str) -> bool:
     # active inequalities (an inactive one has normal cone {0}) and every h
     fixed = [("g", i) for i in ctx.I.I_g] + [("h", j) for j in range(P.p)]
     cross_pairs = []  # pairs whose cone is the cross set
-    _, _, G, H = P.constraint_values(ctx.x)
+    _, _, G, H = ctx.values
     for k in range(P.l):
         row = cross_cones(G[k], H[k], ctx.tol)
         cone = row.limiting_normal if kind == "M" else row.frechet_normal

@@ -335,9 +335,9 @@ def test_criterion_8e_residual_distance_zero_sets(corpus):
         for x, d, y in zip(X, dists, Y):
             if not np.isfinite(d):
                 continue  # no branch projection ended feasible
-            r = penalty.residual(P, x)
+            r = penalty.residual(P.constraint_values(x))
             assert (d == 0.0) == (r <= TOL.tau_feas), name
-            assert penalty.residual(P, y) <= TOL.tau_feas
+            assert penalty.residual(P.constraint_values(y)) <= TOL.tau_feas
             checked += 1
     assert checked >= 150
     _report("8e", f"residual and distance zero sets agree on {checked} samples")

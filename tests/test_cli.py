@@ -1,15 +1,21 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import CORPUS_POINTS, problem_path
 from mpsckit import cli, cones, numeric, report
+from mpsckit.problem import load_problem
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -113,6 +119,26 @@ class TestAnalyze:
                                "--point", "1e308,1e308", "--json", str(jpath))
         assert code == 2 and "non-finite" in err
         assert not jpath.exists()
+
+    def test_failed_cones_section_is_left_out(self, capsys, tmp_path):
+        # grad f is undefined at 0: the cones component records its error and
+        # the report, with no cones section, still validates
+        jpath = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "analyze", "vars x1 x2\nmin (x1 / x1)\n", "--point", "0,0",
+                             "--json", str(jpath))
+        rep = json.loads(jpath.read_text())
+        assert code == 1 and "cones" not in rep
+        assert "cones" in [e["component"] for e in rep["errors"]]
+        jsonschema.validate(rep, report.load_schema())
+
+    def test_gradient_whose_norm_overflows(self, capsys, tmp_path):
+        # |grad f| = 2e200 * sqrt(2) squares past the float range: no warning,
+        # and the unconstrained point is not stationary
+        jpath = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "analyze", "vars x1 x2\nmin (x1)^2\n",
+                               "--point", "1e200,-1e200", "--json", str(jpath))
+        assert code == 0 and "W: FAILS" in out
+        jsonschema.validate(json.loads(jpath.read_text()), report.load_schema())
 
     def test_overflow_under_strict_warnings(self):
         for command in ("analyze", "penalty"):
@@ -382,6 +408,15 @@ class TestOtherCommands:
         assert out.startswith("vars x1 x2 x3")
         assert "switch x1 | x3" in out
 
+    def test_overflowing_literal_is_a_parse_error(self, capsys):
+        # 1e400 overflows a float: it is rejected where it is read, so
+        # neither the echo of parse nor that of analyze meets an infinite constant
+        text = "vars x1 x2\nmin x1 + 1e400*x2\nineq x2\nswitch x1 | x2\n"
+        for argv in (["parse", text], ["analyze", text, "--point", "0,0"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: bad numeric literal '1e400' (offset 5) (line 2)\n"
+
     def test_analyze_with_penalty_section(self, capsys, tmp_path):
         jpath = tmp_path / "full.json"
         code, out, _ = run_cli(capsys, "analyze", str(problem_path("diagonal2d")),
@@ -448,8 +483,9 @@ def test_json_is_coerced_once(capsys, monkeypatch, tmp_path, command, extra):
 def test_no_command_loads_numpy_ma():
     # numpy.ma costs a fresh process its import time and memory; numpy's set
     # routines (np.unique, np.union1d, ...) load it and the package calls none.
-    # Every corpus problem at its origin; the solves, which take seconds on
-    # the 3-variable problems, on the 2-variable ones
+    # At runtime the only dependency is numpy, so no command loads a package
+    # that only the tests use either.  Every corpus problem at its origin; the
+    # solves, which take seconds on the 3-variable problems, on the 2-variable ones
     argvs = []
     for name, x in CORPUS_POINTS.items():
         path, point = str(problem_path(name)), ",".join(map(str, x))
@@ -463,8 +499,57 @@ def test_no_command_loads_numpy_ma():
               "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
               "            contextlib.redirect_stderr(io.StringIO()):\n"
               "        cli.main(argv)\n"
-              "    if 'numpy.ma' in sys.modules:\n"
+              "    if {'numpy.ma', 'scipy', 'sympy', 'jsonschema', 'hypothesis'} & set(sys.modules):\n"
               "        sys.exit(' '.join(argv))\n")
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert (done.returncode, done.stderr) == (0, "")
+
+
+# the CLI error contract, fuzzed over problem text in the README grammar: every
+# literal below but 1e400 is a finite float, and x1^-1 and log, sqrt reach
+# their domain errors at some of the points
+_LITERALS = ("0", "1", "2", "0.5", ".5", "3e-3", "1e300", "1e400")
+_TEXT_EXPRS = hst.recursive(
+    hst.sampled_from(("x1", "x2") + _LITERALS),
+    lambda kids: hst.one_of(
+        hst.builds("({} {} {})".format, kids, hst.sampled_from("+-*/"), kids),
+        hst.builds("({})^{}".format, kids, hst.sampled_from(("-1", "2", "3"))),
+        hst.builds("{}({})".format, hst.sampled_from(("sin", "cos", "exp", "log", "sqrt")),
+                   kids),
+        hst.builds("-{}".format, kids)),
+    max_leaves=6)
+_LINES = hst.lists(hst.one_of(hst.builds("ineq {}".format, _TEXT_EXPRS),
+                              hst.builds("eq {}".format, _TEXT_EXPRS),
+                              hst.builds("switch {} | {}".format, _TEXT_EXPRS, _TEXT_EXPRS)),
+                   max_size=3)
+PROBLEM_TEXTS = hst.builds(lambda f, lines: "\n".join(["vars x1 x2", f"min {f}", *lines]) + "\n",
+                           _TEXT_EXPRS, _LINES)
+POINTS = hst.sampled_from(("0,0", "1,0", "0,-1", "0.5,0.5", "1e-9,0", "1e200,-1e200"))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(PROBLEM_TEXTS, POINTS)
+def test_cli_error_contract(text, point):
+    # parse, analyze and cones each exit 0 (or 1: analyze with component
+    # errors) with strict JSON, analyze's valid against report-v1, or exit 2
+    # with one error line; anything else, a warning included, fails the test
+    schema = report.load_schema()
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("parse", "analyze", "cones"):
+            jpath = Path(tmp) / f"{command}.json"
+            args = [] if command == "parse" else ["--point", point, "--json", str(jpath)]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command, text, *args])
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert out.getvalue() == "" and not jpath.exists()
+                continue
+            if command == "parse":  # the echo reads back as the same problem
+                assert code == 0 and load_problem(out.getvalue()) == load_problem(text)
+                continue
+            assert code in ((0, 1) if command == "analyze" else (0,))
+            payload = json.loads(jpath.read_text(), parse_constant=reject_constant)
+            if command == "analyze":
+                jsonschema.validate(payload, schema)

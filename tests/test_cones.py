@@ -338,9 +338,9 @@ class TestPointContext:
         calls = []
         index_sets = cones.index_sets
 
-        def counting(P, x, tol):
+        def counting(values, tol):
             calls.append(1)
-            return index_sets(P, x, tol)
+            return index_sets(values, tol)
 
         monkeypatch.setattr(cones, "index_sets", counting)
         for name, P in corpus.items():

@@ -58,6 +58,13 @@ class TestParse:
         with pytest.raises(ParseError, match="non-integer"):
             expr.parse_expr("x1^2.5", V2)
 
+    def test_literal_that_overflows_a_float_is_rejected(self):
+        # 1e400 would be an infinite constant, which no output can print
+        with pytest.raises(ParseError, match=r"'1e400' \(offset 5\)") as ei:
+            expr.parse_expr("x1 + 1e400*x2", V2)
+        assert ei.value.offset == 5
+        assert expr.parse_expr("1.7976931348623157e308", V2) == Const(1.7976931348623157e308)
+
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ParseError) as ei:
             expr.parse_expr("x1 + * x2", V2)
@@ -174,6 +181,7 @@ class TestProperties:
             "x1 - 3*x2", "-x1^2", "x2 - x1^2", "sin(x1)*cos(x2) - exp(x1/2)",
             "sqrt(x1^2 + 1) / (x2 + 2)", "-(x1 + x2)^3", "x1 - -x2",
             "1 - 2 - 3", "8/4/2", "--x1", "2*-3*x1", "x1^-1 + x2^0",
+            "x1 + (x2 + x3)", "x1*(x2*x3)", "x1*(x2/x3)", "x1 - (x2 + x3)",
         ]
         for _ in range(100):
             corpus.append(_random_polynomial(rng, 3))

@@ -13,14 +13,15 @@ TOL = Tolerances()
 
 class TestResidual:
     def test_feasible_zero(self, corpus):
-        assert penalty.residual(corpus["axes2d"], [0.0, 0.0]) == 0.0
+        assert penalty.residual(corpus["axes2d"].constraint_values([0.0, 0.0])) == 0.0
 
     def test_axes2d_at_11(self, corpus):
-        assert penalty.residual(corpus["axes2d"], [1.0, 1.0]) == pytest.approx(1.0)
+        r = penalty.residual(corpus["axes2d"].constraint_values([1.0, 1.0]))
+        assert r == pytest.approx(1.0)
 
     def test_ray2d_quadratic_along_axis(self, corpus):
         t = 0.05
-        assert penalty.residual(corpus["ray2d"], [t, 0.0]) == pytest.approx(t * t)
+        assert penalty.residual(corpus["ray2d"].constraint_values([t, 0.0])) == pytest.approx(t * t)
 
     def test_swap_invariance(self, corpus):
         from mpsckit.problem import MpscProblem
@@ -45,7 +46,7 @@ class TestPenalizedObjective:
     def test_affine_in_kappa(self, corpus):
         P = corpus["ray2d"]
         x = [0.3, -0.2]
-        r = penalty.residual(P, x)
+        r = penalty.residual(P.constraint_values(x))
         v1 = penalty.penalized_objective(P, x, 1.0)
         v3 = penalty.penalized_objective(P, x, 3.0)
         assert v3 - v1 == pytest.approx(2.0 * r, rel=1e-12)
@@ -86,9 +87,9 @@ class TestDistance:
         X = rng.uniform(-0.5, 0.5, size=(25, 2))
         d, Y = penalty.nearest_feasible(P, X, TOL, all_branches(P))
         for x, dist, y in zip(X, d, Y):
-            r = penalty.residual(P, x)
+            r = penalty.residual(P.constraint_values(x))
             assert (dist == 0.0) == (r <= TOL.tau_feas)
-            assert penalty.residual(P, y) <= TOL.tau_feas
+            assert penalty.residual(P.constraint_values(y)) <= TOL.tau_feas
 
 
 class TestErrorBound:

@@ -10,9 +10,10 @@ from scipy.linalg import lstsq as scipy_lstsq
 from scipy.optimize import minimize
 
 from mpsckit import cli, solver
+from mpsckit.errors import MpscError
 from mpsckit.numeric import Tolerances, ball_offsets
 from mpsckit.penalty import nearest_feasible
-from mpsckit.problem import (Bipartition, BranchProblem, MpscProblem, all_branches,
+from mpsckit.problem import (OBJECTIVE, Bipartition, BranchProblem, MpscProblem, all_branches,
                              branch, index_sets, load_problem)
 from mpsckit.report import annotate_stationarity
 
@@ -348,7 +349,7 @@ class TestProjectBranch:
 
     def test_ray2d_branch_collapses_to_origin(self, corpus):
         P = corpus["ray2d"]
-        I = index_sets(P, [0.0, 0.0], TOL)
+        I = index_sets(P.constraint_values([0.0, 0.0]), TOL)
         br = branch(P, I, Bipartition((), (0,)))
         y = project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
@@ -788,7 +789,7 @@ class TestSolveBranch:
 
     def test_wedge3d_g_branch(self, corpus):
         P = corpus["wedge3d"]
-        I = index_sets(P, [0.0, 0.0, 0.0], TOL)
+        I = index_sets(P.constraint_values([0.0, 0.0, 0.0]), TOL)
         br = branch(P, I, Bipartition((0,), ()))
         sol = solver.solve_branch(P, br, [0.5, 0.5, 0.5], TOL)
         assert sol.status == "feasible"
@@ -865,6 +866,33 @@ class TestSolvePenaltyDescent:
         P = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
         sol = solver.solve_penalty_descent(P, [0.3], TOL)
         assert sol.status in ("failure", "infeasible-stall")
+
+    def test_incumbent_values_come_from_the_descent(self, corpus, monkeypatch):
+        # the stopping residual, a failure's value and residual and the polish
+        # branch are read from the item values the descent returns at its
+        # incumbent: the only evaluations at a single point are the polished
+        # point's f and constraint values
+        calls, evaluate = [], MpscProblem._evaluate
+
+        def spy(self, kind, items, x):
+            calls.append((kind, tuple(items), np.ndim(x)))
+            return evaluate(self, kind, items, x)
+
+        monkeypatch.setattr(MpscProblem, "_evaluate", spy)
+        empty = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
+        runs = [(P, x0) for P in corpus.values() for x0 in (np.zeros(P.n), np.ones(P.n))]
+        statuses = []
+        for P, x0 in runs + [(empty, np.array([0.3]))]:
+            calls.clear()
+            try:
+                status = solver.solve_penalty_descent(P, x0, TOL).status
+            except MpscError:  # an overflow in the descent
+                status = "error"
+            statuses.append(status)
+            polished = [("v", (OBJECTIVE,), 1), ("v", P.items[1:], 1)]
+            single = [call for call in calls if call[2] == 1]
+            assert single == ([] if status in ("failure", "error") else polished), status
+        assert statuses[-1] == "failure" and "feasible" in statuses
 
 
 class TestProperties:
