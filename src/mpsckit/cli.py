@@ -197,9 +197,11 @@ def cmd_solve(args):
 def cmd_penalty(args):
     P = load_problem(args.file)
     x = _parse_point(args.point, P.n)
-    r = pen.residual(P.constraint_values(x))
+    # one evaluation: the constraint values, then f, so a constraint's error comes first
+    *values, f = np.split(P.values(x, P.items[1:] + P.items[:1]), np.cumsum([P.m, P.p, P.l, P.l]))
+    r = pen.residual(values)
     try:
-        rows = [{"kappa": k, "value": pen.penalized_objective(P, x, k)}
+        rows = [{"kappa": k, "value": pen.penalized_objective(f[0], r, k)}
                 for k in args.kappa or [1.0]]
     except ValueError as err:
         raise ParseError(f"bad option: {err}") from None

@@ -190,7 +190,7 @@ class PointContext:
 
     @cached_property
     def bipartitions(self) -> list[Bipartition]:
-        return bipartitions(self.I)
+        return bipartitions(self.I.I_GH)
 
     @cached_property
     def branches(self) -> list[BranchProblem]:

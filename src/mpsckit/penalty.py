@@ -38,11 +38,11 @@ def residual(values) -> float:
     return r
 
 
-def penalized_objective(P: MpscProblem, x, kappa: float) -> float:
+def penalized_objective(f: float, r: float, kappa: float) -> float:
+    """f + kappa * r from the objective value f and the residual r at a point."""
     if not 0 < kappa < np.inf:
         raise ValueError("kappa must be finite and positive")
-    x = np.asarray(x, float)
-    return float(P.values(x, [OBJECTIVE])[0]) + kappa * float(P.residual(x))
+    return float(f) + kappa * r
 
 
 def nearest_feasible(P, X, tol: Tolerances, branches):

@@ -8,7 +8,6 @@ feasible point.  Constraint indices are 0-based throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -151,16 +150,20 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class BranchProblem:
-    """Standard NLP obtained by pinning G_k = 0 and/or H_k = 0 per switch index.
+    """Standard NLP obtained by pinning one side of every switch: G_k = 0 for
+    k in eq_G, H_k = 0 for every other k (eq_H), so its feasible set sits
+    inside the instance's.
 
-    Inequalities are all of g; equalities are h plus G over eq_G and H over
-    eq_H.  Branches built at a feasible point pin every switch index on at
-    least one side, so the branch feasible set sits inside the instance's.
+    Inequalities are all of g; the p + l equalities are h plus G over eq_G
+    and H over eq_H.
     """
 
     problem: MpscProblem
     eq_G: tuple
-    eq_H: tuple
+
+    @property
+    def eq_H(self) -> tuple:
+        return tuple(k for k in range(self.problem.l) if k not in self.eq_G)
 
     def equalities(self):
         """Equality items: every h, then G over eq_G and H over eq_H."""
@@ -168,17 +171,9 @@ class BranchProblem:
                 + [("G", k) for k in self.eq_G] + [("H", k) for k in self.eq_H])
 
     def label(self):
-        marks = []
-        for k in range(self.problem.l):
-            if k in self.eq_G and k in self.eq_H:
-                marks.append("B")
-            elif k in self.eq_G:
-                marks.append("G")
-            elif k in self.eq_H:
-                marks.append("H")
-            else:
-                marks.append("-")
-        return "".join(marks) if marks else "unconstrained"
+        """The pinned side, G or H, of each switch in order, or "unconstrained"."""
+        return "".join("G" if k in self.eq_G else "H"
+                       for k in range(self.problem.l)) or "unconstrained"
 
     def residual(self, x):
         """l2 violation of the branch's own items: every g, h, and G over
@@ -189,7 +184,7 @@ class BranchProblem:
     def residual_of(self, V):
         """residual from the values of equalities() + every g, in that order: the
         instance's formula with the equalities as h and no switch terms."""
-        r = self.problem.p + len(self.eq_G) + len(self.eq_H)
+        r = self.problem.p + self.problem.l
         return MpscProblem.residual_of(V[..., r:], V[..., :r], V[..., :0], V[..., :0])
 
 
@@ -292,33 +287,25 @@ def index_sets(values, tol: Tolerances) -> IndexSets:
     return IndexSets(I_g, tuple(range(len(h))), tuple(I_G), tuple(I_H), tuple(I_GH))
 
 
-def bipartitions(I: IndexSets) -> list[Bipartition]:
-    """All 2^|I_GH| bipartitions in lexicographic order over membership masks."""
-    biactive = tuple(sorted(I.I_GH))
-    if len(biactive) > MAX_BIACTIVE:
-        raise SizeCapError(f"|I_GH| = {len(biactive)} exceeds cap {MAX_BIACTIVE}")
-    out = []
-    for mask in range(2 ** len(biactive)):
-        beta1 = tuple(k for b, k in enumerate(biactive) if mask >> b & 1)
-        beta2 = tuple(k for b, k in enumerate(biactive) if not mask >> b & 1)
-        out.append(Bipartition(beta1, beta2))
-    return out
+def bipartitions(switches) -> list[Bipartition]:
+    """All 2^n splits (beta1, beta2) of n switch indices, in order of the
+    membership mask over the sorted indices (bit b: the b-th is in beta1).
+    SizeCapError past MAX_BIACTIVE switches."""
+    switches = tuple(sorted(switches))
+    if len(switches) > MAX_BIACTIVE:
+        raise SizeCapError(f"{len(switches)} switches to split exceed cap {MAX_BIACTIVE}")
+    return [Bipartition(tuple(k for b, k in enumerate(switches) if mask >> b & 1),
+                        tuple(k for b, k in enumerate(switches) if not mask >> b & 1))
+            for mask in range(2 ** len(switches))]
 
 
 def branch(P: MpscProblem, I: IndexSets, b: Bipartition) -> BranchProblem:
-    """Branch problem for a bipartition of the biactive set at a point."""
-    eq_G = tuple(sorted(set(I.I_G) | set(b.beta1)))
-    eq_H = tuple(sorted(set(I.I_H) | set(b.beta2)))
-    return BranchProblem(P, eq_G, eq_H)
+    """Branch problem for a bipartition of the biactive set at a point: G
+    pinned over I_G and beta1, H over I_H and beta2."""
+    return BranchProblem(P, tuple(sorted(I.I_G + b.beta1)))
 
 
 def all_branches(P: MpscProblem) -> list[BranchProblem]:
-    """Branches over all switch indices; their union covers the feasible set."""
-    if P.l > MAX_BIACTIVE:
-        raise SizeCapError(f"l = {P.l} exceeds cap {MAX_BIACTIVE}")
-    out = []
-    for choice in itertools.product((0, 1), repeat=P.l):
-        eq_G = tuple(k for k in range(P.l) if choice[k] == 0)
-        eq_H = tuple(k for k in range(P.l) if choice[k] == 1)
-        out.append(BranchProblem(P, eq_G, eq_H))
-    return out
+    """The branch of each bipartition of all l switches, in reverse mask
+    order (the all-G branch first); their union is the feasible set."""
+    return [BranchProblem(P, b.beta1) for b in reversed(bipartitions(range(P.l)))]

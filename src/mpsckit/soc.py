@@ -105,7 +105,7 @@ def _multiplier_sweep(ctx):
     of the S-multiplier polyhedron, enumerated once per context for both
     second-order checks."""
     def expand():
-        _, labels, gen = s_multiplier_polyhedron(ctx)
+        labels, gen = s_multiplier_polyhedron(ctx)
         return ([(expand_multiplier(ctx.P, labels, v), False) for v in gen.vertices]
                 + [(expand_multiplier(ctx.P, labels, r), True) for r in gen.all_rays()])
     return ctx.once("S-multipliers", expand)

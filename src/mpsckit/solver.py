@@ -440,9 +440,7 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
                              status="failure", log=[f"kappa_final={kappas[-1]:.1e}"])
 
     # polish on the branch matching the active pattern at the incumbent
-    eq_G = tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2)
-    eq_H = tuple(k for k in range(P.l) if G[k] ** 2 > H[k] ** 2)
-    br = BranchProblem(P, eq_G, eq_H)
+    br = BranchProblem(P, tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2))
     X, kkt, res, status, outer = _alm_batch(P, br, x, tol)
     sol = LocalSolution(
         x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]), residual=float(P.residual(X[0])),

@@ -144,7 +144,7 @@ def check_m_stationary(ctx: PointContext) -> StationarityVerdict:
 
 
 def s_multiplier_polyhedron(ctx: PointContext):
-    """Affine polyhedron of all S-multipliers plus its generator form.
+    """Labels and generator form of the affine polyhedron of all S-multipliers.
 
     Coordinates are (lambda on I_g, rho, mu on I_G, nu on I_H); everything
     off those supports is identically zero.  Raises NotSStationaryError when
@@ -164,7 +164,7 @@ def s_multiplier_polyhedron(ctx: PointContext):
         gen = enumerate_generators(pol, ctx.tol)
     except ValueError as err:
         raise NotSStationaryError("point is not S-stationary") from err
-    return pol, labels, gen
+    return labels, gen
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from hypothesis import strategies as hst
 
 from conftest import CORPUS_POINTS, problem_path
 from mpsckit import cli, cones, numeric, report
-from mpsckit.problem import load_problem
+from mpsckit.errors import EvalDomainError
+from mpsckit.problem import MpscProblem, load_problem
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -347,6 +348,37 @@ class TestOtherCommands:
                                "--json", str(jpath))
         assert code == 2 and err.startswith("error:") and "non-finite" in err
         assert not jpath.exists()
+
+    def test_penalty_evaluates_the_point_once(self, capsys, monkeypatch):
+        # f and the residual do not depend on kappa: one kernel call at the
+        # point gives every row, however many --kappa flags there are
+        calls, evaluate = [], MpscProblem._evaluate
+        monkeypatch.setattr(MpscProblem, "_evaluate", lambda self, kind, items, x:
+                            calls.append(kind) or evaluate(self, kind, items, x))
+        code, out, _ = run_cli(capsys, "penalty", str(problem_path("axes2d")), "--point",
+                               "0.5,0.5", "--kappa", "1", "--kappa", "2", "--kappa", "3")
+        assert code == 0 and calls == ["v"]
+        assert out.count("penalized objective") == 3
+
+    def test_penalty_reports_the_constraints_error_first(self, capsys, tmp_path):
+        # both log(x1 - 1) and log(x1 - 2) fail at 0: the constraint is evaluated first
+        prob = tmp_path / "logs.mpsc"
+        prob.write_text("vars x1\nmin log(x1 - 2)\nineq log(x1 - 1)\n")
+        with pytest.raises(EvalDomainError) as want:
+            load_problem(str(prob)).constraint_values([0.0])
+        code, _, err = run_cli(capsys, "penalty", str(prob), "--point", "0", "--kappa", "-1")
+        assert code == 2 and err == f"error: {want.value}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "errorbound"])
+    def test_switch_cap(self, capsys, tmp_path, command):
+        # 17 switches, one biactive at the origin: solve and the error bound
+        # take every branch of P and both meet the one bipartition cap
+        prob = tmp_path / "many.mpsc"
+        prob.write_text("vars x1 x2\nmin x1\n" + "".join(f"switch x1 - {k} | x2\n"
+                                                         for k in range(17)))
+        point = [] if command == "solve" else ["--point", "0,0"]
+        code, out, err = run_cli(capsys, command, str(prob), *point)
+        assert (code, out, err) == (2, "", "error: 17 switches to split exceed cap 16\n")
 
     def test_errorbound_ray2d(self, capsys, tmp_path):
         jpath = tmp_path / "eb.json"

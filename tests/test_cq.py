@@ -167,7 +167,7 @@ class TestIgMinus:
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
             ctx = PointContext(P, x, tol)
-            for b in bipartitions(ctx.I):
+            for b in bipartitions(ctx.I.I_GH):
                 picked, cross = cq.i_g_minus(ctx, b)
                 assert cross["agree"], (name, b)
                 assert set(picked) == set(cross["I0"]), (name, b)

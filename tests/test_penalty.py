@@ -6,7 +6,7 @@ from mpsckit import penalty, report
 from mpsckit.cones import PointContext
 from mpsckit.errors import EvalDomainError, InfeasiblePointError
 from mpsckit.numeric import Tolerances, sanitize
-from mpsckit.problem import all_branches, load_problem
+from mpsckit.problem import OBJECTIVE, all_branches, load_problem
 
 TOL = Tolerances()
 
@@ -34,21 +34,27 @@ class TestResidual:
 
 
 class TestPenalizedObjective:
+    @staticmethod
+    def at(P, x, kappa):
+        """The penalized objective at x from f and the residual there."""
+        f = P.values(np.asarray(x, float), [OBJECTIVE])[0]
+        return penalty.penalized_objective(f, penalty.residual(P.constraint_values(x)), kappa)
+
     def test_feasible_equals_f(self, corpus):
         P = corpus["axes2d"]
-        assert penalty.penalized_objective(P, [0.0, 0.0], 7.0) == pytest.approx(0.0)
+        assert self.at(P, [0.0, 0.0], 7.0) == pytest.approx(0.0)
 
     def test_axes2d_value(self, corpus):
         # (1 - 3) + 2 * 1
-        v = penalty.penalized_objective(corpus["axes2d"], [1.0, 1.0], 2.0)
+        v = self.at(corpus["axes2d"], [1.0, 1.0], 2.0)
         assert v == pytest.approx(0.0)
 
     def test_affine_in_kappa(self, corpus):
         P = corpus["ray2d"]
         x = [0.3, -0.2]
         r = penalty.residual(P.constraint_values(x))
-        v1 = penalty.penalized_objective(P, x, 1.0)
-        v3 = penalty.penalized_objective(P, x, 3.0)
+        v1 = self.at(P, x, 1.0)
+        v3 = self.at(P, x, 3.0)
         assert v3 - v1 == pytest.approx(2.0 * r, rel=1e-12)
 
     def test_monotone_in_kappa(self, corpus):
@@ -56,7 +62,7 @@ class TestPenalizedObjective:
         P = corpus["axes2d"]
         for _ in range(20):
             x = rng.uniform(-1, 1, size=2)
-            vals = [penalty.penalized_objective(P, x, k) for k in (0.5, 1.0, 2.0)]
+            vals = [self.at(P, x, k) for k in (0.5, 1.0, 2.0)]
             assert vals[0] <= vals[1] <= vals[2] + 1e-15
 
 
@@ -178,6 +184,17 @@ class TestErrorBound:
         monkeypatch.setattr(penalty, "nearest_feasible",
                             lambda P, X, tol, branches: nearest(P, X, tol, all_branches(P)))
         assert sanitize(penalty.error_bound_probe(PointContext(P, x, TOL))) == rep
+
+    @pytest.mark.parametrize("name, x", [*OFF_BIACTIVE, *CORPUS_POINTS.items()])
+    def test_branches_pin_one_side_of_every_switch(self, corpus, name, x):
+        # the branches at x, on which ACQ projects, are some of P's, on which
+        # the error bound projects; each pins G or H of every switch
+        P = corpus[name]
+        ctx, every = PointContext(P, x, TOL), all_branches(P)
+        for br in ctx.branches + every:
+            assert len(br.equalities()) == P.p + P.l, (name, x, br.label())
+            assert sorted(br.eq_G + br.eq_H) == list(range(P.l)), (name, x, br.label())
+        assert all(br in every for br in ctx.branches), (name, x)
 
     def test_an_inactive_side_within_the_ball_is_projected_onto(self, corpus):
         # at (1e-6, 0) only x2 = 0 is active, but on the ray (1e-6, -t) the

@@ -130,16 +130,16 @@ class TestIndexSets:
 class TestBipartitions:
     def test_singleton(self, corpus):
         I = pb.index_sets(corpus["wedge3d"].constraint_values([0.0, 0.0, 0.0]), TOL)
-        bs = pb.bipartitions(I)
+        bs = pb.bipartitions(I.I_GH)
         assert [(b.beta1, b.beta2) for b in bs] == [((), (0,)), ((0,), ())]
 
     def test_empty(self):
         I = pb.IndexSets((), (), (), (), ())
-        assert [(b.beta1, b.beta2) for b in pb.bipartitions(I)] == [((), ())]
+        assert [(b.beta1, b.beta2) for b in pb.bipartitions(I.I_GH)] == [((), ())]
 
     def test_two_biactive(self, corpus):
         I = pb.index_sets(corpus["pinch2d"].constraint_values([0.0, 0.0]), TOL)
-        assert len(pb.bipartitions(I)) == 4
+        assert len(pb.bipartitions(I.I_GH)) == 4
 
 
 class TestBranch:
@@ -161,7 +161,7 @@ class TestBranch:
     def test_no_switches_branch_is_instance(self):
         P = pb.load_problem("vars x\nmin x\nineq -x\n", from_path=False)
         I = pb.index_sets(P.constraint_values([0.0]), TOL)
-        (b,) = pb.bipartitions(I)
+        (b,) = pb.bipartitions(I.I_GH)
         br = pb.branch(P, I, b)
         assert br.equalities() == []
         assert float(br.residual([0.5])) == 0.0
@@ -170,7 +170,7 @@ class TestBranch:
         # log(x2) is the unpinned side of the G branch: never evaluated there
         P = pb.load_problem("vars x1 x2\nmin x1\nineq x2 - 1\neq x1 - x2\n"
                             "switch x1 | log(x2)\n", from_path=False)
-        br = pb.BranchProblem(P, (0,), ())
+        br = pb.BranchProblem(P, (0,))
         assert float(br.residual([-1.0, -1.0])) == 1.0
         X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(64, 2))
         V = P.values(X, br.equalities() + [("g", 0)])
@@ -178,6 +178,14 @@ class TestBranch:
                        + X[:, 0] ** 2)
         assert np.allclose(br.residual_of(V), want, rtol=1e-14, atol=0.0)
         assert np.array_equal(br.residual_of(V), br.residual(X))
+
+
+class TestAllBranches:
+    def test_labels_all_g_branch_first(self, corpus):
+        none = pb.load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        assert [[br.label() for br in pb.all_branches(P)]
+                for P in (none, corpus["axes2d"], corpus["pinch2d"])] == [
+            ["unconstrained"], ["G", "H"], ["GG", "HG", "GH", "HH"]]
 
 
 class TestBranchUnionLaw:

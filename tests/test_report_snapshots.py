@@ -9,7 +9,8 @@ checkout, with
     PYTHONPATH=src python tests/test_report_snapshots.py
 
 which prints each golden file whose bytes changed and exits 1, naming the
-JSON path, if any `status`, `verdict` or `mode` value (or an exit code) moved.
+JSON path, if any `status`, `verdict`, `mode` or `branch` value (or an exit
+code) moved.
 
 tests/data/snapshots/ holds the other commands' JSON, written the same way
 with the arguments listed in SNAPSHOTS below: `cones --json` at the corpus
@@ -126,12 +127,12 @@ def test_command_json_matches_snapshot(name, tmp_path):
 
 
 def _verdicts(node, path="$"):
-    """{JSON path: value} of every status, verdict and mode key of a parsed
-    document, however deep."""
+    """{JSON path: value} of every status, verdict, mode and branch key of a
+    parsed document, however deep."""
     out = {}
     if isinstance(node, dict):
         for key, value in node.items():
-            if key in ("status", "verdict", "mode"):
+            if key in ("status", "verdict", "mode", "branch"):
                 out[f"{path}.{key}"] = value
             out.update(_verdicts(value, f"{path}.{key}"))
     elif isinstance(node, list):
@@ -142,7 +143,7 @@ def _verdicts(node, path="$"):
 
 def _rewrite(path, got):
     """Write one golden file and print it if its bytes changed; returns the
-    JSON paths of the status, verdict and mode values that moved."""
+    JSON paths of the status, verdict, mode and branch values that moved."""
     old = path.read_bytes() if path.exists() else None
     if old == got:
         return []
@@ -156,8 +157,9 @@ def _rewrite(path, got):
 
 
 if __name__ == "__main__":  # rewrite the golden files; pytest never runs this
-    # prints each file whose bytes changed; exits 1 if a status, verdict or
-    # mode value or an exit code moved, so a regeneration cannot hide one
+    # prints each file whose bytes changed; exits 1 if a status, verdict,
+    # mode or branch value or an exit code moved, so a regeneration cannot
+    # hide one
     moved = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CORPUS_POINTS):

@@ -94,19 +94,19 @@ class TestWStationarity:
 class TestSMultiplierPolyhedron:
     def test_diagonal2d_single_point(self, corpus):
         ctx = PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL)
-        _, labels, gen = st.s_multiplier_polyhedron(ctx)
+        labels, gen = st.s_multiplier_polyhedron(ctx)
         assert [k for k, _ in labels] == ["rho"]
         assert len(gen.vertices) == 1 and len(gen.rays) == 0 and len(gen.lineality) == 0
         assert np.allclose(gen.vertices[0], [0.0], atol=1e-9)
 
     def test_unconstrained_zero_dimensional(self):
         P = load_problem("vars x\nmin x^2\n", from_path=False)
-        _, labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
+        labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
         assert labels == [] and len(gen.vertices) == 1
 
     def test_single_active_inequality(self):
         P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
-        _, labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
+        labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
         assert labels == [("lam", 0)]
         assert len(gen.vertices) == 1
         assert gen.vertices[0][0] == pytest.approx(1.0, abs=1e-9)
