@@ -1,14 +1,12 @@
 """Desk-scale analysis toolkit for programs with switching constraints."""
 
 from .numeric import Polyhedron, Tolerances
-from .problem import (Bipartition, BranchProblem, IndexSets, MpscProblem,
-                      all_branches, bipartitions, branch, index_sets,
-                      load_problem)
+from .problem import (BranchProblem, IndexSets, MpscProblem, all_branches,
+                      bipartitions, index_sets, load_problem)
 
 __all__ = [
-    "Bipartition", "BranchProblem", "IndexSets", "MpscProblem", "Polyhedron",
-    "Tolerances", "all_branches", "bipartitions", "branch", "index_sets",
-    "load_problem",
+    "BranchProblem", "IndexSets", "MpscProblem", "Polyhedron", "Tolerances",
+    "all_branches", "bipartitions", "index_sets", "load_problem",
 ]
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Cone constructions at a feasible point.
 
-Every cone here is a finite union of same-shape polyhedral pieces over the
-bipartitions of the biactive index set, whose generators and lineality bases
-come from one search stacked over the union, filled on the first request; a
-critical piece is its linearization piece cut by grad f, its generators cut
-from that piece's with no search.  The tangent
+Every cone here is a list of same-shape polyhedral pieces, piece k that of
+the point's branch k, whose generators and lineality bases come from one
+search stacked over the list, filled on the first request; a critical piece
+is its linearization piece cut by grad f, its generators cut from that
+piece's with no search.  The tangent
 cone is never built: ACQ (`cq.check_acq`) tests the linearization cone's own
 directions for tangency by distance ratios.  This layer runs no solver.
 """
@@ -20,8 +20,7 @@ from .errors import InfeasiblePointError
 from .numeric import (RADII_FRACTIONS, Generators, Polyhedron, Tolerances, ball_offsets,
                       check_caps, combination_lp, cut_generators, enumerate_generators, nullspace,
                       row_norms, unit_rows)
-from .problem import (Bipartition, BranchProblem, IndexSets, MpscProblem, bipartitions, branch,
-                      index_sets)
+from .problem import BranchProblem, IndexSets, MpscProblem, bipartitions, index_sets
 
 # symbolic one-pair cones (subsets of R^2)
 AXIS_A = "RxO"      # R x {0}
@@ -54,17 +53,16 @@ def cross_cones(a: float, b: float, tol: Tolerances) -> CrossConeKind:
 
 @dataclass
 class ConePiece:
-    """Polyhedral cone {d : A_eq d = 0, A_le d <= 0} tagged by its bipartition."""
+    """Polyhedral cone {d : A_eq d = 0, A_le d <= 0}."""
 
     A_eq: np.ndarray
     A_le: np.ndarray
-    tag: Bipartition | None = None
     # generators, lineality basis and implicit equalities per tolerance set,
     # kept after the first call
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # a cut piece's uncut parent: the same rows but the last inequality row
     parent: "ConePiece | None" = field(default=None, repr=False, compare=False)
-    # the pieces of this piece's union, which one stacked search fills at once
+    # the pieces of this piece's cone, which one stacked search fills at once
     union: list = field(default_factory=list, repr=False, compare=False)
 
     @staticmethod
@@ -140,17 +138,6 @@ class ConePiece:
         return self._cache["lin", tol]
 
 
-@dataclass
-class ConeUnion:
-    """Same-shape pieces; a generator or lineality request on any piece fills all."""
-
-    pieces: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for p in self.pieces:
-            p.union = self.pieces
-
-
 # ---------------------------------------------------------------------------
 # point context
 # ---------------------------------------------------------------------------
@@ -159,11 +146,12 @@ class PointContext:
     """What every point-level check derives from (P, x, tol), computed once.
 
     The (g, h, G, H) values at x, the index sets read from them (which gate
-    feasibility), the bipartitions and their branches, the rows of the one
-    Jacobian at x over P.items, kinds f/g/h/G/H, and each item Hessian at x
-    are computed on first use and not kept when they raise, so each component
-    that needs them reports the error itself.  The linearization-cone,
-    critical-cone and critical-subspace pieces are built once and keep their
+    feasibility), the branches at x (one per split of I_GH, which `split`
+    names), the rows of the one Jacobian at x over P.items, kinds f/g/h/G/H,
+    and each item Hessian at x are computed on first use and not kept when
+    they raise, so each component that needs them reports the error itself.
+    The linearization and critical cones, lists whose piece k is that of
+    branch k, and the critical subspace are built once and keep their
     generators; `shells` is the one neighbourhood sample that every sampled
     check at x reads, and `once` keeps any other result checks share.
     """
@@ -189,20 +177,24 @@ class PointContext:
         return index_sets(self.values, self.tol)
 
     @cached_property
-    def bipartitions(self) -> list[Bipartition]:
-        return bipartitions(self.I.I_GH)
-
-    @cached_property
     def branches(self) -> list[BranchProblem]:
-        """The branch problem of each bipartition; near x, F is their union."""
-        return [branch(self.P, self.I, b) for b in self.bipartitions]
+        """The branch of each split (beta1, beta2) of I_GH, in `bipartitions`
+        order: G pinned over I_G and beta1, H over I_H and beta2; near x, F is
+        their union."""
+        return [BranchProblem(self.P, tuple(sorted(self.I.I_G + beta1)))
+                for beta1 in bipartitions(self.I.I_GH)]
+
+    def split(self, br: BranchProblem) -> list:
+        """[beta1, beta2] of a branch at x: its G-pinned and H-pinned switches in I_GH."""
+        return [[k for k in self.I.I_GH if k in br.eq_G],
+                [k for k in self.I.I_GH if k not in br.eq_G]]
 
     @cached_property
-    def linearization(self) -> ConeUnion:
+    def linearization(self) -> list:
         return linearization_cone(self)
 
     @cached_property
-    def critical(self) -> ConeUnion:
+    def critical(self) -> list:
         return critical_cone(self)
 
     @cached_property
@@ -258,18 +250,17 @@ def active_items(ctx: PointContext) -> list:
     return branch_items(ctx, ctx.I.I_GH, ctx.I.I_GH)
 
 
-def piece_for_bipartition(ctx: PointContext, b: Bipartition) -> ConePiece:
-    """Linearized branch cone: g rows <= 0, h/G/H rows = 0 for the branch."""
-    return ConePiece(A_eq=ctx.rows(branch_items(ctx, b.beta1, b.beta2, ())),
-                     A_le=ctx.rows([("g", i) for i in ctx.I.I_g]), tag=b)
+def linearization_cone(ctx: PointContext) -> list:
+    """L(x), piece k the linearized cone of ctx.branches[k]: g rows on I_g <= 0,
+    the branch's equality rows = 0."""
+    pieces = []  # each piece holds the list, so one request fills every piece
+    pieces += [ConePiece(A_eq=ctx.rows(br.equalities()),
+                         A_le=ctx.rows([("g", i) for i in ctx.I.I_g]), union=pieces)
+               for br in ctx.branches]
+    return pieces
 
 
-def linearization_cone(ctx: PointContext) -> ConeUnion:
-    """Union of branch linearization cones over all bipartitions."""
-    return ConeUnion([piece_for_bipartition(ctx, b) for b in ctx.bipartitions])
-
-
-def critical_cone(ctx: PointContext) -> ConeUnion:
+def critical_cone(ctx: PointContext) -> list:
     """C(x) = {d in L(x) : grad f . d <= 0}, each linearization piece cut by
     grad f; read it as `PointContext.critical`, built once per context.
 
@@ -278,5 +269,7 @@ def critical_cone(ctx: PointContext) -> ConeUnion:
     `ConePiece.implicit_equalities` finds with no multiplier at hand.
     """
     gf = ctx.grad("f")[None, :]
-    return ConeUnion([ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), tag=p.tag, parent=p)
-                      for p in ctx.linearization.pieces])
+    pieces = []
+    pieces += [ConePiece(A_eq=p.A_eq, A_le=np.vstack([p.A_le, gf]), parent=p, union=pieces)
+               for p in ctx.linearization]
+    return pieces

@@ -25,7 +25,6 @@ from .cones import ConePiece, PointContext, active_items, branch_items
 from .errors import LatticeContradictionError, SizeCapError
 from .expr import Const
 from .numeric import RADII_FRACTIONS, rank_tol_batch, unit_rows
-from .problem import Bipartition
 from .soc import quadform_min_over_cone
 from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
 
@@ -127,11 +126,11 @@ def check_wcr(ctx: PointContext) -> CqVerdict:
 
 
 def check_pwcr(ctx: PointContext) -> CqVerdict:
-    """Per-bipartition sampled constant rank of the branch families."""
+    """Per-branch sampled constant rank of the branch families."""
     reports = []
-    for b in ctx.bipartitions:
-        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2))
-        rep["bipartition"] = [list(b.beta1), list(b.beta2)]
+    for br in ctx.branches:
+        rep = rank_constancy(ctx, branch_items(ctx, *ctx.split(br)))
+        rep["bipartition"] = ctx.split(br)
         reports.append(rep)
         if not rep["constant"]:
             ev = {"bipartitions": reports, **_sample_keys(reports, ctx.tol)}
@@ -183,16 +182,15 @@ def _subsets(idx):
 # I_g^- and PCRSC
 # ---------------------------------------------------------------------------
 
-def i_g_minus(ctx: PointContext, b: Bipartition):
-    """Active inequalities forced to equality on the branch linearization cone.
+def i_g_minus(ctx: PointContext, piece: ConePiece):
+    """Active inequalities forced to equality on a branch's linearization piece.
 
-    Primary route: the implicit equalities of the branch's linearization
-    piece (`ConePiece.implicit_equalities`, unit rows), mapped to I_g.
+    Primary route: the implicit equalities of the piece
+    (`ConePiece.implicit_equalities`, unit rows), mapped to I_g.
     Cross-check: the unit gradient of g_l annihilates every generator of
     that piece.  Returns (indices, crosscheck dict).
     """
     I = ctx.I
-    piece = ctx.linearization.pieces[ctx.bipartitions.index(b)]
     picked = [I.I_g[k] for k in piece.implicit_equalities(ctx.tol)]
 
     # cross-check against I_0: the unit rows that vanish on every generator
@@ -202,14 +200,14 @@ def i_g_minus(ctx: PointContext, b: Bipartition):
 
 
 def check_pcrsc(ctx: PointContext) -> CqVerdict:
-    """Per-bipartition constant rank with g restricted to I_g^-."""
+    """Per-branch constant rank with g restricted to I_g^-."""
     reports = []
     any_mismatch = False
-    for b in ctx.bipartitions:
-        igm, cross = i_g_minus(ctx, b)
+    for br, piece in zip(ctx.branches, ctx.linearization):
+        igm, cross = i_g_minus(ctx, piece)
         any_mismatch |= not cross["agree"]
-        rep = rank_constancy(ctx, branch_items(ctx, b.beta1, b.beta2, g_idx=igm))
-        rep["bipartition"] = [list(b.beta1), list(b.beta2)]
+        rep = rank_constancy(ctx, branch_items(ctx, *ctx.split(br), g_idx=igm))
+        rep["bipartition"] = ctx.split(br)
         rep["I_g_minus"] = list(igm)
         rep["crosscheck"] = cross
         reports.append(rep)
@@ -278,11 +276,11 @@ def check_acq(ctx: PointContext) -> CqVerdict:
     """
     tol = ctx.tol
     L = ctx.linearization
-    if all(p.is_origin(tol) for p in L.pieces):
+    if all(p.is_origin(tol) for p in L):
         return CqVerdict("ACQ", HOLDS, "exact",
                          {"note": "linearization cone is the origin"})
 
-    per_piece = [acq_directions(p, k, tol) for k, p in enumerate(L.pieces)]
+    per_piece = [acq_directions(p, k, tol) for k, p in enumerate(L)]
     D = np.vstack(per_piece)
     owner = np.repeat(np.arange(len(per_piece)), [len(d) for d in per_piece])
     ratios = np.vstack([distance_ratios(ctx, d, [br])
@@ -300,9 +298,8 @@ def check_acq(ctx: PointContext) -> CqVerdict:
                 "seed": tol.seed}
     if witness.any():
         i = int(np.argmax(witness))
-        b = L.pieces[owner[i]].tag
         return CqVerdict("ACQ", FAILS, "sampled", {
-            "witness": D[i], "bipartition": [list(b.beta1), list(b.beta2)],
+            "witness": D[i], "bipartition": ctx.split(ctx.branches[owner[i]]),
             "ratios": ratios[i], **evidence})
     return CqVerdict("ACQ", HOLDS if tangent.all() else UNKNOWN, "sampled", evidence)
 
@@ -320,8 +317,8 @@ def check_psoqn(ctx: PointContext) -> CqVerdict:
     """
     P = ctx.P
     candidates = []
-    for b in ctx.bipartitions:
-        items = branch_items(ctx, b.beta1, b.beta2)
+    for br in ctx.branches:
+        items = branch_items(ctx, *ctx.split(br))
         try:
             rays = ctx.combination(items, np.zeros(P.n), "rays")
         except SizeCapError:
@@ -330,24 +327,24 @@ def check_psoqn(ctx: PointContext) -> CqVerdict:
         for z in rays:
             m = expand_multiplier(P, multiplier_labels(items), z)
             if m.l1() > 1e-9:
-                candidates.append((b, m))
+                candidates.append((br, items, m))
     if not candidates:
         return CqVerdict("PSOQN", HOLDS, "exact",
                          {"note": "no nonzero singular multiplier on any branch"})
 
-    for b, m in candidates:
-        if _psoqn_second_order(ctx, b, m) and _psoqn_sign_sequence(ctx, m):
+    for br, items, m in candidates:
+        if _psoqn_second_order(ctx, items, m) and _psoqn_sign_sequence(ctx, m):
             return CqVerdict("PSOQN", FAILS, "sampled", {
-                "bipartition": [list(b.beta1), list(b.beta2)],
+                "bipartition": ctx.split(br),
                 "multiplier": m.to_json(), "seed": ctx.tol.seed})
     return CqVerdict("PSOQN", UNKNOWN, "sampled",
                      {"candidates": len(candidates), "seed": ctx.tol.seed,
                       "note": "singular multipliers exist but no full witness"})
 
 
-def _psoqn_second_order(ctx, b, m):
-    """Constraint-Hessian combination PSD on the branch critical subspace."""
-    piece = ConePiece.subspace(ctx.rows(branch_items(ctx, b.beta1, b.beta2)))
+def _psoqn_second_order(ctx, items, m):
+    """Constraint-Hessian combination PSD on the critical subspace of a branch family."""
+    piece = ConePiece.subspace(ctx.rows(items))
     qf = quadform_min_over_cone(lagrangian_hessian(ctx, m, include_objective=False), piece, ctx.tol)
     return not qf.negative(ctx.tol)
 

@@ -512,6 +512,8 @@ def cut_generators(gen: Generators, rows, a, lineality) -> Generators:
         R = np.vstack([R[s <= 1e-9]] + [s[p] * R[q] - s[q] * R[p] for p in np.flatnonzero(s > 1e-9)
                                         for q in np.flatnonzero(s < -1e-9)
                                         if np.count_nonzero((Z | ~(Z[p] & Z[q])).all(axis=1)) == 2])
-    R = R - (R @ lineality) @ lineality.T
-    return Generators([np.zeros_like(a)], _dedupe_rays(R / np.linalg.norm(R, axis=1)[:, None]),
+    Q = R - (R @ lineality) @ lineality.T
+    q = np.linalg.norm(Q, axis=1)
+    keep = q > 1e-9 * np.linalg.norm(R, axis=1)  # a ray inside the lineality space is none
+    return Generators([np.zeros_like(a)], _dedupe_rays(Q[keep] / q[keep, None]),
                       list(lineality.T))

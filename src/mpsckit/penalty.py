@@ -56,7 +56,8 @@ def nearest_feasible(P, X, tol: Tolerances, branches):
     for br in branches:
         Y = project_branch_cloud(P, br, X, tol)
         ok = br.residual(Y) <= tol.tau_feas
-        d = np.linalg.norm(Y - X, axis=1)
+        with np.errstate(over="ignore"):  # an overflowed distance stays inf
+            d = np.linalg.norm(Y - X, axis=1)
         take = ok & (d < best_d)
         best_d[take] = d[take]
         best_y[take] = Y[take]
@@ -164,14 +165,10 @@ class PenaltyReport:
 def _minimality_samples(P, x, radius, count, rng):
     """Ball samples plus deterministic axis rays at geometric radii."""
     ball = x[None, :] + ball_offsets(rng, count, P.n, radius)
-    rays = []
-    for j in range(P.n):
-        for sgn in (1.0, -1.0):
-            for k in range(13):
-                step = np.zeros(P.n)
-                step[j] = sgn * radius * 2.0 ** (-k)
-                rays.append(x + step)
-    return np.vstack([ball, np.array(rays)])
+    steps = np.zeros((P.n, 2, 13, P.n))  # (axis j, sign, k, n); +0.0 off axis j
+    steps[np.arange(P.n), ..., np.arange(P.n)] = \
+        np.array([[1.0], [-1.0]]) * radius * 2.0 ** -np.arange(13.0)
+    return np.vstack([ball, (x + steps).reshape(-1, P.n)])
 
 
 def exact_penalty_probe(ctx, eb: ErrorBoundReport) -> PenaltyReport:

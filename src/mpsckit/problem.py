@@ -141,14 +141,6 @@ class IndexSets:
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """Disjoint split (beta1, beta2) of the biactive switching indices."""
-
-    beta1: tuple
-    beta2: tuple
-
-
-@dataclass(frozen=True)
 class BranchProblem:
     """Standard NLP obtained by pinning one side of every switch: G_k = 0 for
     k in eq_G, H_k = 0 for every other k (eq_H), so its feasible set sits
@@ -192,15 +184,10 @@ class BranchProblem:
 # file format
 # ---------------------------------------------------------------------------
 
-def load_problem(source: str, *, from_path: bool | None = None) -> MpscProblem:
-    """Load an instance from a file path or from literal text.
-
-    Strings containing a newline are treated as text; anything else as a
-    path (override with from_path).
-    """
-    if from_path is None:
-        from_path = "\n" not in source
-    text = Path(source).read_text() if from_path else source
+def load_problem(source: str) -> MpscProblem:
+    """Load an instance from literal text, a string containing a newline (as
+    every valid instance's text does), or else from the file at that path."""
+    text = source if "\n" in source else Path(source).read_text()
 
     var_names = None
     f = None
@@ -287,25 +274,19 @@ def index_sets(values, tol: Tolerances) -> IndexSets:
     return IndexSets(I_g, tuple(range(len(h))), tuple(I_G), tuple(I_H), tuple(I_GH))
 
 
-def bipartitions(switches) -> list[Bipartition]:
-    """All 2^n splits (beta1, beta2) of n switch indices, in order of the
-    membership mask over the sorted indices (bit b: the b-th is in beta1).
-    SizeCapError past MAX_BIACTIVE switches."""
+def bipartitions(switches) -> list[tuple]:
+    """The G side beta1 of each of the 2^n splits (beta1, beta2) of n switch
+    indices, beta2 the rest, in order of the membership mask over the sorted
+    indices (bit b: the b-th is in beta1).  SizeCapError past MAX_BIACTIVE
+    switches."""
     switches = tuple(sorted(switches))
     if len(switches) > MAX_BIACTIVE:
         raise SizeCapError(f"{len(switches)} switches to split exceed cap {MAX_BIACTIVE}")
-    return [Bipartition(tuple(k for b, k in enumerate(switches) if mask >> b & 1),
-                        tuple(k for b, k in enumerate(switches) if not mask >> b & 1))
+    return [tuple(k for b, k in enumerate(switches) if mask >> b & 1)
             for mask in range(2 ** len(switches))]
 
 
-def branch(P: MpscProblem, I: IndexSets, b: Bipartition) -> BranchProblem:
-    """Branch problem for a bipartition of the biactive set at a point: G
-    pinned over I_G and beta1, H over I_H and beta2."""
-    return BranchProblem(P, tuple(sorted(I.I_G + b.beta1)))
-
-
 def all_branches(P: MpscProblem) -> list[BranchProblem]:
-    """The branch of each bipartition of all l switches, in reverse mask
-    order (the all-G branch first); their union is the feasible set."""
-    return [BranchProblem(P, b.beta1) for b in reversed(bipartitions(range(P.l)))]
+    """The branch of each split of all l switches, in reverse mask order (the
+    all-G branch first); their union is the feasible set."""
+    return [BranchProblem(P, beta1) for beta1 in reversed(bipartitions(range(P.l)))]

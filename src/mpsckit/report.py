@@ -42,9 +42,8 @@ def problem_echo(P: MpscProblem) -> dict:
     }
 
 
-def _piece_json(piece, tol):
-    out = {"bipartition": [sorted(piece.tag.beta1), sorted(piece.tag.beta2)]
-           if piece.tag else None}
+def _piece_json(piece, split, tol):
+    out = {"bipartition": split}
     try:
         gen = piece.generators(tol)
         out["vertices"] = gen.vertices
@@ -58,8 +57,10 @@ def _piece_json(piece, tol):
 def cones_section(ctx: cn.PointContext) -> dict:
     """Cone generators at ctx's point, as numpy arrays: sanitize makes it JSON."""
     return {
-        "linearization": {"pieces": [_piece_json(p, ctx.tol) for p in ctx.linearization.pieces]},
-        "critical": {"pieces": [_piece_json(p, ctx.tol) for p in ctx.critical.pieces]},
+        "linearization": {"pieces": [_piece_json(p, ctx.split(br), ctx.tol)
+                                     for p, br in zip(ctx.linearization, ctx.branches)]},
+        "critical": {"pieces": [_piece_json(p, ctx.split(br), ctx.tol)
+                                for p, br in zip(ctx.critical, ctx.branches)]},
         "critical_subspace": ctx.critical_subspace.lineality_basis(ctx.tol).T,
     }
 
@@ -91,8 +92,7 @@ def analyze(P: MpscProblem, x, tol: Tolerances, with_penalty=False) -> dict:
     I = run("index_sets", lambda: ctx.I)
     if I is not None:
         report["index_sets"] = I
-        report["bipartitions"] = [[sorted(b.beta1), sorted(b.beta2)]
-                                  for b in ctx.bipartitions]
+        report["bipartitions"] = [ctx.split(br) for br in ctx.branches]
     cones = run("cones", lambda: cones_section(ctx))
     if cones is not None:  # the schema has no null section
         report["cones"] = cones

@@ -180,4 +180,4 @@ def check_wsonc(ctx: PointContext) -> SocVerdict:
 def check_ssonc(ctx: PointContext) -> SocVerdict:
     """Quadratic-form nonnegativity over the critical cone, multiplier-swept."""
     _gate_s_stationary(ctx)
-    return _sonc(ctx, "SSONC", ctx.critical.pieces)
+    return _sonc(ctx, "SSONC", ctx.critical)

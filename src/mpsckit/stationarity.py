@@ -2,7 +2,7 @@
 
 Each notion is a linear feasibility system in the multipliers; the
 complementarity mu_k * nu_k = 0 of M-stationarity is handled by exact
-enumeration of the zero patterns over the biactive set, one per bipartition.
+enumeration of the zero patterns over the biactive set, one per branch.
 Witnesses are l1-minimal for reproducibility.
 """
 
@@ -127,13 +127,14 @@ def check_s_stationary(ctx: PointContext) -> StationarityVerdict:
 
 
 def check_m_stationary(ctx: PointContext) -> StationarityVerdict:
-    """Stationarity with mu_k * nu_k = 0: one zero pattern per bipartition of
-    the biactive set, mu free on beta1 and nu free on beta2."""
+    """Stationarity with mu_k * nu_k = 0: one zero pattern per branch at x, mu
+    free on its split's beta1 and nu free on beta2."""
     patterns, best = [], None
-    for b in ctx.bipartitions:
-        w = _solve_system(ctx, branch_items(ctx, b.beta1, b.beta2))
+    for br in ctx.branches:
+        beta1, beta2 = ctx.split(br)
+        w = _solve_system(ctx, branch_items(ctx, beta1, beta2))
         patterns.append({
-            "mu_free_on": list(b.beta1), "nu_free_on": list(b.beta2),
+            "mu_free_on": beta1, "nu_free_on": beta2,
             "feasible": w is not None,
             "witness": w.to_json() if w else None,
         })

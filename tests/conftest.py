@@ -74,7 +74,7 @@ def checked_acq_directions(ctx):
     each block checked: unit rows, the piece's unit generators first, every
     row inside the piece, and no rows only where the piece is the origin."""
     out = []
-    for k, piece in enumerate(ctx.linearization.pieces):
+    for k, piece in enumerate(ctx.linearization):
         D = cq.acq_directions(piece, k, ctx.tol)
         gens = np.reshape(piece.generators(ctx.tol).all_rays(), (-1, piece.dim))
         assert len(D) or piece.is_origin(ctx.tol)
@@ -98,7 +98,7 @@ def in_cone_union(cone, d, tol):
     """Whether some piece of a cone union holds d, with slack tau_feas * (1 + ||d||)."""
     d = np.asarray(d, float)
     slack = tol.tau_feas * (1.0 + np.linalg.norm(d))
-    return any(piece.contains(d, slack) for piece in cone.pieces)
+    return any(piece.contains(d, slack) for piece in cone)
 
 
 def random_cut_piece(rng, trial):

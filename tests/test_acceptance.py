@@ -14,7 +14,7 @@ from mpsckit import stationarity as st
 from mpsckit.cones import PointContext
 from mpsckit.expr import parse_expr
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import Bipartition, all_branches, load_problem
+from mpsckit.problem import all_branches, load_problem
 from mpsckit import solver
 from mpsckit.solver import solve_enumerative, solve_penalty_descent
 
@@ -54,7 +54,7 @@ def test_criterion_1_golden_cq_triples(corpus):
             if items_of == "wcr":
                 cand = [cones.active_items(ctx)]
             else:
-                cand = [cones.branch_items(ctx, b.beta1, b.beta2) for b in ctx.bipartitions]
+                cand = [cones.branch_items(ctx, *ctx.split(br)) for br in ctx.branches]
             w = verdict.evidence.get("witness") or next(
                 r["witness"] for r in verdict.evidence["bipartitions"]
                 if not r["constant"])
@@ -89,16 +89,16 @@ def test_criterion_2_m_vs_s_stationarity(corpus):
 
 
 def test_criterion_3_i_g_minus_golden(corpus):
+    # the branch index at the origin: 0 pins H on the biactive switch, 1 pins G
     cases = [
-        ("wedge3d", Bipartition((0,), ()), (0,)),
-        ("wedge3d", Bipartition((), (0,)), ()),
-        ("ray2d", Bipartition((), (0,)), (1,)),
+        ("wedge3d", 1, (0,)),
+        ("wedge3d", 0, ()),
+        ("ray2d", 0, (1,)),
     ]
-    for name, b, expected in cases:
-        P = corpus[name]
-        x = np.array(CORPUS_POINTS[name])
-        picked, cross = cq.i_g_minus(PointContext(P, x, TOL), b)
-        assert picked == expected, (name, b)
+    for name, k, expected in cases:
+        ctx = PointContext(corpus[name], np.array(CORPUS_POINTS[name]), TOL)
+        picked, cross = cq.i_g_minus(ctx, ctx.linearization[k])
+        assert picked == expected, (name, k)
         assert cross["agree"]
         assert set(cross["I0"]) == set(expected)
     _report(3, "I_g^- golden values with I_0 cross-check")
@@ -117,7 +117,7 @@ def test_criterion_4_acq_verdicts(corpus):
     assert v2.status == "HOLDS"
     # every generator of every piece is a verified tangent direction:
     # dist(x + t d, F) / t falls to the threshold at the smallest t
-    for piece in ctx.linearization.pieces:
+    for piece in ctx.linearization:
         gens = np.reshape(piece.generators(TOL).all_rays(), (-1, 3))
         ratios = cq.distance_ratios(ctx, gens / np.linalg.norm(gens, axis=1, keepdims=True),
                                     ctx.branches)
@@ -142,7 +142,7 @@ def test_criterion_5_second_order_conditions(corpus):
     Q = corpus["diagonal2d"]
     assert cq.check_rcrcq(PointContext(Q, x, TOL)).status == "HOLDS"
     C = cones.critical_cone(PointContext(Q, x, TOL))
-    for piece in C.pieces:
+    for piece in C:
         gen = piece.generators(TOL)
         assert not gen.rays and not gen.lineality  # piece is the origin
     v = soc.check_ssonc(PointContext(Q, x, TOL))
@@ -370,7 +370,7 @@ def test_criterion_8g_penalty_descent_vs_enumerative(monkeypatch):
             j, k = rng.integers(0, n, size=2)
             a, b = rng.uniform(-0.8, 0.8, size=2)
             lines.append(f"switch x{j+1} - {a:.4f} | x{k+1} - {b:.4f}")
-        P = load_problem("\n".join(lines) + "\n", from_path=False)
+        P = load_problem("\n".join(lines) + "\n")
         if P.l > 2:
             continue
         x0 = rng.uniform(-1.5, 1.5, size=n)

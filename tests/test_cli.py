@@ -390,6 +390,29 @@ class TestOtherCommands:
         assert rep["verdict"] == "FAILS"
         assert rep["witness_sequence"]
 
+    def test_errorbound_overflowed_distance_stays_unknown(self, capsys, tmp_path):
+        # at --eps 1e200 every projection distance overflows: it stays inf, so no
+        # ratio is read, and no overflow warning is raised
+        jpath = tmp_path / "eb.json"
+        code, _, err = run_cli(capsys, "errorbound", str(problem_path("axes2d")), "--point",
+                               "0,0", "--eps", "1e200", "--json", str(jpath))
+        assert (code, err) == (0, "")
+        rep = json.loads(jpath.read_text())
+        assert rep["verdict"] == "UNKNOWN"
+        assert [c["max_ratio"] for c in rep["ratio_curve"]] == [None] * 3
+
+    def test_cones_drop_a_cut_ray_inside_the_lineality(self, capsys, tmp_path):
+        # at --tau-rank 0.9 the G-pinned critical piece's lineality holds its
+        # parent's only ray, which is then no ray, not a NaN one
+        jpath = tmp_path / "cones.json"
+        code, _, err = run_cli(capsys, "cones", str(problem_path("wedge3d")), "--point",
+                               "0,0,0", "--tau-rank", "0.9", "--json", str(jpath))
+        assert (code, err) == (0, "")
+        rep = json.loads(jpath.read_text())
+        rays = [r for cone in ("linearization", "critical") for p in rep[cone]["pieces"]
+                for r in p["rays"] + p["lineality"]]
+        assert rays and all(v is not None for r in rays for v in r)
+
     def test_errorbound_at_an_infeasible_point_fails_as_cones_does(self, capsys):
         # both read the point through its context, whose index sets gate it
         argv = [str(problem_path("ray2d")), "--point", "1,1"]

@@ -39,23 +39,23 @@ class TestCrossCones:
 class TestLinearizationCone:
     def test_parabola_sheet_union_is_halfspace(self, corpus):
         L = cones.linearization_cone(PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL))
-        assert len(L.pieces) == 2
+        assert len(L) == 2
         rng = np.random.default_rng(0)
         for d in rng.normal(size=(200, 3)):
             assert in_cone_union(L, d, TOL) == (d[0] >= -1e-12)
 
     def test_diagonal2d_pieces_are_origin(self, corpus):
         L = cones.linearization_cone(PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL))
-        for piece in L.pieces:
+        for piece in L:
             assert piece.lineality_basis(TOL).shape[1] == 0
             assert piece.is_subspace(TOL)
         assert not in_cone_union(L, [1.0, 0.0], TOL)
         assert in_cone_union(L, [0.0, 0.0], TOL)
 
     def test_no_constraints_full_space(self):
-        P = load_problem("vars x1 x2\nmin x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\n")
         L = cones.linearization_cone(PointContext(P, [0.3, -0.4], TOL))
-        assert len(L.pieces) == 1
+        assert len(L) == 1
         assert in_cone_union(L, [17.0, -5.0], TOL)
 
 
@@ -97,8 +97,8 @@ class TestIsOrigin:
 
     def test_a_thin_row_bounds_a_half_line(self):
         # 1e-11 * x <= 0 is the half-line d <= 0, not the origin
-        P = load_problem("vars x\nmin -x^2\nineq 1e-11*x\n", from_path=False)
-        piece = PointContext(P, [0.0], TOL).linearization.pieces[0]
+        P = load_problem("vars x\nmin -x^2\nineq 1e-11*x\n")
+        piece = PointContext(P, [0.0], TOL).linearization[0]
         assert piece.implicit_equalities(TOL) == ()
         assert not piece.is_subspace(TOL) and not piece.is_origin(TOL)
 
@@ -118,7 +118,7 @@ class TestCriticalCone:
         assert in_cone_union(C, [0.0, 0.0], TOL)
 
     def test_unconstrained_stationary_full_space(self):
-        P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n")
         C = cones.critical_cone(PointContext(P, [0.0, 0.0], TOL))
         assert in_cone_union(C, [3.0, -4.0], TOL)
 
@@ -171,7 +171,7 @@ class TestCutGenerators:
 
     def test_cones_wide_critical_pieces(self, monkeypatch):
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
-        pieces = PointContext(load_problem(str(path)), np.zeros(8), TOL).critical.pieces
+        pieces = PointContext(load_problem(str(path)), np.zeros(8), TOL).critical
         assert len(pieces) == 64
         for piece in pieces:
             assert piece.parent is not None
@@ -198,7 +198,7 @@ class TestStackedPieces:
             len(Ps)) or enumerate_generators(Ps, tol))
         for ctx in self.contexts(corpus):
             searches.clear()
-            lin, crit = ctx.linearization.pieces, ctx.critical.pieces
+            lin, crit = ctx.linearization, ctx.critical
             crit[-1].generators(TOL)  # searches every uncut piece, and cuts one
             assert searches == [len(lin)]
             assert all(("gen", TOL) in p._cache for p in lin)
@@ -221,11 +221,12 @@ class TestStackedPieces:
         # every access, and the others keep their generators
         monkeypatch.setattr(numeric, "_MAX_BASES", 15)
         rng = np.random.default_rng(41)
-        union = cones.ConeUnion([ConePiece(A_eq=np.array([[1.0, -1.0, 0.0, 0.0]]) * (k % 2),
-                                           A_le=-np.abs(rng.normal(size=(6, 4))))
-                                 for k in range(4)])
-        assert union.pieces[1].generators(TOL).rays
-        for k, piece in enumerate(union.pieces):
+        pieces = []
+        pieces += [ConePiece(A_eq=np.array([[1.0, -1.0, 0.0, 0.0]]) * (k % 2),
+                             A_le=-np.abs(rng.normal(size=(6, 4))), union=pieces)
+                   for k in range(4)]
+        assert pieces[1].generators(TOL).rays
+        for k, piece in enumerate(pieces):
             for _ in range(2):
                 if k % 2:
                     assert np.array_equal(piece.generators(TOL).rays,
@@ -247,7 +248,7 @@ class TestCriticalSubspace:
         assert B.shape == (2, 0)
 
     def test_no_active_constraints_full(self):
-        P = load_problem("vars x1 x2\nmin x1\nineq x1 - 1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\nineq x1 - 1\n")
         B = PointContext(P, [0.0, 0.0], TOL).critical_subspace.lineality_basis(TOL)
         assert B.shape == (2, 2)
 
@@ -261,7 +262,7 @@ class TestCriticalSubspace:
             B = ctx.critical_subspace.lineality_basis(tol)
             L = cones.linearization_cone(ctx)
             for j in range(B.shape[1]):
-                for piece in L.pieces:
+                for piece in L:
                     slack = tol.tau_feas * 2.0
                     assert piece.contains(B[:, j], slack), name
                     assert piece.contains(-B[:, j], slack), name
@@ -304,12 +305,12 @@ class TestStackedMembership:
         slack = 2.0 * TOL.tau_feas
         for name, P in corpus.items():
             ctx = PointContext(P, CORPUS_POINTS[name], TOL)
-            acq = [cq.acq_directions(p, k, TOL) for k, p in enumerate(ctx.linearization.pieces)]
+            acq = [cq.acq_directions(p, k, TOL) for k, p in enumerate(ctx.linearization)]
             for cone in (ctx.linearization, ctx.critical):
-                gens = [r for p in cone.pieces for r in p.generators(TOL).all_rays()]
+                gens = [r for p in cone for r in p.generators(TOL).all_rays()]
                 D = np.vstack([np.zeros((1, P.n)), *acq,
                                rng.normal(size=(256, P.n)), np.reshape(gens, (-1, P.n))])
-                for piece in cone.pieces:
+                for piece in cone:
                     assert piece.contains(D, slack).tolist() \
                         == [rowwalk.violation(piece, d) <= slack for d in D], name
 
@@ -328,7 +329,7 @@ class TestPointContext:
         # there: only two CQ checkers fail, PSOQN, which uses every inequality
         # gradient, and ACQ, which steps along L's lineality -e1 to x1 < 0
         P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x1) - 5\n"
-                         "switch x1 | x2\n", from_path=False)
+                         "switch x1 | x2\n")
         rep = report.analyze(P, [0.0, 0.0], TOL)
         assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN"]
         assert set(rep["verdicts"]["stationarity"]) == {"W", "M", "S", "normal_cone_oracle"}

@@ -10,7 +10,7 @@ from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
 from mpsckit.errors import LatticeContradictionError
 from mpsckit.numeric import Tolerances, rank_tol_batch
-from mpsckit.problem import Bipartition, MpscProblem, load_problem
+from mpsckit.problem import MpscProblem, load_problem
 
 TOL = Tolerances()
 REPORT_DIR = Path(__file__).resolve().parent / "data" / "reports"
@@ -32,15 +32,14 @@ class TestLicq:
         assert v.evidence["rows"] == 5
 
     def test_single_boundary_constraint_holds(self):
-        P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        P = load_problem("vars x\nmin x\nineq -x\n")
         assert cq.check_licq(PointContext(P, [0.0], TOL)).status == "HOLDS"
 
     def test_thin_margin_reads_unknown(self):
         # the two active gradients are 5e-8 apart in direction, so the rank
         # sits within a factor 10 of the cutoff, the rule rank_constancy
         # applies; LICQ then implies nothing over WCR's and RCRCQ's UNKNOWN
-        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x1\nineq -x1 - 5e-8*x2\n",
-                         from_path=False)
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x1\nineq -x1 - 5e-8*x2\n")
         ctx = PointContext(P, [0.0, 0.0], TOL)
         licq = cq.check_licq(ctx)
         assert (licq.status, licq.mode, licq.evidence["thin_margin"]) == ("UNKNOWN", "exact", True)
@@ -55,8 +54,7 @@ class TestLicq:
     def test_the_scale_of_a_row_moves_no_rank_verdict(self, s):
         # the active gradients (2s, 0) and (0, 1) are independent at every
         # s > 0; on raw rows LICQ cut the smaller one off, or read a thin margin
-        P = load_problem(f"vars x1 x2\nmin x1^2\nineq {s}*x1^2 - {s}\nswitch x1 | x2\n",
-                         from_path=False)
+        P = load_problem(f"vars x1 x2\nmin x1^2\nineq {s}*x1^2 - {s}\nswitch x1 | x2\n")
         ctx = PointContext(P, [1.0, 0.0], TOL)
         assert [cq.check_licq(ctx).status, cq.check_wcr(ctx).status,
                 cq.check_pwcr(ctx).status, cq.check_rcrcq(ctx).status] == ["HOLDS"] * 4
@@ -84,7 +82,7 @@ class TestWcr:
         # is sampled; on raw rows a large s cut the switch rows off at x and at
         # every sample, and WCR read a wrong HOLDS with rank 1
         P = load_problem(f"vars x1 x2 x3\nmin x1^2\nineq {s}*x1^2 - {s}\n"
-                         "switch x2 + x3^2 | x2\n", from_path=False)
+                         "switch x2 + x3^2 | x2\n")
         v = cq.check_wcr(PointContext(P, [1.0, 0.0, 0.0], TOL))
         assert (v.status, v.mode, v.evidence["rank"]) == ("FAILS", "sampled", 2)
         assert v.evidence["witness"]["rank"] == 3
@@ -114,15 +112,14 @@ class TestRcrcq:
         assert v.status == "FAILS"
 
     def test_linear_constraints_hold(self):
-        P = load_problem("vars x1 x2\nmin x1\nineq x1 + x2\nineq -x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\nineq x1 + x2\nineq -x1\n")
         assert cq.check_rcrcq(PointContext(P, [0.0, 0.0], TOL)).status == "HOLDS"
 
     def test_thin_base_margin_reads_unknown_as_wcr_does(self):
         # the two active gradients are 5e-8 apart in direction, so the rank
         # at x sits within a factor 10 of the cutoff, for WCR's family and
         # for the RCRCQ triple (I_g, (), ()), which is the same family
-        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x1\nineq -x1 - 5e-8*x2\n",
-                         from_path=False)
+        P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x1\nineq -x1 - 5e-8*x2\n")
         ctx = PointContext(P, [0.0, 0.0], TOL)
         wcr, rcrcq = cq.check_wcr(ctx), cq.check_rcrcq(ctx)
         assert (wcr.status, rcrcq.status) == ("UNKNOWN", "UNKNOWN")
@@ -145,32 +142,31 @@ class TestRcrcq:
 
 class TestIgMinus:
     def test_wedge3d_g_side(self, corpus):
-        picked, cross = cq.i_g_minus(PointContext(corpus["wedge3d"], [0.0, 0.0, 0.0], TOL),
-                                     Bipartition((0,), ()))
+        ctx = PointContext(corpus["wedge3d"], [0.0, 0.0, 0.0], TOL)
+        picked, cross = cq.i_g_minus(ctx, ctx.linearization[1])  # G pinned
         assert picked == (0,)
         assert cross["agree"]
 
     def test_wedge3d_h_side(self, corpus):
-        picked, cross = cq.i_g_minus(PointContext(corpus["wedge3d"], [0.0, 0.0, 0.0], TOL),
-                                     Bipartition((), (0,)))
+        ctx = PointContext(corpus["wedge3d"], [0.0, 0.0, 0.0], TOL)
+        picked, cross = cq.i_g_minus(ctx, ctx.linearization[0])  # H pinned
         assert picked == ()
         assert cross["agree"]
 
     def test_ray2d_h_side(self, corpus):
-        picked, cross = cq.i_g_minus(PointContext(corpus["ray2d"], [0.0, 0.0], TOL),
-                                     Bipartition((), (0,)))
+        ctx = PointContext(corpus["ray2d"], [0.0, 0.0], TOL)
+        picked, cross = cq.i_g_minus(ctx, ctx.linearization[0])  # H pinned
         assert picked == (1,)
         assert cross["agree"]
 
     def test_lp_matches_i0_on_corpus(self, corpus, tol):
-        from mpsckit.problem import bipartitions
         for name, P in corpus.items():
             x = np.array(CORPUS_POINTS[name])
             ctx = PointContext(P, x, tol)
-            for b in bipartitions(ctx.I.I_GH):
-                picked, cross = cq.i_g_minus(ctx, b)
-                assert cross["agree"], (name, b)
-                assert set(picked) == set(cross["I0"]), (name, b)
+            for k, piece in enumerate(ctx.linearization):
+                picked, cross = cq.i_g_minus(ctx, piece)
+                assert cross["agree"], (name, k)
+                assert set(picked) == set(cross["I0"]), (name, k)
 
 
 class TestPcrsc:
@@ -186,7 +182,7 @@ class TestPcrsc:
         assert bad[0]["I_g_minus"] == [1]
 
     def test_linear_constraints_hold(self):
-        P = load_problem("vars x1 x2\nmin x1\nineq x1 + x2\nineq -x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\nineq x1 + x2\nineq -x1\n")
         assert cq.check_pcrsc(PointContext(P, [0.0, 0.0], TOL)).status == "HOLDS"
 
 
@@ -211,7 +207,7 @@ class TestAcq:
         # within the threshold of it, and some direction of each part is
         ctx = PointContext(corpus["parabola_sheet3d"], [0.0, 0.0, 0.0], TOL)
         D = np.vstack([cq.acq_directions(p, k, TOL)
-                       for k, p in enumerate(ctx.linearization.pieces)])
+                       for k, p in enumerate(ctx.linearization)])
         thr = np.sin(TOL.angular_tol) + 1e-3
         T = D[cq.distance_ratios(ctx, D, ctx.branches)[:, -1] <= np.sin(TOL.angular_tol)]
         in_plane = np.abs(T[:, 0]) <= thr
@@ -224,11 +220,11 @@ class TestAcq:
         assert v.status == "HOLDS" and v.mode == "sampled"
 
     def test_single_linear_equality_holds(self):
-        P = load_problem("vars x1 x2\nmin x1\neq x1 - x2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\neq x1 - x2\n")
         assert cq.check_acq(PointContext(P, [0.0, 0.0], TOL)).status == "HOLDS"
 
     def test_halfline_holds(self):
-        P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        P = load_problem("vars x\nmin x\nineq -x\n")
         v = cq.check_acq(PointContext(P, [0.0], TOL))
         assert (v.status, v.mode) == ("HOLDS", "sampled")
         # the ray e1 and 16 interior combinations, all of them e1
@@ -244,7 +240,7 @@ class TestAcq:
             ev = cq.check_acq(ctx).evidence
             if name == "diagonal2d":
                 continue
-            D = [cq.acq_directions(p, k, TOL) for k, p in enumerate(ctx.linearization.pieces)]
+            D = [cq.acq_directions(p, k, TOL) for k, p in enumerate(ctx.linearization)]
             assert ev["directions"] == sum(len(d) for d in D) > 0, name
             assert ev["tangent"] + ev["witnesses"] + ev["undecided"] == ev["directions"], name
             assert ev["t"] == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5]), name
@@ -286,27 +282,27 @@ class TestAcq:
         # l = 17 exceeds the cap on all 2^l branches; only the 2 branches
         # at x are projected onto, and F near 0 is the union of two axes
         text = "vars x1 x2 x3\nmin x1 + x2\nswitch x1 | x2\n" + "switch x3 | 1\n" * 16
-        P = load_problem(text, from_path=False)
+        P = load_problem(text)
         v = cq.check_acq(PointContext(P, [0.0, 0.0, 0.0], TOL))
         assert (v.status, v.mode) == ("HOLDS", "sampled")
 
     def test_a_ratio_falling_with_t_is_no_witness(self):
         # on {x2 >= 1e4 x1^2}, e1 is tangent along a strongly curved
         # boundary: dist/t stays above the threshold at every t, but falls
-        P = load_problem("vars x1 x2\nmin x2\nineq 1e4*x1^2 - x2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x2\nineq 1e4*x1^2 - x2\n")
         v = cq.check_acq(PointContext(P, [0.0, 0.0], TOL))
         assert v.status == "UNKNOWN" and v.evidence["witnesses"] == 0
 
     @pytest.mark.parametrize("c", ["1e-11", "1e-6", "1", "1e6"])
     def test_the_scale_of_a_row_moves_no_verdict(self, c):
-        P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n", from_path=False)
+        P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n")
         v = cq.check_acq(PointContext(P, [0.0, 0.0], TOL))
         assert (v.status, v.mode) == ("HOLDS", "sampled")
 
     @pytest.mark.parametrize("c", ["1e-3", "1e3"])
     def test_scaling_every_constraint_moves_no_status(self, c):
         for name in CORPUS_POINTS:
-            P = load_problem(scaled_text(name, c), from_path=False)
+            P = load_problem(scaled_text(name, c))
             v = cq.check_acq(PointContext(P, CORPUS_POINTS[name], TOL))
             assert v.status == GOLDEN_ACQ[name], (name, c)
 
@@ -328,15 +324,15 @@ class TestAcq:
 
 class TestPsoqn:
     def test_unconstrained_holds(self):
-        P = load_problem("vars x\nmin x^2\n", from_path=False)
+        P = load_problem("vars x\nmin x^2\n")
         assert cq.check_psoqn(PointContext(P, [0.0], TOL)).status == "HOLDS"
 
     def test_single_inequality_holds(self):
-        P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        P = load_problem("vars x\nmin x\nineq -x\n")
         assert cq.check_psoqn(PointContext(P, [0.0], TOL)).status == "HOLDS"
 
     def test_opposed_gradients_unknown(self):
-        P = load_problem("vars x\nmin x^2\nineq x\nineq -x\n", from_path=False)
+        P = load_problem("vars x\nmin x^2\nineq x\nineq -x\n")
         v = cq.check_psoqn(PointContext(P, [0.0], TOL))
         assert v.status == "UNKNOWN"
 

@@ -28,7 +28,7 @@ def analyze_statuses(P, x):
 
 def statuses(text, x):
     """Every status of `analyze` on the problem text at x and the error bound's verdict."""
-    P = load_problem(text, from_path=False)
+    P = load_problem(text)
     return {**analyze_statuses(P, x),
             "errorbound": penalty.error_bound_probe(PointContext(P, x, TOL)).verdict}
 
@@ -92,6 +92,6 @@ def test_a_duplicated_constraint_keeps_the_feasible_set_verdicts(name, original)
 def test_scaling_every_constraint_moves_no_analyze_status(name, c, original):
     # F, the cones and every CQ's truth are unchanged; the error bound's
     # residuals are still read against an absolute tau_feas, so it stays out
-    got = analyze_statuses(load_problem(scaled_text(name, c), from_path=False),
+    got = analyze_statuses(load_problem(scaled_text(name, c)),
                            CORPUS_POINTS[name])
     assert got == {k: v for k, v in original[name].items() if k != "errorbound"}

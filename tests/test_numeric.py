@@ -301,7 +301,7 @@ class TestLpSolve:
         capsys.readouterr()
         ctx = PointContext(load_problem(str(path)), np.zeros(8), TOL)
         for cone in (cones.linearization_cone(ctx), cones.critical_cone(ctx)):
-            for piece in cone.pieces:
+            for piece in cone:
                 rows, m_le = np.vstack([piece.A_eq, piece.A_le]), piece.A_le.shape[0]
                 slack = np.vstack([np.zeros((piece.A_eq.shape[0], m_le)), np.eye(m_le)])
                 A = np.hstack([rows, -rows, slack])
@@ -841,7 +841,7 @@ class TestBatchedSearches:
     def test_cones_wide_pieces(self, monkeypatch):
         path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
         ctx = PointContext(load_problem(str(path)), np.zeros(8), TOL)
-        pieces = cones.linearization_cone(ctx).pieces + cones.critical_cone(ctx).pieces
+        pieces = cones.linearization_cone(ctx) + cones.critical_cone(ctx)
         assert len(pieces) == 128
         for piece in pieces:
             self.assert_same(piece.polyhedron(), monkeypatch)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestDistance:
         assert np.allclose(Y[0], [0.0, 0.0], atol=1e-3)
 
     def test_plane_distance(self):
-        P = load_problem("vars x1 x2\nmin x1\neq x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\neq x1\n")
         d, Y = penalty.nearest_feasible(P, [[0.3, 0.7]], TOL, all_branches(P))
         assert d[0] == pytest.approx(0.3, abs=1e-6)
         assert np.allclose(Y[0], [0.0, 0.7], atol=1e-6)
@@ -100,7 +102,7 @@ class TestDistance:
 
 class TestErrorBound:
     def test_linear_constraints_hold(self):
-        P = load_problem("vars x1 x2\nmin x1\neq x1 - x2\nineq -x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\neq x1 - x2\nineq -x1\n")
         rep = penalty.error_bound_probe(PointContext(P, [0.0, 0.0], TOL))
         assert rep.verdict == "HOLDS"
 
@@ -195,6 +197,13 @@ class TestErrorBound:
             assert len(br.equalities()) == P.p + P.l, (name, x, br.label())
             assert sorted(br.eq_G + br.eq_H) == list(range(P.l)), (name, x, br.label())
         assert all(br in every for br in ctx.branches), (name, x)
+        assert_pieces_are_the_branches(ctx)
+
+    def test_cones_wide_pieces_are_the_branches(self):
+        path = Path(__file__).resolve().parent / "data" / "cones_wide_1005_5.mpsc"
+        ctx = PointContext(load_problem(str(path)), np.zeros(8), TOL)
+        assert len(ctx.branches) == 64
+        assert_pieces_are_the_branches(ctx)
 
     def test_an_inactive_side_within_the_ball_is_projected_onto(self, corpus):
         # at (1e-6, 0) only x2 = 0 is active, but on the ray (1e-6, -t) the
@@ -202,6 +211,19 @@ class TestErrorBound:
         rep = penalty.error_bound_probe(PointContext(corpus["axes2d"], [1e-6, 0.0], TOL))
         assert rep.verdict == "HOLDS"
         assert rep.alpha_hat < 1.01
+
+def assert_pieces_are_the_branches(ctx):
+    """Cone piece k is that of branch k, whose split partitions I_GH."""
+    I = ctx.I
+    assert len(ctx.linearization) == len(ctx.critical) == len(ctx.branches)
+    for br, piece, cut in zip(ctx.branches, ctx.linearization, ctx.critical):
+        rows = ctx.rows(br.equalities())
+        assert piece.A_eq.shape == rows.shape and piece.A_eq.tobytes() == rows.tobytes()
+        assert cut.parent is piece
+        beta1, beta2 = ctx.split(br)
+        assert sorted(beta1 + beta2) == list(I.I_GH) and not set(beta1) & set(beta2)
+        assert sorted(I.I_G + tuple(beta1)) == list(br.eq_G)
+
 
 def at_origin(P):
     """The point context at the origin and the error-bound probe's report
@@ -221,7 +243,7 @@ class TestExactPenalty:
         assert by_factor[4.0]["local_min"] is True
 
     def test_constant_objective_always_local_min(self):
-        P = load_problem("vars x1 x2\nmin 0\nswitch x1 | x2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin 0\nswitch x1 | x2\n")
         rep = penalty.exact_penalty_probe(*at_origin(P))
         assert all(g["local_min"] for g in rep.kappa_grid)
 
@@ -244,6 +266,21 @@ class TestExactPenalty:
         X = X[np.linalg.norm(X, axis=1) <= rep.minimality_radius]
         norms = np.linalg.norm(P.jacobian(X, [("f", 0)])[:, 0], axis=1)
         assert rep.L_f_hat >= np.max(norms) - 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_minimality_axis_rays_match_the_loop(self, n):
+        # reference: x plus one step per axis, sign and halving, +0.0 off the axis
+        P = load_problem("vars " + " ".join(f"x{j}" for j in range(n)) + "\nmin x0\n")
+        for x in (np.full(n, -0.0), np.random.default_rng(n).normal(size=n)):
+            want = []
+            for j in range(n):
+                for sgn in (1.0, -1.0):
+                    for k in range(13):
+                        step = np.zeros(n)
+                        step[j] = sgn * 0.05 * 2.0 ** (-k)
+                        want.append(x + step)
+            Y = penalty._minimality_samples(P, x, 0.05, 7, np.random.default_rng(0))
+            assert Y[7:].tobytes() == np.array(want).tobytes()
 
 
 class TestDistanceInfo:
@@ -304,7 +341,7 @@ class TestAnalyzeWithPenalty:
 
         monkeypatch.setattr(penalty, "error_bound_probe", counting)
         P = load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x1) - 5\n"
-                         "switch x1 | x2\n", from_path=False)
+                         "switch x1 | x2\n")
         rep = report.analyze(P, [0.0, 0.0], TOL, with_penalty=True)
         assert [e["component"] for e in rep["errors"]] == ["cq.ACQ", "cq.PSOQN", "errorbound"]
         assert "errorbound" not in rep and "penalty" not in rep

@@ -30,20 +30,20 @@ class TestLoad:
         assert P.var_names == ("x1", "x2")
 
     def test_unconstrained_instance(self):
-        P = pb.load_problem("vars x\nmin x^2\n", from_path=False)
+        P = pb.load_problem("vars x\nmin x^2\n")
         assert (P.m, P.p, P.l) == (0, 0, 0)
 
     def test_undeclared_variable_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
-            pb.load_problem("vars x1\nmin x1\nineq x9\n", from_path=False)
+            pb.load_problem("vars x1\nmin x1\nineq x9\n")
 
     def test_duplicate_var_names(self):
         with pytest.raises(ParseError, match="duplicate"):
-            pb.load_problem("vars x x\nmin x\n", from_path=False)
+            pb.load_problem("vars x x\nmin x\n")
 
     def test_missing_min(self):
         with pytest.raises(ParseError, match="min"):
-            pb.load_problem("vars x\nineq x\n", from_path=False)
+            pb.load_problem("vars x\nineq x\n")
 
     def test_problem_file_is_closed(self, monkeypatch):
         # an unclosed file warns from its finalizer, where the warning can
@@ -58,7 +58,7 @@ class TestLoad:
 
     def test_roundtrip_text(self, corpus):
         for P in corpus.values():
-            Q = pb.load_problem(pb.problem_text(P), from_path=False)
+            Q = pb.load_problem(pb.problem_text(P))
             assert pb.problem_text(Q) == pb.problem_text(P)
 
 
@@ -89,7 +89,7 @@ class TestIndexSets:
         assert I.I_g == (0,) and I.I_GH == (0,)
 
     def test_one_sided_pair(self):
-        P = pb.load_problem("vars x1 x2\nmin x1\nswitch x1 | x2\n", from_path=False)
+        P = pb.load_problem("vars x1 x2\nmin x1\nswitch x1 | x2\n")
         I = pb.index_sets(P.constraint_values([1.0, 0.0]), TOL)
         assert I.I_H == (0,) and I.I_GH == () and I.I_G == ()
 
@@ -130,12 +130,11 @@ class TestIndexSets:
 class TestBipartitions:
     def test_singleton(self, corpus):
         I = pb.index_sets(corpus["wedge3d"].constraint_values([0.0, 0.0, 0.0]), TOL)
-        bs = pb.bipartitions(I.I_GH)
-        assert [(b.beta1, b.beta2) for b in bs] == [((), (0,)), ((0,), ())]
+        assert pb.bipartitions(I.I_GH) == [(), (0,)]
 
     def test_empty(self):
         I = pb.IndexSets((), (), (), (), ())
-        assert [(b.beta1, b.beta2) for b in pb.bipartitions(I.I_GH)] == [((), ())]
+        assert pb.bipartitions(I.I_GH) == [()]
 
     def test_two_biactive(self, corpus):
         I = pb.index_sets(corpus["pinch2d"].constraint_values([0.0, 0.0]), TOL)
@@ -145,31 +144,29 @@ class TestBipartitions:
 class TestBranch:
     def test_wedge3d_g_pinned(self, corpus):
         P = corpus["wedge3d"]
-        I = pb.index_sets(P.constraint_values([0.0, 0.0, 0.0]), TOL)
-        br = pb.branch(P, I, pb.Bipartition((0,), ()))
+        br = pb.BranchProblem(P, (0,))
         eqs = [to_text(P.expr(*it), P.var_names) for it in br.equalities()]
         assert eqs == ["x1"]
         assert len(P.g) == 3
 
     def test_ray2d_h_pinned(self, corpus):
         P = corpus["ray2d"]
-        I = pb.index_sets(P.constraint_values([0.0, 0.0]), TOL)
-        br = pb.branch(P, I, pb.Bipartition((), (0,)))
+        br = pb.BranchProblem(P, ())
         eqs = [to_text(P.expr(*it), P.var_names) for it in br.equalities()]
         assert eqs == ["x2 - x1^2"]
 
     def test_no_switches_branch_is_instance(self):
-        P = pb.load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        P = pb.load_problem("vars x\nmin x\nineq -x\n")
         I = pb.index_sets(P.constraint_values([0.0]), TOL)
-        (b,) = pb.bipartitions(I.I_GH)
-        br = pb.branch(P, I, b)
+        (beta1,) = pb.bipartitions(I.I_GH)
+        br = pb.BranchProblem(P, I.I_G + beta1)
         assert br.equalities() == []
         assert float(br.residual([0.5])) == 0.0
 
     def test_residual_reads_only_the_branch_items(self):
         # log(x2) is the unpinned side of the G branch: never evaluated there
         P = pb.load_problem("vars x1 x2\nmin x1\nineq x2 - 1\neq x1 - x2\n"
-                            "switch x1 | log(x2)\n", from_path=False)
+                            "switch x1 | log(x2)\n")
         br = pb.BranchProblem(P, (0,))
         assert float(br.residual([-1.0, -1.0])) == 1.0
         X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(64, 2))
@@ -182,7 +179,7 @@ class TestBranch:
 
 class TestAllBranches:
     def test_labels_all_g_branch_first(self, corpus):
-        none = pb.load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        none = pb.load_problem("vars x\nmin x\nineq -x\n")
         assert [[br.label() for br in pb.all_branches(P)]
                 for P in (none, corpus["axes2d"], corpus["pinch2d"])] == [
             ["unconstrained"], ["G", "H"], ["GG", "HG", "GH", "HH"]]
@@ -311,7 +308,7 @@ class TestKernel:
     def test_failing_item_raises_with_its_offset(self):
         from mpsckit.errors import EvalDomainError
         P = pb.load_problem("vars x1 x2\nmin x1\nineq x1 - 1\neq 2 + log(x2)\n"
-                            "switch x1 | 1/x2\n", from_path=False)
+                            "switch x1 | 1/x2\n")
         x = [1.0, 0.0]
         with pytest.raises(EvalDomainError) as err:
             P.values(x, P.items)
@@ -326,7 +323,7 @@ class TestKernel:
     def test_derivative_error_keeps_its_offset(self):
         from mpsckit.errors import EvalDomainError
         P = pb.load_problem("vars x1 x2\nmin x1 + x2\nineq -x2\nineq sqrt(x2) - 5\n"
-                            "switch x1 | x2\n", from_path=False)
+                            "switch x1 | x2\n")
         with pytest.raises(EvalDomainError, match=r"division by zero \(offset 0\)") as err:
             P.jacobian([0.0, 0.0], [("g", 1)])
         assert err.value.offset == 0  # sqrt in "sqrt(x2) - 5"
@@ -336,7 +333,7 @@ class TestKernel:
         # source offset, whichever item was differentiated first
         from mpsckit.errors import EvalDomainError
         P = pb.load_problem("vars x1 x2\nmin x1 + x2\nineq x1 + sqrt(x2)\n"
-                            "ineq sqrt(x2) - 5\nswitch x1 | x2\n", from_path=False)
+                            "ineq sqrt(x2) - 5\nswitch x1 | x2\n")
         for item, offset in ((("g", 0), 5), (("g", 1), 0)):
             with pytest.raises(EvalDomainError, match=rf"\(offset {offset}\)"):
                 P.jacobian([0.0, 0.0], [item])
@@ -345,7 +342,7 @@ class TestKernel:
         # the suite turns RuntimeWarnings into errors, so an overflow warning
         # escaping the kernel would fail this test before EvalDomainError
         from mpsckit.errors import EvalDomainError
-        P = pb.load_problem("vars x1 x2\nmin x1*x2*x2\n", from_path=False)
+        P = pb.load_problem("vars x1 x2\nmin x1*x2*x2\n")
         x = [1e308, 1e308]
         for call in (lambda: P.values(x, P.items), lambda: P.jacobian([x, x], P.items),
                      lambda: P.hessian(x, ("f", 0))):
@@ -415,8 +412,7 @@ class TestCompiledKernel:
                 assert_bitwise(got, want)
 
     def test_overflow_of_an_earlier_item_wins(self):
-        P = pb.load_problem("vars x1 x2\nmin x1\nineq exp(x1) - 1\nineq 5 + log(x2)\n",
-                            from_path=False)
+        P = pb.load_problem("vars x1 x2\nmin x1\nineq exp(x1) - 1\nineq 5 + log(x2)\n")
         # a constant item that is not finite: the parser rejects the literal 1e400
         P = replace(P, g=P.g + (Const(1e400, offset=0),))
         x = [1000.0, 0.0]
@@ -431,7 +427,7 @@ class TestCompiledKernel:
         # row 1 overflows trees 1 and 2; row 0 then fails tree 3's log check:
         # the walk stops at tree 1's output check first
         P = pb.load_problem("vars x1 x2\nmin x1\nineq x2 - 1\nineq exp(x1)\n"
-                            "ineq 2 * exp(x1)\nineq 5 + log(x2)\n", from_path=False)
+                            "ineq 2 * exp(x1)\nineq 5 + log(x2)\n")
         trees = [P.expr("g", i) for i in range(4)]
         X = np.array([[1.0, 0.0], [1000.0, 1.0]])
         for first, want in ((0, trees[1].offset), (2, trees[2].offset), (3, 4)):
@@ -446,8 +442,7 @@ class TestCompiledKernel:
         # upper-triangle trees, so its first error is the walk's over that
         # order: at (0.1, 1e155) the Hessian of g0 overflows and so does the
         # gradient of g1, which wins though g0 comes first
-        P = pb.load_problem("vars x1 x2\nmin x1\nineq 1e308 * x1^2\nineq x2^3\n",
-                            from_path=False)
+        P = pb.load_problem("vars x1 x2\nmin x1\nineq 1e308 * x1^2\nineq x2^3\n")
         items = [("g", 0), ("g", 1)]
         grads = [d for it in items for d in P.gradient_trees[it]]
         hess = [ex.diff(P.gradient_trees[it][i], j) for it in items
@@ -554,7 +549,7 @@ class TestCompiledKernel:
         # sqrt(x2) at offset 5 and at offset 0: each derivative keeps its own
         # check, in one kernel and in either order
         P = pb.load_problem("vars x1 x2\nmin x1 + x2\nineq x1 + sqrt(x2)\n"
-                            "ineq sqrt(x2) - 5\nswitch x1 | x2\n", from_path=False)
+                            "ineq sqrt(x2) - 5\nswitch x1 | x2\n")
         for items, offset in (([("g", 0), ("g", 1)], 5), ([("g", 1), ("g", 0)], 0)):
             with pytest.raises(EvalDomainError, match=rf"division by zero \(offset {offset}\)"):
                 P.jacobian([0.0, 0.0], items)
@@ -655,6 +650,13 @@ def test_no_module_calls_a_numpy_set_routine():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in banned}
     assert calls == set()
+
+
+def test_only_all_branches_and_the_point_context_enumerate_splits():
+    # a branch list is P's (all_branches) or the point's (PointContext.branches);
+    # every other split at x is read off a branch by ctx.split
+    assert _callers("bipartitions") == {("problem.py", "all_branches"),
+                                        ("cones.py", "branches")}
 
 
 def test_the_critical_cone_is_built_only_by_the_point_context():

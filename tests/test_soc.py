@@ -96,7 +96,7 @@ class TestCopositivity:
         f = " + ".join(f"{float(0.5 * Q[i, j])!r}*{names[i]}*{names[j]}"
                        for i in range(n) for j in range(n)).replace("+ -", "- ")
         P = load_problem(f"vars {' '.join(names)}\nmin {f}\n"
-                         + "".join(f"ineq -{v}\n" for v in names), from_path=False)
+                         + "".join(f"ineq -{v}\n" for v in names))
         v = soc.check_ssonc(PointContext(P, [0.0] * n, TOL))
         assert (v.status, v.mode, v.evidence["method"]) == ("FAILS", "exact", "copositivity")
         assert np.all(np.asarray(v.witness["direction"]) >= 0.0)
@@ -135,9 +135,9 @@ class TestCopositivity:
         names = [f"x{i}" for i in range(1, 13)]
         P = load_problem(f"vars {' '.join(names)}\nmin "
                          + " + ".join(f"{v}^2" for v in names) + "\n"
-                         + "".join(f"ineq -{v}\n" for v in names[:6]), from_path=False)
+                         + "".join(f"ineq -{v}\n" for v in names[:6]))
         ctx = PointContext(P, [0.0] * 12, TOL)
-        assert len(ctx.critical.pieces[0].generators(TOL).all_rays()) == 18
+        assert len(ctx.critical[0].generators(TOL).all_rays()) == 18
         v = soc.check_ssonc(ctx)
         assert (v.status, v.witness) == ("UNKNOWN", None)
         assert v.evidence == {"capped_pieces": [0], "note": "18 cone generators exceed "
@@ -154,8 +154,7 @@ class TestCopositivity:
     ])
     def test_a_capped_piece_hides_no_failing_piece(self, monkeypatch, f, status, evidence):
         monkeypatch.setattr(soc, "COPOSITIVE_COLUMN_CAP", 2)
-        P = load_problem(f"vars x1 x2 x3\nmin {f}\nineq -x2\nineq -x3\nswitch x1 | x2\n",
-                         from_path=False)
+        P = load_problem(f"vars x1 x2 x3\nmin {f}\nineq -x2\nineq -x3\nswitch x1 | x2\n")
         v = soc.check_ssonc(PointContext(P, [0.0] * 3, TOL))
         assert (v.status, v.evidence) == (status, evidence)
 
@@ -180,7 +179,7 @@ class TestWsonc:
         ("vars x1 x2\nmin x1 + x2^2\neq x1\neq 2*x1\n", 1, 3),
     ])
     def test_convex_on_the_subspace_holds_after_the_full_sweep(self, text, dim, generators):
-        P = load_problem(text, from_path=False)
+        P = load_problem(text)
         v = soc.check_wsonc(PointContext(P, [0.0] * P.n, TOL))
         assert (v.status, v.mode, v.witness) == ("HOLDS", "exact", None)
         # the critical subspace is the one piece, decided once per generator
@@ -191,7 +190,7 @@ class TestWsonc:
                               "subspace_dim": dim}
 
     def test_unconstrained_concave_fails(self):
-        P = load_problem("vars x\nmin -x^2\n", from_path=False)
+        P = load_problem("vars x\nmin -x^2\n")
         v = soc.check_wsonc(PointContext(P, [0.0], TOL))
         assert v.status == "FAILS"
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-12)
@@ -220,7 +219,7 @@ class TestSsonc:
         assert v.status == "HOLDS" and v.mode == "exact"
 
     def test_convex_quadratic_holds(self):
-        P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n")
         v = soc.check_ssonc(PointContext(P, [0.0, 0.0], TOL))
         assert v.status == "HOLDS"
 
@@ -228,7 +227,7 @@ class TestSsonc:
         for text in ("vars x\nmin -x^2\n",
                      "vars x1 x2\nmin -x1^2 - x2^2\neq x1^2 - x2\nswitch x1 | x2\n"
                      "switch x1 - x2^2 | x2 - x1^2\n"):
-            P = load_problem(text, from_path=False)
+            P = load_problem(text)
             x = [0.0] * P.n
             ctx = PointContext(P, x, TOL)
             w = soc.check_wsonc(ctx)
@@ -241,7 +240,7 @@ class TestSsonc:
 
     def test_strict_complementarity_verdicts_coincide(self):
         # lambda = 1 > 0 on the only active inequality
-        P = load_problem("vars x\nmin x + x^2\nineq -x\n", from_path=False)
+        P = load_problem("vars x\nmin x + x^2\nineq -x\n")
         w = soc.check_wsonc(PointContext(P, [0.0], TOL))
         s = soc.check_ssonc(PointContext(P, [0.0], TOL))
         assert w.status == s.status == "HOLDS"
@@ -250,7 +249,7 @@ class TestSsonc:
     def test_the_scale_of_a_row_moves_no_verdict(self, c):
         # c * x1 <= 0 cuts the half-plane d1 <= 0 at every scale c, and -x1^2
         # is negative along (-1, 0); the row is never an implicit equality
-        P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n", from_path=False)
+        P = load_problem(f"vars x1 x2\nmin -x1^2\nineq {c}*x1\n")
         ctx = PointContext(P, [0.0, 0.0], TOL)
         v = soc.check_ssonc(ctx)
         assert (v.status, v.mode, v.evidence["method"]) == ("FAILS", "exact", "copositivity")
@@ -263,7 +262,7 @@ class TestSsonc:
     def test_a_positive_multiplier_makes_the_critical_cone_a_subspace(self):
         # lambda = 1: grad f . d <= 0 and -d1 <= 0 pin d1 = 0, which the
         # implicit-equality test finds on the cut form of the cone
-        P = load_problem("vars x1 x2\nmin x1 - x2^2\nineq -x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1 - x2^2\nineq -x1\n")
         v = soc.check_ssonc(PointContext(P, [0.0, 0.0], TOL))
         assert (v.status, v.mode, v.evidence["method"]) == ("FAILS", "exact", "subspace_eig")
         assert v.witness["value"] == pytest.approx(-2.0, abs=1e-12)
@@ -274,11 +273,10 @@ class TestSsonc:
         # tell that the critical cone {d1 = d2 = 0} is a subspace
         names = [f"x{i}" for i in range(1, 14)]
         P = load_problem(f"vars {' '.join(names)}\nmin -x1 - x2 + "
-                         + " + ".join(f"{v}^2" for v in names) + "\nineq x1\nineq x2\n",
-                         from_path=False)
+                         + " + ".join(f"{v}^2" for v in names) + "\nineq x1\nineq x2\n")
         ctx = PointContext(P, [0.0] * 13, TOL)
         with pytest.raises(SizeCapError):
-            ctx.critical.pieces[0].generators(TOL)
+            ctx.critical[0].generators(TOL)
         v = soc.check_ssonc(ctx)
         assert (v.status, v.mode) == ("HOLDS", "exact")
         assert [s["method"] for s in v.evidence["sweeps"]] == ["subspace_eig"]

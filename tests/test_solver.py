@@ -13,8 +13,7 @@ from mpsckit import cli, solver
 from mpsckit.errors import MpscError
 from mpsckit.numeric import Tolerances, ball_offsets
 from mpsckit.penalty import nearest_feasible
-from mpsckit.problem import (OBJECTIVE, Bipartition, BranchProblem, MpscProblem, all_branches,
-                             branch, index_sets, load_problem)
+from mpsckit.problem import OBJECTIVE, BranchProblem, MpscProblem, all_branches, load_problem
 from mpsckit.report import annotate_stationarity
 
 TOL = Tolerances()
@@ -317,7 +316,7 @@ def mixed_use_case():
     """A problem and 16 rows of it that use its equality alone, with either
     inequality, or with both."""
     P = load_problem("vars x1 x2 x3\nmin x3\nineq x1^2 - 1\nineq x2 - 1\n"
-                     "eq x3 - x1*x2\n", from_path=False)
+                     "eq x3 - x1*x2\n")
     rng = np.random.default_rng(3)
     return P, np.array([[a, b, c] for a in (0.5, -2.0) for b in (0.2, 3.0)
                         for c in rng.normal(size=4)])
@@ -325,19 +324,19 @@ def mixed_use_case():
 
 class TestProjectBranch:
     def test_already_feasible_is_fixed(self):
-        P = load_problem("vars x1 x2\nmin x1\nineq -x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\nineq -x1\n")
         br = all_branches(P)[0]
         y = project_branch(P, br, [0.3, 0.7], TOL)
         assert np.allclose(y, [0.3, 0.7], atol=1e-9)
 
     def test_orthogonal_projection_on_plane(self):
-        P = load_problem("vars x1 x2\nmin x1\neq x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\neq x1\n")
         br = all_branches(P)[0]
         y = project_branch(P, br, [0.3, 0.7], TOL)
         assert np.allclose(y, [0.0, 0.7], atol=1e-6)
 
     def test_parabola_projection(self):
-        P = load_problem("vars x1 x2\nmin x1\neq x2 - x1^2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\neq x2 - x1^2\n")
         br = all_branches(P)[0]
         y = project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
@@ -349,8 +348,7 @@ class TestProjectBranch:
 
     def test_ray2d_branch_collapses_to_origin(self, corpus):
         P = corpus["ray2d"]
-        I = index_sets(P.constraint_values([0.0, 0.0]), TOL)
-        br = branch(P, I, Bipartition((), (0,)))
+        br = BranchProblem(P, ())
         y = project_branch(P, br, [0.2, 0.1], TOL)
         assert float(br.residual(y)) <= 1e-8
         # the tau_feas tube admits parabola points with x1 ~ sqrt(tau_feas)
@@ -447,15 +445,15 @@ class TestProjectBranch:
                 ("vars x1 x2\nmin x1\neq 2e307 * x1\n", X0, X0, 0.0),
                 # the last stage's minimizer sits 1e301 (sigma = 1e6) short
                 ("vars x1\nmin x1\neq x1 + 1e307\n", X0[:, :1], np.full((2, 1), -1e307), 1e-5)):
-            P = load_problem(text, from_path=False)
+            P = load_problem(text)
             Y = solver.project_branch_cloud(P, all_branches(P)[0], X, TOL)
             assert np.allclose(Y, Y_want, rtol=rtol, atol=0.0), text
         assert len(trials) > 0 and all(np.isfinite(x).all() for x in trials)
         monkeypatch.undo()
-        P = load_problem("vars x1 x2\nmin x1\neq 2e307 * x1\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1\neq 2e307 * x1\n")
         Y = solver.project_branch_cloud(P, all_branches(P)[0], X0, TOL)
         assert np.allclose(Y, [[0.0, 0.7], [0.0, 0.1]], atol=1e-12)
-        P = load_problem("vars x1\nmin x1\neq x1 + 1e307\n", from_path=False)
+        P = load_problem("vars x1\nmin x1\neq x1 + 1e307\n")
         Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.7]], TOL)
         assert np.allclose(Y, -1e307, rtol=1e-12, atol=0.0)
 
@@ -464,7 +462,7 @@ class TestProjectBranch:
         # sigma * |grad c|^2 far above 1 / eps: I + sigma * grad c grad c^T
         # is singular in floating point, the stacked least squares is not
         text = f"vars x1 x2\nmin x1\neq {scale} * x1 + {scale} * x2\n"
-        P = load_problem(text, from_path=False)
+        P = load_problem(text)
         Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.3, 0.7], [0.2, -0.6]], TOL)
         assert np.allclose(Y, [[-0.2, 0.2], [0.4, -0.4]], atol=1e-6)
         path = tmp_path / "plane.mpsc"
@@ -479,8 +477,7 @@ class TestProjectBranch:
         # 1e5 and 1e6 (np.linalg.solve raises on it); with the eigenvalues
         # clipped at 0 before 1 / sigma is added it never is
         row = f"{scale} * x1 + {scale} * x2"
-        P = load_problem(f"vars x1 x2\nmin x1\neq {row}\neq {row}\nineq {row}\n",
-                         from_path=False)
+        P = load_problem(f"vars x1 x2\nmin x1\neq {row}\neq {row}\nineq {row}\n")
         Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.3, 0.7], [0.2, -0.6]], TOL)
         assert np.allclose(Y, [[-0.2, 0.2], [0.4, -0.4]], rtol=0.0, atol=1e-12)
 
@@ -488,8 +485,7 @@ class TestProjectBranch:
     def test_huge_gradients_land_on_the_plane(self, scale):
         # past |grad c| ~ 1e154 Ju Ju^T overflows: those rows take no stage
         # step, and the polish's least squares places them on the plane
-        P = load_problem(f"vars x1 x2\nmin x1\neq {scale} * x1 + {scale} * x2\n",
-                         from_path=False)
+        P = load_problem(f"vars x1 x2\nmin x1\neq {scale} * x1 + {scale} * x2\n")
         Y = solver.project_branch_cloud(P, all_branches(P)[0], [[0.3, 0.7], [0.2, -0.6]], TOL)
         assert np.allclose(Y, [[-0.2, 0.2], [0.4, -0.4]], rtol=0.0, atol=1e-12)
 
@@ -654,8 +650,7 @@ class TestGaussNewtonPolish:
         monkeypatch.setattr(solver, "SIGMA_SCHEDULE", (1e2,))
         monkeypatch.setattr(solver, "PENALTY_STEPS", 5)
         P = load_problem("vars x1 x2 x3\nmin x1\nineq x1^2 + x2^2 - 1\n"
-                         "ineq x3 - x1*x2\neq exp(x1) - 1 - x3\nswitch x1 | x2 - x3\n",
-                         from_path=False)
+                         "ineq x3 - x1*x2\neq exp(x1) - 1 - x3\nswitch x1 | x2 - x3\n")
         rng = np.random.default_rng(7)
         for br in all_branches(P):
             X = rng.normal(scale=1.5, size=(32, 3))
@@ -667,8 +662,7 @@ class TestGaussNewtonPolish:
 
     def test_inequality_gradient_skipped_where_it_holds(self):
         # d/dx1 sqrt(x1) is not finite at x1 = 0, where the inequality holds
-        P = load_problem("vars x1 x2\nmin x2\nineq sqrt(x1) - 1\neq x2 - 1\n",
-                         from_path=False)
+        P = load_problem("vars x1 x2\nmin x2\nineq sqrt(x1) - 1\neq x2 - 1\n")
         br = all_branches(P)[0]
         X = np.array([[0.0, 0.5], [0.0, 3.0], [4.0, 2.0]])
         got = solver._gauss_newton_polish(br, X, TOL)
@@ -754,8 +748,7 @@ class TestBatchInvariance:
     def test_projection_row_beside_a_non_finite_unused_gradient(self):
         # d/dx1 sqrt(x1) is not finite at x1 = 0, where the inequality holds:
         # the row (0, 0.5) projects the same beside (4, 2), which violates it
-        P = load_problem("vars x1 x2\nmin x2\nineq sqrt(x1) - 1\neq x2 - 1\n",
-                         from_path=False)
+        P = load_problem("vars x1 x2\nmin x2\nineq sqrt(x1) - 1\neq x2 - 1\n")
         (br,) = all_branches(P)
         X = np.array([[0.0, 0.5], [4.0, 2.0]])
         for rows in (X, X[::-1]):  # either row first in the whole batch
@@ -781,7 +774,7 @@ class TestBatchInvariance:
 
 class TestSolveBranch:
     def test_equality_pins_solution(self):
-        P = load_problem("vars x\nmin x^2\neq x - 1\n", from_path=False)
+        P = load_problem("vars x\nmin x^2\neq x - 1\n")
         sol = solver.solve_branch(P, all_branches(P)[0], [3.0], TOL)
         assert sol.status == "feasible"
         assert sol.value == pytest.approx(1.0, abs=1e-6)
@@ -789,15 +782,14 @@ class TestSolveBranch:
 
     def test_wedge3d_g_branch(self, corpus):
         P = corpus["wedge3d"]
-        I = index_sets(P.constraint_values([0.0, 0.0, 0.0]), TOL)
-        br = branch(P, I, Bipartition((0,), ()))
+        br = BranchProblem(P, (0,))
         sol = solver.solve_branch(P, br, [0.5, 0.5, 0.5], TOL)
         assert sol.status == "feasible"
         assert sol.value == pytest.approx(0.0, abs=1e-6)
         assert sol.x[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_contradictory_equalities_stall(self):
-        P = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
+        P = load_problem("vars x\nmin x\neq x\neq x - 1\n")
         sol = solver.solve_branch(P, all_branches(P)[0], [0.0], TOL)
         assert sol.status == "infeasible-stall"
 
@@ -823,7 +815,7 @@ class TestSolveBranch:
 
     def test_start_count_is_the_module_constant(self, monkeypatch):
         monkeypatch.setattr(solver, "LHS_STARTS", 2)
-        P = load_problem("vars x\nmin x^2\n", from_path=False)
+        P = load_problem("vars x\nmin x^2\n")
         sol = solver.solve_branch(P, all_branches(P)[0], [1.0], TOL)
         assert "starts=3" in sol.log
 
@@ -836,7 +828,7 @@ class TestSolveEnumerative:
         assert np.allclose(sol.x, [0.0, 0.0], atol=1e-5)
 
     def test_unconstrained_quadratic(self):
-        P = load_problem("vars x1 x2\nmin (x1 - 1)^2 + (x2 + 2)^2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin (x1 - 1)^2 + (x2 + 2)^2\n")
         sol = solver.solve_enumerative(P, [5.0, 5.0], TOL)
         assert np.allclose(sol.x, [1.0, -2.0], atol=1e-5)
 
@@ -849,8 +841,7 @@ class TestSolveEnumerative:
 
 class TestSolvePenaltyDescent:
     def test_smooth_regime_matches_enumerative(self):
-        P = load_problem("vars x1 x2\nmin (x1 - 1)^2 + (x2 + 2)^2\nineq x1 - 2\n",
-                         from_path=False)
+        P = load_problem("vars x1 x2\nmin (x1 - 1)^2 + (x2 + 2)^2\nineq x1 - 2\n")
         ref = solver.solve_enumerative(P, [0.0, 0.0], TOL)
         sol = solver.solve_penalty_descent(P, [0.0, 0.0], TOL)
         assert sol.status == "feasible"
@@ -863,7 +854,7 @@ class TestSolvePenaltyDescent:
         assert sol.value >= ref.value - 1e-6
 
     def test_empty_feasible_set_fails(self):
-        P = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
+        P = load_problem("vars x\nmin x\neq x\neq x - 1\n")
         sol = solver.solve_penalty_descent(P, [0.3], TOL)
         assert sol.status in ("failure", "infeasible-stall")
 
@@ -879,7 +870,7 @@ class TestSolvePenaltyDescent:
             return evaluate(self, kind, items, x)
 
         monkeypatch.setattr(MpscProblem, "_evaluate", spy)
-        empty = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
+        empty = load_problem("vars x\nmin x\neq x\neq x - 1\n")
         runs = [(P, x0) for P in corpus.values() for x0 in (np.zeros(P.n), np.ones(P.n))]
         statuses = []
         for P, x0 in runs + [(empty, np.array([0.3]))]:
@@ -911,7 +902,7 @@ class TestStationaritySanity:
             assert sol.stationarity["W_within_10_tau_kkt"], (name, sol.stationarity)
 
     def test_annotation_skips_infeasible(self):
-        P = load_problem("vars x\nmin x\neq x\neq x - 1\n", from_path=False)
+        P = load_problem("vars x\nmin x\neq x\neq x - 1\n")
         sol = solver.solve_branch(P, all_branches(P)[0], [0.0], TOL)
         annotate_stationarity(P, sol, TOL)
         assert sol.stationarity == {}

@@ -46,7 +46,7 @@ class TestSStationarity:
         assert v.witness.l1() == pytest.approx(0.0, abs=1e-9)
 
     def test_unconstrained_stationary(self):
-        P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1^2 + x2^2\n")
         v = st.check_s_stationary(PointContext(P, [0.0, 0.0], TOL))
         assert v.status == "HOLDS" and v.witness.l1() == 0.0
 
@@ -70,7 +70,7 @@ class TestMStationarity:
         assert st.check_m_stationary(ctx).status == "HOLDS"
 
     def test_linear_objective_unconstrained_fails(self):
-        P = load_problem("vars x\nmin x\n", from_path=False)
+        P = load_problem("vars x\nmin x\n")
         assert st.check_m_stationary(PointContext(P, [0.0], TOL)).status == "FAILS"
 
 
@@ -80,11 +80,11 @@ class TestWStationarity:
         assert st.check_w_stationary(ctx).status == "HOLDS"
 
     def test_unconstrained_fails(self):
-        P = load_problem("vars x\nmin x\n", from_path=False)
+        P = load_problem("vars x\nmin x\n")
         assert st.check_w_stationary(PointContext(P, [0.0], TOL)).status == "FAILS"
 
     def test_switch_only_witness(self):
-        P = load_problem("vars x1 x2\nmin x1 - 3*x2\nswitch x1 | x2\n", from_path=False)
+        P = load_problem("vars x1 x2\nmin x1 - 3*x2\nswitch x1 | x2\n")
         v = st.check_w_stationary(PointContext(P, [0.0, 0.0], TOL))
         assert v.status == "HOLDS"
         assert v.witness.mu[0] == pytest.approx(-1.0, abs=1e-9)
@@ -100,12 +100,12 @@ class TestSMultiplierPolyhedron:
         assert np.allclose(gen.vertices[0], [0.0], atol=1e-9)
 
     def test_unconstrained_zero_dimensional(self):
-        P = load_problem("vars x\nmin x^2\n", from_path=False)
+        P = load_problem("vars x\nmin x^2\n")
         labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
         assert labels == [] and len(gen.vertices) == 1
 
     def test_single_active_inequality(self):
-        P = load_problem("vars x\nmin x\nineq -x\n", from_path=False)
+        P = load_problem("vars x\nmin x\nineq -x\n")
         labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
         assert labels == [("lam", 0)]
         assert len(gen.vertices) == 1
@@ -123,7 +123,7 @@ class TestNormalConeOracle:
         assert st.normal_cone_oracle(ctx, "S") is False
 
     def test_unconstrained_stationary_both(self):
-        P = load_problem("vars x\nmin x^2\n", from_path=False)
+        P = load_problem("vars x\nmin x^2\n")
         ctx = PointContext(P, [0.0], TOL)
         assert st.normal_cone_oracle(ctx, "M") is True
         assert st.normal_cone_oracle(ctx, "S") is True

@@ -43,7 +43,7 @@ def test_argument_positions_the_tracer_reads():
 
 def test_traced_rows_are_the_batch_rows(monkeypatch):
     monkeypatch.setattr(solver, "LHS_STARTS", 2)
-    P = load_problem("vars x1 x2\nmin x1^2 + x2^2\nineq 1 - x1\n", from_path=False)
+    P = load_problem("vars x1 x2\nmin x1^2 + x2^2\nineq 1 - x1\n")
     br = all_branches(P)[0]
     tracer = load_tracer_module().Tracer()
     with tracer:
