@@ -148,8 +148,9 @@ class PointContext:
     The (g, h, G, H) values at x, the index sets read from them (which gate
     feasibility), the branches at x (one per split of I_GH, which `split`
     names), the rows of the one Jacobian at x over P.items, kinds f/g/h/G/H,
-    and each item Hessian at x are computed on first use and not kept when
-    they raise, so each component that needs them reports the error itself.
+    and the item Hessians at x (each request's missing items from one
+    `derivatives` call) are computed on first use and not kept when they
+    raise, so each component that needs them reports the error itself.
     The linearization and critical cones, lists whose piece k is that of
     branch k, and the critical subspace are built once and keep their
     generators; `shells` is the one neighbourhood sample that every sampled
@@ -160,6 +161,7 @@ class PointContext:
         self.P, self.x, self.tol = P, np.asarray(x, float), tol
         self._J = np.zeros((len(P.items), P.n))
         self._filled = set()
+        self._hessians = {}
         self._kept = {}
 
     def once(self, key, compute):
@@ -224,9 +226,13 @@ class PointContext:
         """Gradient at x of item (kind, i)."""
         return self.rows([(kind, i)])[0]
 
-    def hessian(self, kind, i=0) -> np.ndarray:
-        """Hessian at x of item (kind, i); callers must not modify it."""
-        return self.once(("hessian", kind, i), lambda: self.P.hessian(self.x, (kind, i)))
+    def hessians(self, items) -> list:
+        """Hessians at x of the items, each kept once read: the items not yet
+        kept come from one `derivatives` call.  Callers must not modify them."""
+        new = [it for it in items if it not in self._hessians]
+        if new:
+            self._hessians.update(zip(new, self.P.derivatives(self.x, new)[1]))
+        return [self._hessians[it] for it in items]
 
     def combination(self, items, rhs, mode):
         """combination_lp over the items' gradient columns; g weights are >= 0."""

@@ -26,7 +26,7 @@ from .errors import LatticeContradictionError, SizeCapError
 from .expr import Const
 from .numeric import RADII_FRACTIONS, rank_tol_batch, unit_rows
 from .soc import quadform_min_over_cone
-from .stationarity import expand_multiplier, lagrangian_hessian, multiplier_labels
+from .stationarity import Multipliers, lagrangian_hessian
 
 HOLDS, FAILS, UNKNOWN = "HOLDS", "FAILS", "UNKNOWN"
 
@@ -325,7 +325,7 @@ def check_psoqn(ctx: PointContext) -> CqVerdict:
             return CqVerdict("PSOQN", UNKNOWN, "sampled",
                              {"note": "multiplier-ray enumeration exceeds caps"})
         for z in rays:
-            m = expand_multiplier(P, multiplier_labels(items), z)
+            m = Multipliers.over(P, items, z)
             if m.l1() > 1e-9:
                 candidates.append((br, items, m))
     if not candidates:
@@ -350,26 +350,15 @@ def _psoqn_second_order(ctx, items, m):
 
 
 def _psoqn_sign_sequence(ctx, m):
-    """A sample at every shrinking radius matching all strict sign conditions."""
-    P, tol = ctx.P, ctx.tol
-    lam, rho, mu, nu = m.as_arrays()
-    shell_values = ctx.once("psoqn values", lambda: [P.constraint_values(X) for X in ctx.shells])
-    for g, h, G, H in shell_values:
-        ok = np.ones(g.shape[0], dtype=bool)
-        for i in range(P.m):
-            if lam[i] > tol.tau_act:
-                ok &= g[:, i] > 1e-12
-        for j in range(P.p):
-            if abs(rho[j]) > tol.tau_act:
-                ok &= rho[j] * h[:, j] > 1e-12
-        for k in range(P.l):
-            if abs(mu[k]) > tol.tau_act:
-                ok &= mu[k] * G[:, k] > 1e-12
-            if abs(nu[k]) > tol.tau_act:
-                ok &= nu[k] * H[:, k] > 1e-12
-        if not np.any(ok):
-            return False
-    return True
+    """A sample at every shrinking radius where each strict term (|coefficient|
+    > tau_act) has a value of its coefficient's sign: coefficient * value above
+    1e-12, a g value itself (lambda >= 0)."""
+    P = ctx.P
+    strict = [(c, it) for c, it in m.terms() if abs(c) > ctx.tol.tau_act]
+    cols = [P.items.index(it) - 1 for _, it in strict]
+    scale = np.array([1.0 if kind == "g" else c for c, (kind, _) in strict])
+    shell_values = ctx.once("psoqn values", lambda: [P.values(X, P.items[1:]) for X in ctx.shells])
+    return all(np.any(np.all(V[:, cols] * scale > 1e-12, axis=1)) for V in shell_values)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ class NotSStationaryError(MpscError):
 
 
 class NumericBreakdownError(MpscError):
-    """A numeric kernel hit its iteration cap without converging."""
+    """A numeric kernel hit its iteration cap without converging, or a result
+    failed its consistency check (a witness outside the set it belongs to)."""
 
 
 class LatticeContradictionError(MpscError):

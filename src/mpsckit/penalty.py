@@ -196,12 +196,12 @@ def exact_penalty_probe(ctx, eb: ErrorBoundReport) -> PenaltyReport:
         kappa_bar = 1.0
         notes.append("degenerate threshold estimate; grid uses kappa_bar = 1")
 
-    base = float(P.values(x, [OBJECTIVE])[0])
     grid = []
     sample_rng = tol.rng("penaltymin")
     Y = _minimality_samples(P, x, MINIMALITY_RADIUS, N_MIN_SAMPLES, sample_rng)
-    fvals = P.values(Y, [OBJECTIVE])[:, 0]
-    resvals = P.residual(Y)
+    V = P.values(np.vstack([x, Y]), P.items)  # f first: its error is the first
+    base, fvals = float(V[0, 0]), V[1:, 0]
+    resvals = P.residual_of(*np.split(V[1:, 1:], np.cumsum([P.m, P.p, P.l]), axis=1))
     for factor in (0.5, 1.0, 2.0, 4.0):
         kappa = factor * kappa_bar
         phi = fvals + kappa * resvals

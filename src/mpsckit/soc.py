@@ -15,15 +15,15 @@ part along recession rays covers every multiplier.  Nothing here samples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .cones import ConePiece, PointContext
-from .errors import NotSStationaryError, SizeCapError
+from .errors import NotSStationaryError, NumericBreakdownError, SizeCapError
 from .numeric import Tolerances, eigh_stack, unit_rows
-from .stationarity import (Multipliers, check_s_stationary, expand_multiplier,
-                           lagrangian_hessian, s_multiplier_polyhedron)
+from .stationarity import (Multipliers, check_s_stationary, lagrangian_hessian,
+                           s_multiplier_polyhedron)
 
 HOLDS, FAILS, UNKNOWN = "HOLDS", "FAILS", "UNKNOWN"
 
@@ -105,9 +105,9 @@ def _multiplier_sweep(ctx):
     of the S-multiplier polyhedron, enumerated once per context for both
     second-order checks."""
     def expand():
-        labels, gen = s_multiplier_polyhedron(ctx)
-        return ([(expand_multiplier(ctx.P, labels, v), False) for v in gen.vertices]
-                + [(expand_multiplier(ctx.P, labels, r), True) for r in gen.all_rays()])
+        items, gen = s_multiplier_polyhedron(ctx)
+        return ([(Multipliers.over(ctx.P, items, v), False) for v in gen.vertices]
+                + [(Multipliers.over(ctx.P, items, r), True) for r in gen.all_rays()])
     return ctx.once("S-multipliers", expand)
 
 
@@ -123,7 +123,8 @@ def _ray_witness_multiplier(ctx, vertex: Multipliers, ray: Multipliers,
     qv = float(d @ lagrangian_hessian(ctx, vertex) @ d)
     qr = float(d @ lagrangian_hessian(ctx, ray, include_objective=False) @ d)
     t = (abs(qv) + 1.0) / max(-qr, 1e-12)
-    mult = Multipliers(*(tuple(v + t * r) for v, r in zip(vertex.as_arrays(), ray.as_arrays())))
+    mult = Multipliers(*(tuple(np.add(v, np.multiply(t, r)))
+                         for v, r in zip(astuple(vertex), astuple(ray))))
     return mult, float(d @ lagrangian_hessian(ctx, mult) @ d)
 
 
@@ -157,7 +158,10 @@ def _sonc(ctx: PointContext, kind: str, pieces) -> SocVerdict:
                 if is_ray:
                     mult, value = _ray_witness_multiplier(ctx, sweep[0][0], mult, d)
                     evidence["via_recession_ray"] = True
-                assert piece.contains(d, tol.tau_feas * 2.0)
+                violation = float(piece.violation(d))
+                if not violation <= tol.tau_feas * 2.0:  # a loose rank cutoff can do this
+                    raise NumericBreakdownError(f"{kind} direction lies outside cone piece "
+                                                f"{pi} (violation {violation:.3g})")
                 return SocVerdict(kind, FAILS, "exact", evidence=evidence, witness={
                     "multiplier": mult, "direction": d, "value": value})
     if capped:

@@ -442,8 +442,10 @@ def solve_penalty_descent(P: MpscProblem, x0, tol: Tolerances) -> LocalSolution:
     # polish on the branch matching the active pattern at the incumbent
     br = BranchProblem(P, tuple(k for k in range(P.l) if G[k] ** 2 <= H[k] ** 2))
     X, kkt, res, status, outer = _alm_batch(P, br, x, tol)
+    V = P.values(X[0], P.items)  # f first: the first error
+    f, g, h, G, H = (V[c] for c in cols)
     sol = LocalSolution(
-        x=X[0], value=float(P.values(X[0], [OBJECTIVE])[0]), residual=float(P.residual(X[0])),
+        x=X[0], value=float(f[0]), residual=float(MpscProblem.residual_of(g, h, G, H)),
         branch=br.label(), status=str(status[0]), iterations=len(kappas) + outer,
         log=[f"kappa_final={kappas[-1]:.1e}", f"kkt={kkt[0]:.2e}", "branch polish"])
     if sol.residual > tol.tau_feas:

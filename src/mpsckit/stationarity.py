@@ -3,7 +3,10 @@
 Each notion is a linear feasibility system in the multipliers; the
 complementarity mu_k * nu_k = 0 of M-stationarity is handled by exact
 enumeration of the zero patterns over the biactive set, one per branch.
-Witnesses are l1-minimal for reproducibility.
+Witnesses are l1-minimal for reproducibility.  A multiplier is a coefficient
+per constraint item, built from an LP solution over a list of items
+(`Multipliers.over`); the Lagrangian Hessian sums its nonzero terms over the
+item Hessians the point context reads in one call.
 """
 
 from __future__ import annotations
@@ -17,21 +20,36 @@ from .cones import (AXIS_A, AXIS_B, CROSS, ORIGIN, PointContext, active_items,
                     branch_items, cross_cones)
 from .errors import NotSStationaryError
 from .numeric import Polyhedron, enumerate_generators
-from .problem import MpscProblem
+from .problem import OBJECTIVE, MpscProblem
 
 HOLDS, FAILS = "HOLDS", "FAILS"
 
 
 @dataclass(frozen=True)
 class Multipliers:
+    """A coefficient per constraint item: lam on g, rho on h, mu on G, nu on H."""
+
     lam: tuple
     rho: tuple
     mu: tuple
     nu: tuple
 
-    def as_arrays(self):
-        return (np.asarray(self.lam, float), np.asarray(self.rho, float),
-                np.asarray(self.mu, float), np.asarray(self.nu, float))
+    @staticmethod
+    def over(P: MpscProblem, items, z) -> "Multipliers":
+        """Coefficient z[c] on items[c] (kinds g, h, G, H) and 0 elsewhere."""
+        parts = {"g": np.zeros(P.m), "h": np.zeros(P.p), "G": np.zeros(P.l), "H": np.zeros(P.l)}
+        for (kind, i), v in zip(items, z):
+            parts[kind][i] = v
+        return Multipliers(*(tuple(parts[kind]) for kind in "ghGH"))
+
+    def terms(self) -> list:
+        """(coefficient, item) of every nonzero entry: g, h, then G and H of
+        each switch pair in turn."""
+        terms = [(c, ("g", i)) for i, c in enumerate(self.lam)]
+        terms += [(c, ("h", j)) for j, c in enumerate(self.rho)]
+        terms += [t for k, (c, d) in enumerate(zip(self.mu, self.nu))
+                  for t in ((c, ("G", k)), (d, ("H", k)))]
+        return [(c, it) for c, it in terms if c != 0.0]
 
     def l1(self):
         return float(sum(abs(v) for part in (self.lam, self.rho, self.mu, self.nu)
@@ -54,21 +72,14 @@ class StationarityVerdict:
         return self.status == HOLDS
 
 
-def _lagrangian_terms(P: MpscProblem, mult: Multipliers):
-    """(coefficient, item) of every nonzero multiplier: g, h, then G and H
-    of each switch pair in turn."""
-    lam, rho, mu, nu = mult.as_arrays()
-    terms = [(lam[i], ("g", i)) for i in range(P.m)]
-    terms += [(rho[j], ("h", j)) for j in range(P.p)]
-    terms += [t for k in range(P.l) for t in ((mu[k], ("G", k)), (nu[k], ("H", k)))]
-    return [(c, it) for c, it in terms if c != 0.0]
-
-
 def lagrangian_hessian(ctx: PointContext, mult: Multipliers, include_objective=True):
-    n = ctx.P.n
-    out = ctx.hessian("f").copy() if include_objective else np.zeros((n, n))
-    for c, it in _lagrangian_terms(ctx.P, mult):
-        out = out + c * ctx.hessian(*it)
+    """Hessian at x of f (when included) plus the multiplier's terms, summed in
+    term order from one `ctx.hessians` request."""
+    terms = mult.terms()
+    hess = ctx.hessians([OBJECTIVE] * include_objective + [it for _, it in terms])
+    out = hess[0].copy() if include_objective else np.zeros((ctx.P.n, ctx.P.n))
+    for (c, _), H in zip(terms, hess[include_objective:]):
+        out = out + c * H
     return out
 
 
@@ -76,26 +87,10 @@ def lagrangian_hessian(ctx: PointContext, mult: Multipliers, include_objective=T
 # multiplier systems
 # ---------------------------------------------------------------------------
 
-def multiplier_labels(items) -> list:
-    """Multiplier label (lam/rho/mu/nu, idx) of each gradient item (g/h/G/H, idx)."""
-    return [({"g": "lam", "h": "rho", "G": "mu", "H": "nu"}[k], i) for k, i in items]
-
-
-def expand_multiplier(P: MpscProblem, labels, z) -> Multipliers:
-    lam = np.zeros(P.m)
-    rho = np.zeros(P.p)
-    mu = np.zeros(P.l)
-    nu = np.zeros(P.l)
-    store = {"lam": lam, "rho": rho, "mu": mu, "nu": nu}
-    for (kind, idx), v in zip(labels, z):
-        store[kind][idx] = v
-    return Multipliers(tuple(lam), tuple(rho), tuple(mu), tuple(nu))
-
-
 def _solve_system(ctx: PointContext, items) -> Multipliers | None:
     """l1-minimal multiplier solving grad L = 0 over the items' gradients."""
     z = ctx.combination(items, -ctx.grad("f"), "l1")
-    return None if z is None else expand_multiplier(ctx.P, multiplier_labels(items), z)
+    return None if z is None else Multipliers.over(ctx.P, items, z)
 
 
 def check_w_stationary(ctx: PointContext) -> StationarityVerdict:
@@ -145,19 +140,18 @@ def check_m_stationary(ctx: PointContext) -> StationarityVerdict:
 
 
 def s_multiplier_polyhedron(ctx: PointContext):
-    """Labels and generator form of the affine polyhedron of all S-multipliers.
+    """Items and generator form of the affine polyhedron of all S-multipliers.
 
-    Coordinates are (lambda on I_g, rho, mu on I_G, nu on I_H); everything
-    off those supports is identically zero.  Raises NotSStationaryError when
-    the system is infeasible.
+    Coordinate c is the coefficient on items[c] (g on I_g, every h, G on I_G,
+    H on I_H); every other item's is identically zero.  Raises
+    NotSStationaryError when the system is infeasible.
     """
     items = branch_items(ctx, (), ())
-    B, labels = ctx.rows(items).T, multiplier_labels(items)
+    B, ncols = ctx.rows(items).T, len(items)
     rhs = -ctx.grad("f")
-    ncols = len(labels)
     if ncols == 0 and np.linalg.norm(rhs) > 1e-9:
         raise NotSStationaryError("point is not S-stationary")
-    lam = [c for c, (kind, _) in enumerate(labels) if kind == "lam"]
+    lam = [c for c, (kind, _) in enumerate(items) if kind == "g"]
     lam_rows = np.zeros((len(lam), ncols))
     lam_rows[range(len(lam)), lam] = -1.0
     pol = Polyhedron.make(ncols, A_eq=B, b_eq=rhs, A_le=lam_rows)
@@ -165,7 +159,7 @@ def s_multiplier_polyhedron(ctx: PointContext):
         gen = enumerate_generators(pol, ctx.tol)
     except ValueError as err:
         raise NotSStationaryError("point is not S-stationary") from err
-    return labels, gen
+    return items, gen
 
 
 # ---------------------------------------------------------------------------

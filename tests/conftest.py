@@ -5,7 +5,6 @@ import pytest
 
 from mpsckit import cq
 from mpsckit.cones import ConePiece
-from mpsckit.stationarity import _lagrangian_terms
 from mpsckit.numeric import Tolerances, unit_rows
 from mpsckit.problem import OBJECTIVE, MpscProblem, load_problem
 from mpsckit.solver import lhs_starts, project_branch_cloud
@@ -23,6 +22,14 @@ CORPUS_POINTS = {
     "pinch2d": (0.0, 0.0),
     "diagonal2d": (0.0, 0.0),
 }
+
+# feasible points where some switch is not biactive, so fewer branches pass
+# through the point than the problem has
+OFF_BIACTIVE_POINTS = [("axes2d", (1e-6, 0.0)), ("axes2d", (1e-3, 0.0)),
+                       ("axes2d", (0.5, 0.0)), ("axes2d", (0.0, -0.3)),
+                       ("wedge3d", (0.0, -0.5, 0.3)), ("ray2d", (0.0, -0.4)),
+                       ("crossplanes3d", (0.3, 0.3, 0.0)), ("parabola_sheet3d", (0.0, 0.2, 0.0)),
+                       ("tilted_sheet3d", (-0.2, 0.3, 0.0))]
 
 
 def problem_path(name):
@@ -89,7 +96,7 @@ def lagrangian_gradient(ctx, mult):
     """grad f + the multiplier combination of the item gradients at x: the
     tests' witness check (it vanishes at a stationary point)."""
     out = ctx.grad("f")
-    for c, it in _lagrangian_terms(ctx.P, mult):
+    for c, it in mult.terms():
         out = out + c * ctx.grad(*it)
     return out
 

@@ -413,6 +413,21 @@ class TestOtherCommands:
                 for r in p["rays"] + p["lineality"]]
         assert rays and all(v is not None for r in rays for v in r)
 
+    @pytest.mark.parametrize("name, tau_rank, component, violation", [
+        ("diagonal2d", "0.5", "soc.SSONC", "0.383"), ("pinch2d", "0.99", "soc.WSONC", "1")])
+    def test_a_direction_outside_its_piece_is_a_component_error(
+            self, capsys, tmp_path, name, tau_rank, component, violation):
+        # a loose rank cutoff can give an eigen or copositivity direction outside
+        # the piece's rows: the condition's component reports it, the rest stands
+        jpath = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "analyze", str(problem_path(name)), "--point", "0,0",
+                                 "--tau-rank", tau_rank, "--json", str(jpath))
+        rep = json.loads(jpath.read_text())
+        assert code == 1 and [e["component"] for e in rep["errors"]] == [component]
+        assert err == (f"error in {component}: {component[4:]} direction lies outside cone "
+                       f"piece 0 (violation {violation})\n")
+        assert rep["verdicts"]["stationarity"]["S"]["status"] == "HOLDS"
+
     def test_errorbound_at_an_infeasible_point_fails_as_cones_does(self, capsys):
         # both read the point through its context, whose index sets gate it
         argv = [str(problem_path("ray2d")), "--point", "1,1"]
@@ -583,28 +598,53 @@ PROBLEM_TEXTS = hst.builds(lambda f, lines: "\n".join(["vars x1 x2", f"min {f}",
 POINTS = hst.sampled_from(("0,0", "1,0", "0,-1", "0.5,0.5", "1e-9,0", "1e200,-1e200"))
 
 
+def checked_cli(tmp, schema, command, source, *args):
+    """One in-process CLI run held to the error contract: exit 2 with one error
+    line and no output, or else exit 0 (analyze also 1, with component errors)
+    with strict JSON, analyze's valid against report-v1; parse writes no JSON.
+    Returns the exit code, stdout and the JSON payload (None without one)."""
+    jpath = Path(tmp) / f"{command}.json"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, source, *args]
+                        + ([] if command == "parse" else ["--json", str(jpath)]))
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == "" and not jpath.exists()
+        return code, out.getvalue(), None
+    assert code in ((0, 1) if command == "analyze" else (0,))
+    if command == "parse":
+        return code, out.getvalue(), None
+    payload = json.loads(jpath.read_text(), parse_constant=reject_constant)
+    jpath.unlink()
+    if command == "analyze":
+        jsonschema.validate(payload, schema)
+    return code, out.getvalue(), payload
+
+
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(PROBLEM_TEXTS, POINTS)
 def test_cli_error_contract(text, point):
-    # parse, analyze and cones each exit 0 (or 1: analyze with component
-    # errors) with strict JSON, analyze's valid against report-v1, or exit 2
-    # with one error line; anything else, a warning included, fails the test
+    # parse, analyze and cones each keep the contract of `checked_cli`; anything
+    # else, a warning included, fails the test
     schema = report.load_schema()
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("parse", "analyze", "cones"):
-            jpath = Path(tmp) / f"{command}.json"
-            args = [] if command == "parse" else ["--point", point, "--json", str(jpath)]
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main([command, text, *args])
-            if code == 2:
-                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-                assert out.getvalue() == "" and not jpath.exists()
-                continue
-            if command == "parse":  # the echo reads back as the same problem
-                assert code == 0 and load_problem(out.getvalue()) == load_problem(text)
-                continue
-            assert code in ((0, 1) if command == "analyze" else (0,))
-            payload = json.loads(jpath.read_text(), parse_constant=reject_constant)
-            if command == "analyze":
-                jsonschema.validate(payload, schema)
+            args = [] if command == "parse" else ["--point", point]
+            code, out, _ = checked_cli(tmp, schema, command, text, *args)
+            if command == "parse" and code == 0:  # the echo reads back as the same problem
+                assert load_problem(out) == load_problem(text)
+
+
+@pytest.mark.parametrize("tau_rank", ["0.3", "0.5", "0.9", "0.99"])
+@pytest.mark.parametrize("name", sorted(CORPUS_POINTS))
+def test_rank_cutoff_sweep_keeps_the_contract(tmp_path, name, tau_rank):
+    # a loose or tight rank cutoff may move verdicts, or leave a component in
+    # error (analyze exits 1), but analyze and cones on a valid problem at a
+    # feasible point never exit 2 and never end in a traceback
+    schema = report.load_schema()
+    point = ",".join(str(v) for v in CORPUS_POINTS[name])
+    for command, extra in (("analyze", ["--samples", "64"]), ("cones", [])):
+        code, _, _ = checked_cli(tmp_path, schema, command, str(problem_path(name)),
+                                 "--point", point, "--tau-rank", tau_rank, *extra)
+        assert code != 2, (command, name, tau_rank)

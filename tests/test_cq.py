@@ -4,13 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS, checked_acq_directions, cq_table, scaled_text
+from conftest import (CORPUS_POINTS, OFF_BIACTIVE_POINTS, checked_acq_directions, cq_table,
+                      scaled_text)
 from mpsckit import cones, cq, penalty, report
 from mpsckit.cones import PointContext
 from mpsckit.cq import CqVerdict
 from mpsckit.errors import LatticeContradictionError
 from mpsckit.numeric import Tolerances, rank_tol_batch
 from mpsckit.problem import MpscProblem, load_problem
+from mpsckit.stationarity import Multipliers
 
 TOL = Tolerances()
 REPORT_DIR = Path(__file__).resolve().parent / "data" / "reports"
@@ -337,6 +339,69 @@ class TestPsoqn:
         assert v.status == "UNKNOWN"
 
 
+def four_loop_sign_sequence(ctx, m):
+    """PSOQN's sign test written as four per-kind loops over the (g, h, G, H)
+    shell values: the reference for `cq._psoqn_sign_sequence`."""
+    P, tol = ctx.P, ctx.tol
+    lam, rho, mu, nu = (np.asarray(part, float) for part in (m.lam, m.rho, m.mu, m.nu))
+    for g, h, G, H in (P.constraint_values(X) for X in ctx.shells):
+        ok = np.ones(g.shape[0], dtype=bool)
+        for i in range(P.m):
+            if lam[i] > tol.tau_act:
+                ok &= g[:, i] > 1e-12
+        for j in range(P.p):
+            if abs(rho[j]) > tol.tau_act:
+                ok &= rho[j] * h[:, j] > 1e-12
+        for k in range(P.l):
+            if abs(mu[k]) > tol.tau_act:
+                ok &= mu[k] * G[:, k] > 1e-12
+            if abs(nu[k]) > tol.tau_act:
+                ok &= nu[k] * H[:, k] > 1e-12
+        if not np.any(ok):
+            return False
+    return True
+
+
+def psoqn_candidates(ctx):
+    """The nonzero singular multipliers `check_psoqn` tests, branch by branch."""
+    out = []
+    for br in ctx.branches:
+        items = cones.branch_items(ctx, *ctx.split(br))
+        out += [m for z in ctx.combination(items, np.zeros(ctx.P.n), "rays")
+                if (m := Multipliers.over(ctx.P, items, z)).l1() > 1e-9]
+    return out
+
+
+class TestPsoqnSignTest:
+    POINTS = [*CORPUS_POINTS.items(), *OFF_BIACTIVE_POINTS]
+
+    @pytest.mark.parametrize("name, x", POINTS)
+    def test_candidates_decide_as_the_four_loops(self, corpus, name, x):
+        ctx = PointContext(corpus[name], x, TOL)
+        for m in psoqn_candidates(ctx):
+            assert cq._psoqn_sign_sequence(ctx, m) == four_loop_sign_sequence(ctx, m), m
+
+    def test_random_multipliers_decide_as_the_four_loops(self, corpus):
+        # lambda >= 0, as on every candidate; zeros, mixed signs, and
+        # magnitudes at, just off and around tau_act
+        rng, tau = np.random.default_rng(40), TOL.tau_act
+        levels = [0.0, tau, np.nextafter(tau, 0.0), np.nextafter(tau, 1.0), 0.5 * tau, 2 * tau]
+        decisions = []
+        for name, x in self.POINTS:
+            P = corpus[name]
+            ctx = PointContext(P, x, TOL)
+            for _ in range(40):
+                parts = []
+                for size, signed in ((P.m, False), (P.p, True), (P.l, True), (P.l, True)):
+                    v = np.where(rng.random(size) < 0.5, rng.choice(levels, size),
+                                 rng.uniform(0.0, 2.0, size))
+                    parts.append(tuple(v * rng.choice([-1.0, 1.0], size) if signed else v))
+                m = Multipliers(*parts)
+                decisions.append(cq._psoqn_sign_sequence(ctx, m))
+                assert decisions[-1] == four_loop_sign_sequence(ctx, m), (name, x, m)
+        assert True in decisions and False in decisions
+
+
 class TestSampleWork:
     """The sampled checks at a point read the point context's one sample of
     three shells, evaluated in one batch call per shell, however many
@@ -395,20 +460,21 @@ class TestSampleWork:
 
     def test_psoqn_reads_the_context_shells(self, corpus, monkeypatch):
         seen = []
-        original = MpscProblem.constraint_values
+        original = MpscProblem.values
 
-        def recording(self, x):
+        def recording(self, x, items):
             if np.ndim(x) == 2:
-                seen.append(x)
-            return original(self, x)
+                seen.append((x, tuple(items)))
+            return original(self, x, items)
 
-        monkeypatch.setattr(MpscProblem, "constraint_values", recording)
+        monkeypatch.setattr(MpscProblem, "values", recording)
         ctx = PointContext(corpus["pinch2d"], [0.0, 0.0], TOL)
         cq.check_psoqn(ctx)
-        assert len(seen) == 3 and all(X is S for X, S in zip(seen, ctx.shells))
+        assert len(seen) == 3 and all(X is S and items == ctx.P.items[1:]
+                                      for (X, items), S in zip(seen, ctx.shells))
 
     def test_psoqn_makes_at_most_three_batch_value_calls(self, corpus, monkeypatch):
-        calls = self.batch_calls(monkeypatch, "constraint_values")
+        calls = self.batch_calls(monkeypatch, "values")
         for name, P in corpus.items():
             calls.clear()
             v = cq.check_psoqn(PointContext(P, CORPUS_POINTS[name], TOL))

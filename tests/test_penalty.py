@@ -3,12 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS_POINTS
+from conftest import CORPUS_POINTS, OFF_BIACTIVE_POINTS
 from mpsckit import penalty, report
 from mpsckit.cones import PointContext
 from mpsckit.errors import EvalDomainError, InfeasiblePointError
 from mpsckit.numeric import Tolerances, sanitize
-from mpsckit.problem import OBJECTIVE, all_branches, load_problem
+from mpsckit.problem import OBJECTIVE, MpscProblem, all_branches, load_problem
 
 TOL = Tolerances()
 
@@ -167,11 +167,7 @@ class TestErrorBound:
     # feasible points where not every switch is biactive, so that the branches
     # at x are fewer than the problem's; at the first two the inactive side
     # x1 = 0 lies within the probe ball
-    OFF_BIACTIVE = [("axes2d", (1e-6, 0.0)), ("axes2d", (1e-3, 0.0)),
-                    ("axes2d", (0.5, 0.0)), ("axes2d", (0.0, -0.3)),
-                    ("wedge3d", (0.0, -0.5, 0.3)), ("ray2d", (0.0, -0.4)),
-                    ("crossplanes3d", (0.3, 0.3, 0.0)), ("parabola_sheet3d", (0.0, 0.2, 0.0)),
-                    ("tilted_sheet3d", (-0.2, 0.3, 0.0))]
+    OFF_BIACTIVE = OFF_BIACTIVE_POINTS
 
     @pytest.mark.parametrize("name, x", [*OFF_BIACTIVE, *CORPUS_POINTS.items()])
     def test_the_error_bound_is_every_branchs(self, corpus, monkeypatch, name, x):
@@ -266,6 +262,25 @@ class TestExactPenalty:
         X = X[np.linalg.norm(X, axis=1) <= rep.minimality_radius]
         norms = np.linalg.norm(P.jacobian(X, [("f", 0)])[:, 0], axis=1)
         assert rep.L_f_hat >= np.max(norms) - 1e-9
+
+    def test_the_point_and_its_samples_are_evaluated_in_one_call(self, corpus, monkeypatch):
+        # f at x, f at the samples and their residuals come from one value
+        # call over every item, f first, at x stacked over the samples
+        calls, evaluate = [], MpscProblem._evaluate
+
+        def spy(self, kind, items, x):
+            calls.append((kind, tuple(items), np.shape(x)))
+            return evaluate(self, kind, items, x)
+
+        for name, P in corpus.items():
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            eb = penalty.error_bound_probe(ctx)
+            with monkeypatch.context() as m:
+                m.setattr(MpscProblem, "_evaluate", spy)
+                calls.clear()
+                penalty.exact_penalty_probe(ctx, eb)
+            rows = 1 + penalty.N_MIN_SAMPLES + 2 * P.n * 13
+            assert [c for c in calls if c[0] == "v"] == [("v", P.items, (rows, P.n))], name
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_minimality_axis_rays_match_the_loop(self, n):

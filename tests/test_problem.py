@@ -659,6 +659,13 @@ def test_only_all_branches_and_the_point_context_enumerate_splits():
                                         ("cones.py", "branches")}
 
 
+def test_only_the_point_context_the_one_item_form_and_the_alm_read_hessians():
+    # every Hessian at x is read through PointContext.hessians, which keeps
+    # it; the ALM's Newton step reads those of its gated items over a batch
+    assert _callers("derivatives") == {("cones.py", "hessians"), ("problem.py", "hessian"),
+                                       ("solver.py", "_alm_batch"), ("solver.py", "objective")}
+
+
 def test_the_critical_cone_is_built_only_by_the_point_context():
     # report and SSONC read ctx.critical, one cut-form cone per point, and
     # I_g^- reads the linearization piece's implicit equalities, not an LP of its own

@@ -13,7 +13,7 @@ from mpsckit import cli, solver
 from mpsckit.errors import MpscError
 from mpsckit.numeric import Tolerances, ball_offsets
 from mpsckit.penalty import nearest_feasible
-from mpsckit.problem import OBJECTIVE, BranchProblem, MpscProblem, all_branches, load_problem
+from mpsckit.problem import BranchProblem, MpscProblem, all_branches, load_problem
 from mpsckit.report import annotate_stationarity
 
 TOL = Tolerances()
@@ -861,8 +861,8 @@ class TestSolvePenaltyDescent:
     def test_incumbent_values_come_from_the_descent(self, corpus, monkeypatch):
         # the stopping residual, a failure's value and residual and the polish
         # branch are read from the item values the descent returns at its
-        # incumbent: the only evaluations at a single point are the polished
-        # point's f and constraint values
+        # incumbent: the only evaluation at a single point is one of every
+        # item's value at the polished point
         calls, evaluate = [], MpscProblem._evaluate
 
         def spy(self, kind, items, x):
@@ -880,7 +880,7 @@ class TestSolvePenaltyDescent:
             except MpscError:  # an overflow in the descent
                 status = "error"
             statuses.append(status)
-            polished = [("v", (OBJECTIVE,), 1), ("v", P.items[1:], 1)]
+            polished = [("v", P.items, 1)]
             single = [call for call in calls if call[2] == 1]
             assert single == ([] if status in ("failure", "error") else polished), status
         assert statuses[-1] == "failure" and "feasible" in statuses

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import lagrangian_gradient
+from conftest import CORPUS_POINTS, lagrangian_gradient
+from mpsckit import soc
 from mpsckit import stationarity as st
 from mpsckit.cones import PointContext
-from mpsckit.errors import NotSStationaryError
+from mpsckit.errors import MpscError, NotSStationaryError
 from mpsckit.numeric import Tolerances
-from mpsckit.problem import load_problem
+from mpsckit.problem import OBJECTIVE, MpscProblem, load_problem
 
 TOL = Tolerances()
 
@@ -33,6 +34,57 @@ class TestLagrangian:
         m = mult(rho=(0.0,), mu=(0.0,), nu=(0.0,))
         H = st.lagrangian_hessian(PointContext(P, [0.0, 0.0], TOL), m)
         assert np.array_equal(H, np.diag([-2.0, -2.0]))
+
+
+class TestHessiansAtX:
+    @staticmethod
+    def jh_calls(monkeypatch):
+        """The items of every "jh" kernel call, recorded as they are made."""
+        calls, evaluate = [], MpscProblem._evaluate
+
+        def spy(self, kind, items, x):
+            if kind == "jh":
+                calls.append(tuple(items))
+            return evaluate(self, kind, items, x)
+
+        monkeypatch.setattr(MpscProblem, "_evaluate", spy)
+        return calls
+
+    def test_a_lagrangian_hessian_reads_the_items_not_kept_in_one_call(self, corpus,
+                                                                       monkeypatch):
+        # and its sum is that of the one-item Hessians in term order, bit for bit
+        calls, rng = self.jh_calls(monkeypatch), np.random.default_rng(11)
+        for name, P in corpus.items():
+            ctx, kept = PointContext(P, CORPUS_POINTS[name], TOL), set()
+            for trial in range(12):
+                m = mult(*(np.where(rng.random(k) < 0.5, 0.0, rng.normal(size=k))
+                           for k in (P.m, P.p, P.l, P.l)))
+                with_f = trial % 2 == 1
+                asked = [OBJECTIVE] * with_f + [it for _, it in m.terms()]
+                calls.clear()
+                H = st.lagrangian_hessian(ctx, m, include_objective=with_f)
+                new = tuple(it for it in asked if it not in kept)
+                assert calls == ([new] if new else []), (name, trial)
+                kept.update(asked)
+                want = P.hessian(ctx.x, OBJECTIVE).copy() if with_f else np.zeros((P.n, P.n))
+                for c, it in m.terms():
+                    want = want + c * P.hessian(ctx.x, it)
+                assert np.array_equal(H, want), (name, trial)
+
+    def test_a_second_sonc_run_reads_no_hessian(self, corpus, monkeypatch):
+        calls, first = self.jh_calls(monkeypatch), []
+        for name, P in corpus.items():
+            ctx = PointContext(P, CORPUS_POINTS[name], TOL)
+            for run in (first, []):
+                calls.clear()
+                for check in (soc.check_wsonc, soc.check_ssonc):
+                    try:
+                        check(ctx)
+                    except MpscError:  # not S-stationary
+                        pass
+                run += calls
+            assert calls == [], name
+        assert first  # some first run read Hessians
 
 
 class TestSStationarity:
@@ -94,20 +146,20 @@ class TestWStationarity:
 class TestSMultiplierPolyhedron:
     def test_diagonal2d_single_point(self, corpus):
         ctx = PointContext(corpus["diagonal2d"], [0.0, 0.0], TOL)
-        labels, gen = st.s_multiplier_polyhedron(ctx)
-        assert [k for k, _ in labels] == ["rho"]
+        items, gen = st.s_multiplier_polyhedron(ctx)
+        assert [k for k, _ in items] == ["h"]
         assert len(gen.vertices) == 1 and len(gen.rays) == 0 and len(gen.lineality) == 0
         assert np.allclose(gen.vertices[0], [0.0], atol=1e-9)
 
     def test_unconstrained_zero_dimensional(self):
         P = load_problem("vars x\nmin x^2\n")
-        labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
-        assert labels == [] and len(gen.vertices) == 1
+        items, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
+        assert items == [] and len(gen.vertices) == 1
 
     def test_single_active_inequality(self):
         P = load_problem("vars x\nmin x\nineq -x\n")
-        labels, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
-        assert labels == [("lam", 0)]
+        items, gen = st.s_multiplier_polyhedron(PointContext(P, [0.0], TOL))
+        assert items == [("g", 0)]
         assert len(gen.vertices) == 1
         assert gen.vertices[0][0] == pytest.approx(1.0, abs=1e-9)
 
